@@ -3,9 +3,11 @@ variables, against the exact prediction n! times the mixed volume of the
 Newton polytopes.
 
 Two-variable systems are counted by eliminating y through the Sylvester
-resultant, whose determinant is evaluated by fraction-free (Bareiss)
-elimination with univariate complex polynomials as entries, then locating
-the x roots with the Aberth iteration and matching y roots per surviving x.
+resultant.  Its determinant, a polynomial in x, is interpolated: scalar
+Sylvester determinants at equally spaced points of a circle, then an
+inverse DFT, accepted only if two off-circle spot checks reproduce direct
+determinants.  The Aberth iteration then locates the x roots, and y roots
+are matched per surviving x.
 Genericity comes from randomized coefficients plus modal voting over
 independent trials; trials with clustered roots or bad residuals are
 discarded as degenerate and retried, never silently counted.
@@ -15,16 +17,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import geometry
 from .geometry import SupportSet
 from .mixedvol import mixed_volume
 from .rng import derive_seed
-from .roots import RootFindingError, aberth_roots, residual_scale
+from .roots import RootFindingError, aberth_roots
 
 DEFAULT_TOL = 1e-8
 SEPARATION_FLOOR = 1e-6
@@ -143,57 +143,11 @@ def count_roots_1d(p: ComplexLaurentPolynomial, tol: float = DEFAULT_TOL) -> int
 
 # -- univariate complex polynomials as lists (ascending powers of x) ---------
 
-def _ptrim(cs, floor=0.0):
+def _ptrim(cs):
     out = list(cs)
-    while out and abs(out[-1]) <= floor:
+    while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return []
-    out = [0j] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _psub(a, b):
-    out = [0j] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
-
-
-def _pdivexact(num, den):
-    """Polynomial division, exact in exact arithmetic.
-
-    Bareiss elimination guarantees divisibility, so the float remainder is
-    pure roundoff and is discarded; the assembled determinant is validated
-    afterwards against scalar eliminations at sample points.
-    """
-    num = _ptrim(num)
-    den = _ptrim(den)
-    if not den:
-        raise DegenerateSystemError("division by vanished pivot")
-    if not num:
-        return []
-    quo = [0j] * max(len(num) - len(den) + 1, 0)
-    rem = list(num)
-    lead = den[-1]
-    for k in range(len(quo) - 1, -1, -1):
-        coef = rem[k + len(den) - 1] / lead
-        quo[k] = coef
-        if coef != 0:
-            for j, y in enumerate(den):
-                rem[k + j] -= coef * y
-    return quo
 
 
 def _sylvester_matrix(p, q, degy_p, degy_q):
@@ -201,9 +155,6 @@ def _sylvester_matrix(p, q, degy_p, degy_q):
     size = degy_p + degy_q
 
     def row_of(poly, degy):
-        cols: dict[int, list[complex]] = {}
-        for (ex, ey), c in poly.terms:
-            cols.setdefault(ey, [0j] * (max(e[0] for e, _ in poly.terms) + 1))
         width = max(e[0] for e, _ in poly.terms) + 1
         rows = [[0j] * width for _ in range(degy + 1)]
         for (ex, ey), c in poly.terms:
@@ -215,35 +166,11 @@ def _sylvester_matrix(p, q, degy_p, degy_q):
     m = [[[] for _ in range(size)] for _ in range(size)]
     for shift in range(degy_q):
         for j, entry in enumerate(reversed(prow)):
-            m[shift][shift + j] = list(entry)
+            m[shift][shift + j] = entry
     for shift in range(degy_p):
         for j, entry in enumerate(reversed(qrow)):
-            m[degy_q + shift][shift + j] = list(entry)
+            m[degy_q + shift][shift + j] = entry
     return m
-
-
-def _bareiss_determinant(m):
-    """Fraction-free elimination over the polynomial-entry matrix."""
-    size = len(m)
-    prev = [complex(1)]
-    sign = 1
-    for k in range(size - 1):
-        if not _ptrim(m[k][k], 1e-300):
-            swap = next(
-                (i for i in range(k + 1, size) if _ptrim(m[i][k], 1e-300)), None
-            )
-            if swap is None:
-                return []
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                cross = _psub(_pmul(m[i][j], m[k][k]), _pmul(m[i][k], m[k][j]))
-                m[i][j] = _pdivexact(cross, prev)
-            m[i][k] = []
-        prev = m[k][k]
-    det = m[size - 1][size - 1]
-    return [sign * c for c in det]
 
 
 def _scalar_determinant(m):
@@ -298,20 +225,10 @@ def _interpolated_determinant(matrix, degree_bound):
 
 
 def _validated_eliminant(matrix):
-    """Bareiss eliminant cross-checked pointwise; interpolation fallback.
-
-    The fraction-free elimination is fast but can lose accuracy through
-    float pivot divisions; two scalar-elimination spot checks accept or
-    reject it, and the slower interpolated determinant takes over when
-    rejected.
-    """
+    """Interpolated eliminant, accepted only if both spot checks pass."""
     degree_bound = sum(max((len(e) - 1 for e in row if e), default=0) for row in matrix)
-    snapshot = [[list(e) for e in row] for row in matrix]
-    det = _bareiss_determinant(matrix)
-    if _spot_check(snapshot, det):
-        return det
-    det = _interpolated_determinant(snapshot, degree_bound)
-    if _spot_check(snapshot, det):
+    det = _interpolated_determinant(matrix, degree_bound)
+    if _spot_check(matrix, det):
         return det
     raise DegenerateSystemError("eliminant failed pointwise validation")
 
@@ -477,7 +394,7 @@ def _count_with_flat(flat, tall, tol):
     xcs = [0j] * (max(e[0] for e, _ in flat.terms) + 1)
     for (ex, _), c in flat.terms:
         xcs[ex] += c
-    if len(_ptrim(xcs, 0.0)) <= 1:
+    if len(_ptrim(xcs)) <= 1:
         return 0
     try:
         xroots = aberth_roots(xcs)
@@ -487,7 +404,7 @@ def _count_with_flat(flat, tall, tol):
     _check_separation(kept)
     total = 0
     for x_star in kept:
-        ycs = _ptrim(_y_coefficients(tall, x_star), 0.0)
+        ycs = _ptrim(_y_coefficients(tall, x_star))
         if len(ycs) <= 1:
             continue
         try:
@@ -592,26 +509,17 @@ def verify_bkk(
         raise ValueError(f"need exactly {n} supports")
     if trials < 3:
         raise ValueError("at least 3 trials required for a modal count")
+    if not 0 < tol < 1:
+        raise ValueError("tolerance must satisfy 0 < tol < 1")
     predicted = bkk_number(supports)
 
-    threads = int(os.environ.get("OKOUNKOV_LAB_THREADS", "1") or "1")
     batches = [("base", supports)]
     if include_completion:
         batches.append(("completion", [completion(a) for a in supports]))
-    results = {}
-    if threads > 1 and len(batches) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(batches))) as pool:
-            futures = {
-                label: pool.submit(
-                    _run_trials, sup, trials, seed, tol, label, max_retries
-                )
-                for label, sup in batches
-            }
-            for label, fut in futures.items():
-                results[label] = fut.result()
-    else:
-        for label, sup in batches:
-            results[label] = _run_trials(sup, trials, seed, tol, label, max_retries)
+    results = {
+        label: _run_trials(sup, trials, seed, tol, label, max_retries)
+        for label, sup in batches
+    }
 
     counts, degenerate = results["base"]
     modal, majority = _modal(counts)

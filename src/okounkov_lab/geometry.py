@@ -206,10 +206,6 @@ def convex_hull(points) -> LatticePolytope:
     return _from_core(_HullCore(pts, n), n)
 
 
-def vertices(P: LatticePolytope) -> list[Point]:
-    return list(P.vertices)
-
-
 def minkowski_sum(P: LatticePolytope, Q: LatticePolytope) -> LatticePolytope:
     """Hull of all pairwise vertex sums."""
     if P.ambient_dim != Q.ambient_dim:

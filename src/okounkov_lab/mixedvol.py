@@ -24,16 +24,6 @@ MAX_INTERP_DIM = 3
 
 
 @dataclass(frozen=True)
-class BodyTuple:
-    """An n-tuple of bodies in R^n, the argument of the mixed volume."""
-
-    bodies: tuple[LatticePolytope, ...]
-
-    def __post_init__(self):
-        _check_tuple(self.bodies)
-
-
-@dataclass(frozen=True)
 class MultiplicityTuple:
     """Bodies with repetition counts plus fixed bodies, filling n slots."""
 
@@ -85,8 +75,6 @@ def _check_tuple(bodies):
 
 
 def _as_bodies(t) -> tuple[LatticePolytope, ...]:
-    if isinstance(t, BodyTuple):
-        return t.bodies
     if isinstance(t, MultiplicityTuple):
         return t.expand()
     bodies = tuple(t)
@@ -168,11 +156,6 @@ def mixed_volume(t) -> Fraction:
     return _mixed_volume_grouped(distinct, mult, _SumVolumeCache(distinct))
 
 
-def mixed_volume_repeated(t: MultiplicityTuple) -> Fraction:
-    """Expand repetition counts and delegate to :func:`mixed_volume`."""
-    return mixed_volume(t.expand())
-
-
 def _monomials(n: int, degree: int):
     """Exponent vectors of total degree `degree` in n variables."""
     if n == 1:
@@ -252,27 +235,20 @@ def _witness_bodies(**named) -> dict:
 def check_alexandrov_fenchel(t) -> InequalityReport:
     """Check V(D1,D2,rest)^2 >= V(D1,D1,rest) * V(D2,D2,rest) exactly."""
     bodies = _as_bodies(t)
-    d1, d2, rest = bodies[0], bodies[1], bodies[2:]
-    distinct, _ = _grouped(bodies)
+    distinct, mult = _grouped(bodies)
     cache = _SumVolumeCache(distinct)
+    i1, i2 = distinct.index(bodies[0]), distinct.index(bodies[1])
 
-    def mv(tup):
-        dis, mul = _grouped(tup)
-        # reuse the shared cache by expressing counts in the master list
-        counts_map = {}
-        for d, m in zip(dis, mul):
-            idx = next(i for i, b in enumerate(distinct) if b == d)
-            counts_map[idx] = m
-        master_mult = tuple(counts_map.get(i, 0) for i in range(len(distinct)))
-        live = [i for i, m in enumerate(master_mult) if m]
-        sub_distinct = tuple(distinct[i] for i in live)
-        sub_mult = tuple(master_mult[i] for i in live)
-        sub_cache = _SubCache(cache, live)
-        return _mixed_volume_grouped(sub_distinct, sub_mult, sub_cache)
+    def moved(src, dst):
+        # one copy moved from body src to body dst; a count may drop to 0
+        counts = list(mult)
+        counts[src] -= 1
+        counts[dst] += 1
+        return _mixed_volume_grouped(distinct, tuple(counts), cache)
 
-    v12 = mv((d1, d2) + rest)
-    v11 = mv((d1, d1) + rest)
-    v22 = mv((d2, d2) + rest)
+    v12 = _mixed_volume_grouped(distinct, mult, cache)
+    v11 = moved(i2, i1)
+    v22 = moved(i1, i2)
     lhs, rhs = v12 * v12, v11 * v22
     return InequalityReport(
         lhs=lhs,
@@ -287,20 +263,6 @@ def check_alexandrov_fenchel(t) -> InequalityReport:
     )
 
 
-class _SubCache:
-    """View of a master sum-volume cache restricted to some body indices."""
-
-    def __init__(self, master: _SumVolumeCache, live: list[int]):
-        self.master = master
-        self.live = live
-
-    def volume(self, counts):
-        master_counts = [0] * len(self.master.bodies)
-        for i, c in zip(self.live, counts):
-            master_counts[i] = c
-        return self.master.volume(tuple(master_counts))
-
-
 def check_generalized_bm(m: int, d1: LatticePolytope, d2: LatticePolytope, fixed) -> InequalityReport:
     """Check F(D1) + F(D2) <= F(D1 + D2) for F(D) = V(m*D, fixed)^(1/m)."""
     fixed = tuple(fixed)
@@ -310,9 +272,9 @@ def check_generalized_bm(m: int, d1: LatticePolytope, d2: LatticePolytope, fixed
     if len(fixed) != n - m:
         raise ValueError(f"expected {n - m} fixed bodies, got {len(fixed)}")
     dsum = geometry.minkowski_sum(d1, d2)
-    a = mixed_volume_repeated(MultiplicityTuple((m,), (d1,), fixed))
-    b = mixed_volume_repeated(MultiplicityTuple((m,), (d2,), fixed))
-    c = mixed_volume_repeated(MultiplicityTuple((m,), (dsum,), fixed))
+    a = mixed_volume((d1,) * m + fixed)
+    b = mixed_volume((d2,) * m + fixed)
+    c = mixed_volume((dsum,) * m + fixed)
     holds = compare_root_sums([a, b], [c], m) <= 0
     lhs = float(a) ** (1 / m) + float(b) ** (1 / m)
     rhs = float(c) ** (1 / m)

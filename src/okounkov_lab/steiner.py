@@ -80,30 +80,6 @@ def area(p: ConvexPolygon) -> Fraction:
     return twice / 2  # positive for the CCW ring
 
 
-def perimeter(p: ConvexPolygon) -> float:
-    vs = p.vertices
-    total = 0.0
-    for i in range(len(vs)):
-        dx = float(vs[(i + 1) % len(vs)][0] - vs[i][0])
-        dy = float(vs[(i + 1) % len(vs)][1] - vs[i][1])
-        total += math.hypot(dx, dy)
-    return total
-
-
-def centroid(p: ConvexPolygon) -> Pt:
-    vs = p.vertices
-    a6 = Fraction(0)
-    cx = cy = Fraction(0)
-    for i in range(len(vs)):
-        x1, y1 = vs[i]
-        x2, y2 = vs[(i + 1) % len(vs)]
-        w = x1 * y2 - x2 * y1
-        a6 += w
-        cx += (x1 + x2) * w
-        cy += (y1 + y2) * w
-    return (cx / (3 * a6), cy / (3 * a6))
-
-
 def _profile(ts, ss):
     """Chord endpoints of a convex frame polygon at each distinct abscissa."""
     import bisect

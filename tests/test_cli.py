@@ -9,6 +9,22 @@ SQ = {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]}
 SI = {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
 
 
+def supports_json(*supports):
+    return {"supports": [{"dim": 2, "points": [list(p) for p in s]} for s in supports]}
+
+
+HAND_PAIR = supports_json([(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 1)])
+# BKK number 50: an inaccurate eliminant of this degree overflows Aberth's Cauchy bound
+BKK50 = supports_json(
+    [(2, 7), (4, 3), (6, 2), (6, 3), (6, 7), (7, 5)],
+    [(1, 2), (3, 2), (3, 7), (5, 4), (5, 7), (7, 7)],
+)
+# BKK number 48: an inaccurate eliminant makes most trials degenerate (exit 3)
+BKK48 = supports_json(
+    [(0, 7), (2, 5), (2, 6), (5, 1), (5, 7), (7, 1)], [(2, 2), (3, 0), (4, 6)]
+)
+
+
 def write(tmp_path, name, obj):
     p = tmp_path / name
     p.write_text(json.dumps(obj))
@@ -168,3 +184,24 @@ class TestCommands:
             diagnostics = {"inconclusive": True}
 
         assert cli.EXIT_INCONCLUSIVE == 3 and cli.EXIT_VIOLATION == 1
+
+
+class TestBkkVerifyContract:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "10", "0", "-1"])
+    def test_tolerance_outside_unit_interval_is_exit_2(self, tmp_path, tol):
+        inp = write(tmp_path, "in.json", HAND_PAIR)
+        rc = main(["bkk-verify", inp, "--tol", tol, "--out", str(tmp_path / "o")])
+        assert rc == 2
+
+    @pytest.mark.parametrize(
+        "system,flags",
+        [
+            (BKK50, ["--seed", "0", "--trials", "3"]),
+            (BKK48, ["--seed", "3"]),
+        ],
+        ids=["bkk50", "bkk48"],
+    )
+    def test_large_random_pairs_agree(self, tmp_path, system, flags):
+        inp = write(tmp_path, "in.json", system)
+        rc, rep = run(["bkk-verify", inp] + flags, tmp_path / "out.json")
+        assert rc == 0 and rep["modal"] == rep["predicted"]

@@ -78,19 +78,19 @@ class TestInterpOracle:
 
 class TestRepeated:
     def test_double_is_volume(self):
-        assert mv.mixed_volume_repeated(
+        assert mv.mixed_volume(
             mv.MultiplicityTuple((2,), (SQ,), ())
         ) == g.volume(SQ)
 
     def test_unit_multiplicities(self):
         t = mv.MultiplicityTuple((1, 1), (SQ, SI), ())
-        assert mv.mixed_volume_repeated(t) == mv.mixed_volume((SQ, SI))
+        assert mv.mixed_volume(t) == mv.mixed_volume((SQ, SI))
 
     def test_expansion_identity_3d(self):
         flat_sq = poly((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
         si3 = poly((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
         t = mv.MultiplicityTuple((2,), (flat_sq,), (si3,))
-        assert mv.mixed_volume_repeated(t) == mv.mixed_volume((flat_sq, flat_sq, si3))
+        assert mv.mixed_volume(t) == mv.mixed_volume((flat_sq, flat_sq, si3))
 
     def test_bad_arity(self):
         with pytest.raises(ValueError):
@@ -111,6 +111,26 @@ class TestAlexandrovFenchel:
         for _ in range(40):
             bodies = tuple(random_body3(rng) for _ in range(3))
             assert mv.check_alexandrov_fenchel(bodies).holds
+
+    def test_witness_matches_independent_mixed_volumes(self):
+        rng = random.Random(5150)
+        cases = [tuple(random_body3(rng) for _ in range(3)) for _ in range(4)]
+        a, b, c = cases[0]
+        cases += [(a, a, b), (a, b, a), (a, b, b), (a, a, a)]
+        cases.append(
+            tuple(
+                poly(*[tuple(rng.randint(0, 2) for _ in range(4)) for _ in range(5)])
+                for _ in range(4)
+            )
+        )
+        for bodies in cases:
+            d1, d2, rest = bodies[0], bodies[1], bodies[2:]
+            witness = mv.check_alexandrov_fenchel(bodies).witness["mixed_volumes"]
+            assert witness == {
+                "v12": str(mv.mixed_volume(bodies)),
+                "v11": str(mv.mixed_volume((d1, d1) + rest)),
+                "v22": str(mv.mixed_volume((d2, d2) + rest)),
+            }
 
 
 class TestGeneralizedBM:
@@ -187,9 +207,9 @@ class TestAxioms:
         for _ in range(20):
             d1, d2, fx = random_body3(rng), random_body3(rng), random_body3(rng)
             m = 2
-            lhs = mv.mixed_volume_repeated(
+            lhs = mv.mixed_volume(
                 mv.MultiplicityTuple((1, 1), (d1, d2), (fx,))
             )
-            r1 = mv.mixed_volume_repeated(mv.MultiplicityTuple((m,), (d1,), (fx,)))
-            r2 = mv.mixed_volume_repeated(mv.MultiplicityTuple((m,), (d2,), (fx,)))
+            r1 = mv.mixed_volume(mv.MultiplicityTuple((m,), (d1,), (fx,)))
+            r2 = mv.mixed_volume(mv.MultiplicityTuple((m,), (d2,), (fx,)))
             assert lhs**m >= r1 * r2
