@@ -1,43 +1,38 @@
-"""Exact convex hull engine for rational points in dimensions 1 through 4.
+"""Exact convex hull engine for integer points in dimensions 1 through 4.
 
 Everything runs on integer-lifted coordinates: the caller clears the common
 denominator once, so all predicates below are exact integer arithmetic.  The
-engine returns a triangulated boundary (used for fan-volume computation), the
-deduplicated set of supporting facet planes (used for membership tests), and
-the extreme points, recovered by an active-constraint rank test.
+engine returns a triangulated boundary with the unreduced plane of each
+boundary simplex (used for fan-volume computation), the deduplicated set of
+supporting facet planes (used for membership tests), and the extreme points,
+recovered by an active-constraint rank test.
 
 Dimension dispatch:
 
 * d = 1: trivial min/max.
 * d = 2: Andrew monotone chain.
-* d = 3, 4: incremental beneath-beyond insertion with strict visibility.
-  Coplanar degeneracies are legal; the boundary triangulation may contain
-  coplanar adjacent simplices and non-extreme corners, neither of which
-  affects volumes, membership tests, or the extreme-point recovery.
+* d = 3, 4: incremental beneath-beyond insertion in input order with strict
+  visibility.  Coplanar degeneracies are legal; the boundary triangulation
+  may contain coplanar adjacent simplices and non-extreme corners, neither
+  of which affects volumes, membership tests, or the extreme-point recovery.
 
-An optional floating-point prefilter (Qhull) culls clearly interior
-candidates before the exact pass; every culled point is re-checked against
-the exact facet planes, and the cull is abandoned on any violation, so the
-result never depends on floating-point rounding.
+For d = 3, 4 the live facets are numpy integer arrays (normals, offsets,
+vertex indices and an alive mask), so one insertion is a few array
+operations: visibility is one matrix-vector product, and the planes of the
+new facets are one batch of signed minors.  The dtype is ``int64`` when the
+largest coordinate M bounds every value formed below 2**63 (a normal is at
+most (d-1)! (2M)^(d-1), see :func:`_dtype_for`); otherwise it is ``object``,
+exact Python integers, running the same code.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from math import gcd
+from itertools import combinations, permutations
+from math import factorial, gcd
 
-try:  # optional fast path; exactness never depends on it
-    import numpy as _np
-    from scipy.spatial import ConvexHull as _QHull
-    from scipy.spatial import QhullError as _QhullError
-
-    _HAVE_QHULL = True
-except Exception:  # pragma: no cover
-    _HAVE_QHULL = False
-
-_PREFILTER_MIN_POINTS = 80
+import numpy as np
 
 
 @dataclass
@@ -48,6 +43,8 @@ class HullResult:
     planes: list[tuple[tuple[int, ...], int]]  # hull == {x : a.x <= b} for all (a, b)
     simplices: list[tuple[int, ...]]  # index tuples into the input points, d each
     vertex_indices: list[int]  # extreme points, sorted
+    normals: np.ndarray  # (len(simplices), d): unreduced outward normal per simplex
+    offsets: np.ndarray  # (len(simplices),): normal . x on that simplex
 
 
 def _dot(a, b):
@@ -56,30 +53,6 @@ def _dot(a, b):
 
 def _sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def _neg(a):
-    return tuple(-x for x in a)
-
-
-def _det(rows):
-    """Determinant of a small square integer matrix (Laplace expansion)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        term = rows[0][j] * _det(minor)
-        total += term if j % 2 == 0 else -term
-    return total
 
 
 def _gcd_reduce_plane(a, b):
@@ -91,26 +64,6 @@ def _gcd_reduce_plane(a, b):
         a = tuple(x // g for x in a)
         b = b // g
     return a, b
-
-
-def _plane_through(points, idxs):
-    """Hyperplane through ``d`` affinely independent points, as (normal, offset).
-
-    The normal is the vector of signed maximal minors of the difference
-    matrix; it is zero iff the points are affinely dependent.
-    """
-    base = points[idxs[0]]
-    rows = [_sub(points[i], base) for i in idxs[1:]]
-    d = len(base)
-    normal = []
-    for c in range(d):
-        minor = [row[:c] + row[c + 1:] for row in rows]
-        m = _det(minor) if minor else 1
-        normal.append(m if c % 2 == 0 else -m)
-    a = tuple(normal)
-    if all(x == 0 for x in a):
-        return None
-    return a, _dot(a, base)
 
 
 def _int_rank(rows):
@@ -161,7 +114,9 @@ def _hull_1d(points):
     planes = [((1,), points[hi][0]), ((-1,), -points[lo][0])]
     verts = sorted({lo, hi})
     simplices = [(lo,), (hi,)]
-    return HullResult(1, planes, simplices, verts)
+    normals = np.array([a for a, _ in planes], dtype=object)
+    offsets = np.array([b for _, b in planes], dtype=object)
+    return HullResult(1, planes, simplices, verts, normals, offsets)
 
 
 def _hull_2d(points):
@@ -184,95 +139,135 @@ def _hull_2d(points):
             upper.pop()
         upper.append(i)
     ring = lower[:-1] + upper[:-1]  # counterclockwise
-    planes = []
+    edges = []
     simplices = []
     for k in range(len(ring)):
         i, j = ring[k], ring[(k + 1) % len(ring)]
         e = _sub(points[j], points[i])
         a = (e[1], -e[0])  # outward normal of a CCW ring
-        planes.append(_gcd_reduce_plane(a, _dot(a, points[i])))
+        edges.append((a, _dot(a, points[i])))
         simplices.append((i, j))
-    return HullResult(2, planes, simplices, sorted(ring))
+    planes = [_gcd_reduce_plane(a, b) for a, b in edges]
+    normals = np.array([a for a, _ in edges], dtype=object)
+    offsets = np.array([b for _, b in edges], dtype=object)
+    return HullResult(2, planes, simplices, sorted(ring), normals, offsets)
 
 
-def _facet_key(vs):
-    return tuple(sorted(vs))
+def _dtype_for(max_abs, d):
+    """``int64`` if no value the engine forms can reach 2**63, else ``object``.
+
+    With |coordinate| <= M, a difference is at most 2M and a normal (a sum of
+    (d-1)! products of d-1 differences) at most A = (d-1)! (2M)^(d-1).  The
+    largest value formed is the orientation test a.c - (d+1) b against the
+    sum c of the d+1 initial points, at most 2 d (d+1) A M; offsets,
+    visibility and incidence products and fan determinants stay below it.
+    """
+    normal = factorial(d - 1) * (2 * max_abs) ** (d - 1)
+    return np.int64 if 2 * d * (d + 1) * normal * max_abs < 2**63 else object
+
+
+def _levi_civita(d):
+    """E with (x_1 (x) ... (x) x_{d-1}) @ E the generalized cross product."""
+    E = np.zeros((d,) * d, dtype=np.int64)
+    for perm in permutations(range(d)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(d), 2))
+        E[perm] = -1 if inversions % 2 else 1
+    return E.reshape(d, -1).T
+
+
+_LEVI_CIVITA = {d: _levi_civita(d) for d in (3, 4)}
+
+
+def _normals(D):
+    """Signed maximal minors of each (d-1, d) difference matrix in D.
+
+    Entry c of each result row is the sum over i of eps(c, i_1, ..., i_{d-1})
+    D[0, i_1] ... D[d-2, i_{d-1}]: the cofactors of the first row of a d x d
+    matrix with D below it, zero iff the rows of D are dependent.
+    """
+    h, r, d = D.shape
+    T = D[:, 0]
+    for k in range(1, r):
+        T = (T[:, :, None] * D[:, k, None, :]).reshape(h, -1)
+    return T @ _LEVI_CIVITA[d]
 
 
 def _hull_incremental(points, d):
     """Beneath-beyond insertion for d in {3, 4}."""
+    dtype = _dtype_for(max(abs(c) for p in points for c in p), d)
+    P = np.array(points, dtype=dtype)
     start = _initial_simplex(points, d)
-    centre = tuple(sum(points[i][c] for i in start) for c in range(d))
-    weight = d + 1
+    centre = P[start].sum(axis=0)  # d + 1 times an interior point
 
-    def oriented(idxs):
-        pl = _plane_through(points, idxs)
-        if pl is None:
-            raise AssertionError("degenerate facet candidate")
-        a, b = pl
-        s = _dot(a, centre) - weight * b
-        if s > 0:
-            a, b = _neg(a), -b
-        elif s == 0:
-            raise AssertionError("interior reference on a facet plane")
-        return a, b
+    def oriented_planes(V):
+        """Outward (normals, offsets) of the facets with sorted vertex rows V."""
+        Q = P[V]
+        N = _normals(Q[:, 1:] - Q[:, :1])
+        b = (N * Q[:, 0]).sum(axis=1)
+        s = N @ centre - (d + 1) * b
+        if not s.all():
+            raise AssertionError("degenerate facet or interior reference on its plane")
+        outward = s < 0
+        return np.where(outward[:, None], N, -N), np.where(outward, b, -b)
 
-    facets: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-    for omit in range(d + 1):
-        vs = _facet_key(start[:omit] + start[omit + 1:])
-        facets[vs] = oriented(vs)
+    verts = np.zeros((64, d), dtype=np.intp)
+    normals = np.zeros((64, d), dtype=dtype)
+    offsets = np.zeros(64, dtype=dtype)
+    alive = np.zeros(64, dtype=bool)
+    used = 0
 
+    def add_facets(V, free):
+        """Store facets V in the slots `free` first, then at the end."""
+        nonlocal verts, normals, offsets, alive, used
+        free = free[: len(V)]
+        extra = len(V) - len(free)
+        if used + extra > len(alive):
+            grow = max(len(alive), used + extra)  # at least doubles the capacity
+            verts, normals, offsets, alive = (
+                np.concatenate([arr, np.zeros((grow,) + arr.shape[1:], arr.dtype)])
+                for arr in (verts, normals, offsets, alive)
+            )
+        slots = np.concatenate([free, np.arange(used, used + extra)])
+        used += extra
+        verts[slots] = V
+        normals[slots], offsets[slots] = oriented_planes(V)
+        alive[slots] = True
+
+    initial = [sorted(start[:k] + start[k + 1:]) for k in range(d + 1)]
+    add_facets(np.array(initial), np.arange(0))
     in_start = set(start)
     for i in range(len(points)):
         if i in in_start:
             continue
-        p = points[i]
-        visible = [vs for vs, (a, b) in facets.items() if _dot(a, p) > b]
-        if not visible:
+        visible = np.flatnonzero((normals[:used] @ P[i] > offsets[:used]) & alive[:used])
+        if not len(visible):
             continue
-        ridge_count: Counter = Counter()
-        for vs in visible:
-            for r in combinations(vs, d - 1):
-                ridge_count[r] += 1
-        for vs in visible:
-            del facets[vs]
-        for r, cnt in ridge_count.items():
-            if cnt != 1:
-                continue
-            vs_new = _facet_key(r + (i,))
-            facets[vs_new] = oriented(vs_new)
+        alive[visible] = False
+        ridge_count = Counter(
+            r for vs in verts[visible].tolist() for r in combinations(vs, d - 1)
+        )
+        horizon = [sorted(r + (i,)) for r, cnt in ridge_count.items() if cnt == 1]
+        add_facets(np.array(horizon), visible)
 
-    plane_set = {_gcd_reduce_plane(a, b) for a, b in facets.values()}
-    planes = sorted(plane_set)
-    simplices = sorted(facets.keys())
-    corner_candidates = sorted({i for vs in simplices for i in vs})
-    verts = []
-    for i in corner_candidates:
-        active = [a for a, b in planes if _dot(a, points[i]) == b]
-        if len(active) >= d and _int_rank(active) == d:
-            verts.append(i)
-    return HullResult(d, planes, simplices, verts)
-
-
-def _prefilter(points, d):
-    """Float cull of clearly interior points; returns kept indices or None."""
-    if not _HAVE_QHULL or d < 2 or len(points) < _PREFILTER_MIN_POINTS:
-        return None
-    arr = _np.array(points, dtype=float)
-    try:
-        qh = _QHull(arr)
-    except (_QhullError, ValueError):  # pragma: no cover - degenerate input
-        return None
-    normals = qh.equations[:, :-1]
-    offsets = qh.equations[:, -1]
-    margins = arr @ normals.T + offsets  # <= 0 means inside that facet
-    scale = max(1.0, float(_np.abs(arr).max()))
-    keep = margins.max(axis=1) > -1e-7 * scale
-    keep[qh.vertices] = True
-    kept = [i for i in range(len(points)) if keep[i]]
-    if len(kept) == len(points):
-        return None
-    return kept
+    live = np.flatnonzero(alive[:used])
+    keys = verts[live].tolist()
+    order = sorted(range(len(live)), key=keys.__getitem__)
+    live = live[order]
+    N, B = normals[live], offsets[live]
+    rows = np.column_stack([N, B])
+    rows //= np.gcd.reduce(rows, axis=1)[:, None]
+    planes = sorted({(tuple(r[:-1]), r[-1]) for r in rows.tolist()})
+    A = np.array([a for a, _ in planes], dtype=dtype)
+    c = np.array([b for _, b in planes], dtype=dtype)
+    corners = np.unique(verts[live])
+    incidence = P[corners] @ A.T == c
+    vertex_indices = [
+        i
+        for i, row, k in zip(corners.tolist(), incidence, incidence.sum(axis=1).tolist())
+        if k >= d and _int_rank(A[row].tolist()) == d
+    ]
+    simplices = [tuple(keys[k]) for k in order]
+    return HullResult(d, planes, simplices, vertex_indices, N, B)
 
 
 def hull_of_lifted(points, d):
@@ -284,33 +279,14 @@ def hull_of_lifted(points, d):
         return _hull_1d(points)
     if d == 2:
         return _hull_2d(points)
-    kept = _prefilter(points, d)
-    if kept is None:
-        return _hull_incremental(points, d)
-    sub = [points[i] for i in kept]
-    try:
-        res = _hull_incremental(sub, d)
-    except (AssertionError, ValueError):
-        return _hull_incremental(points, d)
-    dropped = sorted(set(range(len(points))) - set(kept))
-    for i in dropped:
-        p = points[i]
-        if any(_dot(a, p) > b for a, b in res.planes):
-            return _hull_incremental(points, d)  # unsound cull, redo exactly
-    remap = {local: kept[local] for local in range(len(sub))}
-    return HullResult(
-        d,
-        res.planes,
-        [tuple(remap[j] for j in vs) for vs in res.simplices],
-        sorted(remap[j] for j in res.vertex_indices),
-    )
+    return _hull_incremental(points, d)
 
 
 def hull_volume_lifted(points, result):
-    """n! times the lifted volume: sum of |det| over the boundary fan."""
-    base = points[result.vertex_indices[0]]
-    total = 0
-    for vs in result.simplices:
-        rows = [_sub(points[j], base) for j in vs]
-        total += abs(_det(rows))
-    return total
+    """n! times the lifted volume: sum of |det| over the boundary fan.
+
+    For a boundary simplex p_1..p_d with unreduced plane (a, b) and a vertex
+    `base`, |det[p_1 - base, ..., p_d - base]| = |b - a.base|.
+    """
+    base = np.array(points[result.vertex_indices[0]], dtype=result.normals.dtype)
+    return sum(np.abs(result.offsets - result.normals @ base).tolist())

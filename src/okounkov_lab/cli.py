@@ -2,8 +2,8 @@
 
 Exit codes: 0 success or inequality holds, 1 inequality violation or count
 mismatch (the counterexample is preserved in the report), 2 input error,
-3 numeric inconclusiveness.  Identical inputs and seed produce
-byte-identical reports.
+3 numeric inconclusiveness, 4 internal error (an unexpected exception; no
+report).  Identical inputs and seed produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _load_input(path: str) -> tuple[dict, str]:
@@ -238,7 +239,7 @@ def _cmd_profile(args) -> int:
     d1 = jsonio.polytope_from_json(jsonio._expect(obj, "body1"))
     d2 = jsonio.polytope_from_json(jsonio._expect(obj, "body2"))
     samples = obj.get("samples", 10)
-    if not isinstance(samples, int):
+    if not jsonio.is_int(samples):
         raise SchemaError("samples must be an integer")
     values = steiner.section_profile(d1, d2, samples)
     report = _base_report("profile", digest)
@@ -317,6 +318,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a crash must not read as exit 1, a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

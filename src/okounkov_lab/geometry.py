@@ -106,6 +106,8 @@ class _AffineFrame:
             if piv is not None:
                 basis.append(row)
                 pivots.append(piv)
+                if len(basis) == n:  # full rank: the remaining points add nothing
+                    break
         self.basis = basis
         self.pivots = pivots
         self.rank = len(basis)

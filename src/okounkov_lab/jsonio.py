@@ -9,6 +9,7 @@ input-error exit code.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from . import algebra, bkk, geometry, semigroup, steiner
@@ -23,13 +24,19 @@ def frac_to_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def is_int(x) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def str_to_frac(s) -> Fraction:
-    if isinstance(s, bool):
-        raise SchemaError(f"expected a rational, got {s!r}")
-    if isinstance(s, int):
+    if is_int(s):
         return Fraction(s)
-    if not isinstance(s, str):
-        raise SchemaError(f"expected a rational string, got {s!r}")
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        raise SchemaError(f"expected a rational string \"p\" or \"p/q\", got {s!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -44,7 +51,7 @@ def _expect(obj, key, kind=None):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"missing field {key!r}")
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    if kind is not None and not (is_int(val) if kind is int else isinstance(val, kind)):
         raise SchemaError(f"field {key!r} has the wrong type")
     return val
 
@@ -81,7 +88,7 @@ def support_from_json(obj) -> geometry.SupportSet:
     points = _expect(obj, "points", list)
     out = []
     for p in points:
-        if not isinstance(p, list) or len(p) != dim or not all(isinstance(c, int) for c in p):
+        if not isinstance(p, list) or len(p) != dim or not all(is_int(c) for c in p):
             raise SchemaError("support points must be integer vectors of length dim")
         out.append(tuple(p))
     if not out:
@@ -133,7 +140,7 @@ def laurent_from_json(obj) -> algebra.LaurentPolynomial:
     terms = {}
     for t in terms_raw:
         exp = _expect(t, "exp", list)
-        if len(exp) != dim or not all(isinstance(c, int) for c in exp):
+        if len(exp) != dim or not all(is_int(c) for c in exp):
             raise SchemaError("exponents must be integer vectors of length dim")
         terms[tuple(exp)] = str_to_frac(_expect(t, "coef"))
     return algebra.laurent(dim, terms)
@@ -160,7 +167,7 @@ def order_from_json(obj) -> algebra.MonomialOrder:
         return algebra.LEX
     if kind == "grlex":
         grading = _expect(obj, "grading", list)
-        if not all(isinstance(w, int) for w in grading):
+        if not all(is_int(w) for w in grading):
             raise SchemaError("grading must be a list of integers")
         try:
             return algebra.MonomialOrder("grlex", tuple(grading))

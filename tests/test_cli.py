@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +11,7 @@ from okounkov_lab.cli import main
 
 SQ = {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]}
 SI = {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
+SEG = {"dim": 1, "vertices": [["0"], ["1"]]}
 
 
 def supports_json(*supports):
@@ -205,3 +210,53 @@ class TestBkkVerifyContract:
         inp = write(tmp_path, "in.json", system)
         rc, rep = run(["bkk-verify", inp] + flags, tmp_path / "out.json")
         assert rc == 0 and rep["modal"] == rep["predicted"]
+
+
+class TestExitContract:
+    def test_unexpected_exception_is_exit_4(self, tmp_path, monkeypatch, capsys):
+        import okounkov_lab.cli as cli
+
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "mixedvol", (crash, "crashes"))
+        inp = write(tmp_path, "in.json", {"bodies": [SQ, SI]})
+        assert main(["mixedvol", inp]) == cli.EXIT_INTERNAL == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: boom\n"
+
+    @pytest.mark.parametrize(
+        "command,payload",
+        [
+            ("mixedvol", {"bodies": [dict(SEG, dim=True)]}),
+            ("mixedvol", {"bodies": [{"dim": 1, "vertices": [["0"], ["1e3"]]}]}),
+            ("mixedvol", {"bodies": [{"dim": 1, "vertices": [["0"], ["0.5"]]}]}),
+            ("mixedvol", {"bodies": [{"dim": 1, "vertices": [["0"], [" 1"]]}]}),
+            ("bm-check", {"m": True, "body1": SEG, "body2": SEG}),
+            ("sumset", {"support": {"dim": 1, "points": [[0], [1]]}, "k": True}),
+            ("sumset", {"support": {"dim": 1, "points": [[0], [True]]}, "k": 2}),
+            ("hilbert", {"subspace": {"dim": 1, "basis": [
+                {"dim": 1, "terms": [{"exp": [True], "coef": "1"}]}]}}),
+            ("hilbert", {"subspace": {"dim": 1, "basis": [
+                {"dim": 1, "terms": [{"exp": [1], "coef": "0.5"}]}]}}),
+            ("okounkov", {"subspace": {"dim": 2, "basis": [
+                {"dim": 2, "terms": [{"exp": [1, 0], "coef": "1"}]}]},
+                "order": {"kind": "grlex", "grading": [True, 1]}}),
+            ("steiner", {"polygon": SQ, "rounds": True}),
+            ("profile", {"body1": SQ, "body2": SI, "samples": True}),
+        ],
+        ids=[
+            "dim-true", "rational-1e3", "rational-0.5", "rational-space", "m-true",
+            "k-true", "support-true", "exp-true", "coef-0.5", "grading-true",
+            "rounds-true", "samples-true",
+        ],
+    )
+    def test_schema_rejects_bools_and_decimal_rationals(self, tmp_path, command, payload):
+        inp = write(tmp_path, "in.json", payload)
+        assert main([command, inp, "--kmax", "2", "--out", str(tmp_path / "o")]) == 2
+
+    def test_cli_import_does_not_load_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, okounkov_lab.cli; sys.exit('scipy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

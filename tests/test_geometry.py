@@ -1,12 +1,15 @@
+import math
 import random
 from fractions import Fraction as F
+from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import in_convex_hull, shoelace_area
-from okounkov_lab import geometry as g
+from okounkov_lab import _hull, geometry as g
 
 
 def fr(a, b=1):
@@ -66,8 +69,8 @@ class TestConvexHull:
         assert P.affine_dim == 1
         assert P.vertices == ((F(0), F(0)), (F(3), F(3)))
 
-    def test_large_3d_set_exercises_prefilter(self):
-        # above the float-prefilter threshold; spot-check extremality
+    def test_large_3d_set_extremality(self):
+        # 150 draws on a 10^3 grid; spot-check extremality
         rng = random.Random(314)
         pts = list(
             {(rng.randint(0, 9), rng.randint(0, 9), rng.randint(0, 9)) for _ in range(150)}
@@ -80,22 +83,90 @@ class TestConvexHull:
             others = [q for q in pts if q != p]
             assert (pf in vs) == (not in_convex_hull(p, others))
 
-    def test_prefilter_disabled_gives_same_hull(self, monkeypatch):
-        from okounkov_lab import _hull
-
-        rng = random.Random(2718)
-        pts = [
-            (rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)) for _ in range(120)
-        ]
-        with_filter = g.convex_hull(pts)
-        monkeypatch.setattr(_hull, "_HAVE_QHULL", False)
-        without_filter = g.convex_hull(pts)
-        assert with_filter == without_filter
-        assert g.volume(with_filter) == g.volume(without_filter)
-
     def test_single_point(self):
         P = g.convex_hull([(F(1, 2), F(1, 3))])
         assert P.affine_dim == 0 and g.volume(P) == 0
+
+
+def _sum_points(rng, n):
+    """Lex-sorted point set of a criterion-5 Minkowski sum (all pairwise vertex
+    sums of two random span-2 lattice bodies), or None if it is not full-dimensional."""
+    A, B = (
+        g.convex_hull([tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(5)])
+        for _ in range(2)
+    )
+    pts = sorted({tuple(int(a + b) for a, b in zip(p, q)) for p in A.vertices for q in B.vertices})
+    return pts if g.convex_hull(pts).affine_dim == n else None
+
+
+def _planes_by_normal(planes):
+    """Facet planes as {primitive normal: offset}."""
+    out = {}
+    for a, b in planes:
+        k = math.gcd(*a)
+        out[tuple(x // k for x in a)] = F(b, k)
+    return out
+
+
+class TestHullEngine:
+    """The int64 and the exact-int (object) paths of the array engine agree."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_int64_and_exact_int_paths_agree(self, n):
+        rng = random.Random(5555 + n)
+        checked = 0
+        while checked < 12:
+            pts = _sum_points(rng, n)
+            if pts is None:
+                continue
+            shift = tuple(rng.randint(-50, 50) for _ in range(n))
+            big = [tuple(10**6 * c + t for c, t in zip(p, shift)) for p in pts]
+            res, res_big = _hull.hull_of_lifted(pts, n), _hull.hull_of_lifted(big, n)
+            assert res.normals.dtype == np.int64 and res_big.normals.dtype == object
+            assert res_big.simplices == res.simplices
+            assert res_big.vertex_indices == res.vertex_indices
+            assert _planes_by_normal(res_big.planes) == {
+                a: 10**6 * b + sum(x * t for x, t in zip(a, shift))
+                for a, b in _planes_by_normal(res.planes).items()
+            }
+            assert _hull.hull_volume_lifted(big, res_big) == 10 ** (6 * n) * (
+                _hull.hull_volume_lifted(pts, res)
+            )
+            checked += 1
+
+    def test_largest_int64_coordinate_matches_exact_ints(self):
+        lo, hi = 1, 2**62  # int64 at lo, object at hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _hull._dtype_for(mid, 4) is np.int64 else (lo, mid)
+        M = lo
+        rng = random.Random(4444)
+        corners = list(product((-M, M), repeat=4))
+        inner = [tuple(rng.randint(-M + 1, M - 1) for _ in range(4)) for _ in range(40)]
+        pts = sorted(set(corners + inner))
+        moved = [(p[0] + 1,) + p[1:] for p in pts]  # max |coordinate| M + 1
+        res, res_moved = _hull.hull_of_lifted(pts, 4), _hull.hull_of_lifted(moved, 4)
+        assert res.normals.dtype == np.int64 and res_moved.normals.dtype == object
+        assert res_moved.simplices == res.simplices
+        assert [pts[i] for i in res.vertex_indices] == sorted(corners)
+        assert res_moved.vertex_indices == res.vertex_indices
+        assert res_moved.planes == [(a, b + a[0]) for a, b in res.planes]
+        assert len(res.planes) == 8
+        box = math.factorial(4) * (2 * M) ** 4
+        assert _hull.hull_volume_lifted(pts, res) == box
+        assert _hull.hull_volume_lifted(moved, res_moved) == box
+
+    def test_4d_vertices_are_extreme(self):
+        rng = random.Random(5560)
+        checked = 0
+        while checked < 3:
+            pts = _sum_points(rng, 4)
+            if pts is None:
+                continue
+            vs = set(_hull.hull_of_lifted(pts, 4).vertex_indices)
+            for i, p in enumerate(pts):
+                assert (i in vs) == (not in_convex_hull(p, pts[:i] + pts[i + 1:]))
+            checked += 1
 
 
 class TestMinkowskiSum:
