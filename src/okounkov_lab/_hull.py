@@ -5,7 +5,10 @@ denominator once, so all predicates below are exact integer arithmetic.  The
 engine returns a triangulated boundary with the unreduced plane of each
 boundary simplex (used for fan-volume computation), the deduplicated set of
 supporting facet planes (used for membership tests), and the extreme points,
-recovered by an active-constraint rank test.
+recovered by an active-constraint rank test.  :func:`echelon`, fraction-free
+integer row reduction, is the one exact elimination routine: it picks the
+initial simplex, decides the rank test, and gives ``geometry`` the affine
+hull of a lower-dimensional body.
 
 Dimension dispatch:
 
@@ -66,46 +69,39 @@ def _gcd_reduce_plane(a, b):
     return a, b
 
 
-def _int_rank(rows):
-    """Rank of an integer matrix via fraction-free Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                f1, f2 = pr[col], rows[i][col]
-                rows[i] = [f1 * x - f2 * y for x, y in zip(rows[i], pr)]
-        rank += 1
-        col += 1
-    return rank
+def echelon(rows):
+    """Fraction-free row echelon form of integer rows.
+
+    Returns ``(index, reduced row)`` for each row that is independent of the
+    rows before it, in input order.  A reduced row is an integer combination
+    of the input rows, zero at the pivot (first nonzero column) of every
+    earlier reduced row, so the pivots are distinct.  Reads ``rows`` lazily
+    and stops once the reduced rows span the whole space.
+    """
+    found: list[tuple[int, list]] = []
+    pivots: list[int] = []
+    for i, row in enumerate(rows):
+        row = list(row)
+        for (_, er), c in zip(found, pivots):
+            if row[c]:
+                f1, f2 = er[c], row[c]
+                row = [f1 * x - f2 * y for x, y in zip(row, er)]
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is not None:
+            found.append((i, row))
+            pivots.append(c)
+            if len(found) == len(row):
+                break
+    return found
 
 
 def _initial_simplex(points, d):
     """Indices of d+1 affinely independent points (input has affine rank d)."""
-    chosen = [0]
-    echelon: list[list[int]] = []
     base = points[0]
-    for i in range(1, len(points)):
-        row = list(_sub(points[i], base))
-        for er in echelon:
-            c = next(j for j in range(d) if er[j] != 0)
-            if row[c] != 0:
-                f1, f2 = er[c], row[c]
-                row = [f1 * x - f2 * y for x, y in zip(row, er)]
-        if any(x != 0 for x in row):
-            echelon.append(row)
-            chosen.append(i)
-            if len(chosen) == d + 1:
-                return chosen
-    raise ValueError("points do not span the expected dimension")
+    chosen = [0] + [i + 1 for i, _ in echelon(_sub(p, base) for p in points[1:])]
+    if len(chosen) != d + 1:
+        raise ValueError("points do not span the expected dimension")
+    return chosen
 
 
 def _hull_1d(points):
@@ -264,7 +260,7 @@ def _hull_incremental(points, d):
     vertex_indices = [
         i
         for i, row, k in zip(corners.tolist(), incidence, incidence.sum(axis=1).tolist())
-        if k >= d and _int_rank(A[row].tolist()) == d
+        if k >= d and len(echelon(A[row].tolist())) == d
     ]
     simplices = [tuple(keys[k]) for k in order]
     return HullResult(d, planes, simplices, vertex_indices, N, B)

@@ -6,9 +6,11 @@ subspace together with its Newton body.
 The valuation of a nonzero Laurent polynomial is the order-minimal exponent
 of its support; the valuation image of a subspace is the set of pivot
 exponents of an echelonized basis, whose cardinality always equals the
-dimension.  Echelon reduction works on integer-cleared coefficient rows with
+dimension.  Echelon reduction works on primitive integer coefficient rows
+(each polynomial's unique positive integer multiple of content 1) with
 content reduction after every elimination step, which keeps coefficient
-growth tame at desk scale.
+growth tame at desk scale.  Powers of a subspace are built from the integer
+rows of its basis, so they never pass through Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -100,17 +102,22 @@ class LaurentPolynomial:
         if isinstance(other, LaurentPolynomial):
             if self.ambient_dim != other.ambient_dim:
                 raise ValueError("dimension mismatch")
-            acc: dict[Exponent, Fraction] = {}
-            for e1, c1 in self.terms:
-                for e2, c2 in other.terms:
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    acc[e] = acc.get(e, Fraction(0)) + c1 * c2
-            return laurent(self.ambient_dim, acc)
+            return laurent(self.ambient_dim, _mul_terms(self.terms, other.terms))
         return laurent(
             self.ambient_dim, {e: c * Fraction(other) for e, c in self.terms}
         )
 
     __rmul__ = __mul__
+
+
+def _mul_terms(terms1, terms2) -> dict:
+    """Sparse product of two (exponent, coefficient) sequences, zeros dropped."""
+    acc: dict = {}
+    for e1, c1 in terms1:
+        for e2, c2 in terms2:
+            e = tuple(a + b for a, b in zip(e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
 
 
 def laurent(dim: int, terms: dict[Exponent, object]) -> LaurentPolynomial:
@@ -135,15 +142,15 @@ def valuation(f: LaurentPolynomial, order: MonomialOrder = LEX) -> Exponent:
 # -- echelon machinery -------------------------------------------------------
 
 def _int_rows(polys) -> list[dict[Exponent, int]]:
-    """Clear denominators and content; drop zero polynomials."""
+    """Primitive integer rows: each polynomial's unique positive multiple with
+    integer coefficients of gcd 1; zero polynomials are dropped."""
     rows = []
     for f in polys:
         if f.is_zero:
             continue
         den = math.lcm(*(c.denominator for _, c in f.terms))
-        num = math.gcd(*(abs(c.numerator) for _, c in f.terms))
-        scale = Fraction(den, num if num else 1)
-        rows.append({e: int(c * scale) for e, c in f.terms})
+        num = math.gcd(*(c.numerator for _, c in f.terms))
+        rows.append({e: c.numerator * (den // c.denominator) // num for e, c in f.terms})
     return rows
 
 
@@ -157,15 +164,16 @@ def _content_reduce(row: dict[Exponent, int]) -> dict[Exponent, int]:
     return row
 
 
-def _echelon(polys, order: MonomialOrder) -> dict[Exponent, dict[Exponent, int]]:
-    """Reduce spanning polynomials to pivot rows keyed by leading exponent.
+def _echelon(rows, order: MonomialOrder) -> dict[Exponent, dict[Exponent, int]]:
+    """Reduce spanning integer rows to primitive pivot rows keyed by leading
+    exponent.
 
     Every installed row has a distinct order-minimal exponent; candidates
     are cross-eliminated against installed pivots until they are zero or
     acquire a fresh pivot.
     """
     pivots: dict[Exponent, dict[Exponent, int]] = {}
-    for raw in _int_rows(polys):
+    for raw in rows:
         row = _content_reduce(raw)
         while row:
             lead = min(row, key=order.key)
@@ -202,7 +210,7 @@ class LaurentSubspace:
                 raise ValueError("basis dimension mismatch")
             if f.is_zero:
                 raise ValueError("zero polynomial in a basis")
-        if len(_echelon(self.basis, LEX)) != len(self.basis):
+        if len(_echelon(_int_rows(self.basis), LEX)) != len(self.basis):
             raise ValueError("basis polynomials are linearly dependent")
 
     @property
@@ -216,7 +224,7 @@ def subspace(dim: int, polys) -> LaurentSubspace:
 
 def span(dim: int, polys, order: MonomialOrder = LEX) -> LaurentSubspace:
     """Subspace spanned by arbitrary polynomials, echelonized to a basis."""
-    pivots = _echelon(polys, order)
+    pivots = _echelon(_int_rows(polys), order)
     if not pivots:
         raise ValueError("the zero subspace is not representable")
     basis = tuple(
@@ -237,7 +245,7 @@ def subspaces_equal(l1: LaurentSubspace, l2: LaurentSubspace) -> bool:
     """Equality as subspaces, independent of the chosen bases."""
     if l1.ambient_dim != l2.ambient_dim or l1.dim != l2.dim:
         return False
-    joint = _echelon(list(l1.basis) + list(l2.basis), LEX)
+    joint = _echelon(_int_rows(l1.basis + l2.basis), LEX)
     return len(joint) == l1.dim
 
 
@@ -267,7 +275,7 @@ def power(l: LaurentSubspace, k: int) -> LaurentSubspace:
 
 def valuation_image(l: LaurentSubspace, order: MonomialOrder = LEX):
     """Pivot exponents of an echelonized basis; size equals the dimension."""
-    pivots = _echelon(l.basis, order)
+    pivots = _echelon(_int_rows(l.basis), order)
     image = ValuationImage(support_set(l.ambient_dim, list(pivots)))
     if len(image.exponents) != l.dim:
         raise AssertionError("valuation image smaller than the dimension")
@@ -287,22 +295,19 @@ def _power_level_rows(l: LaurentSubspace, order: MonomialOrder, k_max: int):
 
     Products of k basis elements span L^k; they are enumerated as degree-k
     multisets with each product obtained from a cached degree-(k-1) parent
-    by one multiplication.
+    by one multiplication.  The basis is cleared to integer rows once;
+    rescaling a basis element does not change any span.
     """
-    d = l.dim
-    tables = {}
-    parents: dict[tuple[int, ...], LaurentPolynomial] = {(): None}
-    level_polys: dict[tuple[int, ...], LaurentPolynomial] = {}
-    for i in range(d):
-        level_polys[(i,)] = l.basis[i]
-    tables[1] = _echelon(list(level_polys.values()), order)
+    basis = _int_rows(l.basis)
+    level = {(i,): row for i, row in enumerate(basis)}
+    tables = {1: _echelon(level.values(), order)}
     for k in range(2, k_max + 1):
-        parents = level_polys
-        level_polys = {}
-        for key in combinations_with_replacement(range(d), k):
-            parent = parents[key[:-1]]
-            level_polys[key] = parent * l.basis[key[-1]]
-        tables[k] = _echelon(list(level_polys.values()), order)
+        parents = level
+        level = {
+            key: _mul_terms(parents[key[:-1]].items(), basis[key[-1]].items())
+            for key in combinations_with_replacement(range(len(basis)), k)
+        }
+        tables[k] = _echelon(level.values(), order)
     return tables
 
 

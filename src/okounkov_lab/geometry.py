@@ -1,9 +1,11 @@
 """Exact rational convex geometry: hulls, Minkowski sums, volumes, lattice
 points and a numeric Hausdorff diagnostic, for ambient dimensions 1 to 4.
 
-All values are immutable and every operation is a pure function.  Exact
-rational arithmetic is used throughout; floating point is confined to
-:func:`hausdorff_distance`.
+All values are immutable and every operation is a pure function.  A body's
+points are kept as integers over one common scale (its least common
+denominator), so hulls, sums, dilations, volumes and membership tests are
+exact integer arithmetic; only input points and output vertices are
+Fractions.  Floating point is confined to :func:`hausdorff_distance`.
 """
 
 from __future__ import annotations
@@ -75,123 +77,94 @@ def support_set(dim: int, points) -> SupportSet:
 
 def _lift(points: list[Point]):
     """Clear denominators: returns (scale L, integer points)."""
-    lcm = 1
-    for p in points:
-        for c in p:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    lifted = [tuple(int(c * lcm) for c in p) for p in points]
+    lcm = math.lcm(*(c.denominator for p in points for c in p))
+    lifted = [tuple(c.numerator * (lcm // c.denominator) for c in p) for p in points]
     return lcm, lifted
 
 
-class _AffineFrame:
-    """Exact coordinates on the affine hull of a point set.
+class _HullCore:
+    """Exact hull of the points ``lifted / scale``, kept as integers.
 
-    Carries a base point and an echelonized rational basis of the difference
-    space; `coords` maps a point of the affine hull to its frame coordinates
-    and returns None for points outside the hull.
+    The common factor of the scale and every coordinate is divided out first,
+    so ``scale`` is the least common denominator of the points.  A
+    lower-dimensional body is hulled in the coordinates at the pivot columns
+    of its difference rows' echelon form, an injective projection on its
+    affine hull; ``result`` is then None.
     """
 
-    def __init__(self, points: list[Point]):
-        self.base = points[0]
-        n = len(self.base)
-        basis: list[list[Fraction]] = []
-        pivots: list[int] = []
-        for p in points[1:]:
-            row = [a - b for a, b in zip(p, self.base)]
-            for br, pc in zip(basis, pivots):
-                if row[pc] != 0:
-                    f = row[pc] / br[pc]
-                    row = [x - f * y for x, y in zip(row, br)]
-            piv = next((j for j in range(n) if row[j] != 0), None)
-            if piv is not None:
-                basis.append(row)
-                pivots.append(piv)
-                if len(basis) == n:  # full rank: the remaining points add nothing
-                    break
-        self.basis = basis
-        self.pivots = pivots
-        self.rank = len(basis)
-
-    def coords(self, p: Point):
-        row = [a - b for a, b in zip(p, self.base)]
-        ys = []
-        for br, pc in zip(self.basis, self.pivots):
-            f = row[pc] / br[pc]
-            ys.append(f)
-            if f != 0:
-                row = [x - f * y for x, y in zip(row, br)]
-        if any(x != 0 for x in row):
-            return None
-        return tuple(ys)
-
-
-class _HullCore:
-    """Shared exact hull data for one polytope."""
-
-    def __init__(self, points: list[Point], ambient_dim: int):
-        pts = sorted(set(points))
+    def __init__(self, scale: int, lifted, ambient_dim: int):
+        g = math.gcd(scale, *(c for p in lifted for c in p))
+        pts = sorted({tuple(c // g for c in p) for p in lifted})
+        self.scale = scale // g
+        self.lifted = pts
         self.ambient_dim = ambient_dim
-        self.frame = _AffineFrame(pts)
-        self.affine_dim = self.frame.rank
+        base = pts[0]
+        diffs = ([a - b for a, b in zip(p, base)] for p in pts[1:])
+        self.rows = [r for _, r in _hull.echelon(diffs)]
+        self.pivots = sorted(next(j for j, x in enumerate(r) if x) for r in self.rows)
+        self.affine_dim = len(self.rows)
+        self.result = None
         if self.affine_dim == 0:
-            self.vertices = [pts[0]]
-            self.scale = 1
-            self.lifted = None
-            self.result = None
-            self.inner = None
-            return
-        if self.affine_dim == ambient_dim:
-            self.scale, self.lifted = _lift(pts)
-            self.result = _hull.hull_of_lifted(self.lifted, ambient_dim)
-            self.vertices = [pts[i] for i in self.result.vertex_indices]
-            self.inner = None
+            self.planes, self.vertex_indices = [], [0]
+        elif self.affine_dim == ambient_dim:
+            self.result = _hull.hull_of_lifted(pts, ambient_dim)
+            self.planes, self.vertex_indices = self.result.planes, self.result.vertex_indices
         else:
-            framed = [self.frame.coords(p) for p in pts]
-            self.inner = _HullCore(framed, self.affine_dim)
-            framed_vs = set(self.inner.vertices)
-            self.vertices = [
-                p for p, f in zip(pts, framed) if f in framed_vs
-            ]
-            self.scale, self.lifted, self.result = None, None, None
+            projected = [tuple(p[j] for j in self.pivots) for p in pts]
+            order = sorted(range(len(pts)), key=projected.__getitem__)
+            inner = _hull.hull_of_lifted([projected[i] for i in order], self.affine_dim)
+            self.planes = inner.planes
+            self.vertex_indices = sorted(order[i] for i in inner.vertex_indices)
+        self.vertices = [
+            tuple(Fraction(c, self.scale) for c in pts[i]) for i in self.vertex_indices
+        ]
 
     def facet_inequalities(self):
         """Facets a.x <= b in original coordinates (full-dimensional only)."""
         if self.result is None:
             raise ValueError("facets exist only for full-dimensional bodies")
-        return [
-            (a, Fraction(b, self.scale)) for a, b in self.result.planes
-        ]
+        return [(a, Fraction(b, self.scale)) for a, b in self.planes]
 
     def volume(self) -> Fraction:
-        if self.affine_dim < self.ambient_dim:
+        if self.result is None:
             return Fraction(0)
         raw = _hull.hull_volume_lifted(self.lifted, self.result)
         n = self.ambient_dim
         return Fraction(raw, math.factorial(n) * self.scale**n)
 
     def contains(self, p: Point) -> bool:
-        if self.affine_dim == 0:
-            return p == self.vertices[0]
-        if self.affine_dim == self.ambient_dim:
-            return all(
-                sum(ai * ci for ai, ci in zip(a, p)) <= b
-                for a, b in self.facet_inequalities()
-            )
-        framed = self.frame.coords(p)
-        return framed is not None and self.inner.contains(framed)
+        q = [c * self.scale for c in p]
+        if self.result is None:
+            den = math.lcm(*(c.denominator for c in q))
+            diff = [c.numerator * (den // c.denominator) - den * b
+                    for c, b in zip(q, self.lifted[0])]
+            if len(_hull.echelon(self.rows + [diff])) > self.affine_dim:
+                return False  # off the affine hull
+            q = [q[j] for j in self.pivots]
+        return all(sum(ai * ci for ai, ci in zip(a, q)) <= b for a, b in self.planes)
+
+
+def _lifted(P: LatticePolytope):
+    """(scale, integer vertices) with vertices == lifted / scale, cached."""
+    got = P._cache.get("lifted")
+    if got is None:
+        got = P._cache["lifted"] = _lift(P.vertices)
+    return got
 
 
 def _core(P: LatticePolytope) -> _HullCore:
     core = P._cache.get("core")
     if core is None:
-        core = _HullCore(list(P.vertices), P.ambient_dim)
-        P._cache["core"] = core
+        core = P._cache["core"] = _HullCore(*_lifted(P), P.ambient_dim)
     return core
 
 
-def _from_core(core: _HullCore, n: int) -> LatticePolytope:
-    P = LatticePolytope(n, tuple(sorted(core.vertices)), core.affine_dim)
+def _polytope(scale: int, lifted, n: int) -> LatticePolytope:
+    """The polytope conv(lifted / scale), with its hull core cached."""
+    core = _HullCore(scale, lifted, n)
+    P = LatticePolytope(n, tuple(core.vertices), core.affine_dim)
     P._cache["core"] = core
+    P._cache["lifted"] = (core.scale, [core.lifted[i] for i in core.vertex_indices])
     return P
 
 
@@ -205,19 +178,18 @@ def convex_hull(points) -> LatticePolytope:
         raise ValueError("points of mixed dimensions")
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"ambient dimension must be in 1..{MAX_DIM}")
-    return _from_core(_HullCore(pts, n), n)
+    return _polytope(*_lift(pts), n)
 
 
 def minkowski_sum(P: LatticePolytope, Q: LatticePolytope) -> LatticePolytope:
     """Hull of all pairwise vertex sums."""
     if P.ambient_dim != Q.ambient_dim:
         raise ValueError("Minkowski sum needs equal ambient dimensions")
-    sums = {
-        tuple(a + b for a, b in zip(p, q))
-        for p in P.vertices
-        for q in Q.vertices
-    }
-    return convex_hull(sums)
+    (sp, vp), (sq, vq) = _lifted(P), _lifted(Q)
+    lcm = math.lcm(sp, sq)
+    fp, fq = lcm // sp, lcm // sq
+    sums = {tuple(fp * a + fq * b for a, b in zip(p, q)) for p in vp for q in vq}
+    return _polytope(lcm, sums, P.ambient_dim)
 
 
 def scale(P: LatticePolytope, lam) -> LatticePolytope:
@@ -225,10 +197,10 @@ def scale(P: LatticePolytope, lam) -> LatticePolytope:
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError("scaling factor must be nonnegative")
-    if lam == 0:
-        origin = tuple(Fraction(0) for _ in range(P.ambient_dim))
-        return convex_hull([origin])
-    return convex_hull([tuple(lam * c for c in v) for v in P.vertices])
+    s, vs = _lifted(P)
+    num = lam.numerator
+    dilated = [tuple(num * c for c in v) for v in vs]
+    return _polytope(s * lam.denominator, dilated, P.ambient_dim)
 
 
 def translate(P: LatticePolytope, t) -> LatticePolytope:
@@ -264,23 +236,14 @@ def lattice_points(P: LatticePolytope, max_candidates: int = 20_000_000) -> Supp
     if count > max_candidates:
         raise ValueError("bounding box too large for lattice enumeration")
     core = _core(P)
-    found = []
-    if core.affine_dim == core.ambient_dim:
-        facets = core.facet_inequalities()
-        for cand in iproduct(*ranges):
-            if all(sum(ai * ci for ai, ci in zip(a, cand)) <= b for a, b in facets):
-                found.append(cand)
-    else:
-        for cand in iproduct(*ranges):
-            if core.contains(tuple(Fraction(c) for c in cand)):
-                found.append(cand)
+    found = [cand for cand in iproduct(*ranges) if core.contains(cand)]
     return SupportSet(P.ambient_dim, frozenset(found))
 
 
 def polytope_of_support(A: SupportSet) -> LatticePolytope:
     if not A.points:
         raise ValueError("cannot take the hull of an empty support set")
-    return convex_hull([tuple(Fraction(c) for c in p) for p in A.points])
+    return _polytope(1, A.points, A.ambient_dim)
 
 
 def _support_value(P: LatticePolytope, u) -> float:

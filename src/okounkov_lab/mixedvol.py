@@ -24,30 +24,6 @@ MAX_INTERP_DIM = 3
 
 
 @dataclass(frozen=True)
-class MultiplicityTuple:
-    """Bodies with repetition counts plus fixed bodies, filling n slots."""
-
-    multiplicities: tuple[int, ...]
-    repeated: tuple[LatticePolytope, ...]
-    fixed: tuple[LatticePolytope, ...]
-
-    def __post_init__(self):
-        if len(self.multiplicities) != len(self.repeated):
-            raise ValueError("one multiplicity per repeated body")
-        if any(k < 1 for k in self.multiplicities):
-            raise ValueError("multiplicities must be positive")
-        bodies = self.expand()
-        _check_tuple(bodies)
-
-    def expand(self) -> tuple[LatticePolytope, ...]:
-        out = []
-        for k, body in zip(self.multiplicities, self.repeated):
-            out.extend([body] * k)
-        out.extend(self.fixed)
-        return tuple(out)
-
-
-@dataclass(frozen=True)
 class InequalityReport:
     """Both sides of a checked inequality plus the verdict.
 
@@ -75,8 +51,6 @@ def _check_tuple(bodies):
 
 
 def _as_bodies(t) -> tuple[LatticePolytope, ...]:
-    if isinstance(t, MultiplicityTuple):
-        return t.expand()
     bodies = tuple(t)
     _check_tuple(bodies)
     return bodies

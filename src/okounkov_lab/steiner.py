@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _hull
-from .geometry import LatticePolytope, minkowski_sum, scale, volume
+from .geometry import LatticePolytope, _lift, minkowski_sum, scale, volume
 from .rng import derive_seed
 
 Pt = tuple[Fraction, Fraction]
@@ -47,11 +47,7 @@ def _canonical_ring(points: list[Pt]) -> tuple[Pt, ...]:
     pts = sorted(set(points))
     if len(pts) < 3:
         raise ValueError("degenerate polygon")
-    lifted_scale = 1
-    for p in pts:
-        for c in p:
-            lifted_scale = math.lcm(lifted_scale, c.denominator)
-    lifted = [(int(p[0] * lifted_scale), int(p[1] * lifted_scale)) for p in pts]
+    _, lifted = _lift(pts)
     res = _hull.hull_of_lifted(lifted, 2)
     ring = [res.simplices[0][0]]
     follow = {i: j for i, j in res.simplices}

@@ -302,3 +302,46 @@ class TestSuperadditivity:
                 continue
             assert alg.superadditivity_check(l1, l2, k_max=4).holds
             done += 1
+
+
+def _rational_subspace(rng, dim, size):
+    """Subspace whose basis has only non-integer rational coefficients."""
+    while True:
+        polys = []
+        for _ in range(size):
+            terms = {
+                tuple(rng.randint(-1, 1) for _ in range(dim)): F(
+                    rng.choice((-7, -5, -1, 1, 5, 7)), rng.choice((2, 3, 6))
+                )
+                for _ in range(rng.randint(1, 3))
+            }
+            polys.append(L(dim, terms))
+        try:
+            return alg.subspace(dim, polys)
+        except ValueError:
+            continue
+
+
+class TestPowerLevelsAgainstProduct:
+    """Integer power rows against valuation images of the public Fraction power."""
+
+    @pytest.mark.parametrize(
+        "dim,order",
+        [
+            (2, alg.LEX),
+            (2, alg.MonomialOrder("grlex", (1, 2))),
+            (3, alg.LEX),
+            (3, alg.MonomialOrder("grlex", (2, 1, 1))),
+        ],
+    )
+    def test_levels_and_hilbert_match_powers(self, dim, order):
+        rng = random.Random(60 + dim)
+        for _ in range(6):
+            l = _rational_subspace(rng, dim, rng.randint(2, 3))
+            assert all(c.denominator > 1 for f in l.basis for _, c in f.terms)
+            levels = alg.semigroup_of_subspace(l, order, 4).levels
+            dims = dict(alg.hilbert_function(l, 4))
+            for k in range(1, 5):
+                lk = alg.power(l, k)
+                assert levels[k] == alg.valuation_image(lk, order).exponents
+                assert dims[k] == lk.dim

@@ -315,3 +315,110 @@ class TestProperties:
     def test_volume_homogeneity(self, pts, lam):
         P = g.convex_hull(pts)
         assert g.volume(g.scale(P, lam)) == lam ** P.ambient_dim * g.volume(P)
+
+
+def _rank(vectors):
+    return int(np.linalg.matrix_rank(np.array(vectors, dtype=float))) if vectors else 0
+
+
+def _flat_body(rng, n, k):
+    """Rational points spanning a k-dimensional affine subspace of R^n whose
+    directions have no zero coordinate (so the subspace is not axis-aligned)."""
+    while True:
+        dirs = [tuple(rng.choice((-1, 1)) for _ in range(n)) for _ in range(k)]
+        if _rank(dirs) == k:
+            break
+    base = tuple(F(rng.randint(-2, 2), rng.choice((1, 1, 1, 1, 2))) for _ in range(n))
+    while True:
+        ts = [[F(rng.randint(0, 12), 6) for _ in range(k)] for _ in range(k + rng.randint(3, 6))]
+        pts = [
+            tuple(b + sum(t * v[c] for t, v in zip(row, dirs)) for c, b in enumerate(base))
+            for row in ts
+        ]
+        if _rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) == k:
+            return pts, dirs
+
+
+def _centroid(points):
+    return tuple(sum(c) / len(points) for c in zip(*points))
+
+
+class TestLowerDimensional:
+    @pytest.mark.parametrize("n,k", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2), (4, 3)])
+    def test_flat_bodies_against_oracles(self, n, k):
+        rng = random.Random(1000 * n + k)
+        for _ in range(3):
+            pts, dirs = _flat_body(rng, n, k)
+            P = g.convex_hull(pts)
+            vs = list(P.vertices)
+            assert P.affine_dim == k and g.volume(P) == 0
+            # the vertices are extreme and generate every input point
+            assert all(not in_convex_hull(v, vs[:i] + vs[i + 1:]) for i, v in enumerate(vs))
+            assert all(in_convex_hull(p, vs) for p in pts)
+            # inside, beyond a vertex on the affine hull, and off the affine hull
+            c = _centroid(vs)
+            probes = [c] + [_centroid(rng.sample(pts, 2)) for _ in range(3)]
+            probes += [tuple(a + (a - b) / 3 for a, b in zip(v, c)) for v in vs[:3]]
+            while True:
+                w = tuple(rng.randint(-1, 1) for _ in range(n))
+                if _rank(dirs + [w]) == k + 1:
+                    break
+            probes += [tuple(a + F(t, 5) * b for a, b in zip(c, w)) for t in (1, -2)]
+            for q in probes:
+                assert g.contains_point(P, q) == in_convex_hull(q, vs)
+            # lattice points: brute force over the bounding box
+            box = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in g.bounding_box(P)]
+            expected = {q for q in product(*box) if in_convex_hull(q, vs)}
+            assert set(g.lattice_points(P).points) == expected
+
+
+def _rational_body(rng, n, dens, odd=False):
+    """Random rational body; with `odd`, every numerator is odd."""
+    def coord():
+        num = rng.randint(-6, 6)
+        return F(2 * num + 1 if odd else num, rng.choice(dens))
+
+    return g.convex_hull([tuple(coord() for _ in range(n)) for _ in range(n + 3)])
+
+
+def _same_core(P, Q):
+    """Equal bodies with equal cores: least scale, integer points and facets."""
+    assert P == Q
+    cp, cq = g._core(P), g._core(Q)
+    assert (cp.scale, cp.lifted, cp.vertex_indices) == (cq.scale, cq.lifted, cq.vertex_indices)
+    if P.is_full_dimensional:
+        assert cp.facet_inequalities() == cq.facet_inequalities()
+    assert g.volume(P) == g.volume(Q)
+
+
+class TestIntegerSumsAndDilations:
+    """Minkowski sums and dilations on lifted vertices against the Fraction route."""
+
+    def test_half_plus_half_is_integral(self):
+        P = g.convex_hull([(F(1, 2), F(1, 2)), (F(3, 2), F(1, 2)), (F(1, 2), F(5, 2))])
+        Q = g.convex_hull([(F(1, 2), F(1, 2)), (F(-1, 2), F(3, 2))])
+        S = g.minkowski_sum(P, Q)
+        assert g._core(S).scale == 1
+        _same_core(S, g.convex_hull([
+            tuple(a + b for a, b in zip(p, q)) for p in P.vertices for q in Q.vertices
+        ]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sums_match_fraction_route(self, n):
+        rng = random.Random(40 + n)
+        cases = [((1, 2, 3), (1, 4, 6), False), ((2,), (2,), True), ((1,), (3, 5), False),
+                 ((2, 6), (3,), False), ((2, 6), (2, 6), True)]
+        for dens_p, dens_q, odd in cases:
+            for _ in range(6):
+                P, Q = _rational_body(rng, n, dens_p, odd), _rational_body(rng, n, dens_q, odd)
+                sums = [tuple(a + b for a, b in zip(p, q)) for p in P.vertices for q in Q.vertices]
+                _same_core(g.minkowski_sum(P, Q), g.convex_hull(sums))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_dilations_match_fraction_route(self, n):
+        rng = random.Random(50 + n)
+        for _ in range(12):
+            P = _rational_body(rng, n, (1, 2, 3, 4))
+            for lam in (F(0), F(1), F(2), F(3, 2), F(2, 3), F(5, 4)):
+                dilated = [tuple(lam * c for c in v) for v in P.vertices]
+                _same_core(g.scale(P, lam), g.convex_hull(dilated))

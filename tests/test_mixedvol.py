@@ -78,23 +78,17 @@ class TestInterpOracle:
 
 class TestRepeated:
     def test_double_is_volume(self):
-        assert mv.mixed_volume(
-            mv.MultiplicityTuple((2,), (SQ,), ())
-        ) == g.volume(SQ)
+        assert mv.mixed_volume((SQ, SQ)) == g.volume(SQ)
 
     def test_unit_multiplicities(self):
-        t = mv.MultiplicityTuple((1, 1), (SQ, SI), ())
-        assert mv.mixed_volume(t) == mv.mixed_volume((SQ, SI))
+        assert mv.mixed_volume((SQ, SI)) == 1 == mv.mixed_volume_interp((SQ, SI))
 
     def test_expansion_identity_3d(self):
+        # V(K, K, L) = Area(K) * width_L(u) / 3 for K planar with normal u
         flat_sq = poly((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
         si3 = poly((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-        t = mv.MultiplicityTuple((2,), (flat_sq,), (si3,))
-        assert mv.mixed_volume(t) == mv.mixed_volume((flat_sq, flat_sq, si3))
-
-    def test_bad_arity(self):
-        with pytest.raises(ValueError):
-            mv.MultiplicityTuple((2,), (SQ,), (SI,))
+        assert mv.mixed_volume((flat_sq, flat_sq, si3)) == F(1, 3)
+        assert mv.mixed_volume((flat_sq, si3, flat_sq)) == F(1, 3)
 
 
 class TestAlexandrovFenchel:
@@ -207,9 +201,7 @@ class TestAxioms:
         for _ in range(20):
             d1, d2, fx = random_body3(rng), random_body3(rng), random_body3(rng)
             m = 2
-            lhs = mv.mixed_volume(
-                mv.MultiplicityTuple((1, 1), (d1, d2), (fx,))
-            )
-            r1 = mv.mixed_volume(mv.MultiplicityTuple((m,), (d1,), (fx,)))
-            r2 = mv.mixed_volume(mv.MultiplicityTuple((m,), (d2,), (fx,)))
+            lhs = mv.mixed_volume((d1, d2, fx))
+            r1 = mv.mixed_volume((d1,) * m + (fx,))
+            r2 = mv.mixed_volume((d2,) * m + (fx,))
             assert lhs**m >= r1 * r2
