@@ -255,6 +255,20 @@ class TestExitContract:
         inp = write(tmp_path, "in.json", payload)
         assert main([command, inp, "--kmax", "2", "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "command,payload,message",
+        [
+            ("steiner", {"polygon": SQ, "rounds": stn.MAX_ROUNDS + 1}, "rounds must be in 1..500"),
+            ("profile", {"body1": SQ, "body2": SI, "samples": stn.MAX_SAMPLES + 1},
+             "samples must be in 3..1000"),
+        ],
+        ids=["rounds", "samples"],
+    )
+    def test_budget_over_bound_is_exit_2(self, tmp_path, capsys, command, payload, message):
+        inp = write(tmp_path, "in.json", payload)
+        assert main([command, inp, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
     def test_cli_import_does_not_load_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -6,6 +6,7 @@ import pytest
 
 from okounkov_lab import geometry as g
 from okounkov_lab import steiner as stn
+from okounkov_lab.jsonio import float_to_str
 from okounkov_lab.radicals import compare_root_sums
 
 
@@ -113,6 +114,36 @@ class TestIterate:
         stats = stn.iterate_symmetrize(quad, 50, seed=3)
         radius = math.sqrt(float(stn.area(quad)) / math.pi)
         assert stats[-1].hausdorff_to_disc < 0.05 * radius
+
+    def test_float_rounds_golden(self):
+        # 8 exact rounds, then 4 float rounds of the shared routine
+        quad = stn.polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
+        rows = [
+            (float_to_str(s.perimeter), float_to_str(s.hausdorff_to_disc), s.vertex_count, s.exact)
+            for s in stn.iterate_symmetrize(quad, 12, seed=3)
+        ]
+        assert rows == [
+            ("14.246201219220477", "1.2423508092851776", 6, True),
+            ("14.111775169267784", "1.2183075462372148", 10, True),
+            ("13.54885012221558", "1.0597639435603328", 18, True),
+            ("13.280489608583139", "0.9722525339989927", 34, True),
+            ("12.205825987403818", "0.50056346334806356", 66, True),
+            ("11.873633600290344", "0.14256182180422416", 130, True),
+            ("11.802530865973326", "0.075734295014053821", 258, True),
+            ("11.784829481881756", "0.038998505875459166", 514, True),
+            ("11.763803577450679", "0.022119073548037882", 1024, False),
+            ("11.75941463797035", "0.012021852067921612", 1024, False),
+            ("11.758474124321303", "0.011278944384149447", 1024, False),
+            ("11.757559064062173", "0.0045485018950335299", 1024, False),
+        ]
+
+    def test_exact_rounds_never_thinned(self):
+        # past the float vertex budget, yet an exact round keeps every vertex
+        parabola = stn.polygon([(i, i * i) for i in range(600)])
+        assert len(stn.steiner_symmetrize(parabola, (1, 2)).vertices) == 1196
+        (stat,) = stn.iterate_symmetrize(parabola, 1, seed=0)
+        assert stat.exact and stat.vertex_count > stn.FLOAT_MAX_VERTICES
+        assert stat.area == stn.area(parabola)
 
     def test_deterministic(self):
         quad = stn.polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
