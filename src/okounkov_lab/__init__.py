@@ -1,8 +1,8 @@
 """Exact convex-geometry and sparse-system toolkit.
 
 Computes mixed volumes of rational polytopes, Newton-Okounkov bodies of
-finite-dimensional Laurent-polynomial subspaces, and numeric torus root
-counts for sparse systems, together with an exactly-checked suite of
+finite-dimensional Laurent-polynomial subspaces, and certified exact torus
+root counts for sparse systems, together with an exactly-checked suite of
 convex-geometric inequalities.
 """
 

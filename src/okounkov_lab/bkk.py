@@ -1,38 +1,61 @@
-"""Numeric verification of sparse root counts on the torus for one and two
-variables, against the exact prediction n! times the mixed volume of the
-Newton polytopes.
+"""Certified exact verification of sparse root counts on the torus for one
+and two variables, against the exact prediction n! times the mixed volume of
+the Newton polytopes.
 
-Two-variable systems are counted by eliminating y through the Sylvester
-resultant.  Its determinant, a polynomial in x, is interpolated: scalar
-Sylvester determinants at equally spaced points of a circle, then an
-inverse DFT, accepted only if two off-circle spot checks reproduce direct
-determinants.  The Aberth iteration then locates the x roots, and y roots
-are matched per surviving x.
-Genericity comes from randomized coefficients plus modal voting over
-independent trials; trials with clustered roots or bad residuals are
-discarded as degenerate and retried, never silently counted.
+Every coefficient is read exactly: a complex double is a Gaussian dyadic
+rational, and random trials draw real dyadic coefficients.  So each count
+is a proof about one explicit system, not a floating-point estimate.
+
+A one-variable polynomial, shifted to an ordinary polynomial with a nonzero
+constant term, has as many torus roots as its degree once it is squarefree.
+A two-variable system is first rewritten in coordinates of its supports'
+difference lattice, of index d.  Its eliminant R = Res_y(p1, p2) is then an
+integer polynomial: fraction-free Sylvester determinants at integer points,
+interpolated with integers only.  Let R~ = R / x^k with R~(0) != 0.  If R~
+is squarefree, coprime to both leading y-coefficients and coprime to
+p1(x, 0), every root of R~ lies below exactly one torus solution, a simple
+one, so the system has exactly d * deg R~ torus roots.  These checks run
+modulo one prime, where they are one-sided: a reduction of the same degree
+that is squarefree (or coprime) there is squarefree (or coprime) over Q(i).
+
+A trial whose checks fail is degenerate, with a named reason, and is never
+counted; the retry draws fresh coefficients and a shear (x, y) -> (x y^a, y).
+Verification takes the modal count over independent trials.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import geometry
+# unused: perfbench/tracing.py looks roots.aberth_roots up among the modules cli loads
+from . import roots  # noqa: F401
 from .geometry import SupportSet
 from .mixedvol import mixed_volume
 from .rng import derive_seed
-from .roots import RootFindingError, aberth_roots
+from .semigroup import completion
 
-DEFAULT_TOL = 1e-8
-SEPARATION_FLOOR = 1e-6
-CLUSTER_RTOL = 1e-4
+# prime and 1 mod 4, so -1 has a square root and Gaussian integers reduce
+PRIME = 2**64 - 59
+SQRT_MINUS_ONE = next(
+    s for s in (pow(g, (PRIME - 1) // 4, PRIME) for g in range(2, 100))
+    if s * s % PRIME == PRIME - 1
+)
+COEFFICIENT_BITS = 17
+SHEARS = (-2, -1, 1, 2)
+
+# budgets: verify_bkk rejects inputs past them before any trial runs
+MAX_TRIALS = 20
+MAX_SYLVESTER_ORDER = 20
+MAX_ELIMINANT_DEGREE = 160
+MAX_COMPLETION_CANDIDATES = 10_000
 
 
 class DegenerateSystemError(RuntimeError):
-    """A trial produced clustered roots, bad residuals, or a lost resultant."""
+    """A trial failed a certificate check; the message names the check."""
 
 
 @dataclass(frozen=True)
@@ -44,7 +67,7 @@ class ComplexLaurentPolynomial:
 
     def __post_init__(self):
         if self.ambient_dim not in (1, 2):
-            raise ValueError("numeric systems support 1 or 2 variables")
+            raise ValueError("root counts support 1 or 2 variables")
         if not self.terms:
             raise ValueError("empty polynomial")
         for e, c in self.terms:
@@ -94,383 +117,337 @@ def bkk_number(supports) -> int:
 
 
 def random_generic_system(supports, seed) -> list[ComplexLaurentPolynomial]:
-    """Coefficients i.i.d. with modulus uniform in [1/2, 1], uniform phase."""
+    """Real dyadic coefficients +-k / 2^17, k uniform in [2^16, 2^17], so |c| in [1/2, 1]."""
     out = []
+    top = 2**COEFFICIENT_BITS
     for idx, a in enumerate(supports):
         rng = random.Random(derive_seed(seed, "coeffs", idx))
-        terms = {}
-        for e in sorted(a.points):
-            modulus = 0.5 + 0.5 * rng.random()
-            phase = 2 * math.pi * rng.random()
-            terms[e] = complex(modulus * math.cos(phase), modulus * math.sin(phase))
+        terms = {
+            e: rng.choice((-1, 1)) * rng.randint(top // 2, top) / top for e in sorted(a.points)
+        }
         out.append(clp(a.ambient_dim, terms))
     return out
 
 
-def _dense_1d(p: ComplexLaurentPolynomial) -> list[complex]:
-    """Shift exponents to make an ordinary polynomial with c_0 != 0."""
-    exps = [e[0] for e, _ in p.terms]
-    low = min(exps)
-    coeffs = [0j] * (max(exps) - low + 1)
-    for (e,), c in p.terms:
-        coeffs[e - low] = c
-    return coeffs
+# -- exact coefficients: integers, or Gaussian integers for non-real input ----
 
 
-def count_roots_1d(p: ComplexLaurentPolynomial, tol: float = DEFAULT_TOL) -> int:
-    """Torus roots of a one-variable Laurent polynomial.
+@dataclass(frozen=True)
+class _Gaussian:
+    """re + im*i over the integers; plain ints mix in as real values."""
 
-    After monomial normalization all roots of the ordinary polynomial are
-    nonzero; the Aberth count must match the degree span and every root
-    must clear the origin, otherwise the trial is degenerate.
-    """
-    if p.ambient_dim != 1:
-        raise ValueError("count_roots_1d needs one variable")
-    coeffs = _dense_1d(p)
-    degree = len(coeffs) - 1
-    if degree == 0:
-        return 0
-    try:
-        rts = aberth_roots(coeffs)
-    except RootFindingError as exc:
-        raise DegenerateSystemError(str(exc)) from exc
-    if len(rts) != degree:
-        raise DegenerateSystemError("lost leading coefficient during solve")
-    if any(abs(z) <= tol for z in rts):
-        raise DegenerateSystemError("root collapsed onto the origin")
-    return degree
+    re: int
+    im: int
+
+    def __add__(self, o):
+        o = _gaussian(o)
+        return _Gaussian(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Gaussian(-self.re, -self.im)
+
+    def __sub__(self, o):
+        return self + -_gaussian(o)
+
+    def __rsub__(self, o):
+        return _gaussian(o) + -self
+
+    def __mul__(self, o):
+        o = _gaussian(o)
+        return _Gaussian(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, o):
+        """Exact quotient: the divisor must divide self."""
+        o = _gaussian(o)
+        norm = o.re * o.re + o.im * o.im
+        num = self * _Gaussian(o.re, -o.im)
+        return _Gaussian(num.re // norm, num.im // norm)
+
+    def __rfloordiv__(self, o):
+        return _gaussian(o) // self
+
+    def __bool__(self):
+        return bool(self.re or self.im)
 
 
-# -- univariate complex polynomials as lists (ascending powers of x) ---------
+def _gaussian(c) -> _Gaussian:
+    return c if isinstance(c, _Gaussian) else _Gaussian(c, 0)
 
-def _ptrim(cs):
-    out = list(cs)
-    while out and out[-1] == 0:
-        out.pop()
+
+def _residue(c) -> int:
+    """Image of an integer or Gaussian integer modulo PRIME."""
+    if isinstance(c, _Gaussian):
+        return (c.re + SQRT_MINUS_ONE * c.im) % PRIME
+    return c % PRIME
+
+
+def _integer_terms(poly: ComplexLaurentPolynomial):
+    """Terms with exact coefficients, all scaled by one power of two to integers."""
+    parts = [(c.real.as_integer_ratio(), c.imag.as_integer_ratio()) for _, c in poly.terms]
+    scale = max(d for pair in parts for _, d in pair)
+    out = []
+    for (e, _), ((rn, rd), (imn, imd)) in zip(poly.terms, parts):
+        re, im = rn * (scale // rd), imn * (scale // imd)
+        out.append((e, _Gaussian(re, im) if im else re))
     return out
 
 
-def _sylvester_matrix(p, q, degy_p, degy_q):
-    """Sylvester matrix in y; entries are x-polynomials (ascending lists)."""
-    size = degy_p + degy_q
-
-    def row_of(poly, degy):
-        width = max(e[0] for e, _ in poly.terms) + 1
-        rows = [[0j] * width for _ in range(degy + 1)]
-        for (ex, ey), c in poly.terms:
-            rows[ey][ex] = c
-        return [_ptrim(r) for r in rows]
-
-    prow = row_of(p, degy_p)  # prow[j] = coefficient of y^j, a poly in x
-    qrow = row_of(q, degy_q)
-    m = [[[] for _ in range(size)] for _ in range(size)]
-    for shift in range(degy_q):
-        for j, entry in enumerate(reversed(prow)):
-            m[shift][shift + j] = entry
-    for shift in range(degy_p):
-        for j, entry in enumerate(reversed(qrow)):
-            m[degy_q + shift][shift + j] = entry
-    return m
+# -- polynomials modulo PRIME, as ascending coefficient lists -----------------
 
 
-def _scalar_determinant(m):
-    """Complex determinant by Gaussian elimination with partial pivoting."""
-    size = len(m)
-    a = [row[:] for row in m]
-    det = complex(1)
-    for k in range(size):
-        piv = max(range(k, size), key=lambda i: abs(a[i][k]))
-        if abs(a[piv][k]) == 0:
-            return complex(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, size):
-            f = a[i][k] / a[k][k]
-            if f != 0:
-                for j in range(k, size):
-                    a[i][j] -= f * a[k][j]
-    return det
+def _trim(cs):
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
 
 
-def _eval_entry(entry, x):
-    acc = 0j
-    for c in reversed(entry):
+def _coprime(a, b) -> bool:
+    """gcd(a, b) = 1 modulo PRIME; a must be nonzero."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        inv = pow(b[-1], -1, PRIME)
+        db = len(b) - 1
+        for i in range(len(a) - 1, db - 1, -1):
+            q = a[i] * inv % PRIME
+            if q:
+                for j in range(db):
+                    a[i - db + j] = (a[i - db + j] - q * b[j]) % PRIME
+        a, b = b, _trim(a[:db])
+    return len(a) == 1
+
+
+def _certify(f, leads, axis) -> int:
+    """Degree of the exact polynomial f (f[0] != 0) after the modular checks."""
+    f = [_residue(c) for c in f]
+    if not f[0] or not f[-1]:
+        raise DegenerateSystemError("degree drops mod p")
+    if not _coprime(f, [i * c % PRIME for i, c in enumerate(f)][1:]):
+        raise DegenerateSystemError("not squarefree mod p")
+    if not all(_coprime(f, [_residue(c) for c in g]) for g in leads):
+        raise DegenerateSystemError("shares a root with a leading coefficient")
+    if axis is not None and not _coprime(f, [_residue(c) for c in axis]):
+        raise DegenerateSystemError("shares a root with p1(x, 0)")
+    return len(f) - 1
+
+
+def count_roots_1d(p: ComplexLaurentPolynomial) -> int:
+    """Torus roots of a one-variable Laurent polynomial, certified.
+
+    After monomial normalization the constant term is nonzero, so every
+    root is a torus root; a squarefree polynomial has as many as its
+    degree, otherwise the trial is degenerate.
+    """
+    if p.ambient_dim != 1:
+        raise ValueError("count_roots_1d needs one variable")
+    terms = _integer_terms(p)
+    low = min(e[0] for e, _ in terms)
+    dense = [0] * (max(e[0] for e, _ in terms) - low + 1)
+    for (e,), c in terms:
+        dense[e - low] = c
+    return _certify(dense, (), None)
+
+
+# -- two variables -----------------------------------------------------------
+
+
+def _lattice_basis(vectors):
+    """Basis (u0, u1), (0, w) of the lattice spanned by integer pairs.
+
+    The rank is below 2 exactly when u0 * w == 0.
+    """
+    u, w = (0, 0), 0
+    for v in vectors:
+        while v[0]:
+            q = u[0] // v[0]
+            u, v = v, (u[0] - q * v[0], u[1] - q * v[1])
+        w = math.gcd(w, v[1])
+    if w:
+        u = (u[0], u[1] % w)  # the reduced basis: no shear when w = 1
+    return u, w
+
+
+def _lattice_coordinates(exponents, shear):
+    """Exponent lists in coordinates of their difference lattice, and its index.
+
+    Each list is shifted by its minimum, written in the basis of
+    :func:`_lattice_basis` when that lattice has rank 2, sheared by
+    (s, t) -> (s, t + a s), and shifted to start at 0.  A torus root of the
+    new system lies below `index` torus roots of the old one.  The shear
+    acts after the change of basis, where the basis' normal form cannot
+    absorb it.  A shear that leaves a list flat (one y value, several x
+    values: no y to eliminate) or the eliminant over its budget gives way
+    to the first of 0, 1, -1, 2 that does neither; if none does, the first
+    that leaves no list flat is returned and the budget check rejects it.
+    """
+    bases = [min(es) for es in exponents]
+    moved = [[(x - b[0], y - b[1]) for x, y in es] for es, b in zip(exponents, bases)]
+    (u0, u1), w = _lattice_basis([v for es in moved for v in es])
+    index = max(abs(u0 * w), 1)
+    if u0 * w:
+        moved = [[(x // u0, (y - x // u0 * u1) // w) for x, y in es] for es in moved]
+    unflat = []
+    for a in (shear, 0, 1, -1, 2):
+        out = []
+        for es in moved:
+            es = [(x, y + a * x) for x, y in es]
+            lo = (min(x for x, _ in es), min(y for _, y in es))
+            out.append([(x - lo[0], y - lo[1]) for x, y in es])
+        if any(len({y for _, y in es}) == 1 < len(es) for es in out):
+            continue
+        order, bound = _eliminant_size(*out)
+        if order <= MAX_SYLVESTER_ORDER and bound <= MAX_ELIMINANT_DEGREE:
+            return index, out
+        unflat.append(out)
+    return index, unflat[0]
+
+
+def _eliminant_size(e1, e2):
+    """Sylvester order in y and a degree bound in x of Res_y, from exponents."""
+    dx1, dy1 = (max(v[i] for v in e1) for i in (0, 1))
+    dx2, dy2 = (max(v[i] for v in e2) for i in (0, 1))
+    return dy1 + dy2, dy2 * dx1 + dy1 * dx2
+
+
+def _check_size(order, bound):
+    if order > MAX_SYLVESTER_ORDER:
+        raise ValueError(
+            f"eliminant has Sylvester order {order}; the limit is {MAX_SYLVESTER_ORDER}"
+        )
+    if bound > MAX_ELIMINANT_DEGREE:
+        raise ValueError(f"eliminant has degree bound {bound}; the limit is {MAX_ELIMINANT_DEGREE}")
+
+
+def _determinant(m):
+    """Fraction-free (Bareiss) determinant; every division is exact."""
+    m = [row[:] for row in m]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        top, pivot = m[k], m[k][k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
+
+
+def _interpolate(values, x0):
+    """Coefficients of the polynomial of degree < len(values) through
+    (x0 + j, values[j]), by forward differences and a falling-factorial
+    Horner scheme scaled by B!, then one exact division."""
+    b = len(values) - 1
+    diffs, row = [], list(values)
+    while row:
+        diffs.append(row[0])
+        row = [q - p for p, q in zip(row, row[1:])]
+    poly, scale = [diffs[b]], 1  # scale = B! / k!
+    for k in range(b - 1, -1, -1):
+        scale *= k + 1
+        poly = [0] + poly
+        for j in range(len(poly) - 1):
+            poly[j] -= (x0 + k) * poly[j + 1]
+        poly[0] += diffs[k] * scale
+    return [c // scale for c in poly]
+
+
+def _eliminant(rows1, rows2, bound):
+    """Res_y as integer coefficients in x; rows[j] is the x-polynomial of y^j."""
+    d1, d2 = len(rows1) - 1, len(rows2) - 1
+    x0 = -(bound // 2)
+    values = []
+    for x in range(x0, x0 + bound + 1):
+        c1 = [_evaluate(r, x) for r in reversed(rows1)]
+        c2 = [_evaluate(r, x) for r in reversed(rows2)]
+        m = [[0] * shift + c1 + [0] * (d2 - 1 - shift) for shift in range(d2)]
+        m += [[0] * shift + c2 + [0] * (d1 - 1 - shift) for shift in range(d1)]
+        values.append(_determinant(m))
+    return _interpolate(values, x0)
+
+
+def _evaluate(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-def _sylvester_det_at(matrix, x):
-    return _scalar_determinant(
-        [[_eval_entry(e, x) for e in row] for row in matrix]
-    )
-
-
-def _interpolated_determinant(matrix, degree_bound):
-    """Eliminant via scalar eliminations on a circle plus inverse DFT."""
-    samples = degree_bound + 1
-    radius = 1.1296154  # keeps sample points away from structured roots
-    values = []
-    for j in range(samples):
-        x = radius * cmath.exp(2j * cmath.pi * j / samples)
-        values.append(_sylvester_det_at(matrix, x))
-    coeffs = []
-    for k in range(samples):
-        acc = 0j
-        for j, v in enumerate(values):
-            acc += v * cmath.exp(-2j * cmath.pi * j * k / samples)
-        coeffs.append(acc / (samples * radius**k))
-    return coeffs
-
-
-def _validated_eliminant(matrix):
-    """Interpolated eliminant, accepted only if both spot checks pass."""
-    degree_bound = sum(max((len(e) - 1 for e in row if e), default=0) for row in matrix)
-    det = _interpolated_determinant(matrix, degree_bound)
-    if _spot_check(matrix, det):
-        return det
-    raise DegenerateSystemError("eliminant failed pointwise validation")
-
-
-def _spot_check(matrix, det, rel=1e-6):
-    for probe in (0.83219 + 0.41377j, -0.57211 + 1.04933j):
-        direct = _sylvester_det_at(matrix, probe)
-        assembled = _eval_entry(det, probe)
-        scale = sum(abs(c) * abs(probe) ** i for i, c in enumerate(det)) + abs(direct)
-        if abs(direct - assembled) > rel * max(scale, 1e-300):
-            return False
-    return True
-
-
-def _y_coefficients(poly, x_star):
-    """Coefficients in y of p(x*, y), ascending."""
-    degy = max(e[1] for e, _ in poly.terms)
-    out = [0j] * (degy + 1)
-    for (ex, ey), c in poly.terms:
-        out[ey] += c * x_star**ex
-    return out
-
-
-def _eval2(poly, x, y):
-    return sum(c * x**ex * y**ey for (ex, ey), c in poly.terms)
-
-
-def _scale2(poly, x, y):
-    return max(
-        sum(abs(c) * abs(x) ** ex * abs(y) ** ey for (ex, ey), c in poly.terms),
-        1e-300,
-    )
-
-
-def _normalize_2d(p: ComplexLaurentPolynomial) -> ComplexLaurentPolynomial:
-    """Multiply by a monomial so exponents start at zero in each variable."""
-    lows = [min(e[i] for e, _ in p.terms) for i in (0, 1)]
-    return clp(
-        2, {(e[0] - lows[0], e[1] - lows[1]): c for e, c in p.terms}
-    )
+def _y_rows(terms):
+    """rows[j] = dense ascending x-coefficients of y^j."""
+    width = max(e[0] for e, _ in terms) + 1
+    rows = [[0] * width for _ in range(max(e[1] for e, _ in terms) + 1)]
+    for (ex, ey), c in terms:
+        rows[ey][ex] = c
+    return rows
 
 
 def count_solutions_2d(
     p1: ComplexLaurentPolynomial,
     p2: ComplexLaurentPolynomial,
-    tol: float = DEFAULT_TOL,
+    shear: int = 0,
 ) -> int:
-    """Count torus solutions of a generic two-variable system.
+    """Torus solutions of a two-variable system, certified exactly.
 
-    Resultant elimination in y, Aberth on the eliminant, then y recovery at
-    each surviving x with residual validation against the other equation.
+    The system is rewritten in lattice coordinates with the given shear
+    (see :func:`_lattice_coordinates`), its integer eliminant R~ is built,
+    and d * deg R~ is returned if R~ passes the modular checks.  Otherwise
+    :class:`DegenerateSystemError` names the check that failed.  The shear
+    changes which eliminant is built, never the count it certifies.
     """
     if p1.ambient_dim != 2 or p2.ambient_dim != 2:
         raise ValueError("count_solutions_2d needs two variables")
-    p1, p2 = _normalize_2d(p1), _normalize_2d(p2)
-    degy1 = max(e[1] for e, _ in p1.terms)
-    degy2 = max(e[1] for e, _ in p2.terms)
-    if degy1 == 0 and degy2 == 0:
-        # two univariate-in-x equations share no generic root
-        return 0
-    if degy1 == 0 or degy2 == 0:
-        flat, tall = (p1, p2) if degy1 == 0 else (p2, p1)
-        return _count_with_flat(flat, tall, tol)
-    resultant = _strip_monomial_factor(
-        _validated_eliminant(_sylvester_matrix(p1, p2, degy1, degy2))
-    )
-    if len(resultant) <= 1:
-        return 0
-    try:
-        xroots = aberth_roots(resultant)
-    except RootFindingError as exc:
-        raise DegenerateSystemError(str(exc)) from exc
-    kept = [x for x in xroots if abs(x) > tol]
-    solver = p1 if degy1 > 0 else p2
-    total = 0
-    for x_star, multiplicity in _cluster_roots(kept):
-        ycs = _strip_monomial_factor(_y_coefficients(solver, x_star))
-        if len(ycs) <= 1:
-            raise DegenerateSystemError("eliminant root without matching fiber")
-        try:
-            yroots = aberth_roots(ycs)
-        except RootFindingError as exc:
-            raise DegenerateSystemError(str(exc)) from exc
-        solutions = []
-        for y in yroots:
-            if abs(y) <= tol:
-                continue
-            polished = _newton_polish(p1, p2, x_star, y)
-            if polished is None:
-                continue
-            px, py = polished
-            if abs(px) <= tol or abs(py) <= tol:
-                continue
-            if abs(px - x_star) > 10 * CLUSTER_RTOL * (1.0 + abs(x_star)):
-                continue  # wandered to another basin; not this cluster's point
-            if abs(_eval2(p1, px, py)) > tol * _scale2(p1, px, py):
-                continue
-            if abs(_eval2(p2, px, py)) > tol * _scale2(p2, px, py):
-                continue
-            if all(abs(py - qy) >= SEPARATION_FLOOR for _, qy in solutions):
-                solutions.append((px, py))
-        if len(solutions) != multiplicity:
-            # an eliminant root of multiplicity m must sit below exactly m
-            # simple torus solutions; a mismatch means a multiple solution
-            # (fiber roots collapsed) or a numerically lost fiber point
-            raise DegenerateSystemError("fiber count disagrees with eliminant multiplicity")
-        total += len(solutions)
-    return total
+    t1, t2 = _integer_terms(p1), _integer_terms(p2)
+    index, (e1, e2) = _lattice_coordinates([[e for e, _ in t] for t in (t1, t2)], shear)
+    order, bound = _eliminant_size(e1, e2)
+    _check_size(order, bound)
+    rows1 = _y_rows(list(zip(e1, (c for _, c in t1))))
+    rows2 = _y_rows(list(zip(e2, (c for _, c in t2))))
+    r = _trim(_eliminant(rows1, rows2, bound))
+    if not r:
+        raise DegenerateSystemError("eliminant vanishes identically")
+    r = r[next(i for i, c in enumerate(r) if c):]
+    return index * _certify(r, (rows1[-1], rows2[-1]), rows1[0])
 
 
-def _strip_monomial_factor(coeffs, rel=1e-10):
-    """Drop numerically null leading and trailing coefficients.
-
-    A power of the variable dividing the eliminant corresponds to excluded
-    solutions on the coordinate torus boundary; removing it keeps the root
-    finder conditioned on the meaningful part.
-    """
-    biggest = max((abs(c) for c in coeffs), default=0.0)
-    if biggest == 0.0:
-        raise DegenerateSystemError("eliminant vanished identically")
-    out = list(coeffs)
-    while out and abs(out[-1]) <= rel * biggest:
-        out.pop()
-    low = 0
-    while low < len(out) and abs(out[low]) <= rel * biggest:
-        low += 1
-    return out[low:]
+# -- verification ------------------------------------------------------------
 
 
-def _newton_polish(p1, p2, x, y, steps=12):
-    """Joint Newton refinement of an approximate system solution."""
-    for _ in range(steps):
-        f1, f2 = _eval2(p1, x, y), _eval2(p2, x, y)
-        a = _eval2_dx(p1, x, y)
-        b = _eval2_dy(p1, x, y)
-        c = _eval2_dx(p2, x, y)
-        d = _eval2_dy(p2, x, y)
-        det = a * d - b * c
-        if det == 0:
-            return None
-        dx = (f1 * d - f2 * b) / det
-        dy = (a * f2 - c * f1) / det
-        x, y = x - dx, y - dy
-        if abs(dx) < 1e-14 * (1 + abs(x)) and abs(dy) < 1e-14 * (1 + abs(y)):
-            break
-    return x, y
-
-
-def _eval2_dx(poly, x, y):
-    return sum(
-        c * ex * x ** (ex - 1) * y**ey for (ex, ey), c in poly.terms if ex
-    )
-
-
-def _eval2_dy(poly, x, y):
-    return sum(
-        c * ey * x**ex * y ** (ey - 1) for (ex, ey), c in poly.terms if ey
-    )
-
-
-def _count_with_flat(flat, tall, tol):
-    """One equation is univariate in x: solve it, then recover y."""
-    xcs = [0j] * (max(e[0] for e, _ in flat.terms) + 1)
-    for (ex, _), c in flat.terms:
-        xcs[ex] += c
-    if len(_ptrim(xcs)) <= 1:
-        return 0
-    try:
-        xroots = aberth_roots(xcs)
-    except RootFindingError as exc:
-        raise DegenerateSystemError(str(exc)) from exc
-    kept = [x for x in xroots if abs(x) > tol]
-    _check_separation(kept)
-    total = 0
-    for x_star in kept:
-        ycs = _ptrim(_y_coefficients(tall, x_star))
-        if len(ycs) <= 1:
-            continue
-        try:
-            yroots = aberth_roots(ycs)
-        except RootFindingError as exc:
-            raise DegenerateSystemError(str(exc)) from exc
-        good = [y for y in yroots if abs(y) > tol]
-        _check_separation(good)
-        total += len(good)
-    return total
-
-
-def _check_separation(roots):
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) < SEPARATION_FLOOR:
-                raise DegenerateSystemError("clustered roots below separation floor")
-
-
-def _cluster_roots(roots):
-    """Collapse numerically coincident eliminant roots into (value, size).
-
-    A root of multiplicity m computed in floating point scatters into m
-    nearby values, so members within the cluster radius are merged.  Two
-    distinct cluster representatives closer than ten radii are ambiguous
-    and mark the trial degenerate.
-    """
-    clusters: list[list[complex]] = []
-    for z in sorted(roots, key=lambda c: (c.real, c.imag)):
-        for cl in clusters:
-            if abs(z - cl[0]) <= CLUSTER_RTOL * (1.0 + abs(cl[0])):
-                cl.append(z)
-                break
-        else:
-            clusters.append([z])
-    out = []
-    for cl in clusters:
-        rep = sum(cl) / len(cl)
-        out.append((rep, len(cl)))
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            gap = abs(out[i][0] - out[j][0])
-            if gap < 10 * CLUSTER_RTOL * (1.0 + abs(out[i][0])):
-                raise DegenerateSystemError("ambiguous eliminant root clusters")
-    return out
-
-
-def _count_system(system, tol):
+def _count_system(system, shear):
     if len(system) == 1:
-        return count_roots_1d(system[0], tol)
-    return count_solutions_2d(system[0], system[1], tol)
+        return count_roots_1d(system[0])
+    return count_solutions_2d(system[0], system[1], shear)
 
 
-def _run_trials(supports, trials, seed, tol, label, max_retries):
+def _run_trials(supports, trials, seed, label, max_retries, predicted, reasons):
     counts = []
     degenerate = 0
-    attempt = 0
-    while len(counts) < trials:
-        if attempt >= trials + max_retries:
+    for attempt in range(trials + max_retries):
+        if len(counts) == trials:
             break
-        system = random_generic_system(supports, derive_seed(seed, label, attempt))
-        attempt += 1
+        trial_seed = derive_seed(seed, label, attempt)
+        system = random_generic_system(supports, trial_seed)
+        shear = 0
+        if degenerate:  # a retry: fresh coefficients and a shear
+            shear = random.Random(derive_seed(trial_seed, "shear")).choice(SHEARS)
         try:
-            counts.append(_count_system(system, tol))
-        except DegenerateSystemError:
+            count = _count_system(system, shear)
+            if count < predicted:
+                # a certified count below the bound: these coefficients are not generic
+                raise DegenerateSystemError("fewer roots than predicted")
+            counts.append(count)
+        except DegenerateSystemError as exc:
             degenerate += 1
+            reasons[str(exc)] += 1
     return counts, degenerate
 
 
@@ -484,47 +461,71 @@ def _modal(counts):
     return best, tally[best] * 2 > len(counts)
 
 
+def _check_eliminant_budget(supports):
+    """Reject a batch whose first-attempt eliminant exceeds the budget.
+
+    In one variable the polynomial is its own eliminant, of degree its span.
+    """
+    if len(supports) == 1:
+        pts = supports[0].sorted_points()
+        _check_size(0, pts[-1][0] - pts[0][0])
+    else:
+        _, (e1, e2) = _lattice_coordinates([a.sorted_points() for a in supports], 0)
+        _check_size(*_eliminant_size(e1, e2))
+
+
+def _completion(a: SupportSet) -> SupportSet:
+    """Lattice-point completion, if its bounding box is within the budget."""
+    pts = a.sorted_points()
+    candidates = math.prod(
+        max(p[i] for p in pts) - min(p[i] for p in pts) + 1 for i in range(a.ambient_dim)
+    )
+    if candidates > MAX_COMPLETION_CANDIDATES:
+        raise ValueError(
+            f"completion would test {candidates} lattice points;"
+            f" the limit is {MAX_COMPLETION_CANDIDATES}"
+        )
+    return completion(a)
+
+
 def verify_bkk(
     supports,
     trials: int = 5,
     seed: int = 0,
-    tol: float = DEFAULT_TOL,
     include_completion: bool = True,
     max_retries: int = 12,
 ) -> CountReport:
-    """Randomized root-count verification with modal voting.
+    """Randomized root-count verification with certified trials.
 
-    Runs `trials` independent generic systems, takes the modal count, and
+    Runs `trials` independent generic systems, each counted exactly or
+    thrown away as degenerate with its reason, takes the modal count, and
     compares with the exact prediction.  When `include_completion` is set
     the same verification runs on the lattice-point completions of the
     supports, whose counts must agree with the originals.
     """
-    from .semigroup import completion
-
     supports = list(supports)
     n = supports[0].ambient_dim
     if n not in (1, 2):
-        raise ValueError("numeric verification is implemented for n in {1, 2}")
+        raise ValueError("root-count verification is implemented for n in {1, 2}")
     if len(supports) != n:
         raise ValueError(f"need exactly {n} supports")
-    if trials < 3:
-        raise ValueError("at least 3 trials required for a modal count")
-    if not 0 < tol < 1:
-        raise ValueError("tolerance must satisfy 0 < tol < 1")
-    predicted = bkk_number(supports)
-
+    if not 3 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in 3..{MAX_TRIALS}")
     batches = [("base", supports)]
     if include_completion:
-        batches.append(("completion", [completion(a) for a in supports]))
+        batches.append(("completion", [_completion(a) for a in supports]))
+    for _, sup in batches:
+        _check_eliminant_budget(sup)
+    predicted = bkk_number(supports)
+    reasons: Counter = Counter()
     results = {
-        label: _run_trials(sup, trials, seed, tol, label, max_retries)
+        label: _run_trials(sup, trials, seed, label, max_retries, predicted, reasons)
         for label, sup in batches
     }
 
     counts, degenerate = results["base"]
     modal, majority = _modal(counts)
     diagnostics = {
-        "tolerance": tol,
         "majority": majority,
         "inconclusive": not majority or len(counts) < trials,
     }
@@ -537,6 +538,7 @@ def verify_bkk(
         diagnostics["completion_modal"] = cmodal
         diagnostics["inconclusive"] = diagnostics["inconclusive"] or not cmaj
         agreed = agreed and cmaj and cmodal == predicted
+    diagnostics["degenerate_reasons"] = dict(sorted(reasons.items()))
     return CountReport(
         predicted=predicted,
         trials=tuple(counts),

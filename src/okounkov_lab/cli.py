@@ -2,7 +2,7 @@
 
 Exit codes: 0 success or inequality holds, 1 inequality violation or count
 mismatch (the counterexample is preserved in the report), 2 input error,
-3 numeric inconclusiveness, 4 internal error (an unexpected exception; no
+3 inconclusive, 4 internal error (an unexpected exception; no
 report).  Identical inputs and seed produce byte-identical reports.
 """
 
@@ -186,9 +186,7 @@ def _cmd_bkk_predict(args) -> int:
 def _cmd_bkk_verify(args) -> int:
     obj, digest = _load_input(args.input)
     supports = _supports_from(obj)
-    result = bkk.verify_bkk(
-        supports, trials=args.trials, seed=args.seed, tol=args.tol
-    )
+    result = bkk.verify_bkk(supports, trials=args.trials, seed=args.seed)
     report = _base_report("bkk-verify", digest, seed=args.seed)
     report.update(jsonio.count_report_to_json(result))
     _emit(report, args)
@@ -268,7 +266,7 @@ _COMMANDS = {
     "okounkov": (_cmd_okounkov, "Newton body of a Laurent subspace"),
     "hilbert": (_cmd_hilbert, "dimension growth of subspace powers"),
     "bkk-predict": (_cmd_bkk_predict, "exact root-count bound from supports"),
-    "bkk-verify": (_cmd_bkk_verify, "numeric root counting against the bound"),
+    "bkk-verify": (_cmd_bkk_verify, "certified exact root counting against the bound"),
     "steiner": (_cmd_steiner, "iterated planar symmetrization trace"),
     "profile": (_cmd_profile, "volumes of convex combinations of two bodies"),
     "selftest": (_cmd_selftest, "replay the built-in example corpus"),
@@ -278,7 +276,7 @@ _COMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="okounkov-lab",
-        description="Exact convex-geometry toolkit with numeric root-count checks",
+        description="Exact convex-geometry toolkit with certified exact root-count checks",
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -293,7 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=0, help="master random seed")
         sub.add_argument("--trials", type=int, default=5, help="verification trials")
         sub.add_argument("--kmax", type=int, default=12, help="level cutoff")
-        sub.add_argument("--tol", type=float, default=bkk.DEFAULT_TOL, help="numeric tolerance")
         if name == "mixedvol":
             sub.add_argument(
                 "--oracle",

@@ -1,11 +1,11 @@
-"""Exact rational convex geometry: hulls, Minkowski sums, volumes, lattice
-points and a numeric Hausdorff diagnostic, for ambient dimensions 1 to 4.
+"""Exact rational convex geometry: hulls, Minkowski sums, volumes and lattice
+points, for ambient dimensions 1 to 4.
 
 All values are immutable and every operation is a pure function.  A body's
 points are kept as integers over one common scale (its least common
 denominator), so hulls, sums, dilations, volumes and membership tests are
 exact integer arithmetic; only input points and output vertices are
-Fractions.  Floating point is confined to :func:`hausdorff_distance`.
+Fractions.  No floating point is used.
 """
 
 from __future__ import annotations
@@ -244,82 +244,3 @@ def polytope_of_support(A: SupportSet) -> LatticePolytope:
     if not A.points:
         raise ValueError("cannot take the hull of an empty support set")
     return _polytope(1, A.points, A.ambient_dim)
-
-
-def _support_value(P: LatticePolytope, u) -> float:
-    return max(sum(float(c) * ui for c, ui in zip(v, u)) for v in P.vertices)
-
-
-def _edge_vectors(P: LatticePolytope) -> list[tuple[float, ...]]:
-    core = _core(P)
-    if core.result is None:
-        vs = P.vertices
-        return [
-            tuple(float(a - b) for a, b in zip(vs[i], vs[j]))
-            for i in range(len(vs))
-            for j in range(i + 1, len(vs))
-        ]
-    edges = set()
-    for simplex in core.result.simplices:
-        for i in simplex:
-            for j in simplex:
-                if i < j:
-                    edges.add((i, j))
-    pts = core.lifted
-    return [tuple(float(a - b) for a, b in zip(pts[i], pts[j])) for i, j in edges]
-
-
-def _unit(v):
-    norm = math.sqrt(sum(x * x for x in v))
-    if norm == 0:
-        return None
-    return tuple(x / norm for x in v)
-
-
-def hausdorff_distance(P: LatticePolytope, Q: LatticePolytope) -> float:
-    """Numeric symmetric Hausdorff distance via support-function sampling.
-
-    For convex bodies the distance equals sup over unit directions of the
-    support-function gap; the supremum is evaluated on candidate directions
-    (facet normals, vertex differences and, in 3D, edge cross products),
-    which is exhaustive in the plane and a diagnostic elsewhere.
-    """
-    if P.ambient_dim != Q.ambient_dim:
-        raise ValueError("Hausdorff distance needs equal ambient dimensions")
-    n = P.ambient_dim
-    if n > 3:
-        raise ValueError("Hausdorff diagnostic supports dimensions 1..3")
-    candidates: list[tuple[float, ...]] = []
-    if n == 1:
-        candidates = [(1.0,), (-1.0,)]
-    else:
-        for body in (P, Q):
-            core = _core(body)
-            if core.result is not None:
-                candidates.extend(
-                    tuple(float(x) for x in a) for a, _ in core.result.planes
-                )
-        for p in P.vertices:
-            for q in Q.vertices:
-                d = tuple(float(a - b) for a, b in zip(p, q))
-                candidates.append(d)
-                candidates.append(tuple(-x for x in d))
-        if n == 3:
-            ep, eq = _edge_vectors(P), _edge_vectors(Q)
-            for a in ep:
-                for b in eq:
-                    cx = (
-                        a[1] * b[2] - a[2] * b[1],
-                        a[2] * b[0] - a[0] * b[2],
-                        a[0] * b[1] - a[1] * b[0],
-                    )
-                    candidates.append(cx)
-                    candidates.append(tuple(-x for x in cx))
-    best = 0.0
-    for cand in candidates:
-        u = _unit(cand)
-        if u is None:
-            continue
-        gap = abs(_support_value(P, u) - _support_value(Q, u))
-        best = max(best, gap)
-    return best

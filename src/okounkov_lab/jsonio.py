@@ -212,14 +212,10 @@ def inequality_report_to_json(r) -> dict:
 
 
 def count_report_to_json(r: bkk.CountReport) -> dict:
-    diagnostics = {}
-    for key, val in r.diagnostics.items():
-        if isinstance(val, float):
-            diagnostics[key] = float_to_str(val)
-        elif isinstance(val, (list, tuple)):
-            diagnostics[key] = list(val)
-        else:
-            diagnostics[key] = val
+    diagnostics = {
+        key: list(val) if isinstance(val, (list, tuple)) else val
+        for key, val in r.diagnostics.items()
+    }
     return {
         "predicted": r.predicted,
         "trials": list(r.trials),

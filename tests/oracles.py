@@ -118,3 +118,88 @@ def brute_kfold_sums(a, k):
         tuple(sum(c) for c in zip(*combo))
         for combo in combinations_with_replacement(sorted(a), k)
     }
+
+
+def sympy_torus_root_count(system):
+    """Distinct torus roots of a square system in one or two variables, by sympy.
+
+    `system` lists each Laurent polynomial as (exponent tuple, coefficient)
+    pairs; a float or complex coefficient is read exactly, as its dyadic
+    value.  One variable: the degree of the squarefree part after shifting
+    to a nonzero constant term.  Two variables: the supports' difference
+    lattice is divided out with sympy's Hermite normal form, then the
+    eliminant R~ = Res / u^k in a variable u is certified squarefree and
+    coprime to both leading coefficients and to p1 at v = 0 with
+    `resultant`, `sqf_part` and `gcd`; each root lifts to one torus root.
+    Returns None when that certificate fails.
+    """
+    from sympy import I, Matrix, Poly, Rational, gcd, sqf_part, symbols
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    x, y = symbols("x y")
+
+    def exact(c):
+        c = complex(c)
+        return Rational(c.real) + I * Rational(c.imag)
+
+    def integer_poly(expr, gens):
+        gaussian = expr.has(I)
+        poly = Poly(expr, *gens, domain="QQ_I" if gaussian else "QQ")
+        return Poly(poly.clear_denoms()[1].as_expr(), *gens, domain="ZZ_I" if gaussian else "ZZ")
+
+    def distinct_nonzero_roots(poly, var):
+        low = min(m[0] for m in poly.monoms())
+        return sqf_part(Poly((poly.as_expr() / var**low).expand(), var)).degree()
+
+    if len(system) == 1:
+        (terms,) = system
+        low = min(e[0] for e, _ in terms)
+        expr = sum(exact(c) * x ** (e[0] - low) for e, c in terms)
+        return distinct_nonzero_roots(integer_poly(expr, (x,)), x)
+
+    bases = [min(e for e, _ in terms) for terms in system]
+    diffs = [
+        tuple(a - b for a, b in zip(e, base))
+        for terms, base in zip(system, bases)
+        for e, _ in terms
+    ]
+    index, coords = 1, (lambda v: v)
+    nonzero = [v for v in diffs if any(v)]
+    if nonzero:
+        basis = hermite_normal_form(Matrix(nonzero).T)
+        if basis.shape[1] == 2:
+            index, inverse = abs(basis.det()), basis.inv()
+            coords = lambda v: tuple(int(c) for c in inverse * Matrix(v))  # noqa: E731
+    polys = []
+    for terms, base in zip(system, bases):
+        pts = [coords(tuple(a - b for a, b in zip(e, base))) for e, _ in terms]
+        lo = [min(p[i] for p in pts) for i in (0, 1)]
+        expr = sum(
+            exact(c) * x ** (p[0] - lo[0]) * y ** (p[1] - lo[1]) for (_, c), p in zip(terms, pts)
+        )
+        polys.append(integer_poly(expr, (x, y)))
+    p1, p2 = polys
+    if any(p.is_ground for p in polys):
+        return 0  # a monomial never vanishes on the torus
+    for v, u in ((y, x), (x, y)):
+        if p1.degree(v) and p2.degree(v):
+            domain = p1.domain if p1.domain == p2.domain else "ZZ_I"
+            q1, q2 = (Poly(p.as_expr(), v, u, domain=domain) for p in polys)
+            r = q1.resultant(q2)
+            if r.is_zero:
+                return None
+            r = Poly(r.as_expr(), u)
+            r = Poly((r.as_expr() / u ** min(m[0] for m in r.monoms())).expand(), u)
+            if sqf_part(r).degree() != r.degree():
+                return None
+            leads = [Poly(q.as_expr(), v).all_coeffs()[0] for q in (q1, q2)]
+            for other in leads + [q1.as_expr().subs(v, 0)]:
+                if gcd(r, Poly(other, u)).degree() > 0:
+                    return None
+            return index * r.degree()
+    # each polynomial involves one variable only
+    if p1.degree(y) == p2.degree(y) == 0 or p1.degree(x) == p2.degree(x) == 0:
+        return 0 if gcd(p1, p2).is_ground else None
+    f, g = (p1, p2) if p1.degree(y) == 0 else (p2, p1)
+    fx, gy = Poly(f.as_expr(), x), Poly(g.as_expr(), y)
+    return index * distinct_nonzero_roots(fx, x) * distinct_nonzero_roots(gy, y)

@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
 
 from okounkov_lab import bkk
 from okounkov_lab import geometry as g
 from okounkov_lab import semigroup as sg
+from oracles import sympy_torus_root_count
 
 S = g.support_set
 SIMPLEX = S(2, [(0, 0), (1, 0), (0, 1)])
@@ -148,3 +150,117 @@ class TestVerify:
             b = S(2, {(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(2, 5))})
             report = bkk.verify_bkk([a, b], trials=3, seed=400 + t)
             assert report.agreed, (sorted(a.points), sorted(b.points), report)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize(
+        "p1,p2,reason",
+        [
+            ({(0, 0): 1, (0, 1): 1}, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
+             "eliminant vanishes identically"),
+            ({(0, 0): -1, (0, 1): 1}, {(2, 0): 1, (1, 0): -2, (0, 1): 1}, "not squarefree mod p"),
+            ({(1, 1): 1, (0, 1): -2, (0, 0): 1}, {(1, 1): 1, (0, 1): -2, (0, 0): 3},
+             "shares a root with a leading coefficient"),
+            ({(0, 1): 1, (1, 0): 1, (0, 0): -2}, {(0, 2): 1, (0, 1): 1, (1, 0): 3, (0, 0): -6},
+             "shares a root with p1(x, 0)"),
+        ],
+        ids=["common-factor", "tangency", "leading", "axis"],
+    )
+    def test_failed_check_is_named(self, p1, p2, reason):
+        with pytest.raises(bkk.DegenerateSystemError, match=re.escape(reason)):
+            bkk.count_solutions_2d(bkk.clp(2, p1), bkk.clp(2, p2))
+
+    def test_coefficient_vanishing_mod_the_prime_is_degenerate(self):
+        from sympy.solvers.diophantine.diophantine import cornacchia
+
+        # a Gaussian integer a + b i of norm PRIME reduces to 0 for one sign of b
+        (a, b), = cornacchia(1, 1, bkk.PRIME)
+        if (a + b * bkk.SQRT_MINUS_ONE) % bkk.PRIME:
+            b = -b
+        p = bkk.clp(1, {(0,): 1, (1,): complex(a, b)})
+        with pytest.raises(bkk.DegenerateSystemError, match="degree drops mod p"):
+            bkk.count_roots_1d(p)
+
+    def test_lattice_index_matches_smith_normal_form(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            a = S(2, {(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))})
+            b = S(2, {(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))})
+            index, _ = bkk._lattice_coordinates([a.sorted_points(), b.sorted_points()], 0)
+            expected = sg.difference_lattice_index([a, b])
+            assert index == (1 if expected == sg.INFINITE else expected)
+
+    @pytest.mark.parametrize(
+        "supports,first",
+        [
+            ([S(1, [(0,), (1,), (2,)])], [bkk.clp(1, {(0,): 1, (1,): -2, (2,): 1})]),
+            ([SIMPLEX, SIMPLEX], [bkk.clp(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1}),
+                                  bkk.clp(2, {(0, 0): 1, (1, 0): 2, (0, 1): 2})]),
+        ],
+        ids=["double-root", "no-roots"],
+    )
+    def test_thrown_away_trial_reports_its_reason(self, monkeypatch, supports, first):
+        real = bkk.random_generic_system
+        calls = []
+
+        def first_degenerate(sup, seed):
+            calls.append(seed)
+            return first if len(calls) == 1 else real(sup, seed)
+
+        monkeypatch.setattr(bkk, "random_generic_system", first_degenerate)
+        report = bkk.verify_bkk(supports, trials=3, seed=0)
+        reason = "not squarefree mod p" if len(supports) == 1 else "fewer roots than predicted"
+        assert report.agreed and report.degenerate_trials == 1
+        assert report.diagnostics["degenerate_reasons"] == {reason: 1}
+        assert len(report.trials) == 3 and len(calls) == 7
+
+
+class TestOracle:
+    """Differential test against the independent sympy count of tests/oracles.py."""
+
+    def _corpus(self):
+        rng = random.Random(61)
+        pairs = [
+            [S(2, {(rng.randint(0, 7), rng.randint(0, 7)) for _ in range(rng.randint(3, 7))})
+             for _ in range(2)]
+            for _ in range(12)
+        ]
+        return pairs + [
+            [S(2, [(2, 5), (4, 5), (7, 3)]), S(2, [(0, 5), (1, 5), (2, 1), (6, 5)])],  # index 2
+            [S(2, [(0, 0), (2, 0), (0, 2)])] * 2,  # index 4
+            [S(2, [(0, 0), (3, 0)]), S(2, [(0, 0), (1, 0), (0, 1), (2, 3)])],  # flat
+            [S(2, [(0, 0), (2, 0)]), S(2, [(0, 0), (0, 3)])],  # flat and vertical
+            [S(2, [(0, 0), (7, 0), (0, 7), (7, 7)]), S(2, [(0, 0), (7, 1), (1, 7), (6, 6)])],
+        ]
+
+    def test_random_and_structured_pairs(self):
+        seen = set()
+        for t, pair in enumerate(self._corpus()):
+            system = bkk.random_generic_system(pair, 50 + t)
+            count = bkk.count_solutions_2d(*system)
+            assert count == sympy_torus_root_count([p.terms for p in system])
+            assert count == bkk.bkk_number(pair)
+            # a retry's shear (or, past the budget, none) certifies the same count
+            assert bkk.count_solutions_2d(*system, shear=bkk.SHEARS[t % 4]) == count
+            seen.add(count)
+        assert max(seen) >= 90
+
+    def test_gaussian_coefficients(self):
+        rng = random.Random(62)
+        for pair in self._corpus()[12:16] + [[SIMPLEX, DIAGONAL]]:
+            system = [
+                bkk.clp(2, {e: complex(rng.randint(-64, 64) or 1, rng.randint(1, 64)) / 64
+                            for e in sorted(a.points)})
+                for a in pair
+            ]
+            count = bkk.count_solutions_2d(*system)
+            assert count == sympy_torus_root_count([p.terms for p in system])
+            assert count == bkk.bkk_number(pair)
+
+    def test_one_variable_non_real(self):
+        p = bkk.clp(1, {(-2,): 1 + 2j, (0,): -0.5j, (3,): 0.75 + 0.25j})
+        assert bkk.count_roots_1d(p) == sympy_torus_root_count([p.terms]) == 5
+        double = bkk.clp(1, {(0,): 2j, (1,): -2 - 2j, (2,): 1})  # (x - 1 - i)^2
+        assert sympy_torus_root_count([double.terms]) == 1
+        with pytest.raises(bkk.DegenerateSystemError, match="not squarefree mod p"):
+            bkk.count_roots_1d(double)

@@ -194,9 +194,11 @@ class TestCommands:
 class TestBkkVerifyContract:
     @pytest.mark.parametrize("tol", ["nan", "inf", "10", "0", "-1"])
     def test_tolerance_outside_unit_interval_is_exit_2(self, tmp_path, tol):
+        # counts are exact, so --tol is no longer an option: argparse rejects it
         inp = write(tmp_path, "in.json", HAND_PAIR)
-        rc = main(["bkk-verify", inp, "--tol", tol, "--out", str(tmp_path / "o")])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["bkk-verify", inp, "--tol", tol, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "system,flags",
@@ -268,6 +270,39 @@ class TestExitContract:
         inp = write(tmp_path, "in.json", payload)
         assert main([command, inp, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "payload,flags,message",
+        [
+            (HAND_PAIR, ["--trials", "21"], "trials must be in 3..20"),
+            (supports_json([(0, 0), (1, 0), (0, 11)], [(0, 0), (1, 0), (0, 10)]), [],
+             "eliminant has Sylvester order 21; the limit is 20"),
+            (supports_json([(0, 0), (160, 0), (0, 1)], [(0, 0), (1, 0), (0, 1)]), [],
+             "eliminant has degree bound 161; the limit is 160"),
+            ({"supports": [{"dim": 1, "points": [[0], [161]]}]}, [],
+             "eliminant has degree bound 161; the limit is 160"),
+            ({"supports": [{"dim": 1, "points": [[0], [10000]]}]}, [],
+             "completion would test 10001 lattice points; the limit is 10000"),
+        ],
+        ids=["trials", "sylvester-order", "eliminant-degree", "1d-degree", "completion"],
+    )
+    def test_bkk_budget_over_bound_is_exit_2(self, tmp_path, capsys, payload, flags, message):
+        inp = write(tmp_path, "in.json", payload)
+        assert main(["bkk-verify", inp, "--out", str(tmp_path / "o")] + flags) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "payload,flags",
+        [
+            (HAND_PAIR, ["--trials", "20"]),
+            (supports_json([(0, 0), (159, 0), (0, 1)], [(0, 0), (1, 0), (0, 1)]), []),
+        ],
+        ids=["trials", "eliminant-degree"],
+    )
+    def test_bkk_budget_at_bound_is_admitted(self, tmp_path, payload, flags):
+        inp = write(tmp_path, "in.json", payload)
+        rc, rep = run(["bkk-verify", inp] + flags, tmp_path / "out.json")
+        assert rc == 0 and rep["agreed"]
 
     def test_cli_import_does_not_load_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -274,22 +274,6 @@ class TestLatticePoints:
             )
 
 
-class TestHausdorff:
-    def test_self_distance_zero(self):
-        assert g.hausdorff_distance(square(), square()) == 0.0
-
-    def test_square_vs_double(self):
-        d = g.hausdorff_distance(square(), square(2))
-        assert abs(d - 2 ** 0.5) < 1e-9
-
-    def test_symmetry_on_random_pairs(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            P = g.convex_hull([(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(5)])
-            Q = g.convex_hull([(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(5)])
-            assert g.hausdorff_distance(P, Q) == g.hausdorff_distance(Q, P)
-
-
 coord = st.integers(min_value=-6, max_value=6)
 point2 = st.tuples(coord, coord)
 
