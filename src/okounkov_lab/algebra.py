@@ -6,11 +6,14 @@ subspace together with its Newton body.
 The valuation of a nonzero Laurent polynomial is the order-minimal exponent
 of its support; the valuation image of a subspace is the set of pivot
 exponents of an echelonized basis, whose cardinality always equals the
-dimension.  Echelon reduction works on primitive integer coefficient rows
-(each polynomial's unique positive integer multiple of content 1) with
-content reduction after every elimination step, which keeps coefficient
-growth tame at desk scale.  Powers of a subspace are built from the integer
-rows of its basis, so they never pass through Fraction coefficients.
+dimension.  One fraction-free elimination kernel serves every echelon form:
+it works on integer rows packed into single Python ints (Kronecker
+substitution), steps a row by two scalar multiplies and one subtraction,
+and divides out a row's content only when it installs a stepped row or a
+coefficient bound would outgrow the slot width.  Powers of a subspace are
+built level by level, each from the rows that gave the previous level its
+pivots, so they never pass through Fraction coefficients; their level box
+and k_max are budgeted before any level is built.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 from .geometry import SupportSet, support_set
 from .semigroup import ConeSection, GradedSemigroupSlice, newton_body
@@ -139,7 +141,111 @@ def valuation(f: LaurentPolynomial, order: MonomialOrder = LEX) -> Exponent:
     return min((e for e, _ in f.terms), key=order.key)
 
 
-# -- echelon machinery -------------------------------------------------------
+# -- packed integer rows -------------------------------------------------------
+#
+# A row is an integer Laurent polynomial whose exponents have been mapped to
+# slots 0, 1, 2, ... by an order-respecting index; it is packed into the one
+# Python int  sum(c_s << (width * s))  (Kronecker substitution).  Every
+# |c_s| stays below 2^(width - 1), so the slots are balanced signed digits
+# and the packing is a bijection: the lowest nonzero slot is the lowest set
+# bit, read as a signed digit, and products and integer combinations of
+# packed ints are those of the rows.  Rows are stored shifted down to that
+# slot, with its index kept beside them.  Each row carries an integer bound on
+# its largest |coefficient|, updated before every multiply and elimination
+# step; a bound that would reach 2^(width - 1) first tightens to the exact
+# maximum after dividing out the row's content, and otherwise raises
+# _Overflow so that the caller repacks at twice the width.
+
+_WIDTH = 32  # initial slot width in bits; always a multiple of 8
+
+
+class _Overflow(Exception):
+    """A row bound would reach the slot width."""
+
+
+def _offset(width: int, n: int) -> int:
+    """2^(width - 1) in each of n slots, built from bytes in linear time."""
+    return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * n, "little")
+
+
+def _pack(values, width: int) -> int:
+    """Pack slot values (each |v| < 2^(width-1)) into one int."""
+    step, half = width // 8, 1 << (width - 1)
+    data = b"".join((v + half).to_bytes(step, "little") for v in values)
+    return int.from_bytes(data, "little") - _offset(width, len(values))
+
+
+def _unpack(row: int, width: int) -> list[int]:
+    """Signed slot values of a packed row, low slot first."""
+    step, half = width // 8, 1 << (width - 1)
+    n = abs(row).bit_length() // width + 1
+    data = (row + _offset(width, n)).to_bytes(n * step, "little")
+    return [
+        int.from_bytes(data[i:i + step], "little") - half
+        for i in range(0, len(data), step)
+    ]
+
+
+def _primitive(row: int, width: int) -> tuple[int, int]:
+    """The row divided by its content, and its exact largest |coefficient|."""
+    values = _unpack(row, width)
+    g = math.gcd(*values)
+    return row // g, max(map(abs, values)) // g
+
+
+def _width_for(bound: int) -> int:
+    """The initial slot width, doubled until |coefficients| <= bound fit."""
+    width = _WIDTH
+    while bound >> (width - 1):
+        width *= 2
+    return width
+
+
+def _reduce(pivots: dict, row: int, bound: int, width: int, lead: int = 0):
+    """Reduce a nonzero packed row against the pivots, fraction-free.
+
+    The row's slot 0 sits at slot ``lead`` of the index; rows are kept
+    shifted down to their lowest nonzero slot, so no operation pays for
+    the zero slots below it.  ``pivots`` maps a lead slot to (row, lead
+    coefficient, bound).  A step is (a/g)*row - (c/g)*pivot with a and c
+    the two lead coefficients and g = gcd(a, c), so every intermediate row
+    is a positive multiple of the row less a combination of pivots.
+    Returns the lead slot of the installed row, or None when the row
+    reduces to zero.  A row that was stepped is installed primitive.
+    Raises _Overflow when a step would outgrow the width even from the
+    row's primitive part and exact bound.
+    """
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    stepped = exact = False
+    while row:
+        zeros = ((row & -row).bit_length() - 1) // width
+        if zeros:
+            row >>= zeros * width
+            lead += zeros
+        pivot = pivots.get(lead)
+        if pivot is None and stepped:
+            row, bound = _primitive(row, width)
+        c = row & mask
+        if c >= half:
+            c -= mask + 1
+        if pivot is None:
+            pivots[lead] = (row, c, bound)
+            return lead
+        prow, a, pbound = pivot
+        g = math.gcd(a, c)
+        a, c = a // g, c // g
+        stepped_bound = abs(a) * bound + abs(c) * pbound
+        if stepped_bound >= half:
+            if exact:
+                raise _Overflow
+            row, bound = _primitive(row, width)
+            exact = True
+            continue
+        row = a * row - c * prow
+        bound = stepped_bound
+        stepped, exact = True, False
+    return None
+
 
 def _int_rows(polys) -> list[dict[Exponent, int]]:
     """Primitive integer rows: each polynomial's unique positive multiple with
@@ -154,43 +260,39 @@ def _int_rows(polys) -> list[dict[Exponent, int]]:
     return rows
 
 
-def _content_reduce(row: dict[Exponent, int]) -> dict[Exponent, int]:
-    row = {e: c for e, c in row.items() if c}
-    if not row:
-        return row
-    g = math.gcd(*(abs(c) for c in row.values()))
-    if g > 1:
-        row = {e: c // g for e, c in row.items()}
-    return row
+def _packed_echelon(polys, order: MonomialOrder):
+    """Packed echelon form of the span of ``polys``.
 
-
-def _echelon(rows, order: MonomialOrder) -> dict[Exponent, dict[Exponent, int]]:
-    """Reduce spanning integer rows to primitive pivot rows keyed by leading
-    exponent.
-
-    Every installed row has a distinct order-minimal exponent; candidates
-    are cross-eliminated against installed pivots until they are zero or
-    acquire a fresh pivot.
+    Slots are the ranks of the distinct exponents in the order, so a
+    pivot's lead is the order-minimal exponent of its row.  Input rows are
+    primitive and stepped rows are installed primitive, so every pivot row
+    is primitive.  Returns the pivots by lead slot, the exponent of each
+    slot and the width.
     """
-    pivots: dict[Exponent, dict[Exponent, int]] = {}
-    for raw in rows:
-        row = _content_reduce(raw)
-        while row:
-            lead = min(row, key=order.key)
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = row
-                break
-            a, b = piv[lead], row[lead]
-            merged = {e: a * c for e, c in row.items()}
-            for e, c in piv.items():
-                merged[e] = merged.get(e, 0) - b * c
-            row = _content_reduce(merged)
-    return pivots
+    rows = _int_rows(polys)
+    columns = sorted({e for row in rows for e in row}, key=order.key)
+    slot = {e: s for s, e in enumerate(columns)}
+    dense = []
+    for row in rows:
+        values = [0] * len(columns)
+        for e, c in row.items():
+            values[slot[e]] = c
+        dense.append((values, max(map(abs, row.values()))))
+    width = _width_for(max((bound for _, bound in dense), default=0))
+    while True:
+        pivots: dict = {}
+        try:
+            for values, bound in dense:
+                _reduce(pivots, _pack(values, width), bound, width)
+            return pivots, columns, width
+        except _Overflow:
+            width *= 2
 
 
-def _row_to_poly(dim: int, row: dict[Exponent, int]) -> LaurentPolynomial:
-    return laurent(dim, {e: Fraction(c) for e, c in row.items()})
+def _leads(polys, order: MonomialOrder) -> list[Exponent]:
+    """Valuations of an echelon basis of the span of ``polys``."""
+    pivots, columns, _ = _packed_echelon(polys, order)
+    return [columns[lead] for lead in pivots]
 
 
 # -- subspaces ----------------------------------------------------------------
@@ -210,7 +312,7 @@ class LaurentSubspace:
                 raise ValueError("basis dimension mismatch")
             if f.is_zero:
                 raise ValueError("zero polynomial in a basis")
-        if len(_echelon(_int_rows(self.basis), LEX)) != len(self.basis):
+        if len(_leads(self.basis, LEX)) != len(self.basis):
             raise ValueError("basis polynomials are linearly dependent")
 
     @property
@@ -224,13 +326,14 @@ def subspace(dim: int, polys) -> LaurentSubspace:
 
 def span(dim: int, polys, order: MonomialOrder = LEX) -> LaurentSubspace:
     """Subspace spanned by arbitrary polynomials, echelonized to a basis."""
-    pivots = _echelon(_int_rows(polys), order)
+    pivots, columns, width = _packed_echelon(polys, order)
     if not pivots:
         raise ValueError("the zero subspace is not representable")
-    basis = tuple(
-        _row_to_poly(dim, pivots[lead]) for lead in sorted(pivots, key=order.key)
-    )
-    return LaurentSubspace(dim, basis)
+    basis = []
+    for lead in sorted(pivots):
+        values = _unpack(pivots[lead][0], width)
+        basis.append(laurent(dim, {columns[lead + s]: c for s, c in enumerate(values) if c}))
+    return LaurentSubspace(dim, tuple(basis))
 
 
 def monomial_subspace(a: SupportSet) -> LaurentSubspace:
@@ -245,8 +348,7 @@ def subspaces_equal(l1: LaurentSubspace, l2: LaurentSubspace) -> bool:
     """Equality as subspaces, independent of the chosen bases."""
     if l1.ambient_dim != l2.ambient_dim or l1.dim != l2.dim:
         return False
-    joint = _echelon(_int_rows(l1.basis + l2.basis), LEX)
-    return len(joint) == l1.dim
+    return len(_leads(l1.basis + l2.basis, LEX)) == l1.dim
 
 
 def product(l1: LaurentSubspace, l2: LaurentSubspace) -> LaurentSubspace:
@@ -275,8 +377,7 @@ def power(l: LaurentSubspace, k: int) -> LaurentSubspace:
 
 def valuation_image(l: LaurentSubspace, order: MonomialOrder = LEX):
     """Pivot exponents of an echelonized basis; size equals the dimension."""
-    pivots = _echelon(_int_rows(l.basis), order)
-    image = ValuationImage(support_set(l.ambient_dim, list(pivots)))
+    image = ValuationImage(support_set(l.ambient_dim, _leads(l.basis, order)))
     if len(image.exponents) != l.dim:
         raise AssertionError("valuation image smaller than the dimension")
     return image
@@ -290,46 +391,179 @@ class ValuationImage:
         return len(self.exponents)
 
 
-def _power_level_rows(l: LaurentSubspace, order: MonomialOrder, k_max: int):
-    """Echelon pivot tables of L^k for k = 1..k_max.
+# budgets: the power levels reject inputs past them before any level is built
+MAX_KMAX = 64
+MAX_LEVEL_CELLS = 4096 * 4096
 
-    Products of k basis elements span L^k; they are enumerated as degree-k
-    multisets with each product obtained from a cached degree-(k-1) parent
-    by one multiplication.  The basis is cleared to integer rows once;
-    rescaling a basis element does not change any span.
+
+@dataclass(frozen=True)
+class _LevelBox:
+    """Order-respecting slot index on the exponents of L^1..L^k_max.
+
+    Exponents are shifted by the basis' coordinatewise minimum ``low`` and
+    divided by ``stride``, the gcd of each shifted coordinate over the
+    basis, so a level-k exponent e maps to (e - k*low) / stride in the box
+    [0, k_max * span].  Lex reads that point in mixed radix
+    k_max * span_i + 1; graded lex puts the grade (``grading`` times the
+    stride) above the mixed radix of the first n - 1 coordinates, which
+    with the grade fix the last one.  Both indices are additive on the box
+    and, within a level, increase with the order, so the lowest slot of a
+    packed row is its valuation.
     """
-    basis = _int_rows(l.basis)
-    level = {(i,): row for i, row in enumerate(basis)}
-    tables = {1: _echelon(level.values(), order)}
-    for k in range(2, k_max + 1):
-        parents = level
-        level = {
-            key: _mul_terms(parents[key[:-1]].items(), basis[key[-1]].items())
-            for key in combinations_with_replacement(range(len(basis)), k)
-        }
-        tables[k] = _echelon(level.values(), order)
-    return tables
+
+    low: Exponent
+    stride: Exponent
+    radices: tuple[int, ...]
+    grading: tuple[int, ...] | None
+    slots: int
+
+    def slot(self, exponent: Exponent) -> int:
+        point = [(x - lo) // d for x, lo, d in zip(exponent, self.low, self.stride)]
+        s = 0
+        if self.grading is not None:
+            s = sum(w * x for w, x in zip(self.grading, point))
+            point = point[:-1]
+        for x, radix in zip(point, self.radices):
+            s = s * radix + x
+        return s
+
+    def exponent(self, slot: int, k: int) -> Exponent:
+        digits = []
+        for radix in reversed(self.radices):
+            slot, x = divmod(slot, radix)
+            digits.append(x)
+        digits.reverse()
+        if self.grading is not None:
+            rest = slot - sum(w * x for w, x in zip(self.grading, digits))
+            digits.append(rest // self.grading[-1])
+        return tuple(k * lo + d * x for x, lo, d in zip(digits, self.low, self.stride))
+
+
+def _level_box(l: LaurentSubspace, order: MonomialOrder, k_max: int) -> _LevelBox:
+    """The slot index of L's power levels, within both budgets.
+
+    The cell budget charges the box's slots times a bound on the rank of
+    any level, min(slots, C(dim L + k_max - 1, k_max)): each pivot row is
+    at most one box long, so this bounds the rows a level holds.
+    """
+    if not 1 <= k_max <= MAX_KMAX:
+        raise ValueError(f"k_max must be in 1..{MAX_KMAX}")
+    exps = [e for f in l.basis for e, _ in f.terms]
+    low = tuple(map(min, zip(*exps)))
+    shifted = [[x - lo for x, lo in zip(e, low)] for e in exps]
+    stride = tuple(math.gcd(*col) or 1 for col in zip(*shifted))
+    points = [[x // d for x, d in zip(e, stride)] for e in shifted]
+    spans = list(map(max, zip(*points)))
+    if order.kind == "lex":
+        grading, grades = None, 1
+        radices = tuple(k_max * s + 1 for s in spans)
+    else:
+        if len(order.grading) != len(low):
+            raise ValueError("grading length does not match the exponent")
+        grading = tuple(w * d for w, d in zip(order.grading, stride))
+        radices = tuple(k_max * s + 1 for s in spans[:-1])
+        top = max(sum(w * x for w, x in zip(grading, e)) for e in points)
+        grades = k_max * top + 1
+    slots = math.prod(radices, start=grades)
+    rank = min(slots, math.comb(l.dim + k_max - 1, k_max))
+    if slots * rank > MAX_LEVEL_CELLS:
+        raise ValueError(
+            f"power levels would need {slots} slots x {rank} rows = "
+            f"{slots * rank} cells; the limit is {MAX_LEVEL_CELLS}"
+        )
+    return _LevelBox(low, stride, radices, grading, slots)
+
+
+def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
+    """The level box, and the lead slots of echelonized L^k for k = 1..k_max.
+
+    Level k is spanned by the products row(K) * b_g of the raw rows K that
+    installed a pivot at level k - 1 with the basis rows b_g, since those
+    rows span L^(k-1) and L^k = L^(k-1) L; each distinct multiset of
+    basis indices is multiplied once.  Rows are packed in the level box,
+    and a product is a sum of shifted copies of the parent, one per term of
+    the basis row.  The basis is cleared to integer rows once; rescaling a
+    basis element does not change any span.
+    """
+    box = _level_box(l, order, k_max)
+    basis = []
+    for row in _int_rows(l.basis):
+        slots = {box.slot(e): c for e, c in row.items()}
+        lead = min(slots)  # the valuation, since slots increase with the order
+        terms = [(s - lead, c) for s, c in slots.items()]
+        basis.append((lead, terms, sum(map(abs, row.values()))))
+    width = _width_for(max(l1 for _, _, l1 in basis))
+    parents = {(): (1, 0, 1)}
+    levels = {}
+    for k in range(1, k_max + 1):
+        while True:
+            try:
+                parents, levels[k] = _power_level(parents, basis, width)
+                break
+            except _Overflow:
+                parents = {
+                    key: (_pack(_unpack(row, width), 2 * width), lead, bound)
+                    for key, (row, lead, bound) in parents.items()
+                }
+                width *= 2
+    return box, levels
+
+
+def _power_level(parents: dict, basis: list, width: int):
+    """Echelonize the distinct products of the parent rows with the basis.
+
+    Rows are (packed row from its lead, lead slot, bound).  Returns the raw
+    rows that installed a pivot, keyed by their sorted basis-index
+    multiset, and the pivots' lead slots.  A parent whose product bound
+    would outgrow the width is replaced in ``parents`` by its primitive
+    part, which spans the same line.
+    """
+    half = 1 << (width - 1)
+    shifted = [[(s * width, c) for s, c in terms] for _, terms, _ in basis]
+    pivots: dict = {}
+    installed = {}
+    seen = set()
+    for key, (prow, plead, pbound) in parents.items():
+        for g, (blead, _, l1) in enumerate(basis):
+            new = tuple(sorted(key + (g,)))
+            if new in seen:
+                continue
+            seen.add(new)
+            bound = pbound * l1
+            if bound >= half:
+                prow, pbound = _primitive(prow, width)
+                parents[key] = (prow, plead, pbound)
+                bound = pbound * l1
+                if bound >= half:
+                    raise _Overflow
+            row = 0
+            for shift, c in shifted[g]:
+                row += (prow << shift) * c
+            # the product's lowest slot holds the product of the two leads
+            lead = plead + blead
+            if _reduce(pivots, row, bound, width, lead) is not None:
+                installed[new] = (row, lead, bound)
+    return installed, list(pivots)
 
 
 def hilbert_function(l: LaurentSubspace, k_max: int) -> list[tuple[int, int]]:
     """Dimension of L^k for k = 1..k_max."""
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    tables = _power_level_rows(l, LEX, k_max)
-    return [(k, len(tables[k])) for k in range(1, k_max + 1)]
+    _, levels = _power_levels(l, LEX, k_max)
+    return [(k, len(levels[k])) for k in range(1, k_max + 1)]
 
 
 def semigroup_of_subspace(
     l: LaurentSubspace, order: MonomialOrder = LEX, k_max: int = 8
 ) -> GradedSemigroupSlice:
     """Levelwise valuation images of the powers of L."""
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    tables = _power_level_rows(l, order, k_max)
-    levels = {
-        k: support_set(l.ambient_dim, list(tables[k])) for k in range(1, k_max + 1)
-    }
-    return GradedSemigroupSlice(l.ambient_dim, levels)
+    box, levels = _power_levels(l, order, k_max)
+    return GradedSemigroupSlice(
+        l.ambient_dim,
+        {
+            k: support_set(l.ambient_dim, [box.exponent(s, k) for s in slots])
+            for k, slots in levels.items()
+        },
+    )
 
 
 def newton_okounkov_body(
@@ -358,9 +592,12 @@ def superadditivity_check(
         raise ValueError("dimension mismatch")
     from . import geometry
 
+    l12 = product(l1, l2)
+    for l in (l1, l2, l12):
+        _level_box(l, order, k_max)
     b1 = newton_okounkov_body(l1, order, k_max).polytope
     b2 = newton_okounkov_body(l2, order, k_max).polytope
-    b12 = newton_okounkov_body(product(l1, l2), order, k_max).polytope
+    b12 = newton_okounkov_body(l12, order, k_max).polytope
     summed = geometry.minkowski_sum(b1, b2)
     holds = all(geometry.contains_point(b12, v) for v in summed.vertices)
     return SuperadditivityReport(

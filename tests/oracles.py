@@ -203,3 +203,44 @@ def sympy_torus_root_count(system):
     f, g = (p1, p2) if p1.degree(y) == 0 else (p2, p1)
     fx, gy = Poly(f.as_expr(), x), Poly(g.as_expr(), y)
     return index * distinct_nonzero_roots(fx, x) * distinct_nonzero_roots(gy, y)
+
+
+def sympy_power_leads(basis, order, k):
+    """Valuations of L^k for L spanned by `basis`, by sympy over QQ.
+
+    `basis` lists each Laurent polynomial as (exponent tuple, coefficient)
+    pairs; `order` is None for lex or a tuple of positive weights for
+    graded lex (weights first, then lex).  All C(r + k - 1, k) products of
+    k basis elements are multiplied as sympy polynomials over QQ after a
+    monomial shift to nonnegative exponents, the columns are sorted by the
+    order, and the pivot columns of `Matrix.rref()` are the order-minimal
+    exponents of an echelon basis of L^k.
+    """
+    from sympy import Matrix, Poly, Rational, symbols
+
+    n = len(basis[0][0][0])
+    gens = symbols(f"z0:{n}")
+    low = [min(e[i] for terms in basis for e, _ in terms) for i in range(n)]
+    polys = []
+    for terms in basis:
+        expr = 0
+        for e, c in terms:
+            monom = 1
+            for g, x, lo in zip(gens, e, low):
+                monom *= g ** (x - lo)
+            expr += Rational(c) * monom
+        polys.append(Poly(expr, *gens, domain="QQ"))
+    products = []
+    for combo in combinations_with_replacement(range(len(polys)), k):
+        p = Poly(1, *gens, domain="QQ")
+        for i in combo:
+            p = p * polys[i]
+        products.append(dict(p.terms()))
+
+    def key(e):
+        return e if order is None else (sum(w * x for w, x in zip(order, e)), e)
+
+    columns = sorted({e for p in products for e in p}, key=key)
+    matrix = Matrix([[p.get(e, 0) for e in columns] for p in products])
+    _, pivots = matrix.rref()
+    return {tuple(x + k * lo for x, lo in zip(columns[j], low)) for j in pivots}

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,10 @@ from hypothesis import strategies as st
 
 from okounkov_lab import algebra as alg
 from okounkov_lab import geometry as g
+from okounkov_lab import jsonio
 from okounkov_lab import semigroup as sg
+
+from oracles import sympy_power_leads
 
 L = alg.laurent
 ONE2 = L(2, {(0, 0): 1})
@@ -345,3 +349,213 @@ class TestPowerLevelsAgainstProduct:
                 lk = alg.power(l, k)
                 assert levels[k] == alg.valuation_image(lk, order).exponents
                 assert dims[k] == lk.dim
+
+
+def _terms(l):
+    return [[(e, c) for e, c in f.terms] for f in l.basis]
+
+
+def _width_spy(monkeypatch):
+    """Record the slot width of every power-level pass."""
+    widths = []
+    level = alg._power_level
+
+    def spy(parents, basis, width):
+        widths.append(width)
+        return level(parents, basis, width)
+
+    monkeypatch.setattr(alg, "_power_level", spy)
+    return widths
+
+
+GRLEX12 = alg.MonomialOrder("grlex", (1, 2))
+GRLEX31 = alg.MonomialOrder("grlex", (3, 1))
+GRLEX211 = alg.MonomialOrder("grlex", (2, 1, 1))
+
+# (id, ambient dim, basis as {exponent: coefficient}, order, deepest level)
+ORACLE_CORPUS = [
+    ("2d-lex-laurent", 2, [{(-1, 0): 2, (0, 1): F(-1, 3)}, {(0, -1): 1, (1, 1): 3},
+                           {(-1, -1): F(5, 2), (1, 0): -1}], alg.LEX, 6),
+    ("2d-grlex12", 2, [{(0, 0): 1, (1, -1): 2}, {(-1, 1): 3, (1, 0): -1}, {(0, 1): F(1, 2)}],
+     GRLEX12, 6),
+    ("2d-grlex31", 2, [{(1, 0): 1, (0, 2): -2, (-1, 1): 1}, {(0, 0): 4, (1, 1): 1}], GRLEX31, 6),
+    # 1, x + y and (x + y)^2 span powers of dimension 2k + 1, below the
+    # C(k + 2, 2) products at every level past the first
+    ("2d-rank-deficient", 2, [{(0, 0): 1}, {(1, 0): 1, (0, 1): 1},
+                              {(2, 0): 1, (1, 1): 2, (0, 2): 1}], alg.LEX, 6),
+    ("2d-rank-deficient-grlex", 2, [{(0, 0): 1, (1, 0): 1}, {(1, 0): 1, (2, 0): 1},
+                                    {(0, 0): 1, (2, 0): -1}], GRLEX31, 6),
+    ("3d-lex", 3, [{(0, 0, 0): 1, (1, -1, 0): -2}, {(0, 1, 1): 3, (-1, 0, 0): 1},
+                   {(0, 0, -1): F(2, 3), (1, 1, 0): 1}], alg.LEX, 6),
+    ("3d-grlex211", 3, [{(1, 0, 0): 1, (0, 1, -1): -1}, {(0, 0, 1): 2, (-1, 1, 0): 1},
+                        {(0, 0, 0): 1, (1, 1, 1): -4}], GRLEX211, 6),
+    # exponents on the lattices 2Z x 3Z and 3Z x 4Z x 2Z: the box strides
+    ("2d-grlex12-stride", 2, [{(-2, 3): 1, (0, 0): 2}, {(2, 3): -1, (-2, 6): 1},
+                              {(0, 6): 3}], GRLEX12, 6),
+    ("3d-lex-stride", 3, [{(0, 0, 0): 1, (3, 0, 2): -1}, {(0, 4, 2): 2},
+                          {(3, 4, 0): 1, (6, 0, 0): 1}], alg.LEX, 6),
+    # coefficients near 2^70 start the rows past 64 bits and widen them
+    ("2d-near-2^70", 2, [{(0, 0): 2**70 + 3, (1, 0): -(2**70) + 1, (0, 1): 5},
+                         {(1, 1): 2**69 - 7, (0, 1): 2**70 - 11},
+                         {(1, 0): 1, (0, 0): -(2**70) - 17}], alg.LEX, 5),
+]
+
+
+class TestPowerLevelsAgainstSympy:
+    """Levels and Hilbert dimensions against sympy's rref of all products."""
+
+    @pytest.mark.parametrize(
+        "dim,basis,order,k_max",
+        [case[1:] for case in ORACLE_CORPUS],
+        ids=[case[0] for case in ORACLE_CORPUS],
+    )
+    def test_levels_and_hilbert_match_oracle(self, dim, basis, order, k_max):
+        l = alg.span(dim, [L(dim, terms) for terms in basis])
+        grading = None if order.kind == "lex" else order.grading
+        levels = alg.semigroup_of_subspace(l, order, k_max).levels
+        dims = dict(alg.hilbert_function(l, k_max))
+        for k in range(1, k_max + 1):
+            expected = sympy_power_leads(_terms(l), grading, k)
+            assert set(levels[k].points) == expected, k
+            assert dims[k] == len(expected), k
+
+    def test_rank_deficient_case_has_fewer_leads_than_products(self):
+        _, dim, basis, order, _ = ORACLE_CORPUS[3]
+        l = alg.span(dim, [L(dim, terms) for terms in basis])
+        dims = dict(alg.hilbert_function(l, 6))
+        assert dims == {k: 2 * k + 1 for k in range(1, 7)}
+
+    def test_near_2_70_case_widens_the_slots(self, monkeypatch):
+        widths = _width_spy(monkeypatch)
+        _, dim, basis, order, k_max = ORACLE_CORPUS[-1]
+        alg.hilbert_function(alg.span(dim, [L(dim, terms) for terms in basis]), k_max)
+        assert widths[0] > alg._WIDTH and max(widths) > widths[0]
+
+
+def _seeded_span_cases():
+    rng = random.Random(20240807)
+    orders = {
+        1: [alg.LEX, alg.MonomialOrder("grlex", (2,))],
+        2: [alg.LEX, GRLEX12, GRLEX31],
+        3: [alg.LEX, GRLEX211],
+    }
+    cases = []
+    while len(cases) < 20:
+        dim = 1 + len(cases) % 3
+        order = orders[dim][len(cases) % len(orders[dim])]
+        polys = []
+        for _ in range(rng.randint(2, 5)):
+            terms = {
+                tuple(rng.randint(-2, 2) for _ in range(dim)):
+                    F(rng.randint(-40, 40), rng.choice((1, 2, 3, 7)))
+                for _ in range(rng.randint(1, 4))
+            }
+            polys.append(L(dim, terms))
+        a, b = rng.randint(-5, 5), F(rng.randint(1, 9), rng.randint(1, 4))
+        polys.append(a * polys[0] + b * polys[-1])
+        if all(f.is_zero for f in polys):
+            continue
+        cases.append((dim, order, polys))
+    return cases
+
+
+class TestKernelEdgeCases:
+    def test_span_bases_and_images_are_unchanged(self):
+        # sha256 of the same 20 spans and valuation images under the dict
+        # echelon that the packed kernel replaced
+        out = []
+        for dim, order, polys in _seeded_span_cases():
+            l = alg.span(dim, polys, order)
+            img = alg.valuation_image(l, order)
+            out.append({
+                "span": jsonio.subspace_to_json(l),
+                "image": [list(e) for e in img.exponents.sorted_points()],
+            })
+        digest = hashlib.sha256(jsonio.dumps_canonical(out).encode()).hexdigest()
+        assert digest == "e8d8f9deb8013fb189786d39d50fa4f8a91d930af648e128a638037642ba612b"
+
+    @pytest.mark.parametrize("order", [alg.LEX, alg.MonomialOrder("grlex", (3,))],
+                             ids=["lex", "grlex"])
+    def test_one_variable_subspace(self, order):
+        t = lambda *pairs: L(1, dict(((e,), c) for e, c in pairs))  # noqa: E731
+        l = alg.span(1, [t((0, 1), (1, 1)), t((1, 1), (3, -2)), t((-1, F(1, 2)), (2, 1))])
+        levels = alg.semigroup_of_subspace(l, order, 6).levels
+        dims = dict(alg.hilbert_function(l, 6))
+        for k in range(1, 7):
+            expected = sympy_power_leads(_terms(l), None if order.kind == "lex" else (3,), k)
+            assert set(levels[k].points) == expected
+            assert dims[k] == len(expected)
+
+    def test_one_dimensional_subspace_stays_one_dimensional(self):
+        l = alg.span(2, [L(2, {(0, 0): 1, (1, 0): 1})])
+        k_max = alg.MAX_KMAX
+        levels = alg.semigroup_of_subspace(l, alg.LEX, k_max).levels
+        assert all(set(levels[k].points) == {(0, 0)} for k in range(1, k_max + 1))
+        assert alg.hilbert_function(l, k_max) == [(k, 1) for k in range(1, k_max + 1)]
+        assert alg.hilbert_function(alg.span(2, [ONE2, XPY, XPY * XPY]), 6) == [
+            (k, 2 * k + 1) for k in range(1, 7)
+        ]
+
+
+class TestLevelBudgets:
+    def test_kmax_bound_is_admitted_and_bound_plus_one_rejected(self, monkeypatch):
+        l = alg.span(2, [L(2, {(0, 0): 1, (1, 0): 1})])
+        m = alg.MAX_KMAX
+        assert len(alg.hilbert_function(l, m)) == m
+        assert alg.semigroup_of_subspace(l, alg.LEX, m).k_max == m
+        assert alg.superadditivity_check(l, l, k_max=m).holds
+        widths = _width_spy(monkeypatch)
+        for call in (
+            lambda: alg.hilbert_function(l, m + 1),
+            lambda: alg.semigroup_of_subspace(l, alg.LEX, m + 1),
+            lambda: alg.superadditivity_check(l, l, k_max=m + 1),
+            lambda: alg.hilbert_function(l, 0),
+        ):
+            with pytest.raises(ValueError, match=f"k_max must be in 1..{m}"):
+                call()
+        assert widths == []  # rejected before any level is built
+
+    def test_cell_bound_is_admitted_and_bound_plus_one_rejected(self, monkeypatch):
+        def line(*xs):
+            return alg.monomial_subspace(g.support_set(1, [(x,) for x in xs]))
+
+        assert alg.MAX_LEVEL_CELLS == 65536 * 256 == 65281 * 257 - 1
+        at = line(*range(255), 65535)  # 65536 slots x 256 rows
+        assert alg.hilbert_function(at, 1) == [(1, 256)]
+        over = line(*range(256), 65280)  # 65281 slots x 257 rows
+        widths = _width_spy(monkeypatch)
+        message = (f"power levels would need 65281 slots x 257 rows = "
+                   f"{alg.MAX_LEVEL_CELLS + 1} cells; the limit is {alg.MAX_LEVEL_CELLS}")
+        with pytest.raises(ValueError, match=message):
+            alg.hilbert_function(over, 1)
+        with pytest.raises(ValueError, match=message):
+            alg.semigroup_of_subspace(over, alg.LEX, 1)
+        # the product's box (2^19 + 1 slots x 48 rows) is checked before the
+        # factors' levels (2^18 + 1 slots x 17 rows each) are built
+        half = line(*range(16), 2**18)
+        with pytest.raises(ValueError, match="= 25165872 cells; the limit is"):
+            alg.superadditivity_check(half, half, k_max=1)
+        assert widths == []
+
+    def test_small_sparse_supports_are_admitted_at_the_default_kmax(self):
+        # each shifted coordinate is divided by its gcd before the box is sized
+        tri = alg.monomial_subspace(g.support_set(2, [(0, 0), (6, 0), (0, 6)]))
+        assert alg._level_box(tri, alg.LEX, 12).slots == 13 * 13
+        assert alg.hilbert_function(tri, 12)[-1] == (12, 91)
+        wide = alg.monomial_subspace(g.support_set(2, [(0, 0), (1000, 0), (0, 1000)]))
+        assert alg.semigroup_of_subspace(wide, alg.LEX, 8).levels[8].points == {
+            (1000 * i, 1000 * j) for i in range(9) for j in range(9 - i)
+        }
+        gap = alg.span(1, [L(1, {(0,): 1}), L(1, {(342,): 1})])
+        assert alg.hilbert_function(gap, 12)[-1] == (12, 13)
+        # few generators in a wide box: 15625 slots, at most C(15, 12) = 455 rows
+        sparse = alg.monomial_subspace(
+            g.support_set(3, [(0, 0, 0), (2, 0, 1), (0, 2, 2), (1, 1, 0)])
+        )
+        assert alg._level_box(sparse, alg.LEX, 12).slots == 25**3
+        assert alg.hilbert_function(sparse, 12)[-1] == (12, 455)
+
+    def test_grlex_box_counts_the_grade(self):
+        # grade of (1, 1) under (3, 1) is 4: slots (4 k + 1) * (k + 1)
+        l = alg.monomial_subspace(g.support_set(2, [(0, 0), (1, 1)]))
+        assert alg._level_box(l, GRLEX31, 5).slots == 21 * 6

@@ -304,6 +304,47 @@ class TestExitContract:
         rc, rep = run(["bkk-verify", inp] + flags, tmp_path / "out.json")
         assert rc == 0 and rep["agreed"]
 
+    @staticmethod
+    def _subspace(*exponents):
+        dim = len(exponents[0])
+        basis = [{"dim": dim, "terms": [{"exp": list(e), "coef": "1"}]} for e in exponents]
+        return {"subspace": {"dim": dim, "basis": basis}}
+
+    @pytest.mark.parametrize("command", ["okounkov", "hilbert"])
+    @pytest.mark.parametrize(
+        "exponents,kmax,message",
+        [
+            ([(0, 0)], algebra.MAX_KMAX + 1, f"k_max must be in 1..{algebra.MAX_KMAX}"),
+            ([(0, 0)], 0, f"k_max must be in 1..{algebra.MAX_KMAX}"),
+            ([(x,) for x in range(256)] + [(65280,)], 1,
+             f"power levels would need 65281 slots x 257 rows = "
+             f"{algebra.MAX_LEVEL_CELLS + 1} cells; the limit is {algebra.MAX_LEVEL_CELLS}"),
+        ],
+        ids=["kmax", "kmax-zero", "cells"],
+    )
+    def test_level_budget_over_bound_is_exit_2(
+        self, tmp_path, capsys, command, exponents, kmax, message
+    ):
+        inp = write(tmp_path, "in.json", self._subspace(*exponents))
+        args = [command, inp, "--kmax", str(kmax), "--out", str(tmp_path / "o")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["okounkov", "hilbert"])
+    @pytest.mark.parametrize(
+        "exponents,kmax",
+        [([(0, 0)], algebra.MAX_KMAX), ([(x,) for x in range(255)] + [(65535,)], 1)],
+        ids=["kmax", "cells"],
+    )
+    def test_level_budget_at_bound_is_admitted(self, tmp_path, command, exponents, kmax):
+        inp = write(tmp_path, "in.json", self._subspace(*exponents))
+        rc, rep = run([command, inp, "--kmax", str(kmax)], tmp_path / "out.json")
+        assert rc == 0
+        if command == "hilbert":
+            assert rep["rows"][-1] == {"k": kmax, "dim": len(exponents)}
+        else:
+            assert rep["kmax"] == kmax
+
     def test_cli_import_does_not_load_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
