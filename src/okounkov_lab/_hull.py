@@ -4,20 +4,29 @@ Everything runs on integer-lifted coordinates: the caller clears the common
 denominator once, so all predicates below are exact integer arithmetic.  The
 engine returns a triangulated boundary with the unreduced plane of each
 boundary simplex (used for fan-volume computation), the deduplicated set of
-supporting facet planes (used for membership tests), and the extreme points,
-recovered by an active-constraint rank test.  :func:`echelon`, fraction-free
-integer row reduction, is the one exact elimination routine: it picks the
-initial simplex, decides the rank test, and gives ``geometry`` the affine
-hull of a lower-dimensional body.
+supporting facet planes (used for membership tests), and the extreme points.
+:func:`echelon`, fraction-free integer row reduction, is the one exact
+elimination routine: it picks the initial simplex and gives ``geometry`` the
+affine hull of a lower-dimensional body.
 
 Dimension dispatch:
 
 * d = 1: trivial min/max.
 * d = 2: Andrew monotone chain.
-* d = 3, 4: incremental beneath-beyond insertion in input order with strict
-  visibility.  Coplanar degeneracies are legal; the boundary triangulation
-  may contain coplanar adjacent simplices and non-extreme corners, neither
-  of which affects volumes, membership tests, or the extreme-point recovery.
+* d = 3, 4: incremental beneath-beyond insertion with strict visibility.
+  After the initial simplex, points go in by decreasing exact squared
+  distance from the centroid (ties by index), so most late points fall
+  inside the hull built so far and cost one visibility product; in lex
+  order every point would lie beyond it.  Coplanar degeneracies are legal;
+  the boundary triangulation may contain coplanar adjacent simplices and
+  non-extreme corners, neither of which affects volumes or membership tests.
+
+The extreme points are read off the corner x plane incidence matrix I of
+the triangulation's corners and the deduplicated planes: a corner is a
+vertex iff no other corner lies on every plane through it, that is iff its
+row of I @ I.T reaches its diagonal entry only on the diagonal.  A
+non-extreme corner lies in the relative interior of a face, and that face's
+vertices, which are corners too, lie on all of its planes.
 
 For d = 3, 4 the live facets are numpy integer arrays (normals, offsets,
 vertex indices and an alive mask), so one insertion is a few array
@@ -188,6 +197,23 @@ def _normals(D):
     return T @ _LEVI_CIVITA[d]
 
 
+def _insertion_order(points, start):
+    """Indices outside ``start``, farthest from the centroid first.
+
+    The key is n^2 times the squared distance, sum((n p - sum of points)^2),
+    in exact integers; ties keep index order.  It is invariant under
+    dilation and translation.
+    """
+    n = len(points)
+    total = [sum(c) for c in zip(*points)]
+    skip = set(start)
+    return sorted(
+        (i for i in range(n) if i not in skip),
+        key=lambda i: sum((n * x - t) ** 2 for x, t in zip(points[i], total)),
+        reverse=True,
+    )
+
+
 def _hull_incremental(points, d):
     """Beneath-beyond insertion for d in {3, 4}."""
     dtype = _dtype_for(max(abs(c) for p in points for c in p), d)
@@ -231,10 +257,7 @@ def _hull_incremental(points, d):
 
     initial = [sorted(start[:k] + start[k + 1:]) for k in range(d + 1)]
     add_facets(np.array(initial), np.arange(0))
-    in_start = set(start)
-    for i in range(len(points)):
-        if i in in_start:
-            continue
+    for i in _insertion_order(points, start):
         visible = np.flatnonzero((normals[:used] @ P[i] > offsets[:used]) & alive[:used])
         if not len(visible):
             continue
@@ -256,12 +279,10 @@ def _hull_incremental(points, d):
     A = np.array([a for a, _ in planes], dtype=dtype)
     c = np.array([b for _, b in planes], dtype=dtype)
     corners = np.unique(verts[live])
-    incidence = P[corners] @ A.T == c
-    vertex_indices = [
-        i
-        for i, row, k in zip(corners.tolist(), incidence, incidence.sum(axis=1).tolist())
-        if k >= d and len(echelon(A[row].tolist())) == d
-    ]
+    incidence = (P[corners] @ A.T == c).astype(np.int64)
+    shared = incidence @ incidence.T  # planes through both corners
+    alone = (shared == shared.diagonal()[:, None]).sum(axis=1) == 1
+    vertex_indices = corners[alone].tolist()
     simplices = [tuple(keys[k]) for k in order]
     return HullResult(d, planes, simplices, vertex_indices, N, B)
 

@@ -9,6 +9,7 @@ report).  Identical inputs and seed produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -273,6 +274,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="okounkov-lab",

@@ -72,11 +72,17 @@ class _SumVolumeCache:
         if not active:
             raise ValueError("empty combination")
         i = active[0]
-        piece = geometry.scale(self.bodies[i], counts[i])
         if len(active) > 1:
-            rest = list(counts)
-            rest[i] = 0
-            piece = geometry.minkowski_sum(piece, self.polytope(tuple(rest)))
+            # the dilation c_i * body_i is itself cached, so it is hulled once
+            single, rest = [0] * len(counts), list(counts)
+            single[i], rest[i] = counts[i], 0
+            piece = geometry.minkowski_sum(
+                self.polytope(tuple(single)), self.polytope(tuple(rest))
+            )
+        elif counts[i] == 1:
+            piece = self.bodies[i]
+        else:
+            piece = geometry.scale(self.bodies[i], counts[i])
         self._polytopes[counts] = piece
         return piece
 

@@ -16,6 +16,9 @@ from . import geometry
 from .geometry import LatticePolytope, SupportSet
 
 INFINITE = math.inf
+# budgets: sumset levels reject inputs past them before any level is built
+MAX_LEVEL = 256
+MAX_PAIR_SUMS = 1_000_000
 
 
 @dataclass(eq=False)
@@ -68,10 +71,31 @@ def sumset(a: SupportSet, b: SupportSet) -> SupportSet:
     return SupportSet(a.ambient_dim, frozenset(pts))
 
 
+def _check_level_budget(a: SupportSet, k: int, name: str) -> None:
+    """Reject ``k`` outside 1..MAX_LEVEL, or levels 1..k that may need more
+    than MAX_PAIR_SUMS pair sums.
+
+    Level j holds at most min(cells, multisets) points: the lattice points of
+    j times the bounding box of ``a``, and the multisets of j points of
+    ``a``; level j + 1 costs ``len(a)`` pair sums per point of level j.
+    """
+    if not 1 <= k <= MAX_LEVEL:
+        raise ValueError(f"{name} must be in 1..{MAX_LEVEL}")
+    spans = [max(c) - min(c) for c in zip(*a.points)]
+    pairs = len(a) * sum(
+        min(math.prod(j * s + 1 for s in spans), math.comb(len(a) + j - 1, j))
+        for j in range(1, k)
+    )
+    if pairs > MAX_PAIR_SUMS:
+        raise ValueError(
+            f"sumset levels 1..{k} would need up to {pairs} pair sums; "
+            f"the limit is {MAX_PAIR_SUMS}"
+        )
+
+
 def sumset_power(a: SupportSet, k: int) -> SupportSet:
     """k-fold sumset by iterated pairwise sums with deduplication."""
-    if k < 1:
-        raise ValueError("sumset power needs k >= 1")
+    _check_level_budget(a, k, "k")
     out = a
     for _ in range(k - 1):
         out = sumset(out, a)
@@ -186,11 +210,10 @@ def difference_lattice_index(sets: list[SupportSet]):
 
 def slice_of_support(a: SupportSet, k_max: int) -> GradedSemigroupSlice:
     """The slice generated by a support set: level k is the k-fold sumset."""
-    levels = {}
-    cur = a
-    for k in range(1, k_max + 1):
-        levels[k] = cur
-        cur = sumset(cur, a)
+    _check_level_budget(a, k_max, "k_max")
+    levels = {1: a}
+    for k in range(2, k_max + 1):
+        levels[k] = sumset(levels[k - 1], a)
     return GradedSemigroupSlice(a.ambient_dim, levels)
 
 

@@ -41,10 +41,13 @@ EXACT_VERTEX_CAP = 600
 EXACT_BIT_CAP = 1200
 FLOAT_EPS = 1e-13
 FLOAT_MAX_VERTICES = 1024
-# input budgets: at most 500 rounds (float rounds cost 15-35 ms each) and
-# 1000 profile samples (4-10 ms each on small 3D bodies)
+# input budgets: at most 500 rounds (float rounds cost 15-35 ms each),
+# 1000 profile samples (4-10 ms each on small 3D bodies), and a polygon of
+# at most as many vertices as a float round keeps (the first round's
+# diagnostics peak at 80 MiB for 1024 input vertices)
 MAX_ROUNDS = 500
 MAX_SAMPLES = 1000
+MAX_POLYGON_VERTICES = FLOAT_MAX_VERTICES
 
 
 @dataclass(frozen=True)
@@ -283,6 +286,10 @@ def iterate_symmetrize(
     """
     if not 1 <= rounds <= MAX_ROUNDS:
         raise ValueError(f"rounds must be in 1..{MAX_ROUNDS}")
+    if len(p.vertices) > MAX_POLYGON_VERTICES:
+        raise ValueError(
+            f"polygon has {len(p.vertices)} vertices; the limit is {MAX_POLYGON_VERTICES}"
+        )
     import random as _random
 
     rng = _random.Random(derive_seed(seed, "steiner-directions"))

@@ -345,6 +345,94 @@ class TestExitContract:
         else:
             assert rep["kmax"] == kmax
 
+    @staticmethod
+    def _line(n):
+        return {"dim": 1, "points": [[x] for x in range(n)]}
+
+    @staticmethod
+    def _parabola(n):
+        return {"dim": 2, "vertices": [[x, x * x] for x in range(n)]}
+
+    @pytest.mark.parametrize(
+        "command,payload,flags,message",
+        [
+            ("sumset", {"support": _line(1), "k": sg.MAX_LEVEL + 1}, [],
+             f"k must be in 1..{sg.MAX_LEVEL}"),
+            ("density", {"support": _line(1)}, ["--kmax", str(sg.MAX_LEVEL + 1)],
+             f"k_max must be in 1..{sg.MAX_LEVEL}"),
+            # a 1000-point line at k = 2 needs 1000 x 1000 pair sums, the limit
+            ("sumset", {"support": _line(1001), "k": 2}, [],
+             f"sumset levels 1..2 would need up to {1001**2} pair sums; "
+             f"the limit is {sg.MAX_PAIR_SUMS}"),
+            ("density", {"support": _line(1001)}, ["--kmax", "2"],
+             f"sumset levels 1..2 would need up to {1001**2} pair sums; "
+             f"the limit is {sg.MAX_PAIR_SUMS}"),
+            ("steiner", {"polygon": _parabola(stn.MAX_POLYGON_VERTICES + 1), "rounds": 1}, [],
+             f"polygon has {stn.MAX_POLYGON_VERTICES + 1} vertices; "
+             f"the limit is {stn.MAX_POLYGON_VERTICES}"),
+        ],
+        ids=["sumset-k", "density-kmax", "sumset-pairs", "density-pairs", "polygon-vertices"],
+    )
+    def test_size_budget_over_bound_is_exit_2(
+        self, tmp_path, capsys, command, payload, flags, message
+    ):
+        inp = write(tmp_path, "in.json", payload)
+        assert main([command, inp, "--out", str(tmp_path / "o")] + flags) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command,payload,flags,check",
+        [
+            ("sumset", {"support": _line(1), "k": sg.MAX_LEVEL}, [],
+             lambda rep: rep["result"]["points"] == [[0]]),
+            ("density", {"support": _line(1)}, ["--kmax", str(sg.MAX_LEVEL)],
+             lambda rep: len(rep["rows"]) == sg.MAX_LEVEL),
+            ("sumset", {"support": _line(1000), "k": 2}, [],
+             lambda rep: len(rep["result"]["points"]) == 1999),
+            ("density", {"support": {"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]}},
+             ["--kmax", "40"], lambda rep: rep["rows"][-1]["ratio"] == "861/1600"),
+            ("steiner", {"polygon": _parabola(stn.MAX_POLYGON_VERTICES), "rounds": 1}, [],
+             lambda rep: rep["rows"][0]["vertices"] == 2 * stn.MAX_POLYGON_VERTICES - 2),
+        ],
+        ids=["sumset-k", "density-kmax", "sumset-pairs", "density-kmax-40", "polygon-vertices"],
+    )
+    def test_size_budget_at_bound_is_admitted(self, tmp_path, command, payload, flags, check):
+        inp = write(tmp_path, "in.json", payload)
+        rc, rep = run([command, inp] + flags, tmp_path / "out.json")
+        assert rc == 0 and check(rep)
+
+    def test_one_parser_serves_every_call(self, tmp_path):
+        """Reports and exit codes after bad and good calls equal fresh-parser ones."""
+        import okounkov_lab.cli as cli
+
+        bodies = write(tmp_path, "bodies.json", {"bodies": [SQ, SI]})
+        support = write(tmp_path, "support.json", {"support": {"dim": 1, "points": [[0], [1], [3]]}})
+        good = [
+            ["mixedvol", bodies, "--oracle"],
+            ["density", support, "--kmax", "5", "--format", "csv"],
+            ["mixedvol", bodies],  # no --oracle left over from the first call
+            ["density", support],
+        ]
+
+        def call(args, k):
+            out = tmp_path / f"out{k}"
+            return main(args + ["--out", str(out)]), out.read_text()
+
+        fresh = []
+        for k, args in enumerate(good):
+            cli._build_parser.cache_clear()
+            fresh.append(call(args, k))
+        cli._build_parser.cache_clear()
+        for bad in (["mixedvol", bodies, "--no-such-flag"], ["density", support, "--format", "xml"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
+        assert [call(args, k) for k, args in enumerate(good)] == fresh
+        assert "mixed_volume_interp" in fresh[0][1] and "mixed_volume_interp" not in fresh[2][1]
+        assert fresh[1][1].startswith("k,ratio,volume\n") and fresh[3][1].startswith("{")
+        assert cli._build_parser.cache_info().misses == 1
+
     def test_cli_import_does_not_load_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -167,6 +167,73 @@ class TestHullEngine:
             for i, p in enumerate(pts):
                 assert (i in vs) == (not in_convex_hull(p, pts[:i] + pts[i + 1:]))
             checked += 1
+
+
+def _oracle_checked_hull(pts, n):
+    """Hull of lex-sorted ``pts``, its vertex indices checked point by point.
+
+    Every reported non-vertex must lie in the hull of the reported vertices,
+    so the true vertices are among them; then a reported vertex is extreme
+    iff it is outside the hull of the other reported vertices.  Together this
+    is the same verdict as testing each point against all the others, with
+    far fewer generators per linear program.
+    """
+    res = _hull.hull_of_lifted(pts, n)
+    vs = res.vertex_indices
+    gens = [pts[v] for v in vs]
+    for i, p in enumerate(pts):
+        if i not in vs:
+            assert in_convex_hull(p, gens)
+    for k, v in enumerate(vs):
+        assert not in_convex_hull(pts[v], gens[:k] + gens[k + 1:])
+    return res
+
+
+def _det(rows):
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+class TestHullEngineDegenerate:
+    """Inputs with coplanar facets and non-extreme points on the boundary."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_lattice_box(self, n):
+        pts = list(product(range(3), repeat=n))
+        res = _oracle_checked_hull(pts, n)
+        assert [pts[i] for i in res.vertex_indices] == list(product((0, 2), repeat=n))
+        assert len(res.planes) == 2 * n
+        assert _hull.hull_volume_lifted(pts, res) == math.factorial(n) * 2**n
+
+    @pytest.mark.parametrize("n,k", [(3, 4), (3, 5), (4, 4), (4, 5)])
+    def test_zonotope(self, n, k):
+        """Sums of k segments [0, g]; volume = sum over n-subsets of |det|."""
+        rng = random.Random(7000 + 10 * n + k)
+        checked = 0
+        while checked < 3:
+            gens = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(k)]
+            volume = sum(abs(_det([list(v) for v in c])) for c in combinations(gens, n))
+            if volume == 0:
+                continue  # the segments span a hyperplane at most
+            pts = sorted({
+                tuple(sum(v[c] for v, b in zip(gens, bits) if b) for c in range(n))
+                for bits in product((0, 1), repeat=k)
+            })
+            res = _oracle_checked_hull(pts, n)
+            assert _hull.hull_volume_lifted(pts, res) == math.factorial(n) * volume
+            checked += 1
+
+    @pytest.mark.parametrize("n,sizes", [(3, (3, 3, 3, 2)), (4, (3, 3, 2, 2))])
+    def test_span8_four_body_sums(self, n, sizes):
+        rng = random.Random(7100 + n)
+        for _ in range(2):
+            bodies = [[tuple(rng.randint(0, 8) for _ in range(n)) for _ in range(s)] for s in sizes]
+            pts = sorted({tuple(map(sum, zip(*choice))) for choice in product(*bodies)})
+            _oracle_checked_hull(pts, n)
 
 
 class TestMinkowskiSum:
