@@ -190,18 +190,19 @@ def difference_lattice_index(sets: list[SupportSet]):
     if not sets:
         raise ValueError("need at least one support set")
     n = sets[0].ambient_dim
-    rows = []
+    rows = set()
     for s in sets:
         if s.ambient_dim != n:
             raise ValueError("support sets of mixed dimensions")
-        pts = s.sorted_points()
-        if not pts:
+        if not s.points:
             raise ValueError("support sets must be nonempty")
-        base = pts[0]
-        rows.extend([list(x - y for x, y in zip(p, base)) for p in pts[1:]])
+        base = min(s.points)
+        rows.update(tuple(x - y for x, y in zip(p, base)) for p in s.points)
+    # zero and repeated rows span nothing new, so the index is the same
+    rows.discard((0,) * n)
     if not rows:
         return INFINITE if n > 0 else 1
-    divisors = smith_normal_form(rows)
+    divisors = smith_normal_form(sorted(rows))
     nonzero = [d for d in divisors if d != 0]
     if len(nonzero) < n:
         return INFINITE
@@ -249,22 +250,29 @@ class DensityReport:
 
 
 def density_sequence(s: GradedSemigroupSlice) -> DensityReport:
-    """Ratios #(S_k)/k^n against the Newton-body volume, non-ample flagged."""
+    """Ratios #(S_k)/k^n against the Newton-body volume, non-ample flagged.
+
+    The body at k is conv(S_1 / 1, ..., S_k / k), built incrementally and
+    exactly in integers: conv(S_k / k) = conv(S_k) / k, so level k is hulled
+    at scale k (`geometry._polytope`), and its vertices are joined with the
+    previous body's lifted vertices at the lcm of the two scales.
+    """
     n = s.ambient_dim
     index = difference_lattice_index(list(s.levels.values()))
     rows = []
-    accumulated: list[tuple[Fraction, ...]] = []
-    hull = None
+    body = None
     for k in range(1, s.k_max + 1):
-        for p in s.levels[k].points:
-            accumulated.append(tuple(Fraction(c, k) for c in p))
-        if hull is None:
-            hull = geometry.convex_hull(accumulated)
+        level = geometry._polytope(k, s.levels[k].points, n)
+        if body is None:
+            body = level
         else:
-            hull = geometry.convex_hull(list(hull.vertices) + accumulated)
-        accumulated = list(hull.vertices)
+            (sb, vb), (sl, vl) = geometry._lifted(body), geometry._lifted(level)
+            lcm = math.lcm(sb, sl)
+            fb, fl = lcm // sb, lcm // sl
+            joined = [tuple(fb * c for c in v) for v in vb] + [tuple(fl * c for c in v) for v in vl]
+            body = geometry._polytope(lcm, joined, n)
         rows.append(
-            DensityRow(k, Fraction(len(s.levels[k]), k**n), geometry.volume(hull))
+            DensityRow(k, Fraction(len(s.levels[k]), k**n), geometry.volume(body))
         )
     return DensityReport(tuple(rows), index == 1, index)
 

@@ -6,14 +6,19 @@ recenters every chord on H, and rebuilds the piecewise-linear chord-length
 profile into a polygon.  No normalization is needed because recentering
 commutes with scaling of the chord axis.
 
-One routine, `_symmetrize`, runs that step for both number types: exact
-rounds feed it `Fraction`s with zero tolerance, float rounds feed it
-doubles with a small tolerance and a vertex budget.  `ConvexPolygon` keeps
-a `Fraction` per vertex rather than integers over one common denominator:
-each new vertex carries the interpolation divisor of its own edge, so the
-least common denominator of a ring multiplies them together (on the
+Exact rounds, `_exact_round`, work on reduced integer triples (X, Y, D),
+the vertex (X / D, Y / D) with D > 0 and gcd(X, Y, D) = 1, and the chord
+direction scaled to a primitive integer vector; they compare rationals by
+cross-multiplication, decide collinearity by the sign of a 3x3 integer
+determinant and never build a `Fraction`.  Each vertex keeps its own
+denominator: a new vertex carries the interpolation divisor of its edge, so
+the least common denominator of a ring multiplies them together (on the
 criterion-10 quad at seed 3 it has 79,116 bits after round 8, while no
-vertex coordinate has more than 1,934).
+vertex coordinate has more than 1,934).  Only the shoelace area checked
+after every exact round meets that common denominator.  Float rounds,
+`_symmetrize`, run the same step on doubles with a small tolerance and a
+vertex budget.  `ConvexPolygon` keeps `Fraction` vertices at the API
+boundary.
 
 Iterated symmetrization doubles the vertex count almost every round (each
 interior kink of the chord profile spawns two vertices), so an unbounded
@@ -27,6 +32,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
 
@@ -35,6 +41,7 @@ from .geometry import LatticePolytope, _lift, minkowski_sum, scale, volume
 from .rng import derive_seed
 
 Pt = tuple[Fraction, Fraction]
+Tri = tuple[int, int, int]  # (X, Y, D): the vertex (X / D, Y / D), D > 0, gcd 1
 
 # exact rounds hand off to floats past either cap
 EXACT_VERTEX_CAP = 600
@@ -52,7 +59,11 @@ MAX_POLYGON_VERTICES = FLOAT_MAX_VERTICES
 
 @dataclass(frozen=True)
 class ConvexPolygon:
-    """Strictly convex polygon: CCW vertices, no collinear triples."""
+    """Strictly convex polygon: CCW vertices, no collinear triples.
+
+    Each vertex is a pair of `Fraction`s; exact rounds read it as a reduced
+    integer triple (see `_triples`).
+    """
 
     vertices: tuple[Pt, ...]
 
@@ -89,30 +100,147 @@ def polygon(points) -> ConvexPolygon:
     return ConvexPolygon(_canonical_ring(pts))
 
 
-def area(p: ConvexPolygon) -> Fraction:
+def _triples(vertices) -> list[Tri]:
+    """Reduced integer triples of `Fraction` vertices."""
+    out = []
+    for x, y in vertices:
+        d = math.lcm(x.denominator, y.denominator)
+        out.append((x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d))
+    return out
+
+
+def _ring_area(ring: list[Tri]) -> Fraction:
+    """Exact shoelace area of a ring of triples; positive for a CCW ring."""
     twice = Fraction(0)
-    vs = p.vertices
-    for i in range(len(vs)):
-        x1, y1 = vs[i]
-        x2, y2 = vs[(i + 1) % len(vs)]
-        twice += x1 * y2 - x2 * y1
-    return twice / 2  # positive for the CCW ring
+    x1, y1, d1 = ring[-1]
+    for x2, y2, d2 in ring:
+        twice += Fraction(x1 * y2 - x2 * y1, d1 * d2)
+        x1, y1, d1 = x2, y2, d2
+    return twice / 2
 
 
-def _symmetrize(ring, direction, eps, max_vertices):
-    """One Steiner step on a convex CCW ring of (x, y) pairs; a CCW ring out.
+def area(p: ConvexPolygon) -> Fraction:
+    return _ring_area(_triples(p.vertices))
 
-    The same code serves both number types.  Exact rounds pass `Fraction`s
-    with `eps = 0` and `max_vertices = math.inf`: abscissae merge only when
-    equal, only truly collinear vertices are pruned, and nothing is thinned,
-    so the result is the exact symmetral.  Float rounds pass floats with
-    `eps = 1e-13` and a vertex budget: abscissae within `eps` merge, an edge
-    serves the breaks within `10 * eps` of its span, vertices within `eps` of
-    collinear go, and the flattest vertices are thinned to the budget.  The
-    ring is mapped to the frame t = u^perp . p, s = u . p, every chord over a
-    break of the t-profile is recentered on s = 0, and the bottom and top
-    chains are mapped back.
+
+def _primitive(direction) -> tuple[int, int]:
+    """The rational chord direction scaled to a primitive integer vector.
+
+    The symmetral depends only on the line the direction spans, so neither
+    the length nor the sign matters.
     """
+    ux, uy = Fraction(direction[0]), Fraction(direction[1])
+    if ux == 0 and uy == 0:
+        raise ValueError("direction must be nonzero")
+    d = math.lcm(ux.denominator, uy.denominator)
+    a, b = ux.numerator * (d // ux.denominator), uy.numerator * (d // uy.denominator)
+    g = math.gcd(a, b)
+    return a // g, b // g
+
+
+def _exact_round(ring: list[Tri], ux: int, uy: int) -> list[Tri]:
+    """One exact Steiner step on a convex CCW ring of triples.
+
+    The chord direction (ux, uy) is a primitive integer vector.  A vertex
+    maps to the frame point (T / D, S / D) with T = -uy X + ux Y and
+    S = ux X + uy Y.  The breaks are the distinct abscissae T / D, ordered by
+    cross-multiplication.  At each break the chord ends come from the
+    vertices there and, strictly inside an edge's span, from the edge
+    interpolation s = num / den with
+
+        num = S1 (T2 Dk - Tk D2) + S2 (Tk D1 - T1 Dk),  den = Dk (T2 D1 - T1 D2).
+
+    Every chord is recentered on s = 0, and the bottom and top chains are
+    mapped back, each vertex over one common denominator reduced by a single
+    gcd.  Collinear vertices go in one pass: the symmetral is convex and its
+    ring repeats no point.  The result is a strictly convex CCW ring starting
+    at its lex-min vertex.
+    """
+    ts = [(-uy * x + ux * y, d) for x, y, d in ring]
+    ss = [ux * x + uy * y for x, y, _ in ring]
+    order = sorted(
+        range(len(ring)),
+        key=cmp_to_key(lambda i, j: ts[i][0] * ts[j][1] - ts[j][0] * ts[i][1]),
+    )
+    breaks: list[tuple[int, int]] = []  # (T, D): the abscissa T / D
+    rank = [0] * len(ring)
+    for i in order:
+        t, d = ts[i]
+        if not breaks or t * breaks[-1][1] != breaks[-1][0] * d:
+            breaks.append((t, d))
+        rank[i] = len(breaks) - 1
+    # chord ends at break k as pairs (m, e), the value m / (Dk e) with e > 0
+    hi: list = [None] * len(breaks)
+    lo: list = [None] * len(breaks)
+
+    def widen(k, m, e):
+        top, bottom = hi[k], lo[k]
+        if top is None:
+            hi[k] = lo[k] = (m, e)
+        elif m * top[1] > top[0] * e:
+            hi[k] = (m, e)
+        elif m * bottom[1] < bottom[0] * e:
+            lo[k] = (m, e)
+
+    for i, (_, _, d) in enumerate(ring):
+        dk = breaks[rank[i]][1]
+        widen(rank[i], *((ss[i], 1) if d == dk else (ss[i] * dk, d)))
+    for v in range(len(ring)):
+        i, j = v - 1, v
+        if rank[i] > rank[j]:
+            i, j = j, i
+        (t1, d1), s1 = ts[i], ss[i]
+        (t2, d2), s2 = ts[j], ss[j]
+        span = t2 * d1 - t1 * d2
+        for k in range(rank[i] + 1, rank[j]):
+            tk, dk = breaks[k]
+            widen(k, s1 * (t2 * dk - tk * d2) + s2 * (tk * d1 - t1 * dk), span)
+    norm2 = ux * ux + uy * uy
+    bottom, top = [], []
+    for (tk, dk), (m1, e1), (m2, e2) in zip(breaks, hi, lo):
+        # the frame points (tk / dk, -+half / (dk f)) over the denominator
+        # norm2 dk f, with (hi - lo) / 2 = half / (dk f)
+        half, f = m1 * e2 - m2 * e1, 2 * e1 * e2
+        p, den = tk * f, norm2 * dk * f
+        x, y = -uy * p - ux * half, ux * p - uy * half
+        g = math.gcd(x, y, den)
+        bottom.append((x // g, y // g, den // g))
+        if half > 0:
+            x, y = -uy * p + ux * half, ux * p + uy * half
+            g = math.gcd(x, y, den)
+            top.append((x // g, y // g, den // g))
+    # the frame map has determinant -|u|^2 < 0, so the CCW frame ring
+    # (bottom ascending, top descending) comes back clockwise
+    out = top + bottom[::-1]
+    n = len(out)
+    keep = []
+    for i in range(n):
+        xo, yo, do = out[i - 1]
+        xa, ya, da = out[i]
+        xb, yb, db = out[(i + 1) % n]
+        det = xo * (ya * db - yb * da) - yo * (xa * db - xb * da) + do * (xa * yb - xb * ya)
+        if det > 0:
+            keep.append(out[i])
+    if len(keep) < 3:
+        raise ValueError("polygon degenerated to a segment")
+    start = 0
+    for i, (x, y, d) in enumerate(keep):
+        x0, y0, d0 = keep[start]
+        if x * d0 < x0 * d or (x * d0 == x0 * d and y * d0 < y0 * d):
+            start = i
+    return keep[start:] + keep[:start]
+
+
+def _symmetrize(ring, direction):
+    """One float Steiner step on a convex CCW ring of (x, y) pairs; a CCW ring out.
+
+    Abscissae within `FLOAT_EPS` merge, an edge serves the breaks within
+    `10 * FLOAT_EPS` of its span, and the result is pruned to the float
+    vertex budget (`_prune`).  The ring is mapped to the frame
+    t = u^perp . p, s = u . p, every chord over a break of the t-profile is
+    recentered on s = 0, and the bottom and top chains are mapped back.
+    """
+    eps = FLOAT_EPS
     ux, uy = direction
     ts = [-uy * x + ux * y for x, y in ring]
     ss = [ux * x + uy * y for x, y in ring]
@@ -148,14 +276,16 @@ def _symmetrize(ring, direction, eps, max_vertices):
     # the frame map has determinant -|u|^2 < 0, so the CCW frame ring comes
     # back clockwise
     out.reverse()
-    return _prune(out, eps, max_vertices)
+    return _prune(out)
 
 
-def _prune(ring, eps, max_vertices):
-    """Drop (nearly) collinear vertices, then thin the flattest to the budget.
+def _prune(ring):
+    """Drop nearly collinear float vertices, then thin the flattest to the budget.
 
-    Every dropped vertex lies on or inside the kept ring, so the result is
-    inscribed and the perimeter never grows.
+    A vertex goes when its turn is within `FLOAT_EPS` (relative) of
+    straight; then the flattest vertices go until `FLOAT_MAX_VERTICES` are
+    left.  Every dropped vertex lies on or inside the kept ring, so the
+    result is inscribed and the perimeter never grows.
     """
     pts = ring
     changed = True
@@ -165,7 +295,7 @@ def _prune(ring, eps, max_vertices):
         n = len(pts)
         for i in range(n):
             a = pts[i]
-            flat = eps * (1 + abs(a[0]) + abs(a[1])) ** 2
+            flat = FLOAT_EPS * (1 + abs(a[0]) + abs(a[1])) ** 2
             if _cross(pts[i - 1], a, pts[(i + 1) % n]) <= flat:
                 changed = True
             else:
@@ -173,11 +303,11 @@ def _prune(ring, eps, max_vertices):
         pts = keep
         if len(pts) < 3:
             raise ValueError("polygon degenerated to a segment")
-    while len(pts) > max_vertices:
+    while len(pts) > FLOAT_MAX_VERTICES:
         # batch-remove the flattest vertices, never two adjacent in one pass
         n = len(pts)
         crosses = [_cross(pts[i - 1], pts[i], pts[(i + 1) % n]) for i in range(n)]
-        excess = n - max_vertices
+        excess = n - FLOAT_MAX_VERTICES
         threshold = sorted(crosses)[min(excess * 2, n - 1)]
         keep = []
         dropped_prev = False
@@ -202,14 +332,11 @@ def steiner_symmetrize(p: ConvexPolygon, direction) -> ConvexPolygon:
     assembled directly from the concave chord-length profile, so no convex
     hull pass is needed.
     """
-    ux, uy = Fraction(direction[0]), Fraction(direction[1])
-    if ux == 0 and uy == 0:
-        raise ValueError("direction must be nonzero")
+    ux, uy = _primitive(direction)
     if area(p) <= 0:
         raise ValueError("degenerate polygon")
-    ring = _symmetrize(p.vertices, (ux, uy), 0, math.inf)
-    start = min(range(len(ring)), key=lambda i: ring[i])
-    return ConvexPolygon(tuple(ring[start:] + ring[:start]))
+    ring = _exact_round(_triples(p.vertices), ux, uy)
+    return ConvexPolygon(tuple((Fraction(x, d), Fraction(y, d)) for x, y, d in ring))
 
 
 def _float_perimeter(vs) -> float:
@@ -260,12 +387,14 @@ class RoundStat:
     exact: bool
 
 
-def _bit_size(poly: ConvexPolygon) -> int:
-    return max(
-        max(c.numerator.bit_length(), c.denominator.bit_length())
-        for v in poly.vertices
-        for c in v
-    )
+def _bit_size(ring: list[Tri]) -> int:
+    """Largest numerator or denominator of a reduced vertex coordinate."""
+    size = 0
+    for x, y, d in ring:
+        gx, gy = math.gcd(x, d), math.gcd(y, d)
+        size = max(size, (x // gx).bit_length(), (y // gy).bit_length(),
+                   (d // min(gx, gy)).bit_length())
+    return size
 
 
 def iterate_symmetrize(
@@ -275,14 +404,15 @@ def iterate_symmetrize(
 ) -> list[RoundStat]:
     """Random-direction symmetrization rounds with convergence diagnostics.
 
-    The area column is the exact invariant area: rounds run in exact
-    arithmetic (with the invariance asserted) while the polygon stays under
-    the vertex and coordinate-size caps.  Each exact round roughly doubles
-    both, so past the caps the iteration hands off to float rounds of the
-    same `_symmetrize`, with near-collinear pruning and a vertex budget; the
-    pruned polygon is inscribed, so the reported perimeter stays
-    nonincreasing up to roundoff.  Perimeter and disc distance are always
-    double-precision diagnostics.
+    The area column is the exact invariant area: rounds run on integer
+    triples (`_exact_round`, with the shoelace area asserted after each)
+    while the polygon stays under the vertex cap and the bit cap on its
+    reduced coordinates.  Each exact round roughly doubles both, so past
+    the caps the iteration hands off to float rounds (`_symmetrize`), with
+    near-collinear pruning and a vertex budget; the pruned polygon is
+    inscribed, so the reported perimeter stays nonincreasing up to
+    roundoff.  Perimeter and disc distance are always double-precision
+    diagnostics, the exact vertices read as correctly rounded X / D.
     """
     if not 1 <= rounds <= MAX_ROUNDS:
         raise ValueError(f"rounds must be in 1..{MAX_ROUNDS}")
@@ -294,7 +424,9 @@ def iterate_symmetrize(
 
     rng = _random.Random(derive_seed(seed, "steiner-directions"))
     invariant_area = area(p)
-    exact_poly: ConvexPolygon | None = p
+    if invariant_area <= 0:
+        raise ValueError("degenerate polygon")
+    ring: list[Tri] | None = _triples(p.vertices)
     float_vs: list | None = None
     stats = []
     radius = math.sqrt(float(invariant_area) / math.pi)
@@ -302,25 +434,17 @@ def iterate_symmetrize(
         direction = (0, 0)
         while direction == (0, 0):
             direction = (rng.randint(-10, 10), rng.randint(-10, 10))
-        if exact_poly is not None:
-            exact_poly = steiner_symmetrize(exact_poly, direction)
-            if area(exact_poly) != invariant_area:
+        if ring is not None:
+            ring = _exact_round(ring, *_primitive(direction))
+            if _ring_area(ring) != invariant_area:
                 raise AssertionError("exact symmetrization changed the area")
-            vs_float = [(float(x), float(y)) for x, y in exact_poly.vertices]
+            vs_float = [(x / d, y / d) for x, y, d in ring]
             exact_round = True
-            if (
-                len(exact_poly.vertices) > EXACT_VERTEX_CAP
-                or _bit_size(exact_poly) > EXACT_BIT_CAP
-            ):
+            if len(ring) > EXACT_VERTEX_CAP or _bit_size(ring) > EXACT_BIT_CAP:
                 float_vs = vs_float  # hand off to float rounds
-                exact_poly = None
+                ring = None
         else:
-            float_vs = _symmetrize(
-                float_vs,
-                (float(direction[0]), float(direction[1])),
-                FLOAT_EPS,
-                FLOAT_MAX_VERTICES,
-            )
+            float_vs = _symmetrize(float_vs, (float(direction[0]), float(direction[1])))
             vs_float = float_vs
             exact_round = False
         per = _float_perimeter(vs_float)

@@ -7,8 +7,9 @@ the shoelace formula, sumsets by direct enumeration.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 
 def in_convex_hull(point, generators) -> bool:
@@ -244,3 +245,139 @@ def sympy_power_leads(basis, order, k):
     matrix = Matrix([[p.get(e, 0) for e in columns] for p in products])
     _, pivots = matrix.rref()
     return {tuple(x + k * lo for x, lo in zip(columns[j], low)) for j in pivots}
+
+
+def fraction_steiner_round(vertices, direction):
+    """One exact Steiner step on a convex CCW ring, entirely in `Fraction`s.
+
+    The chord direction u is read as a rational vector.  The ring is mapped
+    to the frame t = u^perp . p, s = u . p; at every distinct abscissa of a
+    vertex the chord [lo, hi] is read off every edge spanning it (an edge
+    with t1 == t2 contributes both ends), recentered on s = 0, and the
+    bottom and top chains are mapped back.  Collinear vertices are dropped
+    until none is left, and the ring starts at its lex-min vertex.
+    """
+    ux, uy = Fraction(direction[0]), Fraction(direction[1])
+    ring = [(Fraction(x), Fraction(y)) for x, y in vertices]
+    ts = [-uy * x + ux * y for x, y in ring]
+    ss = [ux * x + uy * y for x, y in ring]
+    breaks = sorted(set(ts))
+    hi = [None] * len(breaks)
+    lo = [None] * len(breaks)
+    n = len(ring)
+    for i in range(n):
+        t1, s1 = ts[i], ss[i]
+        t2, s2 = ts[(i + 1) % n], ss[(i + 1) % n]
+        if t1 > t2:
+            t1, t2, s1, s2 = t2, t1, s2, s1
+        for bi in range(bisect_left(breaks, t1), bisect_right(breaks, t2)):
+            t = breaks[bi]
+            if t1 == t2:
+                s_lo, s_hi = min(s1, s2), max(s1, s2)
+            else:
+                s_lo = s_hi = s1 + (s2 - s1) * (t - t1) / (t2 - t1)
+            hi[bi] = s_hi if hi[bi] is None else max(hi[bi], s_hi)
+            lo[bi] = s_lo if lo[bi] is None else min(lo[bi], s_lo)
+    halves = [(h - l) / 2 for h, l in zip(hi, lo)]
+    frame = [(t, -half) for t, half in zip(breaks, halves)]
+    frame += [(t, half) for t, half in zip(breaks[::-1], halves[::-1]) if half > 0]
+    norm2 = ux * ux + uy * uy
+    out = [((-uy * t + ux * s) / norm2, (ux * t + uy * s) / norm2) for t, s in frame]
+    out.reverse()  # the frame map reverses orientation
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    while True:
+        keep = [a for i, a in enumerate(out) if cross(out[i - 1], a, out[(i + 1) % len(out)]) > 0]
+        if len(keep) < 3:
+            raise ValueError("polygon degenerated to a segment")
+        if len(keep) == len(out):
+            break
+        out = keep
+    start = out.index(min(out))
+    return tuple(out[start:] + out[:start])
+
+
+def brute_hull_volume(points) -> Fraction:
+    """Exact volume of the convex hull of rational points in dimension 1, 2 or 3.
+
+    1D: the length.  2D: Andrew's monotone chain, then the shoelace
+    formula.  3D: every plane through three points that has all points on
+    one side is a facet plane; the hull is the union of the cones from an
+    interior point over its facets, each cone 1/3 times the plane's offset
+    gap times the facet's area projected along a nonzero normal coordinate.
+    Flat point sets have volume 0.
+    """
+    pts = sorted({tuple(Fraction(c) for c in p) for p in points})
+    n = len(pts[0])
+    if n == 1:
+        return pts[-1][0] - pts[0][0]
+    if n == 2:
+        return shoelace_area(_monotone_chain(pts)) if len(pts) > 2 else Fraction(0)
+    center = tuple(sum(c) / len(pts) for c in zip(*pts))
+    seen = set()
+    total = Fraction(0)
+    for a, b, c in combinations(pts, 3):
+        u = [x - y for x, y in zip(b, a)]
+        v = [x - y for x, y in zip(c, a)]
+        normal = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        if not any(normal):
+            continue
+        sides = [sum(m * (x - y) for m, x, y in zip(normal, p, a)) for p in pts]
+        if all(s == 0 for s in sides):
+            return Fraction(0)  # every point lies on this plane
+        if any(s > 0 for s in sides):
+            if any(s < 0 for s in sides):
+                continue  # not a supporting plane
+            normal = tuple(-m for m in normal)
+        lead = next(abs(m) for m in normal if m)
+        key = tuple(m / lead for m in normal) + (sum(m * x for m, x in zip(normal, a)) / lead,)
+        if key in seen:
+            continue
+        seen.add(key)
+        j = next(i for i, m in enumerate(normal) if m)
+        face = [tuple(x for i, x in enumerate(p) if i != j) for p, s in zip(pts, sides) if s == 0]
+        gap = sum(m * (x - y) for m, x, y in zip(normal, a, center))
+        total += gap * brute_hull_volume(face) / (3 * abs(normal[j]))
+    return total
+
+
+def _monotone_chain(pts):
+    """Counterclockwise hull vertices of sorted distinct 2D points."""
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and (
+                (chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])
+            ) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain[:-1]
+
+    return half(pts) + half(pts[::-1])
+
+
+def sympy_lattice_index(sets):
+    """Index of the lattice spanned by within-set differences, by sympy.
+
+    Every set contributes p - min(set) for each of its points, the zero row
+    and rows repeated across sets included; the index is the product of the
+    nonzero invariant factors of sympy's Smith normal form over ZZ, or
+    ``math.inf`` when fewer than n are nonzero.
+    """
+    import math
+
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    n = len(next(iter(sets[0])))
+    rows = []
+    for s in sets:
+        base = min(s)
+        rows.extend([x - y for x, y in zip(p, base)] for p in sorted(s))
+    form = smith_normal_form(Matrix(rows), domain=ZZ)
+    factors = [abs(form[i, i]) for i in range(min(form.shape)) if form[i, i] != 0]
+    return math.prod(int(f) for f in factors) if len(factors) == n else math.inf

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_kfold_sums, brute_sumset_power
+from oracles import brute_hull_volume, brute_kfold_sums, brute_sumset_power, sympy_lattice_index
 from okounkov_lab import geometry as g
 from okounkov_lab import semigroup as sg
 
@@ -191,6 +191,93 @@ class TestDensity:
         rep = sg.density_sequence(sg.slice_of_support(A013, 25))
         assert rep.ample
         assert abs(rep.final_ratio - 3) < F(2, 10)
+
+
+def random_levels(rng, dim, kmax, size, reach):
+    """Seeded levels S_1..S_kmax of `size` points each within k * [-reach, reach]^dim."""
+    return {
+        k: S(dim, [tuple(rng.randint(-reach * k, reach * k) for _ in range(dim)) for _ in range(size)])
+        for k in range(1, kmax + 1)
+    }
+
+
+class TestDensityOracle:
+    """`density_sequence` against a brute `Fraction` hull of the union of S_j / j."""
+
+    @staticmethod
+    def check(levels):
+        dim = next(iter(levels.values())).ambient_dim
+        rep = sg.density_sequence(sg.GradedSemigroupSlice(dim, levels))
+        scaled = []
+        for row in rep.rows:
+            k = row.k
+            scaled.extend(tuple(F(c, k) for c in p) for p in levels[k].points)
+            assert row.ratio == F(len(levels[k]), k**dim)
+            assert row.volume == brute_hull_volume(scaled)
+        assert rep.index == sympy_lattice_index([set(s.points) for s in levels.values()])
+        return rep
+
+    def test_hand_built_levels(self):
+        # none of these is a sumset power of its level 1
+        self.check({1: S(1, [(0,), (1,)]), 2: S(1, [(0,), (5,)]), 3: S(1, [(-4,), (2,), (3,)]),
+                    4: S(1, [(9,)])})
+        self.check({
+            k: S(2, [(0, 0), (k, 0), (0, k)] + [(j, k - j) for j in range(1, k, 2)] + ([(k, k)] if k % 3 == 0 else []))
+            for k in range(1, 8)
+        })
+        self.check({1: S(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+                    2: S(3, [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 3)]),
+                    3: S(3, [(1, 1, 1), (-1, 0, 0), (3, 3, 0)])})
+
+    def test_seeded_levels(self):
+        rng = random.Random(909)
+        for dim, kmax, size in [(1, 9, 3), (2, 7, 4), (2, 5, 6), (3, 4, 3), (3, 3, 4)]:
+            for _ in range(4):
+                self.check(random_levels(rng, dim, kmax, size, reach=2))
+
+    def test_collinear_support(self):
+        rep = self.check(sg.slice_of_support(S(2, [(0, 0), (1, 2), (3, 6)]), 6).levels)
+        assert rep.final_volume == 0 and rep.index == sg.INFINITE
+        rep = self.check({k: S(3, [(k, 0, -k), (0, 0, 0), (2 * k, 0, -2 * k)][: 1 + k % 3]) for k in range(1, 6)})
+        assert rep.final_volume == 0
+
+
+class TestLatticeIndexOracle:
+    """`difference_lattice_index` and `smith_normal_form` against sympy."""
+
+    def test_repeated_and_single_point_sets(self):
+        rng = random.Random(31)
+        for _ in range(120):
+            dim = rng.randint(1, 3)
+            sets = []
+            for _ in range(rng.randint(1, 4)):
+                pts = {tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, 4))}
+                sets.extend([pts] * rng.randint(1, 2))  # a repeated set repeats every row
+            sets.append(set(sets[0]))
+            got = sg.difference_lattice_index([S(dim, s) for s in sets])
+            assert got == sympy_lattice_index(sets)
+
+    def test_known_cases(self):
+        line = {(0, 0), (1, 1), (3, 3)}
+        assert sg.difference_lattice_index([S(2, line)] * 3) == sympy_lattice_index([line] * 3) == sg.INFINITE
+        point = {(2, 5)}
+        assert sg.difference_lattice_index([S(2, point)]) == sympy_lattice_index([point]) == sg.INFINITE
+        grid = {(0, 0), (2, 0), (0, 3), (2, 3)}
+        assert sg.difference_lattice_index([S(2, grid), S(2, grid)]) == sympy_lattice_index([grid] * 2) == 6
+
+    def test_smith_form_with_zero_and_repeated_rows(self):
+        from sympy import ZZ, Matrix
+        from sympy.matrices.normalforms import smith_normal_form
+
+        rng = random.Random(32)
+        for _ in range(150):
+            cols = rng.randint(1, 4)
+            rows = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rng.randint(1, 6))]
+            rows += [[0] * cols] * rng.randint(0, 2) + [list(r) for r in rows[: rng.randint(0, 2)]]
+            rng.shuffle(rows)
+            form = smith_normal_form(Matrix(rows), domain=ZZ)
+            want = [abs(int(form[i, i])) for i in range(min(form.shape))]
+            assert sg.smith_normal_form(rows) == want
 
 
 class TestInteriorMargin:

@@ -8,6 +8,8 @@ from okounkov_lab import geometry as g
 from okounkov_lab import steiner as stn
 from okounkov_lab.jsonio import float_to_str
 from okounkov_lab.radicals import compare_root_sums
+from okounkov_lab.rng import derive_seed
+from oracles import fraction_steiner_round, shoelace_area
 
 
 def random_polygon(rng, span=6, k=6):
@@ -94,6 +96,106 @@ class TestSymmetrize:
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
             stn.steiner_symmetrize(stn.polygon([(0, 0), (1, 0), (0, 1)]), (0, 0))
+
+
+class TestExactOracle:
+    """The integer-triple exact round against a `Fraction` oracle."""
+
+    @staticmethod
+    def pairs():
+        rng = random.Random(4242)
+        for case in range(320):
+            while True:
+                pts = [
+                    (F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), rng.randint(1, 9)))
+                    for _ in range(rng.randint(3, 12))
+                ]
+                try:
+                    p = stn.polygon(pts)
+                    break
+                except ValueError:
+                    continue
+            kind = case % 4
+            if kind == 0:
+                u = random_direction(rng)
+            elif kind == 1:  # rational, not parallel to an axis
+                u = (F(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 9)),
+                     F(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 9)))
+            else:  # parallel to an edge: a frame-vertical edge
+                vs = p.vertices
+                i = rng.randrange(len(vs))
+                a, b = vs[i], vs[(i + 1) % len(vs)]
+                u = (b[0] - a[0], b[1] - a[1]) if kind == 2 else (F(a[0] - b[0], 3), F(a[1] - b[1], 3))
+            yield p, u
+        rect = stn.polygon([(0, 0), (F(7, 2), 0), (F(7, 2), F(5, 3)), (0, F(5, 3))])
+        hexagon = stn.polygon([(0, 0), (2, 0), (3, 1), (2, 2), (0, 2), (-1, 1)])
+        for u in [(1, 0), (0, 1), (F(1, 2), F(-3, 4)), (0, F(-2, 7))]:
+            yield rect, u
+            yield hexagon, u
+
+    def test_equals_fraction_round(self):
+        count = 0
+        for p, u in self.pairs():
+            assert stn.steiner_symmetrize(p, u).vertices == fraction_steiner_round(p.vertices, u)
+            count += 1
+        assert count >= 300
+
+    def test_parabola(self):
+        parabola = stn.polygon([(i, i * i) for i in range(600)])
+        # (1, 3) and (1, 599) are parallel to the edges from (1, 1) and from (0, 0)
+        for u in [(1, 2), (F(1, 2), F(-3, 4)), (1, 3), (1, 599)]:
+            got = stn.steiner_symmetrize(parabola, u).vertices
+            assert got == fraction_steiner_round(parabola.vertices, u)
+
+    def test_collinear_input_vertices_pruned(self):
+        # weakly convex rings, built without `polygon`, keep collinear vertices
+        rings = [
+            [(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)],
+            [(0, 0), (F(3, 2), 0), (3, 0), (3, F(1, 3)), (3, 1), (F(3, 2), F(1, 2))],
+            [(0, 0), (2, 1), (4, 2), (3, 3), (F(3, 2), F(3, 2))],
+        ]
+        for vs in rings:
+            p = stn.ConvexPolygon(tuple((F(x), F(y)) for x, y in vs))
+            for u in [(1, 0), (0, 1), (2, 1), (F(1, 2), F(-3, 4)), (1, 3)]:
+                assert stn.steiner_symmetrize(p, u).vertices == fraction_steiner_round(p.vertices, u)
+
+    def test_bit_size_reads_reduced_coordinates(self):
+        rng = random.Random(77)
+        for _ in range(50):
+            top = rng.choice([2**8, 2**40])  # the numerators or a denominator decide
+            vs = [(F(rng.randint(-top, top), rng.choice([1, rng.randint(1, 2**20)])),
+                   F(rng.randint(-top, top), rng.choice([1, rng.randint(1, 2**30)]))) for _ in range(5)]
+            want = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for v in vs for c in v)
+            assert stn._bit_size(stn._triples(vs)) == want
+
+    def test_iterate_rows_match_oracle_loop(self):
+        quad = stn.polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
+        invariant = shoelace_area(quad.vertices)
+        radius = math.sqrt(float(invariant) / math.pi)
+        for seed in range(5):
+            got = stn.iterate_symmetrize(quad, 12, seed=seed)
+            rng = random.Random(derive_seed(seed, "steiner-directions"))
+            vertices = quad.vertices
+            want = []
+            for r in range(1, 13):
+                direction = (0, 0)
+                while direction == (0, 0):
+                    direction = (rng.randint(-10, 10), rng.randint(-10, 10))
+                vertices = fraction_steiner_round(vertices, direction)
+                assert shoelace_area(vertices) == invariant
+                floats = [(float(x), float(y)) for x, y in vertices]
+                centroid = stn._float_centroid(floats)
+                want.append(stn.RoundStat(
+                    r, invariant, stn._float_perimeter(floats),
+                    stn.hausdorff_to_disc(floats, centroid, radius), len(floats), True,
+                ))
+                bits = max(max(c.numerator.bit_length(), c.denominator.bit_length())
+                           for v in vertices for c in v)
+                if len(vertices) > stn.EXACT_VERTEX_CAP or bits > stn.EXACT_BIT_CAP:
+                    break  # the float hand-off
+            assert 1 <= len(want) < 12
+            assert got[:len(want)] == want
+            assert not any(s.exact for s in got[len(want):])
 
 
 class TestIterate:
