@@ -12,7 +12,7 @@ affine hull of a lower-dimensional body.
 Dimension dispatch:
 
 * d = 1: trivial min/max.
-* d = 2: Andrew monotone chain.
+* d = 2: Andrew monotone chain (:func:`ring_2d`).
 * d = 3, 4: incremental beneath-beyond insertion with strict visibility.
   After the initial simplex, points go in by decreasing exact squared
   distance from the centroid (ties by index), so most late points fall
@@ -53,10 +53,9 @@ class HullResult:
 
     dim: int
     planes: list[tuple[tuple[int, ...], int]]  # hull == {x : a.x <= b} for all (a, b)
-    simplices: list[tuple[int, ...]]  # index tuples into the input points, d each
     vertex_indices: list[int]  # extreme points, sorted
-    normals: np.ndarray  # (len(simplices), d): unreduced outward normal per simplex
-    offsets: np.ndarray  # (len(simplices),): normal . x on that simplex
+    normals: np.ndarray  # one row per boundary simplex: its unreduced outward normal
+    offsets: np.ndarray  # one entry per boundary simplex: normal . x on it
 
 
 def _dot(a, b):
@@ -117,45 +116,46 @@ def _hull_1d(points):
     lo = min(range(len(points)), key=lambda i: points[i][0])
     hi = max(range(len(points)), key=lambda i: points[i][0])
     planes = [((1,), points[hi][0]), ((-1,), -points[lo][0])]
-    verts = sorted({lo, hi})
-    simplices = [(lo,), (hi,)]
     normals = np.array([a for a, _ in planes], dtype=object)
     offsets = np.array([b for _, b in planes], dtype=object)
-    return HullResult(1, planes, simplices, verts, normals, offsets)
+    return HullResult(1, planes, sorted({lo, hi}), normals, offsets)
 
 
-def _hull_2d(points):
-    """Monotone chain; points are deduplicated and lexicographically sorted."""
-    idx = list(range(len(points)))
+def ring_2d(points):
+    """Andrew's monotone chain on deduplicated, lex-sorted 2D points.
 
+    Returns the indices of the extreme points as a counterclockwise ring
+    starting at index 0, the lex-min point; collinear points are dropped.
+    """
     def cross(o, a, b):
         return (points[a][0] - points[o][0]) * (points[b][1] - points[o][1]) - (
             points[a][1] - points[o][1]
         ) * (points[b][0] - points[o][0])
 
-    lower: list[int] = []
-    for i in idx:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], i) <= 0:
-            lower.pop()
-        lower.append(i)
-    upper: list[int] = []
-    for i in reversed(idx):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], i) <= 0:
-            upper.pop()
-        upper.append(i)
-    ring = lower[:-1] + upper[:-1]  # counterclockwise
+    def chain(idx):
+        out: list[int] = []
+        for i in idx:
+            while len(out) >= 2 and cross(out[-2], out[-1], i) <= 0:
+                out.pop()
+            out.append(i)
+        return out[:-1]
+
+    n = len(points)
+    return chain(range(n)) + chain(reversed(range(n)))
+
+
+def _hull_2d(points):
+    ring = ring_2d(points)
     edges = []
-    simplices = []
     for k in range(len(ring)):
         i, j = ring[k], ring[(k + 1) % len(ring)]
         e = _sub(points[j], points[i])
         a = (e[1], -e[0])  # outward normal of a CCW ring
         edges.append((a, _dot(a, points[i])))
-        simplices.append((i, j))
     planes = [_gcd_reduce_plane(a, b) for a, b in edges]
     normals = np.array([a for a, _ in edges], dtype=object)
     offsets = np.array([b for _, b in edges], dtype=object)
-    return HullResult(2, planes, simplices, sorted(ring), normals, offsets)
+    return HullResult(2, planes, sorted(ring), normals, offsets)
 
 
 def _dtype_for(max_abs, d):
@@ -180,7 +180,7 @@ def _levi_civita(d):
     return E.reshape(d, -1).T
 
 
-_LEVI_CIVITA = {d: _levi_civita(d) for d in (3, 4)}
+_LEVI_CIVITA = {d: _levi_civita(d) for d in (2, 3, 4)}
 
 
 def _normals(D):
@@ -269,9 +269,6 @@ def _hull_incremental(points, d):
         add_facets(np.array(horizon), visible)
 
     live = np.flatnonzero(alive[:used])
-    keys = verts[live].tolist()
-    order = sorted(range(len(live)), key=keys.__getitem__)
-    live = live[order]
     N, B = normals[live], offsets[live]
     rows = np.column_stack([N, B])
     rows //= np.gcd.reduce(rows, axis=1)[:, None]
@@ -283,8 +280,7 @@ def _hull_incremental(points, d):
     shared = incidence @ incidence.T  # planes through both corners
     alone = (shared == shared.diagonal()[:, None]).sum(axis=1) == 1
     vertex_indices = corners[alone].tolist()
-    simplices = [tuple(keys[k]) for k in order]
-    return HullResult(d, planes, simplices, vertex_indices, N, B)
+    return HullResult(d, planes, vertex_indices, N, B)
 
 
 def hull_of_lifted(points, d):

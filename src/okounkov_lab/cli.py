@@ -297,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--oracle",
                 action="store_true",
-                help="also run the interpolation oracle",
+                help="also run the mixed-area-measure oracle (dimensions 1-4)",
             )
     return parser
 

@@ -161,6 +161,8 @@ def _core(P: LatticePolytope) -> _HullCore:
 
 def _polytope(scale: int, lifted, n: int) -> LatticePolytope:
     """The polytope conv(lifted / scale), with its hull core cached."""
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError(f"ambient dimension must be in 1..{MAX_DIM}")
     core = _HullCore(scale, lifted, n)
     P = LatticePolytope(n, tuple(core.vertices), core.affine_dim)
     P._cache["core"] = core
@@ -176,8 +178,6 @@ def convex_hull(points) -> LatticePolytope:
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise ValueError("points of mixed dimensions")
-    if not 1 <= n <= MAX_DIM:
-        raise ValueError(f"ambient dimension must be in 1..{MAX_DIM}")
     return _polytope(*_lift(pts), n)
 
 

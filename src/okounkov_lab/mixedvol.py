@@ -3,10 +3,10 @@ suite: Alexandrov-Fenchel, generalized Brunn-Minkowski and the planar
 isoperimetric inequality.
 
 The production algorithm is inclusion-exclusion over subset Minkowski sums;
-an independent oracle recovers the same coefficient by exact polynomial
-interpolation of the volume polynomial.  Equal bodies inside a tuple are
-grouped, so a body repeated k times costs one dilation instead of 2**k
-Minkowski sums.
+an independent oracle, :func:`mixed_volume_interp`, computes the same value
+by the mixed-area-measure recursion over facet normals.  Equal bodies inside
+a tuple are grouped, so a body repeated k times costs one dilation instead of
+2**k Minkowski sums.
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iproduct
 
-from . import geometry
+import numpy as np
+
+from . import _hull, geometry
 from .geometry import LatticePolytope
 from .radicals import compare_root_sums
-
-MAX_INTERP_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -136,73 +137,53 @@ def mixed_volume(t) -> Fraction:
     return _mixed_volume_grouped(distinct, mult, _SumVolumeCache(distinct))
 
 
-def _monomials(n: int, degree: int):
-    """Exponent vectors of total degree `degree` in n variables."""
+def _mixed_area_recursion(bodies) -> Fraction:
+    """V(K1, ..., Kn) = (1/n) sum_u h_K1(u) V_{n-1}(pi_j F(K2, u), ...) / |u_j|.
+
+    u runs over the outward facet normals of K2 + ... + Kn, or over both
+    normals of its hyperplane when the sum is flat; a lower-dimensional sum
+    gives 0.  F(K, u) is the face of K where u.x is largest and pi_j drops a
+    coordinate j with u_j != 0.  The terms are homogeneous in u, so integer
+    normals need no Euclidean norm.  V_1 is length.
+    """
+    n = len(bodies)
+    s1, first = geometry._lifted(bodies[0])
     if n == 1:
-        return [(degree,)]
-    out = []
-    for first in range(degree + 1):
-        for rest in _monomials(n - 1, degree - first):
-            out.append((first,) + rest)
-    return out
-
-
-def _solve_exact(rows, rhs):
-    """Solve a consistent (possibly overdetermined) rational linear system."""
-    m, k = len(rows), len(rows[0])
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for col in range(k):
-        piv = next((i for i in range(rank, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        pr = aug[rank]
-        inv = Fraction(1) / pr[col]
-        aug[rank] = [x * inv for x in pr]
-        for i in range(m):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank < k:
-        raise ValueError("interpolation system is rank deficient")
-    for i in range(rank, m):
-        if aug[i][k] != 0:
-            raise ValueError("volume samples are not a degree-n polynomial")
-    sol = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][k]
-    return sol
+        return Fraction(max(first)[0] - min(first)[0], s1)
+    rest = bodies[1:]
+    core = geometry._core(reduce(geometry.minkowski_sum, rest))
+    if core.affine_dim == n:
+        normals = [a for a, _ in core.planes]
+    elif core.affine_dim == n - 1:
+        a = tuple(int(x) for x in _hull._normals(np.array([core.rows], dtype=object))[0])
+        normals = [a, tuple(-x for x in a)]
+    else:
+        return Fraction(0)
+    total = Fraction(0)
+    for u in normals:
+        j = next(i for i, x in enumerate(u) if x)
+        faces = []
+        for body in rest:
+            s, pts = geometry._lifted(body)
+            heights = [_hull._dot(u, p) for p in pts]
+            top = max(heights)
+            face = [p[:j] + p[j + 1:] for p, h in zip(pts, heights) if h == top]
+            faces.append(geometry._polytope(s, face, n - 1))
+        h1 = Fraction(max(_hull._dot(u, p) for p in first), s1)
+        total += h1 * _mixed_area_recursion(faces) / abs(u[j])
+    return total / n
 
 
 def mixed_volume_interp(t) -> Fraction:
-    """Interpolation oracle for the mixed volume (dimensions 1 to 3).
+    """Independent oracle for the mixed volume: the mixed-area-measure recursion.
 
-    Samples Vol(l_1 D_1 + ... + l_n D_n) on the grid {0..n}^n, solves for
-    the homogeneous degree-n volume polynomial exactly, and reads off the
-    coefficient of l_1 * ... * l_n divided by n!.
+    Dimensions 1 to 4; see :func:`_mixed_area_recursion` and Schneider,
+    *Convex Bodies: The Brunn-Minkowski Theory*, 2nd ed., section 5.1.  The
+    name and the ``*_interp`` report keys date from an earlier oracle that
+    interpolated the volume polynomial; they stay so reports and callers do
+    not change.
     """
-    bodies = _as_bodies(t)
-    n = bodies[0].ambient_dim
-    if n > MAX_INTERP_DIM:
-        raise ValueError("interpolation oracle supports dimensions 1..3")
-    monos = _monomials(n, n)
-    rows, rhs = [], []
-    for lams in iproduct(range(n + 1), repeat=n):
-        rows.append(
-            [Fraction(math.prod(l**e for l, e in zip(lams, mono))) for mono in monos]
-        )
-        pieces = [geometry.scale(b, l) for b, l in zip(bodies, lams)]
-        body = pieces[0]
-        for piece in pieces[1:]:
-            body = geometry.minkowski_sum(body, piece)
-        rhs.append(geometry.volume(body))
-    coeffs = _solve_exact(rows, rhs)
-    target = tuple([1] * n)
-    return coeffs[monos.index(target)] / math.factorial(n)
+    return _mixed_area_recursion(_as_bodies(t))
 
 
 def _witness_bodies(**named) -> dict:
@@ -274,8 +255,9 @@ def check_isoperimetric(d1: LatticePolytope, d2: LatticePolytope) -> InequalityR
     """Planar inequality Area(D1) Area(D2) <= A(D1, D2)^2, all exact.
 
     Also verifies the expansion Area(D1+D2) = Area(D1) + 2A + Area(D2) with
-    the mixed area recomputed by the interpolation oracle, so the identity
-    is not a restatement of the inclusion-exclusion formula.
+    the mixed area recomputed by the mixed-area-measure oracle
+    (:func:`mixed_volume_interp`), so the identity is not a restatement of
+    the inclusion-exclusion formula.
     """
     if d1.ambient_dim != 2 or d2.ambient_dim != 2:
         raise ValueError("isoperimetric check is planar only")

@@ -219,12 +219,14 @@ def slice_of_support(a: SupportSet, k_max: int) -> GradedSemigroupSlice:
 
 
 def newton_body(s: GradedSemigroupSlice) -> ConeSection:
-    """Inner approximation of the Newton body: hull of all S_j / j."""
-    pts = []
-    for j, level in s.levels.items():
-        for p in level.points:
-            pts.append(tuple(Fraction(c, j) for c in p))
-    return ConeSection(geometry.convex_hull(pts), s.k_max)
+    """Inner approximation of the Newton body: hull of all S_j / j.
+
+    Hulled once in integers: with L the lcm of the level numbers, S_j / j
+    is (L // j) S_j over the common scale L.
+    """
+    L = math.lcm(*s.levels)
+    pts = [tuple(L // j * c for c in p) for j, level in s.levels.items() for p in level.points]
+    return ConeSection(geometry._polytope(L, pts, s.ambient_dim), s.k_max)
 
 
 @dataclass(frozen=True)

@@ -82,16 +82,10 @@ def _canonical_ring(points: list[Pt]) -> tuple[Pt, ...]:
     if len(pts) < 3:
         raise ValueError("degenerate polygon")
     _, lifted = _lift(pts)
-    res = _hull.hull_of_lifted(lifted, 2)
-    ring = [res.simplices[0][0]]
-    follow = {i: j for i, j in res.simplices}
-    while len(ring) < len(res.simplices):
-        ring.append(follow[ring[-1]])
-    ring_pts = [pts[i] for i in ring]
-    if len(ring_pts) < 3:
+    ring = _hull.ring_2d(lifted)
+    if len(ring) < 3:
         raise ValueError("degenerate polygon")
-    start = min(range(len(ring_pts)), key=lambda i: ring_pts[i])
-    return tuple(ring_pts[start:] + ring_pts[:start])
+    return tuple(pts[i] for i in ring)
 
 
 def polygon(points) -> ConvexPolygon:

@@ -95,6 +95,17 @@ class TestCommands:
         assert rc == 0 and rep["mixed_volume"] == "1"
         assert rep["version"] and len(rep["input_sha256"]) == 64
 
+    def test_mixedvol_oracle_in_4d(self, tmp_path):
+        simplex = {"dim": 4, "vertices": [["0"] * 4] + [
+            ["1" if i == k else "0" for i in range(4)] for k in range(4)
+        ]}
+        tilted = {"dim": 4, "vertices": [["0", "0", "0", "0"], ["1", "1", "0", "0"],
+                                         ["0", "1/2", "2", "0"], ["0", "0", "1", "1"]]}
+        inp = write(tmp_path, "in.json", {"bodies": [simplex, tilted, simplex, tilted]})
+        rc, rep = run(["mixedvol", inp, "--oracle"], tmp_path / "out.json")
+        assert rc == 0
+        assert rep["mixed_volume_interp"] == rep["mixed_volume"] != "0"
+
     def test_af_check_holds(self, tmp_path):
         inp = write(tmp_path, "in.json", {"bodies": [SQ, SI]})
         rc, rep = run(["af-check", inp], tmp_path / "out.json")

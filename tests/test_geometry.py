@@ -123,7 +123,6 @@ class TestHullEngine:
             big = [tuple(10**6 * c + t for c, t in zip(p, shift)) for p in pts]
             res, res_big = _hull.hull_of_lifted(pts, n), _hull.hull_of_lifted(big, n)
             assert res.normals.dtype == np.int64 and res_big.normals.dtype == object
-            assert res_big.simplices == res.simplices
             assert res_big.vertex_indices == res.vertex_indices
             assert _planes_by_normal(res_big.planes) == {
                 a: 10**6 * b + sum(x * t for x, t in zip(a, shift))
@@ -147,7 +146,6 @@ class TestHullEngine:
         moved = [(p[0] + 1,) + p[1:] for p in pts]  # max |coordinate| M + 1
         res, res_moved = _hull.hull_of_lifted(pts, 4), _hull.hull_of_lifted(moved, 4)
         assert res.normals.dtype == np.int64 and res_moved.normals.dtype == object
-        assert res_moved.simplices == res.simplices
         assert [pts[i] for i in res.vertex_indices] == sorted(corners)
         assert res_moved.vertex_indices == res.vertex_indices
         assert res_moved.planes == [(a, b + a[0]) for a, b in res.planes]

@@ -17,6 +17,13 @@ SQ = poly((0, 0), (1, 0), (0, 1), (1, 1))
 SI = poly((0, 0), (1, 0), (0, 1))
 SEG_DIAG = poly((0, 0), (1, 1))
 CUBE = poly(*[(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+FLAT_SQ = poly((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
+SI3 = poly((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _axis_segments(n):
+    origin = (0,) * n
+    return tuple(poly(origin, tuple(int(i == k) for i in range(n))) for k in range(n))
 
 
 def random_polygon(rng, span=3, k=5):
@@ -63,6 +70,14 @@ class TestInterpOracle:
             ((poly((0, 0), (1, 0)), poly((0, 0), (0, 1))), F(1, 2)),
             ((SI, SEG_DIAG), F(1)),
             ((SQ, SQ), F(1)),
+            (_axis_segments(3), F(1, 6)),
+            (_axis_segments(4), F(1, 24)),
+            ((FLAT_SQ, FLAT_SQ, poly((0, 0, 0), (1, 2, 0))), F(0)),  # all in z = 0
+            ((SI3, FLAT_SQ, FLAT_SQ), F(1, 3)),  # flat sum of the last two
+            ((poly((-1,), (F(3, 2),)),), F(5, 2)),  # 1D: length
+            ((poly((0, 0), (1, 1)), poly((1, 0), (3, 2))), F(0)),  # parallel segments
+            ((poly((0, 0), (F(1, 2), 0), (0, F(1, 3))), SQ), F(5, 12)),  # (width_x + width_y) / 2
+            ((g.scale(CUBE, F(1, 2)), CUBE, poly((0, 0, 0), (F(2, 3), 0, F(1, 5)))), F(13, 90)),
         ],
     )
     def test_examples(self, bodies, expected):
@@ -75,6 +90,16 @@ class TestInterpOracle:
             bodies = (random_polygon(rng), random_polygon(rng))
             assert mv.mixed_volume(bodies) == mv.mixed_volume_interp(bodies)
 
+    def test_agreement_on_4d_quadruples(self):
+        """No other exact check of 4D mixed volumes exists; criterion 5's sizes."""
+        rng = random.Random(4040)
+        for _ in range(20):
+            bodies = tuple(
+                poly(*[tuple(rng.randint(0, 2) for _ in range(4)) for _ in range(5)])
+                for _ in range(4)
+            )
+            assert mv.mixed_volume(bodies) == mv.mixed_volume_interp(bodies)
+
 
 class TestRepeated:
     def test_double_is_volume(self):
@@ -85,10 +110,8 @@ class TestRepeated:
 
     def test_expansion_identity_3d(self):
         # V(K, K, L) = Area(K) * width_L(u) / 3 for K planar with normal u
-        flat_sq = poly((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))
-        si3 = poly((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-        assert mv.mixed_volume((flat_sq, flat_sq, si3)) == F(1, 3)
-        assert mv.mixed_volume((flat_sq, si3, flat_sq)) == F(1, 3)
+        assert mv.mixed_volume((FLAT_SQ, FLAT_SQ, SI3)) == F(1, 3)
+        assert mv.mixed_volume((FLAT_SQ, SI3, FLAT_SQ)) == F(1, 3)
 
 
 class TestAlexandrovFenchel:

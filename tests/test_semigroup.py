@@ -161,6 +161,26 @@ class TestNewtonBody:
         assert body.polytope.affine_dim == 0
         assert body.polytope.vertices == ((F(1), F(0)),)
 
+    def test_matches_fraction_hull_of_levels(self):
+        """The integer lift equals the hull of every S_j / j as `Fraction`s."""
+        rng = random.Random(59)
+        for _ in range(40):
+            dim, kmax = rng.randint(1, 3), rng.randint(1, 6)
+            levels = {j: random_support(rng, dim, 3 * j, rng.randint(1, 5)) for j in range(1, kmax + 1)}
+            s = sg.GradedSemigroupSlice(dim, levels)
+            pts = [tuple(F(c, j) for c in p) for j, level in s.levels.items() for p in level.points]
+            body, expected = sg.newton_body(s).polytope, g.convex_hull(pts)
+            assert body == expected and g.volume(body) == g.volume(expected)
+            core, expected_core = g._core(body), g._core(expected)
+            assert (core.scale, core.lifted) == (expected_core.scale, expected_core.lifted)
+
+    def test_ambient_dimension_above_four_is_a_value_error(self):
+        unit = S(5, [(0,) * 5] + [tuple(int(i == k) for i in range(5)) for k in range(5)])
+        s = sg.slice_of_support(unit, 2)
+        for build in (sg.newton_body, sg.density_sequence):
+            with pytest.raises(ValueError, match="ambient dimension"):
+                build(s)
+
     def test_monotone_in_kmax(self):
         rng = random.Random(53)
         for _ in range(10):
