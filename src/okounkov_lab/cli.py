@@ -1,9 +1,12 @@
 """Command-line front end: JSON in, canonical JSON or CSV reports out.
 
 Exit codes: 0 success or inequality holds, 1 inequality violation or count
-mismatch (the counterexample is preserved in the report), 2 input error,
-3 inconclusive, 4 internal error (an unexpected exception; no
-report).  Identical inputs and seed produce byte-identical reports.
+mismatch (the counterexample is preserved in the report), 2 input error or
+an option the command does not read, 3 inconclusive (a count without a
+majority, or two provably unequal root sums too close to separate), 4
+internal error (an unexpected exception; no report).  Every command takes
+``--out``; the others are declared only where the command reads them (see
+``_READS``).  Identical inputs and seed produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ def _load_input(path: str) -> tuple[dict, str]:
 
 
 def _emit(report: dict, args, rows=None) -> None:
-    if getattr(args, "format", "json") == "csv" and rows is not None:
+    if rows is not None and args.format == "csv":
         header, data = rows
         lines = [",".join(header)]
         for row in data:
@@ -274,6 +277,28 @@ _COMMANDS = {
 }
 
 
+# the options each command reads; every command also takes --out
+_OPTIONS = {
+    "--format": dict(choices=("json", "csv"), default="json", help="report format"),
+    "--seed": dict(type=int, default=0, help="master random seed"),
+    "--trials": dict(type=int, default=5, help="verification trials"),
+    "--kmax": dict(type=int, default=12, help="level cutoff"),
+    "--oracle": dict(
+        action="store_true", help="also run the mixed-area-measure oracle (dimensions 1-4)"
+    ),
+}
+_READS = {
+    "mixedvol": ("--oracle",),
+    "density": ("--format", "--kmax"),
+    "okounkov": ("--kmax",),
+    "hilbert": ("--format", "--kmax"),
+    "bkk-verify": ("--seed", "--trials"),
+    "steiner": ("--format", "--seed"),
+    "profile": ("--format",),
+    "selftest": ("--seed",),
+}
+
+
 @functools.cache  # parse_args leaves the parser unchanged, so one per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -287,18 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "selftest":
             sub.add_argument("input", help="path to the JSON input")
         sub.add_argument("--out", default=None, help="write the report here")
-        sub.add_argument(
-            "--format", choices=("json", "csv"), default="json", help="report format"
-        )
-        sub.add_argument("--seed", type=int, default=0, help="master random seed")
-        sub.add_argument("--trials", type=int, default=5, help="verification trials")
-        sub.add_argument("--kmax", type=int, default=12, help="level cutoff")
-        if name == "mixedvol":
-            sub.add_argument(
-                "--oracle",
-                action="store_true",
-                help="also run the mixed-area-measure oracle (dimensions 1-4)",
-            )
+        for flag in _READS.get(name, ()):
+            sub.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 

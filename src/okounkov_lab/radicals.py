@@ -2,19 +2,21 @@
 
 Inequalities of Brunn-Minkowski type compare quantities like
 a^(1/m) + b^(1/m) with c^(1/m) for nonnegative rationals a, b, c.  Floating
-point must not decide them, so three exact strategies are layered:
+point must not decide them, so one exact procedure does:
 
-1. m = 1 and single-term cases compare rationals directly.
-2. m = 2 comparisons with at most two terms per side are resolved by
-   repeated squaring (binomial expansion over rationals).
-3. If every operand shares one m-th-power-free part h, each side is a
-   rational multiple of h^(1/m) and the multiples compare exactly.
+1. Operands q and r fall into the same class iff q/r is the m-th power of a
+   rational; then q^(1/m) = c * r^(1/m) with c rational.  Each class sums its
+   rational coefficients, left side minus right side.
+2. Roots of positive rationals from different classes are linearly
+   independent over Q (Besicovitch, J. London Math. Soc. 15 (1940); Mordell,
+   Pacific J. Math. 3 (1953)).  So the sides are equal iff every class
+   balances, and with one unbalanced class its coefficient gives the sign.
+3. With two or more unbalanced classes the sums are provably unequal, and
+   interval refinement separates them.  Its 4096-bit cap is a resource
+   budget: hitting it raises IndeterminateComparisonError, which means "too
+   close to call", never a missed equality.
 
-Anything else falls back to adaptive-precision interval arithmetic with a
-hard refinement cap; an undecided comparison raises, it is never resolved
-silently.  The interval path terminates whenever the two sides differ, and
-the shared-power-free path covers the equality cases that arise from scaling
-identities, so in practice the cap is unreachable.
+No operand is ever factored.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ import math
 from fractions import Fraction
 
 _MAX_BITS = 4096
-_FACTOR_LIMIT = 10**6
 
 
 class IndeterminateComparisonError(ArithmeticError):
-    """Raised when interval refinement hits its cap without separating."""
+    """Raised when two unequal root sums are too close to separate."""
 
 
 def integer_nth_root(n: int, m: int) -> int:
@@ -60,72 +61,13 @@ def _root_bounds(q: Fraction, m: int, bits: int) -> tuple[Fraction, Fraction]:
     return Fraction(r, 1 << bits), Fraction(r + 2, 1 << bits)
 
 
-def _power_free_part(q: Fraction, m: int):
-    """Write q = g**m * h with h m-th-power-free; returns (g, h) or None.
-
-    Factoring is by trial division, capped; past the cap a None signals the
-    caller to fall back to intervals.
-    """
-    if q == 0:
-        return Fraction(0), Fraction(1)
-    n = q.numerator * q.denominator ** (m - 1)  # q^(1/m) = n^(1/m) / den
-    g, h = 1, 1
-    d = 2
-    while d * d <= n:
-        if d > _FACTOR_LIMIT:
-            return None
-        if n % d:
-            d += 1
-            continue
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        g *= d ** (e // m)
-        h *= d ** (e % m)
-        d += 1
-    h *= n
-    return Fraction(g, q.denominator), Fraction(h)
-
-
-def _sum_sign_by_squaring(left: list[Fraction], right: list[Fraction]):
-    """Sign of sum(sqrt(left)) - sum(sqrt(right)) for <=2 terms per side."""
-    if len(left) > 2 or len(right) > 2:
+def _rational_root(q: Fraction, m: int) -> Fraction | None:
+    """q**(1/m) if it is rational, else None (q > 0)."""
+    num = integer_nth_root(q.numerator, m)
+    den = integer_nth_root(q.denominator, m)
+    if num**m != q.numerator or den**m != q.denominator:
         return None
-    # reduce to sqrt(a) + sqrt(b) vs sqrt(c) + sqrt(d) with possible zeros
-    a, b = (left + [Fraction(0), Fraction(0)])[:2]
-    c, d = (right + [Fraction(0), Fraction(0)])[:2]
-    # (sqrt(a)+sqrt(b))^2 = a + b + 2 sqrt(ab); compare s + 2 sqrt(ab) vs t + 2 sqrt(cd)
-    s, t = a + b, c + d
-    ab, cd = a * b, c * d
-    # compare 2(sqrt(ab) - sqrt(cd)) vs t - s
-    diff = t - s
-    # sign of sqrt(ab) - sqrt(cd) is sign of ab - cd
-    if diff == 0:
-        return _sign(ab - cd)
-    if diff > 0:
-        # need sign of 2 sqrt(ab) - (t - s) - 2 sqrt(cd) ... compare squares
-        # left side bigger iff 2 sqrt(ab) > diff + 2 sqrt(cd)
-        lhs = 4 * ab
-        # (diff + 2 sqrt(cd))^2 = diff^2 + 4 cd + 4 diff sqrt(cd)
-        base = diff * diff + 4 * cd
-        rem = lhs - base
-        if rem < 0:
-            return -1
-        # compare rem vs 4 diff sqrt(cd): both nonnegative
-        return _sign(rem * rem - 16 * diff * diff * cd)
-    # diff < 0: symmetric
-    lhs = 4 * cd
-    diff = -diff
-    base = diff * diff + 4 * ab
-    rem = lhs - base
-    if rem < 0:
-        return 1
-    return -_sign(rem * rem - 16 * diff * diff * ab)
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
+    return Fraction(num, den)
 
 
 def compare_root_sums(left, right, m: int) -> int:
@@ -141,45 +83,40 @@ def compare_root_sums(left, right, m: int) -> int:
         raise ValueError("operands must be nonnegative")
     left = [q for q in left if q != 0]
     right = [q for q in right if q != 0]
-    if m == 1:
-        return _sign(sum(left) - sum(right))
     if not left or not right:
         if not left and not right:
             return 0
         return 1 if left else -1
-    if m == 2:
-        res = _sum_sign_by_squaring(left, right)
-        if res is not None:
-            return res
-    decomposed = [_power_free_part(q, m) for q in left + right]
-    if all(d is not None for d in decomposed):
-        parts = {d[1] for d in decomposed}
-        if len(parts) == 1:
-            gl = sum(d[0] for d in decomposed[: len(left)])
-            gr = sum(d[0] for d in decomposed[len(left):])
-            return _sign(gl - gr)
+    # class representative r -> coefficient of r**(1/m), left minus right
+    classes: dict[Fraction, Fraction] = {}
+    for side, operands in ((1, left), (-1, right)):
+        for q in operands:
+            for r in classes:
+                c = _rational_root(q / r, m)
+                if c is not None:
+                    classes[r] += side * c
+                    break
+            else:
+                classes[q] = Fraction(side)
+    unbalanced = [(r, c) for r, c in classes.items() if c != 0]
+    if not unbalanced:
+        return 0
+    if len(unbalanced) == 1:
+        return 1 if unbalanced[0][1] > 0 else -1
     bits = 64
     while bits <= _MAX_BITS:
-        lo_l = hi_l = Fraction(0)
-        lo_r = hi_r = Fraction(0)
-        for q in left:
-            lo, hi = _root_bounds(q, m, bits)
-            lo_l += lo
-            hi_l += hi
-        for q in right:
-            lo, hi = _root_bounds(q, m, bits)
-            lo_r += lo
-            hi_r += hi
-        if lo_l > hi_r:
+        lo_sum = hi_sum = Fraction(0)
+        for r, c in unbalanced:
+            lo, hi = _root_bounds(r, m, bits)
+            if c < 0:
+                lo, hi = hi, lo
+            lo_sum += c * lo
+            hi_sum += c * hi
+        if lo_sum > 0:
             return 1
-        if hi_l < lo_r:
+        if hi_sum < 0:
             return -1
         bits *= 2
     raise IndeterminateComparisonError(
-        f"could not separate root sums at {_MAX_BITS} fractional bits"
+        f"root sums are unequal but too close to call at {_MAX_BITS} fractional bits"
     )
-
-
-def root_sum_leq(values, m: int, rhs) -> bool:
-    """Exactly decide sum(v**(1/m)) <= rhs**(1/m)."""
-    return compare_root_sums(values, [rhs], m) <= 0

@@ -381,3 +381,28 @@ def sympy_lattice_index(sets):
     form = smith_normal_form(Matrix(rows), domain=ZZ)
     factors = [abs(form[i, i]) for i in range(min(form.shape)) if form[i, i] != 0]
     return math.prod(int(f) for f in factors) if len(factors) == n else math.inf
+
+
+def sympy_power_free_parts(values, m):
+    """Each rational q >= 0 written as g * h**(1/m), factored by sympy.
+
+    q = a/b has q**(1/m) = (a * b**(m - 1))**(1/m) / b; sympy's `factorint`
+    splits every prime power p**e of a * b**(m - 1) into p**(e // m), which
+    goes into g, and p**(e % m), which goes into h.  Returns a list of
+    (g, h) pairs with g a nonnegative Fraction and h an m-th-power-free
+    positive integer; q = 0 gives (0, 1).
+    """
+    from sympy import factorint
+
+    out = []
+    for q in values:
+        q = Fraction(q)
+        if q == 0:
+            out.append((Fraction(0), 1))
+            continue
+        g, h = 1, 1
+        for p, e in factorint(q.numerator * q.denominator ** (m - 1)).items():
+            g *= p ** (e // m)
+            h *= p ** (e % m)
+        out.append((Fraction(g, q.denominator), h))
+    return out

@@ -2,12 +2,23 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from okounkov_lab import algebra, geometry as g, jsonio, semigroup as sg, steiner as stn
+from okounkov_lab import algebra, bkk, geometry as g, jsonio, mixedvol, semigroup as sg
+from okounkov_lab import selftest, steiner as stn
 from okounkov_lab.cli import main
+from okounkov_lab.radicals import compare_root_sums
+from okounkov_lab.rng import derive_seed
+
+from oracles import (
+    brute_hull_volume,
+    fraction_steiner_round,
+    shoelace_area,
+    sympy_torus_root_count,
+)
 
 SQ = {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]}
 SI = {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
@@ -111,6 +122,20 @@ class TestCommands:
         rc, rep = run(["af-check", inp], tmp_path / "out.json")
         assert rc == 0 and rep["holds"] and rep["rhs"] == "1/2"
 
+    def test_bm_check_homothetic_pair_with_large_primes(self, tmp_path):
+        # D2 = 2 D1, so Brunn-Minkowski holds with equality; D1 has volume
+        # pq/6 with p and q primes above 10^6
+        n = 1_000_003 * 1_000_033
+
+        def simplex(s):
+            return {"dim": 3, "vertices": [["0", "0", "0"], [str(s * n), "0", "0"],
+                                           ["0", str(s), "0"], ["0", "0", str(s)]]}
+
+        inp = write(tmp_path, "in.json", {"m": 3, "body1": simplex(1), "body2": simplex(2)})
+        rc, rep = run(["bm-check", inp], tmp_path / "out.json")
+        assert rc == 0 and rep["holds"] is True
+        assert rep["witness"]["mixed_volume_powers"]["F1^m"] == f"{n}/6"
+
     def test_bkk_verify_example(self, tmp_path):
         inp = write(
             tmp_path,
@@ -190,16 +215,133 @@ class TestCommands:
         areas = {row["area"] for row in rep["rows"]}
         assert areas == {rep["rows"][0]["area"]}
 
-    def test_violation_exit_code_mapping(self, tmp_path):
-        # no true inequality violation exists, so exercise the mapping on a
-        # count mismatch instead: an inconclusive verify returns 3
-        import okounkov_lab.cli as cli
+    def test_violation_exit_code_mapping(self, tmp_path, monkeypatch):
+        # k of 4 certified counts come out one too high: a wrong majority is
+        # a count mismatch (exit 1), a tie is inconclusive (exit 3)
+        inp = write(tmp_path, "in.json", HAND_PAIR)
+        args = ["bkk-verify", inp, "--trials", "4", "--seed", "7"]
+        for k, expected in ((1, 0), (2, 3), (3, 1)):
+            monkeypatch.setattr(bkk, "_run_trials", _raise_first_counts(k))
+            rc, rep = run(args, tmp_path / f"out{k}.json")
+            assert rc == expected
+            assert rep["trials"] == [3] * k + [2] * (4 - k) and rep["degenerate_trials"] == 0
+            assert rep["agreed"] is (k == 1)
+            assert rep["diagnostics"]["inconclusive"] is (k == 2)
+        assert rep["modal"] == 3 != rep["predicted"] == 2
+        # replay each reported trial's system, unpatched, with sympy
+        monkeypatch.undo()
+        supports = [jsonio.support_from_json(s) for s in HAND_PAIR["supports"]]
+        replayed = [
+            sympy_torus_root_count(
+                [p.terms for p in bkk.random_generic_system(supports, derive_seed(7, "base", i))]
+            )
+            for i in range(4)
+        ]
+        assert replayed == [2] * 4 != rep["trials"]
 
-        class FakeReport:
-            agreed = False
-            diagnostics = {"inconclusive": True}
 
-        assert cli.EXIT_INCONCLUSIVE == 3 and cli.EXIT_VIOLATION == 1
+_REAL_RUN_TRIALS = bkk._run_trials
+
+
+def _raise_first_counts(k):
+    """`bkk._run_trials` with the first k certified counts of a batch one too high."""
+
+    def patched(*args):
+        counts, degenerate = _REAL_RUN_TRIALS(*args)
+        return [c + (i < k) for i, c in enumerate(counts)], degenerate
+
+    return patched
+
+
+def _vertices(witness_body):
+    return [tuple(Fraction(c) for c in v) for v in witness_body]
+
+
+def _brute_mixed_area(v1, v2):
+    """V(K, L) = (Area(K + L) - Area(K) - Area(L)) / 2 by brute-force hulls."""
+    total = brute_hull_volume([tuple(a + b for a, b in zip(p, q)) for p in v1 for q in v2])
+    return (total - brute_hull_volume(v1) - brute_hull_volume(v2)) / 2
+
+
+def _reports_twice(args, tmp_path):
+    """Exit codes of two runs and their reports, which must be byte-identical."""
+    outs = [tmp_path / "r1.json", tmp_path / "r2.json"]
+    codes = [main(args + ["--out", str(out)]) for out in outs]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    return codes, json.loads(outs[0].read_text())
+
+
+class TestViolations:
+    """Exit 1 under a fault injected at a module boundary.
+
+    Each test patches one library value, checks exit 1 with the verdict
+    false in a deterministic report, then lifts the patch and recomputes the
+    witness with an independent oracle: the reported value is the faulty one.
+    """
+
+    def test_af_check(self, tmp_path, monkeypatch):
+        real = mixedvol._SumVolumeCache.volume
+
+        def volume(cache, counts):  # Area(2 * body1) reads ten times too large
+            return real(cache, counts) * (10 if counts == (2, 0) else 1)
+
+        monkeypatch.setattr(mixedvol._SumVolumeCache, "volume", volume)
+        inp = write(tmp_path, "in.json", {"bodies": [SQ, SI]})
+        codes, rep = _reports_twice(["af-check", inp], tmp_path)
+        assert codes == [1, 1] and rep["holds"] is False
+        monkeypatch.undo()
+        w = rep["witness"]
+        b1, b2 = _vertices(w["body1"]), _vertices(w["body2"])
+        oracle = {"v12": _brute_mixed_area(b1, b2), "v11": brute_hull_volume(b1),
+                  "v22": brute_hull_volume(b2)}
+        reported = {k: Fraction(v) for k, v in w["mixed_volumes"].items()}
+        assert reported["v11"] == 19 != oracle["v11"] == 1
+        assert reported["v12"] == oracle["v12"] and reported["v22"] == oracle["v22"]
+        assert oracle["v12"] ** 2 >= oracle["v11"] * oracle["v22"]
+
+    def test_bm_check(self, tmp_path, monkeypatch):
+        real, square = mixedvol.mixed_volume, jsonio.polytope_from_json(SQ)
+        monkeypatch.setattr(  # V(D1, D1) reads four times too large
+            mixedvol, "mixed_volume", lambda t: real(t) * (4 if t[0] == square else 1)
+        )
+        inp = write(tmp_path, "in.json", {"m": 2, "body1": SQ, "body2": SI, "fixed": []})
+        codes, rep = _reports_twice(["bm-check", inp], tmp_path)
+        assert codes == [1, 1] and rep["holds"] is False
+        monkeypatch.undo()
+        w = rep["witness"]
+        oracle = [brute_hull_volume(_vertices(w[k])) for k in ("body1", "body2", "body_sum")]
+        reported = [Fraction(w["mixed_volume_powers"][k]) for k in ("F1^m", "F2^m", "Fsum^m")]
+        assert reported[0] == 4 != oracle[0] == 1 and reported[1:] == oracle[1:]
+        assert compare_root_sums(oracle[:2], oracle[2:], 2) <= 0
+
+    def test_isoperimetric(self, tmp_path, monkeypatch):
+        real = mixedvol.mixed_volume
+        monkeypatch.setattr(mixedvol, "mixed_volume", lambda t: real(t) / 4)
+        inp = write(tmp_path, "in.json", {"body1": SQ, "body2": SI})
+        codes, rep = _reports_twice(["isoperimetric", inp], tmp_path)
+        assert codes == [1, 1] and rep["holds"] is False
+        monkeypatch.undo()
+        w = rep["witness"]
+        oracle = _brute_mixed_area(_vertices(w["body1"]), _vertices(w["body2"]))
+        assert Fraction(w["mixed_area"]) == Fraction(1, 4) != oracle == 1
+        assert Fraction(w["mixed_area_interp"]) == oracle
+
+    def test_selftest(self, tmp_path, monkeypatch):
+        real = stn.steiner_symmetrize
+
+        def doubled(p, direction):  # the symmetral comes out twice as wide
+            return stn.polygon([(2 * x, y) for x, y in real(p, direction).vertices])
+
+        monkeypatch.setattr(stn, "steiner_symmetrize", doubled)
+        codes, rep = _reports_twice(["selftest", "--seed", "0"], tmp_path)
+        assert codes == [1, 1] and rep["failed"] == 1
+        failed = [c["name"] for c in rep["cases"] if not c["passed"]]
+        assert failed == ["steiner_example"]
+        monkeypatch.undo()
+        # the case symmetrizes the unit triangle along (0, 1); area is kept
+        ring = fraction_steiner_round([(0, 0), (1, 0), (0, 1)], (0, 1))
+        assert shoelace_area(ring) == Fraction(1, 2)
+        assert all(c["passed"] for c in selftest.run_selftest(seed=0)["cases"])
 
 
 class TestBkkVerifyContract:
@@ -266,7 +408,21 @@ class TestExitContract:
     )
     def test_schema_rejects_bools_and_decimal_rationals(self, tmp_path, command, payload):
         inp = write(tmp_path, "in.json", payload)
-        assert main([command, inp, "--kmax", "2", "--out", str(tmp_path / "o")]) == 2
+        flags = ["--kmax", "2"] if command in ("hilbert", "okounkov") else []
+        assert main([command, inp, "--out", str(tmp_path / "o")] + flags) == 2
+
+    @pytest.mark.parametrize(
+        "command,flags",
+        [("mixedvol", ["--seed", "1"]), ("bm-check", ["--kmax", "2"]),
+         ("okounkov", ["--format", "csv"])],
+        ids=["mixedvol-seed", "bm-check-kmax", "okounkov-format"],
+    )
+    def test_unread_flag_is_rejected(self, tmp_path, command, flags):
+        inp = write(tmp_path, "in.json", {})
+        with pytest.raises(SystemExit) as exc:
+            main([command, inp, "--out", str(tmp_path / "o")] + flags)
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "command,payload,message",
