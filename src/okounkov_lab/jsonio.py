@@ -12,7 +12,7 @@ import json
 import re
 from fractions import Fraction
 
-from . import algebra, bkk, geometry, semigroup, steiner
+from . import algebra, bkk, geometry
 
 
 class SchemaError(ValueError):
@@ -99,32 +99,6 @@ def support_from_json(obj) -> geometry.SupportSet:
         raise SchemaError(str(exc)) from exc
 
 
-def slice_to_json(s: semigroup.GradedSemigroupSlice) -> dict:
-    return {
-        "dim": s.ambient_dim,
-        "levels": {
-            str(k): [list(p) for p in s.levels[k].sorted_points()]
-            for k in sorted(s.levels)
-        },
-    }
-
-
-def slice_from_json(obj) -> semigroup.GradedSemigroupSlice:
-    dim = _expect(obj, "dim", int)
-    levels_raw = _expect(obj, "levels", dict)
-    levels = {}
-    for key, pts in levels_raw.items():
-        try:
-            k = int(key)
-        except ValueError as exc:
-            raise SchemaError(f"bad level key {key!r}") from exc
-        levels[k] = support_from_json({"dim": dim, "points": pts})
-    try:
-        return semigroup.GradedSemigroupSlice(dim, levels)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-
-
 def laurent_to_json(f: algebra.LaurentPolynomial) -> dict:
     return {
         "dim": f.ambient_dim,
@@ -176,27 +150,14 @@ def order_from_json(obj) -> algebra.MonomialOrder:
     raise SchemaError(f"unknown order kind {kind!r}")
 
 
-def polygon_to_json(p: steiner.ConvexPolygon) -> dict:
-    return {
-        "dim": 2,
-        "vertices": [[frac_to_str(c) for c in v] for v in p.vertices],
-    }
-
-
-def polygon_from_json(obj) -> steiner.ConvexPolygon:
-    dim = _expect(obj, "dim", int)
-    if dim != 2:
+def polygon_from_json(obj) -> geometry.LatticePolytope:
+    """A polytope with ``dim = 2`` that must be full-dimensional."""
+    if _expect(obj, "dim", int) != 2:
         raise SchemaError("polygons are two-dimensional")
-    verts = _expect(obj, "vertices", list)
-    pts = []
-    for v in verts:
-        if not isinstance(v, list) or len(v) != 2:
-            raise SchemaError("polygon vertices must be pairs")
-        pts.append(tuple(str_to_frac(c) for c in v))
-    try:
-        return steiner.polygon(pts)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    p = polytope_from_json(obj)
+    if not p.is_full_dimensional:
+        raise SchemaError("degenerate polygon")
+    return p
 
 
 def inequality_report_to_json(r) -> dict:

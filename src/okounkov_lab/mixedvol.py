@@ -236,13 +236,14 @@ def check_generalized_bm(m: int, d1: LatticePolytope, d2: LatticePolytope, fixed
     a = mixed_volume((d1,) * m + fixed)
     b = mixed_volume((d2,) * m + fixed)
     c = mixed_volume((dsum,) * m + fixed)
-    holds = compare_root_sums([a, b], [c], m) <= 0
-    lhs = float(a) ** (1 / m) + float(b) ** (1 / m)
-    rhs = float(c) ** (1 / m)
+    order = compare_root_sums([a, b], [c], m)
+    rhs = f"{float(c) ** (1 / m):.17g}"
+    # equal sums are one real number, so both sides print as one string
+    lhs = rhs if order == 0 else f"{float(a) ** (1 / m) + float(b) ** (1 / m):.17g}"
     return InequalityReport(
-        lhs=f"{lhs:.17g}",
-        rhs=f"{rhs:.17g}",
-        holds=holds,
+        lhs=lhs,
+        rhs=rhs,
+        holds=order <= 0,
         witness={
             "m": m,
             "mixed_volume_powers": {"F1^m": str(a), "F2^m": str(b), "Fsum^m": str(c)},

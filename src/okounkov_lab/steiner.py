@@ -17,8 +17,10 @@ criterion-10 quad at seed 3 it has 79,116 bits after round 8, while no
 vertex coordinate has more than 1,934).  Only the shoelace area checked
 after every exact round meets that common denominator.  Float rounds,
 `_symmetrize`, run the same step on doubles with a small tolerance and a
-vertex budget.  `ConvexPolygon` keeps `Fraction` vertices at the API
-boundary.
+vertex budget.  At the API a polygon is a planar, full-dimensional
+`geometry.LatticePolytope`; its ring of triples is read off the polytope's
+cached lifted vertices (`_ring`).  The convergence diagnostics are plain
+float arithmetic, the disc distance in closed form (`hausdorff_to_disc`).
 
 Iterated symmetrization doubles the vertex count almost every round (each
 interior kink of the chord profile spawns two vertices), so an unbounded
@@ -34,13 +36,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-import numpy as np
-
 from . import _hull
-from .geometry import LatticePolytope, _lift, minkowski_sum, scale, volume
+from .geometry import LatticePolytope, _lifted, _polytope, minkowski_sum, scale, volume
 from .rng import derive_seed
 
-Pt = tuple[Fraction, Fraction]
 Tri = tuple[int, int, int]  # (X, Y, D): the vertex (X / D, Y / D), D > 0, gcd 1
 
 # exact rounds hand off to floats past either cap
@@ -48,58 +47,34 @@ EXACT_VERTEX_CAP = 600
 EXACT_BIT_CAP = 1200
 FLOAT_EPS = 1e-13
 FLOAT_MAX_VERTICES = 1024
-# input budgets: at most 500 rounds (float rounds cost 15-35 ms each),
+# input budgets: at most 500 rounds (float rounds cost 10-25 ms each),
 # 1000 profile samples (4-10 ms each on small 3D bodies), and a polygon of
-# at most as many vertices as a float round keeps (the first round's
-# diagnostics peak at 80 MiB for 1024 input vertices)
+# at most as many vertices as a float round keeps
 MAX_ROUNDS = 500
 MAX_SAMPLES = 1000
 MAX_POLYGON_VERTICES = FLOAT_MAX_VERTICES
-
-
-@dataclass(frozen=True)
-class ConvexPolygon:
-    """Strictly convex polygon: CCW vertices, no collinear triples.
-
-    Each vertex is a pair of `Fraction`s; exact rounds read it as a reduced
-    integer triple (see `_triples`).
-    """
-
-    vertices: tuple[Pt, ...]
-
-    def __post_init__(self):
-        if len(self.vertices) < 3:
-            raise ValueError("polygon needs at least three vertices")
 
 
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _canonical_ring(points: list[Pt]) -> tuple[Pt, ...]:
-    """CCW ring with collinear points pruned, starting at the lex-min vertex."""
-    pts = sorted(set(points))
-    if len(pts) < 3:
+def _ring(p: LatticePolytope) -> list[Tri]:
+    """The vertices of a planar, full-dimensional polytope as a CCW ring of triples.
+
+    The ring starts at the lex-min vertex; each lifted vertex (x, y) over
+    the polytope's scale is reduced by its own gcd.
+    """
+    if p.ambient_dim != 2:
+        raise ValueError("polygons are two-dimensional")
+    if not p.is_full_dimensional:
         raise ValueError("degenerate polygon")
-    _, lifted = _lift(pts)
-    ring = _hull.ring_2d(lifted)
-    if len(ring) < 3:
-        raise ValueError("degenerate polygon")
-    return tuple(pts[i] for i in ring)
-
-
-def polygon(points) -> ConvexPolygon:
-    """Convex polygon through the extreme points of the input."""
-    pts = [(Fraction(p[0]), Fraction(p[1])) for p in points]
-    return ConvexPolygon(_canonical_ring(pts))
-
-
-def _triples(vertices) -> list[Tri]:
-    """Reduced integer triples of `Fraction` vertices."""
+    den, lifted = _lifted(p)
     out = []
-    for x, y in vertices:
-        d = math.lcm(x.denominator, y.denominator)
-        out.append((x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d))
+    for i in _hull.ring_2d(lifted):
+        x, y = lifted[i]
+        g = math.gcd(x, y, den)
+        out.append((x // g, y // g, den // g))
     return out
 
 
@@ -111,10 +86,6 @@ def _ring_area(ring: list[Tri]) -> Fraction:
         twice += Fraction(x1 * y2 - x2 * y1, d1 * d2)
         x1, y1, d1 = x2, y2, d2
     return twice / 2
-
-
-def area(p: ConvexPolygon) -> Fraction:
-    return _ring_area(_triples(p.vertices))
 
 
 def _primitive(direction) -> tuple[int, int]:
@@ -318,19 +289,19 @@ def _prune(ring):
     return pts
 
 
-def steiner_symmetrize(p: ConvexPolygon, direction) -> ConvexPolygon:
+def steiner_symmetrize(p: LatticePolytope, direction) -> LatticePolytope:
     """Recenter all chords in the given direction onto the orthogonal line.
 
-    `direction` is the chord direction as a rational vector; the fixed line
-    H runs orthogonally through the origin.  The result is exact, and it is
-    assembled directly from the concave chord-length profile, so no convex
-    hull pass is needed.
+    `p` is a planar, full-dimensional polytope and `direction` the chord
+    direction as a rational vector; the fixed line H runs orthogonally
+    through the origin.  The result is exact: its ring is assembled directly
+    from the concave chord-length profile and strictly convex, so the hull
+    that builds the polytope keeps every ring vertex.
     """
     ux, uy = _primitive(direction)
-    if area(p) <= 0:
-        raise ValueError("degenerate polygon")
-    ring = _exact_round(_triples(p.vertices), ux, uy)
-    return ConvexPolygon(tuple((Fraction(x, d), Fraction(y, d)) for x, y, d in ring))
+    ring = _exact_round(_ring(p), ux, uy)
+    den = math.lcm(*(d for _, _, d in ring))
+    return _polytope(den, [(x * (den // d), y * (den // d)) for x, y, d in ring], 2)
 
 
 def _float_perimeter(vs) -> float:
@@ -353,22 +324,23 @@ def _float_centroid(vs):
 
 
 def hausdorff_to_disc(vs, center, radius) -> float:
-    """Support-function gap between a float polygon and a disc.
+    """Hausdorff distance from a float CCW polygon to a disc, in closed form.
 
-    Candidate directions are a uniform grid plus every vertex direction and
-    edge normal, where the piecewise-linear support gap attains extrema.
+    For convex bodies it is the largest gap between support functions.  With
+    the center c inside the polygon, h_P(u) - u.c ranges over [r_in, R] on
+    unit vectors u: R is the largest vertex distance from c, attained toward
+    that vertex, and r_in the smallest signed distance from c to an edge
+    line, attained at that edge's outward normal.
     """
     cx, cy = center
-    arr = np.asarray(vs, dtype=float)
-    angles = [2 * math.pi * k / 1024 for k in range(1024)]
-    angles.extend(np.arctan2(arr[:, 1] - cy, arr[:, 0] - cx).tolist())
-    edges = np.roll(arr, -1, axis=0) - arr
-    angles.extend(np.arctan2(edges[:, 0], -edges[:, 1]).tolist())
-    thetas = np.asarray(angles)
-    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    supports = (dirs @ arr.T).max(axis=1)
-    gaps = np.abs(supports - (dirs[:, 0] * cx + dirs[:, 1] * cy + radius))
-    return float(gaps.max())
+    far = max(math.hypot(x - cx, y - cy) for x, y in vs)
+    near = math.inf
+    x1, y1 = vs[-1]
+    for x2, y2 in vs:
+        ex, ey = x2 - x1, y2 - y1
+        near = min(near, (ey * (x1 - cx) - ex * (y1 - cy)) / math.hypot(ex, ey))
+        x1, y1 = x2, y2
+    return max(abs(far - radius), abs(radius - near))
 
 
 @dataclass(frozen=True)
@@ -392,7 +364,7 @@ def _bit_size(ring: list[Tri]) -> int:
 
 
 def iterate_symmetrize(
-    p: ConvexPolygon,
+    p: LatticePolytope,
     rounds: int,
     seed: int = 0,
 ) -> list[RoundStat]:
@@ -410,17 +382,15 @@ def iterate_symmetrize(
     """
     if not 1 <= rounds <= MAX_ROUNDS:
         raise ValueError(f"rounds must be in 1..{MAX_ROUNDS}")
-    if len(p.vertices) > MAX_POLYGON_VERTICES:
+    ring: list[Tri] | None = _ring(p)
+    if len(ring) > MAX_POLYGON_VERTICES:
         raise ValueError(
-            f"polygon has {len(p.vertices)} vertices; the limit is {MAX_POLYGON_VERTICES}"
+            f"polygon has {len(ring)} vertices; the limit is {MAX_POLYGON_VERTICES}"
         )
     import random as _random
 
     rng = _random.Random(derive_seed(seed, "steiner-directions"))
-    invariant_area = area(p)
-    if invariant_area <= 0:
-        raise ValueError("degenerate polygon")
-    ring: list[Tri] | None = _triples(p.vertices)
+    invariant_area = volume(p)
     float_vs: list | None = None
     stats = []
     radius = math.sqrt(float(invariant_area) / math.pi)

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -71,11 +73,6 @@ class TestRoundTrips:
         a = g.support_set(2, [(0, 0), (1, 2), (-1, 3)])
         assert jsonio.support_from_json(jsonio.support_to_json(a)).points == a.points
 
-    def test_slice(self):
-        s = sg.slice_of_support(g.support_set(1, [(0,), (2,)]), 3)
-        back = jsonio.slice_from_json(jsonio.slice_to_json(s))
-        assert back.levels[3].points == s.levels[3].points
-
     def test_subspace(self):
         l = algebra.span(
             2,
@@ -88,8 +85,12 @@ class TestRoundTrips:
         assert algebra.subspaces_equal(back, l)
 
     def test_polygon(self):
-        p = stn.polygon([(0, 0), (3, 1), (2, 4)])
-        assert jsonio.polygon_from_json(jsonio.polygon_to_json(p)).vertices == p.vertices
+        p = g.convex_hull([(0, 0), (3, 1), (2, 4)])
+        assert jsonio.polygon_from_json(jsonio.polytope_to_json(p)) == p
+        with pytest.raises(jsonio.SchemaError, match="polygons are two-dimensional"):
+            jsonio.polygon_from_json(SEG)
+        with pytest.raises(jsonio.SchemaError, match="degenerate polygon"):
+            jsonio.polygon_from_json({"dim": 2, "vertices": [["0", "0"], ["1", "1"], ["2", "2"]]})
 
     def test_order(self):
         assert jsonio.order_from_json({"kind": "lex"}) == algebra.LEX
@@ -135,6 +136,8 @@ class TestCommands:
         rc, rep = run(["bm-check", inp], tmp_path / "out.json")
         assert rc == 0 and rep["holds"] is True
         assert rep["witness"]["mixed_volume_powers"]["F1^m"] == f"{n}/6"
+        # equal root sums are one real number, printed once for both sides
+        assert rep["lhs"] == rep["rhs"]
 
     def test_bkk_verify_example(self, tmp_path):
         inp = write(
@@ -277,6 +280,7 @@ class TestViolations:
     Each test patches one library value, checks exit 1 with the verdict
     false in a deterministic report, then lifts the patch and recomputes the
     witness with an independent oracle: the reported value is the faulty one.
+    A patched function that raises instead exits 4 with no report.
     """
 
     def test_af_check(self, tmp_path, monkeypatch):
@@ -330,18 +334,46 @@ class TestViolations:
         real = stn.steiner_symmetrize
 
         def doubled(p, direction):  # the symmetral comes out twice as wide
-            return stn.polygon([(2 * x, y) for x, y in real(p, direction).vertices])
+            return g.convex_hull([(2 * x, y) for x, y in real(p, direction).vertices])
 
         monkeypatch.setattr(stn, "steiner_symmetrize", doubled)
         codes, rep = _reports_twice(["selftest", "--seed", "0"], tmp_path)
         assert codes == [1, 1] and rep["failed"] == 1
         failed = [c["name"] for c in rep["cases"] if not c["passed"]]
         assert failed == ["steiner_example"]
+        assert all(set(c) == {"name", "passed"} for c in rep["cases"])
         monkeypatch.undo()
         # the case symmetrizes the unit triangle along (0, 1); area is kept
         ring = fraction_steiner_round([(0, 0), (1, 0), (0, 1)], (0, 1))
         assert shoelace_area(ring) == Fraction(1, 2)
         assert all(c["passed"] for c in selftest.run_selftest(seed=0)["cases"])
+
+    def test_selftest_crash_is_exit_4(self, tmp_path, monkeypatch, capsys):
+        # a case that raises is an internal error, not a failed case
+        def crash(p, direction):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(stn, "steiner_symmetrize", crash)
+        out = tmp_path / "out.json"
+        assert main(["selftest", "--seed", "0", "--out", str(out)]) == 4
+        assert not out.exists()
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+def test_benchmark_span_targets_resolve():
+    # the benchmark's traced runs wrap these functions by name; a rename
+    # must fail here, not only under a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module, attr, _ in tracing.TARGETS:
+        owner = importlib.import_module(f"okounkov_lab.{module}")
+        *path_parts, last = attr.split(".")
+        for part in path_parts:
+            owner = getattr(owner, part)
+        assert callable(vars(owner).get(last)), f"{module}.{attr}"
 
 
 class TestBkkVerifyContract:

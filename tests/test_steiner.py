@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from okounkov_lab import geometry as g
@@ -9,7 +10,15 @@ from okounkov_lab import steiner as stn
 from okounkov_lab.jsonio import float_to_str
 from okounkov_lab.radicals import compare_root_sums
 from okounkov_lab.rng import derive_seed
-from oracles import fraction_steiner_round, shoelace_area
+from oracles import fraction_steiner_round, ring_sorted, shoelace_area
+
+
+def polygon(points):
+    """The convex hull of planar points, full-dimensional or rejected."""
+    p = g.convex_hull(points)
+    if not p.is_full_dimensional:
+        raise ValueError("degenerate polygon")
+    return p
 
 
 def random_polygon(rng, span=6, k=6):
@@ -20,9 +29,29 @@ def random_polygon(rng, span=6, k=6):
             for _ in range(k)
         ]
         try:
-            return stn.polygon(pts)
+            return polygon(pts)
         except ValueError:
             continue
+
+
+def ccw(p):
+    """A polygon's vertices as a CCW ring, ordered without the library."""
+    return ring_sorted(p.vertices)
+
+
+def triples(vertices):
+    """Reduced integer triples (X, Y, D) of rational vertices."""
+    out = []
+    for v in vertices:
+        x, y = F(v[0]), F(v[1])
+        d = math.lcm(x.denominator, y.denominator)
+        out.append((x.numerator * (d // x.denominator), y.numerator * (d // y.denominator), d))
+    return out
+
+
+def lex_first(ring):
+    start = ring.index(min(ring))
+    return list(ring[start:]) + list(ring[:start])
 
 
 def random_direction(rng):
@@ -34,35 +63,54 @@ def random_direction(rng):
 
 class TestPolygonType:
     def test_collinear_input_pruned(self):
-        p = stn.polygon([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)])
-        assert (F(1), F(0)) not in p.vertices
+        p = g.convex_hull([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)])
+        assert stn._ring(p) == [(0, 0, 1), (2, 0, 1), (2, 2, 1), (0, 2, 1)]
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            stn.polygon([(0, 0), (1, 1), (2, 2)])
+        segment = g.convex_hull([(0, 0), (1, 1), (2, 2)])
+        solid = g.convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        for p, message in ((segment, "degenerate polygon"), (solid, "two-dimensional")):
+            with pytest.raises(ValueError, match=message):
+                stn.steiner_symmetrize(p, (0, 1))
+            with pytest.raises(ValueError, match=message):
+                stn.iterate_symmetrize(p, 1)
 
     def test_ccw_positive_area(self):
-        p = stn.polygon([(0, 0), (3, 0), (0, 3)])
-        assert stn.area(p) == F(9, 2)
+        ring = stn._ring(g.convex_hull([(0, 3), (3, 0), (0, 0)]))
+        assert ring == [(0, 0, 1), (3, 0, 1), (0, 3, 1)]
+        assert stn._ring_area(ring) == F(9, 2)
+
+    def test_ring_is_the_reduced_fraction_ring(self):
+        # the ring read off the lifted vertices equals the lex-first CCW ring
+        # of each vertex reduced over its own denominators
+        rng = random.Random(31)
+        done = 0
+        while done < 300:
+            pts = [(F(rng.randint(-9, 9), rng.randint(1, 12)), F(rng.randint(-9, 9), rng.randint(1, 12)))
+                   for _ in range(rng.randint(3, 9))]
+            p = g.convex_hull(pts)
+            if p.is_full_dimensional:
+                assert stn._ring(p) == triples(lex_first(ccw(p)))
+                done += 1
 
 
 class TestSymmetrize:
     def test_fixed_point_on_own_axis(self):
         # symmetric about the x-axis; vertical chord direction fixes it
-        p = stn.polygon([(0, 1), (0, -1), (2, 0)])
-        assert stn.steiner_symmetrize(p, (0, 1)).vertices == p.vertices
+        p = polygon([(0, 1), (0, -1), (2, 0)])
+        assert stn.steiner_symmetrize(p, (0, 1)) == p
 
     def test_triangle_area_preserved(self):
-        t = stn.polygon([(0, 0), (1, 0), (0, 1)])
+        t = polygon([(0, 0), (1, 0), (0, 1)])
         out = stn.steiner_symmetrize(t, (0, 1))
-        assert stn.area(out) == F(1, 2)
+        assert g.volume(out) == F(1, 2)
 
     def test_area_preservation_random(self):
         rng = random.Random(7)
         for _ in range(200):
             p = random_polygon(rng)
             u = random_direction(rng)
-            assert stn.area(stn.steiner_symmetrize(p, u)) == stn.area(p)
+            assert g.volume(stn.steiner_symmetrize(p, u)) == g.volume(p)
 
     def test_mirror_symmetry(self):
         rng = random.Random(8)
@@ -85,17 +133,21 @@ class TestSymmetrize:
             assert stn.steiner_symmetrize(q, u).vertices == q.vertices
 
     def test_convexity_of_output(self):
+        # the exact round returns a strictly convex CCW ring, so the polytope
+        # built from it keeps every ring vertex
         rng = random.Random(10)
         for _ in range(40):
-            q = stn.steiner_symmetrize(random_polygon(rng), random_direction(rng))
-            vs = q.vertices
+            p, u = random_polygon(rng), random_direction(rng)
+            ring = stn._exact_round(stn._ring(p), *stn._primitive(u))
+            vs = [(F(x, d), F(y, d)) for x, y, d in ring]
             n = len(vs)
             for i in range(n):
                 assert stn._cross(vs[i - 1], vs[i], vs[(i + 1) % n]) > 0
+            assert stn.steiner_symmetrize(p, u).vertices == tuple(sorted(vs))
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):
-            stn.steiner_symmetrize(stn.polygon([(0, 0), (1, 0), (0, 1)]), (0, 0))
+            stn.steiner_symmetrize(polygon([(0, 0), (1, 0), (0, 1)]), (0, 0))
 
 
 class TestExactOracle:
@@ -111,7 +163,7 @@ class TestExactOracle:
                     for _ in range(rng.randint(3, 12))
                 ]
                 try:
-                    p = stn.polygon(pts)
+                    p = polygon(pts)
                     break
                 except ValueError:
                     continue
@@ -122,13 +174,13 @@ class TestExactOracle:
                 u = (F(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 9)),
                      F(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 9)))
             else:  # parallel to an edge: a frame-vertical edge
-                vs = p.vertices
+                vs = ccw(p)
                 i = rng.randrange(len(vs))
                 a, b = vs[i], vs[(i + 1) % len(vs)]
                 u = (b[0] - a[0], b[1] - a[1]) if kind == 2 else (F(a[0] - b[0], 3), F(a[1] - b[1], 3))
             yield p, u
-        rect = stn.polygon([(0, 0), (F(7, 2), 0), (F(7, 2), F(5, 3)), (0, F(5, 3))])
-        hexagon = stn.polygon([(0, 0), (2, 0), (3, 1), (2, 2), (0, 2), (-1, 1)])
+        rect = polygon([(0, 0), (F(7, 2), 0), (F(7, 2), F(5, 3)), (0, F(5, 3))])
+        hexagon = polygon([(0, 0), (2, 0), (3, 1), (2, 2), (0, 2), (-1, 1)])
         for u in [(1, 0), (0, 1), (F(1, 2), F(-3, 4)), (0, F(-2, 7))]:
             yield rect, u
             yield hexagon, u
@@ -136,28 +188,29 @@ class TestExactOracle:
     def test_equals_fraction_round(self):
         count = 0
         for p, u in self.pairs():
-            assert stn.steiner_symmetrize(p, u).vertices == fraction_steiner_round(p.vertices, u)
+            want = fraction_steiner_round(ccw(p), u)
+            assert stn.steiner_symmetrize(p, u).vertices == tuple(sorted(want))
             count += 1
         assert count >= 300
 
     def test_parabola(self):
-        parabola = stn.polygon([(i, i * i) for i in range(600)])
+        parabola = polygon([(i, i * i) for i in range(600)])
         # (1, 3) and (1, 599) are parallel to the edges from (1, 1) and from (0, 0)
         for u in [(1, 2), (F(1, 2), F(-3, 4)), (1, 3), (1, 599)]:
             got = stn.steiner_symmetrize(parabola, u).vertices
-            assert got == fraction_steiner_round(parabola.vertices, u)
+            assert got == tuple(sorted(fraction_steiner_round(ccw(parabola), u)))
 
     def test_collinear_input_vertices_pruned(self):
-        # weakly convex rings, built without `polygon`, keep collinear vertices
+        # weakly convex rings, which no polytope has, keep collinear vertices
         rings = [
             [(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)],
             [(0, 0), (F(3, 2), 0), (3, 0), (3, F(1, 3)), (3, 1), (F(3, 2), F(1, 2))],
             [(0, 0), (2, 1), (4, 2), (3, 3), (F(3, 2), F(3, 2))],
         ]
         for vs in rings:
-            p = stn.ConvexPolygon(tuple((F(x), F(y)) for x, y in vs))
             for u in [(1, 0), (0, 1), (2, 1), (F(1, 2), F(-3, 4)), (1, 3)]:
-                assert stn.steiner_symmetrize(p, u).vertices == fraction_steiner_round(p.vertices, u)
+                got = stn._exact_round(triples(vs), *stn._primitive(u))
+                assert got == triples(fraction_steiner_round(vs, u))
 
     def test_bit_size_reads_reduced_coordinates(self):
         rng = random.Random(77)
@@ -166,16 +219,16 @@ class TestExactOracle:
             vs = [(F(rng.randint(-top, top), rng.choice([1, rng.randint(1, 2**20)])),
                    F(rng.randint(-top, top), rng.choice([1, rng.randint(1, 2**30)]))) for _ in range(5)]
             want = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for v in vs for c in v)
-            assert stn._bit_size(stn._triples(vs)) == want
+            assert stn._bit_size(triples(vs)) == want
 
     def test_iterate_rows_match_oracle_loop(self):
-        quad = stn.polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
-        invariant = shoelace_area(quad.vertices)
+        quad = polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
+        invariant = shoelace_area(ccw(quad))
         radius = math.sqrt(float(invariant) / math.pi)
         for seed in range(5):
             got = stn.iterate_symmetrize(quad, 12, seed=seed)
             rng = random.Random(derive_seed(seed, "steiner-directions"))
-            vertices = quad.vertices
+            vertices = ccw(quad)
             want = []
             for r in range(1, 13):
                 direction = (0, 0)
@@ -198,39 +251,108 @@ class TestExactOracle:
             assert not any(s.exact for s in got[len(want):])
 
 
+def diagnosed_rounds(p, rounds, seed):
+    """Each round's ring, as `iterate_symmetrize` runs it, in `mpmath` numbers.
+
+    Exact rounds give the exact vertices, rounded to the working precision;
+    float rounds give their doubles, which `mpmath` holds exactly.
+    """
+    rng = random.Random(derive_seed(seed, "steiner-directions"))
+    ring, floats = stn._ring(p), None
+    for _ in range(rounds):
+        direction = (0, 0)
+        while direction == (0, 0):
+            direction = (rng.randint(-10, 10), rng.randint(-10, 10))
+        if ring is not None:
+            ring = stn._exact_round(ring, *stn._primitive(direction))
+            yield [(mpmath.mpf(x) / d, mpmath.mpf(y) / d) for x, y, d in ring]
+            if len(ring) > stn.EXACT_VERTEX_CAP or stn._bit_size(ring) > stn.EXACT_BIT_CAP:
+                floats = [(x / d, y / d) for x, y, d in ring]
+                ring = None
+        else:
+            floats = stn._symmetrize(floats, (float(direction[0]), float(direction[1])))
+            yield [(mpmath.mpf(x), mpmath.mpf(y)) for x, y in floats]
+
+
+def disc_distance(vs, area):
+    """Hausdorff distance from a CCW ring to the disc of the given area about
+    its centroid: max(|R - r|, |r - r_in|), R the farthest vertex from the
+    centroid and r_in the nearest edge line.  Evaluate at high precision."""
+    edges = list(zip(vs, vs[1:] + vs[:1]))
+    a6 = cx = cy = 0
+    for (x1, y1), (x2, y2) in edges:
+        w = x1 * y2 - x2 * y1
+        a6, cx, cy = a6 + 3 * w, cx + (x1 + x2) * w, cy + (y1 + y2) * w
+    cx, cy = cx / a6, cy / a6
+    far = max(mpmath.hypot(x - cx, y - cy) for x, y in vs)
+    near = min(((y2 - y1) * (x1 - cx) - (x2 - x1) * (y1 - cy)) / mpmath.hypot(x2 - x1, y2 - y1)
+               for (x1, y1), (x2, y2) in edges)
+    r = mpmath.sqrt(mpmath.mpf(area.numerator) / area.denominator / mpmath.pi)
+    if len(vs) <= 40:
+        # the support gap h_P(u) - u.c - r, by brute force over the vertices,
+        # at every vertex direction and outward edge normal
+        dirs = [(x - cx, y - cy) for x, y in vs] + [(y2 - y1, x1 - x2) for (x1, y1), (x2, y2) in edges]
+        gaps = []
+        for ux, uy in dirs:
+            norm = mpmath.hypot(ux, uy)
+            gaps.append(max(ux * x + uy * y for x, y in vs) / norm - (ux * cx + uy * cy) / norm - r)
+        assert abs(max(abs(far - r), abs(r - near)) - max(abs(t) for t in gaps)) < mpmath.mpf(10) ** -40
+    return max(abs(far - r), abs(r - near))
+
+
+class TestDiscDistance:
+    """`hausdorff_to_disc` against a 60-digit `mpmath` evaluation."""
+
+    def test_matches_mpmath_on_212_rounds(self):
+        # the criterion-10 quad through its float rounds, then 40 hexagons
+        cases = [(polygon([(0, 0), (4, 1), (5, 4), (1, 3)]), 12, 3)]
+        rng = random.Random(1212)
+        cases += [(random_polygon(rng), 5, seed) for seed in range(40)]
+        count = 0
+        with mpmath.workdps(60):
+            for p, rounds, seed in cases:
+                stats = stn.iterate_symmetrize(p, rounds, seed=seed)
+                for stat, vs in zip(stats, diagnosed_rounds(p, rounds, seed)):
+                    assert stat.vertex_count == len(vs)
+                    want = disc_distance(vs, stat.area)
+                    assert abs(stat.hausdorff_to_disc - want) <= 1e-12 * want
+                    count += 1
+        assert count == 212
+
+
 class TestIterate:
     def test_area_constant_exact_rounds(self):
-        quad = stn.polygon([(0, 0), (3, 1), (4, 3), (1, 2)])
+        quad = polygon([(0, 0), (3, 1), (4, 3), (1, 2)])
         stats = stn.iterate_symmetrize(quad, 8, seed=5)
         assert all(s.exact for s in stats)
-        assert {s.area for s in stats} == {stn.area(quad)}
+        assert {s.area for s in stats} == {g.volume(quad)}
 
     def test_perimeter_nonincreasing(self):
-        quad = stn.polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
+        quad = polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
         stats = stn.iterate_symmetrize(quad, 30, seed=3)
         pers = [s.perimeter for s in stats]
         assert all(b <= a + 1e-9 for a, b in zip(pers, pers[1:]))
 
     def test_converges_to_disc(self):
-        quad = stn.polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
+        quad = polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
         stats = stn.iterate_symmetrize(quad, 50, seed=3)
-        radius = math.sqrt(float(stn.area(quad)) / math.pi)
+        radius = math.sqrt(float(g.volume(quad)) / math.pi)
         assert stats[-1].hausdorff_to_disc < 0.05 * radius
 
     def test_float_rounds_golden(self):
         # 8 exact rounds, then 4 float rounds of the shared routine
-        quad = stn.polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
+        quad = polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
         rows = [
             (float_to_str(s.perimeter), float_to_str(s.hausdorff_to_disc), s.vertex_count, s.exact)
             for s in stn.iterate_symmetrize(quad, 12, seed=3)
         ]
         assert rows == [
-            ("14.246201219220477", "1.2423508092851776", 6, True),
+            ("14.246201219220477", "1.2423508092851772", 6, True),
             ("14.111775169267784", "1.2183075462372148", 10, True),
             ("13.54885012221558", "1.0597639435603328", 18, True),
             ("13.280489608583139", "0.9722525339989927", 34, True),
             ("12.205825987403818", "0.50056346334806356", 66, True),
-            ("11.873633600290344", "0.14256182180422416", 130, True),
+            ("11.873633600290344", "0.14256182180422394", 130, True),
             ("11.802530865973326", "0.075734295014053821", 258, True),
             ("11.784829481881756", "0.038998505875459166", 514, True),
             ("11.763803577450679", "0.022119073548037882", 1024, False),
@@ -241,14 +363,14 @@ class TestIterate:
 
     def test_exact_rounds_never_thinned(self):
         # past the float vertex budget, yet an exact round keeps every vertex
-        parabola = stn.polygon([(i, i * i) for i in range(600)])
+        parabola = polygon([(i, i * i) for i in range(600)])
         assert len(stn.steiner_symmetrize(parabola, (1, 2)).vertices) == 1196
         (stat,) = stn.iterate_symmetrize(parabola, 1, seed=0)
         assert stat.exact and stat.vertex_count > stn.FLOAT_MAX_VERTICES
-        assert stat.area == stn.area(parabola)
+        assert stat.area == g.volume(parabola)
 
     def test_deterministic(self):
-        quad = stn.polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
+        quad = polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
         a = stn.iterate_symmetrize(quad, 12, seed=11)
         b = stn.iterate_symmetrize(quad, 12, seed=11)
         assert a == b
