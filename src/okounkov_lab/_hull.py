@@ -108,7 +108,7 @@ def _initial_simplex(points, d):
     base = points[0]
     chosen = [0] + [i + 1 for i, _ in echelon(_sub(p, base) for p in points[1:])]
     if len(chosen) != d + 1:
-        raise ValueError("points do not span the expected dimension")
+        raise AssertionError("points do not span the expected dimension")
     return chosen
 
 

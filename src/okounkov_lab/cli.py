@@ -1,12 +1,21 @@
 """Command-line front end: JSON in, canonical JSON or CSV reports out.
 
+The boundary lives in :func:`main`.  It reads the input file into
+``args.data``, starts the report with ``command``, ``version``,
+``input_sha256`` and, for seeded commands, ``seed``, calls the command's
+handler, renders the report (``--format csv`` writes its ``rows``, the first
+row's keys as the header), writes ``--out`` or stdout, and maps exceptions
+to exit codes.  A handler only computes: it returns its report fields and
+its exit code.
+
 Exit codes: 0 success or inequality holds, 1 inequality violation or count
 mismatch (the counterexample is preserved in the report), 2 input error or
 an option the command does not read, 3 inconclusive (a count without a
 majority, or two provably unequal root sums too close to separate), 4
-internal error (an unexpected exception; no report).  Every command takes
-``--out``; the others are declared only where the command reads them (see
-``_READS``).  Identical inputs and seed produce byte-identical reports.
+internal error (an unexpected exception, or a ``ValueError`` in a command
+that reads no input; no report).  Every command takes ``--out``; the others
+are declared only where the command reads them (see ``_READS``).  Identical
+inputs and seed produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -16,7 +25,6 @@ import functools
 import hashlib
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__, algebra, bkk, geometry, jsonio, mixedvol, semigroup, steiner
 from .jsonio import SchemaError, dumps_canonical, float_to_str, frac_to_str
@@ -43,134 +51,76 @@ def _load_input(path: str) -> tuple[dict, str]:
     return obj, hashlib.sha256(raw).hexdigest()
 
 
-def _emit(report: dict, args, rows=None) -> None:
-    if rows is not None and args.format == "csv":
-        header, data = rows
-        lines = [",".join(header)]
-        for row in data:
-            lines.append(",".join(str(c) for c in row))
-        text = "\n".join(lines) + "\n"
-    else:
-        text = dumps_canonical(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _base_report(command: str, input_hash: str | None, seed=None) -> dict:
-    report = {"command": command, "version": __version__}
-    if input_hash is not None:
-        report["input_sha256"] = input_hash
-    if seed is not None:
-        report["seed"] = seed
-    return report
-
-
-def _bodies_from(obj, key="bodies"):
-    raw = jsonio._expect(obj, key, list)
+def _bodies_from(obj):
+    raw = jsonio._expect(obj, "bodies", list)
     return tuple(jsonio.polytope_from_json(b) for b in raw)
 
 
-def _cmd_mixedvol(args) -> int:
-    obj, digest = _load_input(args.input)
-    bodies = _bodies_from(obj)
-    value = mixedvol.mixed_volume(bodies)
-    report = _base_report("mixedvol", digest)
-    report["mixed_volume"] = frac_to_str(value)
+def _pair_from(obj):
+    return tuple(jsonio.polytope_from_json(jsonio._expect(obj, k)) for k in ("body1", "body2"))
+
+
+def _verdict(result):
+    return jsonio.inequality_report_to_json(result), EXIT_OK if result.holds else EXIT_VIOLATION
+
+
+def _cmd_mixedvol(args):
+    bodies = _bodies_from(args.data)
+    fields = {"mixed_volume": frac_to_str(mixedvol.mixed_volume(bodies))}
     if args.oracle:
-        report["mixed_volume_interp"] = frac_to_str(mixedvol.mixed_volume_interp(bodies))
-    _emit(report, args)
-    return EXIT_OK
+        fields["mixed_volume_interp"] = frac_to_str(mixedvol.mixed_volume_interp(bodies))
+    return fields, EXIT_OK
 
 
-def _cmd_af_check(args) -> int:
-    obj, digest = _load_input(args.input)
-    result = mixedvol.check_alexandrov_fenchel(_bodies_from(obj))
-    report = _base_report("af-check", digest)
-    report.update(jsonio.inequality_report_to_json(result))
-    _emit(report, args)
-    return EXIT_OK if result.holds else EXIT_VIOLATION
+def _cmd_af_check(args):
+    return _verdict(mixedvol.check_alexandrov_fenchel(_bodies_from(args.data)))
 
 
-def _cmd_bm_check(args) -> int:
-    obj, digest = _load_input(args.input)
-    m = jsonio._expect(obj, "m", int)
-    d1 = jsonio.polytope_from_json(jsonio._expect(obj, "body1"))
-    d2 = jsonio.polytope_from_json(jsonio._expect(obj, "body2"))
-    fixed = [jsonio.polytope_from_json(b) for b in obj.get("fixed", [])]
-    result = mixedvol.check_generalized_bm(m, d1, d2, fixed)
-    report = _base_report("bm-check", digest)
-    report.update(jsonio.inequality_report_to_json(result))
-    _emit(report, args)
-    return EXIT_OK if result.holds else EXIT_VIOLATION
+def _cmd_bm_check(args):
+    m = jsonio._expect(args.data, "m", int)
+    d1, d2 = _pair_from(args.data)
+    fixed = [jsonio.polytope_from_json(b) for b in args.data.get("fixed", [])]
+    return _verdict(mixedvol.check_generalized_bm(m, d1, d2, fixed))
 
 
-def _cmd_isoperimetric(args) -> int:
-    obj, digest = _load_input(args.input)
-    d1 = jsonio.polytope_from_json(jsonio._expect(obj, "body1"))
-    d2 = jsonio.polytope_from_json(jsonio._expect(obj, "body2"))
-    result = mixedvol.check_isoperimetric(d1, d2)
-    report = _base_report("isoperimetric", digest)
-    report.update(jsonio.inequality_report_to_json(result))
-    _emit(report, args)
-    return EXIT_OK if result.holds else EXIT_VIOLATION
+def _cmd_isoperimetric(args):
+    return _verdict(mixedvol.check_isoperimetric(*_pair_from(args.data)))
 
 
-def _cmd_sumset(args) -> int:
-    obj, digest = _load_input(args.input)
-    support = jsonio.support_from_json(jsonio._expect(obj, "support"))
-    k = jsonio._expect(obj, "k", int)
+def _cmd_sumset(args):
+    support = jsonio.support_from_json(jsonio._expect(args.data, "support"))
+    k = jsonio._expect(args.data, "k", int)
     out = semigroup.sumset_power(support, k)
-    report = _base_report("sumset", digest)
-    report["k"] = k
-    report["result"] = jsonio.support_to_json(out)
-    _emit(report, args)
-    return EXIT_OK
+    return {"k": k, "result": jsonio.support_to_json(out)}, EXIT_OK
 
 
-def _cmd_density(args) -> int:
-    obj, digest = _load_input(args.input)
-    support = jsonio.support_from_json(jsonio._expect(obj, "support"))
+def _cmd_density(args):
+    support = jsonio.support_from_json(jsonio._expect(args.data, "support"))
     rep = semigroup.density_sequence(semigroup.slice_of_support(support, args.kmax))
-    report = _base_report("density", digest)
-    report["ample"] = rep.ample
-    report["index"] = "INFINITE" if rep.index == semigroup.INFINITE else rep.index
-    report["rows"] = [
+    rows = [
         {"k": r.k, "ratio": frac_to_str(r.ratio), "volume": frac_to_str(r.volume)}
         for r in rep.rows
     ]
-    rows = (
-        ["k", "ratio", "volume"],
-        [(r.k, frac_to_str(r.ratio), frac_to_str(r.volume)) for r in rep.rows],
-    )
-    _emit(report, args, rows)
-    return EXIT_OK
+    index = "INFINITE" if rep.index == semigroup.INFINITE else rep.index
+    return {"ample": rep.ample, "index": index, "rows": rows}, EXIT_OK
 
 
-def _cmd_okounkov(args) -> int:
-    obj, digest = _load_input(args.input)
-    sub = jsonio.subspace_from_json(jsonio._expect(obj, "subspace"))
-    order = jsonio.order_from_json(obj.get("order"))
-    body = algebra.newton_okounkov_body(sub, order, args.kmax)
-    report = _base_report("okounkov", digest)
-    report["kmax"] = args.kmax
-    report["body"] = jsonio.polytope_to_json(body.polytope)
-    report["body_dim"] = body.polytope.affine_dim
-    report["volume"] = frac_to_str(geometry.volume(body.polytope))
-    _emit(report, args)
-    return EXIT_OK
+def _cmd_okounkov(args):
+    sub = jsonio.subspace_from_json(jsonio._expect(args.data, "subspace"))
+    order = jsonio.order_from_json(args.data.get("order"))
+    body = algebra.newton_okounkov_body(sub, order, args.kmax).polytope
+    return {
+        "kmax": args.kmax,
+        "body": jsonio.polytope_to_json(body),
+        "body_dim": body.affine_dim,
+        "volume": frac_to_str(geometry.volume(body)),
+    }, EXIT_OK
 
 
-def _cmd_hilbert(args) -> int:
-    obj, digest = _load_input(args.input)
-    sub = jsonio.subspace_from_json(jsonio._expect(obj, "subspace"))
+def _cmd_hilbert(args):
+    sub = jsonio.subspace_from_json(jsonio._expect(args.data, "subspace"))
     values = algebra.hilbert_function(sub, args.kmax)
-    report = _base_report("hilbert", digest)
-    report["rows"] = [{"k": k, "dim": d} for k, d in values]
-    _emit(report, args, (["k", "dim"], values))
-    return EXIT_OK
+    return {"rows": [{"k": k, "dim": d} for k, d in values]}, EXIT_OK
 
 
 def _supports_from(obj):
@@ -178,36 +128,25 @@ def _supports_from(obj):
     return [jsonio.support_from_json(s) for s in raw]
 
 
-def _cmd_bkk_predict(args) -> int:
-    obj, digest = _load_input(args.input)
-    predicted = bkk.bkk_number(_supports_from(obj))
-    report = _base_report("bkk-predict", digest)
-    report["predicted"] = predicted
-    _emit(report, args)
-    return EXIT_OK
+def _cmd_bkk_predict(args):
+    return {"predicted": bkk.bkk_number(_supports_from(args.data))}, EXIT_OK
 
 
-def _cmd_bkk_verify(args) -> int:
-    obj, digest = _load_input(args.input)
-    supports = _supports_from(obj)
-    result = bkk.verify_bkk(supports, trials=args.trials, seed=args.seed)
-    report = _base_report("bkk-verify", digest, seed=args.seed)
-    report.update(jsonio.count_report_to_json(result))
-    _emit(report, args)
+def _cmd_bkk_verify(args):
+    result = bkk.verify_bkk(_supports_from(args.data), trials=args.trials, seed=args.seed)
     if result.agreed:
-        return EXIT_OK
-    if result.diagnostics.get("inconclusive"):
-        return EXIT_INCONCLUSIVE
-    return EXIT_VIOLATION
+        code = EXIT_OK
+    elif result.diagnostics.get("inconclusive"):
+        code = EXIT_INCONCLUSIVE
+    else:
+        code = EXIT_VIOLATION
+    return jsonio.count_report_to_json(result), code
 
 
-def _cmd_steiner(args) -> int:
-    obj, digest = _load_input(args.input)
-    poly = jsonio.polygon_from_json(jsonio._expect(obj, "polygon"))
-    rounds = jsonio._expect(obj, "rounds", int)
-    stats = steiner.iterate_symmetrize(poly, rounds, seed=args.seed)
-    report = _base_report("steiner", digest, seed=args.seed)
-    report["rows"] = [
+def _cmd_steiner(args):
+    poly = jsonio.polygon_from_json(jsonio._expect(args.data, "polygon"))
+    rounds = jsonio._expect(args.data, "rounds", int)
+    rows = [
         {
             "round": s.round,
             "area": frac_to_str(s.area),
@@ -216,48 +155,23 @@ def _cmd_steiner(args) -> int:
             "vertices": s.vertex_count,
             "exact": s.exact,
         }
-        for s in stats
+        for s in steiner.iterate_symmetrize(poly, rounds, seed=args.seed)
     ]
-    rows = (
-        ["round", "area", "perimeter", "hausdorff_to_disc", "vertices", "exact"],
-        [
-            (
-                s.round,
-                frac_to_str(s.area),
-                float_to_str(s.perimeter),
-                float_to_str(s.hausdorff_to_disc),
-                s.vertex_count,
-                s.exact,
-            )
-            for s in stats
-        ],
-    )
-    _emit(report, args, rows)
-    return EXIT_OK
+    return {"rows": rows}, EXIT_OK
 
 
-def _cmd_profile(args) -> int:
-    obj, digest = _load_input(args.input)
-    d1 = jsonio.polytope_from_json(jsonio._expect(obj, "body1"))
-    d2 = jsonio.polytope_from_json(jsonio._expect(obj, "body2"))
-    samples = obj.get("samples", 10)
+def _cmd_profile(args):
+    d1, d2 = _pair_from(args.data)
+    samples = args.data.get("samples", 10)
     if not jsonio.is_int(samples):
         raise SchemaError("samples must be an integer")
     values = steiner.section_profile(d1, d2, samples)
-    report = _base_report("profile", digest)
-    report["rows"] = [
-        {"h": frac_to_str(h), "volume": frac_to_str(v)} for h, v in values
-    ]
-    _emit(report, args, (["h", "volume"], [(frac_to_str(h), frac_to_str(v)) for h, v in values]))
-    return EXIT_OK
+    return {"rows": [{"h": frac_to_str(h), "volume": frac_to_str(v)} for h, v in values]}, EXIT_OK
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args):
     result = run_selftest(seed=args.seed)
-    report = _base_report("selftest", None, seed=args.seed)
-    report.update(result)
-    _emit(report, args)
-    return EXIT_OK if result["failed"] == 0 else EXIT_VIOLATION
+    return result, EXIT_OK if result["failed"] == 0 else EXIT_VIOLATION
 
 
 _COMMANDS = {
@@ -318,21 +232,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handler = _COMMANDS[args.command][0]
     try:
-        return handler(args)
-    except SchemaError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        report = {"command": args.command, "version": __version__}
+        if "input" in args:
+            args.data, report["input_sha256"] = _load_input(args.input)
+        if "seed" in args:
+            report["seed"] = args.seed
+        fields, code = handler(args)
+        report.update(fields)
+        if getattr(args, "format", "json") == "csv":
+            rows = report["rows"]
+            lines = [rows[0].keys()] + [row.values() for row in rows]
+            text = "".join(",".join(map(str, line)) + "\n" for line in lines)
+        else:
+            text = dumps_canonical(report)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except IndeterminateComparisonError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except Exception as exc:  # a crash must not read as exit 1, a verdict
+        # a ValueError blames the input only in a command that reads one
+        if isinstance(exc, ValueError) and "input" in args:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -11,6 +11,7 @@ a tuple are grouped, so a body repeated k times costs one dilation instead of
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,7 +72,7 @@ class _SumVolumeCache:
             return got
         active = [i for i, c in enumerate(counts) if c]
         if not active:
-            raise ValueError("empty combination")
+            raise AssertionError("empty combination")
         i = active[0]
         if len(active) > 1:
             # the dilation c_i * body_i is itself cached, so it is hulled once
@@ -224,6 +225,25 @@ def check_alexandrov_fenchel(t) -> InequalityReport:
     )
 
 
+def _root_sum_str(values, m: int) -> str:
+    """The sum of the m-th roots of exact non-negative values, to 17 digits.
+
+    Doubles give the digits while every value fits in one.  A value beyond
+    double range is summed with 40-digit decimals instead, printed in the
+    same style, so huge bodies get a report, not an overflow.
+    """
+    try:
+        return f"{sum(float(v) ** (1 / m) for v in values):.17g}"
+    except OverflowError:
+        pass
+    with decimal.localcontext(decimal.Context(prec=40, Emax=decimal.MAX_EMAX)):
+        total = sum(
+            (decimal.Decimal(v.numerator) / v.denominator) ** (decimal.Decimal(1) / m)
+            for v in values
+        )
+    return f"{total.normalize(decimal.Context(prec=17, Emax=decimal.MAX_EMAX)):g}"
+
+
 def check_generalized_bm(m: int, d1: LatticePolytope, d2: LatticePolytope, fixed) -> InequalityReport:
     """Check F(D1) + F(D2) <= F(D1 + D2) for F(D) = V(m*D, fixed)^(1/m)."""
     fixed = tuple(fixed)
@@ -237,9 +257,9 @@ def check_generalized_bm(m: int, d1: LatticePolytope, d2: LatticePolytope, fixed
     b = mixed_volume((d2,) * m + fixed)
     c = mixed_volume((dsum,) * m + fixed)
     order = compare_root_sums([a, b], [c], m)
-    rhs = f"{float(c) ** (1 / m):.17g}"
+    rhs = _root_sum_str([c], m)
     # equal sums are one real number, so both sides print as one string
-    lhs = rhs if order == 0 else f"{float(a) ** (1 / m) + float(b) ** (1 / m):.17g}"
+    lhs = rhs if order == 0 else _root_sum_str([a, b], m)
     return InequalityReport(
         lhs=lhs,
         rhs=rhs,

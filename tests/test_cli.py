@@ -1,12 +1,15 @@
 import importlib
 import importlib.util
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from okounkov_lab import algebra, bkk, geometry as g, jsonio, mixedvol, semigroup as sg
@@ -42,6 +45,17 @@ BKK48 = supports_json(
     [(0, 7), (2, 5), (2, 6), (5, 1), (5, 7), (7, 1)], [(2, 2), (3, 0), (4, 6)]
 )
 
+
+def box(*sides):
+    return {"dim": len(sides), "vertices": [
+        [str(s * b) for s, b in zip(sides, bits)]
+        for bits in itertools.product((0, 1), repeat=len(sides))
+    ]}
+
+
+def simplex3(s):
+    return {"dim": 3, "vertices": [["0", "0", "0"], [str(s), "0", "0"],
+                                   ["0", str(s), "0"], ["0", "0", str(s)]]}
 
 def write(tmp_path, name, obj):
     p = tmp_path / name
@@ -218,6 +232,82 @@ class TestCommands:
         areas = {row["area"] for row in rep["rows"]}
         assert areas == {rep["rows"][0]["area"]}
 
+    @pytest.mark.parametrize(
+        "m,body1,body2,powers",
+        [
+            # D2 = [0, 2^1000] x [0, 2^1000 + 1]: a strict inequality
+            (2, SQ, box(2**1000, 2**1000 + 1),
+             [1, 2**1000 * (2**1000 + 1), (2**1000 + 1) * (2**1000 + 2)]),
+            (1, SEG, box(2**1100), [1, 2**1100, 2**1100 + 1]),
+            # D2 = 2^400 D1: equality
+            (3, simplex3(1), simplex3(2**400),
+             [Fraction(1, 6), Fraction(2**1200, 6), Fraction((2**400 + 1) ** 3, 6)]),
+        ],
+        ids=["2d-strict", "1d-equal", "3d-homothetic"],
+    )
+    def test_bm_check_beyond_double_range(self, tmp_path, m, body1, body2, powers):
+        # the m-th powers overflow a double; the sides print as 17 digits
+        inp = write(tmp_path, "in.json", {"m": m, "body1": body1, "body2": body2})
+        rc, rep = run(["bm-check", inp], tmp_path / "out.json")
+        assert rc == 0 and rep["holds"] is True
+        a, b, c = (Fraction(x) for x in powers)
+        assert rep["witness"]["mixed_volume_powers"] == {
+            "F1^m": str(a), "F2^m": str(b), "Fsum^m": str(c)}
+        with mpmath.workdps(60):
+            def root(x):
+                return mpmath.root(mpmath.mpf(x.numerator) / x.denominator, m)
+
+            exact = {"lhs": root(a) + root(b), "rhs": root(c)}
+            for side, value in exact.items():
+                assert abs(mpmath.mpf(rep[side]) / value - 1) < 1e-16, side
+                assert len(rep[side].split("e+")[0].replace(".", "")) <= 17
+
+    def test_bm_check_too_close_to_call_is_exit_3(self, tmp_path, capsys):
+        d2 = box(2**2100, 2**2100 + 1)
+        inp = write(tmp_path, "in.json", {"m": 2, "body1": SQ, "body2": d2})
+        out = tmp_path / "out.json"
+        assert main(["bm-check", inp, "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "inconclusive: root sums are unequal but too close to call at 4096 fractional bits\n"
+        )
+
+    def test_bkk_predict_hand_pair(self, tmp_path):
+        inp = write(tmp_path, "in.json", HAND_PAIR)
+        rc, rep = run(["bkk-predict", inp], tmp_path / "out.json")
+        assert rc == 0 and rep["predicted"] == 2
+        assert rep["command"] == "bkk-predict" and "seed" not in rep
+
+    def test_bkk_predict_random_pair_matches_oracle(self, tmp_path):
+        rng = random.Random(13)
+        supports = [
+            sorted({(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(6)}) for _ in range(2)
+        ]
+        inp = write(tmp_path, "in.json", supports_json(*supports))
+        rc, rep = run(["bkk-predict", inp], tmp_path / "out.json")
+        hulls = tuple(g.convex_hull(s) for s in supports)
+        assert rc == 0 and rep["predicted"] == 2 * mixedvol.mixed_volume_interp(hulls) > 0
+
+    @pytest.mark.parametrize(
+        "body1,body2",
+        [(SQ, SI), (SEG, {"dim": 1, "vertices": [["-2"], ["1/3"]]}),
+         ({"dim": 3, "vertices": [["0", "0", "0"], ["1", "0", "0"], ["0", "2", "0"], ["0", "0", "1"]]},
+          {"dim": 3, "vertices": [["0", "0", "0"], ["1", "1", "0"], ["0", "1", "1"], ["1", "0", "1"]]})],
+        ids=["2d", "1d", "3d"],
+    )
+    def test_profile_rows_match_brute_hulls(self, tmp_path, body1, body2):
+        inp = write(tmp_path, "in.json", {"body1": body1, "body2": body2, "samples": 4})
+        rc, rep = run(["profile", inp], tmp_path / "out.json")
+        assert rc == 0 and [row["h"] for row in rep["rows"]] == ["0", "1/4", "1/2", "3/4", "1"]
+        v1, v2 = _vertices(body1["vertices"]), _vertices(body2["vertices"])
+        for row in rep["rows"]:
+            h = Fraction(row["h"])
+            mixture = [tuple(h * x + (1 - h) * y for x, y in zip(p, q)) for p in v1 for q in v2]
+            assert Fraction(row["volume"]) == brute_hull_volume(mixture)
+        rc, text = run(["profile", inp, "--format", "csv"], tmp_path / "out.csv")
+        assert rc == 0
+        assert text.splitlines() == ["h,volume"] + [f"{r['h']},{r['volume']}" for r in rep["rows"]]
+
     def test_violation_exit_code_mapping(self, tmp_path, monkeypatch):
         # k of 4 certified counts come out one too high: a wrong majority is
         # a count mismatch (exit 1), a tie is inconclusive (exit 3)
@@ -359,6 +449,17 @@ class TestViolations:
         assert not out.exists()
         assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
+    def test_selftest_value_error_is_exit_4(self, tmp_path, monkeypatch, capsys):
+        # selftest reads no input, so a ValueError is a bug, not an input error
+        def crash(p, direction):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(stn, "steiner_symmetrize", crash)
+        out = tmp_path / "out.json"
+        assert main(["selftest", "--seed", "0", "--out", str(out)]) == 4
+        assert not out.exists()
+        assert capsys.readouterr().err == "internal error: ValueError: boom\n"
+
 
 def test_benchmark_span_targets_resolve():
     # the benchmark's traced runs wrap these functions by name; a rename
@@ -411,6 +512,30 @@ class TestExitContract:
         assert main(["mixedvol", inp]) == cli.EXIT_INTERNAL == 4
         err = capsys.readouterr().err
         assert err == "internal error: RuntimeError: boom\n"
+
+    @pytest.mark.parametrize(
+        "raw", [b'{"bodies": "\xff\xfe"}', b'{"bodies": [', b""], ids=["utf8", "truncated", "empty"]
+    )
+    def test_invalid_json_is_exit_2(self, tmp_path, capsys, raw):
+        inp = tmp_path / "in.json"
+        inp.write_bytes(raw)
+        out = tmp_path / "o"
+        assert main(["mixedvol", str(inp), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("input error: input is not valid JSON: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["mixedvol", "selftest"])
+    def test_unwritable_out_is_exit_4(self, tmp_path, capsys, command):
+        args = [command]
+        if command != "selftest":
+            args.append(write(tmp_path, "in.json", {"bodies": [SQ, SI]}))
+        out = tmp_path / "missing" / "out.json"
+        assert main(args + ["--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"internal error: FileNotFoundError: [Errno 2] No such file or directory: '{out}'\n"
+        )
 
     @pytest.mark.parametrize(
         "command,payload",
