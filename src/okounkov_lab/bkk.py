@@ -10,13 +10,15 @@ A one-variable polynomial, shifted to an ordinary polynomial with a nonzero
 constant term, has as many torus roots as its degree once it is squarefree.
 A two-variable system is first rewritten in coordinates of its supports'
 difference lattice, of index d.  Its eliminant R = Res_y(p1, p2) is then an
-integer polynomial: fraction-free Sylvester determinants at integer points,
-interpolated with integers only.  Let R~ = R / x^k with R~(0) != 0.  If R~
-is squarefree, coprime to both leading y-coefficients and coprime to
-p1(x, 0), every root of R~ lies below exactly one torus solution, a simple
-one, so the system has exactly d * deg R~ torus roots.  These checks run
-modulo one prime, where they are one-sided: a reduction of the same degree
-that is squarefree (or coprime) there is squarefree (or coprime) over Q(i).
+integer polynomial: its values at integer points are resultants of two
+univariate integer polynomials, taken over the formal y-degrees by Collins'
+subresultant PRS (Cohen, Alg. 3.3.7), and interpolated with integers only.
+Let R~ = R / x^k with R~(0) != 0.  If R~ is squarefree, coprime to both
+leading y-coefficients and coprime to p1(x, 0), every root of R~ lies below
+exactly one torus solution, a simple one, so the system has exactly
+d * deg R~ torus roots.  These checks run modulo one prime, where they are
+one-sided: a reduction of the same degree that is squarefree (or coprime)
+there is squarefree (or coprime) over Q(i).
 
 A trial whose checks fail is degenerate, with a named reason, and is never
 counted; the retry draws fresh coefficients and a shear (x, y) -> (x y^a, y).
@@ -321,25 +323,79 @@ def _check_size(order, bound):
         raise ValueError(f"eliminant has degree bound {bound}; the limit is {MAX_ELIMINANT_DEGREE}")
 
 
-def _determinant(m):
-    """Fraction-free (Bareiss) determinant; every division is exact."""
-    m = [row[:] for row in m]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        top, pivot = m[k], m[k][k]
-        for row in m[k + 1:]:
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * top[j]) // prev
-        prev = pivot
-    return sign * m[-1][-1] if n else 1
+def _strip(cs):
+    """The list cs without its leading zeros."""
+    return cs[next((i for i, c in enumerate(cs) if c), len(cs)):]
+
+
+def _power(c, k):
+    """c**k by repeated products; _Gaussian has no __pow__."""
+    acc = 1
+    for _ in range(k):
+        acc = acc * c
+    return acc
+
+
+def _resultant(c1, c2):
+    """Res(f, g) of descending coefficient lists over their formal degrees
+    d1 = len(c1) - 1 and d2 = len(c2) - 1, so the determinant of the
+    Sylvester matrix of c1 and c2 even where leading coefficients vanish.
+
+    Entries are integers or :class:`_Gaussian` integers.  Zero leads are
+    stripped and restored by the formal-degree identities: with both leads
+    zero the Sylvester matrix has a zero first column; if only g drops to
+    degree e2, Res = lc(f)^(d2 - e2) Res(f, g); if only f drops to degree
+    e1, Res = (-1)^(d2 (d1 - e1)) lc(g)^(d1 - e1) Res(f, g).
+    """
+    d1, d2 = len(c1) - 1, len(c2) - 1
+    if not d1:
+        return _power(c1[0], d2)
+    if not d2:
+        return _power(c2[0], d1)
+    f, g = _strip(c1), _strip(c2)
+    if not f or not g or (len(f) <= d1 and len(g) <= d2):
+        return 0
+    if len(g) <= d2:
+        return _power(f[0], d2 + 1 - len(g)) * _subresultant(f, g)
+    drop = d1 + 1 - len(f)
+    scale = _power(g[0], drop)
+    return (-scale if d2 * drop % 2 else scale) * _subresultant(f, g)
+
+
+def _subresultant(a, b):
+    """Res(a, b) of nonzero descending lists over their true degrees.
+
+    Collins' subresultant PRS as in Cohen, *A Course in Computational
+    Algebraic Number Theory*, Alg. 3.3.7, without content removal: each
+    pseudo-remainder is divided exactly by g h^delta, so entries stay
+    integers of subresultant size.
+    """
+    s = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            s = -1
+    g = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da * db % 2:
+            s = -s
+        lb, tail = b[0], b[1:]
+        r = a
+        for _ in range(delta + 1):
+            q = r[0]
+            r = [lb * x - q * y for x, y in zip(r[1:], tail)] + [lb * x for x in r[db + 1:]]
+        divisor = g * _power(h, delta)
+        r = [c // divisor for c in r]
+        a, b = b, _strip(r)
+        g = a[0]
+        if delta:
+            h = _power(g, delta) // _power(h, delta - 1)
+    if not b:
+        return 0
+    da = len(a) - 1  # h = 1 if the loop never ran
+    return s * (_power(b[0], da) // _power(h, da - 1))
 
 
 def _interpolate(values, x0):
@@ -363,15 +419,12 @@ def _interpolate(values, x0):
 
 def _eliminant(rows1, rows2, bound):
     """Res_y as integer coefficients in x; rows[j] is the x-polynomial of y^j."""
-    d1, d2 = len(rows1) - 1, len(rows2) - 1
     x0 = -(bound // 2)
-    values = []
-    for x in range(x0, x0 + bound + 1):
-        c1 = [_evaluate(r, x) for r in reversed(rows1)]
-        c2 = [_evaluate(r, x) for r in reversed(rows2)]
-        m = [[0] * shift + c1 + [0] * (d2 - 1 - shift) for shift in range(d2)]
-        m += [[0] * shift + c2 + [0] * (d1 - 1 - shift) for shift in range(d1)]
-        values.append(_determinant(m))
+    values = [
+        _resultant([_evaluate(r, x) for r in reversed(rows1)],
+                   [_evaluate(r, x) for r in reversed(rows2)])
+        for x in range(x0, x0 + bound + 1)
+    ]
     return _interpolate(values, x0)
 
 
@@ -415,7 +468,7 @@ def count_solutions_2d(
     r = _trim(_eliminant(rows1, rows2, bound))
     if not r:
         raise DegenerateSystemError("eliminant vanishes identically")
-    r = r[next(i for i, c in enumerate(r) if c):]
+    r = _strip(r)
     return index * _certify(r, (rows1[-1], rows2[-1]), rows1[0])
 
 

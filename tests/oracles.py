@@ -206,6 +206,36 @@ def sympy_torus_root_count(system):
     return index * distinct_nonzero_roots(fx, x) * distinct_nonzero_roots(gy, y)
 
 
+def sylvester_determinant(c1, c2):
+    """Determinant of the Sylvester matrix of two descending coefficient lists.
+
+    The matrix has len(c2) - 1 shifted rows of c1 over len(c1) - 1 shifted
+    rows of c2, so its determinant is the resultant over the formal degrees,
+    leading zeros included.  Fraction-free (Bareiss) elimination with row
+    swaps; every division is exact, so entries may be integers or any
+    exact ring elements with `*`, `-`, `//` and truthiness.
+    """
+    d1, d2 = len(c1) - 1, len(c2) - 1
+    m = [[0] * s + list(c1) + [0] * (d2 - 1 - s) for s in range(d2)]
+    m += [[0] * s + list(c2) + [0] * (d1 - 1 - s) for s in range(d1)]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        top, pivot = m[k], m[k][k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if n else 1
+
+
 def sympy_power_leads(basis, order, k):
     """Valuations of L^k for L spanned by `basis`, by sympy over QQ.
 

@@ -6,7 +6,7 @@ import pytest
 from okounkov_lab import bkk
 from okounkov_lab import geometry as g
 from okounkov_lab import semigroup as sg
-from oracles import sympy_torus_root_count
+from oracles import sylvester_determinant, sympy_torus_root_count
 
 S = g.support_set
 SIMPLEX = S(2, [(0, 0), (1, 0), (0, 1)])
@@ -124,6 +124,102 @@ class TestCountSolutions2D:
         assert bkk.bkk_number([f1, f2]) == 0
 
 
+class TestResultant:
+    """Per-point differential test of the subresultant PRS against the
+    Bareiss determinant of the Sylvester matrix in tests/oracles.py."""
+
+    @staticmethod
+    def _value(c):
+        c = bkk._gaussian(c)
+        return c.re, c.im
+
+    @pytest.mark.parametrize(
+        "case,seed",
+        [("generic", 0), ("f-lead-zero", 1), ("g-lead-zero", 2), ("both-leads-zero", 3),
+         ("constant", 4), ("gaussian", 5)],
+    )
+    def test_matches_sylvester_determinant(self, case, seed):
+        rng = random.Random(seed)
+        gaussian = case == "gaussian"
+
+        def coefficient():
+            if rng.random() < 0.2:
+                return 0
+            re = rng.randint(-(2**17), 2**17)
+            return bkk._Gaussian(re, rng.randint(-(2**17), 2**17)) if gaussian else re
+
+        for _ in range(300 if gaussian else 1000):
+            d1, d2 = rng.randint(0, 10), rng.randint(0, 10)
+            if case == "constant":
+                d1, d2 = rng.choice([(0, d2), (d1, 0), (0, 0)])
+            c1 = [coefficient() for _ in range(d1 + 1)]
+            c2 = [coefficient() for _ in range(d2 + 1)]
+            if case in ("f-lead-zero", "both-leads-zero"):
+                c1[0] = 0
+            if case in ("g-lead-zero", "both-leads-zero"):
+                c2[0] = 0
+            if case == "constant" and rng.random() < 0.3:
+                c1 = [0] * len(c1)  # the zero polynomial as well
+            expected = sylvester_determinant(c1, c2)
+            assert self._value(bkk._resultant(c1, c2)) == self._value(expected), (c1, c2)
+
+
+class TestEliminant:
+    """Whole eliminants against sympy's resultant in y, coefficient by coefficient."""
+
+    @staticmethod
+    def _draw():
+        # the first 20 pairs of a [0,7]^2 draw with 3-6 points per support
+        rng = random.Random(1)
+        return [
+            [S(2, {(rng.randint(0, 7), rng.randint(0, 7)) for _ in range(rng.randint(3, 6))})
+             for _ in range(2)]
+            for _ in range(20)
+        ]
+
+    @staticmethod
+    def _check(system, shear):
+        from sympy import I, Poly, expand, resultant, symbols
+
+        x, y = symbols("x y")
+        terms = [bkk._integer_terms(p) for p in system]
+        _, (e1, e2) = bkk._lattice_coordinates([[e for e, _ in t] for t in terms], shear)
+        _, bound = bkk._eliminant_size(e1, e2)
+        rows = [bkk._y_rows(list(zip(e, (c for _, c in t)))) for e, t in zip((e1, e2), terms)]
+        got = bkk._eliminant(*rows, bound)
+
+        def exact(c):
+            c = bkk._gaussian(c)
+            return c.re + I * c.im
+
+        f, g = (
+            sum(exact(c) * x**ex * y**ey for (ex, ey), (_, c) in zip(e, t))
+            for e, t in zip((e1, e2), terms)
+        )
+        # sympy's resultant comes out with the wrong sign when deg f < deg g and
+        # both degrees are odd, so it is taken with the longer polynomial first
+        d1, d2 = (len(r) - 1 for r in rows)
+        res = resultant(f, g, y) if d1 >= d2 else (-1) ** (d1 * d2) * resultant(g, f, y)
+        expected = Poly(res, x).all_coeffs()[::-1]
+        expected += [0] * (len(got) - len(expected))
+        assert [exact(c) for c in got] == [expand(c) for c in expected]
+
+    @pytest.mark.parametrize("shear", [0, 2])
+    def test_random_pairs(self, shear):
+        for t, pair in enumerate(self._draw()):
+            self._check(bkk.random_generic_system(pair, t), shear)
+
+    def test_gaussian_coefficients(self):
+        rng = random.Random(63)
+        pair = self._draw()[0]
+        system = [
+            bkk.clp(2, {e: complex(rng.randint(-64, 64) or 1, rng.randint(1, 64)) / 64
+                        for e in sorted(a.points)})
+            for a in pair
+        ]
+        self._check(system, 0)
+
+
 class TestVerify:
     def test_dense_quadric_pair(self):
         sup = S(2, [(0, 0), (2, 0), (0, 2)])
@@ -138,6 +234,14 @@ class TestVerify:
     def test_simplex_diagonal(self):
         report = bkk.verify_bkk([SIMPLEX, DIAGONAL], trials=5, seed=7)
         assert report.predicted == 2 and report.modal == 2 and report.agreed
+
+    def test_budget_edge(self):
+        # Sylvester order 10 + 10 = 20 and degree bound 10*8 + 10*8 = 160: both at the limit
+        grid = S(2, [(i, j) for i in range(9) for j in range(11)])
+        _, (e1, e2) = bkk._lattice_coordinates([grid.sorted_points()] * 2, 0)
+        assert bkk._eliminant_size(e1, e2) == (20, 160)
+        report = bkk.verify_bkk([grid, grid], trials=3, seed=0)
+        assert report.predicted == report.modal == 160 and report.agreed
 
     def test_trials_floor(self):
         with pytest.raises(ValueError):
