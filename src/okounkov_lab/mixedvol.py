@@ -2,23 +2,25 @@
 suite: Alexandrov-Fenchel, generalized Brunn-Minkowski and the planar
 isoperimetric inequality.
 
-The production algorithm is inclusion-exclusion over subset Minkowski sums;
-an independent oracle, :func:`mixed_volume_interp`, computes the same value
-by the mixed-area-measure recursion over facet normals.  Equal bodies inside
-a tuple are grouped, so a body repeated k times costs one dilation instead of
-2**k Minkowski sums.
+The production algorithm is the mixed-area-measure recursion (Schneider,
+*Convex Bodies: The Brunn-Minkowski Theory*, 2nd ed., section 5.1):
+V(K1, ..., Kn) is (1/n) times the sum of h_K1(u) against the mixed area
+measure of (K2, ..., Kn), whose atoms sit at the facet normals u of
+K2 + ... + Kn and weigh the (n-1)-dimensional mixed volume of the faces
+there.  One Alexandrov-Fenchel check needs two measures for its three mixed
+volumes.  An independent oracle, :func:`mixed_volume_interp`, computes the
+same value by inclusion-exclusion over the 2^n - 1 subset Minkowski sums.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import product as iproduct
-
-import numpy as np
+from itertools import combinations
 
 from . import _hull, geometry
 from .geometry import LatticePolytope
@@ -58,133 +60,139 @@ def _as_bodies(t) -> tuple[LatticePolytope, ...]:
     return bodies
 
 
-class _SumVolumeCache:
-    """Exact volumes of nonnegative integer combinations of distinct bodies."""
-
-    def __init__(self, bodies: tuple[LatticePolytope, ...]):
-        self.bodies = bodies
-        self._polytopes: dict[tuple[int, ...], LatticePolytope] = {}
-        self._volumes: dict[tuple[int, ...], Fraction] = {}
-
-    def polytope(self, counts: tuple[int, ...]) -> LatticePolytope:
-        got = self._polytopes.get(counts)
-        if got is not None:
-            return got
-        active = [i for i, c in enumerate(counts) if c]
-        if not active:
-            raise AssertionError("empty combination")
-        i = active[0]
-        if len(active) > 1:
-            # the dilation c_i * body_i is itself cached, so it is hulled once
-            single, rest = [0] * len(counts), list(counts)
-            single[i], rest[i] = counts[i], 0
-            piece = geometry.minkowski_sum(
-                self.polytope(tuple(single)), self.polytope(tuple(rest))
-            )
-        elif counts[i] == 1:
-            piece = self.bodies[i]
-        else:
-            piece = geometry.scale(self.bodies[i], counts[i])
-        self._polytopes[counts] = piece
-        return piece
-
-    def volume(self, counts: tuple[int, ...]) -> Fraction:
-        got = self._volumes.get(counts)
-        if got is None:
-            got = geometry.volume(self.polytope(counts))
-            self._volumes[counts] = got
-        return got
-
-
 def _grouped(bodies):
-    """Distinct bodies with multiplicities, preserving first-seen order."""
-    distinct: list[LatticePolytope] = []
-    mult: list[int] = []
+    """(body, multiplicity) pairs of the distinct bodies, in first-seen order."""
+    grouped: list[list] = []
     for b in bodies:
-        for i, d in enumerate(distinct):
-            if d == b:
-                mult[i] += 1
+        for pair in grouped:
+            if pair[0] == b:
+                pair[1] += 1
                 break
         else:
-            distinct.append(b)
-            mult.append(1)
-    return tuple(distinct), tuple(mult)
+            grouped.append([b, 1])
+    return [(b, m) for b, m in grouped]
 
 
-def _mixed_volume_grouped(distinct, mult, cache: _SumVolumeCache) -> Fraction:
-    """Inclusion-exclusion over count vectors c with 0 <= c_i <= mult_i.
+def _without(grouped, i):
+    """The grouped tuple with one copy of its i-th body removed."""
+    return [(b, m - (k == i)) for k, (b, m) in enumerate(grouped) if m - (k == i)]
 
-    Choosing c_i of the mult_i copies of body i contributes a binomial
-    weight, and the summand volume only depends on the counts.
+
+def _det(rows):
+    """Determinant of a small square integer matrix, by cofactor expansion."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** c * x * _det([r[:c] + r[c + 1:] for r in rows[1:]])
+        for c, x in enumerate(rows[0])
+        if x
+    )
+
+
+def _cofactor_normal(rows):
+    """Integer normal of the hyperplane spanned by n - 1 rows in R^n.
+
+    Entry c is the cofactor (-1)^c det(rows without column c), the signed
+    maximal minor that ``_hull._normals`` also forms.
     """
-    n = sum(mult)
-    total = Fraction(0)
-    for counts in iproduct(*(range(m + 1) for m in mult)):
-        size = sum(counts)
-        if size == 0:
-            continue
-        weight = 1
-        for c, m in zip(counts, mult):
-            weight *= math.comb(m, c)
-        term = weight * cache.volume(counts)
-        total += term if (n - size) % 2 == 0 else -term
-    return total / math.factorial(n)
+    return tuple(
+        (-1) ** c * _det([r[:c] + r[c + 1:] for r in rows]) for c in range(len(rows[0]))
+    )
 
 
-def mixed_volume(t) -> Fraction:
-    """V(D_1, ..., D_n) by inclusion-exclusion; exact and symmetric."""
-    bodies = _as_bodies(t)
-    distinct, mult = _grouped(bodies)
-    return _mixed_volume_grouped(distinct, mult, _SumVolumeCache(distinct))
+def _measure(rest, memo):
+    """The mixed area measure of ``rest``, (body, multiplicity) pairs in R^n.
 
-
-def _mixed_area_recursion(bodies) -> Fraction:
-    """V(K1, ..., Kn) = (1/n) sum_u h_K1(u) V_{n-1}(pi_j F(K2, u), ...) / |u_j|.
-
-    u runs over the outward facet normals of K2 + ... + Kn, or over both
-    normals of its hyperplane when the sum is flat; a lower-dimensional sum
-    gives 0.  F(K, u) is the face of K where u.x is largest and pi_j drops a
-    coordinate j with u_j != 0.  The terms are homogeneous in u, so integer
-    normals need no Euclidean norm.  V_1 is length.
+    Returns [(u, w)] with u an integer outward normal and w =
+    V_{n-1}(pi_j F(K, u) for K in rest) / |u_j|, where F(K, u) is the face
+    of K on which u.x is largest and pi_j drops a coordinate j with u_j != 0.
+    The terms are homogeneous in u, so no Euclidean norm is needed.  u runs
+    over the facet normals of the sum of the distinct bodies (K + K has the
+    fan of K), or over both normals of its hyperplane when that sum is flat;
+    a lower-dimensional sum has the zero measure.  A face that is a single
+    point makes its term 0 before any face is hulled.  ``memo`` maps the
+    multiset of projected faces, as (scale, sorted lifted vertices), to
+    their mixed volume.
     """
-    n = len(bodies)
-    s1, first = geometry._lifted(bodies[0])
-    if n == 1:
-        return Fraction(max(first)[0] - min(first)[0], s1)
-    rest = bodies[1:]
-    core = geometry._core(reduce(geometry.minkowski_sum, rest))
+    n = sum(m for _, m in rest) + 1
+    core = geometry._core(reduce(geometry.minkowski_sum, (b for b, _ in rest)))
     if core.affine_dim == n:
         normals = [a for a, _ in core.planes]
     elif core.affine_dim == n - 1:
-        a = tuple(int(x) for x in _hull._normals(np.array([core.rows], dtype=object))[0])
+        a = _cofactor_normal(core.rows)
         normals = [a, tuple(-x for x in a)]
     else:
-        return Fraction(0)
-    total = Fraction(0)
+        return []
+    out = []
     for u in normals:
         j = next(i for i, x in enumerate(u) if x)
-        faces = []
-        for body in rest:
+        faces: Counter = Counter()
+        for body, m in rest:
             s, pts = geometry._lifted(body)
             heights = [_hull._dot(u, p) for p in pts]
             top = max(heights)
             face = [p[:j] + p[j + 1:] for p, h in zip(pts, heights) if h == top]
-            faces.append(geometry._polytope(s, face, n - 1))
-        h1 = Fraction(max(_hull._dot(u, p) for p in first), s1)
-        total += h1 * _mixed_area_recursion(faces) / abs(u[j])
-    return total / n
+            if len(face) == 1:
+                break
+            faces[s, tuple(sorted(face))] += m
+        else:
+            if n == 2:  # one edge: its length, read off the projected coordinate
+                [(s, face)] = faces
+                w = Fraction(face[-1][0] - face[0][0], s)
+            else:
+                key = tuple(sorted(faces.items()))
+                w = memo.get(key)
+                if w is None:
+                    grouped = [(geometry._polytope(s, f, n - 1), m) for (s, f), m in faces.items()]
+                    w = memo[key] = _mixed_volume_grouped(grouped, memo)
+            if w:
+                out.append((u, w / abs(u[j])))
+    return out
+
+
+def _pair(body, measure, n) -> Fraction:
+    """(1/n) sum of h_body(u) w over the measure's atoms (u, w)."""
+    s, pts = geometry._lifted(body)
+    total = sum(max(_hull._dot(u, p) for p in pts) * w for u, w in measure)
+    return Fraction(total) / (n * s)
+
+
+def _mixed_volume_grouped(grouped, memo) -> Fraction:
+    """V of the tuple given as (body, multiplicity) pairs.
+
+    Equal bodies give their volume.  Otherwise the first body K1 is the one
+    of lowest multiplicity, ties going to the one with the most vertices, so
+    the measure comes from the smaller bodies.
+    """
+    if len(grouped) == 1:
+        return geometry.volume(grouped[0][0])
+    i = min(range(len(grouped)), key=lambda k: (grouped[k][1], -len(grouped[k][0].vertices)))
+    n = sum(m for _, m in grouped)
+    return _pair(grouped[i][0], _measure(_without(grouped, i), memo), n)
+
+
+def mixed_volume(t) -> Fraction:
+    """V(D_1, ..., D_n) by the mixed-area-measure recursion; exact and symmetric."""
+    return _mixed_volume_grouped(_grouped(_as_bodies(t)), {})
 
 
 def mixed_volume_interp(t) -> Fraction:
-    """Independent oracle for the mixed volume: the mixed-area-measure recursion.
+    """Independent oracle: inclusion-exclusion over the 2^n - 1 subset sums.
 
-    Dimensions 1 to 4; see :func:`_mixed_area_recursion` and Schneider,
-    *Convex Bodies: The Brunn-Minkowski Theory*, 2nd ed., section 5.1.  The
-    name and the ``*_interp`` report keys date from an earlier oracle that
-    interpolated the volume polynomial; they stay so reports and callers do
-    not change.
+    n! V(K1, ..., Kn) is the sum over nonempty subsets S of
+    (-1)^(n - |S|) Vol(sum of K_i, i in S).  Each Minkowski sum is built
+    afresh; no value is shared with :func:`mixed_volume`.  The name and the
+    ``*_interp`` report keys date from an earlier oracle that interpolated
+    the volume polynomial; they stay so reports and callers do not change.
     """
-    return _mixed_area_recursion(_as_bodies(t))
+    bodies = _as_bodies(t)
+    n = len(bodies)
+    total = Fraction(0)
+    for size in range(1, n + 1):
+        for subset in combinations(bodies, size):
+            term = geometry.volume(reduce(geometry.minkowski_sum, subset))
+            total += term if (n - size) % 2 == 0 else -term
+    return total / math.factorial(n)
 
 
 def _witness_bodies(**named) -> dict:
@@ -195,22 +203,21 @@ def _witness_bodies(**named) -> dict:
 
 
 def check_alexandrov_fenchel(t) -> InequalityReport:
-    """Check V(D1,D2,rest)^2 >= V(D1,D1,rest) * V(D2,D2,rest) exactly."""
+    """Check V(D1,D2,rest)^2 >= V(D1,D1,rest) * V(D2,D2,rest) exactly.
+
+    Two mixed area measures give the three mixed volumes: v12 and v22 pair
+    D1 and D2 with the measure of (D2, rest), v11 pairs D1 with that of
+    (D1, rest).
+    """
     bodies = _as_bodies(t)
-    distinct, mult = _grouped(bodies)
-    cache = _SumVolumeCache(distinct)
-    i1, i2 = distinct.index(bodies[0]), distinct.index(bodies[1])
-
-    def moved(src, dst):
-        # one copy moved from body src to body dst; a count may drop to 0
-        counts = list(mult)
-        counts[src] -= 1
-        counts[dst] += 1
-        return _mixed_volume_grouped(distinct, tuple(counts), cache)
-
-    v12 = _mixed_volume_grouped(distinct, mult, cache)
-    v11 = moved(i2, i1)
-    v22 = moved(i1, i2)
+    if len(bodies) < 2:
+        raise ValueError("the Alexandrov-Fenchel inequality needs dimension at least 2")
+    d1, d2, n = bodies[0], bodies[1], len(bodies)
+    grouped = _grouped(bodies)  # D1 first, then D2 unless it equals D1
+    memo: dict = {}
+    m2 = _measure(_without(grouped, 0), memo)  # of (D2, rest)
+    m1 = m2 if d1 == d2 else _measure(_without(grouped, 1), memo)  # of (D1, rest)
+    v12, v22, v11 = _pair(d1, m2, n), _pair(d2, m2, n), _pair(d1, m1, n)
     lhs, rhs = v12 * v12, v11 * v22
     return InequalityReport(
         lhs=lhs,
@@ -275,10 +282,11 @@ def check_generalized_bm(m: int, d1: LatticePolytope, d2: LatticePolytope, fixed
 def check_isoperimetric(d1: LatticePolytope, d2: LatticePolytope) -> InequalityReport:
     """Planar inequality Area(D1) Area(D2) <= A(D1, D2)^2, all exact.
 
-    Also verifies the expansion Area(D1+D2) = Area(D1) + 2A + Area(D2) with
-    the mixed area recomputed by the mixed-area-measure oracle
-    (:func:`mixed_volume_interp`), so the identity is not a restatement of
-    the inclusion-exclusion formula.
+    Also verifies the expansion Area(D1+D2) = Area(D1) + 2A + Area(D2) for
+    the mixed area A of the production recursion, and compares A with the
+    inclusion-exclusion oracle (:func:`mixed_volume_interp`).  In the plane
+    inclusion-exclusion is the expansion identity, so the identity is checked
+    against the recursion, which computes A another way.
     """
     if d1.ambient_dim != 2 or d2.ambient_dim != 2:
         raise ValueError("isoperimetric check is planar only")
@@ -286,7 +294,7 @@ def check_isoperimetric(d1: LatticePolytope, d2: LatticePolytope) -> InequalityR
     mixed = mixed_volume((d1, d2))
     mixed_oracle = mixed_volume_interp((d1, d2))
     total = geometry.volume(geometry.minkowski_sum(d1, d2))
-    identity = total == area1 + 2 * mixed_oracle + area2
+    identity = total == area1 + 2 * mixed + area2
     lhs, rhs = area1 * area2, mixed * mixed
     return InequalityReport(
         lhs=lhs,

@@ -193,6 +193,10 @@ class TestCommands:
         rc = main(["mixedvol", inp, "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_af_check_in_one_dimension_is_exit_2(self, tmp_path):
+        inp = write(tmp_path, "in.json", {"bodies": [SEG]})
+        assert main(["af-check", inp, "--out", str(tmp_path / "o")]) == 2
+
     def test_selftest_green_and_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["selftest", "--seed", "5", "--out", str(out1)]) == 0
@@ -374,12 +378,13 @@ class TestViolations:
     """
 
     def test_af_check(self, tmp_path, monkeypatch):
-        real = mixedvol._SumVolumeCache.volume
+        real, square = mixedvol._measure, jsonio.polytope_from_json(SQ)
 
-        def volume(cache, counts):  # Area(2 * body1) reads ten times too large
-            return real(cache, counts) * (10 if counts == (2, 0) else 1)
+        def measure(rest, memo):  # the measure of (body1) weighs ten times too much
+            got = real(rest, memo)
+            return [(u, 10 * w) for u, w in got] if rest == [(square, 1)] else got
 
-        monkeypatch.setattr(mixedvol._SumVolumeCache, "volume", volume)
+        monkeypatch.setattr(mixedvol, "_measure", measure)
         inp = write(tmp_path, "in.json", {"bodies": [SQ, SI]})
         codes, rep = _reports_twice(["af-check", inp], tmp_path)
         assert codes == [1, 1] and rep["holds"] is False
@@ -389,7 +394,7 @@ class TestViolations:
         oracle = {"v12": _brute_mixed_area(b1, b2), "v11": brute_hull_volume(b1),
                   "v22": brute_hull_volume(b2)}
         reported = {k: Fraction(v) for k, v in w["mixed_volumes"].items()}
-        assert reported["v11"] == 19 != oracle["v11"] == 1
+        assert reported["v11"] == 10 != oracle["v11"] == 1
         assert reported["v12"] == oracle["v12"] and reported["v22"] == oracle["v22"]
         assert oracle["v12"] ** 2 >= oracle["v11"] * oracle["v22"]
 

@@ -1,9 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations
 
+import numpy as np
 import pytest
+import sympy
 
+from okounkov_lab import _hull
 from okounkov_lab import geometry as g
 from okounkov_lab import mixedvol as mv
 from okounkov_lab.radicals import compare_root_sums
@@ -34,6 +38,10 @@ def random_body3(rng, span=2, k=5):
     return poly(
         *[(rng.randint(0, span), rng.randint(0, span), rng.randint(0, span)) for _ in range(k)]
     )
+
+
+def random_body(rng, n, span=2, k=5):
+    return poly(*[tuple(rng.randint(0, span) for _ in range(n)) for _ in range(k)])
 
 
 class TestMixedVolume:
@@ -101,6 +109,130 @@ class TestInterpOracle:
             assert mv.mixed_volume(bodies) == mv.mixed_volume_interp(bodies)
 
 
+class TestRecursionAgainstInclusionExclusion:
+    """The production recursion against the inclusion-exclusion oracle."""
+
+    @pytest.mark.parametrize("span", [4, 5, 6, 7, 8])
+    def test_wide_3d_triples(self, span):
+        rng = random.Random(600 + span)
+        for _ in range(3):
+            bodies = tuple(random_body(rng, 3, span, 6) for _ in range(3))
+            assert mv.mixed_volume(bodies) == mv.mixed_volume_interp(bodies)
+
+    @pytest.mark.parametrize("span", [4, 6, 8])
+    def test_wide_4d_quadruples(self, span):
+        rng = random.Random(700 + span)
+        bodies = tuple(random_body(rng, 4, span) for _ in range(4))
+        assert mv.mixed_volume(bodies) == mv.mixed_volume_interp(bodies) > 0
+
+    def test_repeated_tuples(self):
+        rng = random.Random(801)
+        d, k, l = (random_body(rng, 4, 3) for _ in range(3))
+        for bodies in [(d, d, d, k), (d, k, d, d), (d, d, k, l), (k, d, l, d)]:
+            assert mv.mixed_volume(bodies) == mv.mixed_volume_interp(bodies)
+        d3, k3 = random_body(rng, 3, 4), random_body(rng, 3, 4)
+        for bodies in [(d3, d3, k3), (k3, d3, d3)]:
+            assert mv.mixed_volume(bodies) == mv.mixed_volume_interp(bodies)
+
+    def test_point_body_gives_zero(self):
+        rng = random.Random(802)
+        for n in (2, 3, 4):
+            point = poly(tuple(rng.randint(-3, 3) for _ in range(n)))
+            others = tuple(random_body(rng, n, 3) for _ in range(n - 1))
+            for bodies in [(point,) + others, others + (point,), (point,) * n]:
+                assert mv.mixed_volume(bodies) == 0 == mv.mixed_volume_interp(bodies)
+
+    @pytest.mark.parametrize(
+        "directions",
+        [
+            [(1, 0, 0), (0, 1, 0), (1, 1, 0)],  # three segments in one plane
+            [(1, 2, 0), (2, 4, 0), (0, 0, 1)],  # two parallel segments
+            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, -1, 2, 0)],
+            [(1, 0, 0, 1), (0, 1, 0, 1), (1, 1, 0, 2), (0, 0, 1, 0)],
+        ],
+    )
+    def test_dependent_segments_give_zero(self, directions):
+        n = len(directions[0])
+        bodies = tuple(poly((0,) * n, d) for d in directions)
+        assert mv.mixed_volume(bodies) == 0 == mv.mixed_volume_interp(bodies)
+
+    def test_independent_segments_give_the_determinant(self):
+        # V(segments) = |det(directions)| / n!
+        directions = [(1, 0, 0, 1), (0, 2, 0, 1), (1, 1, 3, 0), (0, 0, 1, 1)]
+        bodies = tuple(poly((0, 0, 0, 0), d) for d in directions)
+        expected = F(abs(int(sympy.Matrix(directions).det())), 24)
+        assert mv.mixed_volume(bodies) == expected == mv.mixed_volume_interp(bodies)
+
+    def test_flat_and_lower_dimensional_bodies(self):
+        rng = random.Random(803)
+        flat3 = poly((0, 0, 1), (2, 0, 1), (0, 3, 1), (1, 1, 1))  # a polygon in z = 1
+        slab4 = poly((0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (1, 1, 1, 0))
+        plane4 = poly((0, 0, 0, 0), (1, 2, 0, 0), (0, 0, 1, 1), (1, 2, 1, 1))  # 2D
+        seg4 = poly((0, 0, 0, 0), (1, 1, 1, 1))
+        cases = [
+            (flat3, random_body(rng, 3, 3), random_body(rng, 3, 3)),
+            (flat3, flat3, random_body(rng, 3, 3)),
+            (flat3, flat3, flat3),
+            (slab4, random_body(rng, 4), random_body(rng, 4), random_body(rng, 4)),
+            (slab4, slab4, slab4, random_body(rng, 4)),
+            (plane4, plane4, random_body(rng, 4), random_body(rng, 4)),
+            (plane4, slab4, seg4, random_body(rng, 4)),
+            (plane4, plane4, plane4, random_body(rng, 4)),  # 0: three copies of a 2D body
+        ]
+        values = []
+        for bodies in cases:
+            got = mv.mixed_volume(bodies)
+            assert got == mv.mixed_volume_interp(bodies)
+            values.append(got)
+        assert values[2] == 0 == values[-1] and values[0] > 0 and values[4] > 0
+
+    def test_rational_denominators(self):
+        rng = random.Random(804)
+
+        def rational_body(n):
+            return poly(*[tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7)))
+                                for _ in range(n)) for _ in range(5)])
+
+        for n in (2, 3, 4):
+            for _ in range(2):
+                bodies = tuple(rational_body(n) for _ in range(n))
+                assert mv.mixed_volume(bodies) == mv.mixed_volume_interp(bodies)
+
+    def test_permutation_invariance_4d_with_repeats(self):
+        rng = random.Random(805)
+        d, k, l = (random_body(rng, 4, 3) for _ in range(3))
+        values = {mv.mixed_volume(p) for p in set(permutations((d, d, k, l)))}
+        assert values == {mv.mixed_volume_interp((d, d, k, l))}
+
+
+class TestMixedVolumeInternals:
+    def test_cofactor_normal_matches_hull_minors(self):
+        rng = random.Random(806)
+        for n in (2, 3, 4):
+            for _ in range(30):
+                rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 1)]
+                minors = _hull._normals(np.array([rows], dtype=object))[0]
+                assert mv._cofactor_normal(rows) == tuple(int(x) for x in minors)
+
+    def test_4d_hull_count_guard(self, monkeypatch):
+        """A cost guard without timing: at most half the 436 4D hulls that
+        inclusion-exclusion needs for the 20 quadruples of
+        test_agreement_on_4d_quadruples, bodies built inside the count."""
+        calls = Counter()
+        real = _hull.hull_of_lifted
+
+        def counting(points, d):
+            calls[d] += 1
+            return real(points, d)
+
+        monkeypatch.setattr(_hull, "hull_of_lifted", counting)
+        rng = random.Random(4040)
+        for _ in range(20):
+            bodies = tuple(random_body(rng, 4) for _ in range(4))
+            assert mv.check_alexandrov_fenchel(bodies).holds
+        assert calls[4] <= 218
+
+
 class TestRepeated:
     def test_double_is_volume(self):
         assert mv.mixed_volume((SQ, SQ)) == g.volume(SQ)
@@ -134,19 +266,19 @@ class TestAlexandrovFenchel:
         cases = [tuple(random_body3(rng) for _ in range(3)) for _ in range(4)]
         a, b, c = cases[0]
         cases += [(a, a, b), (a, b, a), (a, b, b), (a, a, a)]
-        cases.append(
-            tuple(
-                poly(*[tuple(rng.randint(0, 2) for _ in range(4)) for _ in range(5)])
-                for _ in range(4)
-            )
-        )
+        cases.append(tuple(random_body(rng, 4) for _ in range(4)))
+        p, q = random_body(rng, 4, 3), random_body(rng, 4, 3)
+        # the two measures see the same bodies with swapped multiplicities
+        cases.append((p, q, p, q))
         for bodies in cases:
             d1, d2, rest = bodies[0], bodies[1], bodies[2:]
             witness = mv.check_alexandrov_fenchel(bodies).witness["mixed_volumes"]
+            # mixed_volume shares the measures with the check, so the
+            # witness is compared with inclusion-exclusion
             assert witness == {
-                "v12": str(mv.mixed_volume(bodies)),
-                "v11": str(mv.mixed_volume((d1, d1) + rest)),
-                "v22": str(mv.mixed_volume((d2, d2) + rest)),
+                "v12": str(mv.mixed_volume_interp(bodies)),
+                "v11": str(mv.mixed_volume_interp((d1, d1) + rest)),
+                "v22": str(mv.mixed_volume_interp((d2, d2) + rest)),
             }
 
 
