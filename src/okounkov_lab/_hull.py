@@ -43,6 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import factorial, gcd
+from operator import mul
 
 import numpy as np
 
@@ -59,7 +60,7 @@ class HullResult:
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _sub(a, b):

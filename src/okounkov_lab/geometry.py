@@ -89,7 +89,9 @@ class _HullCore:
     so ``scale`` is the least common denominator of the points.  A
     lower-dimensional body is hulled in the coordinates at the pivot columns
     of its difference rows' echelon form, an injective projection on its
-    affine hull; ``result`` is then None.
+    affine hull; ``result`` is then None.  The extreme points are
+    ``vertex_indices`` into ``lifted``; their Fraction coordinates are formed
+    only when :func:`_polytope` makes a polytope.
     """
 
     def __init__(self, scale: int, lifted, ambient_dim: int):
@@ -115,9 +117,6 @@ class _HullCore:
             inner = _hull.hull_of_lifted([projected[i] for i in order], self.affine_dim)
             self.planes = inner.planes
             self.vertex_indices = sorted(order[i] for i in inner.vertex_indices)
-        self.vertices = [
-            tuple(Fraction(c, self.scale) for c in pts[i]) for i in self.vertex_indices
-        ]
 
     def facet_inequalities(self):
         """Facets a.x <= b in original coordinates (full-dimensional only)."""
@@ -164,9 +163,12 @@ def _polytope(scale: int, lifted, n: int) -> LatticePolytope:
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"ambient dimension must be in 1..{MAX_DIM}")
     core = _HullCore(scale, lifted, n)
-    P = LatticePolytope(n, tuple(core.vertices), core.affine_dim)
+    vs = [core.lifted[i] for i in core.vertex_indices]
+    P = LatticePolytope(
+        n, tuple(tuple(Fraction(c, core.scale) for c in v) for v in vs), core.affine_dim
+    )
     P._cache["core"] = core
-    P._cache["lifted"] = (core.scale, [core.lifted[i] for i in core.vertex_indices])
+    P._cache["lifted"] = (core.scale, vs)
     return P
 
 

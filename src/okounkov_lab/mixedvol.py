@@ -7,9 +7,14 @@ The production algorithm is the mixed-area-measure recursion (Schneider,
 V(K1, ..., Kn) is (1/n) times the sum of h_K1(u) against the mixed area
 measure of (K2, ..., Kn), whose atoms sit at the facet normals u of
 K2 + ... + Kn and weigh the (n-1)-dimensional mixed volume of the faces
-there.  One Alexandrov-Fenchel check needs two measures for its three mixed
-volumes.  An independent oracle, :func:`mixed_volume_interp`, computes the
-same value by inclusion-exclusion over the 2^n - 1 subset Minkowski sums.
+there.  Bodies and faces travel as integer faces, (scale, sorted integer
+vertices); only the Minkowski sum whose facet normals a measure needs is
+hulled.  The planar level is closed form: with the counterclockwise edges
+(dx, dy) of F2 as outward normals (dy, -dx), V(F1, F2) is half the sum of
+h_F1(dy, -dx).  One Alexandrov-Fenchel check needs two measures for its
+three mixed volumes.  An independent oracle, :func:`mixed_volume_interp`,
+computes the same value by inclusion-exclusion over the 2^n - 1 subset
+Minkowski sums.
 """
 
 from __future__ import annotations
@@ -60,17 +65,15 @@ def _as_bodies(t) -> tuple[LatticePolytope, ...]:
     return bodies
 
 
+def _face(body: LatticePolytope):
+    """The integer face of a body: (scale, sorted integer vertices)."""
+    scale, pts = geometry._lifted(body)
+    return scale, tuple(pts)
+
+
 def _grouped(bodies):
-    """(body, multiplicity) pairs of the distinct bodies, in first-seen order."""
-    grouped: list[list] = []
-    for b in bodies:
-        for pair in grouped:
-            if pair[0] == b:
-                pair[1] += 1
-                break
-        else:
-            grouped.append([b, 1])
-    return [(b, m) for b, m in grouped]
+    """(face, multiplicity) pairs of the distinct bodies, in first-seen order."""
+    return list(Counter(_face(b) for b in bodies).items())
 
 
 def _without(grouped, i):
@@ -100,8 +103,19 @@ def _cofactor_normal(rows):
     )
 
 
+def _sum_points(faces, n):
+    """The sorted pairwise sums of the faces' points, at their common scale:
+    integer points whose hull is a dilate of the faces' Minkowski sum."""
+    scale = math.lcm(*(s for s, _ in faces))
+    points = {(0,) * n}
+    for s, pts in faces:
+        f = scale // s
+        points = {tuple(a + f * c for a, c in zip(p, q)) for p in points for q in pts}
+    return sorted(points)
+
+
 def _measure(rest, memo):
-    """The mixed area measure of ``rest``, (body, multiplicity) pairs in R^n.
+    """The mixed area measure of ``rest``, (face, multiplicity) pairs in R^n.
 
     Returns [(u, w)] with u an integer outward normal and w =
     V_{n-1}(pi_j F(K, u) for K in rest) / |u_j|, where F(K, u) is the face
@@ -109,17 +123,20 @@ def _measure(rest, memo):
     The terms are homogeneous in u, so no Euclidean norm is needed.  u runs
     over the facet normals of the sum of the distinct bodies (K + K has the
     fan of K), or over both normals of its hyperplane when that sum is flat;
-    a lower-dimensional sum has the zero measure.  A face that is a single
-    point makes its term 0 before any face is hulled.  ``memo`` maps the
-    multiset of projected faces, as (scale, sorted lifted vertices), to
-    their mixed volume.
+    a lower-dimensional sum has the zero measure.  A full-dimensional sum
+    is the only hull; a flat one reads its normal off its echelon rows.
+    The vertices of K on the plane of u are the vertices of F(K, u),
+    and pi_j is injective there, so every face stays a vertex set.  A face
+    that is a single point makes its term 0.  ``memo`` maps the multiset of
+    projected faces to their mixed volume.
     """
     n = sum(m for _, m in rest) + 1
-    core = geometry._core(reduce(geometry.minkowski_sum, (b for b, _ in rest)))
-    if core.affine_dim == n:
-        normals = [a for a, _ in core.planes]
-    elif core.affine_dim == n - 1:
-        a = _cofactor_normal(core.rows)
+    pts = _sum_points([f for f, _ in rest], n)
+    rows = [r for _, r in _hull.echelon(_hull._sub(p, pts[0]) for p in pts[1:])]
+    if len(rows) == n:
+        normals = [a for a, _ in _hull.hull_of_lifted(pts, n).planes]
+    elif len(rows) == n - 1:
+        a = _cofactor_normal(rows)
         normals = [a, tuple(-x for x in a)]
     else:
         return []
@@ -127,8 +144,7 @@ def _measure(rest, memo):
     for u in normals:
         j = next(i for i, x in enumerate(u) if x)
         faces: Counter = Counter()
-        for body, m in rest:
-            s, pts = geometry._lifted(body)
+        for (s, pts), m in rest:
             heights = [_hull._dot(u, p) for p in pts]
             top = max(heights)
             face = [p[:j] + p[j + 1:] for p, h in zip(pts, heights) if h == top]
@@ -136,44 +152,65 @@ def _measure(rest, memo):
                 break
             faces[s, tuple(sorted(face))] += m
         else:
-            if n == 2:  # one edge: its length, read off the projected coordinate
-                [(s, face)] = faces
-                w = Fraction(face[-1][0] - face[0][0], s)
-            else:
-                key = tuple(sorted(faces.items()))
-                w = memo.get(key)
-                if w is None:
-                    grouped = [(geometry._polytope(s, f, n - 1), m) for (s, f), m in faces.items()]
-                    w = memo[key] = _mixed_volume_grouped(grouped, memo)
+            key = tuple(sorted(faces.items()))
+            w = memo.get(key)
+            if w is None:
+                w = memo[key] = _mixed_volume_grouped(list(faces.items()), memo)
             if w:
                 out.append((u, w / abs(u[j])))
     return out
 
 
-def _pair(body, measure, n) -> Fraction:
-    """(1/n) sum of h_body(u) w over the measure's atoms (u, w)."""
-    s, pts = geometry._lifted(body)
+def _pair(face, measure, n) -> Fraction:
+    """(1/n) sum of h_face(u) w over the measure's atoms (u, w)."""
+    s, pts = face
     total = sum(max(_hull._dot(u, p) for p in pts) * w for u, w in measure)
     return Fraction(total) / (n * s)
 
 
-def _mixed_volume_grouped(grouped, memo) -> Fraction:
-    """V of the tuple given as (body, multiplicity) pairs.
+def _planar_mixed(f1, f2) -> Fraction:
+    """V(F1, F2) of two planar integer faces, in closed form.
 
-    Equal bodies give their volume.  Otherwise the first body K1 is the one
-    of lowest multiplicity, ties going to the one with the most vertices, so
-    the measure comes from the smaller bodies.
+    F2 is the face with more points.  Its counterclockwise edges (dx, dy)
+    are outward normals (dy, -dx) as long as the edges, so V(F1, F2) is half
+    the sum of h_F1(dy, -dx), at scale s1 s2.  A segment F2 has two
+    opposite edges and a point none; V(F, F) is the area of F.
     """
-    if len(grouped) == 1:
-        return geometry.volume(grouped[0][0])
-    i = min(range(len(grouped)), key=lambda k: (grouped[k][1], -len(grouped[k][0].vertices)))
+    if len(f1[1]) > len(f2[1]):
+        f1, f2 = f2, f1
+    (s1, p1), (s2, p2) = f1, f2
+    ring = [p2[i] for i in _hull.ring_2d(p2)]
+    total = 0
+    for (x0, y0), (x1, y1) in zip(ring, ring[1:] + ring[:1]):
+        dx, dy = x1 - x0, y1 - y0
+        total += max(dy * x - dx * y for x, y in p1)
+    return Fraction(total, 2 * s1 * s2)
+
+
+def _mixed_volume_grouped(grouped, memo) -> Fraction:
+    """V of the tuple given as (face, multiplicity) pairs.
+
+    The plane has :func:`_planar_mixed`.  Above it, equal faces give their
+    volume.  Otherwise the first face K1 is the one of lowest multiplicity,
+    ties going to the one with the most vertices, so the measure comes from
+    the smaller faces.
+    """
     n = sum(m for _, m in grouped)
+    if n == 2:
+        return _planar_mixed(grouped[0][0], grouped[-1][0])
+    if len(grouped) == 1:
+        return geometry._HullCore(*grouped[0][0], n).volume()
+    i = min(range(len(grouped)), key=lambda k: (grouped[k][1], -len(grouped[k][0][1])))
     return _pair(grouped[i][0], _measure(_without(grouped, i), memo), n)
 
 
 def mixed_volume(t) -> Fraction:
     """V(D_1, ..., D_n) by the mixed-area-measure recursion; exact and symmetric."""
-    return _mixed_volume_grouped(_grouped(_as_bodies(t)), {})
+    bodies = _as_bodies(t)
+    grouped = _grouped(bodies)
+    if len(grouped) == 1:  # V(K, ..., K) is the volume of K, from its cached hull
+        return geometry.volume(bodies[0])
+    return _mixed_volume_grouped(grouped, {})
 
 
 def mixed_volume_interp(t) -> Fraction:
@@ -212,12 +249,13 @@ def check_alexandrov_fenchel(t) -> InequalityReport:
     bodies = _as_bodies(t)
     if len(bodies) < 2:
         raise ValueError("the Alexandrov-Fenchel inequality needs dimension at least 2")
-    d1, d2, n = bodies[0], bodies[1], len(bodies)
+    n = len(bodies)
     grouped = _grouped(bodies)  # D1 first, then D2 unless it equals D1
+    f1, f2 = _face(bodies[0]), _face(bodies[1])
     memo: dict = {}
     m2 = _measure(_without(grouped, 0), memo)  # of (D2, rest)
-    m1 = m2 if d1 == d2 else _measure(_without(grouped, 1), memo)  # of (D1, rest)
-    v12, v22, v11 = _pair(d1, m2, n), _pair(d2, m2, n), _pair(d1, m1, n)
+    m1 = m2 if f1 == f2 else _measure(_without(grouped, 1), memo)  # of (D1, rest)
+    v12, v22, v11 = _pair(f1, m2, n), _pair(f2, m2, n), _pair(f1, m1, n)
     lhs, rhs = v12 * v12, v11 * v22
     return InequalityReport(
         lhs=lhs,
@@ -284,16 +322,17 @@ def check_isoperimetric(d1: LatticePolytope, d2: LatticePolytope) -> InequalityR
 
     Also verifies the expansion Area(D1+D2) = Area(D1) + 2A + Area(D2) for
     the mixed area A of the production recursion, and compares A with the
-    inclusion-exclusion oracle (:func:`mixed_volume_interp`).  In the plane
-    inclusion-exclusion is the expansion identity, so the identity is checked
-    against the recursion, which computes A another way.
+    inclusion-exclusion oracle, which in the plane is
+    (Area(D1+D2) - Area(D1) - Area(D2)) / 2, as :func:`mixed_volume_interp`
+    computes it.  The recursion's closed form never builds D1 + D2, so both
+    checks set it against the one hull of the sum.
     """
     if d1.ambient_dim != 2 or d2.ambient_dim != 2:
         raise ValueError("isoperimetric check is planar only")
     area1, area2 = geometry.volume(d1), geometry.volume(d2)
     mixed = mixed_volume((d1, d2))
-    mixed_oracle = mixed_volume_interp((d1, d2))
     total = geometry.volume(geometry.minkowski_sum(d1, d2))
+    mixed_oracle = (total - area1 - area2) / 2
     identity = total == area1 + 2 * mixed + area2
     lhs, rhs = area1 * area2, mixed * mixed
     return InequalityReport(

@@ -296,16 +296,30 @@ def _depth_to_boundary(point, facets) -> float:
     return best
 
 
+def _deeper_than(point, facets, c: Fraction) -> bool:
+    """Whether the point lies at Euclidean depth greater than C, exactly.
+
+    For each facet a.x <= b the gap g = b - a.p is an exact rational, and
+    the distance g / |a| exceeds C >= 0 iff g > 0 and g^2 > C^2 |a|^2.
+    """
+    for a, b in facets:
+        gap = b - sum(x * y for x, y in zip(a, point))
+        if gap <= 0 or gap * gap <= c * c * sum(x * x for x in a):
+            return False
+    return True
+
+
 def interior_margin(s: GradedSemigroupSlice, c) -> list[MarginRow]:
     """Deep-interior deficit of each level against the dilated hull.
 
     For each k, counts lattice points of k*conv(S_1) lying at Euclidean
-    depth greater than C that are missing from S_k.  The deep-interior
-    region is shrunk by 1e-9 (depth must exceed C + 1e-9) so float rounding
-    can only under-count, never fabricate a deficit.
+    depth greater than C (a non-negative rational) that are missing from
+    S_k.  Depth is compared with C exactly; ``max_missing_depth`` is a
+    float diagnostic only.
     """
-    c = float(c)
-    n = s.ambient_dim
+    c = Fraction(c)
+    if c < 0:
+        raise ValueError("the margin constant must be non-negative")
     a1 = s.levels[1]
     index = difference_lattice_index(list(s.levels.values()))
     if index != 1:
@@ -324,10 +338,8 @@ def interior_margin(s: GradedSemigroupSlice, c) -> list[MarginRow]:
         for p in geometry.lattice_points(dilated).points:
             if p in have:
                 continue
-            depth = _depth_to_boundary(p, facets)
-            max_depth = max(max_depth, depth)
-            if depth > c + 1e-9:
-                deep_missing += 1
+            max_depth = max(max_depth, _depth_to_boundary(p, facets))
+            deep_missing += _deeper_than(p, facets, c)
         rows.append(MarginRow(k, deep_missing, max_depth))
     return rows
 

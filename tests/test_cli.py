@@ -378,7 +378,8 @@ class TestViolations:
     """
 
     def test_af_check(self, tmp_path, monkeypatch):
-        real, square = mixedvol._measure, jsonio.polytope_from_json(SQ)
+        real = mixedvol._measure
+        square = (1, ((0, 0), (0, 1), (1, 0), (1, 1)))  # body1 as (scale, integer vertices)
 
         def measure(rest, memo):  # the measure of (body1) weighs ten times too much
             got = real(rest, memo)

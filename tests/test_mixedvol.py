@@ -44,6 +44,19 @@ def random_body(rng, n, span=2, k=5):
     return poly(*[tuple(rng.randint(0, span) for _ in range(n)) for _ in range(k)])
 
 
+def _count_hulls(monkeypatch) -> Counter:
+    """Count the exact hulls built from now on, by dimension."""
+    calls: Counter = Counter()
+    real = _hull.hull_of_lifted
+
+    def counting(points, d):
+        calls[d] += 1
+        return real(points, d)
+
+    monkeypatch.setattr(_hull, "hull_of_lifted", counting)
+    return calls
+
+
 class TestMixedVolume:
     def test_diagonal_is_volume_cube(self):
         assert mv.mixed_volume((CUBE, CUBE, CUBE)) == 1
@@ -217,20 +230,70 @@ class TestMixedVolumeInternals:
     def test_4d_hull_count_guard(self, monkeypatch):
         """A cost guard without timing: at most half the 436 4D hulls that
         inclusion-exclusion needs for the 20 quadruples of
-        test_agreement_on_4d_quadruples, bodies built inside the count."""
-        calls = Counter()
-        real = _hull.hull_of_lifted
-
-        def counting(points, d):
-            calls[d] += 1
-            return real(points, d)
-
-        monkeypatch.setattr(_hull, "hull_of_lifted", counting)
+        test_agreement_on_4d_quadruples, bodies built inside the count.
+        Faces are never hulled, so the 1D and 2D hulls (2,204 and 837 when
+        every face was a polytope) stay far below their guards too."""
+        calls = _count_hulls(monkeypatch)
         rng = random.Random(4040)
         for _ in range(20):
             bodies = tuple(random_body(rng, 4) for _ in range(4))
             assert mv.check_alexandrov_fenchel(bodies).holds
         assert calls[4] <= 218
+        assert calls[1] <= 100 and calls[2] <= 600
+
+
+class TestPlanarMixed:
+    """The closed-form planar level against inclusion-exclusion."""
+
+    @staticmethod
+    def check(a, b):
+        want = mv.mixed_volume_interp((a, b))
+        assert mv._planar_mixed(mv._face(a), mv._face(b)) == want
+        assert mv._planar_mixed(mv._face(b), mv._face(a)) == want
+        return want
+
+    def test_random_rational_polygons_with_different_scales(self):
+        rng = random.Random(2024)
+        for _ in range(40):
+            a, b = (
+                poly(*[(F(rng.randint(-6, 6), den), F(rng.randint(-6, 6), den))
+                       for _ in range(rng.randint(1, 6))])
+                for den in (rng.randint(1, 5), rng.randint(1, 7))
+            )
+            self.check(a, b)
+
+    def test_segments(self):
+        rng = random.Random(2025)
+        for _ in range(20):
+            a = poly((0, 0), (rng.randint(-4, 4), rng.randint(1, 4)))
+            b = poly((F(1, 3), 0), (rng.randint(1, 4), F(rng.randint(-4, 4), 2)))
+            self.check(a, b)
+            self.check(a, random_polygon(rng))
+        assert self.check(poly((0, 0), (1, 1)), poly((1, 0), (3, 2))) == 0
+        assert self.check(poly((0, 0), (2, 0)), poly((0, 1), (F(1, 2), 1))) == 0
+        assert self.check(poly((0, 0), (2, 0)), poly((0, 0), (0, 3))) == 3
+
+    def test_equal_faces_give_the_area(self):
+        rng = random.Random(2026)
+        for _ in range(20):
+            p = random_polygon(rng, span=5, k=6)
+            assert mv._planar_mixed(mv._face(p), mv._face(p)) == g.volume(p)
+            self.check(p, p)
+
+    def test_collinear_points(self):
+        line = (1, ((0, 0), (1, 1), (2, 2), (3, 3)))
+        tri = (2, ((0, 0), (0, 3), (5, 1)))
+        half_tri = poly((0, 0), (0, F(3, 2)), (F(5, 2), F(1, 2)))
+        want = mv.mixed_volume_interp((poly((0, 0), (3, 3)), half_tri))
+        assert mv._planar_mixed(line, tri) == mv._planar_mixed(tri, line) == want
+        square = (1, ((0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)))
+        assert mv._planar_mixed(square, square) == 4
+
+    def test_a_point_gives_zero(self):
+        point = poly((F(2, 3), 5))
+        assert self.check(point, SQ) == 0
+        assert self.check(point, poly((0, 0), (1, 2))) == 0
+        assert mv._planar_mixed(mv._face(point), mv._face(point)) == 0
 
 
 class TestRepeated:
@@ -324,6 +387,17 @@ class TestIsoperimetric:
     def test_requires_plane(self):
         with pytest.raises(ValueError):
             mv.check_isoperimetric(CUBE, CUBE)
+
+    def test_one_hull_of_the_sum(self, monkeypatch):
+        """The oracle and the expansion identity share one 2D hull of D1 + D2."""
+        rng = random.Random(14)
+        pairs = [(random_polygon(rng, 5, 6), random_polygon(rng, 5, 6)) for _ in range(10)]
+        want = [str(mv.mixed_volume_interp(pair)) for pair in pairs]
+        calls = _count_hulls(monkeypatch)
+        reports = [mv.check_isoperimetric(d1, d2) for d1, d2 in pairs]
+        assert calls == Counter({2: len(pairs)})
+        assert [r.witness["mixed_area_interp"] for r in reports] == want
+        assert all(r.holds for r in reports)
 
 
 class TestAxioms:

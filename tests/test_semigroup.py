@@ -330,6 +330,31 @@ class TestInteriorMargin:
         with pytest.raises(ValueError):
             sg.interior_margin(sg.slice_of_support(A02, 5), 0)
 
+    def test_depth_exactly_c_is_not_deep(self):
+        # every level of A013 misses one point (2, 5, 8, ...) at depth exactly 1
+        rows = sg.interior_margin(sg.slice_of_support(A013, 6), 1)
+        assert [r.deep_missing for r in rows] == [0] * 6
+        assert [r.max_missing_depth for r in rows] == [1.0] * 6
+
+    def test_just_deeper_than_c_is_deep(self):
+        # 1e-12 below the depth: within the old 1e-9 float slack, still deeper
+        c = 1 - F(1, 10**12)
+        rows = sg.interior_margin(sg.slice_of_support(A013, 6), c)
+        assert [r.deep_missing for r in rows] == [1] * 6
+
+    def test_exact_depth_across_a_slanted_facet(self):
+        # k = 1: (1, 1) is the only interior lattice point of the triangle
+        # (0,0), (3,0), (0,3) missing from S_1; its depth 1/sqrt(2), to
+        # x + y <= 3, is irrational
+        s = sg.slice_of_support(S(2, [(0, 0), (1, 0), (0, 1), (3, 0), (0, 3)]), 1)
+        below, above = F(7071067811865475, 10**16), F(7071067811865476, 10**16)
+        assert sg.interior_margin(s, below)[0].deep_missing == 1
+        assert sg.interior_margin(s, above)[0].deep_missing == 0
+
+    def test_rejects_negative_c(self):
+        with pytest.raises(ValueError):
+            sg.interior_margin(sg.slice_of_support(A013, 2), -1)
+
     def test_rejects_non_sumset_levels(self):
         levels = {1: SIMPLEX_PTS, 2: S(2, [(0, 0)])}
         with pytest.raises(ValueError):
