@@ -2,9 +2,11 @@
 and two variables, against the exact prediction n! times the mixed volume of
 the Newton polytopes.
 
-Every coefficient is read exactly: a complex double is a Gaussian dyadic
-rational, and random trials draw real dyadic coefficients.  So each count
-is a proof about one explicit system, not a floating-point estimate.
+Polynomials are :class:`algebra.LaurentPolynomial` with rational
+coefficients, read exactly, and random trials draw integer coefficients
++-k.  Generic integer coefficients are as good a witness as any generic
+choice, so each count is a proof about one explicit system, not a
+floating-point estimate.
 
 A one-variable polynomial, shifted to an ordinary polynomial with a nonzero
 constant term, has as many torus roots as its degree once it is squarefree.
@@ -18,7 +20,7 @@ leading y-coefficients and coprime to p1(x, 0), every root of R~ lies below
 exactly one torus solution, a simple one, so the system has exactly
 d * deg R~ torus roots.  These checks run modulo one prime, where they are
 one-sided: a reduction of the same degree that is squarefree (or coprime)
-there is squarefree (or coprime) over Q(i).
+there is squarefree (or coprime) over Q.
 
 A trial whose checks fail is degenerate, with a named reason, and is never
 counted; the retry draws fresh coefficients and a shear (x, y) -> (x y^a, y).
@@ -33,6 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import geometry
+from .algebra import LaurentPolynomial, laurent
 # unused: perfbench/tracing.py looks roots.aberth_roots up among the modules cli loads
 from . import roots  # noqa: F401
 from .geometry import SupportSet
@@ -40,17 +43,15 @@ from .mixedvol import mixed_volume
 from .rng import derive_seed
 from .semigroup import completion
 
-# prime and 1 mod 4, so -1 has a square root and Gaussian integers reduce
+# the modulus of the certificate checks; fixed, because another prime would
+# change which trials are degenerate and so the reports
 PRIME = 2**64 - 59
-SQRT_MINUS_ONE = next(
-    s for s in (pow(g, (PRIME - 1) // 4, PRIME) for g in range(2, 100))
-    if s * s % PRIME == PRIME - 1
-)
 COEFFICIENT_BITS = 17
 SHEARS = (-2, -1, 1, 2)
 
 # budgets: verify_bkk rejects inputs past them before any trial runs
 MAX_TRIALS = 20
+MAX_RETRIES = 12  # degenerate trials a batch may throw away
 MAX_SYLVESTER_ORDER = 20
 MAX_ELIMINANT_DEGREE = 160
 MAX_COMPLETION_CANDIDATES = 10_000
@@ -58,41 +59,6 @@ MAX_COMPLETION_CANDIDATES = 10_000
 
 class DegenerateSystemError(RuntimeError):
     """A trial failed a certificate check; the message names the check."""
-
-
-@dataclass(frozen=True)
-class ComplexLaurentPolynomial:
-    """Laurent polynomial with complex double coefficients, 1 or 2 variables."""
-
-    ambient_dim: int
-    terms: tuple[tuple[tuple[int, ...], complex], ...]
-
-    def __post_init__(self):
-        if self.ambient_dim not in (1, 2):
-            raise ValueError("root counts support 1 or 2 variables")
-        if not self.terms:
-            raise ValueError("empty polynomial")
-        for e, c in self.terms:
-            if len(e) != self.ambient_dim:
-                raise ValueError("exponent dimension mismatch")
-            if c == 0:
-                raise ValueError("zero coefficients must not be stored")
-
-    def support(self) -> SupportSet:
-        return geometry.support_set(self.ambient_dim, [e for e, _ in self.terms])
-
-    def __mul__(self, other: "ComplexLaurentPolynomial"):
-        acc: dict[tuple[int, ...], complex] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                acc[e] = acc.get(e, 0j) + c1 * c2
-        return clp(self.ambient_dim, acc)
-
-
-def clp(dim: int, terms: dict) -> ComplexLaurentPolynomial:
-    cleaned = {tuple(e): complex(c) for e, c in terms.items() if complex(c) != 0}
-    return ComplexLaurentPolynomial(dim, tuple(sorted(cleaned.items(), key=lambda t: t[0])))
 
 
 @dataclass(frozen=True)
@@ -118,84 +84,23 @@ def bkk_number(supports) -> int:
     return int(value)
 
 
-def random_generic_system(supports, seed) -> list[ComplexLaurentPolynomial]:
-    """Real dyadic coefficients +-k / 2^17, k uniform in [2^16, 2^17], so |c| in [1/2, 1]."""
+def random_generic_system(supports, seed) -> list[LaurentPolynomial]:
+    """Integer coefficients +-k, k uniform in [2^16, 2^17]."""
     out = []
     top = 2**COEFFICIENT_BITS
     for idx, a in enumerate(supports):
         rng = random.Random(derive_seed(seed, "coeffs", idx))
-        terms = {
-            e: rng.choice((-1, 1)) * rng.randint(top // 2, top) / top for e in sorted(a.points)
-        }
-        out.append(clp(a.ambient_dim, terms))
+        terms = {e: rng.choice((-1, 1)) * rng.randint(top // 2, top) for e in sorted(a.points)}
+        out.append(laurent(a.ambient_dim, terms))
     return out
 
 
-# -- exact coefficients: integers, or Gaussian integers for non-real input ----
-
-
-@dataclass(frozen=True)
-class _Gaussian:
-    """re + im*i over the integers; plain ints mix in as real values."""
-
-    re: int
-    im: int
-
-    def __add__(self, o):
-        o = _gaussian(o)
-        return _Gaussian(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Gaussian(-self.re, -self.im)
-
-    def __sub__(self, o):
-        return self + -_gaussian(o)
-
-    def __rsub__(self, o):
-        return _gaussian(o) + -self
-
-    def __mul__(self, o):
-        o = _gaussian(o)
-        return _Gaussian(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __floordiv__(self, o):
-        """Exact quotient: the divisor must divide self."""
-        o = _gaussian(o)
-        norm = o.re * o.re + o.im * o.im
-        num = self * _Gaussian(o.re, -o.im)
-        return _Gaussian(num.re // norm, num.im // norm)
-
-    def __rfloordiv__(self, o):
-        return _gaussian(o) // self
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-
-def _gaussian(c) -> _Gaussian:
-    return c if isinstance(c, _Gaussian) else _Gaussian(c, 0)
-
-
-def _residue(c) -> int:
-    """Image of an integer or Gaussian integer modulo PRIME."""
-    if isinstance(c, _Gaussian):
-        return (c.re + SQRT_MINUS_ONE * c.im) % PRIME
-    return c % PRIME
-
-
-def _integer_terms(poly: ComplexLaurentPolynomial):
-    """Terms with exact coefficients, all scaled by one power of two to integers."""
-    parts = [(c.real.as_integer_ratio(), c.imag.as_integer_ratio()) for _, c in poly.terms]
-    scale = max(d for pair in parts for _, d in pair)
-    out = []
-    for (e, _), ((rn, rd), (imn, imd)) in zip(poly.terms, parts):
-        re, im = rn * (scale // rd), imn * (scale // imd)
-        out.append((e, _Gaussian(re, im) if im else re))
-    return out
+def _integer_terms(poly: LaurentPolynomial):
+    """Terms with integer coefficients: all scaled by the common denominator."""
+    if poly.is_zero:
+        raise ValueError("the zero polynomial has no root count")
+    scale = math.lcm(*(c.denominator for _, c in poly.terms))
+    return [(e, c.numerator * (scale // c.denominator)) for e, c in poly.terms]
 
 
 # -- polynomials modulo PRIME, as ascending coefficient lists -----------------
@@ -224,19 +129,19 @@ def _coprime(a, b) -> bool:
 
 def _certify(f, leads, axis) -> int:
     """Degree of the exact polynomial f (f[0] != 0) after the modular checks."""
-    f = [_residue(c) for c in f]
+    f = [c % PRIME for c in f]
     if not f[0] or not f[-1]:
         raise DegenerateSystemError("degree drops mod p")
     if not _coprime(f, [i * c % PRIME for i, c in enumerate(f)][1:]):
         raise DegenerateSystemError("not squarefree mod p")
-    if not all(_coprime(f, [_residue(c) for c in g]) for g in leads):
+    if not all(_coprime(f, [c % PRIME for c in g]) for g in leads):
         raise DegenerateSystemError("shares a root with a leading coefficient")
-    if axis is not None and not _coprime(f, [_residue(c) for c in axis]):
+    if axis is not None and not _coprime(f, [c % PRIME for c in axis]):
         raise DegenerateSystemError("shares a root with p1(x, 0)")
     return len(f) - 1
 
 
-def count_roots_1d(p: ComplexLaurentPolynomial) -> int:
+def count_roots_1d(p: LaurentPolynomial) -> int:
     """Torus roots of a one-variable Laurent polynomial, certified.
 
     After monomial normalization the constant term is nonzero, so every
@@ -328,37 +233,29 @@ def _strip(cs):
     return cs[next((i for i, c in enumerate(cs) if c), len(cs)):]
 
 
-def _power(c, k):
-    """c**k by repeated products; _Gaussian has no __pow__."""
-    acc = 1
-    for _ in range(k):
-        acc = acc * c
-    return acc
-
-
 def _resultant(c1, c2):
     """Res(f, g) of descending coefficient lists over their formal degrees
     d1 = len(c1) - 1 and d2 = len(c2) - 1, so the determinant of the
     Sylvester matrix of c1 and c2 even where leading coefficients vanish.
 
-    Entries are integers or :class:`_Gaussian` integers.  Zero leads are
-    stripped and restored by the formal-degree identities: with both leads
-    zero the Sylvester matrix has a zero first column; if only g drops to
-    degree e2, Res = lc(f)^(d2 - e2) Res(f, g); if only f drops to degree
-    e1, Res = (-1)^(d2 (d1 - e1)) lc(g)^(d1 - e1) Res(f, g).
+    Entries are integers.  Zero leads are stripped and restored by the
+    formal-degree identities: with both leads zero the Sylvester matrix has
+    a zero first column; if only g drops to degree e2, Res = lc(f)^(d2 - e2)
+    Res(f, g); if only f drops to degree e1, Res = (-1)^(d2 (d1 - e1))
+    lc(g)^(d1 - e1) Res(f, g).
     """
     d1, d2 = len(c1) - 1, len(c2) - 1
     if not d1:
-        return _power(c1[0], d2)
+        return c1[0] ** d2
     if not d2:
-        return _power(c2[0], d1)
+        return c2[0] ** d1
     f, g = _strip(c1), _strip(c2)
     if not f or not g or (len(f) <= d1 and len(g) <= d2):
         return 0
     if len(g) <= d2:
-        return _power(f[0], d2 + 1 - len(g)) * _subresultant(f, g)
+        return f[0] ** (d2 + 1 - len(g)) * _subresultant(f, g)
     drop = d1 + 1 - len(f)
-    scale = _power(g[0], drop)
+    scale = g[0] ** drop
     return (-scale if d2 * drop % 2 else scale) * _subresultant(f, g)
 
 
@@ -386,16 +283,16 @@ def _subresultant(a, b):
         for _ in range(delta + 1):
             q = r[0]
             r = [lb * x - q * y for x, y in zip(r[1:], tail)] + [lb * x for x in r[db + 1:]]
-        divisor = g * _power(h, delta)
+        divisor = g * h**delta
         r = [c // divisor for c in r]
         a, b = b, _strip(r)
         g = a[0]
         if delta:
-            h = _power(g, delta) // _power(h, delta - 1)
+            h = g**delta // h ** (delta - 1)
     if not b:
         return 0
-    da = len(a) - 1  # h = 1 if the loop never ran
-    return s * (_power(b[0], da) // _power(h, da - 1))
+    da = len(a) - 1  # h = 1 if the loop never ran; da = 0 for two constants
+    return s * (b[0] ** da // h ** max(da - 1, 0))
 
 
 def _interpolate(values, x0):
@@ -445,8 +342,8 @@ def _y_rows(terms):
 
 
 def count_solutions_2d(
-    p1: ComplexLaurentPolynomial,
-    p2: ComplexLaurentPolynomial,
+    p1: LaurentPolynomial,
+    p2: LaurentPolynomial,
     shear: int = 0,
 ) -> int:
     """Torus solutions of a two-variable system, certified exactly.
@@ -481,10 +378,10 @@ def _count_system(system, shear):
     return count_solutions_2d(system[0], system[1], shear)
 
 
-def _run_trials(supports, trials, seed, label, max_retries, predicted, reasons):
+def _run_trials(supports, trials, seed, label, predicted, reasons):
     counts = []
     degenerate = 0
-    for attempt in range(trials + max_retries):
+    for attempt in range(trials + MAX_RETRIES):
         if len(counts) == trials:
             break
         trial_seed = derive_seed(seed, label, attempt)
@@ -507,9 +404,7 @@ def _run_trials(supports, trials, seed, label, max_retries, predicted, reasons):
 def _modal(counts):
     if not counts:
         return None, False
-    tally: dict[int, int] = {}
-    for c in counts:
-        tally[c] = tally.get(c, 0) + 1
+    tally = Counter(counts)
     best = max(tally, key=lambda c: (tally[c], -c))
     return best, tally[best] * 2 > len(counts)
 
@@ -546,13 +441,13 @@ def verify_bkk(
     trials: int = 5,
     seed: int = 0,
     include_completion: bool = True,
-    max_retries: int = 12,
 ) -> CountReport:
     """Randomized root-count verification with certified trials.
 
     Runs `trials` independent generic systems, each counted exactly or
-    thrown away as degenerate with its reason, takes the modal count, and
-    compares with the exact prediction.  When `include_completion` is set
+    thrown away as degenerate with its reason (at most MAX_RETRIES of them
+    per batch), takes the modal count, and compares with the exact
+    prediction.  When `include_completion` is set
     the same verification runs on the lattice-point completions of the
     supports, whose counts must agree with the originals.
     """
@@ -572,7 +467,7 @@ def verify_bkk(
     predicted = bkk_number(supports)
     reasons: Counter = Counter()
     results = {
-        label: _run_trials(sup, trials, seed, label, max_retries, predicted, reasons)
+        label: _run_trials(sup, trials, seed, label, predicted, reasons)
         for label, sup in batches
     }
 

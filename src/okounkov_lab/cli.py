@@ -198,7 +198,7 @@ _OPTIONS = {
     "--trials": dict(type=int, default=5, help="verification trials"),
     "--kmax": dict(type=int, default=12, help="level cutoff"),
     "--oracle": dict(
-        action="store_true", help="also run the mixed-area-measure oracle (dimensions 1-4)"
+        action="store_true", help="also run the inclusion-exclusion oracle (dimensions 1-4)"
     ),
 }
 _READS = {

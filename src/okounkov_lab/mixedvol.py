@@ -190,12 +190,15 @@ def _planar_mixed(f1, f2) -> Fraction:
 def _mixed_volume_grouped(grouped, memo) -> Fraction:
     """V of the tuple given as (face, multiplicity) pairs.
 
-    The plane has :func:`_planar_mixed`.  Above it, equal faces give their
-    volume.  Otherwise the first face K1 is the one of lowest multiplicity,
-    ties going to the one with the most vertices, so the measure comes from
-    the smaller faces.
+    On the line V is the face's length, in the plane :func:`_planar_mixed`.
+    Above it, equal faces give their volume.  Otherwise the first face K1
+    is the one of lowest multiplicity, ties going to the one with the most
+    vertices, so the measure comes from the smaller faces.
     """
     n = sum(m for _, m in grouped)
+    if n == 1:
+        s, pts = grouped[0][0]
+        return Fraction(max(pts)[0] - min(pts)[0], s)
     if n == 2:
         return _planar_mixed(grouped[0][0], grouped[-1][0])
     if len(grouped) == 1:

@@ -125,28 +125,26 @@ def sympy_torus_root_count(system):
     """Distinct torus roots of a square system in one or two variables, by sympy.
 
     `system` lists each Laurent polynomial as (exponent tuple, coefficient)
-    pairs; a float or complex coefficient is read exactly, as its dyadic
-    value.  One variable: the degree of the squarefree part after shifting
-    to a nonzero constant term.  Two variables: the supports' difference
+    pairs; a coefficient is an int or a Fraction, read exactly.  One
+    variable: the degree of the squarefree part after shifting to a nonzero
+    constant term.  Two variables: the supports' difference
     lattice is divided out with sympy's Hermite normal form, then the
     eliminant R~ = Res / u^k in a variable u is certified squarefree and
     coprime to both leading coefficients and to p1 at v = 0 with
     `resultant`, `sqf_part` and `gcd`; each root lifts to one torus root.
     Returns None when that certificate fails.
     """
-    from sympy import I, Matrix, Poly, Rational, gcd, sqf_part, symbols
+    from sympy import Matrix, Poly, Rational, gcd, sqf_part, symbols
     from sympy.matrices.normalforms import hermite_normal_form
 
     x, y = symbols("x y")
 
     def exact(c):
-        c = complex(c)
-        return Rational(c.real) + I * Rational(c.imag)
+        return Rational(c.numerator, c.denominator)
 
     def integer_poly(expr, gens):
-        gaussian = expr.has(I)
-        poly = Poly(expr, *gens, domain="QQ_I" if gaussian else "QQ")
-        return Poly(poly.clear_denoms()[1].as_expr(), *gens, domain="ZZ_I" if gaussian else "ZZ")
+        poly = Poly(expr, *gens, domain="QQ")
+        return Poly(poly.clear_denoms()[1].as_expr(), *gens, domain="ZZ")
 
     def distinct_nonzero_roots(poly, var):
         low = min(m[0] for m in poly.monoms())
@@ -184,8 +182,7 @@ def sympy_torus_root_count(system):
         return 0  # a monomial never vanishes on the torus
     for v, u in ((y, x), (x, y)):
         if p1.degree(v) and p2.degree(v):
-            domain = p1.domain if p1.domain == p2.domain else "ZZ_I"
-            q1, q2 = (Poly(p.as_expr(), v, u, domain=domain) for p in polys)
+            q1, q2 = (Poly(p.as_expr(), v, u, domain="ZZ") for p in polys)
             r = q1.resultant(q2)
             if r.is_zero:
                 return None

@@ -241,6 +241,28 @@ class TestMixedVolumeInternals:
         assert calls[4] <= 218
         assert calls[1] <= 100 and calls[2] <= 600
 
+    def test_planar_af_builds_no_1d_hull(self, monkeypatch):
+        """The faces of a planar measure are segments, whose mixed volume is
+        their length, so a 2D check builds no 1D hull (2,711 on 300 integer
+        pairs when each segment was hulled).  Its three mixed volumes match
+        inclusion-exclusion, at scales 1 to 3."""
+        rng = random.Random(9)
+        pairs = [
+            tuple(
+                poly(*[(F(rng.randint(0, 9), den), F(rng.randint(0, 9), den)) for _ in range(8)])
+                for den in (rng.randint(1, 3), rng.randint(1, 3))
+            )
+            for _ in range(40)
+        ]
+        calls = _count_hulls(monkeypatch)
+        reports = [mv.check_alexandrov_fenchel(pair) for pair in pairs]
+        assert calls[1] == 0
+        for (a, b), r in zip(pairs, reports):
+            want = {"v12": (a, b), "v11": (a, a), "v22": (b, b)}
+            assert r.witness["mixed_volumes"] == {
+                k: str(mv.mixed_volume_interp(t)) for k, t in want.items()
+            }
+
 
 class TestPlanarMixed:
     """The closed-form planar level against inclusion-exclusion."""
