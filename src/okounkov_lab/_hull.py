@@ -2,9 +2,9 @@
 
 Everything runs on integer-lifted coordinates: the caller clears the common
 denominator once, so all predicates below are exact integer arithmetic.  The
-engine returns a triangulated boundary with the unreduced plane of each
-boundary simplex (used for fan-volume computation), the deduplicated set of
-supporting facet planes (used for membership tests), and the extreme points.
+engine returns plain Python integers: the deduplicated supporting facet
+planes (used for membership tests), the extreme points, and d! times the
+volume.
 :func:`echelon`, fraction-free integer row reduction, is the one exact
 elimination routine: it picks the initial simplex and gives ``geometry`` the
 affine hull of a lower-dimensional body.
@@ -20,6 +20,7 @@ Dimension dispatch:
   order every point would lie beyond it.  Coplanar degeneracies are legal;
   the boundary triangulation may contain coplanar adjacent simplices and
   non-extreme corners, neither of which affects volumes or membership tests.
+  The volume is the fan sum over the boundary simplices from one vertex.
 
 The extreme points are read off the corner x plane incidence matrix I of
 the triangulation's corners and the deduplicated planes: a corner is a
@@ -34,7 +35,8 @@ operations: visibility is one matrix-vector product, and the planes of the
 new facets are one batch of signed minors.  The dtype is ``int64`` when the
 largest coordinate M bounds every value formed below 2**63 (a normal is at
 most (d-1)! (2M)^(d-1), see :func:`_dtype_for`); otherwise it is ``object``,
-exact Python integers, running the same code.
+exact Python integers, running the same code.  numpy stays inside the
+insertion: every result field is built of Python ``int``s.
 """
 
 from __future__ import annotations
@@ -55,8 +57,7 @@ class HullResult:
     dim: int
     planes: list[tuple[tuple[int, ...], int]]  # hull == {x : a.x <= b} for all (a, b)
     vertex_indices: list[int]  # extreme points, sorted
-    normals: np.ndarray  # one row per boundary simplex: its unreduced outward normal
-    offsets: np.ndarray  # one entry per boundary simplex: normal . x on it
+    volume: int  # d! times the volume of the hull
 
 
 def _dot(a, b):
@@ -117,9 +118,7 @@ def _hull_1d(points):
     lo = min(range(len(points)), key=lambda i: points[i][0])
     hi = max(range(len(points)), key=lambda i: points[i][0])
     planes = [((1,), points[hi][0]), ((-1,), -points[lo][0])]
-    normals = np.array([a for a, _ in planes], dtype=object)
-    offsets = np.array([b for _, b in planes], dtype=object)
-    return HullResult(1, planes, sorted({lo, hi}), normals, offsets)
+    return HullResult(1, planes, sorted({lo, hi}), points[hi][0] - points[lo][0])
 
 
 def ring_2d(points):
@@ -147,16 +146,14 @@ def ring_2d(points):
 
 def _hull_2d(points):
     ring = ring_2d(points)
-    edges = []
-    for k in range(len(ring)):
-        i, j = ring[k], ring[(k + 1) % len(ring)]
-        e = _sub(points[j], points[i])
-        a = (e[1], -e[0])  # outward normal of a CCW ring
-        edges.append((a, _dot(a, points[i])))
-    planes = [_gcd_reduce_plane(a, b) for a, b in edges]
-    normals = np.array([a for a, _ in edges], dtype=object)
-    offsets = np.array([b for _, b in edges], dtype=object)
-    return HullResult(2, planes, sorted(ring), normals, offsets)
+    planes = []
+    twice_area = 0
+    for i, j in zip(ring, ring[1:] + ring[:1]):
+        (x0, y0), (x1, y1) = points[i], points[j]
+        a = (y1 - y0, x0 - x1)  # outward normal of a CCW ring
+        planes.append(_gcd_reduce_plane(a, _dot(a, points[i])))
+        twice_area += x0 * y1 - x1 * y0
+    return HullResult(2, planes, sorted(ring), twice_area)
 
 
 def _dtype_for(max_abs, d):
@@ -281,7 +278,10 @@ def _hull_incremental(points, d):
     shared = incidence @ incidence.T  # planes through both corners
     alone = (shared == shared.diagonal()[:, None]).sum(axis=1) == 1
     vertex_indices = corners[alone].tolist()
-    return HullResult(d, planes, vertex_indices, N, B)
+    # |det[p_1 - v, ..., p_d - v]| = |b - a.v| for a boundary simplex p_1..p_d
+    # with unreduced plane (a, b), summed over the fan from the vertex v
+    volume = sum(np.abs(B - N @ P[vertex_indices[0]]).tolist())
+    return HullResult(d, planes, vertex_indices, volume)
 
 
 def hull_of_lifted(points, d):
@@ -295,12 +295,3 @@ def hull_of_lifted(points, d):
         return _hull_2d(points)
     return _hull_incremental(points, d)
 
-
-def hull_volume_lifted(points, result):
-    """n! times the lifted volume: sum of |det| over the boundary fan.
-
-    For a boundary simplex p_1..p_d with unreduced plane (a, b) and a vertex
-    `base`, |det[p_1 - base, ..., p_d - base]| = |b - a.base|.
-    """
-    base = np.array(points[result.vertex_indices[0]], dtype=result.normals.dtype)
-    return sum(np.abs(result.offsets - result.normals @ base).tolist())

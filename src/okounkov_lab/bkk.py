@@ -452,7 +452,11 @@ def verify_bkk(
     supports, whose counts must agree with the originals.
     """
     supports = list(supports)
+    if not supports:
+        raise ValueError("no supports given")
     n = supports[0].ambient_dim
+    if any(a.ambient_dim != n for a in supports):
+        raise ValueError("supports of mixed dimensions")
     if n not in (1, 2):
         raise ValueError("root-count verification is implemented for n in {1, 2}")
     if len(supports) != n:

@@ -79,7 +79,8 @@ def _cmd_af_check(args):
 def _cmd_bm_check(args):
     m = jsonio._expect(args.data, "m", int)
     d1, d2 = _pair_from(args.data)
-    fixed = [jsonio.polytope_from_json(b) for b in args.data.get("fixed", [])]
+    raw = jsonio._expect(args.data, "fixed", list) if "fixed" in args.data else []
+    fixed = [jsonio.polytope_from_json(b) for b in raw]
     return _verdict(mixedvol.check_generalized_bm(m, d1, d2, fixed))
 
 

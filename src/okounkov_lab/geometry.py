@@ -6,6 +6,11 @@ points are kept as integers over one common scale (its least common
 denominator), so hulls, sums, dilations, volumes and membership tests are
 exact integer arithmetic; only input points and output vertices are
 Fractions.  No floating point is used.
+
+Every polytope is born with its exact hull, ``P.core``: the integer face
+``P.core.face`` (scale, sorted integer vertices), the facet planes and the
+volume, all plain Python integers and Fractions.  This module alone puts
+faces over a common scale (:func:`_sum_points`, :func:`_union`).
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from itertools import product as iproduct
 from . import _hull
 
 MAX_DIM = 4
+# bounding-box candidates lattice_points may test
+MAX_LATTICE_CANDIDATES = 20_000_000
 
 Point = tuple[Fraction, ...]
 
@@ -29,18 +36,16 @@ def _as_point(p) -> Point:
 
 @dataclass(frozen=True)
 class LatticePolytope:
-    """Convex body given by its extreme points, in canonical lex order."""
+    """Convex body given by its extreme points, in canonical lex order.
+
+    Only :func:`_polytope` builds one, with the exact hull ``core`` the
+    vertices were read from.
+    """
 
     ambient_dim: int
     vertices: tuple[Point, ...]
     affine_dim: int
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not 1 <= self.ambient_dim <= MAX_DIM:
-            raise ValueError(f"ambient dimension must be in 1..{MAX_DIM}")
-        if not self.vertices:
-            raise ValueError("polytope needs at least one vertex")
+    core: _HullCore = field(repr=False, compare=False)
 
     @property
     def is_full_dimensional(self) -> bool:
@@ -82,6 +87,23 @@ def _lift(points: list[Point]):
     return lcm, lifted
 
 
+def _sum_points(faces, n):
+    """The integer face of the faces' Minkowski sum, (scale, sorted points):
+    all sums of one point per face, at the faces' common scale."""
+    scale = math.lcm(*(s for s, _ in faces))
+    points = {(0,) * n}
+    for s, pts in faces:
+        f = scale // s
+        points = {tuple(a + f * c for a, c in zip(p, q)) for p in points for q in pts}
+    return scale, sorted(points)
+
+
+def _union(faces):
+    """The faces' points together at their common scale: (scale, points)."""
+    scale = math.lcm(*(s for s, _ in faces))
+    return scale, [tuple(scale // s * c for c in p) for s, pts in faces for p in pts]
+
+
 class _HullCore:
     """Exact hull of the points ``lifted / scale``, kept as integers.
 
@@ -90,8 +112,10 @@ class _HullCore:
     lower-dimensional body is hulled in the coordinates at the pivot columns
     of its difference rows' echelon form, an injective projection on its
     affine hull; ``result`` is then None.  The extreme points are
-    ``vertex_indices`` into ``lifted``; their Fraction coordinates are formed
-    only when :func:`_polytope` makes a polytope.
+    ``vertex_indices`` into ``lifted``, and ``face`` is the integer face
+    (scale, sorted integer vertices); their Fraction coordinates are formed
+    only when :func:`_polytope` makes a polytope.  ``volume`` is the exact
+    volume, zero for a lower-dimensional body.
     """
 
     def __init__(self, scale: int, lifted, ambient_dim: int):
@@ -99,37 +123,33 @@ class _HullCore:
         pts = sorted({tuple(c // g for c in p) for p in lifted})
         self.scale = scale // g
         self.lifted = pts
-        self.ambient_dim = ambient_dim
         base = pts[0]
         diffs = ([a - b for a, b in zip(p, base)] for p in pts[1:])
         self.rows = [r for _, r in _hull.echelon(diffs)]
         self.pivots = sorted(next(j for j, x in enumerate(r) if x) for r in self.rows)
         self.affine_dim = len(self.rows)
         self.result = None
+        self.volume = Fraction(0)
         if self.affine_dim == 0:
             self.planes, self.vertex_indices = [], [0]
         elif self.affine_dim == ambient_dim:
-            self.result = _hull.hull_of_lifted(pts, ambient_dim)
+            n = ambient_dim
+            self.result = _hull.hull_of_lifted(pts, n)
             self.planes, self.vertex_indices = self.result.planes, self.result.vertex_indices
+            self.volume = Fraction(self.result.volume, math.factorial(n) * self.scale**n)
         else:
             projected = [tuple(p[j] for j in self.pivots) for p in pts]
             order = sorted(range(len(pts)), key=projected.__getitem__)
             inner = _hull.hull_of_lifted([projected[i] for i in order], self.affine_dim)
             self.planes = inner.planes
             self.vertex_indices = sorted(order[i] for i in inner.vertex_indices)
+        self.face = self.scale, tuple(pts[i] for i in self.vertex_indices)
 
     def facet_inequalities(self):
         """Facets a.x <= b in original coordinates (full-dimensional only)."""
         if self.result is None:
             raise ValueError("facets exist only for full-dimensional bodies")
         return [(a, Fraction(b, self.scale)) for a, b in self.planes]
-
-    def volume(self) -> Fraction:
-        if self.result is None:
-            return Fraction(0)
-        raw = _hull.hull_volume_lifted(self.lifted, self.result)
-        n = self.ambient_dim
-        return Fraction(raw, math.factorial(n) * self.scale**n)
 
     def contains(self, p: Point) -> bool:
         q = [c * self.scale for c in p]
@@ -143,33 +163,15 @@ class _HullCore:
         return all(sum(ai * ci for ai, ci in zip(a, q)) <= b for a, b in self.planes)
 
 
-def _lifted(P: LatticePolytope):
-    """(scale, integer vertices) with vertices == lifted / scale, cached."""
-    got = P._cache.get("lifted")
-    if got is None:
-        got = P._cache["lifted"] = _lift(P.vertices)
-    return got
-
-
-def _core(P: LatticePolytope) -> _HullCore:
-    core = P._cache.get("core")
-    if core is None:
-        core = P._cache["core"] = _HullCore(*_lifted(P), P.ambient_dim)
-    return core
-
-
 def _polytope(scale: int, lifted, n: int) -> LatticePolytope:
-    """The polytope conv(lifted / scale), with its hull core cached."""
+    """The polytope conv(lifted / scale), carrying its hull core."""
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"ambient dimension must be in 1..{MAX_DIM}")
     core = _HullCore(scale, lifted, n)
-    vs = [core.lifted[i] for i in core.vertex_indices]
-    P = LatticePolytope(
-        n, tuple(tuple(Fraction(c, core.scale) for c in v) for v in vs), core.affine_dim
+    s, vs = core.face
+    return LatticePolytope(
+        n, tuple(tuple(Fraction(c, s) for c in v) for v in vs), core.affine_dim, core
     )
-    P._cache["core"] = core
-    P._cache["lifted"] = (core.scale, vs)
-    return P
 
 
 def convex_hull(points) -> LatticePolytope:
@@ -187,11 +189,8 @@ def minkowski_sum(P: LatticePolytope, Q: LatticePolytope) -> LatticePolytope:
     """Hull of all pairwise vertex sums."""
     if P.ambient_dim != Q.ambient_dim:
         raise ValueError("Minkowski sum needs equal ambient dimensions")
-    (sp, vp), (sq, vq) = _lifted(P), _lifted(Q)
-    lcm = math.lcm(sp, sq)
-    fp, fq = lcm // sp, lcm // sq
-    sums = {tuple(fp * a + fq * b for a, b in zip(p, q)) for p in vp for q in vq}
-    return _polytope(lcm, sums, P.ambient_dim)
+    n = P.ambient_dim
+    return _polytope(*_sum_points([P.core.face, Q.core.face], n), n)
 
 
 def scale(P: LatticePolytope, lam) -> LatticePolytope:
@@ -199,7 +198,7 @@ def scale(P: LatticePolytope, lam) -> LatticePolytope:
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError("scaling factor must be nonnegative")
-    s, vs = _lifted(P)
+    s, vs = P.core.face
     num = lam.numerator
     dilated = [tuple(num * c for c in v) for v in vs]
     return _polytope(s * lam.denominator, dilated, P.ambient_dim)
@@ -212,15 +211,11 @@ def translate(P: LatticePolytope, t) -> LatticePolytope:
 
 def volume(P: LatticePolytope) -> Fraction:
     """Exact Euclidean volume; zero for lower-dimensional bodies."""
-    vol = P._cache.get("volume")
-    if vol is None:
-        vol = _core(P).volume()
-        P._cache["volume"] = vol
-    return vol
+    return P.core.volume
 
 
 def contains_point(P: LatticePolytope, point) -> bool:
-    return _core(P).contains(_as_point(point))
+    return P.core.contains(_as_point(point))
 
 
 def bounding_box(P: LatticePolytope) -> list[tuple[Fraction, Fraction]]:
@@ -230,15 +225,15 @@ def bounding_box(P: LatticePolytope) -> list[tuple[Fraction, Fraction]]:
     ]
 
 
-def lattice_points(P: LatticePolytope, max_candidates: int = 20_000_000) -> SupportSet:
+def lattice_points(P: LatticePolytope) -> SupportSet:
     """All integer vectors of P, bounding-box enumeration with exact membership."""
     box = bounding_box(P)
     ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box]
     count = reduce(lambda acc, r: acc * len(r), ranges, 1)
-    if count > max_candidates:
+    if count > MAX_LATTICE_CANDIDATES:
         raise ValueError("bounding box too large for lattice enumeration")
-    core = _core(P)
-    found = [cand for cand in iproduct(*ranges) if core.contains(cand)]
+    contains = P.core.contains
+    found = [cand for cand in iproduct(*ranges) if contains(cand)]
     return SupportSet(P.ambient_dim, frozenset(found))
 
 

@@ -55,8 +55,6 @@ def _check_tuple(bodies):
         raise ValueError("bodies of mixed ambient dimensions")
     if len(bodies) != n:
         raise ValueError(f"a mixed volume in R^{n} takes exactly {n} bodies")
-    if n > geometry.MAX_DIM:
-        raise ValueError(f"ambient dimension must be at most {geometry.MAX_DIM}")
 
 
 def _as_bodies(t) -> tuple[LatticePolytope, ...]:
@@ -65,15 +63,9 @@ def _as_bodies(t) -> tuple[LatticePolytope, ...]:
     return bodies
 
 
-def _face(body: LatticePolytope):
-    """The integer face of a body: (scale, sorted integer vertices)."""
-    scale, pts = geometry._lifted(body)
-    return scale, tuple(pts)
-
-
 def _grouped(bodies):
     """(face, multiplicity) pairs of the distinct bodies, in first-seen order."""
-    return list(Counter(_face(b) for b in bodies).items())
+    return list(Counter(b.core.face for b in bodies).items())
 
 
 def _without(grouped, i):
@@ -103,17 +95,6 @@ def _cofactor_normal(rows):
     )
 
 
-def _sum_points(faces, n):
-    """The sorted pairwise sums of the faces' points, at their common scale:
-    integer points whose hull is a dilate of the faces' Minkowski sum."""
-    scale = math.lcm(*(s for s, _ in faces))
-    points = {(0,) * n}
-    for s, pts in faces:
-        f = scale // s
-        points = {tuple(a + f * c for a, c in zip(p, q)) for p in points for q in pts}
-    return sorted(points)
-
-
 def _measure(rest, memo):
     """The mixed area measure of ``rest``, (face, multiplicity) pairs in R^n.
 
@@ -131,7 +112,7 @@ def _measure(rest, memo):
     projected faces to their mixed volume.
     """
     n = sum(m for _, m in rest) + 1
-    pts = _sum_points([f for f, _ in rest], n)
+    _, pts = geometry._sum_points([f for f, _ in rest], n)
     rows = [r for _, r in _hull.echelon(_hull._sub(p, pts[0]) for p in pts[1:])]
     if len(rows) == n:
         normals = [a for a, _ in _hull.hull_of_lifted(pts, n).planes]
@@ -202,7 +183,7 @@ def _mixed_volume_grouped(grouped, memo) -> Fraction:
     if n == 2:
         return _planar_mixed(grouped[0][0], grouped[-1][0])
     if len(grouped) == 1:
-        return geometry._HullCore(*grouped[0][0], n).volume()
+        return geometry._HullCore(*grouped[0][0], n).volume
     i = min(range(len(grouped)), key=lambda k: (grouped[k][1], -len(grouped[k][0][1])))
     return _pair(grouped[i][0], _measure(_without(grouped, i), memo), n)
 
@@ -254,7 +235,7 @@ def check_alexandrov_fenchel(t) -> InequalityReport:
         raise ValueError("the Alexandrov-Fenchel inequality needs dimension at least 2")
     n = len(bodies)
     grouped = _grouped(bodies)  # D1 first, then D2 unless it equals D1
-    f1, f2 = _face(bodies[0]), _face(bodies[1])
+    f1, f2 = bodies[0].core.face, bodies[1].core.face
     memo: dict = {}
     m2 = _measure(_without(grouped, 0), memo)  # of (D2, rest)
     m1 = m2 if f1 == f2 else _measure(_without(grouped, 1), memo)  # of (D1, rest)

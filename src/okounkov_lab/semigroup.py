@@ -221,12 +221,11 @@ def slice_of_support(a: SupportSet, k_max: int) -> GradedSemigroupSlice:
 def newton_body(s: GradedSemigroupSlice) -> ConeSection:
     """Inner approximation of the Newton body: hull of all S_j / j.
 
-    Hulled once in integers: with L the lcm of the level numbers, S_j / j
-    is (L // j) S_j over the common scale L.
+    Hulled once in integers: S_j / j is the integer face (j, S_j), and the
+    faces of all levels are joined at their common scale.
     """
-    L = math.lcm(*s.levels)
-    pts = [tuple(L // j * c for c in p) for j, level in s.levels.items() for p in level.points]
-    return ConeSection(geometry._polytope(L, pts, s.ambient_dim), s.k_max)
+    faces = [(j, level.points) for j, level in s.levels.items()]
+    return ConeSection(geometry._polytope(*geometry._union(faces), s.ambient_dim), s.k_max)
 
 
 @dataclass(frozen=True)
@@ -256,8 +255,8 @@ def density_sequence(s: GradedSemigroupSlice) -> DensityReport:
 
     The body at k is conv(S_1 / 1, ..., S_k / k), built incrementally and
     exactly in integers: conv(S_k / k) = conv(S_k) / k, so level k is hulled
-    at scale k (`geometry._polytope`), and its vertices are joined with the
-    previous body's lifted vertices at the lcm of the two scales.
+    at scale k (`geometry._polytope`), and its integer face is joined with
+    the previous body's at their common scale.
     """
     n = s.ambient_dim
     index = difference_lattice_index(list(s.levels.values()))
@@ -268,11 +267,7 @@ def density_sequence(s: GradedSemigroupSlice) -> DensityReport:
         if body is None:
             body = level
         else:
-            (sb, vb), (sl, vl) = geometry._lifted(body), geometry._lifted(level)
-            lcm = math.lcm(sb, sl)
-            fb, fl = lcm // sb, lcm // sl
-            joined = [tuple(fb * c for c in v) for v in vb] + [tuple(fl * c for c in v) for v in vl]
-            body = geometry._polytope(lcm, joined, n)
+            body = geometry._polytope(*geometry._union([body.core.face, level.core.face]), n)
         rows.append(
             DensityRow(k, Fraction(len(s.levels[k]), k**n), geometry.volume(body))
         )
@@ -331,7 +326,7 @@ def interior_margin(s: GradedSemigroupSlice, c) -> list[MarginRow]:
     rows = []
     for k in range(1, s.k_max + 1):
         dilated = geometry.scale(base, k)
-        facets = geometry._core(dilated).facet_inequalities()
+        facets = dilated.core.facet_inequalities()
         have = s.levels[k].points
         deep_missing = 0
         max_depth = 0.0

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from . import _hull
-from .geometry import LatticePolytope, _lifted, _polytope, minkowski_sum, scale, volume
+from .geometry import LatticePolytope, _polytope, _union, minkowski_sum, scale, volume
 from .rng import derive_seed
 
 Tri = tuple[int, int, int]  # (X, Y, D): the vertex (X / D, Y / D), D > 0, gcd 1
@@ -69,7 +69,7 @@ def _ring(p: LatticePolytope) -> list[Tri]:
         raise ValueError("polygons are two-dimensional")
     if not p.is_full_dimensional:
         raise ValueError("degenerate polygon")
-    den, lifted = _lifted(p)
+    den, lifted = p.core.face
     out = []
     for i in _hull.ring_2d(lifted):
         x, y = lifted[i]
@@ -300,8 +300,7 @@ def steiner_symmetrize(p: LatticePolytope, direction) -> LatticePolytope:
     """
     ux, uy = _primitive(direction)
     ring = _exact_round(_ring(p), ux, uy)
-    den = math.lcm(*(d for _, _, d in ring))
-    return _polytope(den, [(x * (den // d), y * (den // d)) for x, y, d in ring], 2)
+    return _polytope(*_union([(d, [(x, y)]) for x, y, d in ring]), 2)
 
 
 def _float_perimeter(vs) -> float:

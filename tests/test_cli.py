@@ -622,6 +622,25 @@ class TestExitContract:
         assert capsys.readouterr().err == f"input error: {message}\n"
 
     @pytest.mark.parametrize(
+        "command,payload,message",
+        [
+            ("bkk-verify", {"supports": []}, "no supports given"),
+            ("bkk-verify", {"supports": [{"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]},
+                                         {"dim": 1, "points": [[0], [1]]}]},
+             "supports of mixed dimensions"),
+            ("bm-check", {"m": 2, "body1": SQ, "body2": SI, "fixed": None},
+             "field 'fixed' has the wrong type"),
+            ("bm-check", {"m": 2, "body1": SQ, "body2": SI, "fixed": 3},
+             "field 'fixed' has the wrong type"),
+        ],
+        ids=["bkk-no-supports", "bkk-mixed-dimensions", "bm-fixed-null", "bm-fixed-number"],
+    )
+    def test_malformed_input_is_exit_2(self, tmp_path, capsys, command, payload, message):
+        inp = write(tmp_path, "in.json", payload)
+        assert main([command, inp, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize(
         "payload,flags",
         [
             (HAND_PAIR, ["--trials", "20"]),

@@ -1,14 +1,16 @@
+import ast
 import math
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import in_convex_hull, shoelace_area
+from oracles import brute_hull_volume, in_convex_hull, shoelace_area
 from okounkov_lab import _hull, geometry as g
 
 
@@ -99,6 +101,11 @@ def _sum_points(rng, n):
     return pts if g.convex_hull(pts).affine_dim == n else None
 
 
+def _dtype_of(points, n):
+    """The dtype the 3D/4D insertion uses for these points."""
+    return _hull._dtype_for(max(abs(c) for p in points for c in p), n)
+
+
 def _planes_by_normal(planes):
     """Facet planes as {primitive normal: offset}."""
     out = {}
@@ -122,15 +129,13 @@ class TestHullEngine:
             shift = tuple(rng.randint(-50, 50) for _ in range(n))
             big = [tuple(10**6 * c + t for c, t in zip(p, shift)) for p in pts]
             res, res_big = _hull.hull_of_lifted(pts, n), _hull.hull_of_lifted(big, n)
-            assert res.normals.dtype == np.int64 and res_big.normals.dtype == object
+            assert _dtype_of(pts, n) is np.int64 and _dtype_of(big, n) is object
             assert res_big.vertex_indices == res.vertex_indices
             assert _planes_by_normal(res_big.planes) == {
                 a: 10**6 * b + sum(x * t for x, t in zip(a, shift))
                 for a, b in _planes_by_normal(res.planes).items()
             }
-            assert _hull.hull_volume_lifted(big, res_big) == 10 ** (6 * n) * (
-                _hull.hull_volume_lifted(pts, res)
-            )
+            assert res_big.volume == 10 ** (6 * n) * res.volume
             checked += 1
 
     def test_largest_int64_coordinate_matches_exact_ints(self):
@@ -145,14 +150,14 @@ class TestHullEngine:
         pts = sorted(set(corners + inner))
         moved = [(p[0] + 1,) + p[1:] for p in pts]  # max |coordinate| M + 1
         res, res_moved = _hull.hull_of_lifted(pts, 4), _hull.hull_of_lifted(moved, 4)
-        assert res.normals.dtype == np.int64 and res_moved.normals.dtype == object
+        assert _dtype_of(pts, 4) is np.int64 and _dtype_of(moved, 4) is object
         assert [pts[i] for i in res.vertex_indices] == sorted(corners)
         assert res_moved.vertex_indices == res.vertex_indices
         assert res_moved.planes == [(a, b + a[0]) for a, b in res.planes]
         assert len(res.planes) == 8
         box = math.factorial(4) * (2 * M) ** 4
-        assert _hull.hull_volume_lifted(pts, res) == box
-        assert _hull.hull_volume_lifted(moved, res_moved) == box
+        assert res.volume == box
+        assert res_moved.volume == box
 
     def test_4d_vertices_are_extreme(self):
         rng = random.Random(5560)
@@ -165,6 +170,40 @@ class TestHullEngine:
             for i, p in enumerate(pts):
                 assert (i in vs) == (not in_convex_hull(p, pts[:i] + pts[i + 1:]))
             checked += 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_results_are_plain_integers(self, n):
+        """Planes, vertex indices and volume are Python ints in every
+        dimension, on the int64 path and on the exact-int (object) path."""
+        rng = random.Random(5570 + n)
+        corners = [(0,) * n] + [tuple(3 * (i == k) for i in range(n)) for k in range(n)]
+        pts = sorted(set(corners) | {tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(12)})
+        big = [tuple(10**12 * c for c in p) for p in pts]
+        if n >= 3:
+            assert _dtype_of(pts, n) is np.int64 and _dtype_of(big, n) is object
+        res, res_big = _hull.hull_of_lifted(pts, n), _hull.hull_of_lifted(big, n)
+        for r in (res, res_big):
+            assert type(r.volume) is int
+            assert all(type(i) is int for i in r.vertex_indices)
+            for a, b in r.planes:
+                assert type(a) is tuple and all(type(x) is int for x in a + (b,))
+        assert res_big.volume == 10 ** (12 * n) * res.volume
+        if n <= 3:
+            assert res.volume == math.factorial(n) * brute_hull_volume(pts)
+
+    def test_only_the_hull_engine_imports_numpy(self):
+        importers = set()
+        for path in Path(g.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "numpy" for name in names):
+                    importers.add(path.name)
+        assert importers == {"_hull.py"}
 
 
 def _oracle_checked_hull(pts, n):
@@ -205,7 +244,7 @@ class TestHullEngineDegenerate:
         res = _oracle_checked_hull(pts, n)
         assert [pts[i] for i in res.vertex_indices] == list(product((0, 2), repeat=n))
         assert len(res.planes) == 2 * n
-        assert _hull.hull_volume_lifted(pts, res) == math.factorial(n) * 2**n
+        assert res.volume == math.factorial(n) * 2**n
 
     @pytest.mark.parametrize("n,k", [(3, 4), (3, 5), (4, 4), (4, 5)])
     def test_zonotope(self, n, k):
@@ -222,7 +261,7 @@ class TestHullEngineDegenerate:
                 for bits in product((0, 1), repeat=k)
             })
             res = _oracle_checked_hull(pts, n)
-            assert _hull.hull_volume_lifted(pts, res) == math.factorial(n) * volume
+            assert res.volume == math.factorial(n) * volume
             checked += 1
 
     @pytest.mark.parametrize("n,sizes", [(3, (3, 3, 3, 2)), (4, (3, 3, 2, 2))])
@@ -324,6 +363,21 @@ class TestLatticePoints:
     def test_segment(self):
         P = g.convex_hull([(0,), (3,)])
         assert set(g.lattice_points(P).points) == {(0,), (1,), (2,), (3,)}
+
+    def test_candidate_bound_is_checked_before_enumeration(self, monkeypatch):
+        def enumerated(self, p):
+            raise AssertionError("a candidate was tested")
+
+        monkeypatch.setattr(g._HullCore, "contains", enumerated)
+        too_long = g.convex_hull([(0,), (g.MAX_LATTICE_CANDIDATES,)])  # bound + 1 points
+        with pytest.raises(ValueError, match="too large"):
+            g.lattice_points(too_long)
+
+    def test_candidate_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(g, "MAX_LATTICE_CANDIDATES", 5)
+        assert len(g.lattice_points(g.convex_hull([(0,), (4,)]))) == 5
+        with pytest.raises(ValueError, match="too large"):
+            g.lattice_points(g.convex_hull([(0,), (5,)]))
 
     def test_fractional_body_without_lattice_points(self):
         P = g.convex_hull([(F(1, 3), F(1, 3)), (F(2, 3), F(1, 3)), (F(1, 2), F(2, 3))])
@@ -433,7 +487,7 @@ def _rational_body(rng, n, dens, odd=False):
 def _same_core(P, Q):
     """Equal bodies with equal cores: least scale, integer points and facets."""
     assert P == Q
-    cp, cq = g._core(P), g._core(Q)
+    cp, cq = P.core, Q.core
     assert (cp.scale, cp.lifted, cp.vertex_indices) == (cq.scale, cq.lifted, cq.vertex_indices)
     if P.is_full_dimensional:
         assert cp.facet_inequalities() == cq.facet_inequalities()
@@ -447,7 +501,7 @@ class TestIntegerSumsAndDilations:
         P = g.convex_hull([(F(1, 2), F(1, 2)), (F(3, 2), F(1, 2)), (F(1, 2), F(5, 2))])
         Q = g.convex_hull([(F(1, 2), F(1, 2)), (F(-1, 2), F(3, 2))])
         S = g.minkowski_sum(P, Q)
-        assert g._core(S).scale == 1
+        assert S.core.scale == 1
         _same_core(S, g.convex_hull([
             tuple(a + b for a, b in zip(p, q)) for p in P.vertices for q in Q.vertices
         ]))

@@ -171,7 +171,7 @@ class TestNewtonBody:
             pts = [tuple(F(c, j) for c in p) for j, level in s.levels.items() for p in level.points]
             body, expected = sg.newton_body(s).polytope, g.convex_hull(pts)
             assert body == expected and g.volume(body) == g.volume(expected)
-            core, expected_core = g._core(body), g._core(expected)
+            core, expected_core = body.core, expected.core
             assert (core.scale, core.lifted) == (expected_core.scale, expected_core.lifted)
 
     def test_ambient_dimension_above_four_is_a_value_error(self):
