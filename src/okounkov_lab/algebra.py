@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import SupportSet, support_set
-from .semigroup import ConeSection, GradedSemigroupSlice, newton_body
+from .geometry import LatticePolytope, SupportSet, support_set
+from .semigroup import GradedSemigroupSlice, newton_body
 
 Exponent = tuple[int, ...]
 
@@ -375,20 +375,12 @@ def power(l: LaurentSubspace, k: int) -> LaurentSubspace:
     return result
 
 
-def valuation_image(l: LaurentSubspace, order: MonomialOrder = LEX):
+def valuation_image(l: LaurentSubspace, order: MonomialOrder = LEX) -> SupportSet:
     """Pivot exponents of an echelonized basis; size equals the dimension."""
-    image = ValuationImage(support_set(l.ambient_dim, _leads(l.basis, order)))
-    if len(image.exponents) != l.dim:
+    image = support_set(l.ambient_dim, _leads(l.basis, order))
+    if len(image) != l.dim:
         raise AssertionError("valuation image smaller than the dimension")
     return image
-
-
-@dataclass(frozen=True)
-class ValuationImage:
-    exponents: SupportSet
-
-    def __len__(self):
-        return len(self.exponents)
 
 
 # budgets: the power levels reject inputs past them before any level is built
@@ -568,7 +560,7 @@ def semigroup_of_subspace(
 
 def newton_okounkov_body(
     l: LaurentSubspace, order: MonomialOrder = LEX, k_max: int = 8
-) -> ConeSection:
+) -> LatticePolytope:
     """Newton body of the valuation semigroup of L, at finite level."""
     return newton_body(semigroup_of_subspace(l, order, k_max))
 
@@ -595,9 +587,9 @@ def superadditivity_check(
     l12 = product(l1, l2)
     for l in (l1, l2, l12):
         _level_box(l, order, k_max)
-    b1 = newton_okounkov_body(l1, order, k_max).polytope
-    b2 = newton_okounkov_body(l2, order, k_max).polytope
-    b12 = newton_okounkov_body(l12, order, k_max).polytope
+    b1 = newton_okounkov_body(l1, order, k_max)
+    b2 = newton_okounkov_body(l2, order, k_max)
+    b12 = newton_okounkov_body(l12, order, k_max)
     summed = geometry.minkowski_sum(b1, b2)
     holds = all(geometry.contains_point(b12, v) for v in summed.vertices)
     return SuperadditivityReport(

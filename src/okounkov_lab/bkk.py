@@ -38,7 +38,6 @@ from . import geometry
 from .algebra import LaurentPolynomial, laurent
 # unused: perfbench/tracing.py looks roots.aberth_roots up among the modules cli loads
 from . import roots  # noqa: F401
-from .geometry import SupportSet
 from .mixedvol import mixed_volume
 from .rng import derive_seed
 from .semigroup import completion
@@ -54,7 +53,6 @@ MAX_TRIALS = 20
 MAX_RETRIES = 12  # degenerate trials a batch may throw away
 MAX_SYLVESTER_ORDER = 20
 MAX_ELIMINANT_DEGREE = 160
-MAX_COMPLETION_CANDIDATES = 10_000
 
 
 class DegenerateSystemError(RuntimeError):
@@ -422,34 +420,15 @@ def _check_eliminant_budget(supports):
         _check_size(*_eliminant_size(e1, e2))
 
 
-def _completion(a: SupportSet) -> SupportSet:
-    """Lattice-point completion, if its bounding box is within the budget."""
-    pts = a.sorted_points()
-    candidates = math.prod(
-        max(p[i] for p in pts) - min(p[i] for p in pts) + 1 for i in range(a.ambient_dim)
-    )
-    if candidates > MAX_COMPLETION_CANDIDATES:
-        raise ValueError(
-            f"completion would test {candidates} lattice points;"
-            f" the limit is {MAX_COMPLETION_CANDIDATES}"
-        )
-    return completion(a)
-
-
-def verify_bkk(
-    supports,
-    trials: int = 5,
-    seed: int = 0,
-    include_completion: bool = True,
-) -> CountReport:
+def verify_bkk(supports, trials: int = 5, seed: int = 0) -> CountReport:
     """Randomized root-count verification with certified trials.
 
     Runs `trials` independent generic systems, each counted exactly or
     thrown away as degenerate with its reason (at most MAX_RETRIES of them
     per batch), takes the modal count, and compares with the exact
-    prediction.  When `include_completion` is set
-    the same verification runs on the lattice-point completions of the
-    supports, whose counts must agree with the originals.
+    prediction.  The same verification runs on the lattice-point
+    completions of the supports, whose counts must agree with the originals;
+    a completion past ``geometry.MAX_LATTICE_CANDIDATES`` is rejected first.
     """
     supports = list(supports)
     if not supports:
@@ -463,39 +442,29 @@ def verify_bkk(
         raise ValueError(f"need exactly {n} supports")
     if not 3 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 3..{MAX_TRIALS}")
-    batches = [("base", supports)]
-    if include_completion:
-        batches.append(("completion", [_completion(a) for a in supports]))
+    batches = [("base", supports), ("completion", [completion(a) for a in supports])]
     for _, sup in batches:
         _check_eliminant_budget(sup)
     predicted = bkk_number(supports)
     reasons: Counter = Counter()
-    results = {
-        label: _run_trials(sup, trials, seed, label, predicted, reasons)
-        for label, sup in batches
-    }
-
-    counts, degenerate = results["base"]
+    (counts, degenerate), (ccounts, cdeg) = [
+        _run_trials(sup, trials, seed, label, predicted, reasons) for label, sup in batches
+    ]
     modal, majority = _modal(counts)
+    cmodal, cmaj = _modal(ccounts)
     diagnostics = {
         "majority": majority,
-        "inconclusive": not majority or len(counts) < trials,
+        "inconclusive": not (majority and cmaj) or len(counts) < trials,
+        "completion_trials": ccounts,
+        "completion_modal": cmodal,
+        "degenerate_reasons": dict(sorted(reasons.items())),
     }
-    agreed = majority and modal == predicted and len(counts) >= trials
-    if include_completion:
-        ccounts, cdeg = results["completion"]
-        cmodal, cmaj = _modal(ccounts)
-        degenerate += cdeg
-        diagnostics["completion_trials"] = ccounts
-        diagnostics["completion_modal"] = cmodal
-        diagnostics["inconclusive"] = diagnostics["inconclusive"] or not cmaj
-        agreed = agreed and cmaj and cmodal == predicted
-    diagnostics["degenerate_reasons"] = dict(sorted(reasons.items()))
+    agreed = majority and cmaj and modal == cmodal == predicted and len(counts) >= trials
     return CountReport(
         predicted=predicted,
         trials=tuple(counts),
         modal=modal,
         agreed=bool(agreed),
-        degenerate_trials=degenerate,
+        degenerate_trials=degenerate + cdeg,
         diagnostics=diagnostics,
     )

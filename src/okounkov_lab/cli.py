@@ -109,7 +109,7 @@ def _cmd_density(args):
 def _cmd_okounkov(args):
     sub = jsonio.subspace_from_json(jsonio._expect(args.data, "subspace"))
     order = jsonio.order_from_json(args.data.get("order"))
-    body = algebra.newton_okounkov_body(sub, order, args.kmax).polytope
+    body = algebra.newton_okounkov_body(sub, order, args.kmax)
     return {
         "kmax": args.kmax,
         "body": jsonio.polytope_to_json(body),

@@ -7,10 +7,11 @@ denominator), so hulls, sums, dilations, volumes and membership tests are
 exact integer arithmetic; only input points and output vertices are
 Fractions.  No floating point is used.
 
-Every polytope is born with its exact hull, ``P.core``: the integer face
-``P.core.face`` (scale, sorted integer vertices), the facet planes and the
-volume, all plain Python integers and Fractions.  This module alone puts
-faces over a common scale (:func:`_sum_points`, :func:`_union`).
+A polytope is its exact hull: the integer face ``P.face`` (scale, sorted
+integer vertices, in lowest terms), the facet planes and the volume, all
+plain Python integers and Fractions, with ``P.contains`` and
+``P.facet_inequalities``.  This module alone puts faces over a common scale
+(:func:`_sum_points`, :func:`_union`).
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product as iproduct
 
 from . import _hull
 
 MAX_DIM = 4
-# bounding-box candidates lattice_points may test
-MAX_LATTICE_CANDIDATES = 20_000_000
+# bounding-box candidates lattice_points, and so every completion, may test
+MAX_LATTICE_CANDIDATES = 10_000
 
 Point = tuple[Fraction, ...]
 
@@ -36,20 +37,50 @@ def _as_point(p) -> Point:
 
 @dataclass(frozen=True)
 class LatticePolytope:
-    """Convex body given by its extreme points, in canonical lex order.
+    """Convex body stored as its exact hull; only :func:`_polytope` builds one.
 
-    Only :func:`_polytope` builds one, with the exact hull ``core`` the
-    vertices were read from.
+    ``face`` is the integer face (scale, sorted integer vertices) in lowest
+    terms, so two bodies are equal, with equal hashes, exactly when their
+    vertices are.  ``planes`` are the facets a.x <= b of the body at that
+    scale; a lower-dimensional body keeps the echelon ``rows`` of its
+    difference rows and their ``pivots``, and its planes live in the pivot
+    coordinates.  ``volume`` is exact, zero for a lower-dimensional body.
     """
 
     ambient_dim: int
-    vertices: tuple[Point, ...]
-    affine_dim: int
-    core: _HullCore = field(repr=False, compare=False)
+    face: tuple[int, tuple[tuple[int, ...], ...]]
+    affine_dim: int = field(compare=False)
+    volume: Fraction = field(compare=False)
+    planes: tuple = field(compare=False, repr=False)
+    rows: tuple = field(compare=False, repr=False)
+    pivots: tuple = field(compare=False, repr=False)
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        s, vs = self.face
+        return tuple(tuple(Fraction(c, s) for c in v) for v in vs)
 
     @property
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.ambient_dim
+
+    def facet_inequalities(self):
+        """Facets a.x <= b in original coordinates (full-dimensional only)."""
+        if not self.is_full_dimensional:
+            raise ValueError("facets exist only for full-dimensional bodies")
+        return [(a, Fraction(b, self.face[0])) for a, b in self.planes]
+
+    def contains(self, p) -> bool:
+        """Whether the point p, a tuple of Fractions or ints, lies in the body."""
+        s, vs = self.face
+        q = [c * s for c in p]
+        if not self.is_full_dimensional:
+            den = math.lcm(*(c.denominator for c in q))
+            diff = [c.numerator * (den // c.denominator) - den * b for c, b in zip(q, vs[0])]
+            if len(_hull.echelon([*self.rows, diff])) > self.affine_dim:
+                return False  # off the affine hull
+            q = [q[j] for j in self.pivots]
+        return all(sum(ai * ci for ai, ci in zip(a, q)) <= b for a, b in self.planes)
 
 
 @dataclass(frozen=True)
@@ -71,9 +102,6 @@ class SupportSet:
 
     def __len__(self):
         return len(self.points)
-
-    def __iter__(self):
-        return iter(self.sorted_points())
 
 
 def support_set(dim: int, points) -> SupportSet:
@@ -104,74 +132,37 @@ def _union(faces):
     return scale, [tuple(scale // s * c for c in p) for s, pts in faces for p in pts]
 
 
-class _HullCore:
-    """Exact hull of the points ``lifted / scale``, kept as integers.
+def _polytope(scale: int, points, n: int) -> LatticePolytope:
+    """The polytope conv(points / scale), hulled exactly in integers.
 
-    The common factor of the scale and every coordinate is divided out first,
-    so ``scale`` is the least common denominator of the points.  A
-    lower-dimensional body is hulled in the coordinates at the pivot columns
-    of its difference rows' echelon form, an injective projection on its
-    affine hull; ``result`` is then None.  The extreme points are
-    ``vertex_indices`` into ``lifted``, and ``face`` is the integer face
-    (scale, sorted integer vertices); their Fraction coordinates are formed
-    only when :func:`_polytope` makes a polytope.  ``volume`` is the exact
-    volume, zero for a lower-dimensional body.
+    A lower-dimensional body is hulled in the coordinates at the pivot
+    columns of its difference rows' echelon form, an injective projection on
+    its affine hull.  The face is divided by the gcd of the scale and the
+    vertex coordinates; every plane passes through a vertex, so its offset
+    divides too.
     """
-
-    def __init__(self, scale: int, lifted, ambient_dim: int):
-        g = math.gcd(scale, *(c for p in lifted for c in p))
-        pts = sorted({tuple(c // g for c in p) for p in lifted})
-        self.scale = scale // g
-        self.lifted = pts
-        base = pts[0]
-        diffs = ([a - b for a, b in zip(p, base)] for p in pts[1:])
-        self.rows = [r for _, r in _hull.echelon(diffs)]
-        self.pivots = sorted(next(j for j, x in enumerate(r) if x) for r in self.rows)
-        self.affine_dim = len(self.rows)
-        self.result = None
-        self.volume = Fraction(0)
-        if self.affine_dim == 0:
-            self.planes, self.vertex_indices = [], [0]
-        elif self.affine_dim == ambient_dim:
-            n = ambient_dim
-            self.result = _hull.hull_of_lifted(pts, n)
-            self.planes, self.vertex_indices = self.result.planes, self.result.vertex_indices
-            self.volume = Fraction(self.result.volume, math.factorial(n) * self.scale**n)
-        else:
-            projected = [tuple(p[j] for j in self.pivots) for p in pts]
-            order = sorted(range(len(pts)), key=projected.__getitem__)
-            inner = _hull.hull_of_lifted([projected[i] for i in order], self.affine_dim)
-            self.planes = inner.planes
-            self.vertex_indices = sorted(order[i] for i in inner.vertex_indices)
-        self.face = self.scale, tuple(pts[i] for i in self.vertex_indices)
-
-    def facet_inequalities(self):
-        """Facets a.x <= b in original coordinates (full-dimensional only)."""
-        if self.result is None:
-            raise ValueError("facets exist only for full-dimensional bodies")
-        return [(a, Fraction(b, self.scale)) for a, b in self.planes]
-
-    def contains(self, p: Point) -> bool:
-        q = [c * self.scale for c in p]
-        if self.result is None:
-            den = math.lcm(*(c.denominator for c in q))
-            diff = [c.numerator * (den // c.denominator) - den * b
-                    for c, b in zip(q, self.lifted[0])]
-            if len(_hull.echelon(self.rows + [diff])) > self.affine_dim:
-                return False  # off the affine hull
-            q = [q[j] for j in self.pivots]
-        return all(sum(ai * ci for ai, ci in zip(a, q)) <= b for a, b in self.planes)
-
-
-def _polytope(scale: int, lifted, n: int) -> LatticePolytope:
-    """The polytope conv(lifted / scale), carrying its hull core."""
     if not 1 <= n <= MAX_DIM:
         raise ValueError(f"ambient dimension must be in 1..{MAX_DIM}")
-    core = _HullCore(scale, lifted, n)
-    s, vs = core.face
-    return LatticePolytope(
-        n, tuple(tuple(Fraction(c, s) for c in v) for v in vs), core.affine_dim, core
-    )
+    pts = sorted(set(points))
+    rows = tuple(r for _, r in _hull.echelon(_hull._sub(p, pts[0]) for p in pts[1:]))
+    pivots = tuple(sorted(next(j for j, x in enumerate(r) if x) for r in rows))
+    d = len(rows)
+    planes, vertex_indices, volume = [], [0], Fraction(0)
+    if d == n:
+        res = _hull.hull_of_lifted(pts, n)
+        planes, vertex_indices = res.planes, res.vertex_indices
+        volume = Fraction(res.volume, math.factorial(n) * scale**n)
+    elif d:
+        projected = [tuple(p[j] for j in pivots) for p in pts]
+        order = sorted(range(len(pts)), key=projected.__getitem__)
+        inner = _hull.hull_of_lifted([projected[i] for i in order], d)
+        planes = inner.planes
+        vertex_indices = sorted(order[i] for i in inner.vertex_indices)
+    vs = [pts[i] for i in vertex_indices]
+    g = math.gcd(scale, *(c for v in vs for c in v))
+    face = scale // g, tuple(tuple(c // g for c in v) for v in vs)
+    planes = tuple((a, b // g) for a, b in planes)
+    return LatticePolytope(n, face, d, volume, planes, rows, pivots)
 
 
 def convex_hull(points) -> LatticePolytope:
@@ -190,7 +181,7 @@ def minkowski_sum(P: LatticePolytope, Q: LatticePolytope) -> LatticePolytope:
     if P.ambient_dim != Q.ambient_dim:
         raise ValueError("Minkowski sum needs equal ambient dimensions")
     n = P.ambient_dim
-    return _polytope(*_sum_points([P.core.face, Q.core.face], n), n)
+    return _polytope(*_sum_points([P.face, Q.face], n), n)
 
 
 def scale(P: LatticePolytope, lam) -> LatticePolytope:
@@ -198,7 +189,7 @@ def scale(P: LatticePolytope, lam) -> LatticePolytope:
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError("scaling factor must be nonnegative")
-    s, vs = P.core.face
+    s, vs = P.face
     num = lam.numerator
     dilated = [tuple(num * c for c in v) for v in vs]
     return _polytope(s * lam.denominator, dilated, P.ambient_dim)
@@ -211,11 +202,11 @@ def translate(P: LatticePolytope, t) -> LatticePolytope:
 
 def volume(P: LatticePolytope) -> Fraction:
     """Exact Euclidean volume; zero for lower-dimensional bodies."""
-    return P.core.volume
+    return P.volume
 
 
 def contains_point(P: LatticePolytope, point) -> bool:
-    return P.core.contains(_as_point(point))
+    return P.contains(_as_point(point))
 
 
 def bounding_box(P: LatticePolytope) -> list[tuple[Fraction, Fraction]]:
@@ -231,8 +222,11 @@ def lattice_points(P: LatticePolytope) -> SupportSet:
     ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box]
     count = reduce(lambda acc, r: acc * len(r), ranges, 1)
     if count > MAX_LATTICE_CANDIDATES:
-        raise ValueError("bounding box too large for lattice enumeration")
-    contains = P.core.contains
+        raise ValueError(
+            f"bounding box too large for lattice enumeration: {count} candidates;"
+            f" the limit is {MAX_LATTICE_CANDIDATES}"
+        )
+    contains = P.contains
     found = [cand for cand in iproduct(*ranges) if contains(cand)]
     return SupportSet(P.ambient_dim, frozenset(found))
 

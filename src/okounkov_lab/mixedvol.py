@@ -7,14 +7,14 @@ The production algorithm is the mixed-area-measure recursion (Schneider,
 V(K1, ..., Kn) is (1/n) times the sum of h_K1(u) against the mixed area
 measure of (K2, ..., Kn), whose atoms sit at the facet normals u of
 K2 + ... + Kn and weigh the (n-1)-dimensional mixed volume of the faces
-there.  Bodies and faces travel as integer faces, (scale, sorted integer
-vertices); only the Minkowski sum whose facet normals a measure needs is
-hulled.  The planar level is closed form: with the counterclockwise edges
-(dx, dy) of F2 as outward normals (dy, -dx), V(F1, F2) is half the sum of
-h_F1(dy, -dx).  One Alexandrov-Fenchel check needs two measures for its
-three mixed volumes.  An independent oracle, :func:`mixed_volume_interp`,
-computes the same value by inclusion-exclusion over the 2^n - 1 subset
-Minkowski sums.
+there.  A body enters as its integer face ``P.face``, (scale, sorted
+integer vertices), and its faces travel in the same form; only the
+Minkowski sum whose facet normals a measure needs is hulled.  The planar
+level is closed form: with the counterclockwise edges (dx, dy) of F2 as
+outward normals (dy, -dx), V(F1, F2) is half the sum of h_F1(dy, -dx).
+One Alexandrov-Fenchel check needs two measures for its three mixed
+volumes.  An independent oracle, :func:`mixed_volume_interp`, computes the
+same value by inclusion-exclusion over the 2^n - 1 subset Minkowski sums.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ class InequalityReport:
     witness: dict
 
 
-def _check_tuple(bodies):
+def _as_bodies(t) -> tuple[LatticePolytope, ...]:
+    bodies = tuple(t)
     if not bodies:
         raise ValueError("empty body tuple")
     n = bodies[0].ambient_dim
@@ -55,17 +56,12 @@ def _check_tuple(bodies):
         raise ValueError("bodies of mixed ambient dimensions")
     if len(bodies) != n:
         raise ValueError(f"a mixed volume in R^{n} takes exactly {n} bodies")
-
-
-def _as_bodies(t) -> tuple[LatticePolytope, ...]:
-    bodies = tuple(t)
-    _check_tuple(bodies)
     return bodies
 
 
 def _grouped(bodies):
     """(face, multiplicity) pairs of the distinct bodies, in first-seen order."""
-    return list(Counter(b.core.face for b in bodies).items())
+    return list(Counter(b.face for b in bodies).items())
 
 
 def _without(grouped, i):
@@ -183,7 +179,7 @@ def _mixed_volume_grouped(grouped, memo) -> Fraction:
     if n == 2:
         return _planar_mixed(grouped[0][0], grouped[-1][0])
     if len(grouped) == 1:
-        return geometry._HullCore(*grouped[0][0], n).volume
+        return geometry._polytope(*grouped[0][0], n).volume
     i = min(range(len(grouped)), key=lambda k: (grouped[k][1], -len(grouped[k][0][1])))
     return _pair(grouped[i][0], _measure(_without(grouped, i), memo), n)
 
@@ -235,7 +231,7 @@ def check_alexandrov_fenchel(t) -> InequalityReport:
         raise ValueError("the Alexandrov-Fenchel inequality needs dimension at least 2")
     n = len(bodies)
     grouped = _grouped(bodies)  # D1 first, then D2 unless it equals D1
-    f1, f2 = bodies[0].core.face, bodies[1].core.face
+    f1, f2 = bodies[0].face, bodies[1].face
     memo: dict = {}
     m2 = _measure(_without(grouped, 0), memo)  # of (D2, rest)
     m1 = m2 if f1 == f2 else _measure(_without(grouped, 1), memo)  # of (D1, rest)

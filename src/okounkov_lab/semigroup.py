@@ -56,14 +56,6 @@ class GradedSemigroupSlice:
         return True
 
 
-@dataclass(frozen=True)
-class ConeSection:
-    """Height-one section of the cone spanned by a semigroup slice."""
-
-    polytope: LatticePolytope
-    level_used: int
-
-
 def sumset(a: SupportSet, b: SupportSet) -> SupportSet:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("sumset needs equal dimensions")
@@ -103,7 +95,12 @@ def sumset_power(a: SupportSet, k: int) -> SupportSet:
 
 
 def completion(a: SupportSet) -> SupportSet:
-    """All lattice points of the convex hull; idempotent."""
+    """All lattice points of the convex hull; idempotent.
+
+    A hull whose bounding box holds more than
+    ``geometry.MAX_LATTICE_CANDIDATES`` points is rejected before any is
+    tested.
+    """
     return geometry.lattice_points(geometry.polytope_of_support(a))
 
 
@@ -218,14 +215,14 @@ def slice_of_support(a: SupportSet, k_max: int) -> GradedSemigroupSlice:
     return GradedSemigroupSlice(a.ambient_dim, levels)
 
 
-def newton_body(s: GradedSemigroupSlice) -> ConeSection:
+def newton_body(s: GradedSemigroupSlice) -> LatticePolytope:
     """Inner approximation of the Newton body: hull of all S_j / j.
 
     Hulled once in integers: S_j / j is the integer face (j, S_j), and the
     faces of all levels are joined at their common scale.
     """
     faces = [(j, level.points) for j, level in s.levels.items()]
-    return ConeSection(geometry._polytope(*geometry._union(faces), s.ambient_dim), s.k_max)
+    return geometry._polytope(*geometry._union(faces), s.ambient_dim)
 
 
 @dataclass(frozen=True)
@@ -267,7 +264,7 @@ def density_sequence(s: GradedSemigroupSlice) -> DensityReport:
         if body is None:
             body = level
         else:
-            body = geometry._polytope(*geometry._union([body.core.face, level.core.face]), n)
+            body = geometry._polytope(*geometry._union([body.face, level.face]), n)
         rows.append(
             DensityRow(k, Fraction(len(s.levels[k]), k**n), geometry.volume(body))
         )
@@ -326,7 +323,7 @@ def interior_margin(s: GradedSemigroupSlice, c) -> list[MarginRow]:
     rows = []
     for k in range(1, s.k_max + 1):
         dilated = geometry.scale(base, k)
-        facets = dilated.core.facet_inequalities()
+        facets = dilated.facet_inequalities()
         have = s.levels[k].points
         deep_missing = 0
         max_depth = 0.0

@@ -69,7 +69,7 @@ def _ring(p: LatticePolytope) -> list[Tri]:
         raise ValueError("polygons are two-dimensional")
     if not p.is_full_dimensional:
         raise ValueError("degenerate polygon")
-    den, lifted = p.core.face
+    den, lifted = p.face
     out = []
     for i in _hull.ring_2d(lifted):
         x, y = lifted[i]

@@ -236,6 +236,15 @@ class TestVerify:
         assert report.predicted == 2 and report.agreed
         assert report.diagnostics["completion_modal"] == 2
 
+    def test_completion_budget_is_checked_before_any_trial(self, monkeypatch):
+        def trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(bkk, "_run_trials", trial)
+        wide = S(1, [(0,), (g.MAX_LATTICE_CANDIDATES,)])  # bound + 1 candidates
+        with pytest.raises(ValueError, match="too large"):
+            bkk.verify_bkk([wide], trials=3)
+
     def test_simplex_diagonal(self):
         report = bkk.verify_bkk([SIMPLEX, DIAGONAL], trials=5, seed=7)
         assert report.predicted == 2 and report.modal == 2 and report.agreed

@@ -63,6 +63,13 @@ def write(tmp_path, name, obj):
     return str(p)
 
 
+def python(*args):
+    """Run a Python subprocess that imports this checkout's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True)
+
+
 def run(args, out):
     rc = main(args + ["--out", str(out)])
     text = out.read_text()
@@ -612,7 +619,8 @@ class TestExitContract:
             ({"supports": [{"dim": 1, "points": [[0], [161]]}]}, [],
              "eliminant has degree bound 161; the limit is 160"),
             ({"supports": [{"dim": 1, "points": [[0], [10000]]}]}, [],
-             "completion would test 10001 lattice points; the limit is 10000"),
+             "bounding box too large for lattice enumeration: 10001 candidates;"
+             " the limit is 10000"),
         ],
         ids=["trials", "sylvester-order", "eliminant-degree", "1d-degree", "completion"],
     )
@@ -632,8 +640,36 @@ class TestExitContract:
              "field 'fixed' has the wrong type"),
             ("bm-check", {"m": 2, "body1": SQ, "body2": SI, "fixed": 3},
              "field 'fixed' has the wrong type"),
+            ("mixedvol", {}, "missing field 'bodies'"),
+            ("mixedvol", {"bodies": [{"dim": 1, "vertices": []}]},
+             "polytope needs at least one vertex"),
+            ("mixedvol", {"bodies": [{"dim": 2, "vertices": [["0", "0"], ["1"]]}]},
+             "vertex arity does not match dim"),
+            ("mixedvol", {"bodies": [{"dim": 1, "vertices": [["0"], ["1/0"]]}]},
+             "bad rational '1/0'"),
+            ("mixedvol", {"bodies": [{"dim": 5, "vertices": [["0"] * 5]}] * 5},
+             "ambient dimension must be in 1..4"),
+            ("sumset", {"support": {"dim": 1, "points": []}, "k": 2},
+             "support set must be nonempty"),
+            ("sumset", {"support": {"dim": 0, "points": [[]]}, "k": 2},
+             "ambient dimension must be positive"),
+            ("hilbert", {"subspace": {"dim": 1, "basis": []}},
+             "subspace needs a nonempty basis"),
+            ("hilbert", {"subspace": {"dim": 1, "basis": [{"dim": 1, "terms": []}]}},
+             "zero polynomial in a basis"),
+            ("hilbert", {"subspace": {"dim": 1, "basis": [
+                {"dim": 1, "terms": [{"exp": [1], "coef": "1"}]},
+                {"dim": 1, "terms": [{"exp": [1], "coef": "2"}]}]}},
+             "basis polynomials are linearly dependent"),
+            ("okounkov", {"subspace": {"dim": 2, "basis": [
+                {"dim": 2, "terms": [{"exp": [1, 0], "coef": "1"}]}]},
+                "order": {"kind": "grlex", "grading": [0, 1]}},
+             "graded lex needs a positive integer grading"),
         ],
-        ids=["bkk-no-supports", "bkk-mixed-dimensions", "bm-fixed-null", "bm-fixed-number"],
+        ids=["bkk-no-supports", "bkk-mixed-dimensions", "bm-fixed-null", "bm-fixed-number",
+             "missing-field", "no-vertices", "vertex-arity", "rational-1-over-0",
+             "polytope-dim-5", "no-points", "support-dim-0", "empty-basis", "zero-polynomial",
+             "dependent-basis", "grading-zero-weight"],
     )
     def test_malformed_input_is_exit_2(self, tmp_path, capsys, command, payload, message):
         inp = write(tmp_path, "in.json", payload)
@@ -783,7 +819,14 @@ class TestExitContract:
         assert cli._build_parser.cache_info().misses == 1
 
     def test_cli_import_does_not_load_scipy(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = "import sys, okounkov_lab.cli; sys.exit('scipy' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        assert python("-c", code).returncode == 0
+
+    def test_module_entry_point_matches_main(self, tmp_path):
+        """`python -m okounkov_lab.cli` exits and reports as an in-process `main` does."""
+        inp = write(tmp_path, "in.json", {"bodies": [SQ, SI]})
+        for k, args in enumerate([["selftest"], ["mixedvol", inp, "--oracle"]]):
+            proc = python("-m", "okounkov_lab.cli", *args)
+            out = tmp_path / f"out{k}"
+            assert proc.returncode == main(args + ["--out", str(out)]) == 0
+            assert proc.stdout == out.read_bytes()

@@ -368,7 +368,7 @@ class TestLatticePoints:
         def enumerated(self, p):
             raise AssertionError("a candidate was tested")
 
-        monkeypatch.setattr(g._HullCore, "contains", enumerated)
+        monkeypatch.setattr(g.LatticePolytope, "contains", enumerated)
         too_long = g.convex_hull([(0,), (g.MAX_LATTICE_CANDIDATES,)])  # bound + 1 points
         with pytest.raises(ValueError, match="too large"):
             g.lattice_points(too_long)
@@ -485,12 +485,11 @@ def _rational_body(rng, n, dens, odd=False):
 
 
 def _same_core(P, Q):
-    """Equal bodies with equal cores: least scale, integer points and facets."""
+    """Equal bodies with equal hulls: integer face, planes and facets."""
     assert P == Q
-    cp, cq = P.core, Q.core
-    assert (cp.scale, cp.lifted, cp.vertex_indices) == (cq.scale, cq.lifted, cq.vertex_indices)
+    assert (P.face, P.planes) == (Q.face, Q.planes)
     if P.is_full_dimensional:
-        assert cp.facet_inequalities() == cq.facet_inequalities()
+        assert P.facet_inequalities() == Q.facet_inequalities()
     assert g.volume(P) == g.volume(Q)
 
 
@@ -501,7 +500,7 @@ class TestIntegerSumsAndDilations:
         P = g.convex_hull([(F(1, 2), F(1, 2)), (F(3, 2), F(1, 2)), (F(1, 2), F(5, 2))])
         Q = g.convex_hull([(F(1, 2), F(1, 2)), (F(-1, 2), F(3, 2))])
         S = g.minkowski_sum(P, Q)
-        assert S.core.scale == 1
+        assert S.face[0] == 1
         _same_core(S, g.convex_hull([
             tuple(a + b for a, b in zip(p, q)) for p in P.vertices for q in Q.vertices
         ]))
@@ -525,3 +524,25 @@ class TestIntegerSumsAndDilations:
             for lam in (F(0), F(1), F(2), F(3, 2), F(2, 3), F(5, 4)):
                 dilated = [tuple(lam * c for c in v) for v in P.vertices]
                 _same_core(g.scale(P, lam), g.convex_hull(dilated))
+
+    def test_equal_exactly_when_vertices_are(self):
+        """Bodies built by different routes compare and hash by their vertices alone."""
+        rng = random.Random(19)
+        for n in (1, 2, 3):
+            for _ in range(10):
+                P = _rational_body(rng, n, (1, 2, 6))
+                s, vs = P.face
+                doubled = (2 * s, [tuple(2 * c for c in v) for v in vs])
+                pool = [
+                    P,
+                    g.convex_hull(list(P.vertices) + [_centroid(P.vertices)]),
+                    g.scale(g.scale(P, 6), F(1, 6)),
+                    g.minkowski_sum(P, g.convex_hull([(0,) * n])),
+                    g._polytope(*g._union([P.face, doubled]), n),
+                    g.translate(P, (F(1, 2),) * n),
+                    _rational_body(rng, n, (1, 2, 6)),
+                ]
+                for A, B in product(pool, repeat=2):
+                    assert (A == B) == (A.vertices == B.vertices)
+                    if A == B:
+                        assert A.face == B.face and hash(A) == hash(B)

@@ -270,8 +270,8 @@ class TestPlanarMixed:
     @staticmethod
     def check(a, b):
         want = mv.mixed_volume_interp((a, b))
-        assert mv._planar_mixed(a.core.face, b.core.face) == want
-        assert mv._planar_mixed(b.core.face, a.core.face) == want
+        assert mv._planar_mixed(a.face, b.face) == want
+        assert mv._planar_mixed(b.face, a.face) == want
         return want
 
     def test_random_rational_polygons_with_different_scales(self):
@@ -299,7 +299,7 @@ class TestPlanarMixed:
         rng = random.Random(2026)
         for _ in range(20):
             p = random_polygon(rng, span=5, k=6)
-            assert mv._planar_mixed(p.core.face, p.core.face) == g.volume(p)
+            assert mv._planar_mixed(p.face, p.face) == g.volume(p)
             self.check(p, p)
 
     def test_collinear_points(self):
@@ -315,7 +315,7 @@ class TestPlanarMixed:
         point = poly((F(2, 3), 5))
         assert self.check(point, SQ) == 0
         assert self.check(point, poly((0, 0), (1, 2))) == 0
-        assert mv._planar_mixed(point.core.face, point.core.face) == 0
+        assert mv._planar_mixed(point.face, point.face) == 0
 
 
 class TestRepeated:

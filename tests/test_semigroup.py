@@ -149,17 +149,24 @@ class TestNewtonBody:
     def test_simplex_slice(self):
         for kmax in (1, 2, 4):
             body = sg.newton_body(sg.slice_of_support(SIMPLEX_PTS, kmax))
-            assert body.polytope == g.polytope_of_support(SIMPLEX_PTS)
+            assert body == g.polytope_of_support(SIMPLEX_PTS)
+
+    def test_face_is_in_lowest_terms(self):
+        """Levels 1 and 2 join at scale 2, and the face is divided back down."""
+        body = sg.newton_body(sg.slice_of_support(SIMPLEX_PTS, 2))
+        simplex = g.polytope_of_support(SIMPLEX_PTS)
+        assert body.face == simplex.face == (1, ((0, 0), (0, 1), (1, 0)))
+        assert body == simplex and hash(body) == hash(simplex)
 
     def test_one_dim_example(self):
         body = sg.newton_body(sg.slice_of_support(A013, 1))
-        assert body.polytope == g.convex_hull([(0,), (3,)])
+        assert body == g.convex_hull([(0,), (3,)])
 
     def test_single_ray(self):
         ray = sg.GradedSemigroupSlice(2, {k: S(2, [(k, 0)]) for k in range(1, 5)})
         body = sg.newton_body(ray)
-        assert body.polytope.affine_dim == 0
-        assert body.polytope.vertices == ((F(1), F(0)),)
+        assert body.affine_dim == 0
+        assert body.vertices == ((F(1), F(0)),)
 
     def test_matches_fraction_hull_of_levels(self):
         """The integer lift equals the hull of every S_j / j as `Fraction`s."""
@@ -169,10 +176,9 @@ class TestNewtonBody:
             levels = {j: random_support(rng, dim, 3 * j, rng.randint(1, 5)) for j in range(1, kmax + 1)}
             s = sg.GradedSemigroupSlice(dim, levels)
             pts = [tuple(F(c, j) for c in p) for j, level in s.levels.items() for p in level.points]
-            body, expected = sg.newton_body(s).polytope, g.convex_hull(pts)
+            body, expected = sg.newton_body(s), g.convex_hull(pts)
             assert body == expected and g.volume(body) == g.volume(expected)
-            core, expected_core = body.core, expected.core
-            assert (core.scale, core.lifted) == (expected_core.scale, expected_core.lifted)
+            assert (body.face, body.planes) == (expected.face, expected.planes)
 
     def test_ambient_dimension_above_four_is_a_value_error(self):
         unit = S(5, [(0,) * 5] + [tuple(int(i == k) for i in range(5)) for k in range(5)])
@@ -187,7 +193,7 @@ class TestNewtonBody:
             a = random_support(rng, 2, 3, 3)
             prev = None
             for kmax in (1, 2, 3, 4):
-                body = sg.newton_body(sg.slice_of_support(a, kmax)).polytope
+                body = sg.newton_body(sg.slice_of_support(a, kmax))
                 if prev is not None:
                     assert all(g.contains_point(body, v) for v in prev.vertices)
                 prev = body
