@@ -105,18 +105,22 @@ def _measure(rest, memo):
     The vertices of K on the plane of u are the vertices of F(K, u),
     and pi_j is injective there, so every face stays a vertex set.  A face
     that is a single point makes its term 0.  ``memo`` maps the multiset of
-    projected faces to their mixed volume.
+    projected faces to their mixed volume, and the face of each
+    full-dimensional top-level body to its facet normals
+    (:func:`_top_level_memo`), so a rest of one such body builds no hull.
     """
     n = sum(m for _, m in rest) + 1
-    _, pts = geometry._sum_points([f for f, _ in rest], n)
-    rows = [r for _, r in _hull.echelon(_hull._sub(p, pts[0]) for p in pts[1:])]
-    if len(rows) == n:
-        normals = [a for a, _ in _hull.hull_of_lifted(pts, n).planes]
-    elif len(rows) == n - 1:
-        a = _cofactor_normal(rows)
-        normals = [a, tuple(-x for x in a)]
-    else:
-        return []
+    normals = memo.get(rest[0][0]) if len(rest) == 1 else None
+    if normals is None:
+        _, pts = geometry._sum_points([f for f, _ in rest], n)
+        rows = [r for _, r in _hull.echelon(_hull._sub(p, pts[0]) for p in pts[1:])]
+        if len(rows) == n:
+            normals = [a for a, _ in _hull.hull_of_lifted(pts, n).planes]
+        elif len(rows) == n - 1:
+            a = _cofactor_normal(rows)
+            normals = [a, tuple(-x for x in a)]
+        else:
+            return []
     out = []
     for u in normals:
         j = next(i for i, x in enumerate(u) if x)
@@ -184,13 +188,19 @@ def _mixed_volume_grouped(grouped, memo) -> Fraction:
     return _pair(grouped[i][0], _measure(_without(grouped, i), memo), n)
 
 
+def _top_level_memo(bodies) -> dict:
+    """A memo for :func:`_measure` that holds the facet normals of each
+    full-dimensional body, read off the planes it was built with."""
+    return {b.face: [a for a, _ in b.planes] for b in bodies if b.is_full_dimensional}
+
+
 def mixed_volume(t) -> Fraction:
     """V(D_1, ..., D_n) by the mixed-area-measure recursion; exact and symmetric."""
     bodies = _as_bodies(t)
     grouped = _grouped(bodies)
     if len(grouped) == 1:  # V(K, ..., K) is the volume of K, from its cached hull
         return geometry.volume(bodies[0])
-    return _mixed_volume_grouped(grouped, {})
+    return _mixed_volume_grouped(grouped, _top_level_memo(bodies))
 
 
 def mixed_volume_interp(t) -> Fraction:
@@ -232,7 +242,7 @@ def check_alexandrov_fenchel(t) -> InequalityReport:
     n = len(bodies)
     grouped = _grouped(bodies)  # D1 first, then D2 unless it equals D1
     f1, f2 = bodies[0].face, bodies[1].face
-    memo: dict = {}
+    memo = _top_level_memo(bodies)
     m2 = _measure(_without(grouped, 0), memo)  # of (D2, rest)
     m1 = m2 if f1 == f2 else _measure(_without(grouped, 1), memo)  # of (D1, rest)
     v12, v22, v11 = _pair(f1, m2, n), _pair(f2, m2, n), _pair(f1, m1, n)

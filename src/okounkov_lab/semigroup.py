@@ -57,9 +57,16 @@ class GradedSemigroupSlice:
 
 
 def sumset(a: SupportSet, b: SupportSet) -> SupportSet:
+    """A + B: the coordinate columns of the larger set, shifted by each point
+    of the smaller one, zipped back into points."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("sumset needs equal dimensions")
-    pts = {tuple(x + y for x, y in zip(p, q)) for p in a.points for q in b.points}
+    if len(a) < len(b):
+        a, b = b, a
+    cols = list(zip(*a.points))
+    pts: set = set()
+    for q in b.points:
+        pts.update(zip(*[[x + c for x in col] for col, c in zip(cols, q)]))
     return SupportSet(a.ambient_dim, frozenset(pts))
 
 
@@ -178,32 +185,44 @@ def smith_normal_form(rows: list[list[int]]) -> list[int]:
     return divisors
 
 
+def _difference_rows(s: SupportSet) -> set[tuple[int, ...]]:
+    base = min(s.points)
+    return {tuple(x - y for x, y in zip(p, base)) for p in s.points}
+
+
+def _row_lattice_index(rows: set[tuple[int, ...]], n: int):
+    """Index in Z^n of the lattice the rows span, or INFINITE."""
+    # zero and repeated rows span nothing new, so the index is the same
+    rows.discard((0,) * n)
+    if not rows:
+        return INFINITE
+    nonzero = [d for d in smith_normal_form(sorted(rows)) if d != 0]
+    if len(nonzero) < n:
+        return INFINITE
+    return math.prod(nonzero)
+
+
 def difference_lattice_index(sets: list[SupportSet]):
     """Index in Z^n of the lattice generated by within-set differences.
 
     Returns the integer index when the differences span a finite-index
     subgroup, else :data:`INFINITE`.  Index 1 means ample at these levels.
+    The first set's differences are reduced alone first: when they already
+    span Z^n, no further row can change the lattice.  Otherwise one Smith
+    normal form runs over the rows of all sets, so there are at most two.
     """
     if not sets:
         raise ValueError("need at least one support set")
     n = sets[0].ambient_dim
-    rows = set()
     for s in sets:
         if s.ambient_dim != n:
             raise ValueError("support sets of mixed dimensions")
         if not s.points:
             raise ValueError("support sets must be nonempty")
-        base = min(s.points)
-        rows.update(tuple(x - y for x, y in zip(p, base)) for p in s.points)
-    # zero and repeated rows span nothing new, so the index is the same
-    rows.discard((0,) * n)
-    if not rows:
-        return INFINITE if n > 0 else 1
-    divisors = smith_normal_form(sorted(rows))
-    nonzero = [d for d in divisors if d != 0]
-    if len(nonzero) < n:
-        return INFINITE
-    return math.prod(nonzero)
+    first = _row_lattice_index(_difference_rows(sets[0]), n)
+    if first == 1 or len(sets) == 1:
+        return first
+    return _row_lattice_index(set().union(*map(_difference_rows, sets)), n)
 
 
 def slice_of_support(a: SupportSet, k_max: int) -> GradedSemigroupSlice:
@@ -253,7 +272,10 @@ def density_sequence(s: GradedSemigroupSlice) -> DensityReport:
     The body at k is conv(S_1 / 1, ..., S_k / k), built incrementally and
     exactly in integers: conv(S_k / k) = conv(S_k) / k, so level k is hulled
     at scale k (`geometry._polytope`), and its integer face is joined with
-    the previous body's at their common scale.
+    the previous body's at their common scale.  In the plane, the hull of a
+    level chains only the lowest and highest point of each column
+    (`_hull.ring_2d`).  Ampleness takes one Smith normal form when level 1
+    already spans Z^n, and two otherwise (`difference_lattice_index`).
     """
     n = s.ambient_dim
     index = difference_lattice_index(list(s.levels.values()))
@@ -316,8 +338,9 @@ def interior_margin(s: GradedSemigroupSlice, c) -> list[MarginRow]:
     index = difference_lattice_index(list(s.levels.values()))
     if index != 1:
         raise ValueError("interior margin requires an ample semigroup")
-    for k, level in s.levels.items():
-        if level.points != sumset_power(a1, k).points:
+    # by induction, S_k = k A_1 for all k iff S_k = S_(k-1) + A_1 for k >= 2
+    for k in range(2, s.k_max + 1):
+        if s.levels[k].points != sumset(s.levels[k - 1], a1).points:
             raise ValueError("slice levels must be sumset powers of level 1")
     base = geometry.polytope_of_support(a1)
     rows = []

@@ -15,7 +15,12 @@ denominator: a new vertex carries the interpolation divisor of its edge, so
 the least common denominator of a ring multiplies them together (on the
 criterion-10 quad at seed 3 it has 79,116 bits after round 8, while no
 vertex coordinate has more than 1,934).  Only the shoelace area checked
-after every exact round meets that common denominator.  Float rounds,
+after every exact round meets that common denominator, and only in its
+last additions: `_ring_area` sums the edge terms in integers per
+denominator D1 D2 and adds the groups' Fractions pairwise in a balanced
+tree.  The hand-off test (`_over_bit_cap`) reduces only vertices whose raw
+X, Y or D is longer than the bit cap, and stops at the first reduced
+coordinate over it.  Float rounds,
 `_symmetrize`, run the same step on doubles with a small tolerance and a
 vertex budget.  At the API a polygon is a planar, full-dimensional
 `geometry.LatticePolytope`; its ring of triples is read off the polytope's
@@ -79,13 +84,24 @@ def _ring(p: LatticePolytope) -> list[Tri]:
 
 
 def _ring_area(ring: list[Tri]) -> Fraction:
-    """Exact shoelace area of a ring of triples; positive for a CCW ring."""
-    twice = Fraction(0)
+    """Exact shoelace area of a ring of triples; positive for a CCW ring.
+
+    The edge terms (X1 Y2 - X2 Y1) / (D1 D2) are summed in integers per
+    denominator D1 D2, and the Fractions of the groups are added pairwise in
+    a balanced tree, so no partial sum carries the whole ring's common
+    denominator until the last additions.
+    """
+    groups: dict[int, int] = {}
     x1, y1, d1 = ring[-1]
     for x2, y2, d2 in ring:
-        twice += Fraction(x1 * y2 - x2 * y1, d1 * d2)
+        d = d1 * d2
+        groups[d] = groups.get(d, 0) + x1 * y2 - x2 * y1
         x1, y1, d1 = x2, y2, d2
-    return twice / 2
+    terms = [Fraction(m, d) for d, m in groups.items()]
+    while len(terms) > 1:
+        pairs = [a + b for a, b in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[2 * len(pairs):]
+    return terms[0] / 2
 
 
 def _primitive(direction) -> tuple[int, int]:
@@ -352,14 +368,23 @@ class RoundStat:
     exact: bool
 
 
-def _bit_size(ring: list[Tri]) -> int:
-    """Largest numerator or denominator of a reduced vertex coordinate."""
-    size = 0
+def _over_bit_cap(ring: list[Tri]) -> bool:
+    """Whether a reduced vertex coordinate X / D or Y / D has a numerator or
+    denominator of more than `EXACT_BIT_CAP` bits.
+
+    Reducing never lengthens X, Y or D, so a vertex whose raw X, Y and D
+    all fit under the cap is skipped without a gcd, and the scan stops at
+    the first vertex over it.
+    """
+    cap = EXACT_BIT_CAP
     for x, y, d in ring:
+        if x.bit_length() <= cap and y.bit_length() <= cap and d.bit_length() <= cap:
+            continue
         gx, gy = math.gcd(x, d), math.gcd(y, d)
-        size = max(size, (x // gx).bit_length(), (y // gy).bit_length(),
-                   (d // min(gx, gy)).bit_length())
-    return size
+        if max((x // gx).bit_length(), (y // gy).bit_length(),
+               (d // min(gx, gy)).bit_length()) > cap:
+            return True
+    return False
 
 
 def iterate_symmetrize(
@@ -403,7 +428,7 @@ def iterate_symmetrize(
                 raise AssertionError("exact symmetrization changed the area")
             vs_float = [(x / d, y / d) for x, y, d in ring]
             exact_round = True
-            if len(ring) > EXACT_VERTEX_CAP or _bit_size(ring) > EXACT_BIT_CAP:
+            if len(ring) > EXACT_VERTEX_CAP or _over_bit_cap(ring):
                 float_vs = vs_float  # hand off to float rounds
                 ring = None
         else:

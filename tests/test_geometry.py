@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_hull_volume, in_convex_hull, shoelace_area
+from oracles import _monotone_chain, brute_hull_volume, in_convex_hull, ring_sorted, shoelace_area
 from okounkov_lab import _hull, geometry as g
 
 
@@ -233,6 +233,37 @@ def _det(rows):
         (-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
         for j in range(len(rows))
     )
+
+
+class TestRing2d:
+    """`_hull.ring_2d`, which chains only the ends of each x-column, against
+    the monotone chain over every point and the angular order."""
+
+    @staticmethod
+    def check(points):
+        pts = sorted(set(points))
+        got = _hull.ring_2d(pts)
+        index = {p: i for i, p in enumerate(pts)}
+        assert got == [index[tuple(int(c) for c in p)] for p in _monotone_chain(pts)]
+        if len(got) >= 3:
+            want = [tuple(int(c) for c in p) for p in ring_sorted([pts[i] for i in got])]
+            start = want.index(pts[0])
+            assert [pts[i] for i in got] == want[start:] + want[:start]
+        return got
+
+    def test_seeded_clouds_with_full_columns(self):
+        rng = random.Random(2020)
+        for _ in range(200):
+            width, height = rng.randint(1, 6), rng.randint(1, 60)
+            cloud = [(rng.randint(0, width), rng.randint(-height, height))
+                     for _ in range(rng.randint(3, 80))]
+            self.check(cloud)
+
+    def test_degenerate_inputs(self):
+        assert self.check([(3, y) for y in range(-4, 9)]) == [0, 12]  # one column
+        assert self.check([(0, 0), (1, 5)]) == [0, 1]
+        assert self.check([(i, 2 * i - 1) for i in range(10)]) == [0, 9]  # collinear
+        assert self.check([(5, 5)]) == []
 
 
 class TestHullEngineDegenerate:

@@ -263,6 +263,29 @@ class TestMixedVolumeInternals:
                 k: str(mv.mixed_volume_interp(t)) for k, t in want.items()
             }
 
+    def test_a_rest_of_one_top_level_body_builds_no_hull(self, monkeypatch):
+        """A measure whose rest is one full-dimensional input body reads that
+        body's facet normals, so 300 planar checks (600 such measures) and
+        3D V(K, L, L) (rest L + L) build no hull; values match
+        inclusion-exclusion."""
+        rng = random.Random(9)
+        pairs = [
+            tuple(poly(*[(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(8)]) for _ in range(2))
+            for _ in range(300)
+        ]
+        triples = [(random_body3(rng), body, body) for body in (random_body3(rng, 3, 6) for _ in range(10))]
+        calls = _count_hulls(monkeypatch)
+        reports = [mv.check_alexandrov_fenchel(pair) for pair in pairs]
+        values = [mv.mixed_volume(t) for t in triples]
+        assert sum(calls.values()) == 0
+        monkeypatch.undo()
+        for (a, b), r in zip(pairs, reports):
+            want = {"v12": (a, b), "v11": (a, a), "v22": (b, b)}
+            assert r.witness["mixed_volumes"] == {
+                k: str(mv.mixed_volume_interp(t)) for k, t in want.items()
+            }
+        assert values == [mv.mixed_volume_interp(t) for t in triples]
+
 
 class TestPlanarMixed:
     """The closed-form planar level against inclusion-exclusion."""

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_hull_volume, brute_kfold_sums, brute_sumset_power, sympy_lattice_index
+from oracles import (
+    brute_hull_volume,
+    brute_kfold_sums,
+    brute_sumset,
+    brute_sumset_power,
+    sympy_lattice_index,
+)
 from okounkov_lab import geometry as g
 from okounkov_lab import semigroup as sg
 
@@ -67,6 +73,18 @@ class TestSumsetPower:
             dilated = g.scale(g.polytope_of_support(a), k)
             allowed = set(g.lattice_points(dilated).points)
             assert set(sg.sumset_power(a, k).points) <= allowed
+
+    def test_sumset_against_brute_force_in_dimensions_1_to_4(self):
+        rng = random.Random(414)
+        for dim in (1, 2, 3, 4):
+            for _ in range(30):
+                a = random_support(rng, dim, span=rng.randint(0, 5), size=rng.randint(1, 12))
+                b = random_support(rng, dim, span=rng.randint(0, 5), size=rng.randint(1, 40))
+                want = brute_sumset(a.points, b.points)
+                assert set(sg.sumset(a, b).points) == want
+                assert set(sg.sumset(b, a).points) == want
+        empty = S(2, [])
+        assert sg.sumset(empty, SIMPLEX_PTS).points == sg.sumset(SIMPLEX_PTS, empty).points == frozenset()
 
 
 class TestCompletion:
@@ -291,6 +309,31 @@ class TestLatticeIndexOracle:
         grid = {(0, 0), (2, 0), (0, 3), (2, 3)}
         assert sg.difference_lattice_index([S(2, grid), S(2, grid)]) == sympy_lattice_index([grid] * 2) == 6
 
+    def test_first_set_shortcut(self):
+        cases = [
+            ([{(0, 0), (1, 0), (0, 1)}, {(0, 0), (4, 0), (0, 6)}], 1),  # the first set is ample
+            ([{(0,), (2,)}, {(0,), (3,)}], 1),  # only the second set completes Z
+            ([{(0, 0), (2, 0), (0, 2)}, {(0, 0), (2, 0), (1, 1)}], 2),
+            ([{(0, 0), (1, 1)}, {(0, 0), (3, 3), (5, 5)}], sg.INFINITE),
+        ]
+        for sets, want in cases:
+            dim = len(next(iter(sets[0])))
+            assert sg.difference_lattice_index([S(dim, p) for p in sets]) == want
+            assert sympy_lattice_index(sets) == want
+
+    def test_smith_form_runs_at_most_twice(self, monkeypatch):
+        """A cost guard without timing: one Smith normal form on an ample
+        slice, whose level 1 already spans Z^2, and two on a non-ample one,
+        never one per level."""
+        calls = []
+        real = sg.smith_normal_form
+        monkeypatch.setattr(sg, "smith_normal_form", lambda rows: calls.append(len(rows)) or real(rows))
+        for support, index, runs in ([(0, 0), (1, 0), (0, 1)], 1, 1), ([(0, 0), (2, 0), (0, 2)], 4, 2):
+            calls.clear()
+            levels = sg.slice_of_support(S(2, support), 40).levels
+            assert sg.difference_lattice_index(list(levels.values())) == index
+            assert len(calls) == runs
+
     def test_smith_form_with_zero_and_repeated_rows(self):
         from sympy import ZZ, Matrix
         from sympy.matrices.normalforms import smith_normal_form
@@ -364,6 +407,13 @@ class TestInteriorMargin:
     def test_rejects_non_sumset_levels(self):
         levels = {1: SIMPLEX_PTS, 2: S(2, [(0, 0)])}
         with pytest.raises(ValueError):
+            sg.interior_margin(sg.GradedSemigroupSlice(2, levels), 0)
+
+    def test_rejects_a_late_non_sumset_level(self):
+        # levels 1..5 are sumset powers; level 6 misses one point
+        levels = dict(sg.slice_of_support(SIMPLEX_PTS, 6).levels)
+        levels[6] = S(2, set(levels[6].points) - {(3, 3)})
+        with pytest.raises(ValueError, match="sumset powers of level 1"):
             sg.interior_margin(sg.GradedSemigroupSlice(2, levels), 0)
 
 

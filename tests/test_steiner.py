@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import mpmath
@@ -212,14 +213,71 @@ class TestExactOracle:
                 got = stn._exact_round(triples(vs), *stn._primitive(u))
                 assert got == triples(fraction_steiner_round(vs, u))
 
-    def test_bit_size_reads_reduced_coordinates(self):
+    def test_bit_size_reads_reduced_coordinates(self, monkeypatch):
+        # the cap test flips exactly at the reduced bit size: over at
+        # want - 1, not over at want
         rng = random.Random(77)
         for _ in range(50):
             top = rng.choice([2**8, 2**40])  # the numerators or a denominator decide
             vs = [(F(rng.randint(-top, top), rng.choice([1, rng.randint(1, 2**20)])),
                    F(rng.randint(-top, top), rng.choice([1, rng.randint(1, 2**30)]))) for _ in range(5)]
             want = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for v in vs for c in v)
-            assert stn._bit_size(triples(vs)) == want
+            for cap, over in ((want - 1, True), (want, False)):
+                monkeypatch.setattr(stn, "EXACT_BIT_CAP", cap)
+                assert stn._over_bit_cap(triples(vs)) is over
+
+    def test_bit_cap_at_the_real_cap(self):
+        # raw X, Y, D over the cap with every reduced coordinate under it (X
+        # and D, and Y and D, share a long factor), the reverse (raw and
+        # reduced over), and rings near the cap on either side
+        cap = stn.EXACT_BIT_CAP
+        rng = random.Random(78)
+
+        def big(bits):
+            return rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+
+        seen = Counter()
+        for _ in range(200):
+            kind = rng.randrange(4)
+            ring = []
+            for _ in range(rng.randint(3, 8)):
+                if kind == 0:  # shared factors: (p a / p q, q b / p q)
+                    p, q = big(rng.randint(cap // 2 + 10, cap - 20)), big(rng.randint(cap // 2 + 10, cap - 20))
+                    x, y, d = p * rng.randint(-9, 9), q * rng.randint(-9, 9), p * q
+                elif kind == 1:  # odd X over a power of two: X / D is already reduced
+                    x, y, d = big(rng.randint(cap - 3, cap + 3)), rng.randint(-9, 9), 2 ** rng.randint(cap - 3, cap + 3)
+                elif kind == 2:  # small raw values
+                    x, y, d = rng.randint(-2**40, 2**40), rng.randint(-2**40, 2**40), rng.randint(1, 2**40)
+                else:  # shared factors, the reduced denominators q h and p h near the cap
+                    p, q, h = big(30), big(30), big(cap - 30 + rng.randint(0, 1))
+                    x, y, d = p * rng.randint(-9, 9), q * rng.randint(-9, 9), p * q * h
+                g = math.gcd(x, y, d)
+                ring.append((x // g, y // g, d // g))
+            want = max(max(F(x, d).numerator.bit_length(), F(x, d).denominator.bit_length(),
+                           F(y, d).numerator.bit_length(), F(y, d).denominator.bit_length())
+                       for x, y, d in ring)
+            raw = max(c.bit_length() for t in ring for c in t)
+            assert stn._over_bit_cap(ring) is (want > cap)
+            seen[raw > cap, want > cap] += 1
+        # raw over with reduced under, raw and reduced over, both under
+        assert min(seen.values()) >= 20 and len(seen) == 3
+
+    def test_ring_area_matches_shoelace_on_criterion10_rings(self):
+        # every exact ring of the criterion-10 iteration, whose vertices carry
+        # pairwise different denominators, against a plain Fraction shoelace
+        quad = polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
+        count = 0
+        for seed in range(5):
+            rng = random.Random(derive_seed(seed, "steiner-directions"))
+            ring = stn._ring(quad)
+            while len(ring) <= stn.EXACT_VERTEX_CAP and not stn._over_bit_cap(ring):
+                direction = (0, 0)
+                while direction == (0, 0):
+                    direction = (rng.randint(-10, 10), rng.randint(-10, 10))
+                ring = stn._exact_round(ring, *stn._primitive(direction))
+                assert stn._ring_area(ring) == shoelace_area([(F(x, d), F(y, d)) for x, y, d in ring])
+                count += 1
+        assert count >= 25
 
     def test_iterate_rows_match_oracle_loop(self):
         quad = polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
@@ -266,7 +324,7 @@ def diagnosed_rounds(p, rounds, seed):
         if ring is not None:
             ring = stn._exact_round(ring, *stn._primitive(direction))
             yield [(mpmath.mpf(x) / d, mpmath.mpf(y) / d) for x, y, d in ring]
-            if len(ring) > stn.EXACT_VERTEX_CAP or stn._bit_size(ring) > stn.EXACT_BIT_CAP:
+            if len(ring) > stn.EXACT_VERTEX_CAP or stn._over_bit_cap(ring):
                 floats = [(x / d, y / d) for x, y, d in ring]
                 ring = None
         else:
