@@ -30,14 +30,17 @@ row of I @ I.T reaches its diagonal entry only on the diagonal.  A
 non-extreme corner lies in the relative interior of a face, and that face's
 vertices, which are corners too, lie on all of its planes.
 
-For d = 3, 4 the live facets are numpy integer arrays (normals, offsets,
-vertex indices and an alive mask), so one insertion is a few array
-operations: visibility is one matrix-vector product, and the planes of the
-new facets are one batch of signed minors.  The dtype is ``int64`` when the
-largest coordinate M bounds every value formed below 2**63 (a normal is at
-most (d-1)! (2M)^(d-1), see :func:`_dtype_for`); otherwise it is ``object``,
-exact Python integers, running the same code.  numpy stays inside the
-insertion: every result field is built of Python ``int``s.
+For d = 3, 4 the facets are numpy integer arrays (vertex indices, normals
+and offsets), so one insertion is a few array operations: visibility is one
+matrix-vector product, and the planes of the new facets are one batch of
+signed minors.  A facet that a point sees is dead for good, so the arrays
+hold only live facets: an insertion keeps the unseen rows and appends the
+new ones.  The dtype is ``int64`` when the largest coordinate M bounds
+every value formed below 2**63 (a normal is at most (d-1)! (2M)^(d-1), see
+:func:`_dtype_for`); otherwise it is ``object``, exact Python integers,
+running the same code.  The same signed minors give the normal of a flat
+Minkowski sum in ``mixedvol`` (:func:`cofactor_normal`).  numpy stays
+inside this module: every result field is built of Python ``int``s.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ import numpy as np
 class HullResult:
     """Boundary description of a full-dimensional lifted hull."""
 
-    dim: int
     planes: list[tuple[tuple[int, ...], int]]  # hull == {x : a.x <= b} for all (a, b)
     vertex_indices: list[int]  # extreme points, sorted
     volume: int  # d! times the volume of the hull
@@ -119,7 +121,7 @@ def _hull_1d(points):
     lo = min(range(len(points)), key=lambda i: points[i][0])
     hi = max(range(len(points)), key=lambda i: points[i][0])
     planes = [((1,), points[hi][0]), ((-1,), -points[lo][0])]
-    return HullResult(1, planes, sorted({lo, hi}), points[hi][0] - points[lo][0])
+    return HullResult(planes, sorted({lo, hi}), points[hi][0] - points[lo][0])
 
 
 def ring_2d(points):
@@ -161,7 +163,7 @@ def _hull_2d(points):
         a = (y1 - y0, x0 - x1)  # outward normal of a CCW ring
         planes.append(_gcd_reduce_plane(a, _dot(a, points[i])))
         twice_area += x0 * y1 - x1 * y0
-    return HullResult(2, planes, sorted(ring), twice_area)
+    return HullResult(planes, sorted(ring), twice_area)
 
 
 def _dtype_for(max_abs, d):
@@ -203,6 +205,12 @@ def _normals(D):
     return T @ _LEVI_CIVITA[d]
 
 
+def cofactor_normal(rows):
+    """Normal of the hyperplane spanned by n - 1 integer rows in R^n: entry c
+    is the cofactor (-1)^c det(rows without column c), in Python ints."""
+    return tuple(_normals(np.array([rows], dtype=object))[0].tolist())
+
+
 def _insertion_order(points, start):
     """Indices outside ``start``, farthest from the centroid first.
 
@@ -238,58 +246,36 @@ def _hull_incremental(points, d):
         outward = s < 0
         return np.where(outward[:, None], N, -N), np.where(outward, b, -b)
 
-    verts = np.zeros((64, d), dtype=np.intp)
-    normals = np.zeros((64, d), dtype=dtype)
-    offsets = np.zeros(64, dtype=dtype)
-    alive = np.zeros(64, dtype=bool)
-    used = 0
-
-    def add_facets(V, free):
-        """Store facets V in the slots `free` first, then at the end."""
-        nonlocal verts, normals, offsets, alive, used
-        free = free[: len(V)]
-        extra = len(V) - len(free)
-        if used + extra > len(alive):
-            grow = max(len(alive), used + extra)  # at least doubles the capacity
-            verts, normals, offsets, alive = (
-                np.concatenate([arr, np.zeros((grow,) + arr.shape[1:], arr.dtype)])
-                for arr in (verts, normals, offsets, alive)
-            )
-        slots = np.concatenate([free, np.arange(used, used + extra)])
-        used += extra
-        verts[slots] = V
-        normals[slots], offsets[slots] = oriented_planes(V)
-        alive[slots] = True
-
-    initial = [sorted(start[:k] + start[k + 1:]) for k in range(d + 1)]
-    add_facets(np.array(initial), np.arange(0))
+    verts = np.array([sorted(start[:k] + start[k + 1:]) for k in range(d + 1)])
+    normals, offsets = oriented_planes(verts)
     for i in _insertion_order(points, start):
-        visible = np.flatnonzero((normals[:used] @ P[i] > offsets[:used]) & alive[:used])
-        if not len(visible):
+        visible = normals @ P[i] > offsets
+        if not visible.any():
             continue
-        alive[visible] = False
         ridge_count = Counter(
             r for vs in verts[visible].tolist() for r in combinations(vs, d - 1)
         )
-        horizon = [sorted(r + (i,)) for r, cnt in ridge_count.items() if cnt == 1]
-        add_facets(np.array(horizon), visible)
+        horizon = np.array([sorted(r + (i,)) for r, cnt in ridge_count.items() if cnt == 1])
+        N, B = oriented_planes(horizon)
+        kept = ~visible
+        verts = np.concatenate([verts[kept], horizon])
+        normals = np.concatenate([normals[kept], N])
+        offsets = np.concatenate([offsets[kept], B])
 
-    live = np.flatnonzero(alive[:used])
-    N, B = normals[live], offsets[live]
-    rows = np.column_stack([N, B])
+    rows = np.column_stack([normals, offsets])
     rows //= np.gcd.reduce(rows, axis=1)[:, None]
     planes = sorted({(tuple(r[:-1]), r[-1]) for r in rows.tolist()})
     A = np.array([a for a, _ in planes], dtype=dtype)
     c = np.array([b for _, b in planes], dtype=dtype)
-    corners = np.unique(verts[live])
+    corners = np.unique(verts)
     incidence = (P[corners] @ A.T == c).astype(np.int64)
     shared = incidence @ incidence.T  # planes through both corners
     alone = (shared == shared.diagonal()[:, None]).sum(axis=1) == 1
     vertex_indices = corners[alone].tolist()
     # |det[p_1 - v, ..., p_d - v]| = |b - a.v| for a boundary simplex p_1..p_d
     # with unreduced plane (a, b), summed over the fan from the vertex v
-    volume = sum(np.abs(B - N @ P[vertex_indices[0]]).tolist())
-    return HullResult(d, planes, vertex_indices, volume)
+    volume = sum(np.abs(offsets - normals @ P[vertex_indices[0]]).tolist())
+    return HullResult(planes, vertex_indices, volume)
 
 
 def hull_of_lifted(points, d):

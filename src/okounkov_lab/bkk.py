@@ -176,7 +176,8 @@ def _lattice_basis(vectors):
 
 
 def _lattice_coordinates(exponents, shear):
-    """Exponent lists in coordinates of their difference lattice, and its index.
+    """Index of the exponent lists' difference lattice, the lists in its
+    coordinates, and their eliminant's degree bound.
 
     Each list is shifted by its minimum, written in the basis of
     :func:`_lattice_basis` when that lattice has rank 2, sheared by
@@ -186,7 +187,7 @@ def _lattice_coordinates(exponents, shear):
     absorb it.  A shear that leaves a list flat (one y value, several x
     values: no y to eliminate) or the eliminant over its budget gives way
     to the first of 0, 1, -1, 2 that does neither; if none does, the first
-    that leaves no list flat is returned and the budget check rejects it.
+    that leaves no list flat is rejected with :func:`_check_size`'s error.
     """
     bases = [min(es) for es in exponents]
     moved = [[(x - b[0], y - b[1]) for x, y in es] for es, b in zip(exponents, bases)]
@@ -194,7 +195,7 @@ def _lattice_coordinates(exponents, shear):
     index = max(abs(u0 * w), 1)
     if u0 * w:
         moved = [[(x // u0, (y - x // u0 * u1) // w) for x, y in es] for es in moved]
-    unflat = []
+    first = None
     for a in (shear, 0, 1, -1, 2):
         out = []
         for es in moved:
@@ -205,9 +206,9 @@ def _lattice_coordinates(exponents, shear):
             continue
         order, bound = _eliminant_size(*out)
         if order <= MAX_SYLVESTER_ORDER and bound <= MAX_ELIMINANT_DEGREE:
-            return index, out
-        unflat.append(out)
-    return index, unflat[0]
+            return index, out, bound
+        first = first or (order, bound)
+    _check_size(*first)  # raises; each list is flat under one shear at most
 
 
 def _eliminant_size(e1, e2):
@@ -355,9 +356,7 @@ def count_solutions_2d(
     if p1.ambient_dim != 2 or p2.ambient_dim != 2:
         raise ValueError("count_solutions_2d needs two variables")
     t1, t2 = _integer_terms(p1), _integer_terms(p2)
-    index, (e1, e2) = _lattice_coordinates([[e for e, _ in t] for t in (t1, t2)], shear)
-    order, bound = _eliminant_size(e1, e2)
-    _check_size(order, bound)
+    index, (e1, e2), bound = _lattice_coordinates([[e for e, _ in t] for t in (t1, t2)], shear)
     rows1 = _y_rows(list(zip(e1, (c for _, c in t1))))
     rows2 = _y_rows(list(zip(e2, (c for _, c in t2))))
     r = _trim(_eliminant(rows1, rows2, bound))
@@ -416,8 +415,7 @@ def _check_eliminant_budget(supports):
         pts = supports[0].sorted_points()
         _check_size(0, pts[-1][0] - pts[0][0])
     else:
-        _, (e1, e2) = _lattice_coordinates([a.sorted_points() for a in supports], 0)
-        _check_size(*_eliminant_size(e1, e2))
+        _lattice_coordinates([a.sorted_points() for a in supports], 0)
 
 
 def verify_bkk(supports, trials: int = 5, seed: int = 0) -> CountReport:

@@ -69,28 +69,6 @@ def _without(grouped, i):
     return [(b, m - (k == i)) for k, (b, m) in enumerate(grouped) if m - (k == i)]
 
 
-def _det(rows):
-    """Determinant of a small square integer matrix, by cofactor expansion."""
-    if not rows:
-        return 1
-    return sum(
-        (-1) ** c * x * _det([r[:c] + r[c + 1:] for r in rows[1:]])
-        for c, x in enumerate(rows[0])
-        if x
-    )
-
-
-def _cofactor_normal(rows):
-    """Integer normal of the hyperplane spanned by n - 1 rows in R^n.
-
-    Entry c is the cofactor (-1)^c det(rows without column c), the signed
-    maximal minor that ``_hull._normals`` also forms.
-    """
-    return tuple(
-        (-1) ** c * _det([r[:c] + r[c + 1:] for r in rows]) for c in range(len(rows[0]))
-    )
-
-
 def _measure(rest, memo):
     """The mixed area measure of ``rest``, (face, multiplicity) pairs in R^n.
 
@@ -117,7 +95,7 @@ def _measure(rest, memo):
         if len(rows) == n:
             normals = [a for a, _ in _hull.hull_of_lifted(pts, n).planes]
         elif len(rows) == n - 1:
-            a = _cofactor_normal(rows)
+            a = _hull.cofactor_normal(rows)
             normals = [a, tuple(-x for x in a)]
         else:
             return []

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -411,9 +412,7 @@ def iterate_symmetrize(
         raise ValueError(
             f"polygon has {len(ring)} vertices; the limit is {MAX_POLYGON_VERTICES}"
         )
-    import random as _random
-
-    rng = _random.Random(derive_seed(seed, "steiner-directions"))
+    rng = random.Random(derive_seed(seed, "steiner-directions"))
     invariant_area = volume(p)
     float_vs: list | None = None
     stats = []

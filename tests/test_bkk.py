@@ -203,8 +203,7 @@ class TestEliminant:
 
         x, y = symbols("x y")
         terms = [bkk._integer_terms(p) for p in system]
-        _, (e1, e2) = bkk._lattice_coordinates([[e for e, _ in t] for t in terms], shear)
-        _, bound = bkk._eliminant_size(e1, e2)
+        _, (e1, e2), bound = bkk._lattice_coordinates([[e for e, _ in t] for t in terms], shear)
         rows = [bkk._y_rows(list(zip(e, (c for _, c in t)))) for e, t in zip((e1, e2), terms)]
         got = bkk._eliminant(*rows, bound)
         f, g = (
@@ -252,8 +251,8 @@ class TestVerify:
     def test_budget_edge(self):
         # Sylvester order 10 + 10 = 20 and degree bound 10*8 + 10*8 = 160: both at the limit
         grid = S(2, [(i, j) for i in range(9) for j in range(11)])
-        _, (e1, e2) = bkk._lattice_coordinates([grid.sorted_points()] * 2, 0)
-        assert bkk._eliminant_size(e1, e2) == (20, 160)
+        _, (e1, e2), bound = bkk._lattice_coordinates([grid.sorted_points()] * 2, 0)
+        assert bkk._eliminant_size(e1, e2) == (20, bound) == (20, 160)
         report = bkk.verify_bkk([grid, grid], trials=3, seed=0)
         assert report.predicted == report.modal == 160 and report.agreed
 
@@ -330,7 +329,7 @@ class TestCertificate:
         for _ in range(40):
             a = S(2, {(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))})
             b = S(2, {(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))})
-            index, _ = bkk._lattice_coordinates([a.sorted_points(), b.sorted_points()], 0)
+            index, _, _ = bkk._lattice_coordinates([a.sorted_points(), b.sorted_points()], 0)
             expected = sg.difference_lattice_index([a, b])
             assert index == (1 if expected == sg.INFINITE else expected)
 

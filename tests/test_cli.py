@@ -665,16 +665,28 @@ class TestExitContract:
                 {"dim": 2, "terms": [{"exp": [1, 0], "coef": "1"}]}]},
                 "order": {"kind": "grlex", "grading": [0, 1]}},
              "graded lex needs a positive integer grading"),
+            ("bm-check", {"m": 0, "body1": SQ, "body2": SI},
+             "repetition count m must satisfy 0 < m <= n"),
+            ("bm-check", {"m": 3, "body1": SQ, "body2": SI},
+             "repetition count m must satisfy 0 < m <= n"),
+            ("profile", {"body1": box(1, 1, 1, 1), "body2": box(1, 2, 1, 1)},
+             "section profile supports dimensions 1..3"),
+            ("bkk-verify", {"supports": [{"dim": 3, "points": [[0, 0, 0], [1, 0, 0]]}] * 3},
+             "root-count verification is implemented for n in {1, 2}"),
+            ("bkk-verify", {"supports": [{"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]}]},
+             "need exactly 2 supports"),
         ],
         ids=["bkk-no-supports", "bkk-mixed-dimensions", "bm-fixed-null", "bm-fixed-number",
              "missing-field", "no-vertices", "vertex-arity", "rational-1-over-0",
              "polytope-dim-5", "no-points", "support-dim-0", "empty-basis", "zero-polynomial",
-             "dependent-basis", "grading-zero-weight"],
+             "dependent-basis", "grading-zero-weight", "bm-m-zero", "bm-m-above-n",
+             "profile-4d", "bkk-3d", "bkk-one-support-2d"],
     )
     def test_malformed_input_is_exit_2(self, tmp_path, capsys, command, payload, message):
         inp = write(tmp_path, "in.json", payload)
         assert main([command, inp, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"input error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "payload,flags",

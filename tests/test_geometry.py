@@ -303,6 +303,25 @@ class TestHullEngineDegenerate:
             pts = sorted({tuple(map(sum, zip(*choice))) for choice in product(*bodies)})
             _oracle_checked_hull(pts, n)
 
+    @pytest.mark.parametrize("n,k", [(3, 12), (4, 6)])
+    def test_lattice_points_of_dilated_simplex(self, n, k):
+        """Every lattice point of k times the standard simplex, on the int64
+        path and scaled by 10**12 on the exact-int path: the vertices are
+        the n + 1 corners, the planes x_i >= 0 and sum(x) <= k, and n! times
+        the volume is k^n."""
+        pts = [p for p in product(range(k + 1), repeat=n) if sum(p) <= k]
+        corners = [(0,) * n] + [tuple(k * (i == j) for i in range(n)) for j in range(n)]
+        facets = sorted(
+            [((1,) * n, k)] + [(tuple(-(i == j) for i in range(n)), 0) for j in range(n)]
+        )
+        for scale, dtype in ((1, np.int64), (10**12, object)):
+            scaled = [tuple(scale * c for c in p) for p in pts]
+            assert _dtype_of(scaled, n) is dtype
+            res = _hull.hull_of_lifted(scaled, n)
+            assert [pts[i] for i in res.vertex_indices] == sorted(corners)
+            assert res.planes == [(a, scale * b) for a, b in facets]
+            assert res.volume == (scale * k) ** n
+
 
 class TestMinkowskiSum:
     def test_unit_square_from_segments(self):

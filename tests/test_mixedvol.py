@@ -3,7 +3,6 @@ from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations
 
-import numpy as np
 import pytest
 import sympy
 
@@ -219,13 +218,25 @@ class TestRecursionAgainstInclusionExclusion:
 
 
 class TestMixedVolumeInternals:
-    def test_cofactor_normal_matches_hull_minors(self):
+    def test_cofactor_normal_matches_sympy_minors(self):
+        """The flat-sum normal against (-1)^c det(rows without column c) by
+        sympy, on small rows, rows past int64 and dependent rows."""
         rng = random.Random(806)
         for n in (2, 3, 4):
-            for _ in range(30):
-                rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n - 1)]
-                minors = _hull._normals(np.array([rows], dtype=object))[0]
-                assert mv._cofactor_normal(rows) == tuple(int(x) for x in minors)
+            for bound in (9, 10**20):
+                for _ in range(30):
+                    rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n - 1)]
+                    dependent = n > 2 and rng.random() < 0.2
+                    if dependent:
+                        rows[-1] = [3 * x for x in rows[0]]
+                    want = tuple(
+                        (-1) ** c * int(sympy.Matrix([r[:c] + r[c + 1:] for r in rows]).det())
+                        for c in range(n)
+                    )
+                    got = _hull.cofactor_normal(rows)
+                    assert got == want and all(type(x) is int for x in got)
+                    if dependent:
+                        assert not any(got)
 
     def test_4d_hull_count_guard(self, monkeypatch):
         """A cost guard without timing: at most half the 436 4D hulls that
