@@ -230,7 +230,7 @@ def _insertion_order(points, start):
 
 def _hull_incremental(points, d):
     """Beneath-beyond insertion for d in {3, 4}."""
-    dtype = _dtype_for(max(abs(c) for p in points for c in p), d)
+    dtype = _dtype_for(max(max(max(col), -min(col)) for col in zip(*points)), d)
     P = np.array(points, dtype=dtype)
     start = _initial_simplex(points, d)
     centre = P[start].sum(axis=0)  # d + 1 times an interior point

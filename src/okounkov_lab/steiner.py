@@ -9,23 +9,27 @@ commutes with scaling of the chord axis.
 Exact rounds, `_exact_round`, work on reduced integer triples (X, Y, D),
 the vertex (X / D, Y / D) with D > 0 and gcd(X, Y, D) = 1, and the chord
 direction scaled to a primitive integer vector; they compare rationals by
-cross-multiplication, decide collinearity by the sign of a 3x3 integer
-determinant and never build a `Fraction`.  Each vertex keeps its own
-denominator: a new vertex carries the interpolation divisor of its edge, so
-the least common denominator of a ring multiplies them together (on the
-criterion-10 quad at seed 3 it has 79,116 bits after round 8, while no
-vertex coordinate has more than 1,934).  Only the shoelace area checked
-after every exact round meets that common denominator, and only in its
-last additions: `_ring_area` sums the edge terms in integers per
-denominator D1 D2 and adds the groups' Fractions pairwise in a balanced
-tree.  The hand-off test (`_over_bit_cap`) reduces only vertices whose raw
-X, Y or D is longer than the bit cap, and stops at the first reduced
-coordinate over it.  Float rounds,
-`_symmetrize`, run the same step on doubles with a small tolerance and a
-vertex budget.  At the API a polygon is a planar, full-dimensional
-`geometry.LatticePolytope`; its ring of triples is read off the polytope's
-cached lifted vertices (`_ring`).  The convergence diagnostics are plain
-float arithmetic, the disc distance in closed form (`hausdorff_to_disc`).
+cross-multiplication and never build a `Fraction`.  Collinear vertices are
+dropped from the input ring by the sign of a 3x3 integer determinant; the
+symmetral of a strictly convex ring is strictly convex, so the output,
+twice as long and with twice the bits, needs no such pass.  Each chord end
+that interpolates an edge is divided by its gcd as it is formed, so the
+later products and the final gcd of each vertex run on shorter integers.
+Each vertex keeps its own denominator: a new vertex carries the
+interpolation divisor of its edge, so the least common denominator of a
+ring multiplies them together (on the criterion-10 quad at seed 3 it has
+79,116 bits after round 8, while no vertex coordinate has more than 1,934).
+Only the shoelace area checked after every exact round meets that common
+denominator, and only in its last additions: `_ring_area` sums the edge
+terms in integers per denominator D1 D2 and adds the groups' Fractions
+pairwise in a balanced tree.  The hand-off test (`_over_bit_cap`) reduces
+only vertices whose raw X, Y or D is longer than the bit cap, and stops at
+the first reduced coordinate over it.  Float rounds, `_symmetrize`, run the
+same step on doubles with a small tolerance and a vertex budget.  At the
+API a polygon is a planar, full-dimensional `geometry.LatticePolytope`; its
+ring of triples is read off the polytope's cached lifted vertices
+(`_ring`).  The convergence diagnostics are plain float arithmetic, the
+disc distance in closed form (`hausdorff_to_disc`).
 
 Iterated symmetrization doubles the vertex count almost every round (each
 interior kink of the chord profile spawns two vertices), so an unbounded
@@ -123,21 +127,40 @@ def _primitive(direction) -> tuple[int, int]:
 def _exact_round(ring: list[Tri], ux: int, uy: int) -> list[Tri]:
     """One exact Steiner step on a convex CCW ring of triples.
 
-    The chord direction (ux, uy) is a primitive integer vector.  A vertex
-    maps to the frame point (T / D, S / D) with T = -uy X + ux Y and
-    S = ux X + uy Y.  The breaks are the distinct abscissae T / D, ordered by
-    cross-multiplication.  At each break the chord ends come from the
-    vertices there and, strictly inside an edge's span, from the edge
-    interpolation s = num / den with
+    The ring repeats no point; its collinear vertices go first, in one pass
+    by the sign of a 3x3 integer determinant.  The chord direction (ux, uy)
+    is a primitive integer vector.  A vertex maps to the frame point
+    (T / D, S / D) with T = -uy X + ux Y and S = ux X + uy Y.  The breaks are
+    the distinct abscissae T / D, ordered by cross-multiplication.  At each
+    break the chord ends come from the vertices there and, strictly inside
+    an edge's span, from the edge interpolation s = num / den with
 
-        num = S1 (T2 Dk - Tk D2) + S2 (Tk D1 - T1 Dk),  den = Dk (T2 D1 - T1 D2).
+        num = S1 (T2 Dk - Tk D2) + S2 (Tk D1 - T1 Dk),  den = Dk span,
+        span = T2 D1 - T1 D2 > 0,
 
-    Every chord is recentered on s = 0, and the bottom and top chains are
-    mapped back, each vertex over one common denominator reduced by a single
-    gcd.  Collinear vertices go in one pass: the symmetral is convex and its
-    ring repeats no point.  The result is a strictly convex CCW ring starting
-    at its lex-min vertex.
+    num and span divided by their gcd as the chord end is formed.  Every
+    chord is recentered on s = 0, and the bottom and top chains are mapped
+    back, each vertex over one common denominator reduced by a single gcd.
+
+    The result is a strictly convex CCW ring starting at its lex-min vertex,
+    with no pass over it: each interior break is a strict kink of the upper
+    chain U or the lower chain L of the strictly convex input, and either
+    kink adds to the concavity of the half-width h = (U - L) / 2, so h has a
+    strict kink there and both output vertices are strict turns; the two
+    end breaks are corners.
     """
+    n = len(ring)
+    strict = []
+    for i in range(n):
+        xo, yo, do = ring[i - 1]
+        xa, ya, da = ring[i]
+        xb, yb, db = ring[(i + 1) % n]
+        det = xo * (ya * db - yb * da) - yo * (xa * db - xb * da) + do * (xa * yb - xb * ya)
+        if det > 0:
+            strict.append(ring[i])
+    if len(strict) < 3:
+        raise ValueError("polygon degenerated to a segment")
+    ring = strict
     ts = [(-uy * x + ux * y, d) for x, y, d in ring]
     ss = [ux * x + uy * y for x, y, _ in ring]
     order = sorted(
@@ -176,7 +199,9 @@ def _exact_round(ring: list[Tri], ux: int, uy: int) -> list[Tri]:
         span = t2 * d1 - t1 * d2
         for k in range(rank[i] + 1, rank[j]):
             tk, dk = breaks[k]
-            widen(k, s1 * (t2 * dk - tk * d2) + s2 * (tk * d1 - t1 * dk), span)
+            num = s1 * (t2 * dk - tk * d2) + s2 * (tk * d1 - t1 * dk)
+            g = math.gcd(num, span)
+            widen(k, num // g, span // g)
     norm2 = ux * ux + uy * uy
     bottom, top = [], []
     for (tk, dk), (m1, e1), (m2, e2) in zip(breaks, hi, lo):
@@ -194,23 +219,12 @@ def _exact_round(ring: list[Tri], ux: int, uy: int) -> list[Tri]:
     # the frame map has determinant -|u|^2 < 0, so the CCW frame ring
     # (bottom ascending, top descending) comes back clockwise
     out = top + bottom[::-1]
-    n = len(out)
-    keep = []
-    for i in range(n):
-        xo, yo, do = out[i - 1]
-        xa, ya, da = out[i]
-        xb, yb, db = out[(i + 1) % n]
-        det = xo * (ya * db - yb * da) - yo * (xa * db - xb * da) + do * (xa * yb - xb * ya)
-        if det > 0:
-            keep.append(out[i])
-    if len(keep) < 3:
-        raise ValueError("polygon degenerated to a segment")
     start = 0
-    for i, (x, y, d) in enumerate(keep):
-        x0, y0, d0 = keep[start]
+    for i, (x, y, d) in enumerate(out):
+        x0, y0, d0 = out[start]
         if x * d0 < x0 * d or (x * d0 == x0 * d and y * d0 < y0 * d):
             start = i
-    return keep[start:] + keep[:start]
+    return out[start:] + out[:start]
 
 
 def _symmetrize(ring, direction):
@@ -404,6 +418,14 @@ def iterate_symmetrize(
     inscribed, so the reported perimeter stays nonincreasing up to
     roundoff.  Perimeter and disc distance are always double-precision
     diagnostics, the exact vertices read as correctly rounded X / D.
+
+    So the polygon must lie in double range: every vertex coordinate at
+    most 2^256 in absolute value, and the area at least 2^-256.  A step
+    along a line through the origin maps the disc of radius R about the
+    origin into itself, so every ring lies within R = 2^256.5 of it and
+    has at most 2048 vertices; the largest float formed, the centroid sum
+    of (x1 + x2)(x1 y2 - x2 y1), stays under 2^11 * 2 R^3 < 2^782, and
+    the float area, near twice the exact one, is a normal double.
     """
     if not 1 <= rounds <= MAX_ROUNDS:
         raise ValueError(f"rounds must be in 1..{MAX_ROUNDS}")
@@ -412,8 +434,12 @@ def iterate_symmetrize(
         raise ValueError(
             f"polygon has {len(ring)} vertices; the limit is {MAX_POLYGON_VERTICES}"
         )
+    if any(max(abs(x), abs(y)) > d << 256 for x, y, d in ring):
+        raise ValueError("polygon vertex coordinates must be at most 2^256 in absolute value")
     rng = random.Random(derive_seed(seed, "steiner-directions"))
     invariant_area = volume(p)
+    if invariant_area < Fraction(1, 1 << 256):
+        raise ValueError("polygon area must be at least 2^-256")
     float_vs: list | None = None
     stats = []
     radius = math.sqrt(float(invariant_area) / math.pi)

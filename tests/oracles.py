@@ -91,6 +91,20 @@ def shoelace_area(ordered_vertices) -> Fraction:
     return abs(twice) / 2
 
 
+def strictly_convex(ring) -> bool:
+    """Whether a ring of integer triples (X, Y, D), D > 0, turns strictly left
+    at every vertex: the 3x3 determinant of each vertex and its two
+    neighbours, D1 D2 D3 times their cross product, is positive."""
+    n = len(ring)
+    if n < 3:
+        return False
+    for i in range(n):
+        (xo, yo, do), (xa, ya, da), (xb, yb, db) = ring[i - 1], ring[i], ring[(i + 1) % n]
+        if xo * (ya * db - yb * da) - yo * (xa * db - xb * da) + do * (xa * yb - xb * ya) <= 0:
+            return False
+    return True
+
+
 def ring_sorted(points):
     """Order 2D points counterclockwise around their centroid."""
     import math

@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -225,6 +226,13 @@ class TestCommands:
         rc2, _ = run(["bkk-verify", inp, "--seed", "9"], tmp_path / "r2.json")
         assert rc1 == rc2 == 0
         assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2**70], ids=["negative", "2^70"])
+    def test_any_integer_seed_is_deterministic_and_echoed(self, tmp_path, seed):
+        # the seed is hashed as text, so no integer is out of range
+        inp = write(tmp_path, "in.json", {"polygon": SQ, "rounds": 3})
+        codes, rep = _reports_twice(["steiner", inp, "--seed", str(seed)], tmp_path)
+        assert codes == [0, 0] and rep["seed"] == seed and len(rep["rows"]) == 3
 
     def test_steiner_trace(self, tmp_path):
         inp = write(
@@ -842,3 +850,46 @@ class TestExitContract:
             out = tmp_path / f"out{k}"
             assert proc.returncode == main(args + ["--out", str(out)]) == 0
             assert proc.stdout == out.read_bytes()
+
+    @pytest.mark.parametrize(
+        "vertices,message",
+        [
+            ([["0", "0"], [str(10**400), "0"], ["0", "1"]],
+             "polygon vertex coordinates must be at most 2^256 in absolute value"),
+            ([["0", "0"], ["1", "0"], ["0", f"1/{10**400}"]],
+             "polygon area must be at least 2^-256"),
+            ([["0", "0"], [str(2**256 + 1), "0"], ["0", "1"]],
+             "polygon vertex coordinates must be at most 2^256 in absolute value"),
+            ([["0", "0"], [f"1/{2**128}", "0"], ["0", f"1/{2**128}"]],
+             "polygon area must be at least 2^-256"),
+        ],
+        ids=["coordinate-10^400", "coordinate-10^-400", "coordinate-2^256+1", "area-2^-257"],
+    )
+    def test_polygon_outside_double_range_is_exit_2(self, tmp_path, capsys, vertices, message):
+        payload = {"polygon": {"dim": 2, "vertices": vertices}, "rounds": 12}
+        inp = write(tmp_path, "in.json", payload)
+        assert main(["steiner", inp, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "vertices,rounds",
+        [
+            # every coordinate at the bound, through the float hand-off
+            ([[f"-{2**256}", "0"], [str(2**256), f"-{2**256}"], ["0", str(2**256)]], 12),
+            # a coordinate below double range, on a polygon of area 1/2
+            ([[f"1/{10**400}", "0"], ["1", "0"], ["0", "1"]], 12),
+            # the area at the bound; exact rounds only, since the float rounds'
+            # flatness tolerance is absolute below unit size
+            ([["0", "0"], [f"1/{2**128}", "0"], ["0", f"1/{2**127}"]], 2),
+        ],
+        ids=["coordinate-2^256", "coordinate-10^-400-area-1/2", "area-2^-256"],
+    )
+    def test_polygon_inside_double_range_is_admitted(self, tmp_path, vertices, rounds):
+        payload = {"polygon": {"dim": 2, "vertices": vertices}, "rounds": rounds}
+        inp = write(tmp_path, "in.json", payload)
+        rc, rep = run(["steiner", inp], tmp_path / "out.json")
+        assert rc == 0 and len(rep["rows"]) == rounds
+        for row in rep["rows"]:
+            assert math.isfinite(float(row["perimeter"])) and float(row["perimeter"]) > 0
+            assert math.isfinite(float(row["hausdorff_to_disc"]))

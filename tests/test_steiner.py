@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -11,7 +12,7 @@ from okounkov_lab import steiner as stn
 from okounkov_lab.jsonio import float_to_str
 from okounkov_lab.radicals import compare_root_sums
 from okounkov_lab.rng import derive_seed
-from oracles import fraction_steiner_round, ring_sorted, shoelace_area
+from oracles import fraction_steiner_round, ring_sorted, shoelace_area, strictly_convex
 
 
 def polygon(points):
@@ -53,6 +54,12 @@ def triples(vertices):
 def lex_first(ring):
     start = ring.index(min(ring))
     return list(ring[start:]) + list(ring[:start])
+
+
+def starts_lex_min(ring):
+    """Whether a ring of triples starts at its lex-min vertex X / D, Y / D."""
+    values = [(F(x, d), F(y, d)) for x, y, d in ring]
+    return values[0] == min(values)
 
 
 def random_direction(rng):
@@ -278,6 +285,44 @@ class TestExactOracle:
                 assert stn._ring_area(ring) == shoelace_area([(F(x, d), F(y, d)) for x, y, d in ring])
                 count += 1
         assert count >= 25
+
+    def test_outputs_strictly_convex(self):
+        # the exact round has no output pass: its rings must come out strictly
+        # convex and lex-first on every oracle pair and on the iterated
+        # criterion-10 rounds
+        count = 0
+        for p, u in self.pairs():
+            ring = stn._exact_round(stn._ring(p), *stn._primitive(u))
+            assert strictly_convex(ring) and starts_lex_min(ring)
+            count += 1
+        quad = polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
+        for seed in range(5):
+            rng = random.Random(derive_seed(seed, "steiner-directions"))
+            ring = stn._ring(quad)
+            while len(ring) <= stn.EXACT_VERTEX_CAP and not stn._over_bit_cap(ring):
+                direction = (0, 0)
+                while direction == (0, 0):
+                    direction = (rng.randint(-10, 10), rng.randint(-10, 10))
+                ring = stn._exact_round(ring, *stn._primitive(direction))
+                assert strictly_convex(ring) and starts_lex_min(ring)
+                count += 1
+        assert count >= 325
+
+    def test_exact_rings_pinned(self):
+        # the 8 exact rings of the criterion-10 quad at seed 3, triple for triple
+        quad = polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
+        rng = random.Random(derive_seed(3, "steiner-directions"))
+        ring, rings = stn._ring(quad), []
+        for _ in range(8):
+            direction = (0, 0)
+            while direction == (0, 0):
+                direction = (rng.randint(-10, 10), rng.randint(-10, 10))
+            ring = stn._exact_round(ring, *stn._primitive(direction))
+            rings.append(ring)
+        assert [len(r) for r in rings] == [6, 10, 18, 34, 66, 130, 258, 514]
+        assert hashlib.sha256(repr(rings).encode()).hexdigest() == (
+            "9d8d10854144aace51a93f9bdcd5a4707a00f97c67dd454ad3766713ce21ed55"
+        )
 
     def test_iterate_rows_match_oracle_loop(self):
         quad = polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
