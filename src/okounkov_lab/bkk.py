@@ -12,9 +12,14 @@ A one-variable polynomial, shifted to an ordinary polynomial with a nonzero
 constant term, has as many torus roots as its degree once it is squarefree.
 A two-variable system is first rewritten in coordinates of its supports'
 difference lattice, of index d.  Its eliminant R = Res_y(p1, p2) is then an
-integer polynomial: its values at integer points are resultants of two
-univariate integer polynomials, taken over the formal y-degrees by Collins'
-subresultant PRS (Cohen, Alg. 3.3.7), and interpolated with integers only.
+integer polynomial of degree at most a proven bound B.  Its coefficients are
+the balanced base-2^K digits of one resultant of two univariate integer
+polynomials at x = 2^K, K from a 1-norm bound on them (Kronecker
+substitution; von zur Gathen and Gerhard, *Modern Computer Algebra*, 8.4).
+Past a packed size B K of PACKED_BITS they are instead interpolated, with
+integers only, from the resultants at B + 1 integer points.  Each resultant
+is taken over the formal y-degrees by Collins' subresultant PRS (Cohen,
+Alg. 3.3.7).
 Let R~ = R / x^k with R~(0) != 0.  If R~ is squarefree, coprime to both
 leading y-coefficients and coprime to p1(x, 0), every root of R~ lies below
 exactly one torus solution, a simple one, so the system has exactly
@@ -53,6 +58,10 @@ MAX_TRIALS = 20
 MAX_RETRIES = 12  # degenerate trials a batch may throw away
 MAX_SYLVESTER_ORDER = 20
 MAX_ELIMINANT_DEGREE = 160
+
+# the largest packed size B K, in bits, at which _eliminant takes one
+# resultant at x = 2^K rather than B + 1 resultants and an interpolation
+PACKED_BITS = 2**14
 
 
 class DegenerateSystemError(RuntimeError):
@@ -111,17 +120,17 @@ def _trim(cs):
 
 
 def _coprime(a, b) -> bool:
-    """gcd(a, b) = 1 modulo PRIME; a must be nonzero."""
+    """gcd(a, b) = 1 modulo PRIME; a must be nonzero, entries reduced."""
     a, b = _trim(list(a)), _trim(list(b))
     while b:
         inv = pow(b[-1], -1, PRIME)
         db = len(b) - 1
         for i in range(len(a) - 1, db - 1, -1):
-            q = a[i] * inv % PRIME
+            q = a[i] % PRIME * inv % PRIME
             if q:
                 for j in range(db):
-                    a[i - db + j] = (a[i - db + j] - q * b[j]) % PRIME
-        a, b = b, _trim(a[:db])
+                    a[i - db + j] -= q * b[j]  # reduced when it leads or remains
+        a, b = b, _trim([c % PRIME for c in a[:db]])
     return len(a) == 1
 
 
@@ -314,14 +323,53 @@ def _interpolate(values, x0):
 
 
 def _eliminant(rows1, rows2, bound):
-    """Res_y as integer coefficients in x; rows[j] is the x-polynomial of y^j."""
+    """Res_y as bound + 1 integer coefficients in x; rows[j] is the
+    x-polynomial of y^j, and bound is a proven upper bound on deg_x Res_y.
+
+    While the packed size bound * K is at most PACKED_BITS, the x-rows are
+    packed at x = 2^K (Kronecker substitution): one resultant R(2^K) on big
+    integers, whose balanced base-2^K digits are the coefficients r_i.  The
+    digits are exact once every |r_i| < 2^(K-1).  R is the determinant of
+    the Sylvester matrix S(x), so ||R||_1 <= sum over permutations s of
+    prod_i ||S_i,s(i)||_1, the permanent of the entries' 1-norms, which is
+    at most the product of its row sums M = ||p1||_1^d2 ||p2||_1^d1 (d1, d2
+    the y-degrees); hence K = M.bit_length() + 1.  With deg R <= bound,
+    nothing is left over past the last digit; anything left is an
+    AssertionError.
+
+    Past PACKED_BITS, R is taken at the bound + 1 integer points around 0
+    and interpolated.  The packed PRS divides big integers, in time
+    quadratic in bound * K, and near 2^14 bits it costs as much as the
+    bound + 1 small resultants; beyond that it costs more.
+    """
+
+    def at(x):
+        return _resultant([_evaluate(r, x) for r in reversed(rows1)],
+                          [_evaluate(r, x) for r in reversed(rows2)])
+
+    d1, d2 = len(rows1) - 1, len(rows2) - 1
+    n1, n2 = (sum(abs(c) for r in rows for c in r) for rows in (rows1, rows2))
+    k = (n1**d2 * n2**d1).bit_length() + 1
+    if bound * k <= PACKED_BITS:
+        return _digits(at(1 << k), k, bound + 1)
     x0 = -(bound // 2)
-    values = [
-        _resultant([_evaluate(r, x) for r in reversed(rows1)],
-                   [_evaluate(r, x) for r in reversed(rows2)])
-        for x in range(x0, x0 + bound + 1)
-    ]
-    return _interpolate(values, x0)
+    return _interpolate([at(x) for x in range(x0, x0 + bound + 1)], x0)
+
+
+def _digits(v, k, count):
+    """The count balanced base-2^k digits of v, lowest first, each in
+    [-2^(k-1), 2^(k-1)); AssertionError if v has more."""
+    x, half = 1 << k, 1 << (k - 1)
+    out = []
+    for _ in range(count):
+        d = v & (x - 1)
+        if d >= half:
+            d -= x
+        out.append(d)
+        v = (v - d) >> k
+    if v:
+        raise AssertionError("packed resultant has digits past the eliminant's degree bound")
+    return out
 
 
 def _evaluate(coeffs, x):

@@ -178,6 +178,27 @@ class TestResultant:
             got = bkk._resultant(c1, c2)
             assert type(got) is int and got == sylvester_determinant(c1, c2), (c1, c2)
 
+    @pytest.mark.parametrize(
+        "case,seed", [("generic", 5), ("f-lead-zero", 6), ("g-lead-zero", 7), ("both-leads-zero", 8)]
+    )
+    def test_matches_sylvester_determinant_on_big_coefficients(self, case, seed):
+        # the packed eliminant hands the PRS coefficients of thousands of bits
+        rng = random.Random(seed)
+
+        def coefficient():
+            return 0 if rng.random() < 0.2 else rng.randint(-(2**2000), 2**2000)
+
+        for _ in range(12):
+            d1, d2 = rng.randint(1, 6), rng.randint(1, 6)
+            c1 = [coefficient() for _ in range(d1 + 1)]
+            c2 = [coefficient() for _ in range(d2 + 1)]
+            if case in ("f-lead-zero", "both-leads-zero"):
+                c1[0] = 0
+            if case in ("g-lead-zero", "both-leads-zero"):
+                c2[0] = 0
+            for f, g in ((c1, c2), (c2, c1)):  # both degree orders
+                assert bkk._resultant(f, g) == sylvester_determinant(f, g), (f, g)
+
     def test_two_constants(self):
         # Res of two nonzero constants over degree 0 is the empty determinant
         assert bkk._subresultant([3], [5]) == 1
@@ -222,6 +243,53 @@ class TestEliminant:
     def test_random_pairs(self, shear):
         for t, pair in enumerate(self._draw()):
             self._check(bkk.random_generic_system(pair, t), shear)
+
+    @staticmethod
+    def _rows(system, shear):
+        terms = [bkk._integer_terms(p) for p in system]
+        _, es, bound = bkk._lattice_coordinates([[e for e, _ in t] for t in terms], shear)
+        return [bkk._y_rows(list(zip(e, (c for _, c in t)))) for e, t in zip(es, terms)], bound
+
+    @staticmethod
+    def _grid_rows():
+        # the budget edge: Sylvester order 20, degree bound 160
+        grid = S(2, [(i, j) for i in range(9) for j in range(11)])
+        return TestEliminant._rows(bkk.random_generic_system([grid, grid], 0), 0)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_packing_bound_is_tight(self, sign):
+        # Res(1 + y + ... + y^5, +-3) = (+-3)^5 = +-243, equal to the bound
+        # M = ||p1||_1^0 * ||p2||_1^5, so only the full K = 9 holds it as a balanced digit
+        assert bkk._eliminant([[1]] * 6, [[3 * sign]], 0) == [243 * sign]
+
+    @pytest.mark.parametrize("case", ["draw-shear-0", "draw-shear-2", "grid"])
+    def test_packed_and_interpolated_paths_agree(self, monkeypatch, case):
+        if case == "grid":
+            cases = [self._grid_rows()]
+        else:
+            shear = int(case[-1])
+            cases = [self._rows(bkk.random_generic_system(pair, t), shear)
+                     for t, pair in enumerate(self._draw())]
+        for rows, bound in cases:
+            got = []
+            for bits in (0, 2**64):  # points and interpolation always, then packing always
+                monkeypatch.setattr(bkk, "PACKED_BITS", bits)
+                got.append(bkk._eliminant(*rows, bound))
+            assert got[0] == got[1] and len(got[0]) == bound + 1
+
+    def test_path_selection(self, monkeypatch):
+        calls = []
+        interpolate = bkk._interpolate
+        monkeypatch.setattr(bkk, "_interpolate", lambda *a: calls.append(1) or interpolate(*a))
+        for t, pair in enumerate(self._draw()):
+            rows, bound = self._rows(bkk.random_generic_system(pair, t), 0)
+            bkk._eliminant(*rows, bound)
+        # 19 of the 20 [0,7]^2 eliminants pack; pair 14 (B = 72, K = 231) is
+        # 16,632 bits, just past PACKED_BITS = 16,384
+        assert len(calls) == 1
+        rows, bound = self._grid_rows()
+        bkk._eliminant(*rows, bound)
+        assert len(calls) == 2  # the budget edge, 74,400 bits
 
 
 class TestVerify:
