@@ -38,20 +38,23 @@ hold only live facets: an insertion keeps the unseen rows and appends the
 new ones.  The dtype is ``int64`` when the largest coordinate M bounds
 every value formed below 2**63 (a normal is at most (d-1)! (2M)^(d-1), see
 :func:`_dtype_for`); otherwise it is ``object``, exact Python integers,
-running the same code.  The same signed minors give the normal of a flat
-Minkowski sum in ``mixedvol`` (:func:`cofactor_normal`).  numpy stays
-inside this module: every result field is built of Python ``int``s.
+running the same code.  The same signed minors give ``mixedvol`` the
+normal of a flat Minkowski sum (:func:`cofactor_normal`) and, in one batch,
+the normals of all vertex-pair transversals of a tuple of faces
+(:func:`transversal_normals`), from which it reads a mixed area measure
+without hulling the faces' sum.  numpy stays inside this module and is
+imported on first use, so planar commands never load it: every result
+field is built of Python ``int``s.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from math import factorial, gcd
+from functools import cache
+from itertools import accumulate, combinations, permutations
+from math import comb, factorial, gcd
 from operator import mul
-
-import numpy as np
 
 
 @dataclass
@@ -175,20 +178,22 @@ def _dtype_for(max_abs, d):
     sum c of the d+1 initial points, at most 2 d (d+1) A M; offsets,
     visibility and incidence products and fan determinants stay below it.
     """
+    import numpy as np
+
     normal = factorial(d - 1) * (2 * max_abs) ** (d - 1)
     return np.int64 if 2 * d * (d + 1) * normal * max_abs < 2**63 else object
 
 
+@cache
 def _levi_civita(d):
     """E with (x_1 (x) ... (x) x_{d-1}) @ E the generalized cross product."""
+    import numpy as np
+
     E = np.zeros((d,) * d, dtype=np.int64)
     for perm in permutations(range(d)):
         inversions = sum(perm[i] > perm[j] for i, j in combinations(range(d), 2))
         E[perm] = -1 if inversions % 2 else 1
     return E.reshape(d, -1).T
-
-
-_LEVI_CIVITA = {d: _levi_civita(d) for d in (2, 3, 4)}
 
 
 def _normals(D):
@@ -202,13 +207,57 @@ def _normals(D):
     T = D[:, 0]
     for k in range(1, r):
         T = (T[:, :, None] * D[:, k, None, :]).reshape(h, -1)
-    return T @ _LEVI_CIVITA[d]
+    return T @ _levi_civita(d)
 
 
 def cofactor_normal(rows):
     """Normal of the hyperplane spanned by n - 1 integer rows in R^n: entry c
     is the cofactor (-1)^c det(rows without column c), in Python ints."""
+    import numpy as np
+
     return tuple(_normals(np.array([rows], dtype=object))[0].tolist())
+
+
+def transversal_normals(faces):
+    """The normals of every transversal whose pairs lie on top faces.
+
+    ``faces`` are (integer vertices, multiplicity m) pairs in R^n with
+    sum of m = n - 1; each face may have its own scale.  A transversal picks
+    m vertex pairs (p, q) of each face, n - 1 directions q - p in all, and
+    its normal N is their cofactor row (:func:`_normals`), zero iff the
+    directions are dependent.  N is kept when both ends of every chosen
+    pair reach the largest value of N.x on their face, and -N when they
+    reach the smallest.  All transversals go through one numpy batch in
+    :func:`_dtype_for`'s dtype, whose bound covers N and N.x.  Returns the
+    distinct kept normals in lowest terms, sorted, as tuples of Python ints
+    (``mixedvol._measure`` shows that they are the atoms of the faces'
+    mixed area measure).  A face with fewer than m pairs leaves no
+    transversal.
+    """
+    import numpy as np
+
+    if any(comb(len(pts), 2) < m for pts, m in faces):
+        return []
+    points = [p for pts, _ in faces for p in pts]
+    P = np.array(points, dtype=_dtype_for(max(max(map(abs, p)) for p in points), len(points[0])))
+    sizes = [len(pts) for pts, _ in faces]
+    starts = [0, *accumulate(sizes[:-1])]
+    choices = [  # per face: (choice, slot, end) indices into P
+        np.array(list(combinations(combinations(range(a, a + k), 2), m)), dtype=np.intp)
+        for a, k, (_, m) in zip(starts, sizes, faces)
+    ]
+    picks = np.indices([len(c) for c in choices]).reshape(len(faces), -1)
+    ends = np.concatenate([c[i] for c, i in zip(choices, picks)], axis=1)
+    N = _normals(P[ends[..., 1]] - P[ends[..., 0]])
+    H = N @ P.T
+    at_pair = H[np.arange(len(H))[:, None], ends[..., 0]]  # N.q = N.p on every pair
+    slot_face = np.repeat(np.arange(len(faces)), [m for _, m in faces])
+    independent = (N != 0).any(axis=1)
+    up = independent & (at_pair == np.maximum.reduceat(H, starts, axis=1)[:, slot_face]).all(axis=1)
+    down = independent & (at_pair == np.minimum.reduceat(H, starts, axis=1)[:, slot_face]).all(axis=1)
+    U = np.concatenate([N[up], -N[down]])
+    U //= np.gcd.reduce(U, axis=1)[:, None]
+    return sorted(set(map(tuple, U.tolist())))
 
 
 def _insertion_order(points, start):
@@ -230,6 +279,8 @@ def _insertion_order(points, start):
 
 def _hull_incremental(points, d):
     """Beneath-beyond insertion for d in {3, 4}."""
+    import numpy as np
+
     dtype = _dtype_for(max(max(max(col), -min(col)) for col in zip(*points)), d)
     P = np.array(points, dtype=dtype)
     start = _initial_simplex(points, d)

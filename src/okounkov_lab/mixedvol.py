@@ -8,13 +8,18 @@ V(K1, ..., Kn) is (1/n) times the sum of h_K1(u) against the mixed area
 measure of (K2, ..., Kn), whose atoms sit at the facet normals u of
 K2 + ... + Kn and weigh the (n-1)-dimensional mixed volume of the faces
 there.  A body enters as its integer face ``P.face``, (scale, sorted
-integer vertices), and its faces travel in the same form; only the
-Minkowski sum whose facet normals a measure needs is hulled.  The planar
-level is closed form: with the counterclockwise edges (dx, dy) of F2 as
-outward normals (dy, -dx), V(F1, F2) is half the sum of h_F1(dy, -dx).
-One Alexandrov-Fenchel check needs two measures for its three mixed
-volumes.  An independent oracle, :func:`mixed_volume_interp`, computes the
-same value by inclusion-exclusion over the 2^n - 1 subset Minkowski sums.
+integer vertices), and its faces travel in the same form.  A measure of
+small faces finds its atoms without building their sum: by the positivity
+criterion for mixed volumes (Schneider, Thm 5.1.8) an atom's faces hold
+linearly independent vertex-pair directions, one per copy of a face, and
+their cofactor row is the atom's normal (:func:`_measure`).  Larger faces,
+with more than ``TRANSVERSALS_PER_POINT`` transversals per point of the
+sum, hull the sum instead.  The planar level is closed form: with the
+counterclockwise edges (dx, dy) of F2 as outward normals (dy, -dx),
+V(F1, F2) is half the sum of h_F1(dy, -dx).  One Alexandrov-Fenchel check
+needs two measures for its three mixed volumes.  An independent oracle,
+:func:`mixed_volume_interp`, computes the same value by inclusion-exclusion
+over the 2^n - 1 subset Minkowski sums.
 """
 
 from __future__ import annotations
@@ -30,6 +35,11 @@ from itertools import combinations
 from . import _hull, geometry
 from .geometry import LatticePolytope
 from .radicals import compare_root_sums
+
+# A measure of at least two distinct faces takes its normals from their
+# transversals when they number at most this many per point of the faces'
+# sum, and hulls the sum otherwise (crossover sweep: see _measure).
+TRANSVERSALS_PER_POINT = 32
 
 
 @dataclass(frozen=True)
@@ -75,20 +85,61 @@ def _measure(rest, memo):
     Returns [(u, w)] with u an integer outward normal and w =
     V_{n-1}(pi_j F(K, u) for K in rest) / |u_j|, where F(K, u) is the face
     of K on which u.x is largest and pi_j drops a coordinate j with u_j != 0.
-    The terms are homogeneous in u, so no Euclidean norm is needed.  u runs
-    over the facet normals of the sum of the distinct bodies (K + K has the
-    fan of K), or over both normals of its hyperplane when that sum is flat;
-    a lower-dimensional sum has the zero measure.  A full-dimensional sum
-    is the only hull; a flat one reads its normal off its echelon rows.
-    The vertices of K on the plane of u are the vertices of F(K, u),
-    and pi_j is injective there, so every face stays a vertex set.  A face
-    that is a single point makes its term 0.  ``memo`` maps the multiset of
-    projected faces to their mixed volume, and the face of each
-    full-dimensional top-level body to its facet normals
-    (:func:`_top_level_memo`), so a rest of one such body builds no hull.
+    The terms are homogeneous in u, so no Euclidean norm is needed, and
+    only atoms with w != 0 are kept.  The vertices of K on the plane of u
+    are the vertices of F(K, u), and pi_j is injective there, so every face
+    stays a vertex set.  A face that is a single point makes its term 0.
+
+    The candidate normals u come from one of three sources.
+
+    * A rest of one full-dimensional top-level body reads that body's facet
+      normals from ``memo`` (:func:`_top_level_memo`).
+    * Transversals (:func:`_hull.transversal_normals`): m vertex pairs from
+      each face of multiplicity m, n - 1 directions, whose cofactor row N is
+      kept as u = N or u = -N when both ends of every chosen pair are on
+      the face F(K, u).  These u are exactly the atoms.  If w(u) != 0, then
+      by Schneider's Thm 5.1.8 every sub-multiset I of the faces F(K, u)
+      has dim (sum of F(K, u), K in I) >= |I|.  The vertex-pair directions
+      of those faces span the linear spaces of these sums, so by Rado's
+      theorem on independent transversals some choice of m pairs from each
+      F(K, u) has linearly independent directions.  They lie in the
+      hyperplane u^perp, so their cofactor row is a nonzero multiple of u,
+      and its ends lie on top faces: u is found.  Conversely, the pairs of
+      a kept transversal are independent segments in the faces F(K, u),
+      so w(u) != 0 by the same theorem.  A flat sum gives both normals of
+      its hyperplane, and a sum of lower dimension has no independent
+      transversal and so no atom.
+    * Otherwise the sum of the distinct faces (K + K has the fan of K): its
+      facet normals when it is full-dimensional, the only hull; both
+      normals of its hyperplane, read off its echelon rows, when it is
+      flat; and no atom when it is lower-dimensional.
+
+    The last two give the same atoms and weights, up to the positive scale
+    of u, which w absorbs, so reports do not depend on the choice.  The
+    choice is cost: T, the number of transversals, is the product of
+    C(C(|F|, 2), m) over the faces, against P, the product of |F|, the
+    points of the sum that a hull takes.  Timing whole measures of random
+    3D and 4D faces, transversals were 1.1-4x faster up to T = 32 P,
+    about even at 45-60 P and slower past that.  A rest of one face hulls
+    only that face; there transversals ran 0.5-0.8x in 4D and 0.4-1.45x in
+    3D.  A sum with sum(|F| - 1) < n cannot be full-dimensional, so the
+    hull path builds no hull; for two edges in 3D, the commonest rest under
+    large 4D bodies, its echelon rows were 1.5x faster than a batch.  So
+    transversals serve rests of at least two distinct faces whose sum can
+    be full-dimensional and T <= ``TRANSVERSALS_PER_POINT`` P.
+    ``memo`` also maps the multiset of projected faces to their mixed
+    volume.
     """
     n = sum(m for _, m in rest) + 1
-    normals = memo.get(rest[0][0]) if len(rest) == 1 else None
+    normals = None
+    if len(rest) == 1:
+        normals = memo.get(rest[0][0])
+    else:
+        sizes = [len(pts) for (_, pts), _ in rest]
+        transversals = math.prod(math.comb(math.comb(k, 2), m) for k, (_, m) in zip(sizes, rest))
+        full = sum(sizes) - len(sizes) >= n  # the sum can be full-dimensional
+        if full and transversals <= TRANSVERSALS_PER_POINT * math.prod(sizes):
+            normals = _hull.transversal_normals([(pts, m) for (_, pts), m in rest])
     if normals is None:
         _, pts = geometry._sum_points([f for f, _ in rest], n)
         rows = [r for _, r in _hull.echelon(_hull._sub(p, pts[0]) for p in pts[1:])]

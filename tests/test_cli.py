@@ -842,6 +842,23 @@ class TestExitContract:
         code = "import sys, okounkov_lab.cli; sys.exit('scipy' in sys.modules)"
         assert python("-c", code).returncode == 0
 
+    def test_numpy_loads_on_the_first_3d_command(self, tmp_path):
+        """In a fresh interpreter numpy is absent after importing the CLI and
+        after a planar command, and present after a 3D `af-check`."""
+        iso = write(tmp_path, "iso.json", {"body1": SQ, "body2": SI})
+        af = write(tmp_path, "af.json", {"bodies": [box(1, 1, 1), simplex3(1), box(1, 2, 3)]})
+        code = (
+            "import os, sys, okounkov_lab.cli as cli\n"
+            "seen = ['numpy' in sys.modules]\n"
+            "for cmd, path in (('isoperimetric', sys.argv[1]), ('af-check', sys.argv[2])):\n"
+            "    assert cli.main([cmd, path, '--out', os.devnull]) == 0\n"
+            "    seen.append('numpy' in sys.modules)\n"
+            "print(seen)\n"
+        )
+        proc = python("-c", code, iso, af)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode().split() == ["[False,", "False,", "True]"]
+
     def test_module_entry_point_matches_main(self, tmp_path):
         """`python -m okounkov_lab.cli` exits and reports as an in-process `main` does."""
         inp = write(tmp_path, "in.json", {"bodies": [SQ, SI]})

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -296,6 +297,125 @@ class TestMixedVolumeInternals:
                 k: str(mv.mixed_volume_interp(t)) for k, t in want.items()
             }
         assert values == [mv.mixed_volume_interp(t) for t in triples]
+
+
+def _lowest_terms(measure) -> dict:
+    """A measure as {u in lowest terms: w rescaled to that u}, one atom per u."""
+    atoms = {}
+    for u, w in measure:
+        g_ = math.gcd(*u)
+        v = tuple(x // g_ for x in u)
+        assert v not in atoms, f"two atoms at {v}"
+        atoms[v] = w * g_
+    return atoms
+
+
+class TestTransversalPath:
+    """The transversal normals of :func:`_hull.transversal_normals` against
+    the hull of the sum, selected by ``TRANSVERSALS_PER_POINT``."""
+
+    @staticmethod
+    def _rests():
+        rng = random.Random(2424)
+        frac = poly(*[tuple(F(rng.randint(-6, 6), rng.choice((2, 3, 5))) for _ in range(3))
+                      for _ in range(6)])
+        big3 = poly(*[tuple(10**12 * rng.randint(-3, 3) for _ in range(3)) for _ in range(7)])
+        big4 = [poly(*[tuple(10**12 * rng.randint(0, 2) for _ in range(4)) for _ in range(6)])
+                for _ in range(2)]
+        rests = []
+        for k in (4, 5, 6, 8):
+            rests += [mv._grouped((random_body(rng, 3, 3, k), random_body(rng, 3, 3, k)))
+                      for _ in range(4)]
+        for k in (5, 6, 7):
+            rests += [mv._grouped([random_body(rng, 4, 2, k) for _ in range(3)]) for _ in range(3)]
+            k4, l4 = random_body(rng, 4, 2, k), random_body(rng, 4, 2, k)
+            rests += [mv._grouped((k4, k4, l4)), mv._grouped((l4, k4, l4))]
+        flat = [poly((0, 0, 1), (2, 0, 1), (0, 3, 1), (1, 1, 1)),
+                poly((0, 0, 1), (1, 2, 1), (3, 1, 1))]  # both in z = 1
+        slab = [poly(*[(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3), 2)
+                       for _ in range(6)]) for _ in range(2)]  # both in x4 = 2
+        plane = [poly((0, 0, 0, 0), (2, 1, 0, 0), (1, 3, 0, 0)),
+                 poly((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)),
+                 poly((0, 0, 0, 0), (1, 2, 0, 0))]  # all in x3 = x4 = 0
+        rests += [mv._grouped(bodies) for bodies in [
+            flat, (flat[0], random_body(rng, 3)),
+            (slab[0], slab[0], slab[1]), (*slab, random_body(rng, 4)),
+            (poly((0, 0, 0), (1, 2, 0)), flat[1]),
+            plane, (poly((1, 1, 1)), CUBE),
+            (frac, random_body(rng, 3, 3, 6)), (frac, big3), (*big4, big4[0]),
+        ]]
+        return rests
+
+    def test_both_paths_give_the_same_atoms(self, monkeypatch):
+        """Forced to the hull (0) and to the transversals (10^9), every
+        measure has the same atoms once each u is in lowest terms: random 3D
+        and 4D rests, repeated faces, flat sums (both normals), lower-
+        dimensional sums (no atom), fractional scales and coordinates that
+        take the exact ``object`` dtype."""
+        calls = Counter()
+        real = _hull.transversal_normals
+
+        def counting(faces):
+            calls[len(faces[0][0][0])] += 1
+            return real(faces)
+
+        monkeypatch.setattr(_hull, "transversal_normals", counting)
+        rests = self._rests()
+        assert _hull._dtype_for(3 * 10**12, 3) is object
+        found = []
+        for rest in rests:
+            monkeypatch.setattr(mv, "TRANSVERSALS_PER_POINT", 0)
+            hulled = _lowest_terms(mv._measure(rest, {}))
+            monkeypatch.setattr(mv, "TRANSVERSALS_PER_POINT", 10**9)
+            before = sum(calls.values())
+            crossed = _lowest_terms(mv._measure(rest, {}))
+            assert sum(calls.values()) > before
+            assert crossed == hulled
+            found.append(crossed)
+        assert calls[3] >= 20 and calls[4] >= 15
+        assert set(found[-10]) == {(0, 0, 1), (0, 0, -1)}  # both normals of a flat sum
+        assert found[-5] == found[-4] == {}  # a 2D sum in R^4; a point face
+        assert all(found[:16]) and all(found[-3:])
+
+    def test_4d_alexandrov_fenchel_against_inclusion_exclusion(self, monkeypatch):
+        """4D checks on bodies of 6 to 8 vertices, whose measures fall on
+        both sides of the crossover, against inclusion-exclusion."""
+        rng = random.Random(2425)
+        quads = []
+        while len(quads) < 3:
+            bodies = tuple(random_body(rng, 4, 2, 9) for _ in range(4))
+            if all(6 <= len(b.face[1]) <= 8 for b in bodies):
+                quads.append(bodies)
+        paths = Counter()
+        real = _hull.transversal_normals
+        monkeypatch.setattr(_hull, "transversal_normals",
+                            lambda faces: paths.update(["transversal"]) or real(faces))
+        hulls = _count_hulls(monkeypatch)
+        reports = [mv.check_alexandrov_fenchel(q) for q in quads]
+        assert paths["transversal"] > 0 and hulls[4] > 0
+        monkeypatch.undo()
+        for (d1, d2, d3, d4), r in zip(quads, reports):
+            want = {"v12": (d1, d2), "v11": (d1, d1), "v22": (d2, d2)}
+            assert r.witness["mixed_volumes"] == {
+                k: str(mv.mixed_volume_interp(t + (d3, d4))) for k, t in want.items()
+            }
+            assert r.holds
+
+    def test_small_bodies_build_no_4d_sum_hull(self, monkeypatch):
+        """20 random 4D checks on 5-point bodies take every normal from the
+        transversals, while bodies of 9 vertices still hull their sums."""
+        rng = random.Random(2426)
+        quads = [tuple(random_body(rng, 4) for _ in range(4)) for _ in range(20)]
+        cross = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+        cross = cross + [tuple(-x for x in e) for e in cross]
+        nines = tuple(poly(*cross, corner) for corner in
+                      [(1, 1, 1, 1), (1, 1, 1, -1), (1, -1, 1, 1), (-1, 1, 1, 1)])
+        assert all(len(b.face[1]) == 9 for b in nines)
+        calls = _count_hulls(monkeypatch)
+        assert all(mv.check_alexandrov_fenchel(q).holds for q in quads)
+        assert calls[4] == 0
+        assert mv.check_alexandrov_fenchel(nines).holds
+        assert calls[4] > 0
 
 
 class TestPlanarMixed:
