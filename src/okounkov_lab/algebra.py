@@ -10,20 +10,28 @@ dimension.  One fraction-free elimination kernel serves every echelon form:
 it works on integer rows packed into single Python ints (Kronecker
 substitution), steps a row by two scalar multiplies and one subtraction,
 and divides out a row's content only when it installs a stepped row or a
-coefficient bound would outgrow the slot width.  Powers of a subspace are
-built level by level, each from the rows that gave the previous level its
-pivots, so they never pass through Fraction coefficients; their level box
-and k_max are budgeted before any level is built.
+coefficient bound would outgrow the slot width; 32- and 64-bit slots are
+packed and unpacked through an ``array`` in one C-level pass.  Powers of a
+subspace are built level by level, each from the rows that gave the
+previous level its pivots, so they never pass through Fraction
+coefficients; a product is formed only from the prefix of its sorted
+basis-index tuple, and only if that prefix installed a pivot.  Their level
+box and k_max are budgeted before any level is built.  A Newton body hulls
+only the two ends of each level's leads along every line parallel to the
+last axis.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import geometry
 from .geometry import LatticePolytope, SupportSet, support_set
-from .semigroup import GradedSemigroupSlice, newton_body
+from .semigroup import GradedSemigroupSlice
 
 Exponent = tuple[int, ...]
 
@@ -168,22 +176,46 @@ def _offset(width: int, n: int) -> int:
     return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * n, "little")
 
 
+# Adding the offset 2^(width - 1) to every slot makes each digit d + 2^(width
+# - 1), a nonnegative width-bit number; flipping each slot's top bit (XOR with
+# the offset) turns that into d mod 2^width, the digit's two's complement.  So
+# (row + off) ^ off lays the digits out as machine integers, and 32- and
+# 64-bit slots go through an array in one C-level pass each way.
+_ARRAY_CODES = {8 * array(code).itemsize: code for code in "ilq"}  # 32 and 64 bits
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
 def _pack(values, width: int) -> int:
     """Pack slot values (each |v| < 2^(width-1)) into one int."""
-    step, half = width // 8, 1 << (width - 1)
-    data = b"".join((v + half).to_bytes(step, "little") for v in values)
-    return int.from_bytes(data, "little") - _offset(width, len(values))
+    off = _offset(width, len(values))
+    code = _ARRAY_CODES.get(width)
+    if code is None:
+        step, half = width // 8, 1 << (width - 1)
+        data = b"".join((v + half).to_bytes(step, "little") for v in values)
+        return int.from_bytes(data, "little") - off
+    digits = array(code, values)
+    if _BIG_ENDIAN:
+        digits.byteswap()
+    return (int.from_bytes(digits.tobytes(), "little") ^ off) - off
 
 
 def _unpack(row: int, width: int) -> list[int]:
     """Signed slot values of a packed row, low slot first."""
-    step, half = width // 8, 1 << (width - 1)
+    step = width // 8
     n = abs(row).bit_length() // width + 1
-    data = (row + _offset(width, n)).to_bytes(n * step, "little")
-    return [
-        int.from_bytes(data[i:i + step], "little") - half
-        for i in range(0, len(data), step)
-    ]
+    off = _offset(width, n)
+    code = _ARRAY_CODES.get(width)
+    if code is None:
+        half = 1 << (width - 1)
+        data = (row + off).to_bytes(n * step, "little")
+        return [
+            int.from_bytes(data[i:i + step], "little") - half
+            for i in range(0, len(data), step)
+        ]
+    digits = array(code, ((row + off) ^ off).to_bytes(n * step, "little"))
+    if _BIG_ENDIAN:
+        digits.byteswap()
+    return digits.tolist()
 
 
 def _primitive(row: int, width: int) -> tuple[int, int]:
@@ -469,13 +501,14 @@ def _level_box(l: LaurentSubspace, order: MonomialOrder, k_max: int) -> _LevelBo
 def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
     """The level box, and the lead slots of echelonized L^k for k = 1..k_max.
 
-    Level k is spanned by the products row(K) * b_g of the raw rows K that
-    installed a pivot at level k - 1 with the basis rows b_g, since those
-    rows span L^(k-1) and L^k = L^(k-1) L; each distinct multiset of
-    basis indices is multiplied once.  Rows are packed in the level box,
-    and a product is a sum of shifted copies of the parent, one per term of
-    the basis row.  The basis is cleared to integer rows once; rescaling a
-    basis element does not change any span.
+    A multiset M of k basis indices, written as its sorted index tuple,
+    stands for the product row(M) of those basis rows; level k is spanned by
+    all of them.  Each M is built once, from its prefix M[:-1] (the rule of
+    :func:`_power_level`), and only when that prefix installed a pivot at
+    level k - 1.  Rows are packed in the level box, and a product is a sum
+    of shifted copies of the parent, one per term of the basis row.  The
+    basis is cleared to integer rows once; rescaling a basis element does
+    not change any span.
     """
     box = _level_box(l, order, k_max)
     basis = []
@@ -502,25 +535,37 @@ def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
 
 
 def _power_level(parents: dict, basis: list, width: int):
-    """Echelonize the distinct products of the parent rows with the basis.
+    """Echelonize the products key + (g,) of each parent with g >= key[-1].
 
-    Rows are (packed row from its lead, lead slot, bound).  Returns the raw
-    rows that installed a pivot, keyed by their sorted basis-index
-    multiset, and the pivots' lead slots.  A parent whose product bound
-    would outgrow the width is replaced in ``parents`` by its primitive
-    part, which spans the same line.
+    Rows are (packed row from its lead, lead slot, bound), keyed by their
+    sorted basis-index tuple.  Returns the raw rows that installed a pivot,
+    in installation order, and the pivots' lead slots.  A parent whose
+    product bound would outgrow the width is replaced in ``parents`` by its
+    primitive part, which spans the same line.
+
+    Every multiset M = key + (g,) is built at most once, from its prefix.
+    Parents arrive in lex order of their keys (level 1 has the one key
+    ()), so products are reduced, and installed, in lex order of M too.
+    Lex order on sorted tuples of one length compares the multiplicities at
+    the smallest index where they differ, the larger first; adding one
+    index to both sides keeps that comparison, so P < Q implies
+    P + {g} < Q + {g}.  The skipped products add nothing to the span:
+    claim, for every multiset M of level k, row(M) is a combination of the
+    rows installed at level k up to M in lex order.  If M's prefix P
+    installed, M was reduced in its turn.  Otherwise, by the claim at
+    level k - 1, row(P) is a combination of installed rows row(Q), Q < P,
+    so row(M) = row(P) b_g is one of the row(Q + {g}) with Q + {g} < M,
+    and the claim for those, by induction along the lex order, gives it
+    for M.  So level k spans L^k, and the pivots' leads, which depend only
+    on the span, are the valuations of L^k.
     """
     half = 1 << (width - 1)
     shifted = [[(s * width, c) for s, c in terms] for _, terms, _ in basis]
     pivots: dict = {}
     installed = {}
-    seen = set()
     for key, (prow, plead, pbound) in parents.items():
-        for g, (blead, _, l1) in enumerate(basis):
-            new = tuple(sorted(key + (g,)))
-            if new in seen:
-                continue
-            seen.add(new)
+        for g in range(key[-1] if key else 0, len(basis)):
+            blead, _, l1 = basis[g]
             bound = pbound * l1
             if bound >= half:
                 prow, pbound = _primitive(prow, width)
@@ -534,7 +579,7 @@ def _power_level(parents: dict, basis: list, width: int):
             # the product's lowest slot holds the product of the two leads
             lead = plead + blead
             if _reduce(pivots, row, bound, width, lead) is not None:
-                installed[new] = (row, lead, bound)
+                installed[key + (g,)] = (row, lead, bound)
     return installed, list(pivots)
 
 
@@ -561,8 +606,30 @@ def semigroup_of_subspace(
 def newton_okounkov_body(
     l: LaurentSubspace, order: MonomialOrder = LEX, k_max: int = 8
 ) -> LatticePolytope:
-    """Newton body of the valuation semigroup of L, at finite level."""
-    return newton_body(semigroup_of_subspace(l, order, k_max))
+    """Newton body of the valuation semigroup of L, at finite level.
+
+    The hull of :func:`semigroup_of_subspace`'s levels, each at its scale
+    k, built from the lead slots directly: a level keeps only the lowest
+    and the highest slot of each fiber, a line parallel to the last axis.
+    Every other lead of the fiber lies on the segment between those two,
+    so the hull is unchanged.  A lex fiber is the set of slots with one
+    value of slot // radices[-1]; a graded lex fiber has one value of
+    slot % prod(radices), and the grade, which rises with the last
+    coordinate, varies along it.
+    """
+    box, levels = _power_levels(l, order, k_max)
+    lex = box.grading is None
+    cells = box.radices[-1] if lex else math.prod(box.radices)
+    faces = []
+    for k, slots in levels.items():
+        low, high = {}, {}
+        for s in sorted(slots):
+            fiber = s // cells if lex else s % cells
+            low.setdefault(fiber, s)
+            high[fiber] = s
+        ends = {*low.values(), *high.values()}
+        faces.append((k, [box.exponent(s, k) for s in ends]))
+    return geometry._polytope(*geometry._union(faces), l.ambient_dim)
 
 
 @dataclass(frozen=True)
@@ -582,8 +649,6 @@ def superadditivity_check(
     """Check Newton(L1) + Newton(L2) inside Newton(L1 L2) at equal level."""
     if l1.ambient_dim != l2.ambient_dim:
         raise ValueError("dimension mismatch")
-    from . import geometry
-
     l12 = product(l1, l2)
     for l in (l1, l2, l12):
         _level_box(l, order, k_max)

@@ -559,3 +559,157 @@ class TestLevelBudgets:
         # grade of (1, 1) under (3, 1) is 4: slots (4 k + 1) * (k + 1)
         l = alg.monomial_subspace(g.support_set(2, [(0, 0), (1, 1)]))
         assert alg._level_box(l, GRLEX31, 5).slots == 21 * 6
+
+
+def _plain_pack(values, width):
+    return sum(v << (width * s) for s, v in enumerate(values))
+
+
+def _packing_rows(width, rng):
+    top = (1 << (width - 1)) - 1
+    rows = [
+        [0], [1], [-1], [top], [-top],  # single slots, the zero row first
+        [0, 0, 0, 7], [0, 0, -top], [0, top, 0, -top],  # zero slots below the lead
+        [top, -top, -1, 1, 0, top], [-top] * 9, [top] * 9,
+    ]
+    rows += [[rng.randint(-top, top) for _ in range(rng.randint(1, 12))] for _ in range(40)]
+    return rows
+
+
+def _trimmed(values):
+    """The slots that unpacking returns: trailing zeros dropped, at least one."""
+    n = len(values)
+    while n > 1 and values[n - 1] == 0:
+        n -= 1
+    return values[:n]
+
+
+class TestPacking:
+    """Balanced-digit packing against the plain sum of shifted slots."""
+
+    @pytest.mark.parametrize("path", ["array", "bytes"])
+    @pytest.mark.parametrize("width", [32, 64, 128, 256])
+    def test_round_trip_matches_the_plain_sum(self, monkeypatch, width, path):
+        if path == "bytes":
+            monkeypatch.setattr(alg, "_ARRAY_CODES", {})
+        else:
+            assert (width in alg._ARRAY_CODES) == (width <= 64)
+        for values in _packing_rows(width, random.Random(width)):
+            packed = alg._pack(values, width)
+            assert packed == _plain_pack(values, width), values
+            assert alg._unpack(packed, width) == _trimmed(values), values
+        assert alg._unpack(0, width) == [0]
+
+
+# the okounkov corpus's dim-5 product: L1 L2 for a simplex pair of criterion 8
+DIM5_FACTORS = (
+    [{(-3, 1): F(-4, 3), (-2, 1): F(-2, 3)}, {(-3, 2): 3, (-2, 1): -1}, {(-2, 1): 2}],
+    [{(0, 0): -1, (0, 1): -1}, {(0, 1): F(3, 2)}],
+)
+# a square pair of criterion 8's pair stream, whose product has dimension 4
+CRITERION8_FACTORS = (
+    [{(0, 0): -1, (0, 1): 1}, {(1, 0): 1}],
+    [{(0, 0): 1, (1, 0): 1}, {(0, 1): 3, (1, 0): 1}],
+)
+MONOMIAL4 = [(3, 1), (3, 3), (4, 1), (4, 2)]
+
+
+def _product_of(factors):
+    l1, l2 = (alg.span(2, [L(2, terms) for terms in basis]) for basis in factors)
+    return alg.product(l1, l2)
+
+
+def _monomial4():
+    return alg.monomial_subspace(g.support_set(2, MONOMIAL4))
+
+
+def _zero_reduction_spy(monkeypatch):
+    """Count the rows that _reduce reduces to zero."""
+    zeros = [0]
+    reduce = alg._reduce
+
+    def spy(*args):
+        lead = reduce(*args)
+        zeros[0] += lead is None
+        return lead
+
+    monkeypatch.setattr(alg, "_reduce", spy)
+    return zeros
+
+
+class TestPrefixProducts:
+    """Each level multiplies only the multisets whose prefix installed."""
+
+    @pytest.mark.parametrize("order", [alg.LEX, GRLEX12], ids=["lex", "grlex12"])
+    @pytest.mark.parametrize(
+        "make,k_max",
+        [(lambda: _product_of(DIM5_FACTORS), 6),
+         (lambda: _product_of(CRITERION8_FACTORS), 6),
+         (_monomial4, 12)],
+        ids=["dim5-product", "criterion8-product", "monomial4"],
+    )
+    def test_levels_match_oracle(self, make, k_max, order):
+        l = make()
+        grading = None if order.kind == "lex" else order.grading
+        levels = alg.semigroup_of_subspace(l, order, k_max).levels
+        for k in range(1, k_max + 1):
+            assert set(levels[k].points) == sympy_power_leads(_terms(l), grading, k), k
+
+    def test_products_have_relations(self):
+        assert _product_of(DIM5_FACTORS).dim == 5
+        assert _product_of(CRITERION8_FACTORS).dim == 4
+        # fewer leads than multisets from level 2 on
+        assert alg.hilbert_function(_product_of(CRITERION8_FACTORS), 3) == [
+            (1, 4), (2, 9), (3, 16)
+        ]
+
+    @pytest.mark.parametrize(
+        "make,k_max,zeros",
+        [(lambda: _product_of(DIM5_FACTORS), 8, 231), (_monomial4, 12, 55)],
+        ids=["dim5-product", "monomial4"],
+    )
+    def test_zero_reductions(self, monkeypatch, make, k_max, zeros):
+        # multiplying every distinct multiset reduces 532 and 385 rows to zero
+        l = make()
+        counted = _zero_reduction_spy(monkeypatch)
+        alg._power_levels(l, alg.LEX, k_max)
+        assert counted[0] == zeros
+
+
+def _flat_or_random_subspace(rng, dim, i):
+    """A point body, a body in the x1 axis, or a random subspace."""
+    if i == 0:
+        return alg.span(dim, [random_poly(rng, dim, terms=2)])
+    if i == 1:
+        line = [L(dim, {(x,) + (0,) * (dim - 1): rng.randint(1, 3) for x in xs})
+                for xs in ((0, 1), (2,), (-1, 3))]
+        return alg.span(dim, line)
+    while True:
+        try:
+            polys = [random_poly(rng, dim, terms=rng.randint(1, 3), span=1)
+                     for _ in range(rng.randint(1, 4))]
+            return alg.span(dim, polys)
+        except ValueError:
+            continue
+
+
+class TestNewtonBodyFromFiberEnds:
+    """The body from each fiber's two ends is the hull of every level."""
+
+    @pytest.mark.parametrize(
+        "dim,order",
+        [(1, alg.LEX), (1, alg.MonomialOrder("grlex", (2,))), (2, alg.LEX),
+         (2, GRLEX12), (2, GRLEX31), (3, alg.LEX), (3, GRLEX211)],
+    )
+    def test_equals_newton_body_of_the_levels(self, dim, order):
+        rng = random.Random(repr((dim, order)))
+        flat = 0
+        for i in range(10):
+            l = _flat_or_random_subspace(rng, dim, i)
+            k_max = rng.randint(1, 6)
+            body = alg.newton_okounkov_body(l, order, k_max)
+            ref = sg.newton_body(alg.semigroup_of_subspace(l, order, k_max))
+            assert body == ref
+            assert (body.affine_dim, body.volume) == (ref.affine_dim, ref.volume)
+            flat += body.affine_dim < dim
+        assert flat >= (1 if dim == 1 else 2)
