@@ -8,13 +8,17 @@ commutes with scaling of the chord axis.
 
 Exact rounds, `_exact_round`, work on reduced integer triples (X, Y, D),
 the vertex (X / D, Y / D) with D > 0 and gcd(X, Y, D) = 1, and the chord
-direction scaled to a primitive integer vector; they compare rationals by
-cross-multiplication and never build a `Fraction`.  Collinear vertices are
-dropped from the input ring by the sign of a 3x3 integer determinant; the
-symmetral of a strictly convex ring is strictly convex, so the output,
-twice as long and with twice the bits, needs no such pass.  Each chord end
-that interpolates an edge is divided by its gcd as it is formed, so the
-later products and the final gcd of each vertex run on shorter integers.
+direction scaled to a primitive integer vector; they never build a
+`Fraction`.  Floating point proposes and exact arithmetic decides: the
+breaks are sorted, and the start vertex picked, by correctly rounded float
+keys X / D, which are monotone in the exact value, so cross-multiplication
+runs only where two keys are equal (or a key is past double range).
+Collinear vertices are dropped from the input ring by the sign of a 3x3
+integer determinant; the symmetral of a strictly convex ring is strictly
+convex, so the output, twice as long and with twice the bits, needs no
+such pass.  Each chord end that interpolates an edge is divided by its gcd
+as it is formed, so the later products run on shorter integers, and the
+two output vertices of a chord share one big gcd.
 Each vertex keeps its own denominator: a new vertex carries the
 interpolation divisor of its edge, so the least common denominator of a
 ring multiplies them together (on the criterion-10 quad at seed 3 it has
@@ -24,12 +28,14 @@ denominator, and only in its last additions: `_ring_area` sums the edge
 terms in integers per denominator D1 D2 and adds the groups' Fractions
 pairwise in a balanced tree.  The hand-off test (`_over_bit_cap`) reduces
 only vertices whose raw X, Y or D is longer than the bit cap, and stops at
-the first reduced coordinate over it.  Float rounds, `_symmetrize`, run the
-same step on doubles with a small tolerance and a vertex budget.  At the
+the first reduced coordinate over it.  Float rounds, `_symmetrize` and
+`_prune`, run the same step on doubles with a small tolerance and a vertex
+budget, on parallel lists of coordinates with no call per vertex.  At the
 API a polygon is a planar, full-dimensional `geometry.LatticePolytope`; its
 ring of triples is read off the polytope's cached lifted vertices
 (`_ring`).  The convergence diagnostics are plain float arithmetic, the
-disc distance in closed form (`hausdorff_to_disc`).
+disc distance in closed form (`hausdorff_to_disc`).  A section-profile
+sample is one exact hull of the two bodies' integer faces.
 
 Iterated symmetrization doubles the vertex count almost every round (each
 interior kink of the chord profile spawns two vertices), so an unbounded
@@ -45,9 +51,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import groupby
 
 from . import _hull
-from .geometry import LatticePolytope, _polytope, _union, minkowski_sum, scale, volume
+from .geometry import LatticePolytope, _polytope, _sum_points, _union, volume
 from .rng import derive_seed
 
 Tri = tuple[int, int, int]  # (X, Y, D): the vertex (X / D, Y / D), D > 0, gcd 1
@@ -57,9 +64,10 @@ EXACT_VERTEX_CAP = 600
 EXACT_BIT_CAP = 1200
 FLOAT_EPS = 1e-13
 FLOAT_MAX_VERTICES = 1024
-# input budgets: at most 500 rounds (float rounds cost 10-25 ms each),
-# 1000 profile samples (4-10 ms each on small 3D bodies), and a polygon of
-# at most as many vertices as a float round keeps
+# input budgets: at most 500 rounds (float rounds of 1024 vertices cost
+# 3-10 ms each; all 500 on the criterion-10 quad take about 4 s), 1000
+# profile samples (1-3 ms each on small 3D bodies), and a polygon of at most
+# as many vertices as a float round keeps
 MAX_ROUNDS = 500
 MAX_SAMPLES = 1000
 MAX_POLYGON_VERTICES = FLOAT_MAX_VERTICES
@@ -131,16 +139,22 @@ def _exact_round(ring: list[Tri], ux: int, uy: int) -> list[Tri]:
     by the sign of a 3x3 integer determinant.  The chord direction (ux, uy)
     is a primitive integer vector.  A vertex maps to the frame point
     (T / D, S / D) with T = -uy X + ux Y and S = ux X + uy Y.  The breaks are
-    the distinct abscissae T / D, ordered by cross-multiplication.  At each
-    break the chord ends come from the vertices there and, strictly inside
-    an edge's span, from the edge interpolation s = num / den with
+    the distinct abscissae T / D.  Floats propose their order and exact
+    arithmetic decides: a correctly rounded key T / D is monotone in the
+    exact value, so the vertices are sorted by their keys, and only a run
+    of equal keys is ordered, and merged into breaks, by cross-multiplication
+    (when a key is past double range, the whole ring is one such run).  At
+    each break the chord ends come from the vertices there and, strictly
+    inside an edge's span, from the edge interpolation s = num / den with
 
         num = S1 (T2 Dk - Tk D2) + S2 (Tk D1 - T1 Dk),  den = Dk span,
         span = T2 D1 - T1 D2 > 0,
 
     num and span divided by their gcd as the chord end is formed.  Every
-    chord is recentered on s = 0, and the bottom and top chains are mapped
-    back, each vertex over one common denominator reduced by a single gcd.
+    chord is recentered on s = 0, and its bottom and top ends are mapped
+    back over one common denominator, one big gcd serving both ends.
+    The lex-min output vertex is picked by the float keys X / D the same
+    way, exact comparisons deciding only among equal keys.
 
     The result is a strictly convex CCW ring starting at its lex-min vertex,
     with no pass over it: each interior break is a strict kink of the upper
@@ -163,16 +177,19 @@ def _exact_round(ring: list[Tri], ux: int, uy: int) -> list[Tri]:
     ring = strict
     ts = [(-uy * x + ux * y, d) for x, y, d in ring]
     ss = [ux * x + uy * y for x, y, _ in ring]
-    order = sorted(
-        range(len(ring)),
-        key=cmp_to_key(lambda i, j: ts[i][0] * ts[j][1] - ts[j][0] * ts[i][1]),
-    )
+    keys = _float_keys(ts)
+    order = sorted(range(len(ring)), key=keys.__getitem__)
+    if len(set(keys)) < len(keys):
+        exact = cmp_to_key(lambda i, j: ts[i][0] * ts[j][1] - ts[j][0] * ts[i][1])
+        order = [i for _, run in groupby(order, keys.__getitem__) for i in sorted(run, key=exact)]
     breaks: list[tuple[int, int]] = []  # (T, D): the abscissa T / D
     rank = [0] * len(ring)
+    last = bt = bd = None  # the key and (T, D) of the last break
     for i in order:
         t, d = ts[i]
-        if not breaks or t * breaks[-1][1] != breaks[-1][0] * d:
+        if keys[i] != last or t * bd != bt * d:
             breaks.append((t, d))
+            last, bt, bd = keys[i], t, d
         rank[i] = len(breaks) - 1
     # chord ends at break k as pairs (m, e), the value m / (Dk e) with e > 0
     hi: list = [None] * len(breaks)
@@ -205,26 +222,48 @@ def _exact_round(ring: list[Tri], ux: int, uy: int) -> list[Tri]:
     norm2 = ux * ux + uy * uy
     bottom, top = [], []
     for (tk, dk), (m1, e1), (m2, e2) in zip(breaks, hi, lo):
-        # the frame points (tk / dk, -+half / (dk f)) over the denominator
-        # norm2 dk f, with (hi - lo) / 2 = half / (dk f)
+        # the frame points (tk / dk, -+half / (dk f)), with (hi - lo) / 2 =
+        # half / (dk f), map back to (x, y) / den with den = norm2 dk f.
+        # g = gcd(half, p, den) divides both ends; as u . (x, y) = -+norm2 half
+        # and u^perp . (x, y) = norm2 p, and half / g, p / g, den / g are
+        # coprime, an end's remaining common factor divides norm2: one big
+        # gcd for the pair, then one with the small norm2 per end
         half, f = m1 * e2 - m2 * e1, 2 * e1 * e2
         p, den = tk * f, norm2 * dk * f
+        g = math.gcd(half, p, den)
+        if g > 1:
+            half, p, den = half // g, p // g, den // g
         x, y = -uy * p - ux * half, ux * p - uy * half
-        g = math.gcd(x, y, den)
-        bottom.append((x // g, y // g, den // g))
+        r = math.gcd(norm2, x, y, den)
+        bottom.append((x // r, y // r, den // r) if r > 1 else (x, y, den))
         if half > 0:
             x, y = -uy * p + ux * half, ux * p + uy * half
-            g = math.gcd(x, y, den)
-            top.append((x // g, y // g, den // g))
+            r = math.gcd(norm2, x, y, den)
+            top.append((x // r, y // r, den // r) if r > 1 else (x, y, den))
     # the frame map has determinant -|u|^2 < 0, so the CCW frame ring
     # (bottom ascending, top descending) comes back clockwise
     out = top + bottom[::-1]
-    start = 0
-    for i, (x, y, d) in enumerate(out):
+    xkeys = _float_keys([(x, d) for x, _, d in out])
+    low = min(xkeys)
+    start, *ties = [i for i, key in enumerate(xkeys) if key == low]
+    for i in ties:
+        x, y, d = out[i]
         x0, y0, d0 = out[start]
         if x * d0 < x0 * d or (x * d0 == x0 * d and y * d0 < y0 * d):
             start = i
     return out[start:] + out[:start]
+
+
+def _float_keys(pairs) -> list[float]:
+    """The correctly rounded floats N / D of pairs (N, D), D > 0.
+
+    They are monotone in the exact value; when one is past double range
+    they are all 0.0, so every comparison falls to exact arithmetic.
+    """
+    try:
+        return [n / d for n, d in pairs]
+    except OverflowError:
+        return [0.0] * len(pairs)
 
 
 def _symmetrize(ring, direction):
@@ -234,90 +273,111 @@ def _symmetrize(ring, direction):
     `10 * FLOAT_EPS` of its span, and the result is pruned to the float
     vertex budget (`_prune`).  The ring is mapped to the frame
     t = u^perp . p, s = u . p, every chord over a break of the t-profile is
-    recentered on s = 0, and the bottom and top chains are mapped back.
+    recentered on s = 0, and the bottom and top chains are mapped back.  The
+    step runs on parallel lists of floats, one pass per edge over the breaks
+    it serves, with no call per vertex.
     """
     eps = FLOAT_EPS
     ux, uy = direction
     ts = [-uy * x + ux * y for x, y in ring]
     ss = [ux * x + uy * y for x, y in ring]
-    breaks = []
-    for t in sorted(ts):
-        if not breaks or t > breaks[-1] + eps * (1 + abs(breaks[-1])):
+    ordered = sorted(ts)
+    breaks = [ordered[0]]
+    merge = ordered[0] + eps * (1 + abs(ordered[0]))
+    for t in ordered:
+        if t > merge:
             breaks.append(t)
+            merge = t + eps * (1 + abs(t))
     hi = [-math.inf] * len(breaks)
     lo = [math.inf] * len(breaks)
     reach = 10 * eps
-    n = len(ring)
-    for i in range(n):
-        t1, s1 = ts[i], ss[i]
-        t2, s2 = ts[(i + 1) % n], ss[(i + 1) % n]
+    for t1, s1, t2, s2 in zip(ts, ss, ts[1:] + ts[:1], ss[1:] + ss[:1]):
         if t1 > t2:
             t1, t2, s1, s2 = t2, t1, s2, s1
         first = bisect.bisect_left(breaks, t1 - reach * (1 + abs(t1)))
-        for bi in range(first, len(breaks)):
-            t = breaks[bi]
-            if t > t2 + reach * (1 + abs(t2)):
-                break
-            if t1 == t2:
-                s_lo, s_hi = min(s1, s2), max(s1, s2)
-            else:
-                s_lo = s_hi = s1 + (s2 - s1) * (t - t1) / (t2 - t1)
-            hi[bi] = max(hi[bi], s_hi)
-            lo[bi] = min(lo[bi], s_lo)
-    halves = [(hi[bi] - lo[bi]) / 2 for bi in range(len(breaks))]
-    frame = [(t, -half) for t, half in zip(breaks, halves)]  # bottom, t ascending
-    frame += [(t, half) for t, half in zip(breaks[::-1], halves[::-1]) if half > 0]
+        end = bisect.bisect_right(breaks, t2 + reach * (1 + abs(t2)), first)
+        if t1 == t2:
+            s_lo = s2 if s2 < s1 else s1
+            s_hi = s2 if s2 > s1 else s1
+            for k in range(first, end):
+                if s_hi > hi[k]:
+                    hi[k] = s_hi
+                if s_lo < lo[k]:
+                    lo[k] = s_lo
+        else:
+            ds, dt = s2 - s1, t2 - t1
+            for k in range(first, end):
+                s = s1 + ds * (breaks[k] - t1) / dt
+                if s > hi[k]:
+                    hi[k] = s
+                if s < lo[k]:
+                    lo[k] = s
+    halves = [(h - l) / 2 for h, l in zip(hi, lo)]
+    # the frame ring runs bottom ascending, then top descending; the frame
+    # map has determinant -|u|^2 < 0, so the ring comes back clockwise and
+    # is read in reverse
+    tops = [(t, half) for t, half in zip(breaks, halves) if half > 0]
+    frame_t = [t for t, _ in tops] + breaks[::-1]
+    frame_s = [half for _, half in tops] + [-half for half in halves[::-1]]
     norm2 = ux * ux + uy * uy
-    out = [((-uy * t + ux * s) / norm2, (ux * t + uy * s) / norm2) for t, s in frame]
-    # the frame map has determinant -|u|^2 < 0, so the CCW frame ring comes
-    # back clockwise
-    out.reverse()
-    return _prune(out)
+    xs = [(-uy * t + ux * s) / norm2 for t, s in zip(frame_t, frame_s)]
+    ys = [(ux * t + uy * s) / norm2 for t, s in zip(frame_t, frame_s)]
+    return list(zip(*_prune(xs, ys)))
 
 
-def _prune(ring):
+def _prune(xs, ys):
     """Drop nearly collinear float vertices, then thin the flattest to the budget.
 
-    A vertex goes when its turn is within `FLOAT_EPS` (relative) of
-    straight; then the flattest vertices go until `FLOAT_MAX_VERTICES` are
-    left.  Every dropped vertex lies on or inside the kept ring, so the
-    result is inscribed and the perimeter never grows.
+    The ring is the parallel lists xs, ys; the pruned lists come back.  A
+    vertex goes when its turn is within `FLOAT_EPS` (relative) of straight;
+    then the flattest vertices go until `FLOAT_MAX_VERTICES` are left, the
+    first thinning pass reusing the turns of the last flatness pass.  Every
+    dropped vertex lies on or inside the kept ring, so the result is
+    inscribed and the perimeter never grows.
     """
-    pts = ring
-    changed = True
-    while changed:
-        changed = False
-        keep = []
-        n = len(pts)
-        for i in range(n):
-            a = pts[i]
-            flat = FLOAT_EPS * (1 + abs(a[0]) + abs(a[1])) ** 2
-            if _cross(pts[i - 1], a, pts[(i + 1) % n]) <= flat:
-                changed = True
-            else:
-                keep.append(a)
-        pts = keep
-        if len(pts) < 3:
+    eps = FLOAT_EPS
+    while True:
+        turns = _turns(xs, ys)
+        flat = [c <= eps * (1 + abs(x) + abs(y)) ** 2 for c, x, y in zip(turns, xs, ys)]
+        kept = flat.count(False)
+        if kept < 3:
             raise ValueError("polygon degenerated to a segment")
-    while len(pts) > FLOAT_MAX_VERTICES:
-        # batch-remove the flattest vertices, never two adjacent in one pass
-        n = len(pts)
-        crosses = [_cross(pts[i - 1], pts[i], pts[(i + 1) % n]) for i in range(n)]
-        excess = n - FLOAT_MAX_VERTICES
-        threshold = sorted(crosses)[min(excess * 2, n - 1)]
-        keep = []
-        dropped_prev = False
-        for i in range(n):
-            if not dropped_prev and excess > 0 and crosses[i] <= threshold:
-                dropped_prev = True
-                excess -= 1
-                continue
-            dropped_prev = False
-            keep.append(pts[i])
-        if len(keep) == n:
+        if kept == len(xs):
             break
-        pts = keep
-    return pts
+        xs = [x for x, f in zip(xs, flat) if not f]
+        ys = [y for y, f in zip(ys, flat) if not f]
+    while len(xs) > FLOAT_MAX_VERTICES:
+        # batch-remove the flattest vertices, never two adjacent in one pass
+        n = len(xs)
+        excess = n - FLOAT_MAX_VERTICES
+        threshold = sorted(turns)[min(excess * 2, n - 1)]
+        drop = [False] * n
+        dropped_prev = False
+        for i, c in enumerate(turns):
+            if dropped_prev or not c <= threshold:
+                dropped_prev = False
+            else:
+                drop[i] = dropped_prev = True
+                excess -= 1
+                if not excess:
+                    break
+        if True not in drop:
+            break
+        xs = [x for x, f in zip(xs, drop) if not f]
+        ys = [y for y, f in zip(ys, drop) if not f]
+        turns = _turns(xs, ys)
+    return xs, ys
+
+
+def _turns(xs, ys):
+    """The cross product (a - o) x (b - o) at each vertex a of a ring of
+    parallel float lists, o and b its neighbours."""
+    return [
+        (xa - xo) * (yb - yo) - (ya - yo) * (xb - xo)
+        for xo, yo, xa, ya, xb, yb in zip(
+            xs[-1:] + xs[:-1], ys[-1:] + ys[:-1], xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]
+        )
+    ]
 
 
 def steiner_symmetrize(p: LatticePolytope, direction) -> LatticePolytope:
@@ -335,17 +395,12 @@ def steiner_symmetrize(p: LatticePolytope, direction) -> LatticePolytope:
 
 
 def _float_perimeter(vs) -> float:
-    return sum(
-        math.hypot(vs[(i + 1) % len(vs)][0] - vs[i][0], vs[(i + 1) % len(vs)][1] - vs[i][1])
-        for i in range(len(vs))
-    )
+    return sum(math.hypot(x2 - x1, y2 - y1) for (x1, y1), (x2, y2) in zip(vs, vs[1:] + vs[:1]))
 
 
 def _float_centroid(vs):
     a6 = cx = cy = 0.0
-    for i in range(len(vs)):
-        x1, y1 = vs[i]
-        x2, y2 = vs[(i + 1) % len(vs)]
+    for (x1, y1), (x2, y2) in zip(vs, vs[1:] + vs[:1]):
         w = x1 * y2 - x2 * y1
         a6 += w
         cx += (x1 + x2) * w
@@ -368,7 +423,9 @@ def hausdorff_to_disc(vs, center, radius) -> float:
     x1, y1 = vs[-1]
     for x2, y2 in vs:
         ex, ey = x2 - x1, y2 - y1
-        near = min(near, (ey * (x1 - cx) - ex * (y1 - cy)) / math.hypot(ex, ey))
+        gap = (ey * (x1 - cx) - ex * (y1 - cy)) / math.hypot(ex, ey)
+        if gap < near:
+            near = gap
         x1, y1 = x2, y2
     return max(abs(far - radius), abs(radius - near))
 
@@ -473,7 +530,10 @@ def section_profile(d1: LatticePolytope, d2: LatticePolytope, samples: int):
     """Exact volumes of the convex combinations h*D1 + (1-h)*D2.
 
     Returns (h, volume) pairs at h = j/samples; the acceptance harness
-    checks midpoint concavity of the n-th root by exact cross powers.
+    checks midpoint concavity of the n-th root by exact cross powers.  Each
+    sample is one hull: with h = j / N, the body is the hull of the sums
+    j v + (N - j) w of the integer vertices v of D1 and w of D2 brought to
+    a common scale, over N times that scale (`geometry._sum_points`).
     """
     if d1.ambient_dim != d2.ambient_dim:
         raise ValueError("section profile needs equal ambient dimensions")
@@ -481,9 +541,13 @@ def section_profile(d1: LatticePolytope, d2: LatticePolytope, samples: int):
         raise ValueError("section profile supports dimensions 1..3")
     if not 3 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be in 3..{MAX_SAMPLES}")
+    n = d1.ambient_dim
+    (s1, vs1), (s2, vs2) = d1.face, d2.face
     rows = []
     for j in range(samples + 1):
-        h = Fraction(j, samples)
-        body = minkowski_sum(scale(d1, h), scale(d2, 1 - h))
-        rows.append((h, volume(body)))
+        faces = [
+            (samples * s1, [tuple(j * c for c in v) for v in vs1]),
+            (samples * s2, [tuple((samples - j) * c for c in w) for w in vs2]),
+        ]
+        rows.append((Fraction(j, samples), _polytope(*_sum_points(faces, n), n).volume))
     return rows

@@ -447,3 +447,98 @@ def sympy_power_free_parts(values, m):
             h *= p ** (e % m)
         out.append((Fraction(g, q.denominator), h))
     return out
+
+
+def float_steiner_round(ring, direction, eps=1e-13, budget=1024):
+    """One float Steiner step on a convex CCW ring of (x, y) pairs, as a plain
+    list-of-tuples loop: the reference for `steiner._symmetrize`.
+
+    Abscissae within `eps` merge, an edge serves the breaks within
+    `10 * eps` of its span; vertices whose turn is within `eps` (relative)
+    of straight are dropped until none is, then the flattest go, never two
+    adjacent in one pass, until `budget` are left.
+    """
+    import bisect
+    import math
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    ux, uy = direction
+    ts = [-uy * x + ux * y for x, y in ring]
+    ss = [ux * x + uy * y for x, y in ring]
+    breaks = []
+    for t in sorted(ts):
+        if not breaks or t > breaks[-1] + eps * (1 + abs(breaks[-1])):
+            breaks.append(t)
+    hi = [-math.inf] * len(breaks)
+    lo = [math.inf] * len(breaks)
+    reach = 10 * eps
+    n = len(ring)
+    for i in range(n):
+        t1, s1 = ts[i], ss[i]
+        t2, s2 = ts[(i + 1) % n], ss[(i + 1) % n]
+        if t1 > t2:
+            t1, t2, s1, s2 = t2, t1, s2, s1
+        first = bisect.bisect_left(breaks, t1 - reach * (1 + abs(t1)))
+        for bi in range(first, len(breaks)):
+            t = breaks[bi]
+            if t > t2 + reach * (1 + abs(t2)):
+                break
+            if t1 == t2:
+                s_lo, s_hi = min(s1, s2), max(s1, s2)
+            else:
+                s_lo = s_hi = s1 + (s2 - s1) * (t - t1) / (t2 - t1)
+            hi[bi] = max(hi[bi], s_hi)
+            lo[bi] = min(lo[bi], s_lo)
+    halves = [(hi[bi] - lo[bi]) / 2 for bi in range(len(breaks))]
+    frame = [(t, -half) for t, half in zip(breaks, halves)]
+    frame += [(t, half) for t, half in zip(breaks[::-1], halves[::-1]) if half > 0]
+    norm2 = ux * ux + uy * uy
+    pts = [((-uy * t + ux * s) / norm2, (ux * t + uy * s) / norm2) for t, s in frame]
+    pts.reverse()  # the frame map reverses orientation
+    changed = True
+    while changed:
+        changed = False
+        keep = []
+        n = len(pts)
+        for i in range(n):
+            a = pts[i]
+            flat = eps * (1 + abs(a[0]) + abs(a[1])) ** 2
+            if cross(pts[i - 1], a, pts[(i + 1) % n]) <= flat:
+                changed = True
+            else:
+                keep.append(a)
+        pts = keep
+        if len(pts) < 3:
+            raise ValueError("polygon degenerated to a segment")
+    while len(pts) > budget:
+        n = len(pts)
+        crosses = [cross(pts[i - 1], pts[i], pts[(i + 1) % n]) for i in range(n)]
+        excess = n - budget
+        threshold = sorted(crosses)[min(excess * 2, n - 1)]
+        keep = []
+        dropped_prev = False
+        for i in range(n):
+            if not dropped_prev and excess > 0 and crosses[i] <= threshold:
+                dropped_prev = True
+                excess -= 1
+                continue
+            dropped_prev = False
+            keep.append(pts[i])
+        if len(keep) == n:
+            break
+        pts = keep
+    return pts
+
+
+def composed_section_profile(d1, d2, samples):
+    """(h, volume) at h = j / samples, each body composed by the library's
+    public operations: minkowski_sum(scale(d1, h), scale(d2, 1 - h))."""
+    from okounkov_lab.geometry import minkowski_sum, scale, volume
+
+    rows = []
+    for j in range(samples + 1):
+        h = Fraction(j, samples)
+        rows.append((h, volume(minkowski_sum(scale(d1, h), scale(d2, 1 - h)))))
+    return rows

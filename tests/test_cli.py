@@ -859,6 +859,33 @@ class TestExitContract:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.decode().split() == ["[False,", "False,", "True]"]
 
+    def test_planar_commands_load_no_numpy(self, tmp_path):
+        """In a fresh interpreter the planar commands leave numpy unloaded:
+        `steiner` (12 rounds on the criterion-10 quad at seed 3, so float
+        rounds run), `profile`, `density`, `bm-check` and `mixedvol`."""
+        quad = {"dim": 2, "vertices": [["0", "0"], ["4", "1"], ["5", "4"], ["1", "3"]]}
+        triangle = {"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]}
+        steiner = write(tmp_path, "steiner.json", {"polygon": quad, "rounds": 12})
+        profile = write(tmp_path, "profile.json", {"body1": SQ, "body2": SI, "samples": 10})
+        density = write(tmp_path, "density.json", {"support": triangle})
+        bm = write(tmp_path, "bm.json", {"m": 2, "body1": SQ, "body2": SI, "fixed": []})
+        mv = write(tmp_path, "mv.json", {"bodies": [SQ, SI]})
+        commands = [
+            ["steiner", steiner, "--seed", "3"],
+            ["profile", profile],
+            ["density", density, "--kmax", "8"],
+            ["bm-check", bm],
+            ["mixedvol", mv],
+        ]
+        code = (
+            "import json, os, sys, okounkov_lab.cli as cli\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(args + ['--out', os.devnull]) == 0, args\n"
+            "sys.exit('numpy' in sys.modules)\n"
+        )
+        proc = python("-c", code, json.dumps(commands))
+        assert proc.returncode == 0, proc.stderr
+
     def test_module_entry_point_matches_main(self, tmp_path):
         """`python -m okounkov_lab.cli` exits and reports as an in-process `main` does."""
         inp = write(tmp_path, "in.json", {"bodies": [SQ, SI]})

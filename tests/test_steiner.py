@@ -12,7 +12,14 @@ from okounkov_lab import steiner as stn
 from okounkov_lab.jsonio import float_to_str
 from okounkov_lab.radicals import compare_root_sums
 from okounkov_lab.rng import derive_seed
-from oracles import fraction_steiner_round, ring_sorted, shoelace_area, strictly_convex
+from oracles import (
+    composed_section_profile,
+    float_steiner_round,
+    fraction_steiner_round,
+    ring_sorted,
+    shoelace_area,
+    strictly_convex,
+)
 
 
 def polygon(points):
@@ -67,6 +74,11 @@ def random_direction(rng):
         u = (rng.randint(-10, 10), rng.randint(-10, 10))
         if u != (0, 0):
             return u
+
+
+def reduced(ring):
+    """Whether every triple (X, Y, D) has D > 0 and gcd(X, Y, D) = 1."""
+    return all(d > 0 and math.gcd(x, y, d) == 1 for x, y, d in ring)
 
 
 class TestPolygonType:
@@ -324,6 +336,61 @@ class TestExactOracle:
             "9d8d10854144aace51a93f9bdcd5a4707a00f97c67dd454ad3766713ce21ed55"
         )
 
+    def test_abscissae_within_one_ulp(self):
+        # vertices c + k u + k^2 eps u^perp: every abscissa T / D is within a
+        # few ulps of T(c) / D, so the float keys tie in runs (k and -k tie
+        # exactly too) and cross-multiplication orders and merges each run
+        eps = F(1, 2**70)
+        count = 0
+        for a, b in [(1, 0), (0, 1), (2, 1), (-3, 5), (7, -4)]:
+            for c in [(F(1, 3), F(2, 7)), (F(10**6, 3), F(-5, 11))]:
+                for width in (3, 6):
+                    pts = [(c[0] + k * a - k * k * eps * b, c[1] + k * b + k * k * eps * a)
+                           for k in range(-width, width + 1)]
+                    p = polygon(pts)
+                    keys = [(-b * x + a * y) for x, y in p.vertices]
+                    assert len({float(t) for t in keys}) < len(set(keys))
+                    ring = stn._exact_round(stn._ring(p), a, b)
+                    assert ring == triples(fraction_steiner_round(ccw(p), (a, b)))
+                    assert reduced(ring) and strictly_convex(ring)
+                    count += 1
+        assert count == 20
+
+    def test_lex_min_among_float_ties(self):
+        # a left side x = 1 + (|y| - 1)^2 eps, eps far below an ulp of 1, so
+        # with vertical chords every output vertex on it has the float key
+        # 1.0 for X / D, and the lex-min (1, -1) is decided exactly: by x
+        # among the breaks, by y within the break x = 1
+        eps = F(1, 2**80)
+        left = [(1 + (abs(y) - 1) ** 2 * eps, y) for y in range(-6, 7) if y]
+        count = 0
+        for right in [[(9, 0)], [(9, -7), (9, 7)], [(F(9, 2), F(-1, 3)), (6, 2)]]:
+            p = polygon(left + right)
+            for u in [(0, 1), (0, F(-2, 3)), (1, 2**90), (-1, 2**90)]:
+                ring = stn._exact_round(stn._ring(p), *stn._primitive(u))
+                want = triples(fraction_steiner_round(ccw(p), u))
+                assert ring == want and reduced(ring) and starts_lex_min(ring)
+                ties = [x / d for x, _, d in ring].count(ring[0][0] / ring[0][2])
+                assert ties > 1
+                count += 1
+        assert count == 12
+
+    def test_far_coordinates_order_exactly(self):
+        # a key past double range sends the whole ring to exact comparisons
+        far = 10**400
+        vs = [(0, 0), (4 * far, far), (5 * far, 4 * far), (far, 3 * far)]  # CCW
+        quad = polygon(vs)
+        for u in [(1, 2), (0, 1), (3, -1), (F(1, 2), F(-3, 4))]:
+            want = fraction_steiner_round(vs, u)
+            ring = stn._exact_round(stn._ring(quad), *stn._primitive(u))
+            assert ring == triples(want) and reduced(ring) and starts_lex_min(ring)
+            assert stn.steiner_symmetrize(quad, u).vertices == tuple(sorted(want))
+        assert len(stn.steiner_symmetrize(quad, (1, 2)).vertices) == 6
+
+    def test_outputs_reduced(self):
+        for p, u in self.pairs():
+            assert reduced(stn._exact_round(stn._ring(p), *stn._primitive(u)))
+
     def test_iterate_rows_match_oracle_loop(self):
         quad = polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
         invariant = shoelace_area(ccw(quad))
@@ -423,6 +490,128 @@ class TestDiscDistance:
         assert count == 212
 
 
+def float_ring(rng, n, scale):
+    """A strictly convex CCW float ring of n vertices on a circle of radius
+    `scale` about a random center, at random angles."""
+    cx, cy = rng.uniform(-3, 3) * scale, rng.uniform(-3, 3) * scale
+    angles = sorted({rng.uniform(0, 2 * math.pi) for _ in range(n)})
+    return [(cx + scale * math.cos(a), cy + scale * math.sin(a)) for a in angles]
+
+
+def bits(ring):
+    return [(x.hex(), y.hex()) for x, y in ring]
+
+
+class TestFloatOracle:
+    """The float round on parallel lists against the list-of-tuples loop
+    kept in `oracles.float_steiner_round`: the same ring, bit for bit, and
+    the same error."""
+
+    @staticmethod
+    def check(ring, direction):
+        try:
+            want = float_steiner_round(ring, direction, stn.FLOAT_EPS, stn.FLOAT_MAX_VERTICES)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                stn._symmetrize(ring, direction)
+            assert str(got.value) == str(exc)
+            return None
+        got = stn._symmetrize(ring, direction)
+        assert bits(got) == bits(want)
+        return got
+
+    @staticmethod
+    def direction(rng):
+        ux, uy = random_direction(rng)
+        return float(ux), float(uy)
+
+    def test_random_rings_across_scales(self):
+        rng = random.Random(2601)
+        rounds = 0
+        for _ in range(120):
+            ring = float_ring(rng, rng.randint(3, 40), 10.0 ** rng.uniform(-3, 4))
+            for _ in range(3):
+                ring = self.check(ring, self.direction(rng))
+                rounds += 1
+                if ring is None:
+                    break
+        assert rounds >= 300
+
+    def test_integer_rings(self):
+        # integer vertices and integer directions give frame-vertical edges
+        # (t1 == t2) and vertices merged into one break
+        rng = random.Random(2602)
+        vertical = merged = 0
+        for _ in range(150):
+            p = random_polygon(rng, span=rng.choice([3, 9, 40]), k=rng.randint(3, 12))
+            ring = [(float(x), float(y)) for x, y in ccw(p)]
+            if rng.random() < 0.5:  # along an edge
+                (x1, y1), (x2, y2) = ring[0], ring[1]
+                direction = (x2 - x1, y2 - y1)
+            else:
+                direction = self.direction(rng)
+            ts = [-direction[1] * x + direction[0] * y for x, y in ring]
+            vertical += any(a == b for a, b in zip(ts, ts[1:] + ts[:1]))
+            merged += len(set(ts)) < len(ts)
+            for _ in range(2):
+                ring = self.check(ring, direction)
+                if ring is None:
+                    break
+                direction = self.direction(rng)
+        assert vertical >= 50 and merged >= 50
+
+    def test_budget_thinning(self):
+        # 600- to 1024-gons come out past the vertex budget and are thinned
+        rng = random.Random(2603)
+        for n in (600, 777, 1024):
+            ring = float_ring(rng, n, rng.choice([1.0, 250.0]))
+            for _ in range(2):
+                ring = self.check(ring, self.direction(rng))
+                assert len(ring) == stn.FLOAT_MAX_VERTICES
+
+    def test_collapse_error_matches(self):
+        # flatness is absolute below unit size, so tiny rings collapse
+        rng = random.Random(2604)
+        for scale in (1e-7, 1e-9, 2.0**-128):
+            ring = [(0.0, 0.0), (scale, 0.0), (0.0, scale)]
+            assert self.check(ring, self.direction(rng)) is None
+        assert self.check(float_ring(rng, 12, 1e-8), (1.0, 2.0)) is None
+        # slivers, whose far vertices turn within the tolerance and whose
+        # near ones may not: some collapse to two vertices, some survive
+        collapsed = 0
+        for _ in range(300):
+            length, height = 10 ** rng.uniform(0, 3), 10 ** rng.uniform(-16, -11)
+            shift = rng.choice([0.0, 10 ** rng.uniform(-2, 3)])
+            apex = shift + rng.uniform(-length, 2 * length)
+            ring = [(shift, 0.0), (shift + length, 0.0), (apex, height)]
+            collapsed += self.check(ring, self.direction(rng)) is None
+        assert collapsed >= 20 and 300 - collapsed >= 20
+
+    def test_near_tied_abscissae(self):
+        # a direction within an angle 10^-15..10^-10 of an edge puts the
+        # edge's ends at abscissae merged into one break, apart but within
+        # an edge's reach of each other, or farther; the edge is at the
+        # lowest or, with the direction reversed, the highest abscissa
+        rng = random.Random(2606)
+        for _ in range(300):
+            ring = float_ring(rng, rng.randint(3, 30), 10.0 ** rng.uniform(-1, 2))
+            i = rng.randrange(len(ring))
+            (x1, y1), (x2, y2) = ring[i - 1], ring[i]
+            sign = rng.choice([-1, 1])
+            ex, ey = sign * (x2 - x1), sign * (y2 - y1)
+            angle = rng.choice([-1, 1]) * 10 ** rng.uniform(-15, -10)
+            self.check(ring, (ex - angle * ey, ey + angle * ex))
+
+    def test_iterated_rings(self):
+        # the float rounds of the criterion-10 quad at seeds 0..3
+        quad = polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
+        for seed in range(4):
+            rng = random.Random(derive_seed(seed, "steiner-directions"))
+            ring = [(x / d, y / d) for x, y, d in stn._ring(quad)]
+            for _ in range(14):
+                ring = self.check(ring, self.direction(rng))
+
+
 class TestIterate:
     def test_area_constant_exact_rounds(self):
         quad = polygon([(0, 0), (3, 1), (4, 3), (1, 2)])
@@ -499,6 +688,27 @@ class TestSectionProfile:
         rows = stn.section_profile(s1, s2, 5)
         for (h1, v1), (h2, v2), (h3, v3) in zip(rows, rows[1:], rows[2:]):
             assert 2 * v2 == v1 + v3
+
+    def test_equals_composed_oracle(self):
+        # h D1 + (1 - h) D2 from the integer faces in one hull, against
+        # minkowski_sum(scale(d1, h), scale(d2, 1 - h)), h = 0 and 1 included
+        rng = random.Random(2605)
+
+        def body(n):
+            k = rng.choice([1, 2, n + 1, n + 3])  # points and segments too
+            return g.convex_hull([tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n))
+                                  for _ in range(k)])
+
+        count = 0
+        for n in (1, 2, 3):
+            for _ in range(12):
+                d1, d2 = body(n), body(n)
+                samples = rng.randint(3, 7)
+                rows = stn.section_profile(d1, d2, samples)
+                assert rows == composed_section_profile(d1, d2, samples)
+                assert rows[0][0] == 0 and rows[-1][0] == 1
+                count += 1
+        assert count == 36
 
     def test_dimension_guards(self):
         sq = g.convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
