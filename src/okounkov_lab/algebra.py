@@ -1,7 +1,7 @@
 """Laurent polynomials over Q, additive monomial orders, finite-dimensional
-subspaces with products and powers, valuation images via exact echelon
-reduction, Hilbert functions, and the graded semigroup attached to a
-subspace together with its Newton body.
+subspaces with products, the valuation images of their powers via exact
+echelon reduction, Hilbert functions, and the graded semigroup attached to
+a subspace together with its Newton body.
 
 The valuation of a nonzero Laurent polynomial is the order-minimal exponent
 of its support; the valuation image of a subspace is the set of pivot
@@ -352,10 +352,6 @@ class LaurentSubspace:
         return len(self.basis)
 
 
-def subspace(dim: int, polys) -> LaurentSubspace:
-    return LaurentSubspace(dim, tuple(polys))
-
-
 def span(dim: int, polys, order: MonomialOrder = LEX) -> LaurentSubspace:
     """Subspace spanned by arbitrary polynomials, echelonized to a basis."""
     pivots, columns, width = _packed_echelon(polys, order)
@@ -376,13 +372,6 @@ def monomial_subspace(a: SupportSet) -> LaurentSubspace:
     )
 
 
-def subspaces_equal(l1: LaurentSubspace, l2: LaurentSubspace) -> bool:
-    """Equality as subspaces, independent of the chosen bases."""
-    if l1.ambient_dim != l2.ambient_dim or l1.dim != l2.dim:
-        return False
-    return len(_leads(l1.basis + l2.basis, LEX)) == l1.dim
-
-
 def product(l1: LaurentSubspace, l2: LaurentSubspace) -> LaurentSubspace:
     """Span of all pairwise basis products."""
     if l1.ambient_dim != l2.ambient_dim:
@@ -390,29 +379,6 @@ def product(l1: LaurentSubspace, l2: LaurentSubspace) -> LaurentSubspace:
     return span(
         l1.ambient_dim, [f * g for f in l1.basis for g in l2.basis]
     )
-
-
-def power(l: LaurentSubspace, k: int) -> LaurentSubspace:
-    """k-th power by binary exponentiation over the subspace product."""
-    if k < 1:
-        raise ValueError("power needs k >= 1")
-    result = None
-    base = l
-    while k:
-        if k & 1:
-            result = base if result is None else product(result, base)
-        k >>= 1
-        if k:
-            base = product(base, base)
-    return result
-
-
-def valuation_image(l: LaurentSubspace, order: MonomialOrder = LEX) -> SupportSet:
-    """Pivot exponents of an echelonized basis; size equals the dimension."""
-    image = support_set(l.ambient_dim, _leads(l.basis, order))
-    if len(image) != l.dim:
-        raise AssertionError("valuation image smaller than the dimension")
-    return image
 
 
 # budgets: the power levels reject inputs past them before any level is built

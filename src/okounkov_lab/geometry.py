@@ -9,9 +9,8 @@ Fractions.  No floating point is used.
 
 A polytope is its exact hull: the integer face ``P.face`` (scale, sorted
 integer vertices, in lowest terms), the facet planes and the volume, all
-plain Python integers and Fractions, with ``P.contains`` and
-``P.facet_inequalities``.  This module alone puts faces over a common scale
-(:func:`_sum_points`, :func:`_union`).
+plain Python integers and Fractions, with ``P.contains``.  This module
+alone puts faces over a common scale (:func:`_sum_points`, :func:`_union`).
 """
 
 from __future__ import annotations
@@ -63,12 +62,6 @@ class LatticePolytope:
     @property
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.ambient_dim
-
-    def facet_inequalities(self):
-        """Facets a.x <= b in original coordinates (full-dimensional only)."""
-        if not self.is_full_dimensional:
-            raise ValueError("facets exist only for full-dimensional bodies")
-        return [(a, Fraction(b, self.face[0])) for a, b in self.planes]
 
     def contains(self, p) -> bool:
         """Whether the point p, a tuple of Fractions or ints, lies in the body."""
@@ -193,11 +186,6 @@ def scale(P: LatticePolytope, lam) -> LatticePolytope:
     num = lam.numerator
     dilated = [tuple(num * c for c in v) for v in vs]
     return _polytope(s * lam.denominator, dilated, P.ambient_dim)
-
-
-def translate(P: LatticePolytope, t) -> LatticePolytope:
-    tv = _as_point(t)
-    return convex_hull([tuple(a + b for a, b in zip(v, tv)) for v in P.vertices])
 
 
 def volume(P: LatticePolytope) -> Fraction:

@@ -99,15 +99,6 @@ def support_from_json(obj) -> geometry.SupportSet:
         raise SchemaError(str(exc)) from exc
 
 
-def laurent_to_json(f: algebra.LaurentPolynomial) -> dict:
-    return {
-        "dim": f.ambient_dim,
-        "terms": [
-            {"exp": list(e), "coef": frac_to_str(c)} for e, c in f.terms
-        ],
-    }
-
-
 def laurent_from_json(obj) -> algebra.LaurentPolynomial:
     dim = _expect(obj, "dim", int)
     terms_raw = _expect(obj, "terms", list)
@@ -118,10 +109,6 @@ def laurent_from_json(obj) -> algebra.LaurentPolynomial:
             raise SchemaError("exponents must be integer vectors of length dim")
         terms[tuple(exp)] = str_to_frac(_expect(t, "coef"))
     return algebra.laurent(dim, terms)
-
-
-def subspace_to_json(l: algebra.LaurentSubspace) -> dict:
-    return {"dim": l.ambient_dim, "basis": [laurent_to_json(f) for f in l.basis]}
 
 
 def subspace_from_json(obj) -> algebra.LaurentSubspace:

@@ -1,9 +1,9 @@
-"""Sumset powers, graded semigroup slices in N + Z^n, their Newton bodies,
-difference-lattice indices via Smith normal form, and the density and
-deep-interior asymptotics checked by the acceptance harness.
+"""Sumset powers, lattice-point completions, graded semigroup slices in
+N + Z^n, difference-lattice indices via Smith normal form, and the density
+sequence of a slice against its Newton body.
 
-A graded semigroup is represented by its finite sections S_1..S_kmax; all
-asymptotic statements are exercised at finite scale with trend assertions.
+A graded semigroup is represented by its finite sections S_1..S_kmax; its
+asymptotics are read off at finite scale.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import geometry
-from .geometry import LatticePolytope, SupportSet
+from .geometry import SupportSet
 
 INFINITE = math.inf
 # budgets: sumset levels reject inputs past them before any level is built
@@ -43,17 +43,6 @@ class GradedSemigroupSlice:
     @property
     def k_max(self) -> int:
         return max(self.levels)
-
-    def check_superadditive(self) -> bool:
-        """S_j + S_k inside S_{j+k} for all levels that fit; exhaustive."""
-        for j in range(1, self.k_max + 1):
-            for k in range(j, self.k_max - j + 1):
-                target = self.levels[j + k].points
-                for p in self.levels[j].points:
-                    for q in self.levels[k].points:
-                        if tuple(a + b for a, b in zip(p, q)) not in target:
-                            return False
-        return True
 
 
 def sumset(a: SupportSet, b: SupportSet) -> SupportSet:
@@ -109,19 +98,6 @@ def completion(a: SupportSet) -> SupportSet:
     tested.
     """
     return geometry.lattice_points(geometry.polytope_of_support(a))
-
-
-def check_cancelation(a: SupportSet, b: SupportSet, c: SupportSet) -> bool:
-    """Truth of: compl(compl(A)+compl(C)) = compl(compl(B)+compl(C)) implies
-    compl(A) = compl(B)."""
-    if not (a.ambient_dim == b.ambient_dim == c.ambient_dim):
-        raise ValueError("cancelation check needs equal dimensions")
-    ca, cb, cc = completion(a), completion(b), completion(c)
-    lhs = completion(sumset(ca, cc))
-    rhs = completion(sumset(cb, cc))
-    if lhs.points != rhs.points:
-        return True  # antecedent fails, implication holds
-    return ca.points == cb.points
 
 
 def smith_normal_form(rows: list[list[int]]) -> list[int]:
@@ -234,16 +210,6 @@ def slice_of_support(a: SupportSet, k_max: int) -> GradedSemigroupSlice:
     return GradedSemigroupSlice(a.ambient_dim, levels)
 
 
-def newton_body(s: GradedSemigroupSlice) -> LatticePolytope:
-    """Inner approximation of the Newton body: hull of all S_j / j.
-
-    Hulled once in integers: S_j / j is the integer face (j, S_j), and the
-    faces of all levels are joined at their common scale.
-    """
-    faces = [(j, level.points) for j, level in s.levels.items()]
-    return geometry._polytope(*geometry._union(faces), s.ambient_dim)
-
-
 @dataclass(frozen=True)
 class DensityRow:
     k: int
@@ -291,81 +257,3 @@ def density_sequence(s: GradedSemigroupSlice) -> DensityReport:
             DensityRow(k, Fraction(len(s.levels[k]), k**n), geometry.volume(body))
         )
     return DensityReport(tuple(rows), index == 1, index)
-
-
-@dataclass(frozen=True)
-class MarginRow:
-    k: int
-    deep_missing: int  # lattice points deeper than C absent from S_k
-    max_missing_depth: float  # depth d(k) of the deepest absent lattice point
-
-
-def _depth_to_boundary(point, facets) -> float:
-    """Euclidean distance from an interior lattice point to the boundary."""
-    best = math.inf
-    for a, b in facets:
-        norm = math.sqrt(sum(x * x for x in a))
-        gap = float(b - sum(x * c for x, c in zip(a, point)))
-        best = min(best, gap / norm)
-    return best
-
-
-def _deeper_than(point, facets, c: Fraction) -> bool:
-    """Whether the point lies at Euclidean depth greater than C, exactly.
-
-    For each facet a.x <= b the gap g = b - a.p is an exact rational, and
-    the distance g / |a| exceeds C >= 0 iff g > 0 and g^2 > C^2 |a|^2.
-    """
-    for a, b in facets:
-        gap = b - sum(x * y for x, y in zip(a, point))
-        if gap <= 0 or gap * gap <= c * c * sum(x * x for x in a):
-            return False
-    return True
-
-
-def interior_margin(s: GradedSemigroupSlice, c) -> list[MarginRow]:
-    """Deep-interior deficit of each level against the dilated hull.
-
-    For each k, counts lattice points of k*conv(S_1) lying at Euclidean
-    depth greater than C (a non-negative rational) that are missing from
-    S_k.  Depth is compared with C exactly; ``max_missing_depth`` is a
-    float diagnostic only.
-    """
-    c = Fraction(c)
-    if c < 0:
-        raise ValueError("the margin constant must be non-negative")
-    a1 = s.levels[1]
-    index = difference_lattice_index(list(s.levels.values()))
-    if index != 1:
-        raise ValueError("interior margin requires an ample semigroup")
-    # by induction, S_k = k A_1 for all k iff S_k = S_(k-1) + A_1 for k >= 2
-    for k in range(2, s.k_max + 1):
-        if s.levels[k].points != sumset(s.levels[k - 1], a1).points:
-            raise ValueError("slice levels must be sumset powers of level 1")
-    base = geometry.polytope_of_support(a1)
-    rows = []
-    for k in range(1, s.k_max + 1):
-        dilated = geometry.scale(base, k)
-        facets = dilated.facet_inequalities()
-        have = s.levels[k].points
-        deep_missing = 0
-        max_depth = 0.0
-        for p in geometry.lattice_points(dilated).points:
-            if p in have:
-                continue
-            max_depth = max(max_depth, _depth_to_boundary(p, facets))
-            deep_missing += _deeper_than(p, facets, c)
-        rows.append(MarginRow(k, deep_missing, max_depth))
-    return rows
-
-
-def search_margin_constant(s: GradedSemigroupSlice, candidates=(0, 1, 2, 4, 8)):
-    """Smallest candidate C whose deep-interior deficit vanishes from some
-    early level on; returns (C, rows) or (None, last rows)."""
-    k_floor = max(2, s.k_max // 2)
-    rows = None
-    for c in candidates:
-        rows = interior_margin(s, c)
-        if all(r.deep_missing == 0 for r in rows if r.k >= k_floor):
-            return c, rows
-    return None, rows

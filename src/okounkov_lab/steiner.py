@@ -13,12 +13,11 @@ direction scaled to a primitive integer vector; they never build a
 breaks are sorted, and the start vertex picked, by correctly rounded float
 keys X / D, which are monotone in the exact value, so cross-multiplication
 runs only where two keys are equal (or a key is past double range).
-Collinear vertices are dropped from the input ring by the sign of a 3x3
-integer determinant; the symmetral of a strictly convex ring is strictly
-convex, so the output, twice as long and with twice the bits, needs no
-such pass.  Each chord end that interpolates an edge is divided by its gcd
-as it is formed, so the later products run on shorter integers, and the
-two output vertices of a chord share one big gcd.
+A round relies on a strictly convex input ring: `_ring` keeps only the
+hull's corners, and the symmetral of a strictly convex ring is strictly
+convex.  Each chord end that interpolates an edge is divided by its gcd as
+it is formed, so the later products run on shorter integers, and the two
+output vertices of a chord share one big gcd.
 Each vertex keeps its own denominator: a new vertex carries the
 interpolation divisor of its edge, so the least common denominator of a
 ring multiplies them together (on the criterion-10 quad at seed 3 it has
@@ -73,14 +72,11 @@ MAX_SAMPLES = 1000
 MAX_POLYGON_VERTICES = FLOAT_MAX_VERTICES
 
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def _ring(p: LatticePolytope) -> list[Tri]:
     """The vertices of a planar, full-dimensional polytope as a CCW ring of triples.
 
-    The ring starts at the lex-min vertex; each lifted vertex (x, y) over
+    The ring is strictly convex, as `_hull.ring_2d` drops collinear points,
+    and starts at the lex-min vertex; each lifted vertex (x, y) over
     the polytope's scale is reduced by its own gcd.
     """
     if p.ambient_dim != 2:
@@ -133,11 +129,11 @@ def _primitive(direction) -> tuple[int, int]:
 
 
 def _exact_round(ring: list[Tri], ux: int, uy: int) -> list[Tri]:
-    """One exact Steiner step on a convex CCW ring of triples.
+    """One exact Steiner step on a strictly convex CCW ring of triples.
 
-    The ring repeats no point; its collinear vertices go first, in one pass
-    by the sign of a 3x3 integer determinant.  The chord direction (ux, uy)
-    is a primitive integer vector.  A vertex maps to the frame point
+    The ring is a `_ring` or an earlier round's output, so no vertex is
+    collinear with its neighbours.  The chord direction (ux, uy) is a
+    primitive integer vector.  A vertex maps to the frame point
     (T / D, S / D) with T = -uy X + ux Y and S = ux X + uy Y.  The breaks are
     the distinct abscissae T / D.  Floats propose their order and exact
     arithmetic decides: a correctly rounded key T / D is monotone in the
@@ -163,18 +159,6 @@ def _exact_round(ring: list[Tri], ux: int, uy: int) -> list[Tri]:
     strict kink there and both output vertices are strict turns; the two
     end breaks are corners.
     """
-    n = len(ring)
-    strict = []
-    for i in range(n):
-        xo, yo, do = ring[i - 1]
-        xa, ya, da = ring[i]
-        xb, yb, db = ring[(i + 1) % n]
-        det = xo * (ya * db - yb * da) - yo * (xa * db - xb * da) + do * (xa * yb - xb * ya)
-        if det > 0:
-            strict.append(ring[i])
-    if len(strict) < 3:
-        raise ValueError("polygon degenerated to a segment")
-    ring = strict
     ts = [(-uy * x + ux * y, d) for x, y, d in ring]
     ss = [ux * x + uy * y for x, y, _ in ring]
     keys = _float_keys(ts)

@@ -2,7 +2,10 @@
 
 These deliberately avoid the library's own algorithms: membership in a
 convex hull is decided by an exact phase-1 simplex over rationals, areas by
-the shoelace formula, sumsets by direct enumeration.
+the shoelace formula, sumsets by direct enumeration.  The references at the
+end instead compose the library's public operations the plain way (a
+subspace power by repeated products, a Newton body from every level), for
+the tests of the commands' fused kernels to compare against.
 """
 
 from __future__ import annotations
@@ -10,6 +13,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+
+from okounkov_lab import algebra, geometry
+from okounkov_lab.jsonio import frac_to_str
 
 
 def in_convex_hull(point, generators) -> bool:
@@ -542,3 +548,64 @@ def composed_section_profile(d1, d2, samples):
         h = Fraction(j, samples)
         rows.append((h, volume(minkowski_sum(scale(d1, h), scale(d2, 1 - h)))))
     return rows
+
+
+def power(l, k):
+    """L^k by binary exponentiation over the library's subspace product."""
+    if k < 1:
+        raise ValueError("power needs k >= 1")
+    result = None
+    base = l
+    while k:
+        if k & 1:
+            result = base if result is None else algebra.product(result, base)
+        k >>= 1
+        if k:
+            base = algebra.product(base, base)
+    return result
+
+
+def subspaces_equal(l1, l2) -> bool:
+    """Equality as subspaces, independent of the chosen bases."""
+    if l1.ambient_dim != l2.ambient_dim or l1.dim != l2.dim:
+        return False
+    return len(algebra._leads(l1.basis + l2.basis, algebra.LEX)) == l1.dim
+
+
+def valuation_image(l, order=algebra.LEX):
+    """Pivot exponents of an echelonized basis; size equals the dimension."""
+    image = geometry.support_set(l.ambient_dim, algebra._leads(l.basis, order))
+    if len(image) != l.dim:
+        raise AssertionError("valuation image smaller than the dimension")
+    return image
+
+
+def newton_body(s):
+    """Inner approximation of a slice's Newton body: the hull of all S_j / j,
+    each level's integer face (j, S_j) joined at the common scale."""
+    faces = [(j, level.points) for j, level in s.levels.items()]
+    return geometry._polytope(*geometry._union(faces), s.ambient_dim)
+
+
+def check_superadditive(s) -> bool:
+    """S_j + S_k inside S_{j+k} for all levels of a slice that fit; exhaustive."""
+    for j in range(1, s.k_max + 1):
+        for k in range(j, s.k_max - j + 1):
+            target = s.levels[j + k].points
+            for p in s.levels[j].points:
+                for q in s.levels[k].points:
+                    if tuple(a + b for a, b in zip(p, q)) not in target:
+                        return False
+    return True
+
+
+def laurent_to_json(f) -> dict:
+    return {
+        "dim": f.ambient_dim,
+        "terms": [{"exp": list(e), "coef": frac_to_str(c)} for e, c in f.terms],
+    }
+
+
+def subspace_to_json(l) -> dict:
+    """The wire form that ``jsonio.subspace_from_json`` reads back."""
+    return {"dim": l.ambient_dim, "basis": [laurent_to_json(f) for f in l.basis]}

@@ -11,7 +11,15 @@ from okounkov_lab import geometry as g
 from okounkov_lab import jsonio
 from okounkov_lab import semigroup as sg
 
-from oracles import sympy_power_leads
+from oracles import (
+    check_superadditive,
+    newton_body,
+    power,
+    subspace_to_json,
+    subspaces_equal,
+    sympy_power_leads,
+    valuation_image,
+)
 
 L = alg.laurent
 ONE2 = L(2, {(0, 0): 1})
@@ -127,7 +135,7 @@ class TestSubspaces:
 
     def test_dependent_basis_rejected(self):
         with pytest.raises(ValueError):
-            alg.subspace(2, [X, Y, XPY])
+            alg.LaurentSubspace(2, (X, Y, XPY))
 
     def test_product_examples(self):
         l1 = alg.span(2, [ONE2, X])
@@ -142,7 +150,7 @@ class TestSubspaces:
             A = g.support_set(2, {(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(3)})
             B = g.support_set(2, {(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(3)})
             got = alg.product(alg.monomial_subspace(A), alg.monomial_subspace(B))
-            assert alg.subspaces_equal(got, alg.monomial_subspace(sg.sumset(A, B)))
+            assert subspaces_equal(got, alg.monomial_subspace(sg.sumset(A, B)))
 
     def test_shift_by_monomial_preserves_dim(self):
         lxy = alg.span(2, [ONE2, XPY, X * Y])
@@ -151,38 +159,38 @@ class TestSubspaces:
 
     def test_power_examples(self):
         px = alg.span(1, [L(1, {(0,): 1}), L(1, {(1,): 1})])
-        p3 = alg.power(px, 3)
+        p3 = power(px, 3)
         assert p3.dim == 4
         A = g.support_set(2, [(0, 0), (1, 0), (0, 1)])
         LA = alg.monomial_subspace(A)
-        assert alg.subspaces_equal(
-            alg.power(LA, 3), alg.monomial_subspace(sg.sumset_power(A, 3))
+        assert subspaces_equal(
+            power(LA, 3), alg.monomial_subspace(sg.sumset_power(A, 3))
         )
 
     def test_power_rank_against_brute_product(self):
         lq = alg.span(2, [ONE2, XPY, X * Y])
         direct = alg.product(lq, lq)
-        assert alg.power(lq, 2).dim == direct.dim
+        assert power(lq, 2).dim == direct.dim
         brute = alg.span(2, [f * h for f in lq.basis for h in lq.basis])
         assert brute.dim == direct.dim
 
     def test_power_rejects_zero(self):
         with pytest.raises(ValueError):
-            alg.power(alg.span(2, [ONE2]), 0)
+            power(alg.span(2, [ONE2]), 0)
 
 
 class TestValuationImage:
     def test_already_triangular(self):
-        l = alg.subspace(2, [ONE2, X, Y])
-        assert set(alg.valuation_image(l).points) == {(0, 0), (1, 0), (0, 1)}
+        l = alg.LaurentSubspace(2, (ONE2, X, Y))
+        assert set(valuation_image(l).points) == {(0, 0), (1, 0), (0, 1)}
 
     def test_reduction_finds_hidden_pivots(self):
         l = alg.span(1, [L(1, {(0,): 1, (1,): 1}), L(1, {(0,): 1, (1,): -1})])
-        assert set(alg.valuation_image(l).points) == {(0,), (1,)}
+        assert set(valuation_image(l).points) == {(0,), (1,)}
 
     def test_three_dims_three_exponents(self):
         l = alg.span(2, [XPY, X - Y if False else L(2, {(1, 0): 1, (0, 1): -1}), ONE2])
-        assert len(alg.valuation_image(l)) == 3
+        assert len(valuation_image(l)) == 3
 
     def test_cardinality_matches_dimension(self):
         rng = random.Random(7)
@@ -192,7 +200,7 @@ class TestValuationImage:
                 l = alg.span(2, polys)
             except ValueError:
                 continue
-            assert len(alg.valuation_image(l)) == l.dim
+            assert len(valuation_image(l)) == l.dim
 
     def test_pivot_sets_of_coordinate_subspaces(self):
         # valuation image of a k-dim subspace of span{z^e1..z^em} is a
@@ -209,7 +217,7 @@ class TestValuationImage:
                 sub = alg.span(m, vecs)
             except ValueError:
                 continue
-            img = alg.valuation_image(sub)
+            img = valuation_image(sub)
             assert len(img) == sub.dim
             units = {tuple(int(i == j) for j in range(m)) for i in range(m)}
             assert set(img.points) <= units
@@ -227,7 +235,7 @@ class TestSemigroupOfSubspace:
         sl = alg.semigroup_of_subspace(l, k_max=6)
         for k in range(1, 7):
             assert len(sl.levels[k]) == k + 1
-        assert sl.check_superadditive()
+        assert check_superadditive(sl)
 
     def test_superadditive_on_random_subspaces(self):
         rng = random.Random(9)
@@ -239,7 +247,7 @@ class TestSemigroupOfSubspace:
             except ValueError:
                 continue
             sl = alg.semigroup_of_subspace(l, k_max=4)
-            assert sl.check_superadditive()
+            assert check_superadditive(sl)
             done += 1
 
 
@@ -321,13 +329,13 @@ def _rational_subspace(rng, dim, size):
             }
             polys.append(L(dim, terms))
         try:
-            return alg.subspace(dim, polys)
+            return alg.LaurentSubspace(dim, tuple(polys))
         except ValueError:
             continue
 
 
 class TestPowerLevelsAgainstProduct:
-    """Integer power rows against valuation images of the public Fraction power."""
+    """Integer power rows against valuation images of the reference Fraction power."""
 
     @pytest.mark.parametrize(
         "dim,order",
@@ -346,8 +354,8 @@ class TestPowerLevelsAgainstProduct:
             levels = alg.semigroup_of_subspace(l, order, 4).levels
             dims = dict(alg.hilbert_function(l, 4))
             for k in range(1, 5):
-                lk = alg.power(l, k)
-                assert levels[k] == alg.valuation_image(lk, order)
+                lk = power(l, k)
+                assert levels[k] == valuation_image(lk, order)
                 assert dims[k] == lk.dim
 
 
@@ -466,9 +474,9 @@ class TestKernelEdgeCases:
         out = []
         for dim, order, polys in _seeded_span_cases():
             l = alg.span(dim, polys, order)
-            img = alg.valuation_image(l, order)
+            img = valuation_image(l, order)
             out.append({
-                "span": jsonio.subspace_to_json(l),
+                "span": subspace_to_json(l),
                 "image": [list(e) for e in img.sorted_points()],
             })
         digest = hashlib.sha256(jsonio.dumps_canonical(out).encode()).hexdigest()
@@ -708,7 +716,7 @@ class TestNewtonBodyFromFiberEnds:
             l = _flat_or_random_subspace(rng, dim, i)
             k_max = rng.randint(1, 6)
             body = alg.newton_okounkov_body(l, order, k_max)
-            ref = sg.newton_body(alg.semigroup_of_subspace(l, order, k_max))
+            ref = newton_body(alg.semigroup_of_subspace(l, order, k_max))
             assert body == ref
             assert (body.affine_dim, body.volume) == (ref.affine_dim, ref.volume)
             flat += body.affine_dim < dim

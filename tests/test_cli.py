@@ -23,6 +23,8 @@ from oracles import (
     brute_hull_volume,
     fraction_steiner_round,
     shoelace_area,
+    subspace_to_json,
+    subspaces_equal,
     sympy_torus_root_count,
 )
 
@@ -103,8 +105,8 @@ class TestRoundTrips:
                 algebra.laurent(2, {(1, 0): 1, (0, 1): -2}),
             ],
         )
-        back = jsonio.subspace_from_json(jsonio.subspace_to_json(l))
-        assert algebra.subspaces_equal(back, l)
+        back = jsonio.subspace_from_json(subspace_to_json(l))
+        assert subspaces_equal(back, l)
 
     def test_polygon(self):
         p = g.convex_hull([(0, 0), (3, 1), (2, 4)])
@@ -350,6 +352,23 @@ class TestCommands:
             for i in range(4)
         ]
         assert replayed == [2] * 4 != rep["trials"]
+
+    def test_bkk_verify_all_trials_degenerate_is_exit_3(self, tmp_path, monkeypatch):
+        # no trial is counted in either batch: no modal count, inconclusive
+        def degenerate(system, shear):
+            raise bkk.DegenerateSystemError("forced by the test")
+
+        monkeypatch.setattr(bkk, "_count_system", degenerate)
+        inp = write(tmp_path, "in.json", HAND_PAIR)
+        rc, rep = run(["bkk-verify", inp, "--trials", "3"], tmp_path / "out.json")
+        assert rc == 3
+        attempts = 2 * (3 + bkk.MAX_RETRIES)
+        assert rep["trials"] == [] and rep["modal"] is None and not rep["agreed"]
+        assert rep["degenerate_trials"] == attempts
+        diagnostics = rep["diagnostics"]
+        assert diagnostics["degenerate_reasons"] == {"forced by the test": attempts}
+        assert diagnostics["completion_trials"] == [] and diagnostics["completion_modal"] is None
+        assert diagnostics["inconclusive"] and not diagnostics["majority"]
 
 
 _REAL_RUN_TRIALS = bkk._run_trials
@@ -683,12 +702,16 @@ class TestExitContract:
              "root-count verification is implemented for n in {1, 2}"),
             ("bkk-verify", {"supports": [{"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]}]},
              "need exactly 2 supports"),
+            ("mixedvol", {"bodies": []}, "empty body tuple"),
+            ("af-check", {"bodies": []}, "empty body tuple"),
+            ("bkk-predict", {"supports": []}, "no supports given"),
         ],
         ids=["bkk-no-supports", "bkk-mixed-dimensions", "bm-fixed-null", "bm-fixed-number",
              "missing-field", "no-vertices", "vertex-arity", "rational-1-over-0",
              "polytope-dim-5", "no-points", "support-dim-0", "empty-basis", "zero-polynomial",
              "dependent-basis", "grading-zero-weight", "bm-m-zero", "bm-m-above-n",
-             "profile-4d", "bkk-3d", "bkk-one-support-2d"],
+             "profile-4d", "bkk-3d", "bkk-one-support-2d", "mixedvol-no-bodies",
+             "af-check-no-bodies", "bkk-predict-no-supports"],
     )
     def test_malformed_input_is_exit_2(self, tmp_path, capsys, command, payload, message):
         inp = write(tmp_path, "in.json", payload)

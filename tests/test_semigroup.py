@@ -11,6 +11,8 @@ from oracles import (
     brute_kfold_sums,
     brute_sumset,
     brute_sumset_power,
+    check_superadditive,
+    newton_body,
     sympy_lattice_index,
 )
 from okounkov_lab import geometry as g
@@ -110,24 +112,37 @@ class TestCompletion:
             assert lhs.points == rhs.points
 
 
+def completed_sum(a, c):
+    """compl(compl(A) + compl(C)): the cancelation law's left-hand side."""
+    return sg.completion(sg.sumset(sg.completion(a), sg.completion(c))).points
+
+
 class TestCancelation:
+    """compl(compl(A) + compl(C)) = compl(compl(B) + compl(C)) implies
+    compl(A) = compl(B)."""
+
     def test_trivial_equal_inputs(self):
-        c = S(1, [(0,), (1,)])
-        assert sg.check_cancelation(A013, A013, c)
+        # C = {0} adds nothing: both sides are compl(A) itself
+        zero = S(1, [(0,)])
+        assert completed_sum(A013, zero) == sg.completion(A013).points == {(i,) for i in range(4)}
 
     def test_worked_example(self):
         b = S(1, [(0,), (2,), (3,)])
         c = S(1, [(0,), (1,)])
         assert sg.completion(A013).points == sg.completion(b).points
-        assert sg.check_cancelation(A013, b, c)
+        assert completed_sum(A013, c) == completed_sum(b, c) == {(i,) for i in range(5)}
 
     def test_random_triples(self):
         rng = random.Random(300)
+        equal_sums = 0
         for _ in range(300):
             a = random_support(rng, 2, 3, 3)
             b = random_support(rng, 2, 3, 3)
             c = random_support(rng, 2, 2, 2)
-            assert sg.check_cancelation(a, b, c)
+            if completed_sum(a, c) == completed_sum(b, c):
+                assert sg.completion(a).points == sg.completion(b).points
+                equal_sums += 1
+        assert equal_sums > 0
 
 
 class TestDifferenceLatticeIndex:
@@ -166,23 +181,23 @@ class TestDifferenceLatticeIndex:
 class TestNewtonBody:
     def test_simplex_slice(self):
         for kmax in (1, 2, 4):
-            body = sg.newton_body(sg.slice_of_support(SIMPLEX_PTS, kmax))
+            body = newton_body(sg.slice_of_support(SIMPLEX_PTS, kmax))
             assert body == g.polytope_of_support(SIMPLEX_PTS)
 
     def test_face_is_in_lowest_terms(self):
         """Levels 1 and 2 join at scale 2, and the face is divided back down."""
-        body = sg.newton_body(sg.slice_of_support(SIMPLEX_PTS, 2))
+        body = newton_body(sg.slice_of_support(SIMPLEX_PTS, 2))
         simplex = g.polytope_of_support(SIMPLEX_PTS)
         assert body.face == simplex.face == (1, ((0, 0), (0, 1), (1, 0)))
         assert body == simplex and hash(body) == hash(simplex)
 
     def test_one_dim_example(self):
-        body = sg.newton_body(sg.slice_of_support(A013, 1))
+        body = newton_body(sg.slice_of_support(A013, 1))
         assert body == g.convex_hull([(0,), (3,)])
 
     def test_single_ray(self):
         ray = sg.GradedSemigroupSlice(2, {k: S(2, [(k, 0)]) for k in range(1, 5)})
-        body = sg.newton_body(ray)
+        body = newton_body(ray)
         assert body.affine_dim == 0
         assert body.vertices == ((F(1), F(0)),)
 
@@ -194,14 +209,14 @@ class TestNewtonBody:
             levels = {j: random_support(rng, dim, 3 * j, rng.randint(1, 5)) for j in range(1, kmax + 1)}
             s = sg.GradedSemigroupSlice(dim, levels)
             pts = [tuple(F(c, j) for c in p) for j, level in s.levels.items() for p in level.points]
-            body, expected = sg.newton_body(s), g.convex_hull(pts)
+            body, expected = newton_body(s), g.convex_hull(pts)
             assert body == expected and g.volume(body) == g.volume(expected)
             assert (body.face, body.planes) == (expected.face, expected.planes)
 
     def test_ambient_dimension_above_four_is_a_value_error(self):
         unit = S(5, [(0,) * 5] + [tuple(int(i == k) for i in range(5)) for k in range(5)])
         s = sg.slice_of_support(unit, 2)
-        for build in (sg.newton_body, sg.density_sequence):
+        for build in (newton_body, sg.density_sequence):
             with pytest.raises(ValueError, match="ambient dimension"):
                 build(s)
 
@@ -211,7 +226,7 @@ class TestNewtonBody:
             a = random_support(rng, 2, 3, 3)
             prev = None
             for kmax in (1, 2, 3, 4):
-                body = sg.newton_body(sg.slice_of_support(a, kmax))
+                body = newton_body(sg.slice_of_support(a, kmax))
                 if prev is not None:
                     assert all(g.contains_point(body, v) for v in prev.vertices)
                 prev = body
@@ -349,72 +364,71 @@ class TestLatticeIndexOracle:
             assert sg.smith_normal_form(rows) == want
 
 
+def margin_rows(a, k_max, c):
+    """(k, deep missing, squared depth of the deepest missing point) for
+    k = 1..k_max: the lattice points of k conv(A) absent from the k-fold
+    sumset, counted where their Euclidean depth exceeds c.
+
+    A facet a.x <= b / s of the dilated hull leaves p a gap g = b / s - a.p,
+    at distance g / |a|, so depths are compared exactly by g^2 / |a|^2.
+    """
+    base = g.polytope_of_support(a)
+    rows = []
+    for k, level in sg.slice_of_support(a, k_max).levels.items():
+        body = g.scale(base, k)
+        s = body.face[0]
+        depths = [
+            min(F(b - s * sum(x * y for x, y in zip(n, p)), s) ** 2 / sum(x * x for x in n)
+                for n, b in body.planes)
+            for p in g.lattice_points(body).points if p not in level.points
+        ]
+        rows.append((k, sum(d > c * c for d in depths), max(depths, default=0)))
+    return rows
+
+
 class TestInteriorMargin:
+    """Khovanskii: the level S_k of an ample semigroup holds every lattice
+    point of k conv(S_1) deeper than a constant C inside."""
+
     def test_simplex_saturates_at_zero(self):
-        rows = sg.interior_margin(sg.slice_of_support(SIMPLEX_PTS, 10), 0)
-        assert all(r.deep_missing == 0 for r in rows)
+        assert all(deep == 0 for _, deep, _ in margin_rows(SIMPLEX_PTS, 10, 0))
 
     def test_a013_needs_margin_one(self):
-        rows0 = sg.interior_margin(sg.slice_of_support(A013, 10), 0)
-        assert any(r.deep_missing > 0 for r in rows0)
-        rows1 = sg.interior_margin(sg.slice_of_support(A013, 10), 1)
-        assert all(r.deep_missing == 0 for r in rows1 if r.k >= 2)
+        assert any(deep > 0 for _, deep, _ in margin_rows(A013, 10, 0))
+        assert all(deep == 0 for k, deep, _ in margin_rows(A013, 10, 1) if k >= 2)
 
     def test_two_simplex_small_margin(self):
         # the vertex set of the doubled simplex has difference lattice 2Z^2,
-        # so the deep-interior theorem needs its (ample) lattice-point set
+        # so the deep-interior theorem needs its (ample) lattice-point set;
+        # C = 2 suffices from level 6 on
         verts = S(2, [(0, 0), (2, 0), (0, 2)])
         assert sg.difference_lattice_index([verts]) == 4
         a = sg.completion(verts)
-        c, rows = sg.search_margin_constant(sg.slice_of_support(a, 12))
-        assert c is not None and c <= 2
+        assert all(deep == 0 for k, deep, _ in margin_rows(a, 12, 2) if k >= 6)
 
     def test_normalized_depth_trend(self):
-        rows = sg.interior_margin(sg.slice_of_support(A013, 16), 1)
-        normalized = [r.max_missing_depth / r.k for r in rows]
-        assert normalized[-1] <= normalized[1] + 1e-12
-        assert normalized[-1] < 0.2
-
-    def test_rejects_non_ample(self):
-        with pytest.raises(ValueError):
-            sg.interior_margin(sg.slice_of_support(A02, 5), 0)
+        # the deepest missing point's depth grows slower than k
+        squared = [d / k**2 for k, _, d in margin_rows(A013, 16, 1)]
+        assert squared[-1] <= squared[1]
+        assert squared[-1] < F(1, 25)
 
     def test_depth_exactly_c_is_not_deep(self):
         # every level of A013 misses one point (2, 5, 8, ...) at depth exactly 1
-        rows = sg.interior_margin(sg.slice_of_support(A013, 6), 1)
-        assert [r.deep_missing for r in rows] == [0] * 6
-        assert [r.max_missing_depth for r in rows] == [1.0] * 6
+        rows = margin_rows(A013, 6, 1)
+        assert [(deep, d) for _, deep, d in rows] == [(0, 1)] * 6
 
     def test_just_deeper_than_c_is_deep(self):
-        # 1e-12 below the depth: within the old 1e-9 float slack, still deeper
         c = 1 - F(1, 10**12)
-        rows = sg.interior_margin(sg.slice_of_support(A013, 6), c)
-        assert [r.deep_missing for r in rows] == [1] * 6
+        assert [deep for _, deep, _ in margin_rows(A013, 6, c)] == [1] * 6
 
     def test_exact_depth_across_a_slanted_facet(self):
         # k = 1: (1, 1) is the only interior lattice point of the triangle
         # (0,0), (3,0), (0,3) missing from S_1; its depth 1/sqrt(2), to
         # x + y <= 3, is irrational
-        s = sg.slice_of_support(S(2, [(0, 0), (1, 0), (0, 1), (3, 0), (0, 3)]), 1)
+        a = S(2, [(0, 0), (1, 0), (0, 1), (3, 0), (0, 3)])
         below, above = F(7071067811865475, 10**16), F(7071067811865476, 10**16)
-        assert sg.interior_margin(s, below)[0].deep_missing == 1
-        assert sg.interior_margin(s, above)[0].deep_missing == 0
-
-    def test_rejects_negative_c(self):
-        with pytest.raises(ValueError):
-            sg.interior_margin(sg.slice_of_support(A013, 2), -1)
-
-    def test_rejects_non_sumset_levels(self):
-        levels = {1: SIMPLEX_PTS, 2: S(2, [(0, 0)])}
-        with pytest.raises(ValueError):
-            sg.interior_margin(sg.GradedSemigroupSlice(2, levels), 0)
-
-    def test_rejects_a_late_non_sumset_level(self):
-        # levels 1..5 are sumset powers; level 6 misses one point
-        levels = dict(sg.slice_of_support(SIMPLEX_PTS, 6).levels)
-        levels[6] = S(2, set(levels[6].points) - {(3, 3)})
-        with pytest.raises(ValueError, match="sumset powers of level 1"):
-            sg.interior_margin(sg.GradedSemigroupSlice(2, levels), 0)
+        assert margin_rows(a, 1, below)[0][1] == 1
+        assert margin_rows(a, 1, above)[0][1] == 0
 
 
 class TestSliceType:
@@ -423,11 +437,11 @@ class TestSliceType:
             sg.GradedSemigroupSlice(1, {2: A013})
 
     def test_superadditivity_checker(self):
-        assert sg.slice_of_support(SIMPLEX_PTS, 5).check_superadditive()
+        assert check_superadditive(sg.slice_of_support(SIMPLEX_PTS, 5))
         bad = sg.GradedSemigroupSlice(
             1, {1: S(1, [(0,), (1,)]), 2: S(1, [(5,)])}
         )
-        assert not bad.check_superadditive()
+        assert not check_superadditive(bad)
 
     @given(st.sets(st.integers(0, 5), min_size=1, max_size=4), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)

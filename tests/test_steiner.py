@@ -159,10 +159,8 @@ class TestSymmetrize:
         for _ in range(40):
             p, u = random_polygon(rng), random_direction(rng)
             ring = stn._exact_round(stn._ring(p), *stn._primitive(u))
+            assert strictly_convex(ring)
             vs = [(F(x, d), F(y, d)) for x, y, d in ring]
-            n = len(vs)
-            for i in range(n):
-                assert stn._cross(vs[i - 1], vs[i], vs[(i + 1) % n]) > 0
             assert stn.steiner_symmetrize(p, u).vertices == tuple(sorted(vs))
 
     def test_zero_direction_rejected(self):
@@ -220,17 +218,24 @@ class TestExactOracle:
             got = stn.steiner_symmetrize(parabola, u).vertices
             assert got == tuple(sorted(fraction_steiner_round(ccw(parabola), u)))
 
-    def test_collinear_input_vertices_pruned(self):
-        # weakly convex rings, which no polytope has, keep collinear vertices
-        rings = [
-            [(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)],
-            [(0, 0), (F(3, 2), 0), (3, 0), (3, F(1, 3)), (3, 1), (F(3, 2), F(1, 2))],
-            [(0, 0), (2, 1), (4, 2), (3, 3), (F(3, 2), F(3, 2))],
-        ]
-        for vs in rings:
-            for u in [(1, 0), (0, 1), (2, 1), (F(1, 2), F(-3, 4)), (1, 3)]:
-                got = stn._exact_round(triples(vs), *stn._primitive(u))
-                assert got == triples(fraction_steiner_round(vs, u))
+    def test_input_rings_strictly_convex(self):
+        # `_exact_round` relies on this: the ring `_ring` hands it is
+        # strictly convex and CCW, whatever points on edges, repeated points
+        # or interior points built the polytope
+        rng = random.Random(223)
+        for _ in range(200):
+            corners = ccw(random_polygon(rng, span=9, k=rng.randint(3, 7)))
+            pts = list(corners)
+            for a, b in zip(corners, corners[1:] + corners[:1]):
+                for _ in range(rng.randint(0, 3)):  # points on the edge ab
+                    t = F(rng.randint(0, 12), 12)
+                    pts.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+            pts.append(tuple(sum(c) / len(corners) for c in zip(*corners)))  # interior
+            pts += rng.choices(pts, k=rng.randint(1, 4))  # repeated points
+            rng.shuffle(pts)
+            ring = stn._ring(g.convex_hull(pts))
+            assert strictly_convex(ring) and starts_lex_min(ring)
+            assert ring == triples(lex_first(corners))
 
     def test_bit_size_reads_reduced_coordinates(self, monkeypatch):
         # the cap test flips exactly at the reduced bit size: over at
