@@ -97,7 +97,7 @@ def _cmd_sumset(args):
 
 def _cmd_density(args):
     support = jsonio.support_from_json(jsonio._expect(args.data, "support"))
-    rep = semigroup.density_sequence(semigroup.slice_of_support(support, args.kmax))
+    rep = semigroup.density_sequence(support, args.kmax)
     rows = [
         {"k": r.k, "ratio": frac_to_str(r.ratio), "volume": frac_to_str(r.volume)}
         for r in rep.rows

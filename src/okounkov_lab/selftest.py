@@ -99,7 +99,7 @@ def _cases(seed: int):
 
     def density_snapshot():
         a = g.support_set(2, [(0, 0), (1, 0), (0, 1)])
-        rep = semigroup.density_sequence(semigroup.slice_of_support(a, 10))
+        rep = semigroup.density_sequence(a, 10)
         k = rep.rows[-1].k
         return rep.ample and rep.rows[-1].ratio == F((k + 1) * (k + 2), 2 * k**2)
 

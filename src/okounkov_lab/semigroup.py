@@ -1,9 +1,12 @@
 """Sumset powers, lattice-point completions, graded semigroup slices in
 N + Z^n, difference-lattice indices via Smith normal form, and the density
-sequence of a slice against its Newton body.
+sequence of the slice a support generates against its Newton body.
 
 A graded semigroup is represented by its finite sections S_1..S_kmax; its
-asymptotics are read off at finite scale.
+asymptotics are read off at finite scale.  The density sequence of a
+support A counts its levels kA on packed integers without building them,
+and takes the Newton body conv(A) and the difference lattice from A alone
+(:func:`density_sequence` proves both).
 """
 
 from __future__ import annotations
@@ -232,28 +235,46 @@ class DensityReport:
         return self.rows[-1].volume
 
 
-def density_sequence(s: GradedSemigroupSlice) -> DensityReport:
-    """Ratios #(S_k)/k^n against the Newton-body volume, non-ample flagged.
+def density_sequence(a: SupportSet, k_max: int) -> DensityReport:
+    """Ratios #(kA)/k^n for k = 1..k_max against the Newton-body volume of
+    the slice A generates, non-ample flagged.
 
-    The body at k is conv(S_1 / 1, ..., S_k / k), built incrementally and
-    exactly in integers: conv(S_k / k) = conv(S_k) / k, so level k is hulled
-    at scale k (`geometry._polytope`), and its integer face is joined with
-    the previous body's at their common scale.  In the plane, the hull of a
-    level chains only the lowest and highest point of each column
-    (`_hull.ring_2d`).  Ampleness takes one Smith normal form when level 1
-    already spans Z^n, and two otherwise (`difference_lattice_index`).
+    The levels S_k = kA are counted, not built as points.  A is shifted by
+    its coordinatewise minimum m into the nonnegative orthant, and each
+    point is packed into one integer in mixed radix r_i = k_max * span_i + 1.
+    A point of S_k - k m has coordinates in 0..k * span_i <= r_i - 1, so
+    adding codes never carries and the packing is injective on every level:
+    S_k's codes are {e + c} over S_{k-1}'s codes e and A's codes c, from
+    S_0 = {0}.
+
+    Both other columns are read off A alone:
+
+    - Volume.  The Newton body at k is conv(S_1 / 1, ..., S_k / k).  A point
+      (a_1 + ... + a_j) / j of S_j / j is a convex combination of points of
+      A, so S_j / j lies in conv(A) = conv(S_1), and the body is conv(A) at
+      every k.  A is hulled once.
+    - Index.  kA - kA and A - A generate the same lattice: a difference
+      (a_1 + ... + a_k) - (b_1 + ... + b_k) is the sum of the a_i - b_i, and
+      a - b = (a + (k - 1) a_0) - (b + (k - 1) a_0) for any a_0 in A.  So
+      every level's differences, and all levels' together, span the lattice
+      of A's, and the index is ``difference_lattice_index([a])``.
+
+    The budget is checked first (`_check_level_budget`), then A is hulled,
+    which rejects an ambient dimension above 4, and only then are the levels
+    counted.
     """
-    n = s.ambient_dim
-    index = difference_lattice_index(list(s.levels.values()))
-    rows = []
-    body = None
-    for k in range(1, s.k_max + 1):
-        level = geometry._polytope(k, s.levels[k].points, n)
-        if body is None:
-            body = level
-        else:
-            body = geometry._polytope(*geometry._union([body.face, level.face]), n)
-        rows.append(
-            DensityRow(k, Fraction(len(s.levels[k]), k**n), geometry.volume(body))
-        )
+    _check_level_budget(a, k_max, "k_max")
+    n = a.ambient_dim
+    volume = geometry.polytope_of_support(a).volume
+    index = difference_lattice_index([a])
+    codes = [0] * len(a)
+    weight = 1
+    for col in zip(*a.points):
+        low = min(col)
+        codes = [e + weight * (x - low) for e, x in zip(codes, col)]
+        weight *= k_max * (max(col) - low) + 1
+    level, rows = {0}, []
+    for k in range(1, k_max + 1):
+        level = {e + c for c in codes for e in level}
+        rows.append(DensityRow(k, Fraction(len(level), k**n), volume))
     return DensityReport(tuple(rows), index == 1, index)

@@ -4,8 +4,9 @@ These deliberately avoid the library's own algorithms: membership in a
 convex hull is decided by an exact phase-1 simplex over rationals, areas by
 the shoelace formula, sumsets by direct enumeration.  The references at the
 end instead compose the library's public operations the plain way (a
-subspace power by repeated products, a Newton body from every level), for
-the tests of the commands' fused kernels to compare against.
+subspace power by repeated products, a Newton body and a density sequence
+from every level), for the tests of the commands' fused kernels to compare
+against.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from itertools import combinations, combinations_with_replacement
 
 from okounkov_lab import algebra, geometry
 from okounkov_lab.jsonio import frac_to_str
+from okounkov_lab.semigroup import DensityReport, DensityRow, difference_lattice_index
 
 
 def in_convex_hull(point, generators) -> bool:
@@ -585,6 +587,33 @@ def newton_body(s):
     each level's integer face (j, S_j) joined at the common scale."""
     faces = [(j, level.points) for j, level in s.levels.items()]
     return geometry._polytope(*geometry._union(faces), s.ambient_dim)
+
+
+def density_of_slice(s):
+    """Ratios #(S_k)/k^n against the Newton-body volume, non-ample flagged.
+
+    The body at k is conv(S_1 / 1, ..., S_k / k), built incrementally and
+    exactly in integers: conv(S_k / k) = conv(S_k) / k, so level k is hulled
+    at scale k (`geometry._polytope`), and its integer face is joined with
+    the previous body's at their common scale.  In the plane, the hull of a
+    level chains only the lowest and highest point of each column
+    (`_hull.ring_2d`).  Ampleness takes one Smith normal form when level 1
+    already spans Z^n, and two otherwise (`difference_lattice_index`).
+    """
+    n = s.ambient_dim
+    index = difference_lattice_index(list(s.levels.values()))
+    rows = []
+    body = None
+    for k in range(1, s.k_max + 1):
+        level = geometry._polytope(k, s.levels[k].points, n)
+        if body is None:
+            body = level
+        else:
+            body = geometry._polytope(*geometry._union([body.face, level.face]), n)
+        rows.append(
+            DensityRow(k, Fraction(len(s.levels[k]), k**n), geometry.volume(body))
+        )
+    return DensityReport(tuple(rows), index == 1, index)
 
 
 def check_superadditive(s) -> bool:

@@ -181,18 +181,18 @@ def test_criterion_06_isoperimetric():
 
 def test_criterion_07_sumset_asymptotics():
     simplex = S(2, [(0, 0), (1, 0), (0, 1)])
-    rep = sg.density_sequence(sg.slice_of_support(simplex, 40))
+    rep = sg.density_sequence(simplex, 40)
     assert rep.ample
     assert rep.final_ratio == F(861, 1600)
     assert abs(rep.final_ratio - F(1, 2)) < F(4, 100)
     assert rep.final_volume == F(1, 2)
 
     a013 = S(1, [(0,), (1,), (3,)])
-    rep2 = sg.density_sequence(sg.slice_of_support(a013, 50))
+    rep2 = sg.density_sequence(a013, 50)
     assert rep2.ample and abs(rep2.final_ratio - 3) < F(1, 10)
 
     a02 = S(1, [(0,), (2,)])
-    rep3 = sg.density_sequence(sg.slice_of_support(a02, 50))
+    rep3 = sg.density_sequence(a02, 50)
     assert not rep3.ample and rep3.index == 2
     assert rep3.final_volume == 2
     assert abs(rep3.final_ratio - 1) < F(3, 100)  # ratio tends to Vol / index

@@ -189,6 +189,33 @@ class TestCommands:
         lines = text.strip().splitlines()
         assert rc == 0 and lines[0] == "k,ratio,volume" and len(lines) == 7
 
+    @pytest.mark.parametrize("kmax", [40, 124])
+    def test_density_hulls_once_and_builds_no_level(self, tmp_path, monkeypatch, kmax):
+        """A cost guard without timing: `density` on the triangle hulls its
+        support once and builds no level as points, at `--kmax` 40 and at the
+        budget edge 124."""
+        from okounkov_lab import _hull
+
+        calls = {"hull_of_lifted": 0, "slice_of_support": 0, "sumset": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(_hull, "hull_of_lifted")
+        counting(sg, "slice_of_support")
+        counting(sg, "sumset")
+        inp = write(tmp_path, "in.json", {"support": {"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]}})
+        rc, rep = run(["density", inp, "--kmax", str(kmax)], tmp_path / "out.json")
+        ratio = Fraction(math.comb(kmax + 2, 2), kmax**2)
+        assert rc == 0 and rep["rows"][-1]["ratio"] == f"{ratio.numerator}/{ratio.denominator}"
+        assert calls == {"hull_of_lifted": 1, "slice_of_support": 0, "sumset": 0}
+
     def test_unknown_input_is_exit_2(self, tmp_path):
         rc = main(["mixedvol", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")])
         assert rc == 2

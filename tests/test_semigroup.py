@@ -12,6 +12,7 @@ from oracles import (
     brute_sumset,
     brute_sumset_power,
     check_superadditive,
+    density_of_slice,
     newton_body,
     sympy_lattice_index,
 )
@@ -216,9 +217,11 @@ class TestNewtonBody:
     def test_ambient_dimension_above_four_is_a_value_error(self):
         unit = S(5, [(0,) * 5] + [tuple(int(i == k) for i in range(5)) for k in range(5)])
         s = sg.slice_of_support(unit, 2)
-        for build in (newton_body, sg.density_sequence):
+        for build in (newton_body, density_of_slice):
             with pytest.raises(ValueError, match="ambient dimension"):
                 build(s)
+        with pytest.raises(ValueError, match="ambient dimension"):
+            sg.density_sequence(unit, 2)
 
     def test_monotone_in_kmax(self):
         rng = random.Random(53)
@@ -234,20 +237,20 @@ class TestNewtonBody:
 
 class TestDensity:
     def test_simplex_closed_form(self):
-        rep = sg.density_sequence(sg.slice_of_support(SIMPLEX_PTS, 12))
+        rep = sg.density_sequence(SIMPLEX_PTS, 12)
         for row in rep.rows:
             k = row.k
             assert row.ratio == F((k + 1) * (k + 2), 2 * k**2)
         assert rep.ample and rep.final_volume == F(1, 2)
 
     def test_non_ample_flagged(self):
-        rep = sg.density_sequence(sg.slice_of_support(A02, 12))
+        rep = sg.density_sequence(A02, 12)
         assert not rep.ample and rep.index == 2
         assert rep.final_ratio == F(13, 12)
         assert rep.final_volume == 2
 
     def test_one_dim_converges(self):
-        rep = sg.density_sequence(sg.slice_of_support(A013, 25))
+        rep = sg.density_sequence(A013, 25)
         assert rep.ample
         assert abs(rep.final_ratio - 3) < F(2, 10)
 
@@ -261,12 +264,13 @@ def random_levels(rng, dim, kmax, size, reach):
 
 
 class TestDensityOracle:
-    """`density_sequence` against a brute `Fraction` hull of the union of S_j / j."""
+    """The reference `density_of_slice` against a brute `Fraction` hull of
+    the union of S_j / j, on levels that need not be sumset powers."""
 
     @staticmethod
     def check(levels):
         dim = next(iter(levels.values())).ambient_dim
-        rep = sg.density_sequence(sg.GradedSemigroupSlice(dim, levels))
+        rep = density_of_slice(sg.GradedSemigroupSlice(dim, levels))
         scaled = []
         for row in rep.rows:
             k = row.k
@@ -299,6 +303,51 @@ class TestDensityOracle:
         assert rep.final_volume == 0 and rep.index == sg.INFINITE
         rep = self.check({k: S(3, [(k, 0, -k), (0, 0, 0), (2 * k, 0, -2 * k)][: 1 + k % 3]) for k in range(1, 6)})
         assert rep.final_volume == 0
+
+
+def seeded_supports(rng):
+    """(support, kmax) pairs in 1-4D: one-point, collinear, dilated (so
+    non-ample) and general supports, with negative coordinates."""
+    for dim, kmax in ((1, 12), (2, 8), (3, 5), (4, 4)):
+        for case in range(50):
+            base = tuple(rng.randint(-4, 4) for _ in range(dim))
+            if case % 4 == 0:
+                pts = [base]
+            elif case % 4 == 1:
+                step = tuple(rng.randint(-2, 2) for _ in range(dim))
+                pts = [tuple(b + t * c for b, c in zip(base, step)) for t in rng.sample(range(-3, 4), 3)]
+            else:
+                factor = 1 + case % 4 // 3  # every fourth support is dilated by 2
+                size = rng.randint(2, 2 * dim + 4)
+                pts = [tuple(b + factor * rng.randint(-2, 2) for b in base) for _ in range(size)]
+            yield S(dim, pts), rng.randint(1, kmax)
+
+
+class TestDensityCounting:
+    """`density_sequence` counts kA on packed integers and reads the body and
+    the index off A; the reference `density_of_slice` hulls every level."""
+
+    def test_matches_reference_on_seeded_supports(self):
+        kinds = {"ample": 0, "non-ample": 0, "one-point": 0, "collinear": 0, "negative": 0}
+        for a, kmax in seeded_supports(random.Random(2828)):
+            rep = sg.density_sequence(a, kmax)
+            assert rep == density_of_slice(sg.slice_of_support(a, kmax))
+            kinds["ample" if rep.ample else "non-ample"] += 1
+            kinds["one-point"] += len(a) == 1
+            kinds["collinear"] += len(a) > 1 and g.polytope_of_support(a).affine_dim == 1
+            kinds["negative"] += any(c < 0 for p in a.points for c in p)
+        assert all(count >= 20 for count in kinds.values()), kinds
+
+    @pytest.mark.parametrize("n,k_max", [(2, 124), (3, 48), (4, 27)])
+    def test_simplex_closed_form_at_the_budget_edge(self, n, k_max):
+        """#(k Delta_n) = C(k + n, n) at every level up to the largest kmax
+        the pair-sum budget admits."""
+        simplex = S(n, [(0,) * n] + [tuple(int(i == j) for i in range(n)) for j in range(n)])
+        with pytest.raises(ValueError, match="pair sums"):
+            sg.density_sequence(simplex, k_max + 1)
+        rep = sg.density_sequence(simplex, k_max)
+        assert [r.ratio for r in rep.rows] == [F(math.comb(k + n, n), k**n) for k in range(1, k_max + 1)]
+        assert rep.ample and rep.final_volume == F(1, math.factorial(n))
 
 
 class TestLatticeIndexOracle:
