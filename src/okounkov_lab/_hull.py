@@ -5,9 +5,10 @@ denominator once, so all predicates below are exact integer arithmetic.  The
 engine returns plain Python integers: the deduplicated supporting facet
 planes (used for membership tests), the extreme points, and d! times the
 volume.
-:func:`echelon`, fraction-free integer row reduction, is the one exact
-elimination routine: it picks the initial simplex and gives ``geometry`` the
-affine hull of a lower-dimensional body.
+:func:`echelon`, fraction-free integer row reduction, is the exact
+elimination routine for point rows: it picks the initial simplex and gives
+``geometry`` and ``mixedvol`` the affine hull of a lower-dimensional body.
+The rows of Laurent polynomials go through ``algebra``'s packed kernel.
 
 Dimension dispatch:
 

@@ -6,19 +6,21 @@ a subspace together with its Newton body.
 The valuation of a nonzero Laurent polynomial is the order-minimal exponent
 of its support; the valuation image of a subspace is the set of pivot
 exponents of an echelonized basis, whose cardinality always equals the
-dimension.  One fraction-free elimination kernel serves every echelon form:
-it works on integer rows packed into single Python ints (Kronecker
-substitution), steps a row by two scalar multiplies and one subtraction,
-and divides out a row's content only when it installs a stepped row or a
-coefficient bound would outgrow the slot width; 32- and 64-bit slots are
-packed and unpacked through an ``array`` in one C-level pass.  Powers of a
-subspace are built level by level, each from the rows that gave the
-previous level its pivots, so they never pass through Fraction
-coefficients; a product is formed only from the prefix of its sorted
-basis-index tuple, and only if that prefix installed a pivot.  Their level
-box and k_max are budgeted before any level is built.  A Newton body hulls
-only the two ends of each level's leads along every line parallel to the
-last axis.
+dimension.  One fraction-free elimination kernel serves every echelon form
+of Laurent rows (the affine hulls of point sets are reduced by
+``_hull.echelon`` instead): it works on integer rows packed into single
+Python ints (Kronecker substitution), steps a row by two scalar multiplies
+and one subtraction, and divides out a row's content only when it installs
+a stepped row or a coefficient bound would outgrow the slot width; 32- and
+64-bit slots are packed and unpacked through an ``array`` in one C-level
+pass.  Powers of a subspace are built level by level, each from the rows
+that gave the previous level its pivots, so they never pass through
+Fraction coefficients; a product is formed only from the prefix of its
+sorted basis-index tuple, and only if that prefix installed a pivot.  Their
+slots are those of the basis exponents' ``semigroup.LevelBox``, so the
+lowest slot of a packed row is its valuation; the box and k_max are
+budgeted before any level is built.  A Newton body hulls only the two ends
+of each level's leads along every line parallel to the last axis.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 
 from . import geometry
 from .geometry import LatticePolytope, SupportSet, support_set
-from .semigroup import GradedSemigroupSlice
+from .semigroup import GradedSemigroupSlice, LevelBox, level_box
 
 Exponent = tuple[int, ...]
 
@@ -386,50 +388,7 @@ MAX_KMAX = 64
 MAX_LEVEL_CELLS = 4096 * 4096
 
 
-@dataclass(frozen=True)
-class _LevelBox:
-    """Order-respecting slot index on the exponents of L^1..L^k_max.
-
-    Exponents are shifted by the basis' coordinatewise minimum ``low`` and
-    divided by ``stride``, the gcd of each shifted coordinate over the
-    basis, so a level-k exponent e maps to (e - k*low) / stride in the box
-    [0, k_max * span].  Lex reads that point in mixed radix
-    k_max * span_i + 1; graded lex puts the grade (``grading`` times the
-    stride) above the mixed radix of the first n - 1 coordinates, which
-    with the grade fix the last one.  Both indices are additive on the box
-    and, within a level, increase with the order, so the lowest slot of a
-    packed row is its valuation.
-    """
-
-    low: Exponent
-    stride: Exponent
-    radices: tuple[int, ...]
-    grading: tuple[int, ...] | None
-    slots: int
-
-    def slot(self, exponent: Exponent) -> int:
-        point = [(x - lo) // d for x, lo, d in zip(exponent, self.low, self.stride)]
-        s = 0
-        if self.grading is not None:
-            s = sum(w * x for w, x in zip(self.grading, point))
-            point = point[:-1]
-        for x, radix in zip(point, self.radices):
-            s = s * radix + x
-        return s
-
-    def exponent(self, slot: int, k: int) -> Exponent:
-        digits = []
-        for radix in reversed(self.radices):
-            slot, x = divmod(slot, radix)
-            digits.append(x)
-        digits.reverse()
-        if self.grading is not None:
-            rest = slot - sum(w * x for w, x in zip(self.grading, digits))
-            digits.append(rest // self.grading[-1])
-        return tuple(k * lo + d * x for x, lo, d in zip(digits, self.low, self.stride))
-
-
-def _level_box(l: LaurentSubspace, order: MonomialOrder, k_max: int) -> _LevelBox:
+def _level_box(l: LaurentSubspace, order: MonomialOrder, k_max: int) -> LevelBox:
     """The slot index of L's power levels, within both budgets.
 
     The cell budget charges the box's slots times a bound on the rank of
@@ -438,30 +397,14 @@ def _level_box(l: LaurentSubspace, order: MonomialOrder, k_max: int) -> _LevelBo
     """
     if not 1 <= k_max <= MAX_KMAX:
         raise ValueError(f"k_max must be in 1..{MAX_KMAX}")
-    exps = [e for f in l.basis for e, _ in f.terms]
-    low = tuple(map(min, zip(*exps)))
-    shifted = [[x - lo for x, lo in zip(e, low)] for e in exps]
-    stride = tuple(math.gcd(*col) or 1 for col in zip(*shifted))
-    points = [[x // d for x, d in zip(e, stride)] for e in shifted]
-    spans = list(map(max, zip(*points)))
-    if order.kind == "lex":
-        grading, grades = None, 1
-        radices = tuple(k_max * s + 1 for s in spans)
-    else:
-        if len(order.grading) != len(low):
-            raise ValueError("grading length does not match the exponent")
-        grading = tuple(w * d for w, d in zip(order.grading, stride))
-        radices = tuple(k_max * s + 1 for s in spans[:-1])
-        top = max(sum(w * x for w, x in zip(grading, e)) for e in points)
-        grades = k_max * top + 1
-    slots = math.prod(radices, start=grades)
-    rank = min(slots, math.comb(l.dim + k_max - 1, k_max))
-    if slots * rank > MAX_LEVEL_CELLS:
+    box = level_box([e for f in l.basis for e, _ in f.terms], k_max, order.grading)
+    rank = min(box.slots, math.comb(l.dim + k_max - 1, k_max))
+    if box.slots * rank > MAX_LEVEL_CELLS:
         raise ValueError(
-            f"power levels would need {slots} slots x {rank} rows = "
-            f"{slots * rank} cells; the limit is {MAX_LEVEL_CELLS}"
+            f"power levels would need {box.slots} slots x {rank} rows = "
+            f"{box.slots * rank} cells; the limit is {MAX_LEVEL_CELLS}"
         )
-    return _LevelBox(low, stride, radices, grading, slots)
+    return box
 
 
 def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):

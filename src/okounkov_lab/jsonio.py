@@ -12,7 +12,7 @@ import json
 import re
 from fractions import Fraction
 
-from . import algebra, bkk, geometry
+from . import algebra, geometry
 
 
 class SchemaError(ValueError):

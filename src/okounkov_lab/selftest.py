@@ -85,16 +85,11 @@ def _cases(seed: int):
         return semigroup.completion(a).points == frozenset({(0,), (1,), (2,)})
 
     def lattice_index_examples():
+        index = semigroup.difference_lattice_index
         return (
-            semigroup.difference_lattice_index(
-                [g.support_set(2, [(0, 0), (1, 0), (0, 1)])]
-            )
-            == 1
-            and semigroup.difference_lattice_index([g.support_set(1, [(0,), (2,)])]) == 2
-            and semigroup.difference_lattice_index(
-                [g.support_set(2, [(0, 0), (2, 0), (0, 3)])]
-            )
-            == 6
+            index(g.support_set(2, [(0, 0), (1, 0), (0, 1)])) == 1
+            and index(g.support_set(1, [(0,), (2,)])) == 2
+            and index(g.support_set(2, [(0, 0), (2, 0), (0, 3)])) == 6
         )
 
     def density_snapshot():

@@ -3,9 +3,14 @@ N + Z^n, difference-lattice indices via Smith normal form, and the density
 sequence of the slice a support generates against its Newton body.
 
 A graded semigroup is represented by its finite sections S_1..S_kmax; its
-asymptotics are read off at finite scale.  The density sequence of a
-support A counts its levels kA on packed integers without building them,
-and takes the Newton body conv(A) and the difference lattice from A alone
+asymptotics are read off at finite scale.  Its levels are packed once, in
+:class:`LevelBox`: each point of a level is one integer slot, and the slots
+of the level generated by a set are the sums of the previous level's slots
+with the set's.  :func:`sumset_power`, :func:`slice_of_support` and
+:func:`density_sequence` build A's levels kA that way (`_levels`), and
+``algebra`` indexes the rows of a subspace's power levels by the same box.
+The density sequence counts the levels without decoding them, and takes
+the Newton body conv(A) and the difference lattice from A alone
 (:func:`density_sequence` proves both).
 """
 
@@ -48,18 +53,83 @@ class GradedSemigroupSlice:
         return max(self.levels)
 
 
-def sumset(a: SupportSet, b: SupportSet) -> SupportSet:
-    """A + B: the coordinate columns of the larger set, shifted by each point
-    of the smaller one, zipped back into points."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("sumset needs equal dimensions")
-    if len(a) < len(b):
-        a, b = b, a
-    cols = list(zip(*a.points))
-    pts: set = set()
-    for q in b.points:
-        pts.update(zip(*[[x + c for x in col] for col, c in zip(cols, q)]))
-    return SupportSet(a.ambient_dim, frozenset(pts))
+@dataclass(frozen=True)
+class LevelBox:
+    """Order-respecting slot index on the levels S_1..S_k_max of a graded
+    semigroup generated by a finite set of points.
+
+    Points are shifted by the generators' coordinatewise minimum ``low``
+    and divided by ``stride``, the gcd of each shifted coordinate over the
+    generators, so a level-k point e maps to (e - k*low) / stride in the box
+    [0, k_max * span].  Lex reads that point in mixed radix
+    k_max * span_i + 1, the first coordinate most significant; graded lex
+    puts the grade (``grading`` times the stride) above the mixed radix of
+    the first n - 1 coordinates, which with the grade fix the last one.  A
+    point of level k <= k_max has coordinates in 0..k * span_i <= radix - 1,
+    so adding slots never carries: both indices are additive on the box, a
+    level's slots are the sums of the previous level's with the
+    generators', and, within a level, they increase with the order.
+    """
+
+    low: tuple[int, ...]
+    stride: tuple[int, ...]
+    radices: tuple[int, ...]
+    grading: tuple[int, ...] | None
+    slots: int
+
+    def slot(self, point: tuple[int, ...]) -> int:
+        """The slot of a level-1 point."""
+        point = [(x - lo) // d for x, lo, d in zip(point, self.low, self.stride)]
+        s = 0
+        if self.grading is not None:
+            s = sum(w * x for w, x in zip(self.grading, point))
+            point = point[:-1]
+        for x, radix in zip(point, self.radices):
+            s = s * radix + x
+        return s
+
+    def exponent(self, slot: int, k: int) -> tuple[int, ...]:
+        """The level-k point in a slot."""
+        digits = []
+        for radix in reversed(self.radices):
+            slot, x = divmod(slot, radix)
+            digits.append(x)
+        digits.reverse()
+        if self.grading is not None:
+            rest = slot - sum(w * x for w, x in zip(self.grading, digits))
+            digits.append(rest // self.grading[-1])
+        return tuple(k * lo + d * x for x, lo, d in zip(digits, self.low, self.stride))
+
+
+def level_box(points, k_max: int, grading: tuple[int, ...] | None = None) -> LevelBox:
+    """The slot index of the levels 1..k_max that ``points`` generate: lex
+    without a grading, graded lex with one."""
+    low = tuple(map(min, zip(*points)))
+    shifted = [[x - lo for x, lo in zip(p, low)] for p in points]
+    stride = tuple(math.gcd(*col) or 1 for col in zip(*shifted))
+    box = [[x // d for x, d in zip(p, stride)] for p in shifted]
+    spans = list(map(max, zip(*box)))
+    if grading is None:
+        grades = 1
+        radices = tuple(k_max * s + 1 for s in spans)
+    else:
+        if len(grading) != len(low):
+            raise ValueError("grading length does not match the exponent")
+        grading = tuple(w * d for w, d in zip(grading, stride))
+        radices = tuple(k_max * s + 1 for s in spans[:-1])
+        top = max(sum(w * x for w, x in zip(grading, p)) for p in box)
+        grades = k_max * top + 1
+    return LevelBox(low, stride, radices, grading, math.prod(radices, start=grades))
+
+
+def _levels(box: LevelBox, a: SupportSet, k_max: int):
+    """The slot sets of S_1..S_k_max = A, 2A, ..., one at a time: S_k is
+    every sum of a slot of S_{k-1} with one of A's, from S_0 = {0}."""
+    slots = [box.slot(p) for p in a.points]
+    level = {0}
+    for _ in range(k_max):
+        level = {e + c for c in slots for e in level}
+        yield level
 
 
 def _check_level_budget(a: SupportSet, k: int, name: str) -> None:
@@ -85,12 +155,12 @@ def _check_level_budget(a: SupportSet, k: int, name: str) -> None:
 
 
 def sumset_power(a: SupportSet, k: int) -> SupportSet:
-    """k-fold sumset by iterated pairwise sums with deduplication."""
+    """k-fold sumset: the last of A's levels, decoded from its slots."""
     _check_level_budget(a, k, "k")
-    out = a
-    for _ in range(k - 1):
-        out = sumset(out, a)
-    return out
+    box = level_box(a.points, k)
+    for level in _levels(box, a, k):
+        pass
+    return SupportSet(a.ambient_dim, frozenset(box.exponent(s, k) for s in level))
 
 
 def completion(a: SupportSet) -> SupportSet:
@@ -164,53 +234,32 @@ def smith_normal_form(rows: list[list[int]]) -> list[int]:
     return divisors
 
 
-def _difference_rows(s: SupportSet) -> set[tuple[int, ...]]:
-    base = min(s.points)
-    return {tuple(x - y for x, y in zip(p, base)) for p in s.points}
-
-
-def _row_lattice_index(rows: set[tuple[int, ...]], n: int):
-    """Index in Z^n of the lattice the rows span, or INFINITE."""
-    # zero and repeated rows span nothing new, so the index is the same
-    rows.discard((0,) * n)
-    if not rows:
-        return INFINITE
-    nonzero = [d for d in smith_normal_form(sorted(rows)) if d != 0]
-    if len(nonzero) < n:
-        return INFINITE
-    return math.prod(nonzero)
-
-
-def difference_lattice_index(sets: list[SupportSet]):
-    """Index in Z^n of the lattice generated by within-set differences.
+def difference_lattice_index(a: SupportSet):
+    """Index in Z^n of the lattice generated by the differences of A's points.
 
     Returns the integer index when the differences span a finite-index
-    subgroup, else :data:`INFINITE`.  Index 1 means ample at these levels.
-    The first set's differences are reduced alone first: when they already
-    span Z^n, no further row can change the lattice.  Otherwise one Smith
-    normal form runs over the rows of all sets, so there are at most two.
+    subgroup, else :data:`INFINITE`.  Index 1 means ample.  The differences
+    from A's least point span that lattice, and one Smith normal form
+    reduces them.
     """
-    if not sets:
-        raise ValueError("need at least one support set")
-    n = sets[0].ambient_dim
-    for s in sets:
-        if s.ambient_dim != n:
-            raise ValueError("support sets of mixed dimensions")
-        if not s.points:
-            raise ValueError("support sets must be nonempty")
-    first = _row_lattice_index(_difference_rows(sets[0]), n)
-    if first == 1 or len(sets) == 1:
-        return first
-    return _row_lattice_index(set().union(*map(_difference_rows, sets)), n)
+    if not a.points:
+        raise ValueError("support sets must be nonempty")
+    base = min(a.points)
+    rows = sorted(tuple(x - y for x, y in zip(p, base)) for p in a.points if p != base)
+    nonzero = [d for d in smith_normal_form(rows) if d != 0]
+    if len(nonzero) < a.ambient_dim:
+        return INFINITE
+    return math.prod(nonzero)
 
 
 def slice_of_support(a: SupportSet, k_max: int) -> GradedSemigroupSlice:
     """The slice generated by a support set: level k is the k-fold sumset."""
     _check_level_budget(a, k_max, "k_max")
-    levels = {1: a}
-    for k in range(2, k_max + 1):
-        levels[k] = sumset(levels[k - 1], a)
-    return GradedSemigroupSlice(a.ambient_dim, levels)
+    box = level_box(a.points, k_max)
+    return GradedSemigroupSlice(a.ambient_dim, {
+        k: SupportSet(a.ambient_dim, frozenset(box.exponent(s, k) for s in level))
+        for k, level in enumerate(_levels(box, a, k_max), 1)
+    })
 
 
 @dataclass(frozen=True)
@@ -239,13 +288,8 @@ def density_sequence(a: SupportSet, k_max: int) -> DensityReport:
     """Ratios #(kA)/k^n for k = 1..k_max against the Newton-body volume of
     the slice A generates, non-ample flagged.
 
-    The levels S_k = kA are counted, not built as points.  A is shifted by
-    its coordinatewise minimum m into the nonnegative orthant, and each
-    point is packed into one integer in mixed radix r_i = k_max * span_i + 1.
-    A point of S_k - k m has coordinates in 0..k * span_i <= r_i - 1, so
-    adding codes never carries and the packing is injective on every level:
-    S_k's codes are {e + c} over S_{k-1}'s codes e and A's codes c, from
-    S_0 = {0}.
+    The levels S_k = kA are counted, not built as points: each is a set of
+    integer slots of A's :class:`LevelBox` (`_levels`).
 
     Both other columns are read off A alone:
 
@@ -257,7 +301,7 @@ def density_sequence(a: SupportSet, k_max: int) -> DensityReport:
       (a_1 + ... + a_k) - (b_1 + ... + b_k) is the sum of the a_i - b_i, and
       a - b = (a + (k - 1) a_0) - (b + (k - 1) a_0) for any a_0 in A.  So
       every level's differences, and all levels' together, span the lattice
-      of A's, and the index is ``difference_lattice_index([a])``.
+      of A's, and the index is ``difference_lattice_index(a)``.
 
     The budget is checked first (`_check_level_budget`), then A is hulled,
     which rejects an ambient dimension above 4, and only then are the levels
@@ -266,15 +310,10 @@ def density_sequence(a: SupportSet, k_max: int) -> DensityReport:
     _check_level_budget(a, k_max, "k_max")
     n = a.ambient_dim
     volume = geometry.polytope_of_support(a).volume
-    index = difference_lattice_index([a])
-    codes = [0] * len(a)
-    weight = 1
-    for col in zip(*a.points):
-        low = min(col)
-        codes = [e + weight * (x - low) for e, x in zip(codes, col)]
-        weight *= k_max * (max(col) - low) + 1
-    level, rows = {0}, []
-    for k in range(1, k_max + 1):
-        level = {e + c for c in codes for e in level}
-        rows.append(DensityRow(k, Fraction(len(level), k**n), volume))
-    return DensityReport(tuple(rows), index == 1, index)
+    index = difference_lattice_index(a)
+    levels = _levels(level_box(a.points, k_max), a, k_max)
+    rows = tuple(
+        DensityRow(k, Fraction(len(level), k**n), volume)
+        for k, level in enumerate(levels, 1)
+    )
+    return DensityReport(rows, index == 1, index)

@@ -11,13 +11,14 @@ against.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from okounkov_lab import algebra, geometry
+from okounkov_lab import algebra, geometry, semigroup
 from okounkov_lab.jsonio import frac_to_str
-from okounkov_lab.semigroup import DensityReport, DensityRow, difference_lattice_index
+from okounkov_lab.semigroup import INFINITE, DensityReport, DensityRow
 
 
 def in_convex_hull(point, generators) -> bool:
@@ -582,6 +583,48 @@ def valuation_image(l, order=algebra.LEX):
     return image
 
 
+def _difference_rows(s) -> set[tuple[int, ...]]:
+    base = min(s.points)
+    return {tuple(x - y for x, y in zip(p, base)) for p in s.points}
+
+
+def _row_lattice_index(rows: set[tuple[int, ...]], n: int):
+    """Index in Z^n of the lattice the rows span, or INFINITE."""
+    # zero and repeated rows span nothing new, so the index is the same
+    rows.discard((0,) * n)
+    if not rows:
+        return INFINITE
+    nonzero = [d for d in semigroup.smith_normal_form(sorted(rows)) if d != 0]
+    if len(nonzero) < n:
+        return INFINITE
+    return math.prod(nonzero)
+
+
+def joint_lattice_index(sets):
+    """Index in Z^n of the lattice generated by within-set differences.
+
+    Returns the integer index when the differences span a finite-index
+    subgroup, else :data:`INFINITE`.  Index 1 means ample at these levels.
+    The first set's differences are reduced alone first: when they already
+    span Z^n, no further row can change the lattice.  Otherwise one Smith
+    normal form runs over the rows of all sets, so there are at most two.
+    The reference for the levels of any slice; the library's
+    `difference_lattice_index` takes a single support.
+    """
+    if not sets:
+        raise ValueError("need at least one support set")
+    n = sets[0].ambient_dim
+    for s in sets:
+        if s.ambient_dim != n:
+            raise ValueError("support sets of mixed dimensions")
+        if not s.points:
+            raise ValueError("support sets must be nonempty")
+    first = _row_lattice_index(_difference_rows(sets[0]), n)
+    if first == 1 or len(sets) == 1:
+        return first
+    return _row_lattice_index(set().union(*map(_difference_rows, sets)), n)
+
+
 def newton_body(s):
     """Inner approximation of a slice's Newton body: the hull of all S_j / j,
     each level's integer face (j, S_j) joined at the common scale."""
@@ -598,10 +641,10 @@ def density_of_slice(s):
     the previous body's at their common scale.  In the plane, the hull of a
     level chains only the lowest and highest point of each column
     (`_hull.ring_2d`).  Ampleness takes one Smith normal form when level 1
-    already spans Z^n, and two otherwise (`difference_lattice_index`).
+    already spans Z^n, and two otherwise (`joint_lattice_index`).
     """
     n = s.ambient_dim
-    index = difference_lattice_index(list(s.levels.values()))
+    index = joint_lattice_index(list(s.levels.values()))
     rows = []
     body = None
     for k in range(1, s.k_max + 1):

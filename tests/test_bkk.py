@@ -8,7 +8,7 @@ from okounkov_lab import algebra as alg
 from okounkov_lab import bkk
 from okounkov_lab import geometry as g
 from okounkov_lab import semigroup as sg
-from oracles import sylvester_determinant, sympy_torus_root_count
+from oracles import joint_lattice_index, sylvester_determinant, sympy_torus_root_count
 
 S = g.support_set
 L = alg.laurent
@@ -398,7 +398,7 @@ class TestCertificate:
             a = S(2, {(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))})
             b = S(2, {(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))})
             index, _, _ = bkk._lattice_coordinates([a.sorted_points(), b.sorted_points()], 0)
-            expected = sg.difference_lattice_index([a, b])
+            expected = joint_lattice_index([a, b])
             assert index == (1 if expected == sg.INFINITE else expected)
 
     @pytest.mark.parametrize(

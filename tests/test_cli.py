@@ -192,11 +192,11 @@ class TestCommands:
     @pytest.mark.parametrize("kmax", [40, 124])
     def test_density_hulls_once_and_builds_no_level(self, tmp_path, monkeypatch, kmax):
         """A cost guard without timing: `density` on the triangle hulls its
-        support once and builds no level as points, at `--kmax` 40 and at the
-        budget edge 124."""
+        support once, runs one Smith normal form and builds no level as
+        points, at `--kmax` 40 and at the budget edge 124."""
         from okounkov_lab import _hull
 
-        calls = {"hull_of_lifted": 0, "slice_of_support": 0, "sumset": 0}
+        calls = {"hull_of_lifted": 0, "smith_normal_form": 0, "slice_of_support": 0, "sumset_power": 0}
 
         def counting(module, name):
             real = getattr(module, name)
@@ -208,13 +208,14 @@ class TestCommands:
             monkeypatch.setattr(module, name, wrapper)
 
         counting(_hull, "hull_of_lifted")
+        counting(sg, "smith_normal_form")
         counting(sg, "slice_of_support")
-        counting(sg, "sumset")
+        counting(sg, "sumset_power")
         inp = write(tmp_path, "in.json", {"support": {"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]}})
         rc, rep = run(["density", inp, "--kmax", str(kmax)], tmp_path / "out.json")
         ratio = Fraction(math.comb(kmax + 2, 2), kmax**2)
         assert rc == 0 and rep["rows"][-1]["ratio"] == f"{ratio.numerator}/{ratio.denominator}"
-        assert calls == {"hull_of_lifted": 1, "slice_of_support": 0, "sumset": 0}
+        assert calls == {"hull_of_lifted": 1, "smith_normal_form": 1, "slice_of_support": 0, "sumset_power": 0}
 
     def test_unknown_input_is_exit_2(self, tmp_path):
         rc = main(["mixedvol", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")])
@@ -912,17 +913,20 @@ class TestExitContract:
     def test_planar_commands_load_no_numpy(self, tmp_path):
         """In a fresh interpreter the planar commands leave numpy unloaded:
         `steiner` (12 rounds on the criterion-10 quad at seed 3, so float
-        rounds run), `profile`, `density`, `bm-check` and `mixedvol`."""
+        rounds run), `profile`, `sumset`, `density`, `bm-check` and
+        `mixedvol`."""
         quad = {"dim": 2, "vertices": [["0", "0"], ["4", "1"], ["5", "4"], ["1", "3"]]}
         triangle = {"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]}
         steiner = write(tmp_path, "steiner.json", {"polygon": quad, "rounds": 12})
         profile = write(tmp_path, "profile.json", {"body1": SQ, "body2": SI, "samples": 10})
+        sumset = write(tmp_path, "sumset.json", {"support": triangle, "k": 8})
         density = write(tmp_path, "density.json", {"support": triangle})
         bm = write(tmp_path, "bm.json", {"m": 2, "body1": SQ, "body2": SI, "fixed": []})
         mv = write(tmp_path, "mv.json", {"bodies": [SQ, SI]})
         commands = [
             ["steiner", steiner, "--seed", "3"],
             ["profile", profile],
+            ["sumset", sumset],
             ["density", density, "--kmax", "8"],
             ["bm-check", bm],
             ["mixedvol", mv],

@@ -13,9 +13,11 @@ from oracles import (
     brute_sumset_power,
     check_superadditive,
     density_of_slice,
+    joint_lattice_index,
     newton_body,
     sympy_lattice_index,
 )
+from okounkov_lab import algebra as alg
 from okounkov_lab import geometry as g
 from okounkov_lab import semigroup as sg
 
@@ -83,11 +85,10 @@ class TestSumsetPower:
             for _ in range(30):
                 a = random_support(rng, dim, span=rng.randint(0, 5), size=rng.randint(1, 12))
                 b = random_support(rng, dim, span=rng.randint(0, 5), size=rng.randint(1, 40))
-                want = brute_sumset(a.points, b.points)
-                assert set(sg.sumset(a, b).points) == want
-                assert set(sg.sumset(b, a).points) == want
-        empty = S(2, [])
-        assert sg.sumset(empty, SIMPLEX_PTS).points == sg.sumset(SIMPLEX_PTS, empty).points == frozenset()
+                for x in (a, b):
+                    twice = brute_sumset(x.points, x.points)
+                    assert set(sg.sumset_power(x, 2).points) == twice
+                    assert set(sg.sumset_power(x, 3).points) == brute_sumset(twice, x.points)
 
 
 class TestCompletion:
@@ -108,14 +109,14 @@ class TestCompletion:
         rng = random.Random(6)
         for _ in range(20):
             a, b = random_support(rng, 2, 3, 3), random_support(rng, 2, 3, 3)
-            lhs = sg.completion(sg.sumset(a, b))
-            rhs = sg.completion(sg.sumset(sg.completion(a), sg.completion(b)))
+            lhs = sg.completion(S(2, brute_sumset(a.points, b.points)))
+            rhs = sg.completion(S(2, brute_sumset(sg.completion(a).points, sg.completion(b).points)))
             assert lhs.points == rhs.points
 
 
 def completed_sum(a, c):
     """compl(compl(A) + compl(C)): the cancelation law's left-hand side."""
-    return sg.completion(sg.sumset(sg.completion(a), sg.completion(c))).points
+    return sg.completion(S(a.ambient_dim, brute_sumset(sg.completion(a).points, sg.completion(c).points))).points
 
 
 class TestCancelation:
@@ -148,28 +149,29 @@ class TestCancelation:
 
 class TestDifferenceLatticeIndex:
     def test_standard_basis(self):
-        assert sg.difference_lattice_index([SIMPLEX_PTS]) == 1
+        assert sg.difference_lattice_index(SIMPLEX_PTS) == 1
 
     def test_even_segment(self):
-        assert sg.difference_lattice_index([A02]) == 2
+        assert sg.difference_lattice_index(A02) == 2
 
     def test_snf_example(self):
-        assert sg.difference_lattice_index([S(2, [(0, 0), (2, 0), (0, 3)])]) == 6
+        assert sg.difference_lattice_index(S(2, [(0, 0), (2, 0), (0, 3)])) == 6
 
     def test_rank_deficient_is_infinite(self):
-        assert sg.difference_lattice_index([S(2, [(0, 0), (1, 0)])]) == sg.INFINITE
+        assert sg.difference_lattice_index(S(2, [(0, 0), (1, 0)])) == sg.INFINITE
 
     def test_union_of_sets_can_generate(self):
         sets = [S(2, [(0, 0), (1, 0)]), S(2, [(5, 5), (5, 6)])]
-        assert sg.difference_lattice_index(sets) == 1
+        assert joint_lattice_index(sets) == 1
+        assert [sg.difference_lattice_index(s) for s in sets] == [sg.INFINITE] * 2
 
     def test_invariant_under_sumset_power(self):
         rng = random.Random(41)
         for _ in range(15):
             a = random_support(rng, 2, 3, 3)
-            base = sg.difference_lattice_index([a])
+            base = sg.difference_lattice_index(a)
             for k in (2, 3):
-                assert sg.difference_lattice_index([sg.sumset_power(a, k)]) == base
+                assert sg.difference_lattice_index(sg.sumset_power(a, k)) == base
 
     def test_smith_normal_form_divisibility(self):
         divs = sg.smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
@@ -350,8 +352,83 @@ class TestDensityCounting:
         assert rep.ample and rep.final_volume == F(1, math.factorial(n))
 
 
+def box_supports(rng):
+    """Supports for the level box in 1-4D: strides above 1, one point,
+    negative coordinates, then the seeded supports of the density tests."""
+    yield S(1, [(0,), (2,), (6,)]), 6
+    yield S(2, [(0, 0), (4, 0), (2, 6)]), 5
+    yield S(3, [(-3, 1, 5), (3, 1, 5), (-3, 7, -1)]), 4
+    yield S(4, [(-1, 2, -3, 4)]), 3
+    yield from seeded_supports(rng)
+
+
+class TestLevelBox:
+    """`LevelBox` slots: additive across levels, order-respecting within a
+    level, and decoding to the brute-force sumsets."""
+
+    @staticmethod
+    def orders(rng, dim):
+        return [alg.LEX, alg.MonomialOrder("grlex", tuple(rng.randint(1, 3) for _ in range(dim)))]
+
+    def test_slots_add_across_levels(self):
+        rng = random.Random(2929)
+        for a, kmax in box_supports(rng):
+            pts = sorted(a.points)
+            for order in self.orders(rng, a.ambient_dim):
+                box = sg.level_box(pts, kmax, order.grading)
+                for _ in range(5):
+                    j = rng.randint(1, kmax)
+                    chosen = [rng.choice(pts) for _ in range(j)]
+                    got = box.exponent(sum(map(box.slot, chosen)), j)
+                    assert got == tuple(map(sum, zip(*chosen)))
+                levels = list(sg._levels(box, a, kmax))
+                for _ in range(5):
+                    j, k = rng.randint(1, kmax), rng.randint(1, kmax)
+                    if j + k > kmax:
+                        continue
+                    s, t = rng.choice(sorted(levels[j - 1])), rng.choice(sorted(levels[k - 1]))
+                    want = tuple(x + y for x, y in zip(box.exponent(s, j), box.exponent(t, k)))
+                    assert box.exponent(s + t, j + k) == want
+
+    def test_slots_rise_with_the_order_within_a_level(self):
+        rng = random.Random(3030)
+        for a, kmax in box_supports(rng):
+            for order in self.orders(rng, a.ambient_dim):
+                box = sg.level_box(a.points, kmax, order.grading)
+                for k, level in enumerate(sg._levels(box, a, kmax), 1):
+                    decoded = [box.exponent(s, k) for s in sorted(level)]
+                    assert set(decoded) == brute_sumset_power(a.points, k)
+                    keys = list(map(order.key, decoded))
+                    assert all(x < y for x, y in zip(keys, keys[1:]))
+
+    def test_grading_length_is_checked(self):
+        message = "grading length does not match the exponent"
+        with pytest.raises(ValueError, match=message):
+            sg.level_box([(0, 0), (1, 2)], 3, (1, 2, 3))
+        l = alg.monomial_subspace(S(2, [(0, 0), (1, 2)]))
+        with pytest.raises(ValueError, match=message):
+            alg.semigroup_of_subspace(l, alg.MonomialOrder("grlex", (1, 2, 3)), 3)
+
+    def test_powers_and_slices_match_brute_force(self):
+        count = 0
+        for a, kmax in box_supports(random.Random(3131)):
+            levels = sg.slice_of_support(a, kmax).levels
+            for k in range(1, kmax + 1):
+                assert set(levels[k].points) == brute_sumset_power(a.points, k)
+            assert set(sg.sumset_power(a, kmax).points) == brute_sumset_power(a.points, kmax)
+            count += 1
+        assert count >= 150
+
+    def test_triangle_at_the_budget_edge(self):
+        triangle = S(2, [(0, 0), (1, 0), (0, 1)])
+        level = sg.sumset_power(triangle, 124).points
+        assert len(level) == math.comb(126, 2)
+        assert level == {(i, j) for i in range(125) for j in range(125 - i)}
+
+
 class TestLatticeIndexOracle:
-    """`difference_lattice_index` and `smith_normal_form` against sympy."""
+    """`difference_lattice_index`, the multi-set reference
+    `joint_lattice_index` and `smith_normal_form` against sympy."""
 
     def test_repeated_and_single_point_sets(self):
         rng = random.Random(31)
@@ -362,16 +439,20 @@ class TestLatticeIndexOracle:
                 pts = {tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, 4))}
                 sets.extend([pts] * rng.randint(1, 2))  # a repeated set repeats every row
             sets.append(set(sets[0]))
-            got = sg.difference_lattice_index([S(dim, s) for s in sets])
+            got = joint_lattice_index([S(dim, s) for s in sets])
             assert got == sympy_lattice_index(sets)
+            for s in sets:
+                assert sg.difference_lattice_index(S(dim, s)) == sympy_lattice_index([s])
 
     def test_known_cases(self):
         line = {(0, 0), (1, 1), (3, 3)}
-        assert sg.difference_lattice_index([S(2, line)] * 3) == sympy_lattice_index([line] * 3) == sg.INFINITE
+        assert joint_lattice_index([S(2, line)] * 3) == sympy_lattice_index([line] * 3) == sg.INFINITE
+        assert sg.difference_lattice_index(S(2, line)) == sg.INFINITE
         point = {(2, 5)}
-        assert sg.difference_lattice_index([S(2, point)]) == sympy_lattice_index([point]) == sg.INFINITE
+        assert sg.difference_lattice_index(S(2, point)) == sympy_lattice_index([point]) == sg.INFINITE
         grid = {(0, 0), (2, 0), (0, 3), (2, 3)}
-        assert sg.difference_lattice_index([S(2, grid), S(2, grid)]) == sympy_lattice_index([grid] * 2) == 6
+        assert joint_lattice_index([S(2, grid), S(2, grid)]) == sympy_lattice_index([grid] * 2) == 6
+        assert sg.difference_lattice_index(S(2, grid)) == 6
 
     def test_first_set_shortcut(self):
         cases = [
@@ -382,20 +463,20 @@ class TestLatticeIndexOracle:
         ]
         for sets, want in cases:
             dim = len(next(iter(sets[0])))
-            assert sg.difference_lattice_index([S(dim, p) for p in sets]) == want
+            assert joint_lattice_index([S(dim, p) for p in sets]) == want
             assert sympy_lattice_index(sets) == want
 
     def test_smith_form_runs_at_most_twice(self, monkeypatch):
-        """A cost guard without timing: one Smith normal form on an ample
-        slice, whose level 1 already spans Z^2, and two on a non-ample one,
-        never one per level."""
+        """A cost guard without timing on the reference: one Smith normal
+        form on an ample slice, whose level 1 already spans Z^2, and two on a
+        non-ample one, never one per level."""
         calls = []
         real = sg.smith_normal_form
         monkeypatch.setattr(sg, "smith_normal_form", lambda rows: calls.append(len(rows)) or real(rows))
         for support, index, runs in ([(0, 0), (1, 0), (0, 1)], 1, 1), ([(0, 0), (2, 0), (0, 2)], 4, 2):
             calls.clear()
             levels = sg.slice_of_support(S(2, support), 40).levels
-            assert sg.difference_lattice_index(list(levels.values())) == index
+            assert joint_lattice_index(list(levels.values())) == index
             assert len(calls) == runs
 
     def test_smith_form_with_zero_and_repeated_rows(self):
@@ -451,7 +532,7 @@ class TestInteriorMargin:
         # so the deep-interior theorem needs its (ample) lattice-point set;
         # C = 2 suffices from level 6 on
         verts = S(2, [(0, 0), (2, 0), (0, 2)])
-        assert sg.difference_lattice_index([verts]) == 4
+        assert sg.difference_lattice_index(verts) == 4
         a = sg.completion(verts)
         assert all(deep == 0 for k, deep, _ in margin_rows(a, 12, 2) if k >= 6)
 
