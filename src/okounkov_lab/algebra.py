@@ -13,12 +13,13 @@ Python ints (Kronecker substitution), steps a row by two scalar multiplies
 and one subtraction, and divides out a row's content only when it installs
 a stepped row or a coefficient bound would outgrow the slot width; 32- and
 64-bit slots are packed and unpacked through an ``array`` in one C-level
-pass.  Powers of a subspace are built level by level, each from the rows
-that gave the previous level its pivots, so they never pass through
-Fraction coefficients; a product is formed only from the prefix of its
-sorted basis-index tuple, and only if that prefix installed a pivot.  Their
-slots are those of the basis exponents' ``semigroup.LevelBox``, so the
-lowest slot of a packed row is its valuation; the box and k_max are
+pass.  One driver runs it: the powers of a subspace are built level by
+level, each from the rows that gave the previous level its pivots, so they
+never pass through Fraction coefficients; a product is formed only from
+the prefix of its sorted basis-index tuple, and only if that prefix
+installed a pivot.  A span is level 1, slotted by its exponents' ranks;
+the powers' slots are those of the basis exponents' ``semigroup.LevelBox``,
+so the lowest slot of a packed row is its valuation; the box and k_max are
 budgeted before any level is built.  A Newton body hulls only the two ends
 of each level's leads along every line parallel to the last axis.
 """
@@ -227,15 +228,7 @@ def _primitive(row: int, width: int) -> tuple[int, int]:
     return row // g, max(map(abs, values)) // g
 
 
-def _width_for(bound: int) -> int:
-    """The initial slot width, doubled until |coefficients| <= bound fit."""
-    width = _WIDTH
-    while bound >> (width - 1):
-        width *= 2
-    return width
-
-
-def _reduce(pivots: dict, row: int, bound: int, width: int, lead: int = 0):
+def _reduce(pivots: dict, row: int, bound: int, width: int, lead: int):
     """Reduce a nonzero packed row against the pivots, fraction-free.
 
     The row's slot 0 sits at slot ``lead`` of the index; rows are kept
@@ -281,46 +274,33 @@ def _reduce(pivots: dict, row: int, bound: int, width: int, lead: int = 0):
     return None
 
 
-def _int_rows(polys) -> list[dict[Exponent, int]]:
-    """Primitive integer rows: each polynomial's unique positive multiple with
-    integer coefficients of gcd 1; zero polynomials are dropped."""
-    rows = []
+def _rows(polys, slot):
+    """Each nonzero polynomial as its primitive integer row: its unique
+    positive multiple with integer coefficients of gcd 1.  Yields (lead
+    slot, (slot - lead, coefficient) terms, sum of |coefficients|) with
+    slots from ``slot``, an order-respecting index of the exponents."""
     for f in polys:
         if f.is_zero:
             continue
         den = math.lcm(*(c.denominator for _, c in f.terms))
         num = math.gcd(*(c.numerator for _, c in f.terms))
-        rows.append({e: c.numerator * (den // c.denominator) // num for e, c in f.terms})
-    return rows
+        row = {slot(e): c.numerator * (den // c.denominator) // num for e, c in f.terms}
+        lead = min(row)  # the valuation, since slots increase with the order
+        yield lead, [(s - lead, c) for s, c in row.items()], sum(map(abs, row.values()))
 
 
 def _packed_echelon(polys, order: MonomialOrder):
-    """Packed echelon form of the span of ``polys``.
-
-    Slots are the ranks of the distinct exponents in the order, so a
-    pivot's lead is the order-minimal exponent of its row.  Input rows are
-    primitive and stepped rows are installed primitive, so every pivot row
-    is primitive.  Returns the pivots by lead slot, the exponent of each
-    slot and the width.
+    """Packed echelon form of the span of ``polys``, level 1 of
+    :func:`_echelon_levels`.  Slots are the ranks of the distinct exponents
+    in the order, so a pivot's lead is the order-minimal exponent of its
+    row.  Input rows are primitive and stepped rows are installed
+    primitive, so every pivot row is primitive.  Returns the pivots by lead
+    slot, the exponent of each slot and the width.
     """
-    rows = _int_rows(polys)
-    columns = sorted({e for row in rows for e in row}, key=order.key)
-    slot = {e: s for s, e in enumerate(columns)}
-    dense = []
-    for row in rows:
-        values = [0] * len(columns)
-        for e, c in row.items():
-            values[slot[e]] = c
-        dense.append((values, max(map(abs, row.values()))))
-    width = _width_for(max((bound for _, bound in dense), default=0))
-    while True:
-        pivots: dict = {}
-        try:
-            for values, bound in dense:
-                _reduce(pivots, _pack(values, width), bound, width)
-            return pivots, columns, width
-        except _Overflow:
-            width *= 2
+    columns = sorted({e for f in polys for e, _ in f.terms}, key=order.key)
+    rank = {e: s for s, e in enumerate(columns)}
+    _, pivots, width = _echelon_levels(polys, rank.__getitem__, 1)
+    return pivots, columns, width
 
 
 def _leads(polys, order: MonomialOrder) -> list[Exponent]:
@@ -420,19 +400,31 @@ def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
     not change any span.
     """
     box = _level_box(l, order, k_max)
-    basis = []
-    for row in _int_rows(l.basis):
-        slots = {box.slot(e): c for e, c in row.items()}
-        lead = min(slots)  # the valuation, since slots increase with the order
-        terms = [(s - lead, c) for s, c in slots.items()]
-        basis.append((lead, terms, sum(map(abs, row.values()))))
-    width = _width_for(max(l1 for _, _, l1 in basis))
+    levels, _, _ = _echelon_levels(l.basis, box.slot, k_max)
+    return box, levels
+
+
+def _echelon_levels(polys, slot, k_max: int):
+    """Echelonize the products of k of the :func:`_rows` of ``polys`` for
+    k = 1..k_max.
+
+    Level 1 is the products of () with each row, in order: the echelon
+    form of their span.  Returns the lead slots of each level, and the last
+    level's pivots and slot width.  A level whose bound would outgrow the
+    width is built again at twice the width from its parents, repacked;
+    the levels below it stand.
+    """
+    basis = list(_rows(polys, slot))
+    top, width = max((l1 for _, _, l1 in basis), default=0), _WIDTH
+    while top >> (width - 1):
+        width *= 2
     parents = {(): (1, 0, 1)}
     levels = {}
     for k in range(1, k_max + 1):
         while True:
+            pivots: dict = {}
             try:
-                parents, levels[k] = _power_level(parents, basis, width)
+                parents = _power_level(parents, basis, width, pivots)
                 break
             except _Overflow:
                 parents = {
@@ -440,17 +432,19 @@ def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
                     for key, (row, lead, bound) in parents.items()
                 }
                 width *= 2
-    return box, levels
+        levels[k] = list(pivots)
+    return levels, pivots, width
 
 
-def _power_level(parents: dict, basis: list, width: int):
+def _power_level(parents: dict, basis: list, width: int, pivots: dict):
     """Echelonize the products key + (g,) of each parent with g >= key[-1].
 
     Rows are (packed row from its lead, lead slot, bound), keyed by their
-    sorted basis-index tuple.  Returns the raw rows that installed a pivot,
-    in installation order, and the pivots' lead slots.  A parent whose
-    product bound would outgrow the width is replaced in ``parents`` by its
-    primitive part, which spans the same line.
+    sorted basis-index tuple.  The products are reduced into ``pivots``
+    (see :func:`_reduce`); returns the raw rows that installed a pivot, in
+    installation order.  A parent whose product bound would outgrow the
+    width is replaced in ``parents`` by its primitive part, which spans
+    the same line.
 
     Every multiset M = key + (g,) is built at most once, from its prefix.
     Parents arrive in lex order of their keys (level 1 has the one key
@@ -470,7 +464,6 @@ def _power_level(parents: dict, basis: list, width: int):
     """
     half = 1 << (width - 1)
     shifted = [[(s * width, c) for s, c in terms] for _, terms, _ in basis]
-    pivots: dict = {}
     installed = {}
     for key, (prow, plead, pbound) in parents.items():
         for g in range(key[-1] if key else 0, len(basis)):
@@ -489,7 +482,7 @@ def _power_level(parents: dict, basis: list, width: int):
             lead = plead + blead
             if _reduce(pivots, row, bound, width, lead) is not None:
                 installed[key + (g,)] = (row, lead, bound)
-    return installed, list(pivots)
+    return installed
 
 
 def hilbert_function(l: LaurentSubspace, k_max: int) -> list[tuple[int, int]]:

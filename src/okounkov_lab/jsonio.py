@@ -107,6 +107,8 @@ def laurent_from_json(obj) -> algebra.LaurentPolynomial:
         exp = _expect(t, "exp", list)
         if len(exp) != dim or not all(is_int(c) for c in exp):
             raise SchemaError("exponents must be integer vectors of length dim")
+        if tuple(exp) in terms:
+            raise SchemaError(f"exponent {exp} appears twice in terms")
         terms[tuple(exp)] = str_to_frac(_expect(t, "coef"))
     return algebra.laurent(dim, terms)
 
@@ -124,17 +126,18 @@ def order_from_json(obj) -> algebra.MonomialOrder:
     if obj is None:
         return algebra.LEX
     kind = _expect(obj, "kind", str)
-    if kind == "lex":
-        return algebra.LEX
-    if kind == "grlex":
+    if kind not in ("lex", "grlex"):
+        raise SchemaError(f"unknown order kind {kind!r}")
+    grading = None
+    if kind == "grlex" or "grading" in obj:  # MonomialOrder rejects a lex grading
         grading = _expect(obj, "grading", list)
         if not all(is_int(w) for w in grading):
             raise SchemaError("grading must be a list of integers")
-        try:
-            return algebra.MonomialOrder("grlex", tuple(grading))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-    raise SchemaError(f"unknown order kind {kind!r}")
+        grading = tuple(grading)
+    try:
+        return algebra.MonomialOrder(kind, grading)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def polygon_from_json(obj) -> geometry.LatticePolytope:

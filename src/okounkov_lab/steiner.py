@@ -407,9 +407,10 @@ def hausdorff_to_disc(vs, center, radius) -> float:
     x1, y1 = vs[-1]
     for x2, y2 in vs:
         ex, ey = x2 - x1, y2 - y1
-        gap = (ey * (x1 - cx) - ex * (y1 - cy)) / math.hypot(ex, ey)
-        if gap < near:
-            near = gap
+        if ex or ey:  # an edge whose ends round to one double has no support line
+            gap = (ey * (x1 - cx) - ex * (y1 - cy)) / math.hypot(ex, ey)
+            if gap < near:
+                near = gap
         x1, y1 = x2, y2
     return max(abs(far - radius), abs(radius - near))
 

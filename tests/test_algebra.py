@@ -365,15 +365,28 @@ def _terms(l):
 
 
 def _width_spy(monkeypatch):
-    """Record the slot width of every power-level pass."""
-    widths = []
-    level = alg._power_level
+    """Record the slot width of every power-level pass.
 
-    def spy(parents, basis, width):
-        widths.append(width)
-        return level(parents, basis, width)
+    A span is level 1 of the same loop; the passes that echelonize one
+    (``product`` inside ``superadditivity_check``, say) are not recorded.
+    """
+    widths, powers = [], []
+    level, power_levels = alg._power_level, alg._power_levels
+
+    def spy(parents, basis, width, pivots):
+        if powers:
+            widths.append(width)
+        return level(parents, basis, width, pivots)
+
+    def within(*args):
+        powers.append(True)
+        try:
+            return power_levels(*args)
+        finally:
+            powers.pop()
 
     monkeypatch.setattr(alg, "_power_level", spy)
+    monkeypatch.setattr(alg, "_power_levels", within)
     return widths
 
 
@@ -482,6 +495,34 @@ class TestKernelEdgeCases:
             })
         digest = hashlib.sha256(jsonio.dumps_canonical(out).encode()).hexdigest()
         assert digest == "e8d8f9deb8013fb189786d39d50fa4f8a91d930af648e128a638037642ba612b"
+
+    @pytest.mark.parametrize("order", [alg.LEX, GRLEX31], ids=["lex", "grlex31"])
+    @pytest.mark.parametrize("bits,start", [(30, 32), (62, 64)])
+    def test_span_steps_outgrow_the_array_widths(self, monkeypatch, bits, start, order):
+        # dense rows whose six |coefficients| sum below 2^(start - 1): the
+        # echelon starts at that width, and its minors outgrow it twice
+        rng = random.Random(bits)
+        exponents = [(i, j) for i in range(3) for j in range(2)]
+        polys = [
+            L(2, {e: rng.choice((-1, 1)) * rng.randint(2**(bits - 3), 2**(bits - 2))
+                  for e in exponents})
+            for _ in range(5)
+        ]
+        widths = []
+        level = alg._power_level
+
+        def spy(parents, basis, width, pivots):
+            widths.append(width)
+            return level(parents, basis, width, pivots)
+
+        monkeypatch.setattr(alg, "_power_level", spy)
+        l = alg.span(2, polys, order)
+        assert widths[:3] == [start, 2 * start, 4 * start]
+        grading = None if order.kind == "lex" else order.grading
+        expected = sympy_power_leads([list(f.terms) for f in polys], grading, 1)
+        assert set(alg._leads(polys, order)) == expected
+        assert set(valuation_image(l, order).points) == expected
+        assert subspaces_equal(l, alg.LaurentSubspace(2, tuple(polys)))
 
     @pytest.mark.parametrize("order", [alg.LEX, alg.MonomialOrder("grlex", (3,))],
                              ids=["lex", "grlex"])

@@ -720,6 +720,13 @@ class TestExitContract:
                 {"dim": 2, "terms": [{"exp": [1, 0], "coef": "1"}]}]},
                 "order": {"kind": "grlex", "grading": [0, 1]}},
              "graded lex needs a positive integer grading"),
+            ("okounkov", {"subspace": {"dim": 2, "basis": [
+                {"dim": 2, "terms": [{"exp": [1, 0], "coef": "1"}]}]},
+                "order": {"kind": "lex", "grading": [2, 1]}},
+             "plain lex takes no grading"),
+            ("hilbert", {"subspace": {"dim": 2, "basis": [{"dim": 2, "terms": [
+                {"exp": [0, 0], "coef": "1"}, {"exp": [0, 0], "coef": "2"}]}]}},
+             "exponent [0, 0] appears twice in terms"),
             ("bm-check", {"m": 0, "body1": SQ, "body2": SI},
              "repetition count m must satisfy 0 < m <= n"),
             ("bm-check", {"m": 3, "body1": SQ, "body2": SI},
@@ -737,7 +744,8 @@ class TestExitContract:
         ids=["bkk-no-supports", "bkk-mixed-dimensions", "bm-fixed-null", "bm-fixed-number",
              "missing-field", "no-vertices", "vertex-arity", "rational-1-over-0",
              "polytope-dim-5", "no-points", "support-dim-0", "empty-basis", "zero-polynomial",
-             "dependent-basis", "grading-zero-weight", "bm-m-zero", "bm-m-above-n",
+             "dependent-basis", "grading-zero-weight", "lex-grading", "repeated-exponent",
+             "bm-m-zero", "bm-m-above-n",
              "profile-4d", "bkk-3d", "bkk-one-support-2d", "mixedvol-no-bodies",
              "af-check-no-bodies", "bkk-predict-no-supports"],
     )
@@ -980,8 +988,12 @@ class TestExitContract:
             # the area at the bound; exact rounds only, since the float rounds'
             # flatness tolerance is absolute below unit size
             ([["0", "0"], [f"1/{2**128}", "0"], ["0", f"1/{2**127}"]], 2),
+            # the first round, an exact one, has two vertices on one double
+            ([["-4/5", "5/2"], ["0", str(2**70)], ["-3", str(2**70)], ["2", str(10**9)],
+              ["7/5", "0"]], 12),
         ],
-        ids=["coordinate-2^256", "coordinate-10^-400-area-1/2", "area-2^-256"],
+        ids=["coordinate-2^256", "coordinate-10^-400-area-1/2", "area-2^-256",
+             "edge-rounds-to-a-point"],
     )
     def test_polygon_inside_double_range_is_admitted(self, tmp_path, vertices, rounds):
         payload = {"polygon": {"dim": 2, "vertices": vertices}, "rounds": rounds}
