@@ -94,12 +94,6 @@ class LaurentPolynomial:
             raise ValueError("the zero polynomial has no support")
         return support_set(self.ambient_dim, [e for e, _ in self.terms])
 
-    def coefficient(self, exponent: Exponent) -> Fraction:
-        for e, c in self.terms:
-            if e == exponent:
-                return c
-        return Fraction(0)
-
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("dimension mismatch")

@@ -11,7 +11,8 @@ floating-point estimate.
 A one-variable polynomial, shifted to an ordinary polynomial with a nonzero
 constant term, has as many torus roots as its degree once it is squarefree.
 A two-variable system is first rewritten in coordinates of its supports'
-difference lattice, of index d.  Its eliminant R = Res_y(p1, p2) is then an
+difference lattice, of index d, read off that lattice's Hermite basis
+(``semigroup.hermite_basis``).  Its eliminant R = Res_y(p1, p2) is then an
 integer polynomial of degree at most a proven bound B.  Its coefficients are
 the balanced base-2^K digits of one resultant of two univariate integer
 polynomials at x = 2^K, K from a 1-norm bound on them (Kronecker
@@ -45,7 +46,7 @@ from .algebra import LaurentPolynomial, laurent
 from . import roots  # noqa: F401
 from .mixedvol import mixed_volume
 from .rng import derive_seed
-from .semigroup import completion
+from .semigroup import completion, hermite_basis
 
 # the modulus of the certificate checks; fixed, because another prime would
 # change which trials are degenerate and so the reports
@@ -168,41 +169,28 @@ def count_roots_1d(p: LaurentPolynomial) -> int:
 # -- two variables -----------------------------------------------------------
 
 
-def _lattice_basis(vectors):
-    """Basis (u0, u1), (0, w) of the lattice spanned by integer pairs.
-
-    The rank is below 2 exactly when u0 * w == 0.
-    """
-    u, w = (0, 0), 0
-    for v in vectors:
-        while v[0]:
-            q = u[0] // v[0]
-            u, v = v, (u[0] - q * v[0], u[1] - q * v[1])
-        w = math.gcd(w, v[1])
-    if w:
-        u = (u[0], u[1] % w)  # the reduced basis: no shear when w = 1
-    return u, w
-
-
 def _lattice_coordinates(exponents, shear):
     """Index of the exponent lists' difference lattice, the lists in its
     coordinates, and their eliminant's degree bound.
 
-    Each list is shifted by its minimum, written in the basis of
-    :func:`_lattice_basis` when that lattice has rank 2, sheared by
-    (s, t) -> (s, t + a s), and shifted to start at 0.  A torus root of the
-    new system lies below `index` torus roots of the old one.  The shear
-    acts after the change of basis, where the basis' normal form cannot
-    absorb it.  A shear that leaves a list flat (one y value, several x
-    values: no y to eliminate) or the eliminant over its budget gives way
-    to the first of 0, 1, -1, 2 that does neither; if none does, the first
-    that leaves no list flat is rejected with :func:`_check_size`'s error.
+    Each list is shifted by its minimum, written in the Hermite basis
+    (u0, u1), (0, w) of that lattice (``semigroup.hermite_basis``) when it
+    has rank 2, sheared by (s, t) -> (s, t + a s), and shifted to start at
+    0.  A torus root of the new system lies below `index` torus roots of
+    the old one.  The shear acts after the change of basis, where the
+    basis' normal form cannot absorb it.  A shear that leaves a list flat
+    (one y value, several x values: no y to eliminate) or the eliminant
+    over its budget gives way to the first of 0, 1, -1, 2 that does
+    neither; if none does, the first that leaves no list flat is rejected
+    with :func:`_check_size`'s error.
     """
     bases = [min(es) for es in exponents]
     moved = [[(x - b[0], y - b[1]) for x, y in es] for es, b in zip(exponents, bases)]
-    (u0, u1), w = _lattice_basis([v for es in moved for v in es])
-    index = max(abs(u0 * w), 1)
-    if u0 * w:
+    basis = hermite_basis([v for es in moved for v in es])
+    index = 1
+    if len(basis) == 2:
+        (u0, u1), (_, w) = basis
+        index = u0 * w
         moved = [[(x // u0, (y - x // u0 * u1) // w) for x, y in es] for es in moved]
     first = None
     for a in (shear, 0, 1, -1, 2):

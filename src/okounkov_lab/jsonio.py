@@ -12,7 +12,7 @@ import json
 import re
 from fractions import Fraction
 
-from . import algebra, geometry
+from . import algebra, bkk, geometry
 
 
 class SchemaError(ValueError):

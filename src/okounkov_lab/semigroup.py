@@ -1,6 +1,8 @@
 """Sumset powers, lattice-point completions, graded semigroup slices in
-N + Z^n, difference-lattice indices via Smith normal form, and the density
-sequence of the slice a support generates against its Newton body.
+N + Z^n, the one lattice reduction (:func:`hermite_basis`, a row Hermite
+normal form), difference-lattice indices via a Smith normal form built from
+it, and the density sequence of the slice a support generates against its
+Newton body.
 
 A graded semigroup is represented by its finite sections S_1..S_kmax; its
 asymptotics are read off at finite scale.  Its levels are packed once, in
@@ -173,65 +175,78 @@ def completion(a: SupportSet) -> SupportSet:
     return geometry.lattice_points(geometry.polytope_of_support(a))
 
 
-def smith_normal_form(rows: list[list[int]]) -> list[int]:
-    """Nonnegative diagonal of the Smith normal form of an integer matrix.
+def hermite_basis(vectors) -> list[tuple[int, ...]]:
+    """Nonzero rows of the row Hermite normal form of the lattice that the
+    integer vectors span: pivots positive and strictly right of the row
+    above, every entry above a pivot in [0, pivot).  That form is unique
+    (Cohen, *A Course in Computational Algebraic Number Theory*, 2.4), so
+    the rows do not depend on the vectors' order.
 
-    Elementary row/column operations over Z; the returned divisors satisfy
-    d_1 | d_2 | ... and their product over the nonzero entries is the index
-    of the row lattice when the rank is full.
+    Each vector is inserted by Euclid steps against the row of each pivot
+    column it meets; past the last but one column only its last entry is
+    left, and the last pivot is the gcd of those.
     """
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return []
-    nr, nc = len(m), len(m[0])
-    divisors = []
-    top = 0
-    while top < min(nr, nc):
-        # locate the smallest nonzero entry in the remaining block
-        best = None
-        for i in range(top, nr):
-            for j in range(top, nc):
-                if m[i][j] != 0 and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        m[top], m[bi] = m[bi], m[top]
-        for row in m:
-            row[top], row[bj] = row[bj], row[top]
-        pivot = m[top][top]
-        dirty = False
-        for i in range(top + 1, nr):
-            q = m[i][top] // pivot
-            if q:
-                m[i] = [x - q * y for x, y in zip(m[i], m[top])]
-            if m[i][top] != 0:
-                dirty = True
-        for j in range(top + 1, nc):
-            q = m[top][j] // pivot
-            if q:
-                for row in m:
-                    row[j] -= q * row[top]
-            if m[top][j] != 0:
-                dirty = True
-        if dirty:
-            continue  # remainders became new smaller entries; repeat
-        # enforce divisibility of the rest of the block by the pivot
-        offender = None
-        for i in range(top + 1, nr):
-            for j in range(top + 1, nc):
-                if m[i][j] % pivot != 0:
-                    offender = i
-                    break
-            if offender is not None:
+    rows: dict[int, list[int]] = {}
+    last, n = 0, 0
+    for v in vectors:
+        n = len(v)
+        for j in range(n - 1):
+            if not v[j]:
+                continue
+            b = rows.get(j)
+            if b is None:
+                rows[j] = list(v) if v[j] > 0 else [-x for x in v]
                 break
-        if offender is not None:
-            m[top] = [x + y for x, y in zip(m[top], m[offender])]
-            continue
-        divisors.append(abs(pivot))
-        top += 1
-    divisors += [0] * (min(nr, nc) - len(divisors))
-    return divisors
+            q = v[j] // b[j]
+            v = [x - q * y for x, y in zip(v, b)]
+            if v[j]:  # now 0 < v[j] < b[j]: Euclid down to their gcd
+                while v[j]:
+                    q = b[j] // v[j]
+                    b, v = v, [x - q * y for x, y in zip(b, v)]
+                rows[j] = b
+        else:
+            last = math.gcd(last, v[-1])
+    if last:
+        rows[n - 1] = [0] * (n - 1) + [last]
+    pivots = sorted(rows)
+    basis = [rows[j] for j in pivots]
+    for i, (j, row) in enumerate(zip(pivots, basis)):
+        for upper in basis[:i]:
+            q = upper[j] // row[j]
+            if q:
+                upper[:] = [x - q * y for x, y in zip(upper, row)]
+    return [tuple(r) for r in basis]
+
+
+def smith_normal_form(rows: list[list[int]]) -> list[int]:
+    """Nonnegative diagonal of the Smith normal form of an integer matrix:
+    d_1 | d_2 | ..., zeros last, one entry per row or column, whichever are
+    fewer.  The product of the nonzero entries is the index of the row
+    lattice when the rank is full.
+
+    Row and column Hermite forms (:func:`hermite_basis` of the rows, then
+    of the columns) alternate until each row has one nonzero entry.  Each
+    form is a unimodular change on one side that drops zero rows, so the
+    nonzero invariant factors stay; from the second form on, the matrix is
+    square, nonsingular and triangular.  The loop ends: a form leaves the
+    top-left pivot p alone in its column, and the next form replaces p by
+    the gcd of its row.  That is a proper divisor of p unless p divides the
+    row, and then that form clears the row as well; row and column stay
+    clear, and later forms act on the lower-right block alone.  A positive
+    pivot falls only finitely often, so by induction on the blocks the
+    loop ends.  A gcd/lcm pass over the diagonal then gives the chain.
+    """
+    if not rows or not rows[0]:
+        return []
+    m = hermite_basis(rows)
+    while any(len(r) - r.count(0) > 1 for r in m):
+        m = hermite_basis(zip(*m))
+    divisors = [max(r) for r in m]
+    for i in range(len(divisors)):
+        for j in range(i + 1, len(divisors)):
+            d, e = divisors[i], divisors[j]
+            divisors[i], divisors[j] = math.gcd(d, e), math.lcm(d, e)
+    return divisors + [0] * (min(len(rows), len(rows[0])) - len(divisors))
 
 
 def difference_lattice_index(a: SupportSet):

@@ -47,7 +47,7 @@ class TestPolynomials:
 
     def test_arithmetic(self):
         assert (X + Y).terms == XPY.terms
-        assert (XPY * XPY).coefficient((1, 1)) == 2
+        assert dict((XPY * XPY).terms).get((1, 1), 0) == 2
         assert (XPY - XPY).is_zero
 
     def test_no_zero_coefficients_stored(self):
@@ -120,7 +120,7 @@ class TestValuationAxioms:
             if va != vb:
                 continue
             found += 1
-            lam = b.coefficient(vb) / a.coefficient(va)
+            lam = dict(b.terms)[vb] / dict(a.terms)[va]
             c = b - lam * a
             if not c.is_zero:
                 assert alg.valuation(c) > va

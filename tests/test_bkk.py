@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -7,8 +9,8 @@ import pytest
 from okounkov_lab import algebra as alg
 from okounkov_lab import bkk
 from okounkov_lab import geometry as g
-from okounkov_lab import semigroup as sg
-from oracles import joint_lattice_index, sylvester_determinant, sympy_torus_root_count
+from okounkov_lab import jsonio
+from oracles import sylvester_determinant, sympy_lattice_index, sympy_torus_root_count
 
 S = g.support_set
 L = alg.laurent
@@ -369,6 +371,61 @@ class TestVerify:
             assert report.agreed, (sorted(a.points), sorted(b.points), report)
 
 
+def seeded_lattice_cases(seed, count):
+    """Seeded (exponent lists, shear) inputs of `_lattice_coordinates`, in
+    turn: random points in a box of side 2..8 at an offset up to 10^6;
+    points p + c b1 + c' b2 (c, c' in 0..3) of a sublattice whose basis has
+    entries up to a span of 2 to 10^6, half of them in Hermite form; and
+    points on one line of such a span, the second list on the same line or
+    not.  Each case takes one of the five shears 0, -2, -1, 1, 2."""
+    rng = random.Random(seed)
+
+    def span():
+        return int(10 ** rng.uniform(math.log10(2), 6))
+
+    def vector(s):
+        return (rng.randint(-s, s), rng.randint(-s, s))
+
+    cases = []
+    for i in range(count):
+        kind, s = i % 3, span()
+        if kind == 1 and rng.random() < 0.5:  # a basis in Hermite form
+            w = rng.randint(1, s)
+            basis = [(rng.randint(1, s), rng.randint(0, w - 1)), (0, w)]
+        else:
+            basis = [vector(s), vector(s)]
+        lists = []
+        for _ in range(2):
+            p, size = vector(10**6), rng.randint(1, 6)
+            if kind == 0:
+                side = rng.randint(2, 8)
+                offsets = {(rng.randint(0, side), rng.randint(0, side)) for _ in range(size)}
+            elif kind == 1:
+                offsets = {
+                    tuple(c1 * u + c2 * v for u, v in zip(*basis))
+                    for c1, c2 in ((rng.randint(0, 3), rng.randint(0, 3)) for _ in range(size))
+                }
+            else:
+                if rng.random() < 0.5:  # the second list on a line of its own
+                    basis[0] = vector(s)
+                offsets = {tuple(t * u for u in basis[0]) for t in rng.sample(range(6), min(size, 6))}
+            lists.append(sorted(tuple(x + y for x, y in zip(p, o)) for o in offsets))
+        cases.append((lists, rng.choice((0, -2, -1, 1, 2))))
+    return cases
+
+
+def lattice_coordinates_digest(cases):
+    """sha256 of each case's (index, lists, bound), or its error message."""
+    out = []
+    for lists, shear in cases:
+        try:
+            index, es, bound = bkk._lattice_coordinates(lists, shear)
+            out.append([index, [[list(e) for e in l] for l in es], bound])
+        except ValueError as exc:
+            out.append(str(exc))
+    return hashlib.sha256(jsonio.dumps_canonical(out).encode()).hexdigest()
+
+
 class TestCertificate:
     @pytest.mark.parametrize(
         "p1,p2,reason",
@@ -398,8 +455,14 @@ class TestCertificate:
             a = S(2, {(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))})
             b = S(2, {(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))})
             index, _, _ = bkk._lattice_coordinates([a.sorted_points(), b.sorted_points()], 0)
-            expected = joint_lattice_index([a, b])
-            assert index == (1 if expected == sg.INFINITE else expected)
+            expected = sympy_lattice_index([set(a.points), set(b.points)])
+            assert index == (1 if expected == math.inf else expected)
+
+    def test_lattice_coordinates_are_unchanged(self):
+        # sha256 of 2,000 seeded cases under the two-variable Euclid basis
+        # that `semigroup.hermite_basis` replaced
+        digest = lattice_coordinates_digest(seeded_lattice_cases(32, 2000))
+        assert digest == "8b2684eaeb8bf27e5fc7e2a4f331d19cd2642a4a5043633d5759b2fe302f2517"
 
     @pytest.mark.parametrize(
         "supports,first",

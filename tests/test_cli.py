@@ -1,18 +1,22 @@
 import importlib
 import importlib.util
+import inspect
 import itertools
 import json
 import math
 import os
+import pkgutil
 import random
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
 
+import okounkov_lab
 from okounkov_lab import algebra, bkk, geometry as g, jsonio, mixedvol, semigroup as sg
 from okounkov_lab import selftest, steiner as stn
 from okounkov_lab.cli import main
@@ -543,6 +547,26 @@ def test_benchmark_span_targets_resolve():
         for part in path_parts:
             owner = getattr(owner, part)
         assert callable(vars(owner).get(last)), f"{module}.{attr}"
+
+
+def test_every_annotation_resolves():
+    # typing.get_type_hints evaluates each annotation in its module's
+    # namespace; a name the module never imports raises NameError
+    checked = 0
+    for info in pkgutil.iter_modules(okounkov_lab.__path__):
+        module = importlib.import_module(f"okounkov_lab.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            targets = [obj]
+            if inspect.isclass(obj):
+                members = (getattr(m, "fget", getattr(m, "__func__", m)) for m in vars(obj).values())
+                targets += [m for m in members if inspect.isfunction(m)]
+            for target in targets:
+                if inspect.isfunction(target) or inspect.isclass(target):
+                    typing.get_type_hints(target)
+                    checked += 1
+    assert checked > 100
 
 
 class TestBkkVerifyContract:

@@ -181,6 +181,58 @@ class TestDifferenceLatticeIndex:
                 assert b % a == 0
 
 
+class TestHermiteBasis:
+    @staticmethod
+    def check_shape(rows, n):
+        """Pivots positive and moving strictly right, zeros left of each,
+        every entry above a pivot in [0, pivot)."""
+        pivots = []
+        for row in rows:
+            assert len(row) == n
+            j = next(i for i, x in enumerate(row) if x)
+            assert row[j] > 0 and (not pivots or j > pivots[-1])
+            pivots.append(j)
+        for i, j in enumerate(pivots):
+            assert all(0 <= upper[j] < rows[i][j] for upper in rows[:i])
+
+    @staticmethod
+    def sympy_form(vectors):
+        """sympy's Hermite normal form of the lattice the vectors span, as
+        rows; unique for the lattice, so equal forms mean equal lattices."""
+        from sympy import Matrix
+        from sympy.matrices.normalforms import hermite_normal_form
+
+        if not any(any(v) for v in vectors):
+            return []
+        form = hermite_normal_form(Matrix([list(v) for v in vectors]).T)
+        return [tuple(int(x) for x in form[:, j]) for j in range(form.shape[1])]
+
+    def test_small_examples(self):
+        assert sg.hermite_basis([]) == sg.hermite_basis([(0, 0)]) == []
+        assert sg.hermite_basis([(-6,), (4,), (0,)]) == [(2,)]
+        assert sg.hermite_basis([(2, 4, 4), (-6, 6, 12), (10, 4, 16)]) == [
+            (2, 0, 120), (0, 2, 20), (0, 0, 156)]
+        # rank 1 in Z^2: one row, its pivot made positive
+        assert sg.hermite_basis([(-3, 6), (6, -12), (0, 0)]) == [(3, -6)]
+
+    def test_random_vectors_against_sympy(self):
+        rng = random.Random(320)
+        for n in range(1, 5):
+            for t in range(60):
+                bits = (4, 20, 60)[t % 3]
+                vectors = [tuple(rng.randint(-2**bits, 2**bits) for _ in range(n))
+                           for _ in range(rng.randint(0, 6))]
+                if vectors and t % 2:
+                    # rank 1: every vector a multiple of the first
+                    vectors = [tuple(rng.randint(-3, 3) * x for x in vectors[0]) for _ in vectors]
+                vectors += [(0,) * n] * rng.randint(0, 2) + vectors[: rng.randint(0, 2)]
+                rows = sg.hermite_basis(vectors)
+                self.check_shape(rows, n)
+                assert self.sympy_form(rows) == self.sympy_form(vectors)
+                rng.shuffle(vectors)
+                assert sg.hermite_basis(vectors) == rows
+
+
 class TestNewtonBody:
     def test_simplex_slice(self):
         for kmax in (1, 2, 4):
@@ -483,15 +535,18 @@ class TestLatticeIndexOracle:
         from sympy import ZZ, Matrix
         from sympy.matrices.normalforms import smith_normal_form
 
-        rng = random.Random(32)
-        for _ in range(150):
-            cols = rng.randint(1, 4)
-            rows = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rng.randint(1, 6))]
-            rows += [[0] * cols] * rng.randint(0, 2) + [list(r) for r in rows[: rng.randint(0, 2)]]
-            rng.shuffle(rows)
-            form = smith_normal_form(Matrix(rows), domain=ZZ)
-            want = [abs(int(form[i, i])) for i in range(min(form.shape))]
-            assert sg.smith_normal_form(rows) == want
+        # (seed, draws, most rows, most columns, largest |entry|)
+        for seed, draws, max_rows, max_cols, entry in (32, 150, 6, 4, 6), (33, 60, 9, 7, 2**30):
+            rng = random.Random(seed)
+            for _ in range(draws):
+                cols = rng.randint(1, max_cols)
+                rows = [[rng.randint(-entry, entry) for _ in range(cols)]
+                        for _ in range(rng.randint(1, max_rows))]
+                rows += [[0] * cols] * rng.randint(0, 2) + [list(r) for r in rows[: rng.randint(0, 2)]]
+                rng.shuffle(rows)
+                form = smith_normal_form(Matrix(rows), domain=ZZ)
+                want = [abs(int(form[i, i])) for i in range(min(form.shape))]
+                assert sg.smith_normal_form(rows) == want
 
 
 def margin_rows(a, k_max, c):
