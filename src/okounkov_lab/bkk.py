@@ -30,7 +30,9 @@ there is squarefree (or coprime) over Q.
 
 A trial whose checks fail is degenerate, with a named reason, and is never
 counted; the retry draws fresh coefficients and a shear (x, y) -> (x y^a, y).
-Verification takes the modal count over independent trials.
+Verification runs one trial loop on the supports and on their lattice-point
+completions, and decides only when both certify every trial asked for, each
+with a strict modal majority.
 """
 
 from __future__ import annotations
@@ -154,13 +156,16 @@ def count_roots_1d(p: LaurentPolynomial) -> int:
 
     After monomial normalization the constant term is nonzero, so every
     root is a torus root; a squarefree polynomial has as many as its
-    degree, otherwise the trial is degenerate.
+    degree, otherwise the trial is degenerate.  The polynomial is its own
+    eliminant, so a degree past MAX_ELIMINANT_DEGREE is a ValueError.
     """
     if p.ambient_dim != 1:
         raise ValueError("count_roots_1d needs one variable")
     terms = _integer_terms(p)
     low = min(e[0] for e, _ in terms)
-    dense = [0] * (max(e[0] for e, _ in terms) - low + 1)
+    degree = max(e[0] for e, _ in terms) - low
+    _check_size(0, degree)
+    dense = [0] * (degree + 1)
     for (e,), c in terms:
         dense[e - low] = c
     return _certify(dense, (), None)
@@ -405,13 +410,23 @@ def count_solutions_2d(
 # -- verification ------------------------------------------------------------
 
 
-def _count_system(system, shear):
-    if len(system) == 1:
-        return count_roots_1d(system[0])
-    return count_solutions_2d(system[0], system[1], shear)
+def _first_attempt(supports):
+    """The batch's counter (system, shear) -> count, once the first attempt's
+    eliminant is within budget.  In one variable the polynomial is its own
+    eliminant, of degree its span."""
+    if len(supports) == 1:
+        pts = supports[0].sorted_points()
+        _check_size(0, pts[-1][0] - pts[0][0])
+        return lambda system, shear: count_roots_1d(system[0])
+    _lattice_coordinates([a.sorted_points() for a in supports], 0)
+    return lambda system, shear: count_solutions_2d(system[0], system[1], shear)
 
 
-def _run_trials(supports, trials, seed, label, predicted, reasons):
+def _run_trials(supports, count, trials, seed, label, predicted, reasons):
+    """Certified counts from up to trials + MAX_RETRIES attempts, the number
+    of degenerate ones (reasons tallied in `reasons`), the modal count (the
+    smallest most frequent; None without counts) and whether it is a strict
+    majority of the counts."""
     counts = []
     degenerate = 0
     for attempt in range(trials + MAX_RETRIES):
@@ -423,46 +438,30 @@ def _run_trials(supports, trials, seed, label, predicted, reasons):
         if degenerate:  # a retry: fresh coefficients and a shear
             shear = random.Random(derive_seed(trial_seed, "shear")).choice(SHEARS)
         try:
-            count = _count_system(system, shear)
-            if count < predicted:
+            c = count(system, shear)
+            if c < predicted:
                 # a certified count below the bound: these coefficients are not generic
                 raise DegenerateSystemError("fewer roots than predicted")
-            counts.append(count)
+            counts.append(c)
         except DegenerateSystemError as exc:
             degenerate += 1
             reasons[str(exc)] += 1
-    return counts, degenerate
-
-
-def _modal(counts):
-    if not counts:
-        return None, False
     tally = Counter(counts)
-    best = max(tally, key=lambda c: (tally[c], -c))
-    return best, tally[best] * 2 > len(counts)
-
-
-def _check_eliminant_budget(supports):
-    """Reject a batch whose first-attempt eliminant exceeds the budget.
-
-    In one variable the polynomial is its own eliminant, of degree its span.
-    """
-    if len(supports) == 1:
-        pts = supports[0].sorted_points()
-        _check_size(0, pts[-1][0] - pts[0][0])
-    else:
-        _lattice_coordinates([a.sorted_points() for a in supports], 0)
+    modal = max(tally, key=lambda c: (tally[c], -c), default=None)
+    return counts, degenerate, modal, tally[modal] * 2 > len(counts)
 
 
 def verify_bkk(supports, trials: int = 5, seed: int = 0) -> CountReport:
     """Randomized root-count verification with certified trials.
 
-    Runs `trials` independent generic systems, each counted exactly or
-    thrown away as degenerate with its reason (at most MAX_RETRIES of them
-    per batch), takes the modal count, and compares with the exact
-    prediction.  The same verification runs on the lattice-point
-    completions of the supports, whose counts must agree with the originals;
-    a completion past ``geometry.MAX_LATTICE_CANDIDATES`` is rejected first.
+    One trial loop runs on the supports and on their lattice-point
+    completions (rejected past ``geometry.MAX_LATTICE_CANDIDATES``) once
+    both batches' first-attempt budgets hold.  Each batch counts generic
+    systems exactly, throws away at most MAX_RETRIES degenerate ones with
+    their reasons, and takes the modal count.  The verdict is decided only
+    when both batches certified `trials` counts, each with a strict modal
+    majority; `inconclusive` means undecided, and `agreed` means decided
+    with both modal counts equal to the prediction.
     """
     supports = list(supports)
     if not supports:
@@ -477,28 +476,26 @@ def verify_bkk(supports, trials: int = 5, seed: int = 0) -> CountReport:
     if not 3 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 3..{MAX_TRIALS}")
     batches = [("base", supports), ("completion", [completion(a) for a in supports])]
-    for _, sup in batches:
-        _check_eliminant_budget(sup)
+    counters = [_first_attempt(sup) for _, sup in batches]
     predicted = bkk_number(supports)
     reasons: Counter = Counter()
-    (counts, degenerate), (ccounts, cdeg) = [
-        _run_trials(sup, trials, seed, label, predicted, reasons) for label, sup in batches
+    (counts, degenerate, modal, majority), (ccounts, cdeg, cmodal, cmaj) = [
+        _run_trials(sup, count, trials, seed, label, predicted, reasons)
+        for (label, sup), count in zip(batches, counters)
     ]
-    modal, majority = _modal(counts)
-    cmodal, cmaj = _modal(ccounts)
+    decided = majority and cmaj and len(counts) == len(ccounts) == trials
     diagnostics = {
         "majority": majority,
-        "inconclusive": not (majority and cmaj) or len(counts) < trials,
+        "inconclusive": not decided,
         "completion_trials": ccounts,
         "completion_modal": cmodal,
         "degenerate_reasons": dict(sorted(reasons.items())),
     }
-    agreed = majority and cmaj and modal == cmodal == predicted and len(counts) >= trials
     return CountReport(
         predicted=predicted,
         trials=tuple(counts),
         modal=modal,
-        agreed=bool(agreed),
+        agreed=decided and modal == cmodal == predicted,
         degenerate_trials=degenerate + cdeg,
         diagnostics=diagnostics,
     )

@@ -115,6 +115,16 @@ class TestCountRoots1D:
         with pytest.raises(ValueError):
             bkk.count_roots_1d(L(2, {(0, 0): 1, (1, 1): 1}))
 
+    def test_degree_budget(self):
+        # the polynomial is its own eliminant: dense Laurent draws of degree
+        # 160 are counted, 161 is past MAX_ELIMINANT_DEGREE
+        at_limit = S(1, [(e,) for e in range(-80, 81)])
+        (p,) = bkk.random_generic_system([at_limit], 5)
+        assert bkk.count_roots_1d(p) == bkk.MAX_ELIMINANT_DEGREE == 160
+        (q,) = bkk.random_generic_system([S(1, [(e,) for e in range(-80, 82)])], 5)
+        with pytest.raises(ValueError, match="degree bound 161; the limit is 160"):
+            bkk.count_roots_1d(q)
+
 
 class TestCountSolutions2D:
     def test_two_lines(self):

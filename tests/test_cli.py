@@ -7,6 +7,7 @@ import math
 import os
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 import typing
@@ -367,7 +368,7 @@ class TestCommands:
         inp = write(tmp_path, "in.json", HAND_PAIR)
         args = ["bkk-verify", inp, "--trials", "4", "--seed", "7"]
         for k, expected in ((1, 0), (2, 3), (3, 1)):
-            monkeypatch.setattr(bkk, "_run_trials", _raise_first_counts(k))
+            monkeypatch.setattr(bkk, "count_solutions_2d", _raise_first_counts(k, 4))
             rc, rep = run(args, tmp_path / f"out{k}.json")
             assert rc == expected
             assert rep["trials"] == [3] * k + [2] * (4 - k) and rep["degenerate_trials"] == 0
@@ -387,10 +388,10 @@ class TestCommands:
 
     def test_bkk_verify_all_trials_degenerate_is_exit_3(self, tmp_path, monkeypatch):
         # no trial is counted in either batch: no modal count, inconclusive
-        def degenerate(system, shear):
+        def degenerate(p1, p2, shear):
             raise bkk.DegenerateSystemError("forced by the test")
 
-        monkeypatch.setattr(bkk, "_count_system", degenerate)
+        monkeypatch.setattr(bkk, "count_solutions_2d", degenerate)
         inp = write(tmp_path, "in.json", HAND_PAIR)
         rc, rep = run(["bkk-verify", inp, "--trials", "3"], tmp_path / "out.json")
         assert rc == 3
@@ -403,17 +404,37 @@ class TestCommands:
         assert diagnostics["inconclusive"] and not diagnostics["majority"]
 
 
-_REAL_RUN_TRIALS = bkk._run_trials
+_REAL_COUNT_2D = bkk.count_solutions_2d
+_REAL_DRAW = bkk.random_generic_system
 
 
-def _raise_first_counts(k):
-    """`bkk._run_trials` with the first k certified counts of a batch one too high."""
+def _raise_first_counts(k, trials):
+    """`bkk.count_solutions_2d` with the first k counts of each batch one too
+    high, for batches of `trials` attempts that are never degenerate."""
+    calls = itertools.count()
 
     def patched(*args):
-        counts, degenerate = _REAL_RUN_TRIALS(*args)
-        return [c + (i < k) for i, c in enumerate(counts)], degenerate
+        return _REAL_COUNT_2D(*args) + (next(calls) % trials < k)
 
     return patched
+
+
+def _replace_draws(label, keep, system, seed):
+    """`bkk.random_generic_system` with every draw of batch `label` after its
+    first `keep` replaced by `system`."""
+    replaced = {derive_seed(seed, label, i) for i in range(keep, bkk.MAX_TRIALS + bkk.MAX_RETRIES)}
+
+    def draw(supports, trial_seed):
+        return system if trial_seed in replaced else _REAL_DRAW(supports, trial_seed)
+
+    return draw
+
+
+# the 1D support {0, 2} (predicted 2), and two draws for it: a square,
+# degenerate, and a squarefree cubic, certified 3
+EVEN_1D = {"supports": [{"dim": 1, "points": [[0], [2]]}]}
+SQUARE_1D = [algebra.laurent(1, {(0,): 1, (1,): -2, (2,): 1})]
+CUBIC_1D = [algebra.laurent(1, {(0,): -6, (1,): 11, (2,): -6, (3,): 1})]
 
 
 def _vertices(witness_body):
@@ -549,6 +570,54 @@ def test_benchmark_span_targets_resolve():
         assert callable(vars(owner).get(last)), f"{module}.{attr}"
 
 
+@pytest.mark.parametrize(
+    "data,patched",
+    [(EVEN_1D, True), (HAND_PAIR, False)],
+    ids=["1d-with-degenerate-trials", "2d"],
+)
+def test_bkk_spans_keep_their_meaning(tmp_path, monkeypatch, data, patched):
+    # the benchmark reads bkk.trial calls as attempts and returned
+    # bkk.count_1d / bkk.count_2d calls as certified counts: wrap the three
+    # functions in bkk's namespace, as its tracer does
+    if patched:
+        monkeypatch.setattr(bkk, "random_generic_system",
+                            _replace_draws("completion", 2, SQUARE_1D, 0))
+    calls, returned = [], []
+
+    def wrap(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            result = fn(*args)
+            returned.append(name)
+            return result
+
+        monkeypatch.setattr(bkk, name, wrapper)
+
+    for name in ("random_generic_system", "count_roots_1d", "count_solutions_2d"):
+        wrap(name, getattr(bkk, name))
+    inp = write(tmp_path, "in.json", data)
+    rc, rep = run(["bkk-verify", inp, "--trials", "5"], tmp_path / "out.json")
+    assert rc == (3 if patched else 0) and (rep["degenerate_trials"] > 0) is patched
+    counted = len(rep["trials"]) + len(rep["diagnostics"]["completion_trials"])
+    attempts = counted + rep["degenerate_trials"]
+    count = "count_roots_1d" if data is EVEN_1D else "count_solutions_2d"
+    # one draw per attempt, each followed by exactly one count call
+    assert calls == ["random_generic_system", count] * attempts
+    assert returned.count(count) == counted
+
+
+def test_degenerate_reasons_are_documented():
+    source = Path(bkk.__file__).read_text()
+    literals = re.findall(r'raise DegenerateSystemError\("([^"]+)"\)', source)
+    # every reason is a literal, so none escapes the pattern
+    assert len(literals) == source.count("raise DegenerateSystemError(")
+    raised = set(literals)
+    formats = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+    section = formats.split("The reasons are:", 1)[1].split("\n\n", 2)[1]
+    documented = set(re.findall(r"^- `([^`]+)`:", section, re.M))
+    assert raised and raised <= documented
+
+
 def test_every_annotation_resolves():
     # typing.get_type_hints evaluates each annotation in its module's
     # namespace; a name the module never imports raises NameError
@@ -590,6 +659,35 @@ class TestBkkVerifyContract:
         inp = write(tmp_path, "in.json", system)
         rc, rep = run(["bkk-verify", inp] + flags, tmp_path / "out.json")
         assert rc == 0 and rep["modal"] == rep["predicted"]
+
+    @pytest.mark.parametrize(
+        "label,keep,system,trials,counts,code",
+        [
+            ("completion", 2, SQUARE_1D, 5, [2, 2], 3),
+            ("base", 2, SQUARE_1D, 5, [2, 2], 3),
+            ("completion", 2, CUBIC_1D, 4, [2, 2, 3, 3], 3),
+            ("completion", 5, SQUARE_1D, 5, [2] * 5, 0),
+        ],
+        ids=["short-completion", "short-base", "completion-tie", "full-batches"],
+    )
+    def test_verdict_needs_both_batches_full(
+        self, tmp_path, monkeypatch, label, keep, system, trials, counts, code
+    ):
+        # a verdict needs `trials` certified counts with a strict modal
+        # majority in both batches; the other batch stays full and agrees
+        monkeypatch.setattr(bkk, "random_generic_system", _replace_draws(label, keep, system, 0))
+        inp = write(tmp_path, "in.json", EVEN_1D)
+        rc, rep = run(["bkk-verify", inp, "--trials", str(trials)], tmp_path / "out.json")
+        diagnostics = rep["diagnostics"]
+        assert rc == code and rep["agreed"] is (code == 0)
+        assert diagnostics["inconclusive"] is (code == 3)
+        batches = {"base": rep["trials"], "completion": diagnostics["completion_trials"]}
+        assert batches.pop(label) == counts and batches.popitem()[1] == [2] * trials
+        degenerate = trials + bkk.MAX_RETRIES - len(counts) if len(counts) < trials else 0
+        assert rep["degenerate_trials"] == degenerate
+        assert diagnostics["degenerate_reasons"] == (
+            {"not squarefree mod p": degenerate} if degenerate else {}
+        )
 
 
 class TestExitContract:
