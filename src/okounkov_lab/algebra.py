@@ -20,8 +20,11 @@ the prefix of its sorted basis-index tuple, and only if that prefix
 installed a pivot.  A span is level 1, slotted by its exponents' ranks;
 the powers' slots are those of the basis exponents' ``semigroup.LevelBox``,
 so the lowest slot of a packed row is its valuation; the box and k_max are
-budgeted before any level is built.  A Newton body hulls only the two ends
-of each level's leads along every line parallel to the last axis.
+budgeted before any level is built.  The powers of a subspace spanned by
+monomials x^a, a in A, are not eliminated: their leads are the sumsets kA,
+which the packed sumset kernel ``semigroup._levels`` builds on the same
+box.  A Newton body hulls only the two ends of each level's leads along
+every line parallel to the last axis.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import geometry
+from . import geometry, semigroup
 from .geometry import LatticePolytope, SupportSet, support_set
 from .semigroup import GradedSemigroupSlice, LevelBox, level_box
 
@@ -384,7 +387,13 @@ def _level_box(l: LaurentSubspace, order: MonomialOrder, k_max: int) -> LevelBox
 def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
     """The level box, and the lead slots of echelonized L^k for k = 1..k_max.
 
-    A multiset M of k basis indices, written as its sorted index tuple,
+    If every basis element is a monomial c_a x^a, a in A, the leads of L^k
+    are the slots of the sumset kA, from ``semigroup._levels``: a product of
+    k basis elements is a nonzero multiple of x^(a_1 + ... + a_k), so L^k is
+    spanned by the monomials x^b, b in kA, and distinct monomials cannot
+    cancel.  Every other L is echelonized by :func:`_echelon_levels`.
+
+    There a multiset M of k basis indices, written as its sorted index tuple,
     stands for the product row(M) of those basis rows; level k is spanned by
     all of them.  Each M is built once, from its prefix M[:-1] (the rule of
     :func:`_power_level`), and only when that prefix installed a pivot at
@@ -394,6 +403,9 @@ def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
     not change any span.
     """
     box = _level_box(l, order, k_max)
+    points = [f.terms[0][0] for f in l.basis if len(f.terms) == 1]
+    if len(points) == l.dim:
+        return box, dict(enumerate(semigroup._levels(box, points, k_max), 1))
     levels, _, _ = _echelon_levels(l.basis, box.slot, k_max)
     return box, levels
 

@@ -9,8 +9,9 @@ asymptotics are read off at finite scale.  Its levels are packed once, in
 :class:`LevelBox`: each point of a level is one integer slot, and the slots
 of the level generated by a set are the sums of the previous level's slots
 with the set's.  :func:`sumset_power`, :func:`slice_of_support` and
-:func:`density_sequence` build A's levels kA that way (`_levels`), and
-``algebra`` indexes the rows of a subspace's power levels by the same box.
+:func:`density_sequence` build A's levels kA that way (`_levels`);
+``algebra`` takes the power levels of a subspace spanned by monomials from
+it too, and indexes the rows of every other subspace's by the same box.
 The density sequence counts the levels without decoding them, and takes
 the Newton body conv(A) and the difference lattice from A alone
 (:func:`density_sequence` proves both).
@@ -124,10 +125,12 @@ def level_box(points, k_max: int, grading: tuple[int, ...] | None = None) -> Lev
     return LevelBox(low, stride, radices, grading, math.prod(radices, start=grades))
 
 
-def _levels(box: LevelBox, a: SupportSet, k_max: int):
-    """The slot sets of S_1..S_k_max = A, 2A, ..., one at a time: S_k is
-    every sum of a slot of S_{k-1} with one of A's, from S_0 = {0}."""
-    slots = [box.slot(p) for p in a.points]
+def _levels(box: LevelBox, points, k_max: int):
+    """The slot sets of S_1..S_k_max = A, 2A, ..., one at a time, A the
+    level-1 ``points``: S_k is every sum of a slot of S_{k-1} with one of
+    A's, from S_0 = {0}.  Bare points, not a :class:`SupportSet`, so that
+    ``algebra`` can pass a subspace's exponents in any dimension, 0 too."""
+    slots = [box.slot(p) for p in points]
     level = {0}
     for _ in range(k_max):
         level = {e + c for c in slots for e in level}
@@ -160,7 +163,7 @@ def sumset_power(a: SupportSet, k: int) -> SupportSet:
     """k-fold sumset: the last of A's levels, decoded from its slots."""
     _check_level_budget(a, k, "k")
     box = level_box(a.points, k)
-    for level in _levels(box, a, k):
+    for level in _levels(box, a.points, k):
         pass
     return SupportSet(a.ambient_dim, frozenset(box.exponent(s, k) for s in level))
 
@@ -273,7 +276,7 @@ def slice_of_support(a: SupportSet, k_max: int) -> GradedSemigroupSlice:
     box = level_box(a.points, k_max)
     return GradedSemigroupSlice(a.ambient_dim, {
         k: SupportSet(a.ambient_dim, frozenset(box.exponent(s, k) for s in level))
-        for k, level in enumerate(_levels(box, a, k_max), 1)
+        for k, level in enumerate(_levels(box, a.points, k_max), 1)
     })
 
 
@@ -326,7 +329,7 @@ def density_sequence(a: SupportSet, k_max: int) -> DensityReport:
     n = a.ambient_dim
     volume = geometry.polytope_of_support(a).volume
     index = difference_lattice_index(a)
-    levels = _levels(level_box(a.points, k_max), a, k_max)
+    levels = _levels(level_box(a.points, k_max), a.points, k_max)
     rows = tuple(
         DensityRow(k, Fraction(len(level), k**n), volume)
         for k, level in enumerate(levels, 1)

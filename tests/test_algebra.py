@@ -574,6 +574,9 @@ class TestLevelBudgets:
         assert alg.hilbert_function(at, 1) == [(1, 256)]
         over = line(*range(256), 65280)  # 65281 slots x 257 rows
         widths = _width_spy(monkeypatch)
+        # monomial subspaces take their levels from the sumset kernel
+        sumsets, levels = [], sg._levels
+        monkeypatch.setattr(sg, "_levels", lambda *args: sumsets.append(1) or levels(*args))
         message = (f"power levels would need 65281 slots x 257 rows = "
                    f"{alg.MAX_LEVEL_CELLS + 1} cells; the limit is {alg.MAX_LEVEL_CELLS}")
         with pytest.raises(ValueError, match=message):
@@ -585,7 +588,7 @@ class TestLevelBudgets:
         half = line(*range(16), 2**18)
         with pytest.raises(ValueError, match="= 25165872 cells; the limit is"):
             alg.superadditivity_check(half, half, k_max=1)
-        assert widths == []
+        assert widths == [] and sumsets == []
 
     def test_small_sparse_supports_are_admitted_at_the_default_kmax(self):
         # each shifted coordinate is divided by its gcd before the box is sized
@@ -714,16 +717,99 @@ class TestPrefixProducts:
         ]
 
     @pytest.mark.parametrize(
-        "make,k_max,zeros",
-        [(lambda: _product_of(DIM5_FACTORS), 8, 231), (_monomial4, 12, 55)],
+        "make,levels,k_max,zeros",
+        [(lambda: _product_of(DIM5_FACTORS), "power", 8, 231),
+         (_monomial4, "echelon", 12, 55)],
         ids=["dim5-product", "monomial4"],
     )
-    def test_zero_reductions(self, monkeypatch, make, k_max, zeros):
-        # multiplying every distinct multiset reduces 532 and 385 rows to zero
+    def test_zero_reductions(self, monkeypatch, make, levels, k_max, zeros):
+        # multiplying every distinct multiset reduces 532 and 385 rows to zero;
+        # a monomial subspace calls the kernel directly, since _power_levels
+        # takes its levels from its sumsets
         l = make()
         counted = _zero_reduction_spy(monkeypatch)
-        alg._power_levels(l, alg.LEX, k_max)
+        if levels == "power":
+            alg._power_levels(l, alg.LEX, k_max)
+        else:
+            alg._echelon_levels(l.basis, alg._level_box(l, alg.LEX, k_max).slot, k_max)
         assert counted[0] == zeros
+
+    def test_monomial_levels_reduce_no_row(self, monkeypatch):
+        l = _monomial4()  # building it echelonizes its basis once
+        calls = []
+        reduce = alg._reduce
+        monkeypatch.setattr(alg, "_reduce", lambda *args: calls.append(1) or reduce(*args))
+        _, levels = alg._power_levels(l, alg.LEX, 12)
+        assert alg.hilbert_function(l, 12) == [(k, len(levels[k])) for k in range(1, 13)]
+        alg.newton_okounkov_body(l, GRLEX12, 12)
+        assert calls == []
+        _monomial4()
+        assert calls  # the spy sees the independence check's echelon
+
+
+def _monomial_cases():
+    """Seeded monomial supports in 1-3 variables with exponents in -3..3,
+    some scaled by 1000 (strided), each with a lex or graded lex order and
+    the largest k_max of 1, 5 and 12 that the level budget admits (a
+    graded box keeps the stride in its grades)."""
+    rng = random.Random(3434)
+    gradings = {1: (2,), 2: (1, 2), 3: (1, 2, 1)}
+    strided = [(0, 0), (1000, 0), (0, 1000)]
+    cases = [(2, strided, alg.LEX, 12), (2, strided, GRLEX12, 5)]
+    while len(cases) < 24:
+        dim = 1 + len(cases) % 3
+        scale = 1000 if len(cases) % 4 == 0 else 1
+        points = sorted({tuple(scale * rng.randint(-3, 3) for _ in range(dim))
+                         for _ in range(rng.randint(1, 5))})
+        order = alg.LEX if len(cases) % 2 else alg.MonomialOrder("grlex", gradings[dim])
+        l = alg.monomial_subspace(g.support_set(dim, points))
+        for k_max in (12, 5, 1):
+            try:
+                alg._level_box(l, order, k_max)
+                break
+            except ValueError:
+                continue
+        cases.append((dim, points, order, k_max))
+    return cases
+
+
+MONOMIAL_CASES = _monomial_cases()
+
+
+class TestMonomialLevels:
+    """A subspace spanned by monomials x^a, a in A: its levels are the
+    sumsets kA, and its Newton body is conv(A)."""
+
+    @staticmethod
+    def subspace(dim, points, seed):
+        rng = random.Random(seed)
+        return alg.LaurentSubspace(dim, tuple(
+            L(dim, {p: F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))}) for p in points
+        ))
+
+    @pytest.mark.parametrize("case", range(24))
+    def test_levels_are_the_sumsets(self, case):
+        dim, points, order, k_max = MONOMIAL_CASES[case]
+        l = self.subspace(dim, points, case)
+        a = g.support_set(dim, points)
+        box, levels = alg._power_levels(l, order, k_max)
+        echelon, _, _ = alg._echelon_levels(l.basis, box.slot, k_max)
+        assert {k: set(slots) for k, slots in levels.items()} == {
+            k: set(slots) for k, slots in echelon.items()
+        }
+        assert alg.hilbert_function(l, k_max) == [
+            (k, len(sg.sumset_power(a, k))) for k in range(1, k_max + 1)
+        ]
+        assert alg.newton_okounkov_body(l, order, k_max) == g.polytope_of_support(a)
+
+    @pytest.mark.parametrize("case", [2, 6, 7, 13, 22])
+    def test_pinned_levels_match_oracle(self, case):
+        dim, points, order, _ = MONOMIAL_CASES[case]
+        l = self.subspace(dim, points, case)
+        grading = None if order.kind == "lex" else order.grading
+        levels = alg.semigroup_of_subspace(l, order, 4).levels
+        for k in range(1, 5):
+            assert set(levels[k].points) == sympy_power_leads(_terms(l), grading, k), k
 
 
 def _flat_or_random_subspace(rng, dim, i):

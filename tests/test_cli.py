@@ -931,6 +931,32 @@ class TestExitContract:
         else:
             assert rep["kmax"] == kmax
 
+    @pytest.mark.parametrize(
+        "exponents,dims",
+        [([()], [1, 1, 1]), ([(i,) * 5 for i in range(3)], [3, 5, 7])],
+        ids=["dim0", "dim5"],
+    )
+    def test_hilbert_counts_monomial_subspaces_in_any_dimension(
+        self, tmp_path, capsys, exponents, dims
+    ):
+        # hilbert builds no hull, so 0 and 5 variables are counted; okounkov
+        # hulls its body, which exits 2 past dimension 4
+        inp = write(tmp_path, "in.json", self._subspace(*exponents))
+        rc, rep = run(["hilbert", inp, "--kmax", "3"], tmp_path / "out.json")
+        assert rc == 0
+        assert rep["rows"] == [{"k": k, "dim": d} for k, d in enumerate(dims, 1)]
+        if len(exponents[0]) == 5:
+            assert main(["okounkov", inp, "--kmax", "3", "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == "input error: ambient dimension must be in 1..4\n"
+
+    def test_hilbert_negative_dim_is_exit_2(self, tmp_path, capsys):
+        basis = [{"dim": -1, "terms": [{"exp": [], "coef": "1"}]}]
+        inp = write(tmp_path, "in.json", {"subspace": {"dim": -1, "basis": basis}})
+        assert main(["hilbert", inp, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "input error: exponents must be integer vectors of length dim\n"
+        )
+
     @staticmethod
     def _line(n):
         return {"dim": 1, "points": [[x] for x in range(n)]}

@@ -433,7 +433,7 @@ class TestLevelBox:
                     chosen = [rng.choice(pts) for _ in range(j)]
                     got = box.exponent(sum(map(box.slot, chosen)), j)
                     assert got == tuple(map(sum, zip(*chosen)))
-                levels = list(sg._levels(box, a, kmax))
+                levels = list(sg._levels(box, a.points, kmax))
                 for _ in range(5):
                     j, k = rng.randint(1, kmax), rng.randint(1, kmax)
                     if j + k > kmax:
@@ -447,7 +447,7 @@ class TestLevelBox:
         for a, kmax in box_supports(rng):
             for order in self.orders(rng, a.ambient_dim):
                 box = sg.level_box(a.points, kmax, order.grading)
-                for k, level in enumerate(sg._levels(box, a, kmax), 1):
+                for k, level in enumerate(sg._levels(box, a.points, kmax), 1):
                     decoded = [box.exponent(s, k) for s in sorted(level)]
                     assert set(decoded) == brute_sumset_power(a.points, k)
                     keys = list(map(order.key, decoded))
