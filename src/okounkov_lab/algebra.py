@@ -525,6 +525,7 @@ def newton_okounkov_body(
     slot % prod(radices), and the grade, which rises with the last
     coordinate, varies along it.
     """
+    geometry.check_dim(l.ambient_dim)  # the hull's range, before any level is built
     box, levels = _power_levels(l, order, k_max)
     lex = box.grading is None
     cells = box.radices[-1] if lex else math.prod(box.radices)
@@ -557,6 +558,7 @@ def superadditivity_check(
     """Check Newton(L1) + Newton(L2) inside Newton(L1 L2) at equal level."""
     if l1.ambient_dim != l2.ambient_dim:
         raise ValueError("dimension mismatch")
+    geometry.check_dim(l1.ambient_dim)
     l12 = product(l1, l2)
     for l in (l1, l2, l12):
         _level_box(l, order, k_max)

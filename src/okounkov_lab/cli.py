@@ -14,7 +14,7 @@ an option the command does not read, 3 inconclusive (a count without a
 majority, or two provably unequal root sums too close to separate), 4
 internal error (an unexpected exception, or a ``ValueError`` in a command
 that reads no input; no report).  Every command takes ``--out``; the others
-are declared only where the command reads them (see ``_READS``).  Identical
+are declared only where the command reads them (see ``_COMMANDS``).  Identical
 inputs and seed produce byte-identical reports.
 """
 
@@ -175,24 +175,7 @@ def _cmd_selftest(args):
     return result, EXIT_OK if result["failed"] == 0 else EXIT_VIOLATION
 
 
-_COMMANDS = {
-    "mixedvol": (_cmd_mixedvol, "exact mixed volume of an n-tuple of bodies"),
-    "af-check": (_cmd_af_check, "check the quadratic mixed-volume inequality"),
-    "bm-check": (_cmd_bm_check, "check root-sum concavity under Minkowski sum"),
-    "isoperimetric": (_cmd_isoperimetric, "planar mixed-area inequality check"),
-    "sumset": (_cmd_sumset, "k-fold sumset of an integer support"),
-    "density": (_cmd_density, "sumset density against the hull volume"),
-    "okounkov": (_cmd_okounkov, "Newton body of a Laurent subspace"),
-    "hilbert": (_cmd_hilbert, "dimension growth of subspace powers"),
-    "bkk-predict": (_cmd_bkk_predict, "exact root-count bound from supports"),
-    "bkk-verify": (_cmd_bkk_verify, "certified exact root counting against the bound"),
-    "steiner": (_cmd_steiner, "iterated planar symmetrization trace"),
-    "profile": (_cmd_profile, "volumes of convex combinations of two bodies"),
-    "selftest": (_cmd_selftest, "replay the built-in example corpus"),
-}
-
-
-# the options each command reads; every command also takes --out
+# the options a command may read; every command also takes --out
 _OPTIONS = {
     "--format": dict(choices=("json", "csv"), default="json", help="report format"),
     "--seed": dict(type=int, default=0, help="master random seed"),
@@ -202,15 +185,23 @@ _OPTIONS = {
         action="store_true", help="also run the inclusion-exclusion oracle (dimensions 1-4)"
     ),
 }
-_READS = {
-    "mixedvol": ("--oracle",),
-    "density": ("--format", "--kmax"),
-    "okounkov": ("--kmax",),
-    "hilbert": ("--format", "--kmax"),
-    "bkk-verify": ("--seed", "--trials"),
-    "steiner": ("--format", "--seed"),
-    "profile": ("--format",),
-    "selftest": ("--seed",),
+# each command's handler, help line and the options it reads
+_COMMANDS = {
+    "mixedvol": (_cmd_mixedvol, "exact mixed volume of an n-tuple of bodies", ("--oracle",)),
+    "af-check": (_cmd_af_check, "check the quadratic mixed-volume inequality", ()),
+    "bm-check": (_cmd_bm_check, "check root-sum concavity under Minkowski sum", ()),
+    "isoperimetric": (_cmd_isoperimetric, "planar mixed-area inequality check", ()),
+    "sumset": (_cmd_sumset, "k-fold sumset of an integer support", ()),
+    "density": (_cmd_density, "sumset density against the hull volume", ("--format", "--kmax")),
+    "okounkov": (_cmd_okounkov, "Newton body of a Laurent subspace", ("--kmax",)),
+    "hilbert": (_cmd_hilbert, "dimension growth of subspace powers", ("--format", "--kmax")),
+    "bkk-predict": (_cmd_bkk_predict, "exact root-count bound from supports", ()),
+    "bkk-verify": (
+        _cmd_bkk_verify, "certified exact root counting against the bound", ("--seed", "--trials")
+    ),
+    "steiner": (_cmd_steiner, "iterated planar symmetrization trace", ("--format", "--seed")),
+    "profile": (_cmd_profile, "volumes of convex combinations of two bodies", ("--format",)),
+    "selftest": (_cmd_selftest, "replay the built-in example corpus", ("--seed",)),
 }
 
 
@@ -222,12 +213,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (_, help_text, reads) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         if name != "selftest":
             sub.add_argument("input", help="path to the JSON input")
         sub.add_argument("--out", default=None, help="write the report here")
-        for flag in _READS.get(name, ()):
+        for flag in reads:
             sub.add_argument(flag, **_OPTIONS[flag])
     return parser
 

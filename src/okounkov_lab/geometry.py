@@ -125,6 +125,12 @@ def _union(faces):
     return scale, [tuple(scale // s * c for c in p) for s, pts in faces for p in pts]
 
 
+def check_dim(n: int) -> None:
+    """Reject an ambient dimension the exact hull does not cover."""
+    if not 1 <= n <= MAX_DIM:
+        raise ValueError(f"ambient dimension must be in 1..{MAX_DIM}")
+
+
 def _polytope(scale: int, points, n: int) -> LatticePolytope:
     """The polytope conv(points / scale), hulled exactly in integers.
 
@@ -134,8 +140,7 @@ def _polytope(scale: int, points, n: int) -> LatticePolytope:
     vertex coordinates; every plane passes through a vertex, so its offset
     divides too.
     """
-    if not 1 <= n <= MAX_DIM:
-        raise ValueError(f"ambient dimension must be in 1..{MAX_DIM}")
+    check_dim(n)
     pts = sorted(set(points))
     rows = tuple(r for _, r in _hull.echelon(_hull._sub(p, pts[0]) for p in pts[1:]))
     pivots = tuple(sorted(next(j for j, x in enumerate(r) if x) for r in rows))

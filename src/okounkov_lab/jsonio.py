@@ -2,8 +2,10 @@
 
 Rationals travel as strings "p/q" (or "p"), floats as fixed
 17-significant-digit strings, so serialized reports are byte-stable across
-runs.  Parse errors raise :class:`SchemaError`, which the CLI maps to its
-input-error exit code.
+runs.  :class:`SchemaError` is a JSON-shape error that this module detects
+itself; a domain ``ValueError`` from the constructors it calls (a dependent
+basis, a zero grading weight) passes through unchanged.  The CLI maps both
+to its input-error exit code.
 """
 
 from __future__ import annotations
@@ -73,10 +75,7 @@ def polytope_from_json(obj) -> geometry.LatticePolytope:
         if not isinstance(v, list) or len(v) != dim:
             raise SchemaError("vertex arity does not match dim")
         pts.append(tuple(str_to_frac(c) for c in v))
-    try:
-        return geometry.convex_hull(pts)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return geometry.convex_hull(pts)
 
 
 def support_to_json(a: geometry.SupportSet) -> dict:
@@ -93,10 +92,7 @@ def support_from_json(obj) -> geometry.SupportSet:
         out.append(tuple(p))
     if not out:
         raise SchemaError("support set must be nonempty")
-    try:
-        return geometry.support_set(dim, out)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return geometry.support_set(dim, out)
 
 
 def laurent_from_json(obj) -> algebra.LaurentPolynomial:
@@ -116,10 +112,7 @@ def laurent_from_json(obj) -> algebra.LaurentPolynomial:
 def subspace_from_json(obj) -> algebra.LaurentSubspace:
     dim = _expect(obj, "dim", int)
     basis = [laurent_from_json(b) for b in _expect(obj, "basis", list)]
-    try:
-        return algebra.LaurentSubspace(dim, tuple(basis))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return algebra.LaurentSubspace(dim, tuple(basis))
 
 
 def order_from_json(obj) -> algebra.MonomialOrder:
@@ -134,10 +127,7 @@ def order_from_json(obj) -> algebra.MonomialOrder:
         if not all(is_int(w) for w in grading):
             raise SchemaError("grading must be a list of integers")
         grading = tuple(grading)
-    try:
-        return algebra.MonomialOrder(kind, grading)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return algebra.MonomialOrder(kind, grading)
 
 
 def polygon_from_json(obj) -> geometry.LatticePolytope:

@@ -16,6 +16,9 @@ from .radicals import compare_root_sums
 
 def _cases(seed: int):
     g = geometry
+    # the unit square and the standard triangle, shared by most cases
+    sq = g.convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    si = g.convex_hull([(0, 0), (1, 0), (0, 1)])
 
     def hull_interior_point():
         p = g.convex_hull([(0, 0), (1, 0), (0, 1), (F(1, 2), F(1, 4))])
@@ -26,14 +29,11 @@ def _cases(seed: int):
         return len(p.vertices) == 3
 
     def minkowski_pentagon():
-        si = g.convex_hull([(0, 0), (1, 0), (0, 1)])
         seg = g.convex_hull([(0, 0), (1, 1)])
         expected = g.convex_hull([(0, 0), (1, 0), (2, 1), (1, 2), (0, 1)])
         return g.minkowski_sum(si, seg) == expected
 
     def volumes():
-        sq = g.convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
-        si = g.convex_hull([(0, 0), (1, 0), (0, 1)])
         penta = g.convex_hull([(0, 0), (1, 0), (2, 1), (1, 2), (0, 1)])
         return (
             g.volume(sq) == 1
@@ -42,7 +42,6 @@ def _cases(seed: int):
         )
 
     def lattice_counts():
-        sq = g.convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
         return all(
             len(g.lattice_points(g.scale(sq, k))) == (k + 1) ** 2 for k in (1, 2, 3)
         )
@@ -50,7 +49,6 @@ def _cases(seed: int):
     def mixed_volume_examples():
         e1 = g.convex_hull([(0, 0), (1, 0)])
         e2 = g.convex_hull([(0, 0), (0, 1)])
-        si = g.convex_hull([(0, 0), (1, 0), (0, 1)])
         seg = g.convex_hull([(0, 0), (1, 1)])
         return (
             mixedvol.mixed_volume((e1, e2)) == F(1, 2)
@@ -59,19 +57,13 @@ def _cases(seed: int):
         )
 
     def alexandrov_fenchel_example():
-        sq = g.convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
-        si = g.convex_hull([(0, 0), (1, 0), (0, 1)])
         r = mixedvol.check_alexandrov_fenchel((sq, si))
         return r.holds and r.lhs == 1 and r.rhs == F(1, 2)
 
     def brunn_minkowski_example():
-        sq = g.convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
-        si = g.convex_hull([(0, 0), (1, 0), (0, 1)])
         return mixedvol.check_generalized_bm(2, sq, si, []).holds
 
     def isoperimetric_example():
-        sq = g.convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
-        si = g.convex_hull([(0, 0), (1, 0), (0, 1)])
         r = mixedvol.check_isoperimetric(sq, si)
         return r.holds and r.lhs == F(1, 2) and r.rhs == 1
 
@@ -133,42 +125,18 @@ def _cases(seed: int):
         return rep.predicted == 2 and rep.agreed
 
     def steiner_example():
-        t = g.convex_hull([(0, 0), (1, 0), (0, 1)])
-        out = steiner.steiner_symmetrize(t, (0, 1))
+        out = steiner.steiner_symmetrize(si, (0, 1))
         return g.volume(out) == F(1, 2)
 
     def profile_example():
-        sq = g.convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
-        si = g.convex_hull([(0, 0), (1, 0), (0, 1)])
         rows = steiner.section_profile(sq, si, 10)
         return all(
             compare_root_sums([4 * v2], [v1, v3], 2) >= 0
             for (_, v1), (_, v2), (_, v3) in zip(rows, rows[1:], rows[2:])
         )
 
-    return [
-        ("hull_interior_point", hull_interior_point),
-        ("hull_boundary_point", hull_boundary_point),
-        ("minkowski_pentagon", minkowski_pentagon),
-        ("volumes", volumes),
-        ("lattice_counts", lattice_counts),
-        ("mixed_volume_examples", mixed_volume_examples),
-        ("alexandrov_fenchel_example", alexandrov_fenchel_example),
-        ("brunn_minkowski_example", brunn_minkowski_example),
-        ("isoperimetric_example", isoperimetric_example),
-        ("sumset_examples", sumset_examples),
-        ("completion_examples", completion_examples),
-        ("lattice_index_examples", lattice_index_examples),
-        ("density_snapshot", density_snapshot),
-        ("valuation_examples", valuation_examples),
-        ("subspace_product_example", subspace_product_example),
-        ("okounkov_monomial_example", okounkov_monomial_example),
-        ("hilbert_example", hilbert_example),
-        ("bkk_1d_example", bkk_1d_example),
-        ("bkk_2d_example", bkk_2d_example),
-        ("steiner_example", steiner_example),
-        ("profile_example", profile_example),
-    ]
+    # the cases are the local functions, named once, in definition order
+    return [(name, fn) for name, fn in locals().items() if callable(fn)]
 
 
 def run_selftest(seed: int = 0) -> dict:

@@ -66,12 +66,13 @@ class LevelBox:
     generators, so a level-k point e maps to (e - k*low) / stride in the box
     [0, k_max * span].  Lex reads that point in mixed radix
     k_max * span_i + 1, the first coordinate most significant; graded lex
-    puts the grade (``grading`` times the stride) above the mixed radix of
-    the first n - 1 coordinates, which with the grade fix the last one.  A
-    point of level k <= k_max has coordinates in 0..k * span_i <= radix - 1,
-    so adding slots never carries: both indices are additive on the box, a
-    level's slots are the sums of the previous level's with the
-    generators', and, within a level, they increase with the order.
+    puts the grade (``grading`` times the stride, over their gcd: a positive
+    rescaling, the same order) above the mixed radix of the first n - 1
+    coordinates, which with the grade fix the last one.  A point of level
+    k <= k_max has coordinates in 0..k * span_i <= radix - 1, so adding
+    slots never carries: both indices are additive on the box, a level's
+    slots are the sums of the previous level's with the generators', and,
+    within a level, they increase with the order.
     """
 
     low: tuple[int, ...]
@@ -118,7 +119,8 @@ def level_box(points, k_max: int, grading: tuple[int, ...] | None = None) -> Lev
     else:
         if len(grading) != len(low):
             raise ValueError("grading length does not match the exponent")
-        grading = tuple(w * d for w, d in zip(grading, stride))
+        scaled = [w * d for w, d in zip(grading, stride)]
+        grading = tuple(w // math.gcd(*scaled) for w in scaled)
         radices = tuple(k_max * s + 1 for s in spans[:-1])
         top = max(sum(w * x for w, x in zip(grading, p)) for p in box)
         grades = k_max * top + 1

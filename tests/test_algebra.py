@@ -613,6 +613,34 @@ class TestLevelBudgets:
         l = alg.monomial_subspace(g.support_set(2, [(0, 0), (1, 1)]))
         assert alg._level_box(l, GRLEX31, 5).slots == 21 * 6
 
+    def test_grlex_box_divides_the_grade_by_its_gcd(self):
+        # stride 1000 scales the grading (1, 2) to (1000, 2000); over their gcd
+        # the grades are 0..24 again, above 13 slots of x: 325, not 312013
+        points = [(0, 0), (1000, 0), (0, 1000)]
+        wide = alg.monomial_subspace(g.support_set(2, points))
+        box = alg._level_box(wide, GRLEX12, 12)
+        assert (box.slots, box.grading) == (25 * 13, (1, 2))
+        # a positive rescaling of the grading leaves the box as it is
+        assert sg.level_box(points, 12, (3, 6)) == sg.level_box(points, 12, (1, 2))
+
+    def test_newton_body_checks_the_dimension_before_any_level(self, monkeypatch):
+        # the body is hulled, so 1..4 variables; hilbert counts 0 variables too
+        point = alg.LaurentSubspace(0, (L(0, {(): 1}),))
+        five = alg.span(5, [L(5, {(0,) * 5: 1}), L(5, {(1, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0): 2})])
+        assert alg.hilbert_function(point, 3) == [(1, 1), (2, 1), (3, 1)]
+        widths = _width_spy(monkeypatch)
+        for l in (point, five):
+            for call in (
+                lambda: alg.newton_okounkov_body(l, alg.LEX, 3),
+                lambda: alg.superadditivity_check(l, l, k_max=3),
+                # the dimension is named before the k_max budget
+                lambda: alg.newton_okounkov_body(l, alg.LEX, alg.MAX_KMAX + 1),
+                lambda: alg.superadditivity_check(l, l, k_max=alg.MAX_KMAX + 1),
+            ):
+                with pytest.raises(ValueError, match=r"ambient dimension must be in 1\.\.4"):
+                    call()
+        assert widths == []
+
 
 def _plain_pack(values, width):
     return sum(v << (width * s) for s, v in enumerate(values))
@@ -750,8 +778,9 @@ class TestPrefixProducts:
 def _monomial_cases():
     """Seeded monomial supports in 1-3 variables with exponents in -3..3,
     some scaled by 1000 (strided), each with a lex or graded lex order and
-    the largest k_max of 1, 5 and 12 that the level budget admits (a
-    graded box keeps the stride in its grades)."""
+    the largest k_max of 1, 5 and 12 that the level budget admits.  The
+    strided graded case runs at k_max 5, its fallback while a graded box
+    kept the stride in its grades, and, last, at k_max 12."""
     rng = random.Random(3434)
     gradings = {1: (2,), 2: (1, 2), 3: (1, 2, 1)}
     strided = [(0, 0), (1000, 0), (0, 1000)]
@@ -770,7 +799,7 @@ def _monomial_cases():
             except ValueError:
                 continue
         cases.append((dim, points, order, k_max))
-    return cases
+    return cases + [(2, strided, GRLEX12, 12)]
 
 
 MONOMIAL_CASES = _monomial_cases()
@@ -787,7 +816,7 @@ class TestMonomialLevels:
             L(dim, {p: F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))}) for p in points
         ))
 
-    @pytest.mark.parametrize("case", range(24))
+    @pytest.mark.parametrize("case", range(25))
     def test_levels_are_the_sumsets(self, case):
         dim, points, order, k_max = MONOMIAL_CASES[case]
         l = self.subspace(dim, points, case)

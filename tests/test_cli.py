@@ -128,6 +128,13 @@ class TestRoundTrips:
         with pytest.raises(jsonio.SchemaError):
             jsonio.order_from_json({"kind": "colex"})
 
+    def test_domain_errors_pass_through(self):
+        """A shape error is jsonio's SchemaError; the domain's own ValueError
+        reaches the caller unwrapped, and the CLI maps both to exit 2."""
+        with pytest.raises(ValueError, match="positive integer grading") as exc:
+            jsonio.order_from_json({"kind": "grlex", "grading": [0, 1]})
+        assert not isinstance(exc.value, jsonio.SchemaError)
+
 
 class TestCommands:
     def test_mixedvol_report(self, tmp_path):
@@ -697,7 +704,9 @@ class TestExitContract:
         def crash(args):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(cli._COMMANDS, "mixedvol", (crash, "crashes"))
+        # only the handler is replaced; the help line and options stay
+        entry = (crash, *cli._COMMANDS["mixedvol"][1:])
+        monkeypatch.setitem(cli._COMMANDS, "mixedvol", entry)
         inp = write(tmp_path, "in.json", {"bodies": [SQ, SI]})
         assert main(["mixedvol", inp]) == cli.EXIT_INTERNAL == 4
         err = capsys.readouterr().err
@@ -770,6 +779,55 @@ class TestExitContract:
             main([command, inp, "--out", str(tmp_path / "o")] + flags)
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
+
+    # every subcommand in help order, with the options it reads past --out and
+    # their defaults; written out here, not read from the CLI's own table
+    COMMAND_OPTIONS = {
+        "mixedvol": {"--oracle": False},
+        "af-check": {},
+        "bm-check": {},
+        "isoperimetric": {},
+        "sumset": {},
+        "density": {"--format": "json", "--kmax": 12},
+        "okounkov": {"--kmax": 12},
+        "hilbert": {"--format": "json", "--kmax": 12},
+        "bkk-predict": {},
+        "bkk-verify": {"--seed": 0, "--trials": 5},
+        "steiner": {"--format": "json", "--seed": 0},
+        "profile": {"--format": "json"},
+        "selftest": {"--seed": 0},
+    }
+    # a value for each option some command reads, and what it parses to
+    OPTION_VALUES = {
+        "--format": (["csv"], "csv"), "--seed": (["3"], 3), "--trials": (["4"], 4),
+        "--kmax": (["2"], 2), "--oracle": ([], True),
+    }
+
+    def test_each_command_reads_exactly_its_options(self, capsys):
+        import okounkov_lab.cli as cli
+
+        parser = cli._build_parser()
+        assert list(cli._COMMANDS) == list(self.COMMAND_OPTIONS)
+        for command, options in self.COMMAND_OPTIONS.items():
+            head = [command] if command == "selftest" else [command, "in.json"]
+            defaults = {flag[2:]: value for flag, value in options.items()}
+            positional = {} if command == "selftest" else {"input": "in.json"}
+            assert vars(parser.parse_args(head)) == {
+                "command": command, **positional, "out": None, **defaults
+            }
+            for flag, (values, parsed) in self.OPTION_VALUES.items():
+                if flag in options:
+                    args = parser.parse_args(head + [flag, *values])
+                    assert getattr(args, flag[2:]) == parsed, (command, flag)
+                else:
+                    with pytest.raises(SystemExit) as exc:
+                        parser.parse_args(head + [flag, *values])
+                    assert exc.value.code == 2, (command, flag)
+        # selftest takes no input path
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", "in.json"])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
     @pytest.mark.parametrize(
         "command,payload,message",
@@ -862,6 +920,9 @@ class TestExitContract:
             ("mixedvol", {"bodies": []}, "empty body tuple"),
             ("af-check", {"bodies": []}, "empty body tuple"),
             ("bkk-predict", {"supports": []}, "no supports given"),
+            ("okounkov", {"subspace": {"dim": 0, "basis": [
+                {"dim": 0, "terms": [{"exp": [], "coef": "1"}]}]}},
+             "ambient dimension must be in 1..4"),
         ],
         ids=["bkk-no-supports", "bkk-mixed-dimensions", "bm-fixed-null", "bm-fixed-number",
              "missing-field", "no-vertices", "vertex-arity", "rational-1-over-0",
@@ -869,7 +930,7 @@ class TestExitContract:
              "dependent-basis", "grading-zero-weight", "lex-grading", "repeated-exponent",
              "bm-m-zero", "bm-m-above-n",
              "profile-4d", "bkk-3d", "bkk-one-support-2d", "mixedvol-no-bodies",
-             "af-check-no-bodies", "bkk-predict-no-supports"],
+             "af-check-no-bodies", "bkk-predict-no-supports", "okounkov-dim-0"],
     )
     def test_malformed_input_is_exit_2(self, tmp_path, capsys, command, payload, message):
         inp = write(tmp_path, "in.json", payload)
@@ -948,6 +1009,17 @@ class TestExitContract:
         if len(exponents[0]) == 5:
             assert main(["okounkov", inp, "--kmax", "3", "--out", str(tmp_path / "o")]) == 2
             assert capsys.readouterr().err == "input error: ambient dimension must be in 1..4\n"
+
+    def test_strided_grlex_body_is_admitted_at_kmax_12(self, tmp_path):
+        # the grades drop the stride: 325 slots, where 312013 broke the cell budget
+        payload = self._subspace((0, 0), (1000, 0), (0, 1000))
+        lex = write(tmp_path, "lex.json", payload)
+        order = {"kind": "grlex", "grading": [1, 2]}
+        grlex = write(tmp_path, "grlex.json", {**payload, "order": order})
+        rc, rep = run(["okounkov", grlex, "--kmax", "12"], tmp_path / "grlex.out")
+        assert rc == 0 and rep["volume"] == "500000"
+        _, lex_rep = run(["okounkov", lex, "--kmax", "12"], tmp_path / "lex.out")
+        assert rep["body"] == lex_rep["body"]
 
     def test_hilbert_negative_dim_is_exit_2(self, tmp_path, capsys):
         basis = [{"dim": -1, "terms": [{"exp": [], "coef": "1"}]}]
