@@ -92,32 +92,10 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self) -> SupportSet:
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no support")
-        return support_set(self.ambient_dim, [e for e, _ in self.terms])
-
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
+    def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("dimension mismatch")
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, Fraction(0)) + c
-        return laurent(self.ambient_dim, acc)
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPolynomial):
-            if self.ambient_dim != other.ambient_dim:
-                raise ValueError("dimension mismatch")
-            return laurent(self.ambient_dim, _mul_terms(self.terms, other.terms))
-        return laurent(
-            self.ambient_dim, {e: c * Fraction(other) for e, c in self.terms}
-        )
-
-    __rmul__ = __mul__
+        return laurent(self.ambient_dim, _mul_terms(self.terms, other.terms))
 
 
 def _mul_terms(terms1, terms2) -> dict:

@@ -3,10 +3,11 @@
 The boundary lives in :func:`main`.  It reads the input file into
 ``args.data``, starts the report with ``command``, ``version``,
 ``input_sha256`` and, for seeded commands, ``seed``, calls the command's
-handler, renders the report (``--format csv`` writes its ``rows``, the first
-row's keys as the header), writes ``--out`` or stdout, and maps exceptions
-to exit codes.  A handler only computes: it returns its report fields and
-its exit code.
+handler, gives the whole report its wire form with :func:`jsonio.wire`,
+renders it (``--format csv`` writes its ``rows``, the first row's keys as
+the header), writes ``--out`` or stdout, and maps exceptions to exit codes.
+A handler only computes: it returns its report fields, exact values such as
+Fractions and the library's result records, and its exit code.
 
 Exit codes: 0 success or inequality holds, 1 inequality violation or count
 mismatch (the counterexample is preserved in the report), 2 input error or
@@ -27,7 +28,7 @@ import json
 import sys
 
 from . import __version__, algebra, bkk, geometry, jsonio, mixedvol, semigroup, steiner
-from .jsonio import SchemaError, dumps_canonical, float_to_str, frac_to_str
+from .jsonio import SchemaError, dumps_canonical, wire
 from .radicals import IndeterminateComparisonError
 from .selftest import run_selftest
 
@@ -61,14 +62,14 @@ def _pair_from(obj):
 
 
 def _verdict(result):
-    return jsonio.inequality_report_to_json(result), EXIT_OK if result.holds else EXIT_VIOLATION
+    return vars(result), EXIT_OK if result.holds else EXIT_VIOLATION
 
 
 def _cmd_mixedvol(args):
     bodies = _bodies_from(args.data)
-    fields = {"mixed_volume": frac_to_str(mixedvol.mixed_volume(bodies))}
+    fields = {"mixed_volume": mixedvol.mixed_volume(bodies)}
     if args.oracle:
-        fields["mixed_volume_interp"] = frac_to_str(mixedvol.mixed_volume_interp(bodies))
+        fields["mixed_volume_interp"] = mixedvol.mixed_volume_interp(bodies)
     return fields, EXIT_OK
 
 
@@ -98,12 +99,8 @@ def _cmd_sumset(args):
 def _cmd_density(args):
     support = jsonio.support_from_json(jsonio._expect(args.data, "support"))
     rep = semigroup.density_sequence(support, args.kmax)
-    rows = [
-        {"k": r.k, "ratio": frac_to_str(r.ratio), "volume": frac_to_str(r.volume)}
-        for r in rep.rows
-    ]
     index = "INFINITE" if rep.index == semigroup.INFINITE else rep.index
-    return {"ample": rep.ample, "index": index, "rows": rows}, EXIT_OK
+    return {"ample": rep.ample, "index": index, "rows": [vars(r) for r in rep.rows]}, EXIT_OK
 
 
 def _cmd_okounkov(args):
@@ -114,7 +111,7 @@ def _cmd_okounkov(args):
         "kmax": args.kmax,
         "body": jsonio.polytope_to_json(body),
         "body_dim": body.affine_dim,
-        "volume": frac_to_str(geometry.volume(body)),
+        "volume": geometry.volume(body),
     }, EXIT_OK
 
 
@@ -141,24 +138,14 @@ def _cmd_bkk_verify(args):
         code = EXIT_INCONCLUSIVE
     else:
         code = EXIT_VIOLATION
-    return jsonio.count_report_to_json(result), code
+    return vars(result), code
 
 
 def _cmd_steiner(args):
     poly = jsonio.polygon_from_json(jsonio._expect(args.data, "polygon"))
     rounds = jsonio._expect(args.data, "rounds", int)
-    rows = [
-        {
-            "round": s.round,
-            "area": frac_to_str(s.area),
-            "perimeter": float_to_str(s.perimeter),
-            "hausdorff_to_disc": float_to_str(s.hausdorff_to_disc),
-            "vertices": s.vertex_count,
-            "exact": s.exact,
-        }
-        for s in steiner.iterate_symmetrize(poly, rounds, seed=args.seed)
-    ]
-    return {"rows": rows}, EXIT_OK
+    rows = steiner.iterate_symmetrize(poly, rounds, seed=args.seed)
+    return {"rows": [vars(s) for s in rows]}, EXIT_OK
 
 
 def _cmd_profile(args):
@@ -167,7 +154,7 @@ def _cmd_profile(args):
     if not jsonio.is_int(samples):
         raise SchemaError("samples must be an integer")
     values = steiner.section_profile(d1, d2, samples)
-    return {"rows": [{"h": frac_to_str(h), "volume": frac_to_str(v)} for h, v in values]}, EXIT_OK
+    return {"rows": [{"h": h, "volume": v} for h, v in values]}, EXIT_OK
 
 
 def _cmd_selftest(args):
@@ -233,7 +220,7 @@ def main(argv=None) -> int:
         if "seed" in args:
             report["seed"] = args.seed
         fields, code = handler(args)
-        report.update(fields)
+        report = wire({**report, **fields})
         if getattr(args, "format", "json") == "csv":
             rows = report["rows"]
             lines = [rows[0].keys()] + [row.values() for row in rows]

@@ -2,28 +2,31 @@
 
 Rationals travel as strings "p/q" (or "p"), floats as fixed
 17-significant-digit strings, so serialized reports are byte-stable across
-runs.  :class:`SchemaError` is a JSON-shape error that this module detects
-itself; a domain ``ValueError`` from the constructors it calls (a dependent
-basis, a zero grading weight) passes through unchanged.  The CLI maps both
-to its input-error exit code.
+runs.  Library results stay exact: :func:`wire` is the one place a report
+value takes its wire form, applied once to the whole report.
+:class:`SchemaError` is a JSON-shape error that this module detects itself;
+a domain ``ValueError`` from the constructors it calls (a dependent basis, a
+zero grading weight) passes through unchanged.  The CLI maps both to its
+input-error exit code.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 
-from . import algebra, bkk, geometry
+from . import algebra, geometry
 
 
 class SchemaError(ValueError):
     """Input does not match the documented schema."""
 
 
-def frac_to_str(q: Fraction) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def frac_to_str(q) -> str:
+    """A rational as "p/q", or "p" when it is an integer: ``str`` of a Fraction."""
+    return str(q if type(q) is Fraction else Fraction(q))
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -140,31 +143,31 @@ def polygon_from_json(obj) -> geometry.LatticePolytope:
     return p
 
 
-def inequality_report_to_json(r) -> dict:
-    def side(v):
-        return frac_to_str(v) if isinstance(v, Fraction) else str(v)
+def wire(value):
+    """The wire form of a report value: a Fraction through :func:`frac_to_str`,
+    a float through :func:`float_to_str`, a Decimal in its own digits, a
+    tuple or list as a list and a dict item by item; anything else (str,
+    int, bool, None) is unchanged.
 
-    return {
-        "lhs": side(r.lhs),
-        "rhs": side(r.rhs),
-        "holds": bool(r.holds),
-        "witness": r.witness,
-    }
+    Each value costs one table lookup on its exact type, not a chain of
+    ``isinstance`` tests; reports are large (every body's vertices).
+    """
+    convert = _WIRE.get(type(value))
+    return value if convert is None else convert(value)
 
 
-def count_report_to_json(r: bkk.CountReport) -> dict:
-    diagnostics = {
-        key: list(val) if isinstance(val, (list, tuple)) else val
-        for key, val in r.diagnostics.items()
-    }
-    return {
-        "predicted": r.predicted,
-        "trials": list(r.trials),
-        "modal": r.modal,
-        "agreed": bool(r.agreed),
-        "degenerate_trials": r.degenerate_trials,
-        "diagnostics": diagnostics,
-    }
+def _wire_list(values) -> list:
+    return [wire(v) for v in values]
+
+
+_WIRE = {
+    Fraction: frac_to_str,
+    float: float_to_str,
+    Decimal: "{:g}".format,
+    tuple: _wire_list,
+    list: _wire_list,
+    dict: lambda d: {k: wire(v) for k, v in d.items()},
+}
 
 
 def dumps_canonical(obj) -> str:

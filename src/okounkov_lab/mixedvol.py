@@ -47,8 +47,10 @@ class InequalityReport:
     """Both sides of a checked inequality plus the verdict.
 
     For exact-rational checks lhs and rhs are Fractions; root-sum checks
-    carry 17-significant-digit decimal strings with the exact ingredients
-    in the witness.
+    carry 17-significant-digit approximations (a float, or a ``Decimal``
+    past double range) with the exact ingredients in the witness.  Witness
+    values are exact: Fractions, and each body's ``vertices``.
+    ``jsonio.wire`` gives every value its report form.
     """
 
     lhs: object
@@ -251,13 +253,6 @@ def mixed_volume_interp(t) -> Fraction:
     return total / math.factorial(n)
 
 
-def _witness_bodies(**named) -> dict:
-    return {
-        name: [[str(c) for c in v] for v in body.vertices]
-        for name, body in named.items()
-    }
-
-
 def check_alexandrov_fenchel(t) -> InequalityReport:
     """Check V(D1,D2,rest)^2 >= V(D1,D1,rest) * V(D2,D2,rest) exactly.
 
@@ -281,23 +276,21 @@ def check_alexandrov_fenchel(t) -> InequalityReport:
         rhs=rhs,
         holds=lhs >= rhs,
         witness={
-            "mixed_volumes": {"v12": str(v12), "v11": str(v11), "v22": str(v22)},
-            **_witness_bodies(
-                **{f"body{i + 1}": b for i, b in enumerate(bodies)}
-            ),
+            "mixed_volumes": {"v12": v12, "v11": v11, "v22": v22},
+            **{f"body{i + 1}": b.vertices for i, b in enumerate(bodies)},
         },
     )
 
 
-def _root_sum_str(values, m: int) -> str:
+def _root_sum(values, m: int):
     """The sum of the m-th roots of exact non-negative values, to 17 digits.
 
-    Doubles give the digits while every value fits in one.  A value beyond
-    double range is summed with 40-digit decimals instead, printed in the
-    same style, so huge bodies get a report, not an overflow.
+    A double while every value fits in one.  A value beyond double range is
+    summed with 40-digit decimals instead and rounded to a 17-digit
+    ``Decimal``, so huge bodies get a report, not an overflow.
     """
     try:
-        return f"{sum(float(v) ** (1 / m) for v in values):.17g}"
+        return sum(float(v) ** (1 / m) for v in values)
     except OverflowError:
         pass
     with decimal.localcontext(decimal.Context(prec=40, Emax=decimal.MAX_EMAX)):
@@ -305,7 +298,7 @@ def _root_sum_str(values, m: int) -> str:
             (decimal.Decimal(v.numerator) / v.denominator) ** (decimal.Decimal(1) / m)
             for v in values
         )
-    return f"{total.normalize(decimal.Context(prec=17, Emax=decimal.MAX_EMAX)):g}"
+    return total.normalize(decimal.Context(prec=17, Emax=decimal.MAX_EMAX))
 
 
 def check_generalized_bm(m: int, d1: LatticePolytope, d2: LatticePolytope, fixed) -> InequalityReport:
@@ -321,17 +314,19 @@ def check_generalized_bm(m: int, d1: LatticePolytope, d2: LatticePolytope, fixed
     b = mixed_volume((d2,) * m + fixed)
     c = mixed_volume((dsum,) * m + fixed)
     order = compare_root_sums([a, b], [c], m)
-    rhs = _root_sum_str([c], m)
-    # equal sums are one real number, so both sides print as one string
-    lhs = rhs if order == 0 else _root_sum_str([a, b], m)
+    rhs = _root_sum([c], m)
+    # equal sums are one real number, so both sides carry one value
+    lhs = rhs if order == 0 else _root_sum([a, b], m)
     return InequalityReport(
         lhs=lhs,
         rhs=rhs,
         holds=order <= 0,
         witness={
             "m": m,
-            "mixed_volume_powers": {"F1^m": str(a), "F2^m": str(b), "Fsum^m": str(c)},
-            **_witness_bodies(body1=d1, body2=d2, body_sum=dsum),
+            "mixed_volume_powers": {"F1^m": a, "F2^m": b, "Fsum^m": c},
+            "body1": d1.vertices,
+            "body2": d2.vertices,
+            "body_sum": dsum.vertices,
         },
     )
 
@@ -359,9 +354,10 @@ def check_isoperimetric(d1: LatticePolytope, d2: LatticePolytope) -> InequalityR
         rhs=rhs,
         holds=bool(lhs <= rhs and identity and mixed == mixed_oracle),
         witness={
-            "mixed_area": str(mixed),
-            "mixed_area_interp": str(mixed_oracle),
+            "mixed_area": mixed,
+            "mixed_area_interp": mixed_oracle,
             "expansion_identity": identity,
-            **_witness_bodies(body1=d1, body2=d2),
+            "body1": d1.vertices,
+            "body2": d2.vertices,
         },
     )

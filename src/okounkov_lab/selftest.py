@@ -142,7 +142,6 @@ def _cases(seed: int):
 def run_selftest(seed: int = 0) -> dict:
     results = [{"name": name, "passed": bool(fn())} for name, fn in _cases(seed)]
     return {
-        "seed": seed,
         "cases": results,
         "passed": sum(1 for r in results if r["passed"]),
         "failed": sum(1 for r in results if not r["passed"]),

@@ -389,7 +389,17 @@ def _float_centroid(vs):
         a6 += w
         cx += (x1 + x2) * w
         cy += (y1 + y2) * w
-    return cx / (3 * a6), cy / (3 * a6)
+    if a6:
+        return cx / (3 * a6), cy / (3 * a6)
+    # far from the origin the sums can cancel to 0 (the unit square at
+    # (10^9, 10^9)); only then are they taken again about the first vertex.
+    # If they still cancel, the ring is flat in doubles (the unit square at
+    # (10^17, 10^17) rounds to one point)
+    x0, y0 = vs[0]
+    if not (x0 or y0):
+        raise ValueError("polygon degenerated to a segment")
+    cx, cy = _float_centroid([(x - x0, y - y0) for x, y in vs])
+    return x0 + cx, y0 + cy
 
 
 def hausdorff_to_disc(vs, center, radius) -> float:
@@ -417,11 +427,14 @@ def hausdorff_to_disc(vs, center, radius) -> float:
 
 @dataclass(frozen=True)
 class RoundStat:
+    """One round of :func:`iterate_symmetrize`, one row of the `steiner`
+    report; ``vertices`` is the ring's vertex count."""
+
     round: int
     area: Fraction
     perimeter: float
     hausdorff_to_disc: float
-    vertex_count: int
+    vertices: int
     exact: bool
 
 

@@ -568,6 +568,18 @@ def power(l, k):
     return result
 
 
+def combination(dim, *terms):
+    """The Laurent polynomial sum of c * f over the (c, f) pairs, zeros dropped:
+    sums and scalings, which the library's polynomials do not offer."""
+    acc: dict = {}
+    for c, f in terms:
+        if f.ambient_dim != dim:
+            raise ValueError("dimension mismatch")
+        for e, a in f.terms:
+            acc[e] = acc.get(e, 0) + Fraction(c) * a
+    return algebra.laurent(dim, acc)
+
+
 def subspaces_equal(l1, l2) -> bool:
     """Equality as subspaces, independent of the chosen bases."""
     if l1.ambient_dim != l2.ambient_dim or l1.dim != l2.dim:

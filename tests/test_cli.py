@@ -712,6 +712,18 @@ class TestExitContract:
         err = capsys.readouterr().err
         assert err == "internal error: RuntimeError: boom\n"
 
+    @pytest.mark.parametrize("corner", [10**9, 10**17], ids=["10^9", "10^17"])
+    def test_far_unit_square_is_not_exit_4(self, tmp_path, capsys, corner):
+        # the unit square at (10^9, 10^9) once crashed in the float centroid;
+        # its first float round (round 9) now ends on the float phase's own
+        # scale limit, an input error; at 10^17 its vertices round to one
+        # double, and its first row ends there
+        far = {"dim": 2, "vertices": [[str(corner + x), str(corner + y)]
+                                      for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]]}
+        inp = write(tmp_path, "in.json", {"polygon": far, "rounds": 12})
+        assert main(["steiner", inp, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "input error: polygon degenerated to a segment\n"
+
     @pytest.mark.parametrize(
         "raw", [b'{"bodies": "\xff\xfe"}', b'{"bodies": [', b""], ids=["utf8", "truncated", "empty"]
     )

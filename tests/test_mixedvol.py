@@ -272,7 +272,7 @@ class TestMixedVolumeInternals:
         for (a, b), r in zip(pairs, reports):
             want = {"v12": (a, b), "v11": (a, a), "v22": (b, b)}
             assert r.witness["mixed_volumes"] == {
-                k: str(mv.mixed_volume_interp(t)) for k, t in want.items()
+                k: mv.mixed_volume_interp(t) for k, t in want.items()
             }
 
     def test_a_rest_of_one_top_level_body_builds_no_hull(self, monkeypatch):
@@ -294,7 +294,7 @@ class TestMixedVolumeInternals:
         for (a, b), r in zip(pairs, reports):
             want = {"v12": (a, b), "v11": (a, a), "v22": (b, b)}
             assert r.witness["mixed_volumes"] == {
-                k: str(mv.mixed_volume_interp(t)) for k, t in want.items()
+                k: mv.mixed_volume_interp(t) for k, t in want.items()
             }
         assert values == [mv.mixed_volume_interp(t) for t in triples]
 
@@ -397,7 +397,7 @@ class TestTransversalPath:
         for (d1, d2, d3, d4), r in zip(quads, reports):
             want = {"v12": (d1, d2), "v11": (d1, d1), "v22": (d2, d2)}
             assert r.witness["mixed_volumes"] == {
-                k: str(mv.mixed_volume_interp(t + (d3, d4))) for k, t in want.items()
+                k: mv.mixed_volume_interp(t + (d3, d4)) for k, t in want.items()
             }
             assert r.holds
 
@@ -515,10 +515,11 @@ class TestAlexandrovFenchel:
             # mixed_volume shares the measures with the check, so the
             # witness is compared with inclusion-exclusion
             assert witness == {
-                "v12": str(mv.mixed_volume_interp(bodies)),
-                "v11": str(mv.mixed_volume_interp((d1, d1) + rest)),
-                "v22": str(mv.mixed_volume_interp((d2, d2) + rest)),
+                "v12": mv.mixed_volume_interp(bodies),
+                "v11": mv.mixed_volume_interp((d1, d1) + rest),
+                "v22": mv.mixed_volume_interp((d2, d2) + rest),
             }
+            assert all(type(v) is F for v in witness.values())
 
 
 class TestGeneralizedBM:
@@ -568,11 +569,12 @@ class TestIsoperimetric:
         """The oracle and the expansion identity share one 2D hull of D1 + D2."""
         rng = random.Random(14)
         pairs = [(random_polygon(rng, 5, 6), random_polygon(rng, 5, 6)) for _ in range(10)]
-        want = [str(mv.mixed_volume_interp(pair)) for pair in pairs]
+        want = [mv.mixed_volume_interp(pair) for pair in pairs]
         calls = _count_hulls(monkeypatch)
         reports = [mv.check_isoperimetric(d1, d2) for d1, d2 in pairs]
         assert calls == Counter({2: len(pairs)})
         assert [r.witness["mixed_area_interp"] for r in reports] == want
+        assert [r.witness["mixed_area"] for r in reports] == want
         assert all(r.holds for r in reports)
 
 

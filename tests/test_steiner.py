@@ -488,7 +488,7 @@ class TestDiscDistance:
             for p, rounds, seed in cases:
                 stats = stn.iterate_symmetrize(p, rounds, seed=seed)
                 for stat, vs in zip(stats, diagnosed_rounds(p, rounds, seed)):
-                    assert stat.vertex_count == len(vs)
+                    assert stat.vertices == len(vs)
                     want = disc_distance(vs, stat.area)
                     assert abs(stat.hausdorff_to_disc - want) <= 1e-12 * want
                     count += 1
@@ -640,7 +640,7 @@ class TestIterate:
         # 8 exact rounds, then 4 float rounds of the shared routine
         quad = polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
         rows = [
-            (float_to_str(s.perimeter), float_to_str(s.hausdorff_to_disc), s.vertex_count, s.exact)
+            (float_to_str(s.perimeter), float_to_str(s.hausdorff_to_disc), s.vertices, s.exact)
             for s in stn.iterate_symmetrize(quad, 12, seed=3)
         ]
         assert rows == [
@@ -663,8 +663,18 @@ class TestIterate:
         parabola = polygon([(i, i * i) for i in range(600)])
         assert len(stn.steiner_symmetrize(parabola, (1, 2)).vertices) == 1196
         (stat,) = stn.iterate_symmetrize(parabola, 1, seed=0)
-        assert stat.exact and stat.vertex_count > stn.FLOAT_MAX_VERTICES
+        assert stat.exact and stat.vertices > stn.FLOAT_MAX_VERTICES
         assert stat.area == g.volume(parabola)
+
+    def test_far_unit_square_runs_its_exact_rounds(self):
+        # the float shoelace sums of the unit square at (10^9, 10^9) cancel
+        # to 0, so its centroid is taken about the first vertex
+        far = [(10**9 + x, 10**9 + y) for x, y in [(0, 0), (1, 0), (1, 1), (0, 1)]]
+        assert stn._float_centroid([(float(x), float(y)) for x, y in far]) == (
+            1_000_000_000.5, 1_000_000_000.5
+        )
+        stats = stn.iterate_symmetrize(polygon(far), 8, seed=0)
+        assert [s.exact for s in stats] == [True] * 8 and {s.area for s in stats} == {1}
 
     def test_deterministic(self):
         quad = polygon([(0, 0), (4, 1), (5, 4), (1, 3)])
