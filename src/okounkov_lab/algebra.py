@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from . import geometry, semigroup
 from .geometry import LatticePolytope, SupportSet, support_set
-from .semigroup import GradedSemigroupSlice, LevelBox, level_box
+from .semigroup import LevelBox, level_box
 
 Exponent = tuple[int, ...]
 
@@ -477,16 +477,13 @@ def hilbert_function(l: LaurentSubspace, k_max: int) -> list[tuple[int, int]]:
 
 def semigroup_of_subspace(
     l: LaurentSubspace, order: MonomialOrder = LEX, k_max: int = 8
-) -> GradedSemigroupSlice:
-    """Levelwise valuation images of the powers of L."""
+) -> dict[int, SupportSet]:
+    """Valuation images of L's powers, as the level dict {k: v(L^k)}."""
     box, levels = _power_levels(l, order, k_max)
-    return GradedSemigroupSlice(
-        l.ambient_dim,
-        {
-            k: support_set(l.ambient_dim, [box.exponent(s, k) for s in slots])
-            for k, slots in levels.items()
-        },
-    )
+    return {
+        k: support_set(l.ambient_dim, [box.exponent(s, k) for s in slots])
+        for k, slots in levels.items()
+    }
 
 
 def newton_okounkov_body(
@@ -544,7 +541,7 @@ def superadditivity_check(
     b2 = newton_okounkov_body(l2, order, k_max)
     b12 = newton_okounkov_body(l12, order, k_max)
     summed = geometry.minkowski_sum(b1, b2)
-    holds = all(geometry.contains_point(b12, v) for v in summed.vertices)
+    holds = all(b12.contains(v) for v in summed.vertices)
     return SuperadditivityReport(
         holds, b1.vertices, b2.vertices, b12.vertices
     )

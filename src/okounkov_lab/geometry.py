@@ -198,21 +198,11 @@ def volume(P: LatticePolytope) -> Fraction:
     return P.volume
 
 
-def contains_point(P: LatticePolytope, point) -> bool:
-    return P.contains(_as_point(point))
-
-
-def bounding_box(P: LatticePolytope) -> list[tuple[Fraction, Fraction]]:
-    return [
-        (min(v[c] for v in P.vertices), max(v[c] for v in P.vertices))
-        for c in range(P.ambient_dim)
-    ]
-
-
 def lattice_points(P: LatticePolytope) -> SupportSet:
-    """All integer vectors of P, bounding-box enumeration with exact membership."""
-    box = bounding_box(P)
-    ranges = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in box]
+    """All integer vectors of P: the candidates fill the box of the integer
+    face's extremes, each tested exactly by ``P.contains``."""
+    s, vs = P.face
+    ranges = [range(-(-min(col) // s), max(col) // s + 1) for col in zip(*vs)]
     count = reduce(lambda acc, r: acc * len(r), ranges, 1)
     if count > MAX_LATTICE_CANDIDATES:
         raise ValueError(

@@ -1,20 +1,20 @@
 """Sumset powers, lattice-point completions, graded semigroup slices in
-N + Z^n, the one lattice reduction (:func:`hermite_basis`, a row Hermite
-normal form), difference-lattice indices via a Smith normal form built from
-it, and the density sequence of the slice a support generates against its
-Newton body.
+N + Z^n as level dicts, the one lattice reduction (:func:`hermite_basis`, a
+row Hermite normal form), difference-lattice indices via a Smith normal
+form built from it, and the density sequence of the slice a support
+generates against its Newton body.
 
-A graded semigroup is represented by its finite sections S_1..S_kmax; its
-asymptotics are read off at finite scale.  Its levels are packed once, in
-:class:`LevelBox`: each point of a level is one integer slot, and the slots
-of the level generated by a set are the sums of the previous level's slots
-with the set's.  :func:`sumset_power`, :func:`slice_of_support` and
-:func:`density_sequence` build A's levels kA that way (`_levels`);
-``algebra`` takes the power levels of a subspace spanned by monomials from
-it too, and indexes the rows of every other subspace's by the same box.
-The density sequence counts the levels without decoding them, and takes
-the Newton body conv(A) and the difference lattice from A alone
-(:func:`density_sequence` proves both).
+A graded semigroup is represented by its finite sections, the dict
+{k: S_k} for k = 1..kmax; its asymptotics are read off at finite scale.
+Its levels are packed once, in :class:`LevelBox`: each point of a level is
+one integer slot, and the slots of the level generated by a set are the
+sums of the previous level's slots with the set's.  :func:`sumset_power`,
+:func:`slice_of_support` and :func:`density_sequence` build A's levels kA
+that way (`_levels`); ``algebra`` takes the power levels of a subspace
+spanned by monomials from it too, and indexes the rows of every other
+subspace's by the same box.  The density sequence counts the levels
+without decoding them, and takes the Newton body conv(A) and the
+difference lattice from A alone (:func:`density_sequence` proves both).
 """
 
 from __future__ import annotations
@@ -30,30 +30,6 @@ INFINITE = math.inf
 # budgets: sumset levels reject inputs past them before any level is built
 MAX_LEVEL = 256
 MAX_PAIR_SUMS = 1_000_000
-
-
-@dataclass(eq=False)
-class GradedSemigroupSlice:
-    """Levelwise sections S_1..S_kmax of a graded semigroup in N + Z^n."""
-
-    ambient_dim: int
-    levels: dict[int, SupportSet]
-
-    def __post_init__(self):
-        if not self.levels:
-            raise ValueError("slice needs at least level 1")
-        ks = sorted(self.levels)
-        if ks != list(range(1, len(ks) + 1)):
-            raise ValueError("levels must be contiguous from 1")
-        for k, s in self.levels.items():
-            if s.ambient_dim != self.ambient_dim:
-                raise ValueError("level dimension mismatch")
-            if not s.points:
-                raise ValueError(f"level {k} is empty; the semigroup is not graded")
-
-    @property
-    def k_max(self) -> int:
-        return max(self.levels)
 
 
 @dataclass(frozen=True)
@@ -272,14 +248,14 @@ def difference_lattice_index(a: SupportSet):
     return math.prod(nonzero)
 
 
-def slice_of_support(a: SupportSet, k_max: int) -> GradedSemigroupSlice:
-    """The slice generated by a support set: level k is the k-fold sumset."""
+def slice_of_support(a: SupportSet, k_max: int) -> dict[int, SupportSet]:
+    """The slice A generates, as its levels {k: kA} for k = 1..k_max."""
     _check_level_budget(a, k_max, "k_max")
     box = level_box(a.points, k_max)
-    return GradedSemigroupSlice(a.ambient_dim, {
+    return {
         k: SupportSet(a.ambient_dim, frozenset(box.exponent(s, k) for s in level))
         for k, level in enumerate(_levels(box, a.points, k_max), 1)
-    })
+    }
 
 
 @dataclass(frozen=True)

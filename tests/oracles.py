@@ -637,15 +637,25 @@ def joint_lattice_index(sets):
     return _row_lattice_index(set().union(*map(_difference_rows, sets)), n)
 
 
-def newton_body(s):
-    """Inner approximation of a slice's Newton body: the hull of all S_j / j,
-    each level's integer face (j, S_j) joined at the common scale."""
-    faces = [(j, level.points) for j, level in s.levels.items()]
-    return geometry._polytope(*geometry._union(faces), s.ambient_dim)
+def is_level_dict(levels, k_max, dim) -> bool:
+    """Whether ``levels`` is a slice's level dict: keys exactly 1..k_max,
+    every level nonempty and in ambient dimension ``dim``."""
+    return sorted(levels) == list(range(1, k_max + 1)) and all(
+        s.points and s.ambient_dim == dim for s in levels.values()
+    )
 
 
-def density_of_slice(s):
-    """Ratios #(S_k)/k^n against the Newton-body volume, non-ample flagged.
+def newton_body(levels):
+    """Inner approximation of the Newton body of a slice, given as its
+    levels {j: S_j}: the hull of all S_j / j, each level's integer face
+    (j, S_j) joined at the common scale."""
+    faces = [(j, level.points) for j, level in levels.items()]
+    return geometry._polytope(*geometry._union(faces), levels[1].ambient_dim)
+
+
+def density_of_slice(levels):
+    """Ratios #(S_k)/k^n of the levels {k: S_k} against the Newton-body
+    volume, non-ample flagged.
 
     The body at k is conv(S_1 / 1, ..., S_k / k), built incrementally and
     exactly in integers: conv(S_k / k) = conv(S_k) / k, so level k is hulled
@@ -655,29 +665,31 @@ def density_of_slice(s):
     (`_hull.ring_2d`).  Ampleness takes one Smith normal form when level 1
     already spans Z^n, and two otherwise (`joint_lattice_index`).
     """
-    n = s.ambient_dim
-    index = joint_lattice_index(list(s.levels.values()))
+    n = levels[1].ambient_dim
+    index = joint_lattice_index(list(levels.values()))
     rows = []
     body = None
-    for k in range(1, s.k_max + 1):
-        level = geometry._polytope(k, s.levels[k].points, n)
+    for k in range(1, max(levels) + 1):
+        level = geometry._polytope(k, levels[k].points, n)
         if body is None:
             body = level
         else:
             body = geometry._polytope(*geometry._union([body.face, level.face]), n)
         rows.append(
-            DensityRow(k, Fraction(len(s.levels[k]), k**n), geometry.volume(body))
+            DensityRow(k, Fraction(len(levels[k]), k**n), geometry.volume(body))
         )
     return DensityReport(tuple(rows), index == 1, index)
 
 
-def check_superadditive(s) -> bool:
-    """S_j + S_k inside S_{j+k} for all levels of a slice that fit; exhaustive."""
-    for j in range(1, s.k_max + 1):
-        for k in range(j, s.k_max - j + 1):
-            target = s.levels[j + k].points
-            for p in s.levels[j].points:
-                for q in s.levels[k].points:
+def check_superadditive(levels) -> bool:
+    """S_j + S_k inside S_{j+k} for all levels {k: S_k} of a slice that fit;
+    exhaustive."""
+    k_max = max(levels)
+    for j in range(1, k_max + 1):
+        for k in range(j, k_max - j + 1):
+            target = levels[j + k].points
+            for p in levels[j].points:
+                for q in levels[k].points:
                     if tuple(a + b for a, b in zip(p, q)) not in target:
                         return False
     return True

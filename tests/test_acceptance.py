@@ -127,7 +127,7 @@ def test_criterion_04_mixed_volume_axioms():
         big = random_polygon(rng, span=4)
         pts = g.lattice_points(big).sorted_points()
         small = g.convex_hull(rng.sample(pts, max(1, len(pts) // 2)))
-        assert all(g.contains_point(big, v) for v in small.vertices)
+        assert all(big.contains(v) for v in small.vertices)
         other = random_polygon(rng)
         assert mv.mixed_volume((small, other)) <= mv.mixed_volume((big, other))
     # oracle agreement on 200 instances

@@ -840,6 +840,17 @@ class TestExitContract:
             main(["selftest", "in.json"])
         assert exc.value.code == 2
         capsys.readouterr()
+        # docs/formats.md's command table: one row per command, in help
+        # order, whose last column names exactly its options or says none
+        formats = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+        lines = formats[formats.index("| command "):].splitlines()
+        rows = [[c.strip() for c in line.strip("|").split("|")]
+                for line in itertools.takewhile(lambda s: s.startswith("|"), lines[2:])]
+        assert [row[0] for row in rows] == list(self.COMMAND_OPTIONS)
+        for command, *_, cell in rows:
+            options = self.COMMAND_OPTIONS[command]
+            assert re.findall(r"`(--[a-z]+)`", cell) == list(options), command
+            assert (cell == "none") == (not options), command
 
     @pytest.mark.parametrize(
         "command,payload,message",

@@ -523,9 +523,9 @@ class TestLowerDimensional:
                     break
             probes += [tuple(a + F(t, 5) * b for a, b in zip(c, w)) for t in (1, -2)]
             for q in probes:
-                assert g.contains_point(P, q) == in_convex_hull(q, vs)
+                assert P.contains(q) == in_convex_hull(q, vs)
             # lattice points: brute force over the bounding box
-            box = [range(math.ceil(lo), math.floor(hi) + 1) for lo, hi in g.bounding_box(P)]
+            box = [range(math.ceil(min(col)), math.floor(max(col)) + 1) for col in zip(*vs)]
             expected = {q for q in product(*box) if in_convex_hull(q, vs)}
             assert set(g.lattice_points(P).points) == expected
 
