@@ -20,8 +20,9 @@ the prefix of its sorted basis-index tuple, and only if that prefix
 installed a pivot.  A span is level 1, slotted by its exponents' ranks;
 the powers' slots are those of the basis exponents' ``semigroup.LevelBox``,
 so the lowest slot of a packed row is its valuation; the box and k_max are
-budgeted before any level is built.  The powers of a subspace spanned by
-monomials x^a, a in A, are not eliminated: their leads are the sumsets kA,
+budgeted before any level is built.  The powers of a monomial space, one
+whose dimension is the size of the union A of its basis supports, are not
+eliminated: it is span{x^a : a in A}, so their leads are the sumsets kA,
 which the packed sumset kernel ``semigroup._levels`` builds on the same
 box.  A Newton body hulls only the two ends of each level's leads along
 every line parallel to the last axis.
@@ -365,11 +366,15 @@ def _level_box(l: LaurentSubspace, order: MonomialOrder, k_max: int) -> LevelBox
 def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
     """The level box, and the lead slots of echelonized L^k for k = 1..k_max.
 
-    If every basis element is a monomial c_a x^a, a in A, the leads of L^k
-    are the slots of the sumset kA, from ``semigroup._levels``: a product of
-    k basis elements is a nonzero multiple of x^(a_1 + ... + a_k), so L^k is
-    spanned by the monomials x^b, b in kA, and distinct monomials cannot
-    cancel.  Every other L is echelonized by :func:`_echelon_levels`.
+    If L is a monomial space, dim L = |A| for A the union of the basis
+    supports, the leads of L^k are the slots of the sumset kA, from
+    ``semigroup._levels``.  L lies in span{x^a : a in A}, of dimension |A|,
+    and its basis is independent (``LaurentSubspace`` checks it), so
+    dim L = |A| makes the two equal.  Then L^k is spanned by the monomials
+    x^b, b in kA, and distinct monomials cannot cancel, so every slot of kA
+    is a lead.  A basis of monomials is the case where each support is one
+    point: independent monomials have distinct exponents.  Every other L is
+    echelonized by :func:`_echelon_levels`.
 
     There a multiset M of k basis indices, written as its sorted index tuple,
     stands for the product row(M) of those basis rows; level k is spanned by
@@ -381,7 +386,7 @@ def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
     not change any span.
     """
     box = _level_box(l, order, k_max)
-    points = [f.terms[0][0] for f in l.basis if len(f.terms) == 1]
+    points = {e for f in l.basis for e, _ in f.terms}
     if len(points) == l.dim:
         return box, dict(enumerate(semigroup._levels(box, points, k_max), 1))
     levels, _, _ = _echelon_levels(l.basis, box.slot, k_max)

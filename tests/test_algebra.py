@@ -705,18 +705,18 @@ def _monomial4():
     return alg.monomial_subspace(g.support_set(2, MONOMIAL4))
 
 
-def _zero_reduction_spy(monkeypatch):
-    """Count the rows that _reduce reduces to zero."""
-    zeros = [0]
+def _reduce_spy(monkeypatch):
+    """Record what each _reduce call returns: a lead, or None for a row
+    reduced to zero."""
+    leads = []
     reduce = alg._reduce
 
     def spy(*args):
-        lead = reduce(*args)
-        zeros[0] += lead is None
-        return lead
+        leads.append(reduce(*args))
+        return leads[-1]
 
     monkeypatch.setattr(alg, "_reduce", spy)
-    return zeros
+    return leads
 
 
 class TestPrefixProducts:
@@ -731,11 +731,17 @@ class TestPrefixProducts:
         ids=["dim5-product", "criterion8-product", "monomial4"],
     )
     def test_levels_match_oracle(self, make, k_max, order):
+        # both the public levels and the prefix-product kernel's, which
+        # _power_levels skips for the two monomial spaces
         l = make()
         grading = None if order.kind == "lex" else order.grading
         levels = alg.semigroup_of_subspace(l, order, k_max)
+        box = alg._level_box(l, order, k_max)
+        echelon, _, _ = alg._echelon_levels(l.basis, box.slot, k_max)
         for k in range(1, k_max + 1):
-            assert set(levels[k].points) == sympy_power_leads(_terms(l), grading, k), k
+            expected = sympy_power_leads(_terms(l), grading, k)
+            assert set(levels[k].points) == expected, k
+            assert {box.exponent(s, k) for s in echelon[k]} == expected, k
 
     def test_products_have_relations(self):
         assert _product_of(DIM5_FACTORS).dim == 5
@@ -746,28 +752,36 @@ class TestPrefixProducts:
         ]
 
     @pytest.mark.parametrize(
-        "make,levels,k_max,zeros",
-        [(lambda: _product_of(DIM5_FACTORS), "power", 8, 231),
-         (_monomial4, "echelon", 12, 55)],
+        "make,support,echelonizes",
+        [(lambda: _product_of(DIM5_FACTORS), 5, False),
+         (lambda: _product_of(CRITERION8_FACTORS), 6, True)],
+        ids=["dim5-product", "criterion8-product"],
+    )
+    def test_route_is_set_by_the_support(self, monkeypatch, make, support, echelonizes):
+        # dim 5 over 5 exponents is a monomial space; dim 4 over 6 is not
+        l = make()
+        assert len({e for f in l.basis for e, _ in f.terms}) == support
+        calls = _reduce_spy(monkeypatch)
+        alg._power_levels(l, alg.LEX, 8)
+        assert bool(calls) == echelonizes
+
+    @pytest.mark.parametrize(
+        "make,k_max,zeros",
+        [(lambda: _product_of(DIM5_FACTORS), 8, 231), (_monomial4, 12, 55)],
         ids=["dim5-product", "monomial4"],
     )
-    def test_zero_reductions(self, monkeypatch, make, levels, k_max, zeros):
+    def test_zero_reductions(self, monkeypatch, make, k_max, zeros):
         # multiplying every distinct multiset reduces 532 and 385 rows to zero;
-        # a monomial subspace calls the kernel directly, since _power_levels
-        # takes its levels from its sumsets
+        # both are monomial spaces, so the kernel is called directly, since
+        # _power_levels takes their levels from their sumsets
         l = make()
-        counted = _zero_reduction_spy(monkeypatch)
-        if levels == "power":
-            alg._power_levels(l, alg.LEX, k_max)
-        else:
-            alg._echelon_levels(l.basis, alg._level_box(l, alg.LEX, k_max).slot, k_max)
-        assert counted[0] == zeros
+        leads = _reduce_spy(monkeypatch)
+        alg._echelon_levels(l.basis, alg._level_box(l, alg.LEX, k_max).slot, k_max)
+        assert leads.count(None) == zeros
 
     def test_monomial_levels_reduce_no_row(self, monkeypatch):
         l = _monomial4()  # building it echelonizes its basis once
-        calls = []
-        reduce = alg._reduce
-        monkeypatch.setattr(alg, "_reduce", lambda *args: calls.append(1) or reduce(*args))
+        calls = _reduce_spy(monkeypatch)
         _, levels = alg._power_levels(l, alg.LEX, 12)
         assert alg.hilbert_function(l, 12) == [(k, len(levels[k])) for k in range(1, 13)]
         alg.newton_okounkov_body(l, GRLEX12, 12)
@@ -840,6 +854,54 @@ class TestMonomialLevels:
         levels = alg.semigroup_of_subspace(l, order, 4)
         for k in range(1, 5):
             assert set(levels[k].points) == sympy_power_leads(_terms(l), grading, k), k
+
+    @staticmethod
+    def rewritten(dim, points, seed):
+        """The monomial basis of ``points`` times a random invertible integer
+        matrix LU, L and U unit triangular with off-diagonal entries in
+        +-1, +-2: the first element has every exponent as a term."""
+        rng = random.Random(seed)
+        n = len(points)
+        lower = [[1 if i == j else rng.choice((-2, -1, 1, 2)) * (j < i) for j in range(n)]
+                 for i in range(n)]
+        upper = [[1 if i == j else rng.choice((-2, -1, 1, 2)) * (j > i) for j in range(n)]
+                 for i in range(n)]
+        rows = [[sum(lower[i][m] * upper[m][j] for m in range(n)) for j in range(n)]
+                for i in range(n)]
+        return alg.LaurentSubspace(dim, tuple(
+            L(dim, dict(zip(points, row))) for row in rows
+        ))
+
+    @pytest.mark.parametrize("case", range(25))
+    def test_rewritten_basis_takes_the_sumsets(self, monkeypatch, case):
+        dim, points, order, k_max = MONOMIAL_CASES[case]
+        l = self.rewritten(dim, points, case)
+        a = g.support_set(dim, points)
+        assert len(l.basis[0].terms) == len(points)
+        calls = _reduce_spy(monkeypatch)
+        box, levels = alg._power_levels(l, order, k_max)
+        assert alg.newton_okounkov_body(l, order, k_max) == g.polytope_of_support(a)
+        assert calls == []
+        _, sumsets = alg._power_levels(alg.monomial_subspace(a), order, k_max)
+        assert {k: set(slots) for k, slots in levels.items()} == {
+            k: set(slots) for k, slots in sumsets.items()
+        }
+        # the dense rows' coefficients grow with k: the kernel runs 3 levels
+        echelon, _, _ = alg._echelon_levels(l.basis, box.slot, min(k_max, 3))
+        assert {k: set(levels[k]) for k in echelon} == {
+            k: set(slots) for k, slots in echelon.items()
+        }
+
+    def test_one_exponent_short_still_echelonizes(self, monkeypatch):
+        # span{1 + x, y}: dim 2 over 3 exponents, so L^k is not spanned by
+        # the monomials of k supp L; it has k + 1 leads, not |k supp L|
+        l = alg.span(2, [L(2, {(0, 0): 1, (1, 0): 1}), Y])
+        calls = _reduce_spy(monkeypatch)
+        semigroup = alg.semigroup_of_subspace(l, alg.LEX, 4)
+        assert calls
+        for k in range(1, 5):
+            assert set(semigroup[k].points) == sympy_power_leads(_terms(l), None, k), k
+        assert alg.hilbert_function(l, 4) == [(k, k + 1) for k in range(1, 5)]
 
 
 def _flat_or_random_subspace(rng, dim, i):
