@@ -75,17 +75,6 @@ def _sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _gcd_reduce_plane(a, b):
-    g = 0
-    for x in a:
-        g = gcd(g, abs(x))
-    g = gcd(g, abs(b))
-    if g > 1:
-        a = tuple(x // g for x in a)
-        b = b // g
-    return a, b
-
-
 def echelon(rows):
     """Fraction-free row echelon form of integer rows.
 
@@ -159,13 +148,17 @@ def ring_2d(points):
 
 
 def _hull_2d(points):
+    """Planes, vertices and twice the area of the :func:`ring_2d` polygon.
+    An edge's plane is (a, a.p), p its start and a its outward normal over
+    the gcd of the edge vector: a is primitive, so the plane is in lowest terms."""
     ring = ring_2d(points)
     planes = []
     twice_area = 0
     for i, j in zip(ring, ring[1:] + ring[:1]):
         (x0, y0), (x1, y1) = points[i], points[j]
-        a = (y1 - y0, x0 - x1)  # outward normal of a CCW ring
-        planes.append(_gcd_reduce_plane(a, _dot(a, points[i])))
+        g = gcd(y1 - y0, x1 - x0)
+        a = ((y1 - y0) // g, (x0 - x1) // g)  # primitive outward normal of a CCW ring
+        planes.append((a, _dot(a, points[i])))
         twice_area += x0 * y1 - x1 * y0
     return HullResult(planes, sorted(ring), twice_area)
 

@@ -45,27 +45,21 @@ Exponent = tuple[int, ...]
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Additive total order on Z^n: plain lex or graded lex.
+    """Additive total order on Z^n: lex without a grading, graded lex with one.
 
     Lex compares exponent tuples directly with coordinate x1 before x2;
     graded lex compares a positive integer grading first.  Both respect
     addition, so order-minimal exponents are multiplicative.
     """
 
-    kind: str = "lex"
     grading: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("lex", "grlex"):
-            raise ValueError("order kind must be 'lex' or 'grlex'")
-        if self.kind == "grlex":
-            if not self.grading or any(w <= 0 for w in self.grading):
-                raise ValueError("graded lex needs a positive integer grading")
-        elif self.grading is not None:
-            raise ValueError("plain lex takes no grading")
+        if self.grading is not None and (not self.grading or min(self.grading) <= 0):
+            raise ValueError("graded lex needs a positive integer grading")
 
     def key(self, exponent: Exponent):
-        if self.kind == "lex":
+        if self.grading is None:
             return exponent
         if len(self.grading) != len(exponent):
             raise ValueError("grading length does not match the exponent")
@@ -94,26 +88,20 @@ class LaurentPolynomial:
         return not self.terms
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
+        """Sparse product; :func:`laurent` drops the terms that cancel."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("dimension mismatch")
-        return laurent(self.ambient_dim, _mul_terms(self.terms, other.terms))
-
-
-def _mul_terms(terms1, terms2) -> dict:
-    """Sparse product of two (exponent, coefficient) sequences, zeros dropped."""
-    acc: dict = {}
-    for e1, c1 in terms1:
-        for e2, c2 in terms2:
-            e = tuple(a + b for a, b in zip(e1, e2))
-            acc[e] = acc.get(e, 0) + c1 * c2
-    return {e: c for e, c in acc.items() if c}
+        acc: dict = {}
+        for e1, c1 in self.terms:
+            for e2, c2 in other.terms:
+                e = tuple(a + b for a, b in zip(e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return laurent(self.ambient_dim, acc)
 
 
 def laurent(dim: int, terms: dict[Exponent, object]) -> LaurentPolynomial:
     """Build a polynomial from an exponent-to-coefficient mapping."""
-    cleaned = {
-        tuple(int(x) for x in e): Fraction(c) for e, c in terms.items() if Fraction(c)
-    }
+    cleaned = {tuple(int(x) for x in e): q for e, c in terms.items() if (q := Fraction(c))}
     return LaurentPolynomial(dim, tuple(sorted(cleaned.items())))
 
 
@@ -331,12 +319,8 @@ def monomial_subspace(a: SupportSet) -> LaurentSubspace:
 
 
 def product(l1: LaurentSubspace, l2: LaurentSubspace) -> LaurentSubspace:
-    """Span of all pairwise basis products."""
-    if l1.ambient_dim != l2.ambient_dim:
-        raise ValueError("dimension mismatch")
-    return span(
-        l1.ambient_dim, [f * g for f in l1.basis for g in l2.basis]
-    )
+    """Span of all pairwise basis products; a product checks the dimensions."""
+    return span(l1.ambient_dim, [f * g for f in l1.basis for g in l2.basis])
 
 
 # budgets: the power levels reject inputs past them before any level is built

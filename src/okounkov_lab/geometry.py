@@ -30,10 +30,6 @@ MAX_LATTICE_CANDIDATES = 10_000
 Point = tuple[Fraction, ...]
 
 
-def _as_point(p) -> Point:
-    return tuple(Fraction(c) for c in p)
-
-
 @dataclass(frozen=True)
 class LatticePolytope:
     """Convex body stored as its exact hull; only :func:`_polytope` builds one.
@@ -165,7 +161,7 @@ def _polytope(scale: int, points, n: int) -> LatticePolytope:
 
 def convex_hull(points) -> LatticePolytope:
     """Convex hull of a nonempty list of rational points of one dimension."""
-    pts = [_as_point(p) for p in points]
+    pts = [tuple(Fraction(c) for c in p) for p in points]
     if not pts:
         raise ValueError("convex hull of an empty point set")
     n = len(pts[0])

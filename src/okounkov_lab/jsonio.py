@@ -119,18 +119,20 @@ def subspace_from_json(obj) -> algebra.LaurentSubspace:
 
 
 def order_from_json(obj) -> algebra.MonomialOrder:
+    """The order ``{"kind": ..., "grading": ...}``: lex has no grading, grlex one."""
     if obj is None:
         return algebra.LEX
     kind = _expect(obj, "kind", str)
     if kind not in ("lex", "grlex"):
         raise SchemaError(f"unknown order kind {kind!r}")
-    grading = None
-    if kind == "grlex" or "grading" in obj:  # MonomialOrder rejects a lex grading
+    if kind == "grlex" or "grading" in obj:
         grading = _expect(obj, "grading", list)
         if not all(is_int(w) for w in grading):
             raise SchemaError("grading must be a list of integers")
-        grading = tuple(grading)
-    return algebra.MonomialOrder(kind, grading)
+        if kind == "lex":
+            raise SchemaError("plain lex takes no grading")
+        return algebra.MonomialOrder(tuple(grading))
+    return algebra.LEX
 
 
 def polygon_from_json(obj) -> geometry.LatticePolytope:

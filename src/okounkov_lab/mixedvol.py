@@ -335,11 +335,11 @@ def check_isoperimetric(d1: LatticePolytope, d2: LatticePolytope) -> InequalityR
     """Planar inequality Area(D1) Area(D2) <= A(D1, D2)^2, all exact.
 
     Also verifies the expansion Area(D1+D2) = Area(D1) + 2A + Area(D2) for
-    the mixed area A of the production recursion, and compares A with the
-    inclusion-exclusion oracle, which in the plane is
-    (Area(D1+D2) - Area(D1) - Area(D2)) / 2, as :func:`mixed_volume_interp`
-    computes it.  The recursion's closed form never builds D1 + D2, so both
-    checks set it against the one hull of the sum.
+    the mixed area A of the production recursion, whose closed form never
+    builds D1 + D2, against the one hull of the sum.  The report also gives
+    the inclusion-exclusion value (Area(D1+D2) - Area(D1) - Area(D2)) / 2
+    that :func:`mixed_volume_interp` computes; it is the expansion solved
+    for A, so it equals A exactly when the expansion holds.
     """
     if d1.ambient_dim != 2 or d2.ambient_dim != 2:
         raise ValueError("isoperimetric check is planar only")
@@ -352,7 +352,7 @@ def check_isoperimetric(d1: LatticePolytope, d2: LatticePolytope) -> InequalityR
     return InequalityReport(
         lhs=lhs,
         rhs=rhs,
-        holds=bool(lhs <= rhs and identity and mixed == mixed_oracle),
+        holds=lhs <= rhs and identity,
         witness={
             "mixed_area": mixed,
             "mixed_area_interp": mixed_oracle,

@@ -268,8 +268,11 @@ class DensityRow:
 @dataclass(frozen=True)
 class DensityReport:
     rows: tuple[DensityRow, ...]
-    ample: bool
     index: object  # int, or INFINITE when the difference lattice is degenerate
+
+    @property
+    def ample(self) -> bool:
+        return self.index == 1
 
     @property
     def final_ratio(self) -> Fraction:
@@ -312,4 +315,4 @@ def density_sequence(a: SupportSet, k_max: int) -> DensityReport:
         DensityRow(k, Fraction(len(level), k**n), volume)
         for k, level in enumerate(levels, 1)
     )
-    return DensityReport(rows, index == 1, index)
+    return DensityReport(rows, index)

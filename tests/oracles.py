@@ -678,7 +678,7 @@ def density_of_slice(levels):
         rows.append(
             DensityRow(k, Fraction(len(levels[k]), k**n), geometry.volume(body))
         )
-    return DensityReport(tuple(rows), index == 1, index)
+    return DensityReport(tuple(rows), index)
 
 
 def check_superadditive(levels) -> bool:

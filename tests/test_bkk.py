@@ -114,6 +114,9 @@ class TestCountRoots1D:
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
             bkk.count_roots_1d(L(2, {(0, 0): 1, (1, 1): 1}))
+        one = L(1, {(0,): 1, (1,): 1})
+        with pytest.raises(ValueError, match="count_solutions_2d needs two variables"):
+            bkk.count_solutions_2d(one, one)
 
     def test_degree_budget(self):
         # the polynomial is its own eliminant: dense Laurent draws of degree
@@ -273,6 +276,14 @@ class TestEliminant:
         # Res(1 + y + ... + y^5, +-3) = (+-3)^5 = +-243, equal to the bound
         # M = ||p1||_1^0 * ||p2||_1^5, so only the full K = 9 holds it as a balanced digit
         assert bkk._eliminant([[1]] * 6, [[3 * sign]], 0) == [243 * sign]
+
+    def test_digits_past_the_bound_are_an_assertion(self):
+        # pair 8 of the draw has an eliminant of degree exactly its bound B = 8,
+        # so B - 1 leaves its top coefficient over as a digit past the bound
+        rows, bound = self._rows(bkk.random_generic_system(self._draw()[8], 8), 0)
+        assert bound == 8 and bkk._eliminant(*rows, bound)[-1] != 0
+        with pytest.raises(AssertionError, match="digits past the eliminant's degree bound"):
+            bkk._eliminant(*rows, bound - 1)
 
     @pytest.mark.parametrize("case", ["draw-shear-0", "draw-shear-2", "grid"])
     def test_packed_and_interpolated_paths_agree(self, monkeypatch, case):

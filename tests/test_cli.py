@@ -122,11 +122,21 @@ class TestRoundTrips:
             jsonio.polygon_from_json({"dim": 2, "vertices": [["0", "0"], ["1", "1"], ["2", "2"]]})
 
     def test_order(self):
-        assert jsonio.order_from_json({"kind": "lex"}) == algebra.LEX
+        assert jsonio.order_from_json({"kind": "lex"}) is algebra.LEX
         o = jsonio.order_from_json({"kind": "grlex", "grading": [2, 1]})
         assert o.grading == (2, 1)
         with pytest.raises(jsonio.SchemaError):
             jsonio.order_from_json({"kind": "colex"})
+        # the wire form keeps its kind: a lex order with any grading is rejected
+        for grading, message in [([2, 1], "plain lex takes no grading"),
+                                 ([], "plain lex takes no grading"),
+                                 ([1.5], "grading must be a list of integers"),
+                                 ("2, 1", "field 'grading' has the wrong type"),
+                                 (None, "field 'grading' has the wrong type")]:
+            with pytest.raises(jsonio.SchemaError, match=message):
+                jsonio.order_from_json({"kind": "lex", "grading": grading})
+        with pytest.raises(jsonio.SchemaError, match="missing field 'grading'"):
+            jsonio.order_from_json({"kind": "grlex"})
 
     def test_domain_errors_pass_through(self):
         """A shape error is jsonio's SchemaError; the domain's own ValueError
@@ -711,6 +721,28 @@ class TestExitContract:
         assert main(["mixedvol", inp]) == cli.EXIT_INTERNAL == 4
         err = capsys.readouterr().err
         assert err == "internal error: RuntimeError: boom\n"
+
+    def test_changed_exact_area_is_exit_4(self, tmp_path, monkeypatch, capsys):
+        exact_round = stn._exact_round
+
+        def moved(ring, ux, uy):
+            (x, y, d), *rest = exact_round(ring, ux, uy)
+            return [(x - d, y - 2 * d, d), *rest]
+
+        monkeypatch.setattr(stn, "_exact_round", moved)
+        inp = write(tmp_path, "in.json", {"polygon": SQ, "rounds": 3})
+        out = tmp_path / "o"
+        assert main(["steiner", inp, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: AssertionError: exact symmetrization changed the area\n"
+        assert not out.exists()
+
+    def test_report_goes_to_stdout_without_out(self, tmp_path, capsys):
+        inp = write(tmp_path, "in.json", {"bodies": [SQ, SI]})
+        out = tmp_path / "o"
+        assert main(["mixedvol", inp, "--out", str(out)]) == 0
+        assert main(["mixedvol", inp]) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("corner", [10**9, 10**17], ids=["10^9", "10^17"])
     def test_far_unit_square_is_not_exit_4(self, tmp_path, capsys, corner):

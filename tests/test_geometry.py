@@ -53,10 +53,14 @@ class TestConvexHull:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             g.convex_hull([])
+        with pytest.raises(ValueError, match="cannot take the hull of an empty support set"):
+            g.polytope_of_support(g.support_set(2, []))
 
     def test_mixed_dimension_rejected(self):
         with pytest.raises(ValueError):
             g.convex_hull([(0, 0), (1, 0, 0)])
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            g.support_set(2, [(0, 0), (1,)])
 
     def test_random_3d_extremality_oracle(self):
         # hull vertices verified extreme by brute-force LP feasibility

@@ -5,6 +5,7 @@ import pytest
 
 from okounkov_lab.radicals import (
     IndeterminateComparisonError,
+    _root_bounds,
     compare_root_sums,
     integer_nth_root,
 )
@@ -83,6 +84,11 @@ class TestHigherRoots:
             compare_root_sums([-1], [1], 2)
         with pytest.raises(ValueError):
             compare_root_sums([1], [1], 0)
+        # compare_root_sums rejects a negative operand first; its helpers check too
+        with pytest.raises(ValueError, match="negative radicand"):
+            integer_nth_root(-1, 2)
+        with pytest.raises(ValueError, match="negative radicand"):
+            _root_bounds(F(-1, 2), 2, 64)
 
 
 P, Q = 1_000_003, 1_000_033  # primes above 10^6

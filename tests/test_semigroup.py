@@ -161,6 +161,10 @@ class TestDifferenceLatticeIndex:
     def test_rank_deficient_is_infinite(self):
         assert sg.difference_lattice_index(S(2, [(0, 0), (1, 0)])) == sg.INFINITE
 
+    def test_empty_support_rejected(self):
+        with pytest.raises(ValueError, match="support sets must be nonempty"):
+            sg.difference_lattice_index(S(2, []))
+
     def test_union_of_sets_can_generate(self):
         sets = [S(2, [(0, 0), (1, 0)]), S(2, [(5, 5), (5, 6)])]
         assert joint_lattice_index(sets) == 1
@@ -308,6 +312,12 @@ class TestDensity:
         assert rep.ample
         assert abs(rep.final_ratio - 3) < F(2, 10)
 
+    def test_ample_is_index_one(self):
+        rows = sg.density_sequence(SIMPLEX_PTS, 2).rows
+        assert sg.DensityReport(rows, 1).ample
+        assert not sg.DensityReport(rows, 2).ample
+        assert not sg.DensityReport(rows, sg.INFINITE).ample
+
 
 def random_levels(rng, dim, kmax, size, reach):
     """Seeded levels S_1..S_kmax of `size` points each within k * [-reach, reach]^dim."""
@@ -420,7 +430,7 @@ class TestLevelBox:
 
     @staticmethod
     def orders(rng, dim):
-        return [alg.LEX, alg.MonomialOrder("grlex", tuple(rng.randint(1, 3) for _ in range(dim)))]
+        return [alg.LEX, alg.MonomialOrder(tuple(rng.randint(1, 3) for _ in range(dim)))]
 
     def test_slots_add_across_levels(self):
         rng = random.Random(2929)
@@ -459,7 +469,9 @@ class TestLevelBox:
             sg.level_box([(0, 0), (1, 2)], 3, (1, 2, 3))
         l = alg.monomial_subspace(S(2, [(0, 0), (1, 2)]))
         with pytest.raises(ValueError, match=message):
-            alg.semigroup_of_subspace(l, alg.MonomialOrder("grlex", (1, 2, 3)), 3)
+            alg.semigroup_of_subspace(l, alg.MonomialOrder((1, 2, 3)), 3)
+        with pytest.raises(ValueError, match=message):
+            alg.MonomialOrder((1, 2, 3)).key((1, 2))
 
     def test_powers_and_slices_match_brute_force(self):
         count = 0
