@@ -17,10 +17,11 @@ pass.  One driver runs it: the powers of a subspace are built level by
 level, each from the rows that gave the previous level its pivots, so they
 never pass through Fraction coefficients; a product is formed only from
 the prefix of its sorted basis-index tuple, and only if that prefix
-installed a pivot.  A span is level 1, slotted by its exponents' ranks;
-the powers' slots are those of the basis exponents' ``semigroup.LevelBox``,
-so the lowest slot of a packed row is its valuation; the box and k_max are
-budgeted before any level is built.  The powers of a monomial space, one
+installed a pivot.  ``span`` is the one builder of a subspace: its basis
+is level 1, slotted by the lex ranks of its exponents.  The powers' slots
+are those of the basis exponents' ``semigroup.LevelBox``, so the lowest
+slot of a packed row is its valuation; the box and k_max are budgeted
+before any level is built.  The powers of a monomial space, one
 whose dimension is the size of the union A of its basis supports, are not
 eliminated: it is span{x^a : a in A}, so their leads are the sumsets kA,
 which the packed sumset kernel ``semigroup._levels`` builds on the same
@@ -253,69 +254,45 @@ def _rows(polys, slot):
         yield lead, [(s - lead, c) for s, c in row.items()], sum(map(abs, row.values()))
 
 
-def _packed_echelon(polys, order: MonomialOrder):
-    """Packed echelon form of the span of ``polys``, level 1 of
-    :func:`_echelon_levels`.  Slots are the ranks of the distinct exponents
-    in the order, so a pivot's lead is the order-minimal exponent of its
-    row.  Input rows are primitive and stepped rows are installed
-    primitive, so every pivot row is primitive.  Returns the pivots by lead
-    slot, the exponent of each slot and the width.
-    """
-    columns = sorted({e for f in polys for e, _ in f.terms}, key=order.key)
-    rank = {e: s for s, e in enumerate(columns)}
-    _, pivots, width = _echelon_levels(polys, rank.__getitem__, 1)
-    return pivots, columns, width
-
-
-def _leads(polys, order: MonomialOrder) -> list[Exponent]:
-    """Valuations of an echelon basis of the span of ``polys``."""
-    pivots, columns, _ = _packed_echelon(polys, order)
-    return [columns[lead] for lead in pivots]
-
-
 # -- subspaces ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LaurentSubspace:
-    """Finite-dimensional span of Laurent polynomials with a verified basis."""
+    """Finite-dimensional span of Laurent polynomials, held as the basis that
+    :func:`span` builds: primitive integer rows with distinct lex leads, so
+    independent by construction."""
 
     ambient_dim: int
     basis: tuple[LaurentPolynomial, ...]
-
-    def __post_init__(self):
-        if not self.basis:
-            raise ValueError("subspace needs a nonempty basis")
-        for f in self.basis:
-            if f.ambient_dim != self.ambient_dim:
-                raise ValueError("basis dimension mismatch")
-            if f.is_zero:
-                raise ValueError("zero polynomial in a basis")
-        if len(_leads(self.basis, LEX)) != len(self.basis):
-            raise ValueError("basis polynomials are linearly dependent")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
 
-def span(dim: int, polys, order: MonomialOrder = LEX) -> LaurentSubspace:
-    """Subspace spanned by arbitrary polynomials, echelonized to a basis."""
-    pivots, columns, width = _packed_echelon(polys, order)
+def span(dim: int, polys) -> LaurentSubspace:
+    """Subspace spanned by arbitrary polynomials, echelonized to a basis.
+
+    The basis is level 1 of :func:`_echelon_levels` with the lex ranks of
+    the distinct exponents as slots, so a pivot's lead is the lex-minimal
+    exponent of its row.  Input rows are primitive and stepped rows are
+    installed primitive, so every basis row is primitive.
+    """
+    columns = sorted({e for f in polys for e, _ in f.terms})
+    rank = {e: s for s, e in enumerate(columns)}
+    _, pivots, width = _echelon_levels(polys, rank.__getitem__, 1)
     if not pivots:
         raise ValueError("the zero subspace is not representable")
-    basis = []
-    for lead in sorted(pivots):
-        values = _unpack(pivots[lead][0], width)
-        basis.append(laurent(dim, {columns[lead + s]: c for s, c in enumerate(values) if c}))
-    return LaurentSubspace(dim, tuple(basis))
+    return LaurentSubspace(dim, tuple(
+        laurent(dim, dict(zip(columns[lead:], _unpack(pivots[lead][0], width))))
+        for lead in sorted(pivots)
+    ))
 
 
 def monomial_subspace(a: SupportSet) -> LaurentSubspace:
     if not a.points:
         raise ValueError("monomial subspace needs a nonempty support")
-    return LaurentSubspace(
-        a.ambient_dim, tuple(monomial(a.ambient_dim, e) for e in a.sorted_points())
-    )
+    return span(a.ambient_dim, [monomial(a.ambient_dim, e) for e in a.sorted_points()])
 
 
 def product(l1: LaurentSubspace, l2: LaurentSubspace) -> LaurentSubspace:
@@ -350,13 +327,13 @@ def _level_box(l: LaurentSubspace, order: MonomialOrder, k_max: int) -> LevelBox
 def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
     """The level box, and the lead slots of echelonized L^k for k = 1..k_max.
 
-    If L is a monomial space, dim L = |A| for A the union of the basis
-    supports, the leads of L^k are the slots of the sumset kA, from
-    ``semigroup._levels``.  L lies in span{x^a : a in A}, of dimension |A|,
-    and its basis is independent (``LaurentSubspace`` checks it), so
-    dim L = |A| makes the two equal.  Then L^k is spanned by the monomials
-    x^b, b in kA, and distinct monomials cannot cancel, so every slot of kA
-    is a lead.  A basis of monomials is the case where each support is one
+    If L is a monomial space, dim L = |A| for A = supp L, the union of the
+    basis supports, the leads of L^k are the slots of the sumset kA, from
+    ``semigroup._levels``.  A is the same for every basis of L: each of its
+    exponents is a term of some element of L, so of some basis element.  L
+    lies in span{x^a : a in A}, of dimension |A|, so dim L = |A| makes the
+    two equal.  Then L^k is spanned by the monomials x^b, b in kA, and
+    distinct monomials cannot cancel, so every slot of kA is a lead.  A basis of monomials is the case where each support is one
     point: independent monomials have distinct exponents.  Every other L is
     echelonized by :func:`_echelon_levels`.
 
@@ -520,10 +497,8 @@ def superadditivity_check(
     k_max: int = 8,
 ) -> SuperadditivityReport:
     """Check Newton(L1) + Newton(L2) inside Newton(L1 L2) at equal level."""
-    if l1.ambient_dim != l2.ambient_dim:
-        raise ValueError("dimension mismatch")
-    geometry.check_dim(l1.ambient_dim)
     l12 = product(l1, l2)
+    geometry.check_dim(l1.ambient_dim)
     for l in (l1, l2, l12):
         _level_box(l, order, k_max)
     b1 = newton_okounkov_body(l1, order, k_max)

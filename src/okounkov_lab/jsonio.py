@@ -5,9 +5,9 @@ Rationals travel as strings "p/q" (or "p"), floats as fixed
 runs.  Library results stay exact: :func:`wire` is the one place a report
 value takes its wire form, applied once to the whole report.
 :class:`SchemaError` is a JSON-shape error that this module detects itself;
-a domain ``ValueError`` from the constructors it calls (a dependent basis, a
-zero grading weight) passes through unchanged.  The CLI maps both to its
-input-error exit code.
+a domain error is a plain ``ValueError``, raised here (a dependent basis)
+or by a constructor it calls (a zero grading weight).  The CLI maps both to
+its input-error exit code.
 """
 
 from __future__ import annotations
@@ -113,9 +113,21 @@ def laurent_from_json(obj) -> algebra.LaurentPolynomial:
 
 
 def subspace_from_json(obj) -> algebra.LaurentSubspace:
+    """The span of a basis: nonempty, each polynomial of dimension ``dim``
+    and nonzero, and independent, checked in that order."""
     dim = _expect(obj, "dim", int)
     basis = [laurent_from_json(b) for b in _expect(obj, "basis", list)]
-    return algebra.LaurentSubspace(dim, tuple(basis))
+    if not basis:
+        raise ValueError("subspace needs a nonempty basis")
+    for f in basis:
+        if f.ambient_dim != dim:
+            raise ValueError("basis dimension mismatch")
+        if f.is_zero:
+            raise ValueError("zero polynomial in a basis")
+    l = algebra.span(dim, basis)
+    if l.dim != len(basis):
+        raise ValueError("basis polynomials are linearly dependent")
+    return l
 
 
 def order_from_json(obj) -> algebra.MonomialOrder:

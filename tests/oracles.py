@@ -580,16 +580,37 @@ def combination(dim, *terms):
     return algebra.laurent(dim, acc)
 
 
+def fraction_leads(polys, order=algebra.LEX):
+    """Valuations of an echelon basis of the span of ``polys``, by Gaussian
+    elimination over Fractions: a row is reduced by the pivot at its
+    order-minimal exponent until that exponent has no pivot or the row is 0."""
+    pivots = {}
+    for f in polys:
+        row = dict(f.terms)
+        while row:
+            lead = min(row, key=order.key)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            scale = row[lead] / pivot[lead]
+            for e, c in pivot.items():
+                row[e] = row.get(e, 0) - scale * c
+                if not row[e]:
+                    del row[e]
+    return list(pivots)
+
+
 def subspaces_equal(l1, l2) -> bool:
     """Equality as subspaces, independent of the chosen bases."""
     if l1.ambient_dim != l2.ambient_dim or l1.dim != l2.dim:
         return False
-    return len(algebra._leads(l1.basis + l2.basis, algebra.LEX)) == l1.dim
+    return len(fraction_leads(l1.basis + l2.basis)) == l1.dim
 
 
 def valuation_image(l, order=algebra.LEX):
     """Pivot exponents of an echelonized basis; size equals the dimension."""
-    image = geometry.support_set(l.ambient_dim, algebra._leads(l.basis, order))
+    image = geometry.support_set(l.ambient_dim, fraction_leads(l.basis, order))
     if len(image) != l.dim:
         raise AssertionError("valuation image smaller than the dimension")
     return image

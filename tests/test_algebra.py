@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction as F
 
@@ -16,6 +17,7 @@ from oracles import (
     check_superadditive,
     combination,
     is_level_dict,
+    laurent_to_json,
     newton_body,
     power,
     subspace_to_json,
@@ -29,6 +31,13 @@ ONE2 = L(2, {(0, 0): 1})
 X = L(2, {(1, 0): 1})
 Y = L(2, {(0, 1): 1})
 XPY = L(2, {(1, 0): 1, (0, 1): 1})
+
+
+def parse(dim, *polys):
+    """The subspace that ``jsonio`` reads from the wire form of ``polys``."""
+    return jsonio.subspace_from_json(
+        {"dim": dim, "basis": [laurent_to_json(f) for f in polys]}
+    )
 
 
 def random_poly(rng, dim=2, terms=3, span=2):
@@ -144,12 +153,12 @@ class TestSubspaces:
         assert alg.monomial_subspace(A1).dim == 2
 
     def test_dependent_basis_rejected(self):
-        with pytest.raises(ValueError):
-            alg.LaurentSubspace(2, (X, Y, XPY))
+        with pytest.raises(ValueError, match="basis polynomials are linearly dependent"):
+            parse(2, X, Y, XPY)
 
     @pytest.mark.parametrize(
         "build,message",
-        [(lambda: alg.LaurentSubspace(2, (X, L(3, {(0, 0, 1): 1}))), "basis dimension mismatch"),
+        [(lambda: parse(2, X, L(3, {(0, 0, 1): 1})), "basis dimension mismatch"),
          (lambda: alg.span(2, [L(2, {}), L(2, {})]), "the zero subspace is not representable"),
          (lambda: alg.monomial_subspace(g.support_set(2, [])),
           "monomial subspace needs a nonempty support"),
@@ -211,7 +220,7 @@ class TestSubspaces:
 
 class TestValuationImage:
     def test_already_triangular(self):
-        l = alg.LaurentSubspace(2, (ONE2, X, Y))
+        l = alg.span(2, [ONE2, X, Y])
         assert set(valuation_image(l).points) == {(0, 0), (1, 0), (0, 1)}
 
     def test_reduction_finds_hidden_pivots(self):
@@ -347,7 +356,8 @@ class TestSuperadditivity:
 
 
 def _rational_subspace(rng, dim, size):
-    """Subspace whose basis has only non-integer rational coefficients."""
+    """Subspace whose basis has only non-integer rational coefficients: an
+    independent basis held as drawn, not as the integer rows of ``span``."""
     while True:
         polys = []
         for _ in range(size):
@@ -358,10 +368,8 @@ def _rational_subspace(rng, dim, size):
                 for _ in range(rng.randint(1, 3))
             }
             polys.append(L(dim, terms))
-        try:
+        if alg.span(dim, polys).dim == size:
             return alg.LaurentSubspace(dim, tuple(polys))
-        except ValueError:
-            continue
 
 
 class TestPowerLevelsAgainstProduct:
@@ -510,13 +518,28 @@ def _seeded_span_cases():
     return cases
 
 
+def _ordered_span(dim, polys, order):
+    """The echelon basis of the span of ``polys`` whose leads are minimal in
+    ``order``: level 1 of the kernel, slotted by the exponents' ranks in that
+    order.  ``alg.span`` is the lex case."""
+    columns = sorted({e for f in polys for e, _ in f.terms}, key=order.key)
+    rank = {e: s for s, e in enumerate(columns)}
+    _, pivots, width = alg._echelon_levels(polys, rank.__getitem__, 1)
+    return alg.LaurentSubspace(dim, tuple(
+        L(dim, dict(zip(columns[lead:], alg._unpack(pivots[lead][0], width))))
+        for lead in sorted(pivots)
+    ))
+
+
 class TestKernelEdgeCases:
     def test_span_bases_and_images_are_unchanged(self):
         # sha256 of the same 20 spans and valuation images under the dict
         # echelon that the packed kernel replaced
         out = []
         for dim, order, polys in _seeded_span_cases():
-            l = alg.span(dim, polys, order)
+            l = _ordered_span(dim, polys, order)
+            if order == alg.LEX:
+                assert l == alg.span(dim, polys)
             img = valuation_image(l, order)
             out.append({
                 "span": subspace_to_json(l),
@@ -545,10 +568,10 @@ class TestKernelEdgeCases:
             return level(parents, basis, width, pivots)
 
         monkeypatch.setattr(alg, "_power_level", spy)
-        l = alg.span(2, polys, order)
+        l = _ordered_span(2, polys, order)
         assert widths[:3] == [start, 2 * start, 4 * start]
         expected = sympy_power_leads([list(f.terms) for f in polys], order.grading, 1)
-        assert set(alg._leads(polys, order)) == expected
+        assert {alg.valuation(f, order) for f in l.basis} == expected
         assert set(valuation_image(l, order).points) == expected
         assert subspaces_equal(l, alg.LaurentSubspace(2, tuple(polys)))
 
@@ -806,14 +829,47 @@ class TestPrefixProducts:
         assert leads.count(None) == zeros
 
     def test_monomial_levels_reduce_no_row(self, monkeypatch):
-        l = _monomial4()  # building it echelonizes its basis once
+        l = _monomial4()  # span echelonizes its basis once
         calls = _reduce_spy(monkeypatch)
         _, levels = alg._power_levels(l, alg.LEX, 12)
         assert alg.hilbert_function(l, 12) == [(k, len(levels[k])) for k in range(1, 13)]
         alg.newton_okounkov_body(l, GRLEX12, 12)
         assert calls == []
         _monomial4()
-        assert calls  # the spy sees the independence check's echelon
+        assert calls  # the spy sees span's echelon
+
+
+# 1 + x, 1 + y, x + y + xy: the first two share the lex lead 1, and the
+# four exponents are one more than the dimension
+RAW_BASIS = (L(2, {(0, 0): 1, (1, 0): 1}), L(2, {(0, 0): 1, (0, 1): 1}),
+             L(2, {(1, 0): 1, (0, 1): 1, (1, 1): 1}))
+
+
+class TestOneEchelonPerSubspace:
+    """A subspace is built once, by ``span``: its rows are reduced once."""
+
+    def test_parsing_reduces_each_basis_row_once(self, monkeypatch):
+        leads = _reduce_spy(monkeypatch)
+        l = parse(2, *RAW_BASIS)
+        assert len(leads) == len(RAW_BASIS) and None not in leads
+        assert subspaces_equal(l, alg.LaurentSubspace(2, RAW_BASIS))
+
+    @pytest.mark.parametrize("factors", [DIM5_FACTORS, CRITERION8_FACTORS],
+                             ids=["dim5-product", "criterion8-product"])
+    def test_product_reduces_each_pairwise_product_once(self, monkeypatch, factors):
+        l1, l2 = (alg.span(2, [L(2, terms) for terms in basis]) for basis in factors)
+        leads = _reduce_spy(monkeypatch)
+        alg.product(l1, l2)
+        assert len(leads) == l1.dim * l2.dim
+
+    def test_span_rows_are_primitive_with_increasing_lex_leads(self):
+        l = parse(2, *RAW_BASIS)
+        leads = [alg.valuation(f) for f in l.basis]
+        assert leads == sorted(set(leads))
+        for f in l.basis:
+            coefficients = [c for _, c in f.terms]
+            assert all(c.denominator == 1 for c in coefficients)
+            assert math.gcd(*(c.numerator for c in coefficients)) == 1
 
 
 def _monomial_cases():

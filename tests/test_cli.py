@@ -951,6 +951,16 @@ class TestExitContract:
                 {"dim": 1, "terms": [{"exp": [1], "coef": "1"}]},
                 {"dim": 1, "terms": [{"exp": [1], "coef": "2"}]}]}},
              "basis polynomials are linearly dependent"),
+            ("hilbert", {"subspace": {"dim": 2, "basis": [
+                {"dim": 2, "terms": [{"exp": [1, 0], "coef": "1"}]},
+                {"dim": 3, "terms": [{"exp": [0, 0, 1], "coef": "1"}]}]}},
+             "basis dimension mismatch"),
+            # each polynomial is checked before the basis is checked for dependence
+            ("hilbert", {"subspace": {"dim": 1, "basis": [
+                {"dim": 1, "terms": [{"exp": [1], "coef": "1"}]},
+                {"dim": 1, "terms": [{"exp": [1], "coef": "2"}]},
+                {"dim": 1, "terms": []}]}},
+             "zero polynomial in a basis"),
             ("okounkov", {"subspace": {"dim": 2, "basis": [
                 {"dim": 2, "terms": [{"exp": [1, 0], "coef": "1"}]}]},
                 "order": {"kind": "grlex", "grading": [0, 1]}},
@@ -982,7 +992,8 @@ class TestExitContract:
         ids=["bkk-no-supports", "bkk-mixed-dimensions", "bm-fixed-null", "bm-fixed-number",
              "missing-field", "no-vertices", "vertex-arity", "rational-1-over-0",
              "polytope-dim-5", "no-points", "support-dim-0", "empty-basis", "zero-polynomial",
-             "dependent-basis", "grading-zero-weight", "lex-grading", "repeated-exponent",
+             "dependent-basis", "basis-dimension", "zero-after-dependent",
+             "grading-zero-weight", "lex-grading", "repeated-exponent",
              "bm-m-zero", "bm-m-above-n",
              "profile-4d", "bkk-3d", "bkk-one-support-2d", "mixedvol-no-bodies",
              "af-check-no-bodies", "bkk-predict-no-supports", "okounkov-dim-0"],

@@ -48,6 +48,13 @@ SUBSPACE = {"dim": 2, "basis": [
     {"dim": 2, "terms": [_term((1, 0), "1"), _term((0, 1), "1")]},
     {"dim": 2, "terms": [_term((0, 2), "1"), _term((1, 0), "-1/2")]},
 ]}
+# 1 + x, 1 + y, x + y + xy: not in echelon form (the first two share the
+# lex lead 1), and not a monomial space (dimension 3 over 4 exponents)
+RAW_BASIS = {"dim": 2, "basis": [
+    {"dim": 2, "terms": [_term((0, 0), "1"), _term((1, 0), "1")]},
+    {"dim": 2, "terms": [_term((0, 0), "1"), _term((0, 1), "1")]},
+    {"dim": 2, "terms": [_term((1, 0), "1"), _term((0, 1), "1"), _term((1, 1), "1")]},
+]}
 PAIR = {"supports": [_support((0, 0), (1, 0), (0, 1)), _support((0, 0), (1, 1))]}
 DENSITY = {"support": _support((0, 0), (1, 0), (0, 1), (2, 3))}
 
@@ -82,6 +89,11 @@ CASES = [
      "3ee8e5a534cccf62ff274219078c8bc155d307264d6ca5d29a6b06a445794d7e"),
     ("hilbert-csv", "hilbert", {"subspace": SUBSPACE}, ["--kmax", "5", "--format", "csv"], 0,
      "9dcf9b34eab695fe4cc5751c17f2daf65ddde2d0cf8174ac234e7c9df55d97d2"),
+    ("okounkov-raw-basis", "okounkov",
+     {"subspace": RAW_BASIS, "order": {"kind": "grlex", "grading": [1, 2]}}, ["--kmax", "4"], 0,
+     "76d322630760305f20381716c197bdffd3b02828268c3d2a975e121d52b1d487"),
+    ("hilbert-raw-basis", "hilbert", {"subspace": RAW_BASIS}, ["--kmax", "5"], 0,
+     "d7e00fca03ab33268e964d1222032f51d3eb294225769408880cb70b251771d2"),
     ("bkk-predict", "bkk-predict", PAIR, [], 0,
      "1343a89e24a1ac9bc558c13deb147d4c08c73bcc7210aef27a1176add0afc144"),
     ("bkk-verify", "bkk-verify", PAIR, ["--seed", "3", "--trials", "3"], 0,
