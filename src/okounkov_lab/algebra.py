@@ -21,12 +21,15 @@ installed a pivot.  ``span`` is the one builder of a subspace: its basis
 is level 1, slotted by the lex ranks of its exponents.  The powers' slots
 are those of the basis exponents' ``semigroup.LevelBox``, so the lowest
 slot of a packed row is its valuation; the box and k_max are budgeted
-before any level is built.  The powers of a monomial space, one
-whose dimension is the size of the union A of its basis supports, are not
-eliminated: it is span{x^a : a in A}, so their leads are the sumsets kA,
-which the packed sumset kernel ``semigroup._levels`` builds on the same
-box.  A Newton body hulls only the two ends of each level's leads along
-every line parallel to the last axis.
+before any level is built.  The powers are not eliminated when their
+leads are the sumsets kS_1 of the level-1 leads S_1, which the packed
+sumset kernel ``semigroup._levels`` builds on the same box: for a monomial
+space, one whose dimension is the size of the union A of its basis
+supports (it is span{x^a : a in A}, and S_1 = A), and for a subspace whose
+S_1 is affinely independent (distinct multisets of leads have distinct
+sums).  Its Newton body is then conv(S_1), and no level is built.  Any
+other Newton body hulls only the levels above k_max / 2, and of each only
+the two ends of its leads along every line parallel to the last axis.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import geometry, semigroup
+from . import _hull, geometry, semigroup
 from .geometry import LatticePolytope, SupportSet, support_set
 from .semigroup import LevelBox, level_box
 
@@ -280,7 +283,7 @@ def span(dim: int, polys) -> LaurentSubspace:
     """
     columns = sorted({e for f in polys for e, _ in f.terms})
     rank = {e: s for s, e in enumerate(columns)}
-    _, pivots, width = _echelon_levels(polys, rank.__getitem__, 1)
+    pivots, width = next(_echelon_levels(polys, rank.__getitem__))
     if not pivots:
         raise ValueError("the zero subspace is not representable")
     return LaurentSubspace(dim, tuple(
@@ -325,21 +328,39 @@ def _level_box(l: LaurentSubspace, order: MonomialOrder, k_max: int) -> LevelBox
 
 
 def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
-    """The level box, and the lead slots of echelonized L^k for k = 1..k_max.
+    """The level box, L's level-1 leads S_1 if they generate every level,
+    and the lead slots of L^k for k = 1..k_max as (k, slots) pairs.
 
-    If L is a monomial space, dim L = |A| for A = supp L, the union of the
-    basis supports, the leads of L^k are the slots of the sumset kA, from
-    ``semigroup._levels``.  A is the same for every basis of L: each of its
-    exponents is a term of some element of L, so of some basis element.  L
-    lies in span{x^a : a in A}, of dimension |A|, so dim L = |A| makes the
-    two equal.  Then L^k is spanned by the monomials x^b, b in kA, and
-    distinct monomials cannot cancel, so every slot of kA is a lead.  A basis of monomials is the case where each support is one
-    point: independent monomials have distinct exponents.  Every other L is
-    echelonized by :func:`_echelon_levels`.
+    Two conditions make the leads of L^k the sumset kS_1, whose slots
+    ``semigroup._levels`` builds on the same box with no elimination; S_1
+    is returned then, and the sumsets are built only as they are read.
 
-    There a multiset M of k basis indices, written as its sorted index tuple,
-    stands for the product row(M) of those basis rows; level k is spanned by
-    all of them.  Each M is built once, from its prefix M[:-1] (the rule of
+    - L is a monomial space: dim L = |A| for A = supp L, the union of the
+      basis supports, and S_1 = A.  A is the same for every basis of L:
+      each of its exponents is a term of some element of L, so of some
+      basis element.  L lies in span{x^a : a in A}, of dimension |A|, so
+      dim L = |A| makes the two equal.  Then L^k is spanned by the
+      monomials x^b, b in kA, and distinct monomials cannot cancel, so
+      every slot of kA is a lead.  A basis of monomials is the case where
+      each support is one point: independent monomials have distinct
+      exponents.
+    - The leads S_1 = {v_1, ..., v_d} of L's echelon basis in ``order``,
+      level 1 of :func:`_echelon_levels`, are affinely independent: their
+      difference rows have rank d - 1 (``_hull.echelon``).  A product of
+      k basis rows with multiplicities m has lead sum(m_i v_i), because
+      the valuation is additive.  Two multisets of size k with equal lead
+      sums give sum((m_i - m'_i) v_i) = 0 with sum(m_i - m'_i) = 0, so
+      m = m' by affine independence.  Products with distinct leads are
+      independent, and they span L^k, so dim L^k = C(d + k - 1, k), and
+      an element of L^k has the lead of one of them: no combination of
+      rows with distinct leads cancels the least.  So the leads of L^k
+      are kS_1.
+
+    Every other L is echelonized by :func:`_echelon_levels`, continuing
+    from the level 1 it has built, and S_1 is None.  There a multiset M of
+    k basis indices, written as its sorted index tuple, stands for the
+    product row(M) of those basis rows; level k is spanned by all of them.
+    Each M is built once, from its prefix M[:-1] (the rule of
     :func:`_power_level`), and only when that prefix installed a pivot at
     level k - 1.  Rows are packed in the level box, and a product is a sum
     of shifted copies of the parent, one per term of the basis row.  The
@@ -347,43 +368,45 @@ def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
     not change any span.
     """
     box = _level_box(l, order, k_max)
-    points = {e for f in l.basis for e, _ in f.terms}
-    if len(points) == l.dim:
-        return box, dict(enumerate(semigroup._levels(box, points, k_max), 1))
-    levels, _, _ = _echelon_levels(l.basis, box.slot, k_max)
-    return box, levels
+    leads = {e for f in l.basis for e, _ in f.terms}  # S_1 of a monomial space
+    if len(leads) != l.dim:
+        echelon = _echelon_levels(l.basis, box.slot)
+        first, _ = next(echelon)
+        leads = [box.exponent(s, 1) for s in first]
+        rank = len(_hull.echelon(_hull._sub(p, leads[0]) for p in leads[1:]))
+        if rank < l.dim - 1:
+            levels = [first, *(pivots for _, (pivots, _) in zip(range(1, k_max), echelon))]
+            return box, None, enumerate(levels, 1)
+    return box, leads, enumerate(semigroup._levels(box, leads, k_max), 1)
 
 
-def _echelon_levels(polys, slot, k_max: int):
+def _echelon_levels(polys, slot):
     """Echelonize the products of k of the :func:`_rows` of ``polys`` for
-    k = 1..k_max.
+    k = 1, 2, ..., yielding each level's pivots and slot width.
 
     Level 1 is the products of () with each row, in order: the echelon
-    form of their span.  Returns the lead slots of each level, and the last
-    level's pivots and slot width.  A level whose bound would outgrow the
-    width is built again at twice the width from its parents, repacked;
-    the levels below it stand.
+    form of their span.  The pivots map each lead slot, in installation
+    order, to its row (see :func:`_reduce`).  A level whose bound would
+    outgrow the width is built again at twice the width from its parents,
+    repacked; the levels below it stand.
     """
     basis = list(_rows(polys, slot))
     top, width = max((l1 for _, _, l1 in basis), default=0), _WIDTH
     while top >> (width - 1):
         width *= 2
     parents = {(): (1, 0, 1)}
-    levels = {}
-    for k in range(1, k_max + 1):
-        while True:
-            pivots: dict = {}
-            try:
-                parents = _power_level(parents, basis, width, pivots)
-                break
-            except _Overflow:
-                parents = {
-                    key: (_pack(_unpack(row, width), 2 * width), lead, bound)
-                    for key, (row, lead, bound) in parents.items()
-                }
-                width *= 2
-        levels[k] = list(pivots)
-    return levels, pivots, width
+    while True:
+        pivots: dict = {}
+        try:
+            parents = _power_level(parents, basis, width, pivots)
+        except _Overflow:
+            parents = {
+                key: (_pack(_unpack(row, width), 2 * width), lead, bound)
+                for key, (row, lead, bound) in parents.items()
+            }
+            width *= 2
+            continue
+        yield pivots, width
 
 
 def _power_level(parents: dict, basis: list, width: int, pivots: dict):
@@ -437,41 +460,53 @@ def _power_level(parents: dict, basis: list, width: int, pivots: dict):
 
 def hilbert_function(l: LaurentSubspace, k_max: int) -> list[tuple[int, int]]:
     """Dimension of L^k for k = 1..k_max."""
-    _, levels = _power_levels(l, LEX, k_max)
-    return [(k, len(levels[k])) for k in range(1, k_max + 1)]
+    _, _, levels = _power_levels(l, LEX, k_max)
+    return [(k, len(slots)) for k, slots in levels]
 
 
 def semigroup_of_subspace(
     l: LaurentSubspace, order: MonomialOrder = LEX, k_max: int = 8
 ) -> dict[int, SupportSet]:
     """Valuation images of L's powers, as the level dict {k: v(L^k)}."""
-    box, levels = _power_levels(l, order, k_max)
+    box, _, levels = _power_levels(l, order, k_max)
     return {
         k: support_set(l.ambient_dim, [box.exponent(s, k) for s in slots])
-        for k, slots in levels.items()
+        for k, slots in levels
     }
 
 
 def newton_okounkov_body(
     l: LaurentSubspace, order: MonomialOrder = LEX, k_max: int = 8
 ) -> LatticePolytope:
-    """Newton body of the valuation semigroup of L, at finite level.
+    """Newton body of the valuation semigroup of L, at finite level: the
+    hull of the levels S_k / k of :func:`semigroup_of_subspace`.
 
-    The hull of :func:`semigroup_of_subspace`'s levels, each at its scale
-    k, built from the lead slots directly: a level keeps only the lowest
-    and the highest slot of each fiber, a line parallel to the last axis.
-    Every other lead of the fiber lies on the segment between those two,
-    so the hull is unchanged.  A lex fiber is the set of slots with one
-    value of slot // radices[-1]; a graded lex fiber has one value of
-    slot % prod(radices), and the grade, which rises with the last
+    If the levels are the sumsets kS_1 (:func:`_power_levels`), the body
+    is conv(S_1), hulled directly: a point (a_1 + ... + a_k) / k of S_k / k
+    is a convex combination of points of S_1.  No level is built.
+
+    Otherwise only the levels k with 2k > k_max are hulled.  If s is a lead
+    of level j, then m s is a lead of level m j, the lead of the m-th power
+    of s's element, since the valuation is additive; and s / j = m s / m j.
+    Doubling j lands in (k_max / 2, k_max], so the lower levels add no
+    point.  Each level is read from its lead slots directly, keeping only
+    the lowest and the highest slot of each fiber, a line parallel to the
+    last axis.  Every other lead of the fiber lies on the segment between
+    those two, so the hull is unchanged.  A lex fiber is the set of slots
+    with one value of slot // radices[-1]; a graded lex fiber has one value
+    of slot % prod(radices), and the grade, which rises with the last
     coordinate, varies along it.
     """
     geometry.check_dim(l.ambient_dim)  # the hull's range, before any level is built
-    box, levels = _power_levels(l, order, k_max)
+    box, leads, levels = _power_levels(l, order, k_max)
+    if leads is not None:
+        return geometry._polytope(1, leads, l.ambient_dim)
     lex = box.grading is None
     cells = box.radices[-1] if lex else math.prod(box.radices)
     faces = []
-    for k, slots in levels.items():
+    for k, slots in levels:
+        if 2 * k <= k_max:
+            continue
         low, high = {}, {}
         for s in sorted(slots):
             fiber = s // cells if lex else s % cells

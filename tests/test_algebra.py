@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -402,6 +403,13 @@ def _terms(l):
     return [[(e, c) for e, c in f.terms] for f in l.basis]
 
 
+def _echelon(l, slot, k_max):
+    """The lead slots of levels 1..k_max from the echelon kernel alone,
+    whichever route ``_power_levels`` takes."""
+    levels = islice(alg._echelon_levels(l.basis, slot), k_max)
+    return {k: list(pivots) for k, (pivots, _) in enumerate(levels, 1)}
+
+
 def _width_spy(monkeypatch):
     """Record the slot width of every power-level pass.
 
@@ -458,7 +466,15 @@ ORACLE_CORPUS = [
     ("2d-near-2^70", 2, [{(0, 0): 2**70 + 3, (1, 0): -(2**70) + 1, (0, 1): 5},
                          {(1, 1): 2**69 - 7, (0, 1): 2**70 - 11},
                          {(1, 0): 1, (0, 0): -(2**70) - 17}], alg.LEX, 5),
+    # the same size of coefficient, with the collinear lex leads 1, y, y^2
+    ("2d-near-2^70-dependent", 2, [{(0, 0): 2**70 + 3, (1, 0): -(2**70) + 1, (0, 1): 5},
+                                   {(1, 1): 2**69 - 7, (0, 1): 2**70 - 11},
+                                   {(0, 2): 2**70 + 5, (1, 0): -3}], alg.LEX, 5),
 ]
+
+
+def _corpus_case(name):
+    return next(case[1:] for case in ORACLE_CORPUS if case[0] == name)
 
 
 class TestPowerLevelsAgainstSympy:
@@ -484,9 +500,18 @@ class TestPowerLevelsAgainstSympy:
         dims = dict(alg.hilbert_function(l, 6))
         assert dims == {k: 2 * k + 1 for k in range(1, 7)}
 
-    def test_near_2_70_case_widens_the_slots(self, monkeypatch):
+    def test_near_2_70_case_widens_the_slots(self):
+        # its lex leads are affinely independent, so _power_levels takes the
+        # sumsets; the kernel is called directly
+        dim, basis, order, k_max = _corpus_case("2d-near-2^70")
+        l = alg.span(dim, [L(dim, terms) for terms in basis])
+        slot = alg._level_box(l, order, k_max).slot
+        widths = [width for _, width in islice(alg._echelon_levels(l.basis, slot), k_max)]
+        assert widths[0] > alg._WIDTH and max(widths) > widths[0]
+
+    def test_dependent_near_2_70_case_widens_through_the_power_levels(self, monkeypatch):
         widths = _width_spy(monkeypatch)
-        _, dim, basis, order, k_max = ORACLE_CORPUS[-1]
+        dim, basis, order, k_max = _corpus_case("2d-near-2^70-dependent")
         alg.hilbert_function(alg.span(dim, [L(dim, terms) for terms in basis]), k_max)
         assert widths[0] > alg._WIDTH and max(widths) > widths[0]
 
@@ -524,7 +549,7 @@ def _ordered_span(dim, polys, order):
     order.  ``alg.span`` is the lex case."""
     columns = sorted({e for f in polys for e, _ in f.terms}, key=order.key)
     rank = {e: s for s, e in enumerate(columns)}
-    _, pivots, width = alg._echelon_levels(polys, rank.__getitem__, 1)
+    pivots, width = next(alg._echelon_levels(polys, rank.__getitem__))
     return alg.LaurentSubspace(dim, tuple(
         L(dim, dict(zip(columns[lead:], alg._unpack(pivots[lead][0], width))))
         for lead in sorted(pivots)
@@ -786,7 +811,7 @@ class TestPrefixProducts:
         l = make()
         levels = alg.semigroup_of_subspace(l, order, k_max)
         box = alg._level_box(l, order, k_max)
-        echelon, _, _ = alg._echelon_levels(l.basis, box.slot, k_max)
+        echelon = _echelon(l, box.slot, k_max)
         for k in range(1, k_max + 1):
             expected = sympy_power_leads(_terms(l), order.grading, k)
             assert set(levels[k].points) == expected, k
@@ -825,14 +850,14 @@ class TestPrefixProducts:
         # _power_levels takes their levels from their sumsets
         l = make()
         leads = _reduce_spy(monkeypatch)
-        alg._echelon_levels(l.basis, alg._level_box(l, alg.LEX, k_max).slot, k_max)
+        _echelon(l, alg._level_box(l, alg.LEX, k_max).slot, k_max)
         assert leads.count(None) == zeros
 
     def test_monomial_levels_reduce_no_row(self, monkeypatch):
         l = _monomial4()  # span echelonizes its basis once
         calls = _reduce_spy(monkeypatch)
-        _, levels = alg._power_levels(l, alg.LEX, 12)
-        assert alg.hilbert_function(l, 12) == [(k, len(levels[k])) for k in range(1, 13)]
+        _, _, levels = alg._power_levels(l, alg.LEX, 12)
+        assert alg.hilbert_function(l, 12) == [(k, len(slots)) for k, slots in levels]
         alg.newton_okounkov_body(l, GRLEX12, 12)
         assert calls == []
         _monomial4()
@@ -918,9 +943,9 @@ class TestMonomialLevels:
         dim, points, order, k_max = MONOMIAL_CASES[case]
         l = self.subspace(dim, points, case)
         a = g.support_set(dim, points)
-        box, levels = alg._power_levels(l, order, k_max)
-        echelon, _, _ = alg._echelon_levels(l.basis, box.slot, k_max)
-        assert {k: set(slots) for k, slots in levels.items()} == {
+        box, _, levels = alg._power_levels(l, order, k_max)
+        echelon = _echelon(l, box.slot, k_max)
+        assert {k: set(slots) for k, slots in levels} == {
             k: set(slots) for k, slots in echelon.items()
         }
         assert alg.hilbert_function(l, k_max) == [
@@ -960,29 +985,100 @@ class TestMonomialLevels:
         a = g.support_set(dim, points)
         assert len(l.basis[0].terms) == len(points)
         calls = _reduce_spy(monkeypatch)
-        box, levels = alg._power_levels(l, order, k_max)
+        box, _, levels = alg._power_levels(l, order, k_max)
+        levels = dict(levels)
         assert alg.newton_okounkov_body(l, order, k_max) == g.polytope_of_support(a)
         assert calls == []
-        _, sumsets = alg._power_levels(alg.monomial_subspace(a), order, k_max)
+        _, _, sumsets = alg._power_levels(alg.monomial_subspace(a), order, k_max)
         assert {k: set(slots) for k, slots in levels.items()} == {
-            k: set(slots) for k, slots in sumsets.items()
+            k: set(slots) for k, slots in sumsets
         }
         # the dense rows' coefficients grow with k: the kernel runs 3 levels
-        echelon, _, _ = alg._echelon_levels(l.basis, box.slot, min(k_max, 3))
+        echelon = _echelon(l, box.slot, min(k_max, 3))
         assert {k: set(levels[k]) for k in echelon} == {
             k: set(slots) for k, slots in echelon.items()
         }
 
     def test_one_exponent_short_still_echelonizes(self, monkeypatch):
-        # span{1 + x, y}: dim 2 over 3 exponents, so L^k is not spanned by
-        # the monomials of k supp L; it has k + 1 leads, not |k supp L|
-        l = alg.span(2, [L(2, {(0, 0): 1, (1, 0): 1}), Y])
+        # span{1, x + y, y^2}: dim 3 over 4 exponents, so L^k is not spanned
+        # by the monomials of k supp L, and its lex leads 1, y, y^2 are
+        # collinear, so the kernel builds every level
+        l = alg.span(2, [ONE2, XPY, Y * Y])
         calls = _reduce_spy(monkeypatch)
         semigroup = alg.semigroup_of_subspace(l, alg.LEX, 4)
-        assert calls
+        assert len(calls) > l.dim
         for k in range(1, 5):
             assert set(semigroup[k].points) == sympy_power_leads(_terms(l), None, k), k
-        assert alg.hilbert_function(l, 4) == [(k, k + 1) for k in range(1, 5)]
+        assert alg.hilbert_function(l, 4) == [(k, len(semigroup[k])) for k in range(1, 5)]
+
+
+# (id, ambient dim, basis, order): level-1 leads that are affinely
+# independent in the order, and supports larger than the dimension
+INDEPENDENT_LEADS = [
+    ("2v-dim1-lex", 2, [{(0, 0): 2, (1, 1): -1}], alg.LEX),
+    ("2v-dim1-grlex31", 2, [{(0, 0): 2, (1, 1): -1}], GRLEX31),
+    # span{1 + x, y}
+    ("2v-dim2-lex", 2, [{(0, 0): 1, (1, 0): 1}, {(0, 1): 1}], alg.LEX),
+    ("2v-dim2-grlex12", 2, [{(0, 0): 1, (1, 0): 1}, {(0, 1): 1}], GRLEX12),
+    ("2v-dim3-lex", 2, [{(0, 0): 1, (1, 0): 1}, {(0, 1): 1, (2, 0): -1},
+                        {(1, 1): F(1, 2), (2, 2): 2}], alg.LEX),
+    ("2v-dim3-grlex12", 2, [{(0, 0): 1, (1, 0): 1}, {(0, 1): 1, (2, 0): -1},
+                            {(1, 1): F(1, 2), (2, 2): 2}], GRLEX12),
+    ("2v-dim3-grlex31", 2, [{(0, 0): 1, (1, 0): 1}, {(0, 1): 1, (2, 0): -1},
+                            {(1, 1): F(1, 2), (2, 2): 2}], GRLEX31),
+    ("3v-dim1-grlex211", 3, [{(0, 0, 0): 1, (1, 0, 1): -2}], GRLEX211),
+    ("3v-dim2-lex", 3, [{(0, 0, 0): 1, (0, 1, 0): 3}, {(1, 0, 0): 1, (0, 0, 1): -1}], alg.LEX),
+    ("3v-dim3-lex", 3, [{(0, 0, 0): 1, (1, 0, 0): 1}, {(0, 1, 0): 1, (0, 0, 1): 1},
+                        {(1, 0, 1): 1, (0, 2, 0): -1}], alg.LEX),
+    ("3v-dim3-grlex211", 3, [{(0, 0, 0): 1, (1, 0, 0): 1}, {(0, 1, 0): 1, (0, 0, 1): 1},
+                             {(1, 0, 1): 1, (0, 2, 0): -1}], GRLEX211),
+]
+# 1, x + y, y^2 - x/2: lex leads 1, y, y^2; graded lex (1, 2) leads 1, x, y
+LEAD_ORDER_CASE = [ONE2, XPY, L(2, {(0, 2): 1, (1, 0): F(-1, 2)})]
+
+
+class TestLevelOneLeads:
+    """Affinely independent level-1 leads S_1: the levels are the sumsets
+    kS_1, and only level 1 is reduced."""
+
+    @staticmethod
+    def check_levels(l, order, k_max):
+        levels = alg.semigroup_of_subspace(l, order, k_max)
+        for k in range(1, k_max + 1):
+            assert set(levels[k].points) == sympy_power_leads(_terms(l), order.grading, k), k
+        return levels
+
+    @pytest.mark.parametrize(
+        "dim,basis,order", [case[1:] for case in INDEPENDENT_LEADS],
+        ids=[case[0] for case in INDEPENDENT_LEADS],
+    )
+    def test_only_level_one_is_reduced(self, monkeypatch, dim, basis, order):
+        l = alg.span(dim, [L(dim, terms) for terms in basis])
+        assert len({e for f in l.basis for e, _ in f.terms}) > l.dim  # not a monomial space
+        calls = _reduce_spy(monkeypatch)
+        levels = self.check_levels(l, order, 4)
+        assert len(calls) == l.dim and None not in calls
+        assert [len(levels[k]) for k in range(1, 5)] == [
+            math.comb(l.dim + k - 1, k) for k in range(1, 5)
+        ]
+
+    def test_collinear_leads_still_echelonize(self, monkeypatch):
+        # span{1, x + y, x^2 + y^2}: lex leads 1, y, y^2
+        l = alg.span(2, [ONE2, XPY, L(2, {(2, 0): 1, (0, 2): 1})])
+        calls = _reduce_spy(monkeypatch)
+        levels = self.check_levels(l, alg.LEX, 4)
+        assert len(calls) > l.dim
+        assert {(0, 0), (0, 1), (0, 2)} == set(levels[1].points)
+
+    @pytest.mark.parametrize("order,sumsets", [(alg.LEX, False), (GRLEX12, True)],
+                             ids=["lex", "grlex12"])
+    def test_route_is_decided_per_order(self, monkeypatch, order, sumsets):
+        l = alg.span(2, LEAD_ORDER_CASE)
+        calls = _reduce_spy(monkeypatch)
+        levels = self.check_levels(l, order, 4)
+        assert (len(calls) == l.dim) == sumsets
+        # both orders give the same Hilbert function
+        assert [len(levels[k]) for k in range(1, 5)] == [3, 6, 10, 15]
 
 
 def _flat_or_random_subspace(rng, dim, i):
@@ -1024,3 +1120,34 @@ class TestNewtonBodyFromFiberEnds:
             assert (body.affine_dim, body.volume) == (ref.affine_dim, ref.volume)
             flat += body.affine_dim < dim
         assert flat >= (1 if dim == 1 else 2)
+
+    @pytest.mark.parametrize(
+        "dim,basis,order", [case[1:] for case in INDEPENDENT_LEADS],
+        ids=[case[0] for case in INDEPENDENT_LEADS],
+    )
+    def test_independent_leads_give_the_hull_of_level_one(self, dim, basis, order):
+        l = alg.span(dim, [L(dim, terms) for terms in basis])
+        for k_max in (1, 4, 7):
+            levels = alg.semigroup_of_subspace(l, order, k_max)
+            body, ref = alg.newton_okounkov_body(l, order, k_max), newton_body(levels)
+            assert body == g.polytope_of_support(levels[1]) == ref
+            assert body.volume == ref.volume
+
+    @pytest.mark.parametrize("order", [alg.LEX, GRLEX12, GRLEX31],
+                             ids=["lex", "grlex12", "grlex31"])
+    @pytest.mark.parametrize(
+        "make",
+        # span{1, x + y, x^2 + y^3} has the lex leads (0, 0), (0, 1), (0, 3),
+        # and a new one, (1, 2), first at level 3
+        [lambda: _product_of(CRITERION8_FACTORS),
+         lambda: alg.span(2, [ONE2, XPY, L(2, {(2, 0): 1, (0, 3): 1})])],
+        ids=["criterion8-product", "new-lead-at-level-3"],
+    )
+    def test_dependent_leads_hull_the_upper_levels(self, make, order):
+        # only the levels k with 2k > k_max are hulled
+        l = make()
+        for k_max in range(1, 10):
+            levels = alg.semigroup_of_subspace(l, order, k_max)
+            body, ref = alg.newton_okounkov_body(l, order, k_max), newton_body(levels)
+            assert body == ref, k_max
+            assert body.volume == ref.volume, k_max

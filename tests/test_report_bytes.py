@@ -55,6 +55,21 @@ RAW_BASIS = {"dim": 2, "basis": [
     {"dim": 2, "terms": [_term((0, 0), "1"), _term((0, 1), "1")]},
     {"dim": 2, "terms": [_term((1, 0), "1"), _term((0, 1), "1"), _term((1, 1), "1")]},
 ]}
+# 1 + x, y: affinely independent leads, so the levels are sumsets
+ONE_PLUS_X_Y = {"dim": 2, "basis": [
+    {"dim": 2, "terms": [_term((0, 0), "1"), _term((1, 0), "1")]},
+    {"dim": 2, "terms": [_term((0, 1), "1")]},
+]}
+# the dimension-4 product of a square pair of criterion 8: four leads in
+# the plane, so every level is echelonized
+CRITERION8_PRODUCT = {"dim": 2, "basis": [
+    {"dim": 2, "terms": [_term((0, 0), "-1"), _term((0, 1), "1"), _term((1, 0), "-1"),
+                         _term((1, 1), "1")]},
+    {"dim": 2, "terms": [_term((0, 1), "-3"), _term((0, 2), "3"), _term((1, 0), "-1"),
+                         _term((1, 1), "1")]},
+    {"dim": 2, "terms": [_term((1, 0), "1"), _term((2, 0), "1")]},
+    {"dim": 2, "terms": [_term((1, 1), "3"), _term((2, 0), "1")]},
+]}
 PAIR = {"supports": [_support((0, 0), (1, 0), (0, 1)), _support((0, 0), (1, 1))]}
 DENSITY = {"support": _support((0, 0), (1, 0), (0, 1), (2, 3))}
 
@@ -94,6 +109,13 @@ CASES = [
      "76d322630760305f20381716c197bdffd3b02828268c3d2a975e121d52b1d487"),
     ("hilbert-raw-basis", "hilbert", {"subspace": RAW_BASIS}, ["--kmax", "5"], 0,
      "d7e00fca03ab33268e964d1222032f51d3eb294225769408880cb70b251771d2"),
+    ("okounkov-independent-leads", "okounkov", {"subspace": ONE_PLUS_X_Y}, ["--kmax", "6"], 0,
+     "1c5fb259ccb829b9dec84762f23f1f8cad84cea1b4c0ddd10ad5d27e21bdf13d"),
+    ("hilbert-independent-leads", "hilbert", {"subspace": ONE_PLUS_X_Y}, ["--kmax", "6"], 0,
+     "b6411e48567973fbf6dfce55e936596afe4a58547c194730bcd92ba466a06e38"),
+    ("okounkov-criterion8-product-odd-kmax", "okounkov", {"subspace": CRITERION8_PRODUCT},
+     ["--kmax", "7"], 0,
+     "6916ad2156cf581d1d33208e4d97e0224150a210952a6fcae4060439e09d7e38"),
     ("bkk-predict", "bkk-predict", PAIR, [], 0,
      "1343a89e24a1ac9bc558c13deb147d4c08c73bcc7210aef27a1176add0afc144"),
     ("bkk-verify", "bkk-verify", PAIR, ["--seed", "3", "--trials", "3"], 0,
