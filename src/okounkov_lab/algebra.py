@@ -1,7 +1,7 @@
-"""Laurent polynomials over Q, additive monomial orders, finite-dimensional
-subspaces with products, the valuation images of their powers via exact
-echelon reduction, Hilbert functions, and the graded semigroup attached to
-a subspace together with its Newton body.
+"""Laurent polynomials with integer coefficients, additive monomial orders,
+finite-dimensional subspaces with products, the valuation images of their
+powers via exact echelon reduction, Hilbert functions, and the graded
+semigroup attached to a subspace together with its Newton body.
 
 The valuation of a nonzero Laurent polynomial is the order-minimal exponent
 of its support; the valuation image of a subspace is the set of pivot
@@ -14,10 +14,9 @@ and one subtraction, and divides out a row's content only when it installs
 a stepped row or a coefficient bound would outgrow the slot width; 32- and
 64-bit slots are packed and unpacked through an ``array`` in one C-level
 pass.  One driver runs it: the powers of a subspace are built level by
-level, each from the rows that gave the previous level its pivots, so they
-never pass through Fraction coefficients; a product is formed only from
-the prefix of its sorted basis-index tuple, and only if that prefix
-installed a pivot.  ``span`` is the one builder of a subspace: its basis
+level, each from the rows that gave the previous level its pivots; a
+product is formed only from the prefix of its sorted basis-index tuple,
+and only if that prefix installed a pivot.  ``span`` is the one builder of a subspace: its basis
 is level 1, slotted by the lex ranks of its exponents.  The powers' slots
 are those of the basis exponents' ``semigroup.LevelBox``, so the lowest
 slot of a packed row is its valuation; the box and k_max are budgeted
@@ -38,7 +37,6 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _hull, geometry, semigroup
 from .geometry import LatticePolytope, SupportSet, support_set
@@ -75,10 +73,12 @@ LEX = MonomialOrder()
 
 @dataclass(frozen=True)
 class LaurentPolynomial:
-    """Finite Q-linear combination of Laurent monomials; terms canonical."""
+    """Finite Z-linear combination of Laurent monomials; terms canonical.
+    Spans, bodies and roots read only a polynomial's line, so :func:`laurent`
+    stores a rational one as the integer polynomial on that line."""
 
     ambient_dim: int
-    terms: tuple[tuple[Exponent, Fraction], ...]
+    terms: tuple[tuple[Exponent, int], ...]
 
     def __post_init__(self):
         for e, c in self.terms:
@@ -103,9 +103,12 @@ class LaurentPolynomial:
         return laurent(self.ambient_dim, acc)
 
 
-def laurent(dim: int, terms: dict[Exponent, object]) -> LaurentPolynomial:
-    """Build a polynomial from an exponent-to-coefficient mapping."""
-    cleaned = {tuple(int(x) for x in e): q for e, c in terms.items() if (q := Fraction(c))}
+def laurent(dim: int, terms: dict) -> LaurentPolynomial:
+    """Build a polynomial from an exponent-to-coefficient mapping, its
+    coefficients ints or Fractions, scaled by the lcm of their denominators
+    (``geometry._lift``): the integer polynomial on the same line."""
+    _, (coefficients,) = geometry._lift([terms.values()])
+    cleaned = {tuple(int(x) for x in e): c for e, c in zip(terms, coefficients) if c}
     return LaurentPolynomial(dim, tuple(sorted(cleaned.items())))
 
 
@@ -243,16 +246,15 @@ def _reduce(pivots: dict, row: int, bound: int, width: int, lead: int):
 
 
 def _rows(polys, slot):
-    """Each nonzero polynomial as its primitive integer row: its unique
-    positive multiple with integer coefficients of gcd 1.  Yields (lead
-    slot, (slot - lead, coefficient) terms, sum of |coefficients|) with
-    slots from ``slot``, an order-respecting index of the exponents."""
+    """Each nonzero polynomial as its primitive row: the polynomial divided
+    by the gcd of its coefficients.  Yields (lead slot, (slot - lead,
+    coefficient) terms, sum of |coefficients|) with slots from ``slot``, an
+    order-respecting index of the exponents."""
     for f in polys:
         if f.is_zero:
             continue
-        den = math.lcm(*(c.denominator for _, c in f.terms))
-        num = math.gcd(*(c.numerator for _, c in f.terms))
-        row = {slot(e): c.numerator * (den // c.denominator) // num for e, c in f.terms}
+        g = math.gcd(*(c for _, c in f.terms))
+        row = {slot(e): c // g for e, c in f.terms}
         lead = min(row)  # the valuation, since slots increase with the order
         yield lead, [(s - lead, c) for s, c in row.items()], sum(map(abs, row.values()))
 
@@ -364,8 +366,8 @@ def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
     :func:`_power_level`), and only when that prefix installed a pivot at
     level k - 1.  Rows are packed in the level box, and a product is a sum
     of shifted copies of the parent, one per term of the basis row.  The
-    basis is cleared to integer rows once; rescaling a basis element does
-    not change any span.
+    basis rows are divided by their content once (:func:`_rows`); rescaling
+    a basis element does not change any span.
     """
     box = _level_box(l, order, k_max)
     leads = {e for f in l.basis for e, _ in f.terms}  # S_1 of a monomial space

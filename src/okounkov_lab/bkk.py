@@ -2,11 +2,12 @@
 and two variables, against the exact prediction n! times the mixed volume of
 the Newton polytopes.
 
-Polynomials are :class:`algebra.LaurentPolynomial` with rational
-coefficients, read exactly, and random trials draw integer coefficients
-+-k.  Generic integer coefficients are as good a witness as any generic
-choice, so each count is a proof about one explicit system, not a
-floating-point estimate.
+Polynomials are :class:`algebra.LaurentPolynomial` with integer
+coefficients (``algebra.laurent`` scales a rational input by the lcm of its
+denominators, which moves no root), and random trials draw integer
+coefficients +-k.  Generic integer coefficients are as good a witness as
+any generic choice, so each count is a proof about one explicit system,
+not a floating-point estimate.
 
 A one-variable polynomial, shifted to an ordinary polynomial with a nonzero
 constant term, has as many torus roots as its degree once it is squarefree.
@@ -105,14 +106,6 @@ def random_generic_system(supports, seed) -> list[LaurentPolynomial]:
     return out
 
 
-def _integer_terms(poly: LaurentPolynomial):
-    """Terms with integer coefficients: all scaled by the common denominator."""
-    if poly.is_zero:
-        raise ValueError("the zero polynomial has no root count")
-    scale = math.lcm(*(c.denominator for _, c in poly.terms))
-    return [(e, c.numerator * (scale // c.denominator)) for e, c in poly.terms]
-
-
 # -- polynomials modulo PRIME, as ascending coefficient lists -----------------
 
 
@@ -161,12 +154,13 @@ def count_roots_1d(p: LaurentPolynomial) -> int:
     """
     if p.ambient_dim != 1:
         raise ValueError("count_roots_1d needs one variable")
-    terms = _integer_terms(p)
-    low = min(e[0] for e, _ in terms)
-    degree = max(e[0] for e, _ in terms) - low
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no root count")
+    low = min(e[0] for e, _ in p.terms)
+    degree = max(e[0] for e, _ in p.terms) - low
     _check_size(0, degree)
     dense = [0] * (degree + 1)
-    for (e,), c in terms:
+    for (e,), c in p.terms:
         dense[e - low] = c
     return _certify(dense, (), None)
 
@@ -396,10 +390,12 @@ def count_solutions_2d(
     """
     if p1.ambient_dim != 2 or p2.ambient_dim != 2:
         raise ValueError("count_solutions_2d needs two variables")
-    t1, t2 = _integer_terms(p1), _integer_terms(p2)
-    index, (e1, e2), bound = _lattice_coordinates([[e for e, _ in t] for t in (t1, t2)], shear)
-    rows1 = _y_rows(list(zip(e1, (c for _, c in t1))))
-    rows2 = _y_rows(list(zip(e2, (c for _, c in t2))))
+    if p1.is_zero or p2.is_zero:
+        raise ValueError("the zero polynomial has no root count")
+    exponents = [[e for e, _ in p.terms] for p in (p1, p2)]
+    index, (e1, e2), bound = _lattice_coordinates(exponents, shear)
+    rows1 = _y_rows(list(zip(e1, (c for _, c in p1.terms))))
+    rows2 = _y_rows(list(zip(e2, (c for _, c in p2.terms))))
     r = _trim(_eliminant(rows1, rows2, bound))
     if not r:
         raise DegenerateSystemError("eliminant vanishes identically")

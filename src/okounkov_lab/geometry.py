@@ -64,8 +64,8 @@ class LatticePolytope:
         s, vs = self.face
         q = [c * s for c in p]
         if not self.is_full_dimensional:
-            den = math.lcm(*(c.denominator for c in q))
-            diff = [c.numerator * (den // c.denominator) - den * b for c, b in zip(q, vs[0])]
+            den, (lifted,) = _lift([q])
+            diff = [c - den * b for c, b in zip(lifted, vs[0])]
             if len(_hull.echelon([*self.rows, diff])) > self.affine_dim:
                 return False  # off the affine hull
             q = [q[j] for j in self.pivots]
@@ -98,10 +98,11 @@ def support_set(dim: int, points) -> SupportSet:
 
 
 def _lift(points: list[Point]):
-    """Clear denominators: returns (scale L, integer points)."""
-    lcm = math.lcm(*(c.denominator for p in points for c in p))
-    lifted = [tuple(c.numerator * (lcm // c.denominator) for c in p) for p in points]
-    return lcm, lifted
+    """Clear denominators: (L, the points times L), with L the lcm of the
+    denominators of their coordinates, ints or Fractions.  The package's one
+    place where rational coordinates or coefficients become integers."""
+    lcm = math.lcm(*[c.denominator for p in points for c in p])
+    return lcm, [tuple([c.numerator * (lcm // c.denominator) for c in p]) for p in points]
 
 
 def _sum_points(faces, n):

@@ -53,7 +53,7 @@ from functools import cmp_to_key
 from itertools import groupby
 
 from . import _hull
-from .geometry import LatticePolytope, _polytope, _sum_points, _union, volume
+from .geometry import LatticePolytope, _lift, _polytope, _sum_points, _union, volume
 from .rng import derive_seed
 
 Tri = tuple[int, int, int]  # (X, Y, D): the vertex (X / D, Y / D), D > 0, gcd 1
@@ -122,8 +122,7 @@ def _primitive(direction) -> tuple[int, int]:
     ux, uy = Fraction(direction[0]), Fraction(direction[1])
     if ux == 0 and uy == 0:
         raise ValueError("direction must be nonzero")
-    d = math.lcm(ux.denominator, uy.denominator)
-    a, b = ux.numerator * (d // ux.denominator), uy.numerator * (d // uy.denominator)
+    _, ((a, b),) = _lift([(ux, uy)])
     g = math.gcd(a, b)
     return a // g, b // g
 

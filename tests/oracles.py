@@ -586,7 +586,7 @@ def fraction_leads(polys, order=algebra.LEX):
     order-minimal exponent until that exponent has no pivot or the row is 0."""
     pivots = {}
     for f in polys:
-        row = dict(f.terms)
+        row = {e: Fraction(c) for e, c in f.terms}
         while row:
             lead = min(row, key=order.key)
             pivot = pivots.get(lead)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from okounkov_lab import algebra as alg
+from okounkov_lab import bkk
 from okounkov_lab import geometry as g
 from okounkov_lab import jsonio
 from okounkov_lab import semigroup as sg
@@ -73,6 +74,16 @@ class TestPolynomials:
     def test_constructor_rejects(self, terms, message):
         with pytest.raises(ValueError, match=message):
             alg.LaurentPolynomial(2, terms)
+
+    def test_every_built_polynomial_holds_int_coefficients(self):
+        rng = random.Random(27)
+        half = L(2, {(0, 0): F(1, 2), (1, 0): F(-2, 3)})
+        read = parse(2, half, L(2, {(0, 1): F(5, 4), (1, 1): 1}))
+        other = alg.span(2, [half, L(2, {(2, 0): F(3, 7)}), random_poly(rng)])
+        supports = [g.support_set(2, [(0, 0), (1, 0), (0, 1)]), g.support_set(2, [(0, 0), (1, 1)])]
+        built = [half, half * half, *read.basis, *other.basis,
+                 *alg.product(read, other).basis, *bkk.random_generic_system(supports, 3)]
+        assert all(type(c) is int for f in built for _, c in f.terms)
 
 
 class TestMonomialOrder:
@@ -139,7 +150,7 @@ class TestValuationAxioms:
             if va != vb:
                 continue
             found += 1
-            lam = dict(b.terms)[vb] / dict(a.terms)[va]
+            lam = F(dict(b.terms)[vb], dict(a.terms)[va])
             c = combination(2, (1, b), (-lam, a))
             if not c.is_zero:
                 assert alg.valuation(c) > va
@@ -357,10 +368,11 @@ class TestSuperadditivity:
 
 
 def _rational_subspace(rng, dim, size):
-    """Subspace whose basis has only non-integer rational coefficients: an
-    independent basis held as drawn, not as the integer rows of ``span``."""
+    """Subspace drawn with only non-integer rational coefficients, and the
+    drawn mappings: an independent basis held as ``laurent`` scales it, not
+    as the primitive rows of ``span``."""
     while True:
-        polys = []
+        drawn, polys = [], []
         for _ in range(size):
             terms = {
                 tuple(rng.randint(-1, 1) for _ in range(dim)): F(
@@ -368,9 +380,10 @@ def _rational_subspace(rng, dim, size):
                 )
                 for _ in range(rng.randint(1, 3))
             }
+            drawn.append(terms)
             polys.append(L(dim, terms))
         if alg.span(dim, polys).dim == size:
-            return alg.LaurentSubspace(dim, tuple(polys))
+            return alg.LaurentSubspace(dim, tuple(polys)), drawn
 
 
 class TestPowerLevelsAgainstProduct:
@@ -388,8 +401,8 @@ class TestPowerLevelsAgainstProduct:
     def test_levels_and_hilbert_match_powers(self, dim, order):
         rng = random.Random(60 + dim)
         for _ in range(6):
-            l = _rational_subspace(rng, dim, rng.randint(2, 3))
-            assert all(c.denominator > 1 for f in l.basis for _, c in f.terms)
+            l, drawn = _rational_subspace(rng, dim, rng.randint(2, 3))
+            assert all(c.denominator > 1 for terms in drawn for c in terms.values())
             levels = alg.semigroup_of_subspace(l, order, 4)
             assert is_level_dict(levels, 4, dim)
             dims = dict(alg.hilbert_function(l, 4))

@@ -101,10 +101,10 @@ class TestCountRoots1D:
     def test_rational_and_float_coefficients_clear_exactly(self):
         # the lcm of the denominators, 6, scales every term to an integer
         p = L(1, {(0,): F(1, 3), (1,): F(-1, 2), (4,): 2})
-        assert bkk._integer_terms(p) == [((0,), 2), ((1,), -3), ((4,), 12)]
-        # a float is its exact binary fraction, 0.1 included
-        q = L(1, {(0,): 0.1, (2,): -1})
-        assert bkk._integer_terms(q) == [((0,), 3602879701896397), ((2,), -(2**55))]
+        assert p.terms == (((0,), 2), ((1,), -3), ((4,), 12))
+        # a float's exact binary fraction, 0.1 included
+        q = L(1, {(0,): F(0.1), (2,): -1})
+        assert q.terms == (((0,), 3602879701896397), ((2,), -(2**55)))
         assert bkk.count_roots_1d(q) == 2
 
     def test_zero_polynomial(self):
@@ -130,6 +130,12 @@ class TestCountRoots1D:
 
 
 class TestCountSolutions2D:
+    def test_zero_polynomial(self):
+        q = L(2, {(0, 0): 1, (1, 1): 1})
+        for p1, p2 in ((L(2, {}), q), (q, L(2, {}))):
+            with pytest.raises(ValueError, match="the zero polynomial has no root count"):
+                bkk.count_solutions_2d(p1, p2)
+
     def test_two_lines(self):
         p1 = L(2, {(0, 0): -1, (1, 0): 1})
         p2 = L(2, {(0, 0): -1, (0, 1): 1})
@@ -238,7 +244,7 @@ class TestEliminant:
         from sympy import Poly, expand, resultant, symbols
 
         x, y = symbols("x y")
-        terms = [bkk._integer_terms(p) for p in system]
+        terms = [p.terms for p in system]
         _, (e1, e2), bound = bkk._lattice_coordinates([[e for e, _ in t] for t in terms], shear)
         rows = [bkk._y_rows(list(zip(e, (c for _, c in t)))) for e, t in zip((e1, e2), terms)]
         got = bkk._eliminant(*rows, bound)
@@ -261,7 +267,7 @@ class TestEliminant:
 
     @staticmethod
     def _rows(system, shear):
-        terms = [bkk._integer_terms(p) for p in system]
+        terms = [p.terms for p in system]
         _, es, bound = bkk._lattice_coordinates([[e for e, _ in t] for t in terms], shear)
         return [bkk._y_rows(list(zip(e, (c for _, c in t)))) for e, t in zip(es, terms)], bound
 

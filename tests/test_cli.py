@@ -279,6 +279,49 @@ class TestCommands:
         assert rc1 == rc2 == 0
         assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
 
+    def test_subspace_reports_read_only_the_span(self, tmp_path):
+        # rescaling each basis element by a nonzero rational and permuting
+        # the basis moves no report byte but the input's hash
+        rng = random.Random(46)
+
+        def draw_terms():
+            return {(rng.randint(-1, 1), rng.randint(-1, 1)):
+                    Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 4))
+                    for _ in range(rng.randint(1, 3))}
+
+        def report(payload, flags, name):
+            rc = main([flags[0], write(tmp_path, name, payload), *flags[1:], "--out",
+                       str(tmp_path / f"{name}.out")])
+            assert rc == 0
+            return re.sub(rb'"input_sha256": "[0-9a-f]+"', b"",
+                          (tmp_path / f"{name}.out").read_bytes())
+
+        def wire(basis):
+            return {"dim": 2, "basis": [
+                {"dim": 2, "terms": [{"exp": list(e), "coef": jsonio.frac_to_str(c)}
+                                     for e, c in sorted(terms.items())]} for terms in basis]}
+
+        checked = 0
+        while checked < 8:
+            basis = [draw_terms() for _ in range(rng.randint(2, 4))]
+            try:
+                jsonio.subspace_from_json(wire(basis))
+            except ValueError:
+                continue  # dependent
+            moved = []
+            for terms in basis:
+                c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                moved.append({e: c * v for e, v in terms.items()})
+            rng.shuffle(moved)
+            for flags, order in ((["hilbert", "--kmax", "5"], None),
+                                 (["okounkov", "--kmax", "4"], None),
+                                 (["okounkov", "--kmax", "5"], {"kind": "grlex", "grading": [1, 2]})):
+                drawn, rescaled = ({"subspace": wire(b)} for b in (basis, moved))
+                if order is not None:
+                    drawn["order"] = rescaled["order"] = order
+                assert report(drawn, flags, "drawn") == report(rescaled, flags, "rescaled")
+            checked += 1
+
     @pytest.mark.parametrize("seed", [-1, 2**70], ids=["negative", "2^70"])
     def test_any_integer_seed_is_deterministic_and_echoed(self, tmp_path, seed):
         # the seed is hashed as text, so no integer is out of range
