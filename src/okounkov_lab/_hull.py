@@ -6,8 +6,8 @@ engine returns plain Python integers: the deduplicated supporting facet
 planes (used for membership tests), the extreme points, and d! times the
 volume.
 :func:`echelon`, fraction-free integer row reduction, is the exact
-elimination routine for point rows: it picks the initial simplex and gives
-``geometry`` and ``mixedvol`` the affine hull of a lower-dimensional body.
+elimination routine for point rows: it picks the initial simplex, and as
+:func:`null_space` it gives the equations of a flat body's affine hull.
 The rows of Laurent polynomials go through ``algebra``'s packed kernel.
 
 Dimension dispatch:
@@ -39,9 +39,8 @@ hold only live facets: an insertion keeps the unseen rows and appends the
 new ones.  The dtype is ``int64`` when the largest coordinate M bounds
 every value formed below 2**63 (a normal is at most (d-1)! (2M)^(d-1), see
 :func:`_dtype_for`); otherwise it is ``object``, exact Python integers,
-running the same code.  The same signed minors give ``mixedvol`` the
-normal of a flat Minkowski sum (:func:`cofactor_normal`) and, in one batch,
-the normals of all vertex-pair transversals of a tuple of faces
+running the same code.  The same signed minors give ``mixedvol``, in one
+batch, the normals of all vertex-pair transversals of a tuple of faces
 (:func:`transversal_normals`), from which it reads a mixed area measure
 without hulling the faces' sum.  numpy stays inside this module and is
 imported on first use, so planar commands never load it: every result
@@ -99,6 +98,17 @@ def echelon(rows):
             if len(found) == len(row):
                 break
     return found
+
+
+def null_space(rows, n):
+    """Primitive integer vectors spanning {a in Z^n : r.a = 0 for every row r},
+    n - rank of them, for rows of any rank or none.  The n columns (column j
+    of ``rows``, e_j) combine by c to (r.c for each row r, c), so their
+    :func:`echelon` rows whose ``rows`` part vanishes end in a basis."""
+    m = len(rows)
+    unit = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
+    kernel = [r[m:] for _, r in echelon(zip(*rows, *unit)) if not any(r[:m])]
+    return [tuple([x // g for x in a]) for a in kernel for g in [gcd(*a)]]
 
 
 def _initial_simplex(points, d):
@@ -202,14 +212,6 @@ def _normals(D):
     for k in range(1, r):
         T = (T[:, :, None] * D[:, k, None, :]).reshape(h, -1)
     return T @ _levi_civita(d)
-
-
-def cofactor_normal(rows):
-    """Normal of the hyperplane spanned by n - 1 integer rows in R^n: entry c
-    is the cofactor (-1)^c det(rows without column c), in Python ints."""
-    import numpy as np
-
-    return tuple(_normals(np.array([rows], dtype=object))[0].tolist())
 
 
 def transversal_normals(faces):

@@ -8,9 +8,9 @@ exact integer arithmetic; only input points and output vertices are
 Fractions.  No floating point is used.
 
 A polytope is its exact hull: the integer face ``P.face`` (scale, sorted
-integer vertices, in lowest terms), the facet planes and the volume, all
-plain Python integers and Fractions, with ``P.contains``.  This module
-alone puts faces over a common scale (:func:`_sum_points`, :func:`_union`).
+integer vertices, in lowest terms), the inequalities that cut it out and
+its volume, in Python integers and Fractions, with ``P.contains``.  This
+module alone puts faces over a common scale (:func:`_sum_points`, :func:`_union`).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import product as iproduct
+from operator import itemgetter
 
 from . import _hull
 
@@ -36,10 +37,10 @@ class LatticePolytope:
 
     ``face`` is the integer face (scale, sorted integer vertices) in lowest
     terms, so two bodies are equal, with equal hashes, exactly when their
-    vertices are.  ``planes`` are the facets a.x <= b of the body at that
-    scale; a lower-dimensional body keeps the echelon ``rows`` of its
-    difference rows and their ``pivots``, and its planes live in the pivot
-    coordinates.  ``volume`` is exact, zero for a lower-dimensional body.
+    vertices are.  The body is {x : a.x <= b for (a, b) in ``planes``} at
+    that scale: a full body's facets; a flat body's relative facets and each
+    equation a.x = b of its affine hull as (a, b) and (-a, -b).  ``volume``
+    is exact, zero for a lower-dimensional body.
     """
 
     ambient_dim: int
@@ -47,8 +48,6 @@ class LatticePolytope:
     affine_dim: int = field(compare=False)
     volume: Fraction = field(compare=False)
     planes: tuple = field(compare=False, repr=False)
-    rows: tuple = field(compare=False, repr=False)
-    pivots: tuple = field(compare=False, repr=False)
 
     @cached_property
     def vertices(self) -> tuple[Point, ...]:
@@ -61,15 +60,8 @@ class LatticePolytope:
 
     def contains(self, p) -> bool:
         """Whether the point p, a tuple of Fractions or ints, lies in the body."""
-        s, vs = self.face
-        q = [c * s for c in p]
-        if not self.is_full_dimensional:
-            den, (lifted,) = _lift([q])
-            diff = [c - den * b for c, b in zip(lifted, vs[0])]
-            if len(_hull.echelon([*self.rows, diff])) > self.affine_dim:
-                return False  # off the affine hull
-            q = [q[j] for j in self.pivots]
-        return all(sum(ai * ci for ai, ci in zip(a, q)) <= b for a, b in self.planes)
+        den, (q,) = _lift([p])  # p = q / den, so a.(s p) <= b iff s a.q <= b den
+        return all(self.face[0] * _hull._dot(a, q) <= b * den for a, b in self.planes)
 
 
 @dataclass(frozen=True)
@@ -131,16 +123,16 @@ def check_dim(n: int) -> None:
 def _polytope(scale: int, points, n: int) -> LatticePolytope:
     """The polytope conv(points / scale), hulled exactly in integers.
 
-    A lower-dimensional body is hulled in the coordinates at the pivot
-    columns of its difference rows' echelon form, an injective projection on
-    its affine hull.  The face is divided by the gcd of the scale and the
-    vertex coordinates; every plane passes through a vertex, so its offset
-    divides too.
+    A lower-dimensional body is hulled in the pivot coordinates of its
+    difference rows' echelon form, injective on its affine hull, and its
+    relative facets get zeros off the pivots.  Its affine hull's equations
+    a.x = a.v, v the lex-min vertex, are the :func:`_hull.null_space` of the
+    vertex differences, which the body alone fixes.  The face and the offsets
+    (each plane meets a vertex) are divided by the gcd of scale and vertices.
     """
     check_dim(n)
     pts = sorted(set(points))
     rows = tuple(r for _, r in _hull.echelon(_hull._sub(p, pts[0]) for p in pts[1:]))
-    pivots = tuple(sorted(next(j for j, x in enumerate(r) if x) for r in rows))
     d = len(rows)
     planes, vertex_indices, volume = [], [0], Fraction(0)
     if d == n:
@@ -148,16 +140,22 @@ def _polytope(scale: int, points, n: int) -> LatticePolytope:
         planes, vertex_indices = res.planes, res.vertex_indices
         volume = Fraction(res.volume, math.factorial(n) * scale**n)
     elif d:
+        pivots = sorted(next(j for j, x in enumerate(r) if x) for r in rows)
         projected = [tuple(p[j] for j in pivots) for p in pts]
         order = sorted(range(len(pts)), key=projected.__getitem__)
         inner = _hull.hull_of_lifted([projected[i] for i in order], d)
-        planes = inner.planes
+        spread = itemgetter(*(pivots.index(j) if j in pivots else d for j in range(n)))
+        planes = [(spread((*a, 0)), b) for a, b in inner.planes]
         vertex_indices = sorted(order[i] for i in inner.vertex_indices)
     vs = [pts[i] for i in vertex_indices]
+    if d < n:
+        for a in _hull.null_space([_hull._sub(v, vs[0]) for v in vs[1:]], n):
+            b = _hull._dot(a, vs[0])
+            planes += [(a, b), (tuple([-x for x in a]), -b)]
     g = math.gcd(scale, *(c for v in vs for c in v))
     face = scale // g, tuple(tuple(c // g for c in v) for v in vs)
     planes = tuple((a, b // g) for a, b in planes)
-    return LatticePolytope(n, face, d, volume, planes, rows, pivots)
+    return LatticePolytope(n, face, d, volume, planes)
 
 
 def convex_hull(points) -> LatticePolytope:

@@ -113,8 +113,8 @@ def _measure(rest, memo):
       transversal and so no atom.
     * Otherwise the sum of the distinct faces (K + K has the fan of K): its
       facet normals when it is full-dimensional, the only hull; both
-      normals of its hyperplane, read off its echelon rows, when it is
-      flat; and no atom when it is lower-dimensional.
+      normals of its hyperplane, the null space of its echelon rows, when
+      it is flat; and no atom when it is lower-dimensional.
 
     The last two give the same atoms and weights, up to the positive scale
     of u, which w absorbs, so reports do not depend on the choice.  The
@@ -148,7 +148,7 @@ def _measure(rest, memo):
         if len(rows) == n:
             normals = [a for a, _ in _hull.hull_of_lifted(pts, n).planes]
         elif len(rows) == n - 1:
-            a = _hull.cofactor_normal(rows)
+            (a,) = _hull.null_space(rows, n)
             normals = [a, tuple(-x for x in a)]
         else:
             return []

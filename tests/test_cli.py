@@ -1251,7 +1251,8 @@ class TestExitContract:
         """In a fresh interpreter the planar commands leave numpy unloaded:
         `steiner` (12 rounds on the criterion-10 quad at seed 3, so float
         rounds run), `profile`, `sumset`, `density`, `bm-check` and
-        `mixedvol`."""
+        `mixedvol` (of the square and a segment, a flat body with its
+        affine-hull equations)."""
         quad = {"dim": 2, "vertices": [["0", "0"], ["4", "1"], ["5", "4"], ["1", "3"]]}
         triangle = {"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]}
         steiner = write(tmp_path, "steiner.json", {"polygon": quad, "rounds": 12})
@@ -1259,7 +1260,8 @@ class TestExitContract:
         sumset = write(tmp_path, "sumset.json", {"support": triangle, "k": 8})
         density = write(tmp_path, "density.json", {"support": triangle})
         bm = write(tmp_path, "bm.json", {"m": 2, "body1": SQ, "body2": SI, "fixed": []})
-        mv = write(tmp_path, "mv.json", {"bodies": [SQ, SI]})
+        segment = {"dim": 2, "vertices": [["0", "0"], ["2", "1"]]}
+        mv = write(tmp_path, "mv.json", {"bodies": [SQ, segment]})
         commands = [
             ["steiner", steiner, "--seed", "3"],
             ["profile", profile],

@@ -506,7 +506,9 @@ def _centroid(points):
 
 
 class TestLowerDimensional:
-    @pytest.mark.parametrize("n,k", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2), (4, 3)])
+    @pytest.mark.parametrize(
+        "n,k", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2), (4, 3)]
+    )
     def test_flat_bodies_against_oracles(self, n, k):
         rng = random.Random(1000 * n + k)
         for _ in range(3):
@@ -514,6 +516,12 @@ class TestLowerDimensional:
             P = g.convex_hull(pts)
             vs = list(P.vertices)
             assert P.affine_dim == k and g.volume(P) == 0
+            # every vertex satisfies every plane, each plane is tight at a
+            # vertex, and the vertices alone fix the planes
+            ivs = P.face[1]
+            heights = [[sum(x * y for x, y in zip(a, v)) - b for v in ivs] for a, b in P.planes]
+            assert all(max(h) == 0 for h in heights)
+            assert g.convex_hull(vs).planes == P.planes
             # the vertices are extreme and generate every input point
             assert all(not in_convex_hull(v, vs[:i] + vs[i + 1:]) for i, v in enumerate(vs))
             assert all(in_convex_hull(p, vs) for p in pts)
@@ -532,6 +540,19 @@ class TestLowerDimensional:
             box = [range(math.ceil(min(col)), math.floor(max(col)) + 1) for col in zip(*vs)]
             expected = {q for q in product(*box) if in_convex_hull(q, vs)}
             assert set(g.lattice_points(P).points) == expected
+
+    def test_flat_membership_runs_no_echelon(self, monkeypatch):
+        """A flat body answers membership from its planes alone, as a full
+        one does: the lattice points of the triangle (0,0,0), (4,0,0),
+        (0,4,0) and an off-hull Fraction point take no echelon."""
+        P = g.convex_hull([(0, 0, 0), (4, 0, 0), (0, 4, 0)])
+        calls = []
+        real = _hull.echelon
+        monkeypatch.setattr(_hull, "echelon", lambda rows: calls.append(1) or real(rows))
+        assert g.lattice_points(P).points == {(x, y, 0) for x in range(5) for y in range(5 - x)}
+        assert not P.contains((F(1, 2), F(1, 3), F(1, 7)))
+        assert P.contains((F(1, 2), F(1, 3), 0)) and not P.contains((F(7, 2), F(2, 3), 0))
+        assert calls == []
 
 
 def _rational_body(rng, n, dens, odd=False):

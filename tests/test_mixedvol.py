@@ -219,25 +219,42 @@ class TestRecursionAgainstInclusionExclusion:
 
 
 class TestMixedVolumeInternals:
-    def test_cofactor_normal_matches_sympy_minors(self):
-        """The flat-sum normal against (-1)^c det(rows without column c) by
-        sympy, on small rows, rows past int64 and dependent rows."""
+    def test_null_space_matches_sympy(self):
+        """The null space against sympy, on the seeded rows that pinned the
+        flat-sum cofactor normal: small rows, rows past int64 and dependent
+        rows.  The vectors are primitive Python ints orthogonal to every
+        row, n - rank of them spanning sympy's null space; for independent
+        rows the one vector is +-(-1)^c det(rows without column c) over its
+        content.  No rows give the n unit vectors."""
         rng = random.Random(806)
         for n in (2, 3, 4):
+            assert _hull.null_space([], n) == [tuple(int(i == j) for i in range(n)) for j in range(n)]
             for bound in (9, 10**20):
                 for _ in range(30):
                     rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n - 1)]
                     dependent = n > 2 and rng.random() < 0.2
                     if dependent:
                         rows[-1] = [3 * x for x in rows[0]]
-                    want = tuple(
-                        (-1) ** c * int(sympy.Matrix([r[:c] + r[c + 1:] for r in rows]).det())
-                        for c in range(n)
-                    )
-                    got = _hull.cofactor_normal(rows)
-                    assert got == want and all(type(x) is int for x in got)
+                    got = _hull.null_space(rows, n)
+                    assert all(type(x) is int for a in got for x in a)
+                    assert all(math.gcd(*a) == 1 for a in got)
+                    assert all(sum(x * y for x, y in zip(r, a)) == 0 for r in rows for a in got)
+                    want = [list(v) for v in sympy.Matrix(rows).nullspace()]
+                    rank = sympy.Matrix(rows).rank()
+                    assert len(got) == n - rank == len(want)
+                    assert sympy.Matrix([list(a) for a in got]).rank() == len(got)
+                    assert sympy.Matrix([list(a) for a in got] + want).rank() == len(got)
                     if dependent:
-                        assert not any(got)
+                        assert len(got) >= 2
+                    if rank == n - 1:
+                        cofactors = [
+                            (-1) ** c * int(sympy.Matrix([r[:c] + r[c + 1:] for r in rows]).det())
+                            for c in range(n)
+                        ]
+                        content = math.gcd(*cofactors)
+                        (a,) = got
+                        assert a in {tuple(x // content for x in cofactors),
+                                     tuple(-x // content for x in cofactors)}
 
     def test_4d_hull_count_guard(self, monkeypatch):
         """A cost guard without timing: at most half the 436 4D hulls that
