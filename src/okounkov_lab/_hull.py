@@ -102,11 +102,14 @@ def echelon(rows):
 
 def null_space(rows, n):
     """Primitive integer vectors spanning {a in Z^n : r.a = 0 for every row r},
-    n - rank of them, for rows of any rank or none.  The n columns (column j
-    of ``rows``, e_j) combine by c to (r.c for each row r, c), so their
-    :func:`echelon` rows whose ``rows`` part vanishes end in a basis."""
+    n - rank of them, for rows of any rank or none (then the unit vectors).
+    The n columns (column j of ``rows``, e_j) combine by c to (r.c for each
+    row r, c), so their :func:`echelon` rows whose ``rows`` part vanishes end
+    in a basis."""
     m = len(rows)
     unit = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
+    if not m:
+        return unit
     kernel = [r[m:] for _, r in echelon(zip(*rows, *unit)) if not any(r[:m])]
     return [tuple([x // g for x in a]) for a in kernel for g in [gcd(*a)]]
 

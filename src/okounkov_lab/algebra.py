@@ -24,11 +24,16 @@ before any level is built.  The powers are not eliminated when their
 leads are the sumsets kS_1 of the level-1 leads S_1, which the packed
 sumset kernel ``semigroup._levels`` builds on the same box: for a monomial
 space, one whose dimension is the size of the union A of its basis
-supports (it is span{x^a : a in A}, and S_1 = A), and for a subspace whose
+supports (it is span{x^a : a in A}, and S_1 = A); for a subspace whose
 S_1 is affinely independent (distinct multisets of leads have distinct
-sums).  Its Newton body is then conv(S_1), and no level is built.  Any
-other Newton body hulls only the levels above k_max / 2, and of each only
-the two ends of its leads along every line parallel to the last axis.
+sums); and for one whose leads' relations are the multiples of one m, of
+degree D, when D > k_max (no two multisets up to k_max have equal sums)
+or when m's lift subduces to zero against the products at level D (the
+rows are then a Khovanskii basis).  Its Newton body is then conv(S_1),
+and no level is built past the first, but for a lift's products at level
+D.  Any other Newton body hulls only the levels above k_max / 2, and of
+each only the two ends of its leads along every line parallel to the last
+axis.
 """
 
 from __future__ import annotations
@@ -330,12 +335,13 @@ def _level_box(l: LaurentSubspace, order: MonomialOrder, k_max: int) -> LevelBox
 
 
 def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
-    """The level box, L's level-1 leads S_1 if they generate every level,
-    and the lead slots of L^k for k = 1..k_max as (k, slots) pairs.
+    """The level box, L's level-1 leads S_1 if they generate every level up
+    to k_max, and the lead slots of L^k for k = 1..k_max as (k, slots) pairs.
 
-    Two conditions make the leads of L^k the sumset kS_1, whose slots
-    ``semigroup._levels`` builds on the same box with no elimination; S_1
-    is returned then, and the sumsets are built only as they are read.
+    Three conditions make the leads of L^k the sumset kS_1 for every
+    k <= k_max, whose slots ``semigroup._levels`` builds on the same box
+    with no elimination; S_1 is returned then, and the sumsets are built
+    only as they are read.
 
     - L is a monomial space: dim L = |A| for A = supp L, the union of the
       basis supports, and S_1 = A.  A is the same for every basis of L:
@@ -357,6 +363,46 @@ def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
       an element of L^k has the lead of one of them: no combination of
       rows with distinct leads cancels the least.  So the leads of L^k
       are kS_1.
+    - The relations of S_1, the m in Z^d with sum(m_i) = 0 and
+      sum(m_i v_i) = 0, have rank 1 (the rank above is d - 2).  They are
+      the multiples of one primitive m, the :func:`_hull.null_space` of
+      the row of ones and the rows of lead coordinates.  Write m = m+ - m-
+      with m+ and m- the multisets of its positive and negative parts, of
+      size D, the degree of m, and g^a for the product of the echelon rows
+      with multiplicities a.  Two multisets a, a' of size k with equal lead
+      sums differ by a relation t m, and a - a' has positive part at most
+      a, so |t| D <= k.  :func:`_subduces` decides two cases.
+
+      * D > k_max.  Then t = 0 for every k <= k_max: the products of k
+        rows have distinct leads, and the argument above gives the leads
+        kS_1 for every level reported, though not necessarily beyond.
+      * D <= k_max, and the lift F = c- g^(m+) - c+ g^(m-) of m, with c+
+        and c- the lead coefficients of g^(m+) and g^(m-), reduces to zero
+        against one product of D rows for each point of D S_1, by
+        :func:`_reduce`.  Then F = sum(e_b g^b) over products of D rows
+        with v(g^b) >= v(F) > v(g^(m+)): F's lead cancels, and a step only
+        raises the lead.  This makes the g_i t a Khovanskii (SAGBI) basis
+        of the algebra they generate, by the subduction criterion
+        (Robbiano-Sweedler, LNM 1430, 1990; Sturmfels, *Groebner Bases and
+        Convex Polytopes*, Thm 11.4), whose toric ideal, of the points
+        (1, v_i), is here generated by y^(m+) - y^(m-): it is spanned by
+        binomials y^a - y^a' with a - a' = t m, t > 0 (Sturmfels, Lemma
+        4.1), and such a binomial is y^w (y^(t m+) - y^(t m-)) with
+        w = a - t m+ >= 0.  The criterion's proof in this case: let h = sum(e_a g^a) in L^k, over
+        multisets of size k, and mu the least lead v(g^a) with e_a != 0.
+        If v(h) > mu, the terms at mu cancel, sum(e_a lc(g^a)) = 0 over
+        them, so their sum is sum(e_a lc(g^a) (G^a - G^a0)) for one a0 of
+        them, with G^a = g^a / lc(g^a).  Write a - a0 = t m, t > 0 (else
+        swap): a = w + t m+ and a0 = w + t m-, so with X = G^(m+) and
+        Y = G^(m-), G^a - G^a0 = G^w (X - Y) sum(X^i Y^(t-1-i)), and
+        X - Y = F / (c+ c-).  Putting in F's reduction turns the terms
+        at mu into multiples of the products G^w X^i Y^(t-1-i) g^b, of k
+        rows, with leads v(g^a) - v(g^(m+)) + v(g^b) > mu.  So h has a
+        representation with a larger least lead; there are finitely many
+        leads, so at last v(h) = mu, a point of kS_1, and each point of
+        kS_1 is the lead of a product.  So the leads of L^k are kS_1 for
+        every k.  If F does not reduce to zero, the rest is an element of
+        L^D whose lead is not in D S_1, and L is echelonized.
 
     Every other L is echelonized by :func:`_echelon_levels`, continuing
     from the level 1 it has built, and S_1 is None.  There a multiset M of
@@ -373,13 +419,64 @@ def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
     leads = {e for f in l.basis for e, _ in f.terms}  # S_1 of a monomial space
     if len(leads) != l.dim:
         echelon = _echelon_levels(l.basis, box.slot)
-        first, _ = next(echelon)
+        first, width = next(echelon)
         leads = [box.exponent(s, 1) for s in first]
         rank = len(_hull.echelon(_hull._sub(p, leads[0]) for p in leads[1:]))
-        if rank < l.dim - 1:
+        if rank < l.dim - 1 and not (
+            rank == l.dim - 2 and _subduces(first, width, leads, k_max)
+        ):
             levels = [first, *(pivots for _, (pivots, _) in zip(range(1, k_max), echelon))]
             return box, None, enumerate(levels, 1)
     return box, leads, enumerate(semigroup._levels(box, leads, k_max), 1)
+
+
+def _subduces(first: dict, width: int, leads: list, k_max: int) -> bool:
+    """Whether the leads of L's level-1 pivots ``first`` (packed at
+    ``width``, their exponents ``leads``), whose relations have rank 1,
+    generate L's levels 1..k_max: the relation m has degree D > k_max, or
+    its lift F reduces to zero against one product of D rows for each point
+    of D S_1 (the third condition of :func:`_power_levels`).
+
+    Each pivot row is packed from its lead, so a product of rows is the
+    product of their ints, with the sum of their lead slots; every
+    coefficient of a product of D rows is at most ``top``, the D-th power of
+    the largest sum of |coefficients| of a row.  A width that F's bound or a
+    step of :func:`_reduce` would outgrow is doubled, and the rows repacked.
+    """
+    d = len(leads)
+    (m,) = _hull.null_space([(1,) * d, *zip(*leads)], d)
+    degree = sum(x for x in m if x > 0)
+    if degree > k_max:
+        return True
+    slots = list(first)
+    values = [_unpack(row, width) for row, _, _ in first.values()]
+    plus = [i for i, x in enumerate(m) for _ in range(x)]
+    minus = [i for i, x in enumerate(m) for _ in range(-x)]
+    c_plus, c_minus = (math.prod(values[i][0] for i in side) for side in (plus, minus))
+    g = math.gcd(c_plus, c_minus)
+    a, c = c_minus // g, c_plus // g  # a c_plus = c c_minus: F's lead cancels
+    top = max(sum(map(abs, v)) for v in values) ** degree
+    bound = (abs(a) + abs(c)) * top
+    while bound >> (width - 1):
+        width *= 2
+    lead = sum(slots[i] for i in plus)
+    while True:
+        rows = [_pack(v, width) for v in values]
+        lift = a * math.prod(rows[i] for i in plus) - c * math.prod(rows[i] for i in minus)
+        if not lift:
+            return True
+        products = {0: (1, 1)}  # lead slot: (row, lead coefficient)
+        for _ in range(degree):
+            products = {
+                s + t: (row * r, lc * v[0])
+                for s, (row, lc) in products.items()
+                for t, r, v in zip(slots, rows, values)
+            }
+        pivots = {s: (row, lc, top) for s, (row, lc) in products.items()}
+        try:
+            return _reduce(pivots, lift, bound, width, lead) is None
+        except _Overflow:
+            width *= 2
 
 
 def _echelon_levels(polys, slot):

@@ -195,7 +195,8 @@ def volume(P: LatticePolytope) -> Fraction:
 
 def lattice_points(P: LatticePolytope) -> SupportSet:
     """All integer vectors of P: the candidates fill the box of the integer
-    face's extremes, each tested exactly by ``P.contains``."""
+    face's extremes, and an integer q is in P iff s a.q <= b for each of its
+    planes (a, b) at the face's scale s, as in ``P.contains``."""
     s, vs = P.face
     ranges = [range(-(-min(col) // s), max(col) // s + 1) for col in zip(*vs)]
     count = reduce(lambda acc, r: acc * len(r), ranges, 1)
@@ -204,8 +205,9 @@ def lattice_points(P: LatticePolytope) -> SupportSet:
             f"bounding box too large for lattice enumeration: {count} candidates;"
             f" the limit is {MAX_LATTICE_CANDIDATES}"
         )
-    contains = P.contains
-    found = [cand for cand in iproduct(*ranges) if contains(cand)]
+    planes = [(tuple([s * x for x in a]), b) for a, b in P.planes]
+    dot = _hull._dot
+    found = [q for q in iproduct(*ranges) if all(dot(a, q) <= b for a, b in planes)]
     return SupportSet(P.ambient_dim, frozenset(found))
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from okounkov_lab import _hull
 from okounkov_lab import algebra as alg
 from okounkov_lab import bkk
 from okounkov_lab import geometry as g
@@ -525,8 +526,11 @@ class TestPowerLevelsAgainstSympy:
     def test_dependent_near_2_70_case_widens_through_the_power_levels(self, monkeypatch):
         widths = _width_spy(monkeypatch)
         dim, basis, order, k_max = _corpus_case("2d-near-2^70-dependent")
-        alg.hilbert_function(alg.span(dim, [L(dim, terms) for terms in basis]), k_max)
+        l = alg.span(dim, [L(dim, terms) for terms in basis])
+        alg.hilbert_function(l, k_max)
         assert widths[0] > alg._WIDTH and max(widths) > widths[0]
+        # its leads' relation (1, -2, 1) lifts to a new lead at level 2
+        assert alg._power_levels(l, order, k_max)[1] is None
 
 
 def _seeded_span_cases():
@@ -839,18 +843,19 @@ class TestPrefixProducts:
         ]
 
     @pytest.mark.parametrize(
-        "make,support,echelonizes",
+        "make,support,reduces",
         [(lambda: _product_of(DIM5_FACTORS), 5, False),
          (lambda: _product_of(CRITERION8_FACTORS), 6, True)],
         ids=["dim5-product", "criterion8-product"],
     )
-    def test_route_is_set_by_the_support(self, monkeypatch, make, support, echelonizes):
-        # dim 5 over 5 exponents is a monomial space; dim 4 over 6 is not
+    def test_route_is_set_by_the_support(self, monkeypatch, make, support, reduces):
+        # dim 5 over 5 exponents is a monomial space; dim 4 over 6 is not,
+        # and its level 1 is reduced
         l = make()
         assert len({e for f in l.basis for e, _ in f.terms}) == support
         calls = _reduce_spy(monkeypatch)
         alg._power_levels(l, alg.LEX, 8)
-        assert bool(calls) == echelonizes
+        assert bool(calls) == reduces
 
     @pytest.mark.parametrize(
         "make,k_max,zeros",
@@ -1094,6 +1099,219 @@ class TestLevelOneLeads:
         assert [len(levels[k]) for k in range(1, 5)] == [3, 6, 10, 15]
 
 
+# the two kinds of dim-4 criterion-8 product: CRITERION8_FACTORS has
+# the lex leads (0, 0), (0, 1), (1, 0), (1, 1) and the relation
+# (1, -1, -1, 1), whose lift is identically zero; these have the leads
+# (0, 0), (1, 0), (1, 1), (2, 0) and (1, -2, 0, 1), whose lift subduces
+CRITERION8_SUBDUCED = (
+    [{(0, 0): -3, (1, 0): 2, (1, 1): 2}, {(1, 0): 1}],
+    [{(0, 0): 2, (1, 0): 3}, {(1, 0): -1, (1, 1): 1}],
+)
+# the same leads and relations, with coefficients near 2^70: the lift's
+# bound outgrows the level-1 width
+CRITERION8_NEAR_2_70 = (
+    [{(0, 0): -(2**70) - 3, (1, 0): 2, (1, 1): 2**70 - 5}, {(1, 0): 1}],
+    [{(0, 0): 2, (1, 0): 2**70 + 7}, {(1, 0): -1, (1, 1): 2**70 + 1}],
+)
+# span{1, x + y, x^2 + y^3}: lex leads (0, 0), (0, 1), (0, 3), the relation
+# (2, -3, 1) of degree 3, and a new lead, (1, 2), at level 3
+NEW_LEAD_AT_3 = [{(0, 0): 1}, {(1, 0): 1, (0, 1): 1}, {(2, 0): 1, (0, 3): 1}]
+# span{1, x + x^6, x^5}: the relation (4, -5, 1) of degree 5, a new lead at 5
+NEW_LEAD_AT_5 = [{(0,): 1}, {(1,): 1, (6,): 1}, {(5,): 1}]
+
+
+def _relation(l, order):
+    """The primitive relation m of L's level-1 leads in ``order``, with a
+    positive first entry, and its degree."""
+    box = alg._level_box(l, order, 1)
+    first, _ = next(alg._echelon_levels(l.basis, box.slot))
+    leads = [box.exponent(s, 1) for s in first]
+    (m,) = _hull.null_space([(1,) * l.dim, *zip(*leads)], l.dim)
+    m = m if m[0] > 0 else tuple(-x for x in m)
+    return m, sum(x for x in m if x > 0)
+
+
+def _routes_spy(monkeypatch):
+    """Record the (lead slot, width) of each _reduce call and the width of
+    each level that _power_level builds."""
+    reduces, built = [], []
+    reduce, level = alg._reduce, alg._power_level
+
+    def reduce_spy(pivots, row, bound, width, lead):
+        reduces.append((lead, width))
+        return reduce(pivots, row, bound, width, lead)
+
+    def level_spy(parents, basis, width, pivots):
+        built.append(width)
+        return level(parents, basis, width, pivots)
+
+    monkeypatch.setattr(alg, "_reduce", reduce_spy)
+    monkeypatch.setattr(alg, "_power_level", level_spy)
+    return reduces, built
+
+
+class TestRankOneRelations:
+    """Level-1 leads with a rank-1 relation lattice, generated by m of
+    degree D: the levels are kS_1 when D > k_max or when m's lift subduces,
+    and then only level 1 and the lift at level D are reduced."""
+
+    @staticmethod
+    def check_levels(l, order, k_max):
+        levels = alg.semigroup_of_subspace(l, order, k_max)
+        for k in range(1, k_max + 1):
+            assert set(levels[k].points) == sympy_power_leads(_terms(l), order.grading, k), k
+        return levels
+
+    @pytest.mark.parametrize(
+        "factors,order,m,lifts",
+        [(CRITERION8_FACTORS, alg.LEX, (1, -1, -1, 1), 0),
+         (CRITERION8_FACTORS, GRLEX31, (1, -1, -1, 1), 0),
+         (CRITERION8_FACTORS, GRLEX12, (1, -2, 0, 1), 1),
+         (CRITERION8_SUBDUCED, alg.LEX, (1, -2, 0, 1), 1),
+         (CRITERION8_SUBDUCED, GRLEX12, (1, -2, 1, 0), 1),
+         (CRITERION8_SUBDUCED, GRLEX31, (1, -2, 0, 1), 1)],
+        ids=["factors-lex", "factors-grlex31", "factors-grlex12",
+             "subduced-lex", "subduced-grlex12", "subduced-grlex31"],
+    )
+    def test_criterion8_products_take_the_sumsets(self, monkeypatch, factors, order, m, lifts):
+        l = _product_of(factors)
+        assert _relation(l, order) == (m, 2)
+        reduces, built = _routes_spy(monkeypatch)
+        box, leads, _ = alg._power_levels(l, order, 8)
+        assert leads is not None and len(built) == 1
+        # level 1, then the lift of m, reduced at level D = 2 from the lead
+        # sum of m's positive part, which it cancels
+        assert len(reduces) == l.dim + lifts
+        if lifts:
+            plus = [v for x, v in zip(m, leads) for _ in range(x)]
+            assert box.exponent(reduces[-1][0], 2) == tuple(map(sum, zip(*plus)))
+        monkeypatch.undo()
+        levels = self.check_levels(l, order, 6)
+        assert [len(levels[k]) for k in range(1, 7)] == [(k + 1) ** 2 for k in range(1, 7)]
+
+    def test_the_subduced_lift_reduces_to_zero(self, monkeypatch):
+        leads = _reduce_spy(monkeypatch)
+        alg._power_levels(_product_of(CRITERION8_SUBDUCED), alg.LEX, 8)
+        assert leads[-1] is None and None not in leads[:-1]
+
+    @pytest.mark.parametrize("order,widths", [(alg.LEX, (256, 512)), (GRLEX12, (256, 1024))],
+                             ids=["lex", "grlex12"])
+    def test_near_2_70_lift_widens_the_slots(self, monkeypatch, order, widths):
+        l = _product_of(CRITERION8_NEAR_2_70)
+        reduces, built = _routes_spy(monkeypatch)
+        _, leads, _ = alg._power_levels(l, order, 3)
+        assert leads is not None and built == [widths[0]]
+        assert [w for _, w in reduces] == [widths[0]] * l.dim + [widths[1]]
+        monkeypatch.undo()
+        self.check_levels(l, order, 3)
+
+    def test_a_step_past_the_width_repacks_the_lift(self, monkeypatch):
+        # a _reduce step of the lift that outgrows the width raises
+        # _Overflow; the rows are repacked at twice the width
+        l = _product_of(CRITERION8_SUBDUCED)
+        reduce, widths = alg._reduce, []
+
+        def overflow_once(pivots, row, bound, width, lead):
+            widths.append(width)
+            if len(widths) == l.dim + 1:
+                raise alg._Overflow
+            return reduce(pivots, row, bound, width, lead)
+
+        monkeypatch.setattr(alg, "_reduce", overflow_once)
+        _, leads, _ = alg._power_levels(l, alg.LEX, 8)
+        assert leads is not None
+        assert widths == [alg._WIDTH] * (l.dim + 1) + [2 * alg._WIDTH]
+
+    @pytest.mark.parametrize("order", [alg.LEX, GRLEX31], ids=["lex", "grlex31"])
+    def test_a_lift_with_a_new_lead_echelonizes(self, monkeypatch, order):
+        l = alg.span(2, [L(2, terms) for terms in NEW_LEAD_AT_3])
+        assert _relation(l, order) == ((2, -3, 1), 3)
+        reduces, built = _routes_spy(monkeypatch)
+        _, leads, _ = alg._power_levels(l, order, 4)
+        assert leads is None and len(built) == 4
+        monkeypatch.undo()
+        levels = self.check_levels(l, order, 4)
+        assert (1, 2) in levels[3].points
+        assert [len(levels[k]) for k in range(1, 5)] == [3, 6, 10, 15]
+
+    @pytest.mark.parametrize(
+        "dim,basis,order,degree",
+        [(2, NEW_LEAD_AT_3, alg.LEX, 3), (2, NEW_LEAD_AT_3, GRLEX31, 3),
+         (1, NEW_LEAD_AT_5, alg.LEX, 5), (1, NEW_LEAD_AT_5, alg.MonomialOrder((2,)), 5)],
+        ids=["new-lead-at-3-lex", "new-lead-at-3-grlex31", "new-lead-at-5-lex",
+             "new-lead-at-5-grlex2"],
+    )
+    def test_degree_above_kmax_needs_no_lift(self, monkeypatch, dim, basis, order, degree):
+        l = alg.span(dim, [L(dim, terms) for terms in basis])
+        assert _relation(l, order)[1] == degree
+        reduces, built = _routes_spy(monkeypatch)
+        _, below, _ = alg._power_levels(l, order, degree - 1)
+        assert below is not None and len(reduces) == l.dim and len(built) == 1
+        _, at, _ = alg._power_levels(l, order, degree)
+        assert at is None
+        monkeypatch.undo()
+        for k_max in (degree - 1, degree):
+            levels = self.check_levels(l, order, k_max)
+        # the one coincidence of D S_1, m's two sides, has two leads at level D
+        assert len(levels[degree]) == len(sg.sumset_power(levels[1], degree)) + 1
+
+
+class _Echelonizes(Exception):
+    """Raised where _power_levels asks the echelon for level 2."""
+
+
+def _rank_one_draws():
+    """Seed 5: in one variable, dimension 3 with exponents in -2..5; in two,
+    dimension 4 on [0, 3]^2; 1-3 terms per polynomial, coefficients
+    +-1, +-2, +-3.  Yields (ambient dim, polynomials)."""
+    rng = random.Random(5)
+    for n, size, low, high in ((1, 3, -2, 5), (2, 4, 0, 3)):
+        for _ in range(200):
+            yield n, [
+                L(n, {tuple(rng.randint(low, high) for _ in range(n)):
+                      rng.choice((1, 2, 3)) * rng.choice((1, -1))
+                      for _ in range(rng.randint(1, 3))})
+                for _ in range(size)
+            ]
+
+
+class TestRouteAgreementFuzz:
+    """Every route of _power_levels agrees with the echelon at every level."""
+
+    def test_power_levels_equal_the_echelon_levels(self, monkeypatch):
+        # a draw that _power_levels echelonizes has the echelon's levels by
+        # construction, so the echelon past level 1 is cut short
+        echelon_levels = alg._echelon_levels
+
+        def level_one_only(polys, slot):
+            yield next(echelon_levels(polys, slot))
+            raise _Echelonizes
+
+        monkeypatch.setattr(alg, "_echelon_levels", level_one_only)
+        routes = {}
+        for n, polys in _rank_one_draws():
+            l = alg.span(n, polys)
+            for order in (alg.LEX,) if n == 1 else (alg.LEX, GRLEX12):
+                try:
+                    box, leads, levels = alg._power_levels(l, order, 8)
+                except _Echelonizes:
+                    routes["echelon"] = routes.get("echelon", 0) + 1
+                    continue
+                reference = islice(echelon_levels(l.basis, box.slot), 8)
+                assert {k: set(slots) for k, slots in levels} == {
+                    k: set(pivots) for k, (pivots, _) in enumerate(reference, 1)
+                }
+                route = "monomial"
+                if len({e for f in l.basis for e, _ in f.terms}) > l.dim:
+                    relations = _hull.null_space([(1,) * l.dim, *zip(*leads)], l.dim)
+                    route = "independent"
+                    if relations:
+                        (m,) = relations
+                        route = "degree" if sum(x for x in m if x > 0) > 8 else "subduced"
+                routes[route] = routes.get(route, 0) + 1
+        assert routes["subduced"] and routes["degree"], routes
+
+
 def _flat_or_random_subspace(rng, dim, i):
     """A point body, a body in the x1 axis, or a random subspace."""
     if i == 0:
@@ -1157,7 +1375,9 @@ class TestNewtonBodyFromFiberEnds:
         ids=["criterion8-product", "new-lead-at-level-3"],
     )
     def test_dependent_leads_hull_the_upper_levels(self, make, order):
-        # only the levels k with 2k > k_max are hulled
+        # the product's rank-1 relation subduces, so its body is conv(S_1);
+        # where the other echelonizes, only the levels k with 2k > k_max
+        # are hulled
         l = make()
         for k_max in range(1, 10):
             levels = alg.semigroup_of_subspace(l, order, k_max)

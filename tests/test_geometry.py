@@ -424,11 +424,11 @@ class TestLatticePoints:
         assert set(g.lattice_points(P).points) == {(0,), (1,), (2,), (3,)}
 
     def test_candidate_bound_is_checked_before_enumeration(self, monkeypatch):
-        def enumerated(self, p):
+        def enumerated(a, q):
             raise AssertionError("a candidate was tested")
 
-        monkeypatch.setattr(g.LatticePolytope, "contains", enumerated)
         too_long = g.convex_hull([(0,), (g.MAX_LATTICE_CANDIDATES,)])  # bound + 1 points
+        monkeypatch.setattr(_hull, "_dot", enumerated)
         with pytest.raises(ValueError, match="too large"):
             g.lattice_points(too_long)
 
@@ -441,6 +441,28 @@ class TestLatticePoints:
     def test_fractional_body_without_lattice_points(self):
         P = g.convex_hull([(F(1, 3), F(1, 3)), (F(2, 3), F(1, 3)), (F(1, 2), F(2, 3))])
         assert len(g.lattice_points(P)) == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_brute_force_on_seeded_bodies(self, n):
+        # rational full bodies and flat ones of every lower dimension; the
+        # reference tests every point of the box by exact LP feasibility
+        rng = random.Random(4700 + n)
+        dims = []
+        for i in range(8):
+            k = rng.randint(0, n - 1) if i % 2 else n
+            if k < n:
+                pts = _flat_body(rng, n, k)[0]
+            else:
+                pts = [tuple(F(rng.randint(-5, 5), rng.choice((1, 1, 2, 3))) for _ in range(n))
+                       for _ in range(n + 2)]
+            P = g.convex_hull(pts)
+            vs = list(P.vertices)
+            box = [range(math.ceil(min(col)), math.floor(max(col)) + 1) for col in zip(*vs)]
+            expected = {q for q in product(*box) if in_convex_hull(q, vs)}
+            found = g.lattice_points(P)
+            assert len(found) == len(expected) and set(found.points) == expected
+            dims.append(P.affine_dim)
+        assert n in dims and min(dims) < n
 
     def test_monotone_under_sum_with_zero(self):
         rng = random.Random(12)
