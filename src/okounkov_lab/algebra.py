@@ -20,20 +20,19 @@ and only if that prefix installed a pivot.  ``span`` is the one builder of a sub
 is level 1, slotted by the lex ranks of its exponents.  The powers' slots
 are those of the basis exponents' ``semigroup.LevelBox``, so the lowest
 slot of a packed row is its valuation; the box and k_max are budgeted
-before any level is built.  The powers are not eliminated when their
-leads are the sumsets kS_1 of the level-1 leads S_1, which the packed
-sumset kernel ``semigroup._levels`` builds on the same box: for a monomial
-space, one whose dimension is the size of the union A of its basis
-supports (it is span{x^a : a in A}, and S_1 = A); for a subspace whose
-S_1 is affinely independent (distinct multisets of leads have distinct
-sums); and for one whose leads' relations are the multiples of one m, of
-degree D, when D > k_max (no two multisets up to k_max have equal sums)
-or when m's lift subduces to zero against the products at level D (the
-rows are then a Khovanskii basis).  Its Newton body is then conv(S_1),
-and no level is built past the first, but for a lift's products at level
-D.  Any other Newton body hulls only the levels above k_max / 2, and of
-each only the two ends of its leads along every line parallel to the last
-axis.
+before any level is built.  The powers' leads are the sumsets kS_1 of the
+level-1 leads S_1, which the packed sumset kernel ``semigroup._levels``
+builds on the same box, with no level eliminated past the first, for a
+monomial space, one whose dimension is the size of the union A of its
+basis supports (it is span{x^a : a in A}, and S_1 = A); for a subspace
+whose S_1 is affinely independent (distinct multisets of leads have
+distinct sums); and for one whose leads' relations are the multiples of
+one m, of degree D > k_max.  When D <= k_max the echelon runs to level D,
+and if that level has only the leads of D S_1, the rows are a Khovanskii
+basis and the sumsets give every level.  The Newton body of all of these
+is conv(S_1).  Any other Newton body hulls only the levels above
+k_max / 2, and of each only the two ends of its leads along every line
+parallel to the last axis.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 
 from . import _hull, geometry, semigroup
 from .geometry import LatticePolytope, SupportSet, support_set
@@ -371,46 +371,52 @@ def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
       size D, the degree of m, and g^a for the product of the echelon rows
       with multiplicities a.  Two multisets a, a' of size k with equal lead
       sums differ by a relation t m, and a - a' has positive part at most
-      a, so |t| D <= k.  :func:`_subduces` decides two cases.
+      a, so |t| D <= k.  Two cases take the sumsets.
 
       * D > k_max.  Then t = 0 for every k <= k_max: the products of k
         rows have distinct leads, and the argument above gives the leads
         kS_1 for every level reported, though not necessarily beyond.
-      * D <= k_max, and the lift F = c- g^(m+) - c+ g^(m-) of m, with c+
-        and c- the lead coefficients of g^(m+) and g^(m-), reduces to zero
-        against one product of D rows for each point of D S_1, by
-        :func:`_reduce`.  Then F = sum(e_b g^b) over products of D rows
-        with v(g^b) >= v(F) > v(g^(m+)): F's lead cancels, and a step only
-        raises the lead.  This makes the g_i t a Khovanskii (SAGBI) basis
-        of the algebra they generate, by the subduction criterion
-        (Robbiano-Sweedler, LNM 1430, 1990; Sturmfels, *Groebner Bases and
-        Convex Polytopes*, Thm 11.4), whose toric ideal, of the points
-        (1, v_i), is here generated by y^(m+) - y^(m-): it is spanned by
-        binomials y^a - y^a' with a - a' = t m, t > 0 (Sturmfels, Lemma
-        4.1), and such a binomial is y^w (y^(t m+) - y^(t m-)) with
-        w = a - t m+ >= 0.  The criterion's proof in this case: let h = sum(e_a g^a) in L^k, over
-        multisets of size k, and mu the least lead v(g^a) with e_a != 0.
-        If v(h) > mu, the terms at mu cancel, sum(e_a lc(g^a)) = 0 over
-        them, so their sum is sum(e_a lc(g^a) (G^a - G^a0)) for one a0 of
-        them, with G^a = g^a / lc(g^a).  Write a - a0 = t m, t > 0 (else
-        swap): a = w + t m+ and a0 = w + t m-, so with X = G^(m+) and
-        Y = G^(m-), G^a - G^a0 = G^w (X - Y) sum(X^i Y^(t-1-i)), and
-        X - Y = F / (c+ c-).  Putting in F's reduction turns the terms
-        at mu into multiples of the products G^w X^i Y^(t-1-i) g^b, of k
-        rows, with leads v(g^a) - v(g^(m+)) + v(g^b) > mu.  So h has a
-        representation with a larger least lead; there are finitely many
-        leads, so at last v(h) = mu, a point of kS_1, and each point of
-        kS_1 is the lead of a product.  So the leads of L^k are kS_1 for
-        every k.  If F does not reduce to zero, the rest is an element of
-        L^D whose lead is not in D S_1, and L is echelonized.
+      * D <= k_max, and level D, drawn with levels 2..D - 1 from the
+        :func:`_echelon_levels` that built level 1, has exactly
+        C(D + d - 1, D) - 1 leads.  At k = D only t = 0 and t = +-1 are
+        possible, so m+ and m- are the one pair of multisets with equal
+        lead sums, and |D S_1| = C(D + d - 1, D) - 1.  The leads of L^D
+        contain D S_1, each point the lead of a product, so the count
+        makes them D S_1, and one product g^b for each point b of D S_1
+        is a basis of L^D: distinct leads make them independent, and
+        there are dim L^D of them.  With G^a = g^a / lc(g^a), X = G^(m+)
+        and Y = G^(m-), X - Y lies in L^D and its lead cancels, so
+        X - Y = sum(e_b g^b) over that basis with v(g^b) >= v(X - Y) >
+        v(g^(m+)) for every e_b != 0: no combination of rows with distinct
+        leads cancels the least.  This makes the g_i t a Khovanskii
+        (SAGBI) basis of the algebra they generate, by the subduction
+        criterion (Robbiano-Sweedler, LNM 1430, 1990; Sturmfels, *Groebner
+        Bases and Convex Polytopes*, Thm 11.4), whose toric ideal, of the
+        points (1, v_i), is here generated by y^(m+) - y^(m-): it is
+        spanned by binomials y^a - y^a' with a - a' = t m, t > 0
+        (Sturmfels, Lemma 4.1), and such a binomial is
+        y^w (y^(t m+) - y^(t m-)) with w = a - t m+ >= 0.  The criterion's
+        proof in this case: let h = sum(e_a g^a) in L^k, over multisets of
+        size k, and mu the least lead v(g^a) with e_a != 0.  If v(h) > mu,
+        the terms at mu cancel, sum(e_a lc(g^a)) = 0 over them, so their
+        sum is sum(e_a lc(g^a) (G^a - G^a0)) for one a0 of them.  Write
+        a - a0 = t m, t > 0 (else swap): a = w + t m+ and a0 = w + t m-,
+        so G^a - G^a0 = G^w (X - Y) sum(X^i Y^(t-1-i)).  Putting in the
+        expansion of X - Y turns the terms at mu into multiples of the
+        products G^w X^i Y^(t-1-i) g^b, of k rows, with leads
+        v(g^a) - v(g^(m+)) + v(g^b) > mu.  So h has a representation with
+        a larger least lead; there are finitely many leads, so at last
+        v(h) = mu, a point of kS_1, and each point of kS_1 is the lead of
+        a product.  So the leads of L^k are kS_1 for every k.  A level D
+        with more leads has one outside D S_1, and L is echelonized.
 
     Every other L is echelonized by :func:`_echelon_levels`, continuing
-    from the level 1 it has built, and S_1 is None.  There a multiset M of
-    k basis indices, written as its sorted index tuple, stands for the
-    product row(M) of those basis rows; level k is spanned by all of them.
-    Each M is built once, from its prefix M[:-1] (the rule of
-    :func:`_power_level`), and only when that prefix installed a pivot at
-    level k - 1.  Rows are packed in the level box, and a product is a sum
+    from the levels it has built (1, or 1..D), and S_1 is None.  There a
+    multiset M of k basis indices, written as its sorted index tuple,
+    stands for the product row(M) of those basis rows; level k is spanned
+    by all of them.  Each M is built once, from its prefix M[:-1] (the rule
+    of :func:`_power_level`), and only when that prefix installed a pivot
+    at level k - 1.  Rows are packed in the level box, and a product is a sum
     of shifted copies of the parent, one per term of the basis row.  The
     basis rows are divided by their content once (:func:`_rows`); rescaling
     a basis element does not change any span.
@@ -418,65 +424,22 @@ def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
     box = _level_box(l, order, k_max)
     leads = {e for f in l.basis for e, _ in f.terms}  # S_1 of a monomial space
     if len(leads) != l.dim:
-        echelon = _echelon_levels(l.basis, box.slot)
-        first, width = next(echelon)
-        leads = [box.exponent(s, 1) for s in first]
+        echelon = (pivots for pivots, _ in _echelon_levels(l.basis, box.slot))
+        levels = [next(echelon)]
+        leads = [box.exponent(s, 1) for s in levels[0]]
         rank = len(_hull.echelon(_hull._sub(p, leads[0]) for p in leads[1:]))
-        if rank < l.dim - 1 and not (
-            rank == l.dim - 2 and _subduces(first, width, leads, k_max)
-        ):
-            levels = [first, *(pivots for _, (pivots, _) in zip(range(1, k_max), echelon))]
+        certified = rank == l.dim - 1
+        if rank == l.dim - 2:
+            (m,) = _hull.null_space([(1,) * l.dim, *zip(*leads)], l.dim)
+            degree = sum(x for x in m if x > 0)
+            certified = degree > k_max
+            if not certified:
+                levels += islice(echelon, degree - 1)
+                certified = len(levels[-1]) == math.comb(degree + l.dim - 1, degree) - 1
+        if not certified:
+            levels += islice(echelon, k_max - len(levels))
             return box, None, enumerate(levels, 1)
     return box, leads, enumerate(semigroup._levels(box, leads, k_max), 1)
-
-
-def _subduces(first: dict, width: int, leads: list, k_max: int) -> bool:
-    """Whether the leads of L's level-1 pivots ``first`` (packed at
-    ``width``, their exponents ``leads``), whose relations have rank 1,
-    generate L's levels 1..k_max: the relation m has degree D > k_max, or
-    its lift F reduces to zero against one product of D rows for each point
-    of D S_1 (the third condition of :func:`_power_levels`).
-
-    Each pivot row is packed from its lead, so a product of rows is the
-    product of their ints, with the sum of their lead slots; every
-    coefficient of a product of D rows is at most ``top``, the D-th power of
-    the largest sum of |coefficients| of a row.  A width that F's bound or a
-    step of :func:`_reduce` would outgrow is doubled, and the rows repacked.
-    """
-    d = len(leads)
-    (m,) = _hull.null_space([(1,) * d, *zip(*leads)], d)
-    degree = sum(x for x in m if x > 0)
-    if degree > k_max:
-        return True
-    slots = list(first)
-    values = [_unpack(row, width) for row, _, _ in first.values()]
-    plus = [i for i, x in enumerate(m) for _ in range(x)]
-    minus = [i for i, x in enumerate(m) for _ in range(-x)]
-    c_plus, c_minus = (math.prod(values[i][0] for i in side) for side in (plus, minus))
-    g = math.gcd(c_plus, c_minus)
-    a, c = c_minus // g, c_plus // g  # a c_plus = c c_minus: F's lead cancels
-    top = max(sum(map(abs, v)) for v in values) ** degree
-    bound = (abs(a) + abs(c)) * top
-    while bound >> (width - 1):
-        width *= 2
-    lead = sum(slots[i] for i in plus)
-    while True:
-        rows = [_pack(v, width) for v in values]
-        lift = a * math.prod(rows[i] for i in plus) - c * math.prod(rows[i] for i in minus)
-        if not lift:
-            return True
-        products = {0: (1, 1)}  # lead slot: (row, lead coefficient)
-        for _ in range(degree):
-            products = {
-                s + t: (row * r, lc * v[0])
-                for s, (row, lc) in products.items()
-                for t, r, v in zip(slots, rows, values)
-            }
-        pivots = {s: (row, lc, top) for s, (row, lc) in products.items()}
-        try:
-            return _reduce(pivots, lift, bound, width, lead) is None
-        except _Overflow:
-            width *= 2
 
 
 def _echelon_levels(polys, slot):

@@ -10,11 +10,12 @@ Its levels are packed once, in :class:`LevelBox`: each point of a level is
 one integer slot, and the slots of the level generated by a set are the
 sums of the previous level's slots with the set's.  :func:`sumset_power`,
 :func:`slice_of_support` and :func:`density_sequence` build A's levels kA
-that way (`_levels`); ``algebra`` takes the power levels of a subspace
-spanned by monomials from it too, and indexes the rows of every other
-subspace's by the same box.  The density sequence counts the levels
-without decoding them, and takes the Newton body conv(A) and the
-difference lattice from A alone (:func:`density_sequence` proves both).
+that way (`_levels`); ``algebra`` takes a subspace's power levels from
+it too when they are the sumsets of its level-1 leads, and indexes
+every other subspace's rows by the same box.  The density sequence
+counts the levels without decoding them, and takes the Newton body
+conv(A) and the difference lattice from A alone (:func:`density_sequence`
+proves both).
 """
 
 from __future__ import annotations

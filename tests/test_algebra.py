@@ -1101,13 +1101,13 @@ class TestLevelOneLeads:
 
 # the two kinds of dim-4 criterion-8 product: CRITERION8_FACTORS has
 # the lex leads (0, 0), (0, 1), (1, 0), (1, 1) and the relation
-# (1, -1, -1, 1), whose lift is identically zero; these have the leads
-# (0, 0), (1, 0), (1, 1), (2, 0) and (1, -2, 0, 1), whose lift subduces
+# (1, -1, -1, 1); these have the leads (0, 0), (1, 0), (1, 1), (2, 0) and
+# (1, -2, 0, 1).  Both have the C(5, 2) - 1 = 9 leads of 2S_1 at level 2
 CRITERION8_SUBDUCED = (
     [{(0, 0): -3, (1, 0): 2, (1, 1): 2}, {(1, 0): 1}],
     [{(0, 0): 2, (1, 0): 3}, {(1, 0): -1, (1, 1): 1}],
 )
-# the same leads and relations, with coefficients near 2^70: the lift's
+# the same leads and relations, with coefficients near 2^70: level 2's
 # bound outgrows the level-1 width
 CRITERION8_NEAR_2_70 = (
     [{(0, 0): -(2**70) - 3, (1, 0): 2, (1, 1): 2**70 - 5}, {(1, 0): 1}],
@@ -1132,18 +1132,23 @@ def _relation(l, order):
 
 
 def _routes_spy(monkeypatch):
-    """Record the (lead slot, width) of each _reduce call and the width of
-    each level that _power_level builds."""
-    reduces, built = [], []
+    """Record the (lead slot, width, whether a _power_level made the call)
+    of each _reduce call and the width of each level that _power_level
+    builds."""
+    reduces, built, inside = [], [], []
     reduce, level = alg._reduce, alg._power_level
 
     def reduce_spy(pivots, row, bound, width, lead):
-        reduces.append((lead, width))
+        reduces.append((lead, width, bool(inside)))
         return reduce(pivots, row, bound, width, lead)
 
     def level_spy(parents, basis, width, pivots):
         built.append(width)
-        return level(parents, basis, width, pivots)
+        inside.append(True)
+        try:
+            return level(parents, basis, width, pivots)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(alg, "_reduce", reduce_spy)
     monkeypatch.setattr(alg, "_power_level", level_spy)
@@ -1152,8 +1157,9 @@ def _routes_spy(monkeypatch):
 
 class TestRankOneRelations:
     """Level-1 leads with a rank-1 relation lattice, generated by m of
-    degree D: the levels are kS_1 when D > k_max or when m's lift subduces,
-    and then only level 1 and the lift at level D are reduced."""
+    degree D: the levels are kS_1 when D > k_max or when the echelon's
+    level D has C(D + dim - 1, D) - 1 leads, and then no level past D is
+    built."""
 
     @staticmethod
     def check_levels(l, order, k_max):
@@ -1163,67 +1169,43 @@ class TestRankOneRelations:
         return levels
 
     @pytest.mark.parametrize(
-        "factors,order,m,lifts",
-        [(CRITERION8_FACTORS, alg.LEX, (1, -1, -1, 1), 0),
-         (CRITERION8_FACTORS, GRLEX31, (1, -1, -1, 1), 0),
-         (CRITERION8_FACTORS, GRLEX12, (1, -2, 0, 1), 1),
-         (CRITERION8_SUBDUCED, alg.LEX, (1, -2, 0, 1), 1),
-         (CRITERION8_SUBDUCED, GRLEX12, (1, -2, 1, 0), 1),
-         (CRITERION8_SUBDUCED, GRLEX31, (1, -2, 0, 1), 1)],
+        "factors,order,m",
+        [(CRITERION8_FACTORS, alg.LEX, (1, -1, -1, 1)),
+         (CRITERION8_FACTORS, GRLEX31, (1, -1, -1, 1)),
+         (CRITERION8_FACTORS, GRLEX12, (1, -2, 0, 1)),
+         (CRITERION8_SUBDUCED, alg.LEX, (1, -2, 0, 1)),
+         (CRITERION8_SUBDUCED, GRLEX12, (1, -2, 1, 0)),
+         (CRITERION8_SUBDUCED, GRLEX31, (1, -2, 0, 1))],
         ids=["factors-lex", "factors-grlex31", "factors-grlex12",
              "subduced-lex", "subduced-grlex12", "subduced-grlex31"],
     )
-    def test_criterion8_products_take_the_sumsets(self, monkeypatch, factors, order, m, lifts):
+    def test_criterion8_products_take_the_sumsets(self, monkeypatch, factors, order, m):
         l = _product_of(factors)
         assert _relation(l, order) == (m, 2)
         reduces, built = _routes_spy(monkeypatch)
-        box, leads, _ = alg._power_levels(l, order, 8)
-        assert leads is not None and len(built) == 1
-        # level 1, then the lift of m, reduced at level D = 2 from the lead
-        # sum of m's positive part, which it cancels
-        assert len(reduces) == l.dim + lifts
-        if lifts:
-            plus = [v for x, v in zip(m, leads) for _ in range(x)]
-            assert box.exponent(reduces[-1][0], 2) == tuple(map(sum, zip(*plus)))
+        _, leads, _ = alg._power_levels(l, order, 8)
+        # levels 1 and D = 2, each built once: the basis rows, then every
+        # product of two of them
+        assert leads is not None and len(built) == 2
+        assert len(reduces) == l.dim + math.comb(l.dim + 1, 2)
         monkeypatch.undo()
         levels = self.check_levels(l, order, 6)
         assert [len(levels[k]) for k in range(1, 7)] == [(k + 1) ** 2 for k in range(1, 7)]
 
-    def test_the_subduced_lift_reduces_to_zero(self, monkeypatch):
-        leads = _reduce_spy(monkeypatch)
-        alg._power_levels(_product_of(CRITERION8_SUBDUCED), alg.LEX, 8)
-        assert leads[-1] is None and None not in leads[:-1]
-
-    @pytest.mark.parametrize("order,widths", [(alg.LEX, (256, 512)), (GRLEX12, (256, 1024))],
-                             ids=["lex", "grlex12"])
-    def test_near_2_70_lift_widens_the_slots(self, monkeypatch, order, widths):
+    @pytest.mark.parametrize("order", [alg.LEX, GRLEX12], ids=["lex", "grlex12"])
+    def test_near_2_70_levels_widen_the_slots(self, monkeypatch, order):
         l = _product_of(CRITERION8_NEAR_2_70)
         reduces, built = _routes_spy(monkeypatch)
         _, leads, _ = alg._power_levels(l, order, 3)
-        assert leads is not None and built == [widths[0]]
-        assert [w for _, w in reduces] == [widths[0]] * l.dim + [widths[1]]
+        # level 2 outgrows 256 bits at its first product and is built again
+        # at 512 from its parents; no level past D = 2 is built
+        assert leads is not None and built == [256, 256, 512]
+        assert [w for _, w, _ in reduces] == [256] * l.dim + [512] * math.comb(l.dim + 1, 2)
         monkeypatch.undo()
         self.check_levels(l, order, 3)
 
-    def test_a_step_past_the_width_repacks_the_lift(self, monkeypatch):
-        # a _reduce step of the lift that outgrows the width raises
-        # _Overflow; the rows are repacked at twice the width
-        l = _product_of(CRITERION8_SUBDUCED)
-        reduce, widths = alg._reduce, []
-
-        def overflow_once(pivots, row, bound, width, lead):
-            widths.append(width)
-            if len(widths) == l.dim + 1:
-                raise alg._Overflow
-            return reduce(pivots, row, bound, width, lead)
-
-        monkeypatch.setattr(alg, "_reduce", overflow_once)
-        _, leads, _ = alg._power_levels(l, alg.LEX, 8)
-        assert leads is not None
-        assert widths == [alg._WIDTH] * (l.dim + 1) + [2 * alg._WIDTH]
-
     @pytest.mark.parametrize("order", [alg.LEX, GRLEX31], ids=["lex", "grlex31"])
-    def test_a_lift_with_a_new_lead_echelonizes(self, monkeypatch, order):
+    def test_a_new_lead_at_level_d_echelonizes(self, monkeypatch, order):
         l = alg.span(2, [L(2, terms) for terms in NEW_LEAD_AT_3])
         assert _relation(l, order) == ((2, -3, 1), 3)
         reduces, built = _routes_spy(monkeypatch)
@@ -1234,6 +1216,17 @@ class TestRankOneRelations:
         assert (1, 2) in levels[3].points
         assert [len(levels[k]) for k in range(1, 5)] == [3, 6, 10, 15]
 
+    @pytest.mark.parametrize("order", [alg.LEX, GRLEX31], ids=["lex", "grlex31"])
+    def test_every_reduce_comes_from_a_power_level(self, monkeypatch, order):
+        # levels 1..D = 3 decide the route and level 4 continues the same
+        # echelon: each level is built once, and no row is reduced outside
+        # a level
+        l = alg.span(2, [L(2, terms) for terms in NEW_LEAD_AT_3])
+        reduces, built = _routes_spy(monkeypatch)
+        _, leads, _ = alg._power_levels(l, order, 4)
+        assert leads is None and len(built) == 4
+        assert reduces and all(inside for _, _, inside in reduces)
+
     @pytest.mark.parametrize(
         "dim,basis,order,degree",
         [(2, NEW_LEAD_AT_3, alg.LEX, 3), (2, NEW_LEAD_AT_3, GRLEX31, 3),
@@ -1241,7 +1234,7 @@ class TestRankOneRelations:
         ids=["new-lead-at-3-lex", "new-lead-at-3-grlex31", "new-lead-at-5-lex",
              "new-lead-at-5-grlex2"],
     )
-    def test_degree_above_kmax_needs_no_lift(self, monkeypatch, dim, basis, order, degree):
+    def test_degree_above_kmax_builds_only_level_one(self, monkeypatch, dim, basis, order, degree):
         l = alg.span(dim, [L(dim, terms) for terms in basis])
         assert _relation(l, order)[1] == degree
         reduces, built = _routes_spy(monkeypatch)
@@ -1257,7 +1250,8 @@ class TestRankOneRelations:
 
 
 class _Echelonizes(Exception):
-    """Raised where _power_levels asks the echelon for level 2."""
+    """Raised where _power_levels asks the echelon for a level past the
+    ones that decide its route."""
 
 
 def _rank_one_draws():
@@ -1280,36 +1274,47 @@ class TestRouteAgreementFuzz:
 
     def test_power_levels_equal_the_echelon_levels(self, monkeypatch):
         # a draw that _power_levels echelonizes has the echelon's levels by
-        # construction, so the echelon past level 1 is cut short
+        # construction, so the echelon is cut short past level 1, or past
+        # level D of a rank-1 relation of degree D, which decides the route
         echelon_levels = alg._echelon_levels
+        limit = 1
 
-        def level_one_only(polys, slot):
-            yield next(echelon_levels(polys, slot))
+        def up_to_limit(polys, slot):
+            yield from islice(echelon_levels(polys, slot), limit)
             raise _Echelonizes
 
-        monkeypatch.setattr(alg, "_echelon_levels", level_one_only)
+        monkeypatch.setattr(alg, "_echelon_levels", up_to_limit)
         routes = {}
         for n, polys in _rank_one_draws():
             l = alg.span(n, polys)
             for order in (alg.LEX,) if n == 1 else (alg.LEX, GRLEX12):
+                box = alg._level_box(l, order, 8)
+                first, _ = next(echelon_levels(l.basis, box.slot))
+                leads = [box.exponent(s, 1) for s in first]
+                relations = _hull.null_space([(1,) * l.dim, *zip(*leads)], l.dim)
+                limit = sum(x for x in relations[0] if x > 0) if len(relations) == 1 else 1
                 try:
-                    box, leads, levels = alg._power_levels(l, order, 8)
+                    _, sumsets, levels = alg._power_levels(l, order, 8)
                 except _Echelonizes:
-                    routes["echelon"] = routes.get("echelon", 0) + 1
-                    continue
-                reference = islice(echelon_levels(l.basis, box.slot), 8)
-                assert {k: set(slots) for k, slots in levels} == {
-                    k: set(pivots) for k, (pivots, _) in enumerate(reference, 1)
-                }
-                route = "monomial"
-                if len({e for f in l.basis for e, _ in f.terms}) > l.dim:
-                    relations = _hull.null_space([(1,) * l.dim, *zip(*leads)], l.dim)
-                    route = "independent"
-                    if relations:
-                        (m,) = relations
-                        route = "degree" if sum(x for x in m if x > 0) > 8 else "subduced"
+                    sumsets = None
+                if sumsets is None:  # an echelon cut short, or one that stopped at D = 8
+                    route = "echelon"
+                else:
+                    reference = islice(echelon_levels(l.basis, box.slot), 8)
+                    assert {k: set(slots) for k, slots in levels} == {
+                        k: set(pivots) for k, (pivots, _) in enumerate(reference, 1)
+                    }
+                    route = "monomial"
+                    if len({e for f in l.basis for e, _ in f.terms}) > l.dim:
+                        assert sumsets == leads
+                        if not relations:
+                            route = "independent"
+                        else:
+                            route = "degree" if limit > 8 else "count"
                 routes[route] = routes.get(route, 0) + 1
-        assert routes["subduced"] and routes["degree"], routes
+        assert routes == {
+            "monomial": 58, "independent": 35, "count": 56, "degree": 17, "echelon": 434,
+        }
 
 
 def _flat_or_random_subspace(rng, dim, i):
