@@ -13,8 +13,7 @@ The rows of Laurent polynomials go through ``algebra``'s packed kernel.
 Dimension dispatch:
 
 * d = 1: trivial min/max.
-* d = 2: Andrew monotone chain (:func:`ring_2d`) over the lowest and the
-  highest point of each x-column.
+* d = 2: Andrew monotone chain (:func:`ring_2d`) over every point.
 * d = 3, 4: incremental beneath-beyond insertion with strict visibility.
   After the initial simplex, points go in by decreasing exact squared
   distance from the centroid (ties by index), so most late points fall
@@ -134,10 +133,8 @@ def ring_2d(points):
     """Andrew's monotone chain on deduplicated, lex-sorted 2D points.
 
     Returns the indices of the extreme points as a counterclockwise ring
-    starting at index 0, the lex-min point; collinear points are dropped.
-    Only the lowest and the highest point of each x-column enter the chain:
-    a point between them lies inside the segment they span, so it is never
-    a vertex.
+    starting at index 0, the lex-min point; the chain pops collinear and
+    interior points.
     """
     def cross(o, a, b):
         return (points[a][0] - points[o][0]) * (points[b][1] - points[o][1]) - (
@@ -152,12 +149,8 @@ def ring_2d(points):
             out.append(i)
         return out[:-1]
 
-    last = len(points) - 1
-    ends = [
-        i for i, (x, _) in enumerate(points)
-        if i == 0 or i == last or points[i - 1][0] != x or points[i + 1][0] != x
-    ]
-    return chain(ends) + chain(reversed(ends))
+    idx = range(len(points))
+    return chain(idx) + chain(reversed(idx))
 
 
 def _hull_2d(points):

@@ -552,26 +552,26 @@ def newton_okounkov_body(
     of s's element, since the valuation is additive; and s / j = m s / m j.
     Doubling j lands in (k_max / 2, k_max], so the lower levels add no
     point.  Each level is read from its lead slots directly, keeping only
-    the lowest and the highest slot of each fiber, a line parallel to the
-    last axis.  Every other lead of the fiber lies on the segment between
-    those two, so the hull is unchanged.  A lex fiber is the set of slots
-    with one value of slot // radices[-1]; a graded lex fiber has one value
-    of slot % prod(radices), and the grade, which rises with the last
-    coordinate, varies along it.
+    the lowest and the highest slot of each fiber, the slots that share
+    every digit but the leading one (``semigroup.LevelBox``): one value of
+    slot % (slots // radices[0]).  A fiber is a line, parallel to the first
+    axis under lex, and to the last under graded lex, where the first n - 1
+    coordinates are fixed and the grade rises with the last one.  Every
+    other lead of the fiber lies on the segment between those two, so the
+    hull is unchanged.
     """
     geometry.check_dim(l.ambient_dim)  # the hull's range, before any level is built
     box, leads, levels = _power_levels(l, order, k_max)
     if leads is not None:
         return geometry._polytope(1, leads, l.ambient_dim)
-    lex = box.grading is None
-    cells = box.radices[-1] if lex else math.prod(box.radices)
+    cells = box.slots // box.radices[0]
     faces = []
     for k, slots in levels:
         if 2 * k <= k_max:
             continue
         low, high = {}, {}
         for s in sorted(slots):
-            fiber = s // cells if lex else s % cells
+            fiber = s % cells
             low.setdefault(fiber, s)
             high[fiber] = s
         ends = {*low.values(), *high.values()}

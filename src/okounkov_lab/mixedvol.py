@@ -183,13 +183,11 @@ def _pair(face, measure, n) -> Fraction:
 def _planar_mixed(f1, f2) -> Fraction:
     """V(F1, F2) of two planar integer faces, in closed form.
 
-    F2 is the face with more points.  Its counterclockwise edges (dx, dy)
-    are outward normals (dy, -dx) as long as the edges, so V(F1, F2) is half
-    the sum of h_F1(dy, -dx), at scale s1 s2.  A segment F2 has two
-    opposite edges and a point none; V(F, F) is the area of F.
+    F2's counterclockwise edges (dx, dy) are outward normals (dy, -dx) as
+    long as the edges, so V(F1, F2) is half the sum of h_F1(dy, -dx), at
+    scale s1 s2.  A segment F2 has two opposite edges and a point none;
+    V(F, F) is the area of F.
     """
-    if len(f1[1]) > len(f2[1]):
-        f1, f2 = f2, f1
     (s1, p1), (s2, p2) = f1, f2
     ring = [p2[i] for i in _hull.ring_2d(p2)]
     total = 0

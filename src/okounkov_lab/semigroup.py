@@ -41,15 +41,15 @@ class LevelBox:
     Points are shifted by the generators' coordinatewise minimum ``low``
     and divided by ``stride``, the gcd of each shifted coordinate over the
     generators, so a level-k point e maps to (e - k*low) / stride in the box
-    [0, k_max * span].  Lex reads that point in mixed radix
-    k_max * span_i + 1, the first coordinate most significant; graded lex
-    puts the grade (``grading`` times the stride, over their gcd: a positive
-    rescaling, the same order) above the mixed radix of the first n - 1
-    coordinates, which with the grade fix the last one.  A point of level
-    k <= k_max has coordinates in 0..k * span_i <= radix - 1, so adding
-    slots never carries: both indices are additive on the box, a level's
-    slots are the sums of the previous level's with the generators', and,
-    within a level, they increase with the order.
+    [0, k_max * span].  A slot reads that point's digits in mixed radix,
+    the first most significant: its coordinates under lex; under graded lex
+    its grade (``grading`` times the stride, over their gcd: a positive
+    rescaling, the same order), then its first n - 1 coordinates, which
+    with the grade fix the last one.  Each digit is linear, and at most k
+    times its generators' maximum on a level k <= k_max, below its radix
+    k_max * max + 1, so adding slots never carries: the index is additive
+    on the box, a level's slots are the sums of the previous level's with
+    the generators', and, within a level, they increase with the order.
     """
 
     low: tuple[int, ...]
@@ -62,10 +62,7 @@ class LevelBox:
         """The slot of a level-1 point."""
         point = [(x - lo) // d for x, lo, d in zip(point, self.low, self.stride)]
         s = 0
-        if self.grading is not None:
-            s = sum(w * x for w, x in zip(self.grading, point))
-            point = point[:-1]
-        for x, radix in zip(point, self.radices):
+        for x, radix in zip(_digits(point, self.grading), self.radices):
             s = s * radix + x
         return s
 
@@ -77,31 +74,33 @@ class LevelBox:
             digits.append(x)
         digits.reverse()
         if self.grading is not None:
-            rest = slot - sum(w * x for w, x in zip(self.grading, digits))
+            grade, *digits = digits
+            rest = grade - sum(w * x for w, x in zip(self.grading, digits))
             digits.append(rest // self.grading[-1])
         return tuple(k * lo + d * x for x, lo, d in zip(digits, self.low, self.stride))
 
 
+def _digits(point, grading):
+    """A box point's digits, most significant first (:class:`LevelBox`)."""
+    if grading is None:
+        return point
+    return [sum(w * x for w, x in zip(grading, point)), *point[:-1]]
+
+
 def level_box(points, k_max: int, grading: tuple[int, ...] | None = None) -> LevelBox:
-    """The slot index of the levels 1..k_max that ``points`` generate: lex
-    without a grading, graded lex with one."""
+    """The slot index of the levels 1..k_max that ``points`` generate, one
+    radix per digit: lex without a grading, graded lex with one."""
     low = tuple(map(min, zip(*points)))
     shifted = [[x - lo for x, lo in zip(p, low)] for p in points]
     stride = tuple(math.gcd(*col) or 1 for col in zip(*shifted))
-    box = [[x // d for x, d in zip(p, stride)] for p in shifted]
-    spans = list(map(max, zip(*box)))
-    if grading is None:
-        grades = 1
-        radices = tuple(k_max * s + 1 for s in spans)
-    else:
+    if grading is not None:
         if len(grading) != len(low):
             raise ValueError("grading length does not match the exponent")
         scaled = [w * d for w, d in zip(grading, stride)]
         grading = tuple(w // math.gcd(*scaled) for w in scaled)
-        radices = tuple(k_max * s + 1 for s in spans[:-1])
-        top = max(sum(w * x for w, x in zip(grading, p)) for p in box)
-        grades = k_max * top + 1
-    return LevelBox(low, stride, radices, grading, math.prod(radices, start=grades))
+    digits = [_digits([x // d for x, d in zip(p, stride)], grading) for p in shifted]
+    radices = tuple(k_max * top + 1 for top in map(max, zip(*digits)))
+    return LevelBox(low, stride, radices, grading, math.prod(radices))
 
 
 def _levels(box: LevelBox, points, k_max: int):
@@ -242,7 +241,7 @@ def difference_lattice_index(a: SupportSet):
     if not a.points:
         raise ValueError("support sets must be nonempty")
     base = min(a.points)
-    rows = sorted(tuple(x - y for x, y in zip(p, base)) for p in a.points if p != base)
+    rows = [tuple(x - y for x, y in zip(p, base)) for p in a.points if p != base]
     nonzero = [d for d in smith_normal_form(rows) if d != 0]
     if len(nonzero) < a.ambient_dim:
         return INFINITE

@@ -682,9 +682,9 @@ def density_of_slice(levels):
     exactly in integers: conv(S_k / k) = conv(S_k) / k, so level k is hulled
     at scale k (`geometry._polytope`), and its integer face is joined with
     the previous body's at their common scale.  In the plane, the hull of a
-    level chains only the lowest and highest point of each column
-    (`_hull.ring_2d`).  Ampleness takes one Smith normal form when level 1
-    already spans Z^n, and two otherwise (`joint_lattice_index`).
+    level is the monotone chain over every point (`_hull.ring_2d`).
+    Ampleness takes one Smith normal form when level 1 already spans Z^n,
+    and two otherwise (`joint_lattice_index`).
     """
     n = levels[1].ambient_dim
     index = joint_lattice_index(list(levels.values()))

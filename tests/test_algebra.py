@@ -453,6 +453,7 @@ def _width_spy(monkeypatch):
 GRLEX12 = alg.MonomialOrder((1, 2))
 GRLEX31 = alg.MonomialOrder((3, 1))
 GRLEX211 = alg.MonomialOrder((2, 1, 1))
+GRLEX1213 = alg.MonomialOrder((1, 2, 1, 3))
 
 # (id, ambient dim, basis as {exponent: coefficient}, order, deepest level)
 ORACLE_CORPUS = [
@@ -1317,8 +1318,9 @@ class TestRouteAgreementFuzz:
         }
 
 
-def _flat_or_random_subspace(rng, dim, i):
-    """A point body, a body in the x1 axis, or a random subspace."""
+def _flat_or_random_subspace(rng, dim, i, count=(1, 4)):
+    """A point body, a body in the x1 axis, or a random subspace of
+    ``count`` = (fewest, most) random polynomials."""
     if i == 0:
         return alg.span(dim, [random_poly(rng, dim, terms=2)])
     if i == 1:
@@ -1328,7 +1330,7 @@ def _flat_or_random_subspace(rng, dim, i):
     while True:
         try:
             polys = [random_poly(rng, dim, terms=rng.randint(1, 3), span=1)
-                     for _ in range(rng.randint(1, 4))]
+                     for _ in range(rng.randint(*count))]
             return alg.span(dim, polys)
         except ValueError:
             continue
@@ -1340,14 +1342,20 @@ class TestNewtonBodyFromFiberEnds:
     @pytest.mark.parametrize(
         "dim,order",
         [(1, alg.LEX), (1, alg.MonomialOrder((2,))), (2, alg.LEX),
-         (2, GRLEX12), (2, GRLEX31), (3, alg.LEX), (3, GRLEX211)],
+         (2, GRLEX12), (2, GRLEX31), (3, alg.LEX), (3, GRLEX211),
+         (4, alg.LEX), (4, GRLEX1213)],
     )
     def test_equals_newton_body_of_the_levels(self, dim, order):
+        # in 4D, six to nine generators make most level-1 leads affinely
+        # dependent, so most bodies come from the fibers of the echelon's
+        # levels; k_max is at most 3 to keep the levels small
+        count, top = ((1, 4), 6) if dim < 4 else ((6, 9), 3)
         rng = random.Random(repr((dim, order)))
-        flat = 0
+        flat = fibers = 0
         for i in range(10):
-            l = _flat_or_random_subspace(rng, dim, i)
-            k_max = rng.randint(1, 6)
+            l = _flat_or_random_subspace(rng, dim, i, count)
+            k_max = rng.randint(1, top)
+            fibers += alg._power_levels(l, order, k_max)[1] is None
             body = alg.newton_okounkov_body(l, order, k_max)
             levels = alg.semigroup_of_subspace(l, order, k_max)
             assert is_level_dict(levels, k_max, dim)
@@ -1356,6 +1364,7 @@ class TestNewtonBodyFromFiberEnds:
             assert (body.affine_dim, body.volume) == (ref.affine_dim, ref.volume)
             flat += body.affine_dim < dim
         assert flat >= (1 if dim == 1 else 2)
+        assert fibers >= (5 if dim == 4 else 1)
 
     @pytest.mark.parametrize(
         "dim,basis,order", [case[1:] for case in INDEPENDENT_LEADS],

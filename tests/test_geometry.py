@@ -245,8 +245,8 @@ def _det(rows):
 
 
 class TestRing2d:
-    """`_hull.ring_2d`, which chains only the ends of each x-column, against
-    the monotone chain over every point and the angular order."""
+    """`_hull.ring_2d` against an independent monotone chain over every
+    point and against the angular order."""
 
     @staticmethod
     def check(points):
