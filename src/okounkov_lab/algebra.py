@@ -31,8 +31,9 @@ one m, of degree D > k_max.  When D <= k_max the echelon runs to level D,
 and if that level has only the leads of D S_1, the rows are a Khovanskii
 basis and the sumsets give every level.  The Newton body of all of these
 is conv(S_1).  Any other Newton body hulls only the levels above
-k_max / 2, and of each only the two ends of its leads along every line
-parallel to the last axis.
+k_max / 2, and of each only the two ends of its leads along every fiber
+of the leading digit: a line parallel to the x_1 axis under lex, and to
+the x_n axis under graded lex.
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ class MonomialOrder:
 
     Lex compares exponent tuples directly with coordinate x1 before x2;
     graded lex compares a positive integer grading first.  Both respect
-    addition, so order-minimal exponents are multiplicative.
+    addition, so order-minimal exponents are multiplicative.  The key is
+    the exponent's ``semigroup.LevelBox`` digits, (grade, x1, ..., x_{n-1})
+    under graded lex, where the grade fixes x_n.
     """
 
     grading: tuple[int, ...] | None = None
@@ -66,11 +69,9 @@ class MonomialOrder:
             raise ValueError("graded lex needs a positive integer grading")
 
     def key(self, exponent: Exponent):
-        if self.grading is None:
-            return exponent
-        if len(self.grading) != len(exponent):
+        if self.grading is not None and len(self.grading) != len(exponent):
             raise ValueError("grading length does not match the exponent")
-        return (sum(w * e for w, e in zip(self.grading, exponent)), exponent)
+        return tuple(semigroup._digits(exponent, self.grading))
 
 
 LEX = MonomialOrder()

@@ -1187,8 +1187,15 @@ class TestExitContract:
              ["--kmax", "40"], lambda rep: rep["rows"][-1]["ratio"] == "861/1600"),
             ("steiner", {"polygon": _parabola(stn.MAX_POLYGON_VERTICES), "rounds": 1}, [],
              lambda rep: rep["rows"][0]["vertices"] == 2 * stn.MAX_POLYGON_VERTICES - 2),
+            # h = 0 gives body2 and h = 1 body1
+            ("profile", {"body1": box(1, 2, 3), "body2": simplex3(1),
+                         "samples": stn.MAX_SAMPLES}, [],
+             lambda rep: len(rep["rows"]) == stn.MAX_SAMPLES + 1
+             and rep["rows"][0] == {"h": "0", "volume": "1/6"}
+             and rep["rows"][-1] == {"h": "1", "volume": "6"}),
         ],
-        ids=["sumset-k", "density-kmax", "sumset-pairs", "density-kmax-40", "polygon-vertices"],
+        ids=["sumset-k", "density-kmax", "sumset-pairs", "density-kmax-40", "polygon-vertices",
+             "profile-samples"],
     )
     def test_size_budget_at_bound_is_admitted(self, tmp_path, command, payload, flags, check):
         inp = write(tmp_path, "in.json", payload)

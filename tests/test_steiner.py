@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+from okounkov_lab import _hull, mixedvol
 from okounkov_lab import geometry as g
 from okounkov_lab import steiner as stn
 from okounkov_lab.jsonio import float_to_str
@@ -724,6 +725,34 @@ class TestSectionProfile:
                 assert rows[0][0] == 0 and rows[-1][0] == 1
                 count += 1
         assert count == 36
+
+    def test_mixed_volumes_once_and_no_hull_per_sample(self, monkeypatch):
+        # a 3D profile takes its n + 1 = 4 mixed volumes once, and the hulls
+        # they build do not grow with the number of samples
+        calls = Counter()
+
+        def spy(m, module, name):
+            inner = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            m.setattr(module, name, counted)
+
+        hulls = {}
+        for samples in (3, 50):
+            box = g.convex_hull([(x, y, z) for x in (0, 1) for y in (0, 2) for z in (0, 3)])
+            tet = g.convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+            calls.clear()
+            with monkeypatch.context() as m:
+                spy(m, mixedvol, "mixed_volume")
+                spy(m, _hull, "hull_of_lifted")
+                rows = stn.section_profile(box, tet, samples)
+            assert rows == composed_section_profile(box, tet, samples)
+            assert calls["mixed_volume"] == 4
+            hulls[samples] = calls["hull_of_lifted"]
+        assert hulls[3] == hulls[50]
 
     def test_dimension_guards(self):
         sq = g.convex_hull([(0, 0), (1, 0), (0, 1), (1, 1)])
