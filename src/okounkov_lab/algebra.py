@@ -594,7 +594,8 @@ def superadditivity_check(
     order: MonomialOrder = LEX,
     k_max: int = 8,
 ) -> SuperadditivityReport:
-    """Check Newton(L1) + Newton(L2) inside Newton(L1 L2) at equal level."""
+    """Check Newton(L1) + Newton(L2) inside Newton(L1 L2) at equal level: the
+    sum is the hull of the vertex sums, so they are tested; no sum is built."""
     l12 = product(l1, l2)
     geometry.check_dim(l1.ambient_dim)
     for l in (l1, l2, l12):
@@ -602,8 +603,6 @@ def superadditivity_check(
     b1 = newton_okounkov_body(l1, order, k_max)
     b2 = newton_okounkov_body(l2, order, k_max)
     b12 = newton_okounkov_body(l12, order, k_max)
-    summed = geometry.minkowski_sum(b1, b2)
-    holds = all(b12.contains(v) for v in summed.vertices)
-    return SuperadditivityReport(
-        holds, b1.vertices, b2.vertices, b12.vertices
-    )
+    sums = (tuple(x + y for x, y in zip(u, v)) for u in b1.vertices for v in b2.vertices)
+    holds = all(map(b12.contains, sums))
+    return SuperadditivityReport(holds, b1.vertices, b2.vertices, b12.vertices)

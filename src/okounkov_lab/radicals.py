@@ -32,33 +32,34 @@ class IndeterminateComparisonError(ArithmeticError):
 
 
 def integer_nth_root(n: int, m: int) -> int:
-    """Floor of the m-th root of a nonnegative integer."""
+    """Floor r of the m-th root of a nonnegative integer n, by integer Newton.
+
+    The start exceeds n^(1/m).  A step floor(((m-1)x + floor(n/x^(m-1)))/m)
+    is floor(((m-1)x + n/x^(m-1))/m), as (m-1)x is an integer: at least r by
+    AM-GM, and below x while x > r, as x^m > n.  So the loop stops at r."""
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
         return 0
-    if m == 1:
-        return n
     if m == 2:
         return math.isqrt(n)
     x = 1 << ((n.bit_length() + m - 1) // m + 1)
     while True:
         y = ((m - 1) * x + n // x ** (m - 1)) // m
         if y >= x:
-            break
+            return x
         x = y
-    while x**m > n:
-        x -= 1
-    return x
 
 
 def _root_bounds(q: Fraction, m: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Enclosure [lo, hi] of q**(1/m) with hi - lo <= 2**-bits."""
+    """Enclosure [lo, hi] of q**(1/m) with hi - lo = 2**-bits: with
+    s = floor(q 2^(m bits)) and r its m-th root floor, r^m <= s, and the
+    integers (r + 1)^m > s give (r + 1)^m > q 2^(m bits)."""
     if q < 0:
         raise ValueError("negative radicand")
     shifted = (q.numerator << (m * bits)) // q.denominator
     r = integer_nth_root(shifted, m)
-    return Fraction(r, 1 << bits), Fraction(r + 2, 1 << bits)
+    return Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits)
 
 
 def _rational_root(q: Fraction, m: int) -> Fraction | None:

@@ -34,7 +34,7 @@ API a polygon is a planar, full-dimensional `geometry.LatticePolytope`; its
 ring of triples is read off the polytope's cached lifted vertices
 (`_ring`).  The convergence diagnostics are plain float arithmetic, the
 disc distance in closed form (`hausdorff_to_disc`).  A section profile
-is the bodies' mixed-volume polynomial, with no hull per sample.
+is one integer polynomial of mixed volumes, about 0.005 ms a sample in 3D.
 
 Iterated symmetrization doubles the vertex count almost every round (each
 interior kink of the chord profile spawns two vertices), so an unbounded
@@ -65,7 +65,7 @@ FLOAT_EPS = 1e-13
 FLOAT_MAX_VERTICES = 1024
 # input budgets: at most 500 rounds (float rounds of 1024 vertices cost
 # 3-10 ms each; all 500 on the criterion-10 quad take about 4 s), 1000
-# profile samples (0.04-0.06 ms each on small 3D bodies, after at most 1 ms
+# profile samples (about 0.005 ms each on small 3D bodies, after at most 1 ms
 # of mixed volumes), and a polygon of at most as many vertices as a float
 # round keeps
 MAX_ROUNDS = 500
@@ -527,20 +527,20 @@ def iterate_symmetrize(
 def section_profile(d1: LatticePolytope, d2: LatticePolytope, samples: int):
     """Exact volumes of the convex combinations h*D1 + (1-h)*D2.
 
-    Returns (h, volume) pairs at h = j/samples; the acceptance harness
-    checks midpoint concavity of the n-th root by exact cross powers.  The
-    volume is the mixed-volume polynomial sum_i C(n, i) h^i (1-h)^(n-i) V_i,
-    V_i = V(D1[i], D2[n-i]) (Schneider, *Convex Bodies*, section 5.1), so the
-    n + 1 mixed volumes are taken once and no sample builds a hull.
-    """
+    Returns (h, volume) pairs at h = j/N, N = samples; the acceptance harness
+    checks midpoint concavity of the n-th root.  The volume is the polynomial
+    sum_i C(n, i) h^i (1-h)^(n-i) V_i in the mixed volumes V_i = V(D1[i],
+    D2[n-i]) (Schneider, *Convex Bodies*, section 5.1), taken once: with
+    C(n, i) V_i = a_i / L for integers a_i, row j is one integer polynomial,
+    sum_i a_i j^i (N-j)^(n-i), over L N^n, and no sample builds a hull."""
     if d1.ambient_dim != d2.ambient_dim:
         raise ValueError("section profile needs equal ambient dimensions")
     if d1.ambient_dim > 3:
         raise ValueError("section profile supports dimensions 1..3")
     if not 3 <= samples <= MAX_SAMPLES:
         raise ValueError(f"samples must be in 3..{MAX_SAMPLES}")
-    n = d1.ambient_dim
-    coeffs = [math.comb(n, i) * mixedvol.mixed_volume((d1,) * i + (d2,) * (n - i))
-              for i in range(n + 1)]
-    hs = [Fraction(j, samples) for j in range(samples + 1)]
-    return [(h, sum(c * h**i * (1 - h) ** (n - i) for i, c in enumerate(coeffs))) for h in hs]
+    n, N = d1.ambient_dim, samples
+    L, (a,) = _lift([[math.comb(n, i) * mixedvol.mixed_volume((d1,) * i + (d2,) * (n - i))
+                      for i in range(n + 1)]])
+    return [(Fraction(j, N), Fraction(sum(c * j**i * (N - j) ** (n - i) for i, c in enumerate(a)),
+                                      L * N**n)) for j in range(N + 1)]

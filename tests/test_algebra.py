@@ -367,6 +367,42 @@ class TestSuperadditivity:
             assert alg.superadditivity_check(l1, l2, k_max=4).holds
             done += 1
 
+    def test_builds_no_minkowski_sum(self, monkeypatch):
+        calls = []
+        real = g.minkowski_sum
+
+        def spy(*bodies):
+            calls.append(bodies)
+            return real(*bodies)
+
+        monkeypatch.setattr(g, "minkowski_sum", spy)
+        r = alg.superadditivity_check(
+            alg.span(2, [ONE2, XPY]), alg.span(2, [ONE2, X]), k_max=5
+        )
+        assert r.holds and calls == []
+
+    def test_product_body_missing_a_vertex_sum_fails(self, monkeypatch):
+        # for monomial subspaces Newton(L1 L2) = Newton(L1) + Newton(L2), so
+        # every vertex of the product body is an extreme vertex sum
+        A = g.support_set(2, [(0, 0), (1, 0), (0, 1)])
+        B = g.support_set(2, [(0, 0), (1, 1)])
+        l1, l2 = alg.monomial_subspace(A), alg.monomial_subspace(B)
+        l12 = alg.product(l1, l2)
+        real = alg.newton_okounkov_body
+        dropped = []
+
+        def forged(l, order, k_max):
+            body = real(l, order, k_max)
+            if l != l12:
+                return body
+            dropped.append(body.vertices[0])
+            return g.convex_hull(body.vertices[1:])
+
+        monkeypatch.setattr(alg, "newton_okounkov_body", forged)
+        r = alg.superadditivity_check(l1, l2, k_max=4)
+        assert dropped == [(0, 0)] and not r.holds
+        assert (0, 0) not in r.product_vertices
+
 
 def _rational_subspace(rng, dim, size):
     """Subspace drawn with only non-integer rational coefficients, and the

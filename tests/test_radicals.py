@@ -30,6 +30,22 @@ class TestIntegerRoot:
             m = rng.randint(2, 5)
             r = integer_nth_root(n, m)
             assert r**m <= n < (r + 1) ** m
+        # perfect powers and their neighbours, up to 36,000-bit radicands
+        for _ in range(300):
+            m = rng.randint(1, 9)
+            root = rng.randrange(2, 2 ** rng.randint(2, 4000))
+            for n in (root**m - 1, root**m, root**m + 1):
+                r = integer_nth_root(n, m)
+                assert r**m <= n < (r + 1) ** m
+
+    def test_root_bounds_enclose_with_width_2_to_minus_bits(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            q = F(rng.randrange(1, 2 ** rng.randint(1, 300)), rng.randrange(1, 2 ** rng.randint(1, 300)))
+            m, bits = rng.randint(1, 9), rng.choice((1, 64, 128, 1024))
+            lo, hi = _root_bounds(q, m, bits)
+            assert lo**m <= q < hi**m
+            assert hi - lo == F(1, 2**bits)
 
 
 class TestSquareRootComparisons:

@@ -129,6 +129,12 @@ CASES = [
      "2d6a1513f2729138f3648830f7abf08e4d14ee48d2ca0238e613c4f0a2254847"),
     ("profile-csv", "profile", {"body1": SQ, "body2": PENTA, "samples": 4}, ["--format", "csv"], 0,
      "7f0bd304ae13b644cc3fb3be5c3a3f295bd7b1a84520c2c02768e9e483b3fa98"),
+    # a long 3D profile: 1001 rows over the mixed volumes of a box and a tetrahedron
+    ("profile-3d-long", "profile", {"body1": BOX3, "body2": TILTED3, "samples": 1000}, [], 0,
+     "a679bb64516480006ab95905a7412e069b9783975003c726e80de32961ff8f76"),
+    ("profile-3d-long-csv", "profile", {"body1": BOX3, "body2": TILTED3, "samples": 1000},
+     ["--format", "csv"], 0,
+     "f247dd89d7eeaa87e867c499f519df74aa67108e7cbf22ac1df274732134c82e"),
     ("selftest", "selftest", None, ["--seed", "5"], 0,
      "569643ad74b2b412ead9605d62e08d488460610a08ac0b10456b6a09aab25810"),
 ]
