@@ -7,7 +7,8 @@ planes (used for membership tests), the extreme points, and d! times the
 volume.
 :func:`echelon`, fraction-free integer row reduction, is the exact
 elimination routine for point rows: it picks the initial simplex, and as
-:func:`null_space` it gives the equations of a flat body's affine hull.
+:func:`null_space` it gives the equations of a flat body's affine hull and,
+by its length, the corank.
 The rows of Laurent polynomials go through ``algebra``'s packed kernel.
 
 Dimension dispatch:
@@ -101,10 +102,10 @@ def echelon(rows):
 
 def null_space(rows, n):
     """Primitive integer vectors spanning {a in Z^n : r.a = 0 for every row r},
-    n - rank of them, for rows of any rank or none (then the unit vectors).
-    The n columns (column j of ``rows``, e_j) combine by c to (r.c for each
-    row r, c), so their :func:`echelon` rows whose ``rows`` part vanishes end
-    in a basis."""
+    n - rank of them, so their number is the corank, for rows of any rank or
+    none (then the unit vectors).  The n columns (column j of ``rows``, e_j)
+    combine by c to (r.c for each row r, c), so their :func:`echelon` rows
+    whose ``rows`` part vanishes end in a basis."""
     m = len(rows)
     unit = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
     if not m:

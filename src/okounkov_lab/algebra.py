@@ -24,16 +24,18 @@ before any level is built.  The powers' leads are the sumsets kS_1 of the
 level-1 leads S_1, which the packed sumset kernel ``semigroup._levels``
 builds on the same box, with no level eliminated past the first, for a
 monomial space, one whose dimension is the size of the union A of its
-basis supports (it is span{x^a : a in A}, and S_1 = A); for a subspace
-whose S_1 is affinely independent (distinct multisets of leads have
-distinct sums); and for one whose leads' relations are the multiples of
-one m, of degree D > k_max.  When D <= k_max the echelon runs to level D,
-and if that level has only the leads of D S_1, the rows are a Khovanskii
-basis and the sumsets give every level.  The Newton body of all of these
-is conv(S_1).  Any other Newton body hulls only the levels above
-k_max / 2, and of each only the two ends of its leads along every fiber
-of the leading digit: a line parallel to the x_1 axis under lex, and to
-the x_n axis under graded lex.
+basis supports (it is span{x^a : a in A}, and S_1 = A).  For any other
+subspace the route is the rank of the relation lattice of S_1, the affine
+integer relations among its leads, which one ``_hull.null_space`` gives:
+rank 0 (distinct multisets of leads have distinct sums) takes the
+sumsets; rank 1, the multiples of one m of degree D, takes them when
+D > k_max, and when D <= k_max the echelon runs to level D, and if that
+level has only the leads of D S_1, the rows are a Khovanskii basis and the
+sumsets give every level; rank 2 or more echelonizes.  Where the sumsets
+give the levels, the Newton body is conv(S_1).  Any other Newton body
+hulls only the levels above k_max / 2, and of each only the two ends of
+its leads along every fiber of the leading digit: a line parallel to the
+x_1 axis under lex, and to the x_n axis under graded lex.
 """
 
 from __future__ import annotations
@@ -160,9 +162,9 @@ def _offset(width: int, n: int) -> int:
 # - 1), a nonnegative width-bit number; flipping each slot's top bit (XOR with
 # the offset) turns that into d mod 2^width, the digit's two's complement.  So
 # (row + off) ^ off lays the digits out as machine integers, and 32- and
-# 64-bit slots go through an array in one C-level pass each way.
-_ARRAY_CODES = {8 * array(code).itemsize: code for code in "ilq"}  # 32 and 64 bits
-_BIG_ENDIAN = sys.byteorder == "big"
+# 64-bit slots go through an array in one C-level pass each way on a
+# little-endian host; a big-endian one takes the byte loop at every width.
+_ARRAY_CODES = {8 * array(c).itemsize: c for c in "ilq" if sys.byteorder == "little"}
 
 
 def _pack(values, width: int) -> int:
@@ -173,10 +175,7 @@ def _pack(values, width: int) -> int:
         step, half = width // 8, 1 << (width - 1)
         data = b"".join((v + half).to_bytes(step, "little") for v in values)
         return int.from_bytes(data, "little") - off
-    digits = array(code, values)
-    if _BIG_ENDIAN:
-        digits.byteswap()
-    return (int.from_bytes(digits.tobytes(), "little") ^ off) - off
+    return (int.from_bytes(array(code, values).tobytes(), "little") ^ off) - off
 
 
 def _unpack(row: int, width: int) -> list[int]:
@@ -192,10 +191,7 @@ def _unpack(row: int, width: int) -> list[int]:
             int.from_bytes(data[i:i + step], "little") - half
             for i in range(0, len(data), step)
         ]
-    digits = array(code, ((row + off) ^ off).to_bytes(n * step, "little"))
-    if _BIG_ENDIAN:
-        digits.byteswap()
-    return digits.tolist()
+    return array(code, ((row + off) ^ off).to_bytes(n * step, "little")).tolist()
 
 
 def _primitive(row: int, width: int) -> tuple[int, int]:
@@ -342,7 +338,12 @@ def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
     Three conditions make the leads of L^k the sumset kS_1 for every
     k <= k_max, whose slots ``semigroup._levels`` builds on the same box
     with no elimination; S_1 is returned then, and the sumsets are built
-    only as they are read.
+    only as they are read.  Past the first, the route is the rank of the
+    relation lattice of the leads S_1 = {v_1, ..., v_d} of L's echelon
+    basis in ``order``, level 1 of :func:`_echelon_levels`: the m in Z^d
+    with sum(m_i) = 0 and sum(m_i v_i) = 0, the kernel of the row of ones
+    and the rows of lead coordinates.  One :func:`_hull.null_space` gives
+    a basis of it, d - 1 - (rank of the leads' differences) vectors.
 
     - L is a monomial space: dim L = |A| for A = supp L, the union of the
       basis supports, and S_1 = A.  A is the same for every basis of L:
@@ -353,21 +354,17 @@ def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
       every slot of kA is a lead.  A basis of monomials is the case where
       each support is one point: independent monomials have distinct
       exponents.
-    - The leads S_1 = {v_1, ..., v_d} of L's echelon basis in ``order``,
-      level 1 of :func:`_echelon_levels`, are affinely independent: their
-      difference rows have rank d - 1 (``_hull.echelon``).  A product of
-      k basis rows with multiplicities m has lead sum(m_i v_i), because
-      the valuation is additive.  Two multisets of size k with equal lead
-      sums give sum((m_i - m'_i) v_i) = 0 with sum(m_i - m'_i) = 0, so
-      m = m' by affine independence.  Products with distinct leads are
+    - The relation lattice has rank 0: S_1 is affinely independent.  A
+      product of k basis rows with multiplicities m has lead sum(m_i v_i),
+      because the valuation is additive.  Two multisets of size k with
+      equal lead sums give sum((m_i - m'_i) v_i) = 0 with
+      sum(m_i - m'_i) = 0, so m = m'.  Products with distinct leads are
       independent, and they span L^k, so dim L^k = C(d + k - 1, k), and
       an element of L^k has the lead of one of them: no combination of
       rows with distinct leads cancels the least.  So the leads of L^k
       are kS_1.
-    - The relations of S_1, the m in Z^d with sum(m_i) = 0 and
-      sum(m_i v_i) = 0, have rank 1 (the rank above is d - 2).  They are
-      the multiples of one primitive m, the :func:`_hull.null_space` of
-      the row of ones and the rows of lead coordinates.  Write m = m+ - m-
+    - The relation lattice has rank 1: the relations are the multiples of
+      the one primitive m that the null space returns.  Write m = m+ - m-
       with m+ and m- the multisets of its positive and negative parts, of
       size D, the degree of m, and g^a for the product of the echelon rows
       with multiplicities a.  Two multisets a, a' of size k with equal lead
@@ -411,7 +408,8 @@ def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
         a product.  So the leads of L^k are kS_1 for every k.  A level D
         with more leads has one outside D S_1, and L is echelonized.
 
-    Every other L is echelonized by :func:`_echelon_levels`, continuing
+    Every other L, a rank-1 lattice that fails the count or a lattice of
+    rank 2 or more, is echelonized by :func:`_echelon_levels`, continuing
     from the levels it has built (1, or 1..D), and S_1 is None.  There a
     multiset M of k basis indices, written as its sorted index tuple,
     stands for the product row(M) of those basis rows; level k is spanned
@@ -428,11 +426,10 @@ def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
         echelon = (pivots for pivots, _ in _echelon_levels(l.basis, box.slot))
         levels = [next(echelon)]
         leads = [box.exponent(s, 1) for s in levels[0]]
-        rank = len(_hull.echelon(_hull._sub(p, leads[0]) for p in leads[1:]))
-        certified = rank == l.dim - 1
-        if rank == l.dim - 2:
-            (m,) = _hull.null_space([(1,) * l.dim, *zip(*leads)], l.dim)
-            degree = sum(x for x in m if x > 0)
+        relations = _hull.null_space([(1,) * l.dim, *zip(*leads)], l.dim)
+        certified = not relations
+        if len(relations) == 1:
+            degree = sum(x for x in relations[0] if x > 0)
             certified = degree > k_max
             if not certified:
                 levels += islice(echelon, degree - 1)

@@ -47,7 +47,7 @@ def _load_input(path: str) -> tuple[dict, str]:
         raise SchemaError(f"cannot read input: {exc}") from exc
     try:
         obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
         raise SchemaError(f"input is not valid JSON: {exc}") from exc
     return obj, hashlib.sha256(raw).hexdigest()
 

@@ -111,10 +111,10 @@ def _measure(rest, memo):
       so w(u) != 0 by the same theorem.  A flat sum gives both normals of
       its hyperplane, and a sum of lower dimension has no independent
       transversal and so no atom.
-    * Otherwise the sum of the distinct faces (K + K has the fan of K): its
-      facet normals when it is full-dimensional, the only hull; both
-      normals of its hyperplane, the null space of its echelon rows, when
-      it is flat; and no atom when it is lower-dimensional.
+    * Otherwise the sum of the distinct faces (K + K has the fan of K),
+      routed by its corank, the length of the one :func:`_hull.null_space`
+      of its points' differences: 0 gives its facet normals, the only hull;
+      1, flat, both normals of its hyperplane; 2 or more no atom.
 
     The last two give the same atoms and weights, up to the positive scale
     of u, which w absorbs, so reports do not depend on the choice.  The
@@ -126,7 +126,7 @@ def _measure(rest, memo):
     only that face; there transversals ran 0.5-0.8x in 4D and 0.4-1.45x in
     3D.  A sum with sum(|F| - 1) < n cannot be full-dimensional, so the
     hull path builds no hull; for two edges in 3D, the commonest rest under
-    large 4D bodies, its echelon rows were 1.5x faster than a batch.  So
+    large 4D bodies, its one null space was 2.5x faster than a batch.  So
     transversals serve rests of at least two distinct faces whose sum can
     be full-dimensional and T <= ``TRANSVERSALS_PER_POINT`` P.
     ``memo`` also maps the multiset of projected faces to their mixed
@@ -144,12 +144,11 @@ def _measure(rest, memo):
             normals = _hull.transversal_normals([(pts, m) for (_, pts), m in rest])
     if normals is None:
         _, pts = geometry._sum_points([f for f, _ in rest], n)
-        rows = [r for _, r in _hull.echelon(_hull._sub(p, pts[0]) for p in pts[1:])]
-        if len(rows) == n:
+        kernel = _hull.null_space([_hull._sub(p, pts[0]) for p in pts[1:]], n)
+        if not kernel:
             normals = [a for a, _ in _hull.hull_of_lifted(pts, n).planes]
-        elif len(rows) == n - 1:
-            (a,) = _hull.null_space(rows, n)
-            normals = [a, tuple(-x for x in a)]
+        elif len(kernel) == 1:
+            normals = [kernel[0], tuple(-x for x in kernel[0])]
         else:
             return []
     out = []

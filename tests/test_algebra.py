@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction as F
 from itertools import islice
 
@@ -804,7 +805,8 @@ class TestPacking:
         if path == "bytes":
             monkeypatch.setattr(alg, "_ARRAY_CODES", {})
         else:
-            assert (width in alg._ARRAY_CODES) == (width <= 64)
+            # a big-endian host packs through the byte loop at every width
+            assert (width in alg._ARRAY_CODES) == (width <= 64 and sys.byteorder == "little")
         for values in _packing_rows(width, random.Random(width)):
             packed = alg._pack(values, width)
             assert packed == _plain_pack(values, width), values
@@ -1228,6 +1230,15 @@ class TestRankOneRelations:
         monkeypatch.undo()
         levels = self.check_levels(l, order, 6)
         assert [len(levels[k]) for k in range(1, 7)] == [(k + 1) ** 2 for k in range(1, 7)]
+
+    @pytest.mark.parametrize("order", [alg.LEX, GRLEX12], ids=["lex", "grlex12"])
+    def test_the_relation_lattice_takes_one_elimination(self, request, order):
+        # the rank of the leads' relations and their one m come from a single
+        # null space: no rank echelon runs before it
+        l = _product_of(CRITERION8_FACTORS)
+        log = request.getfixturevalue("elimination_log")
+        _, leads, _ = alg._power_levels(l, order, 8)
+        assert leads is not None and log == ["null_space", "echelon in null_space"]
 
     @pytest.mark.parametrize("order", [alg.LEX, GRLEX12], ids=["lex", "grlex12"])
     def test_near_2_70_levels_widen_the_slots(self, monkeypatch, order):

@@ -800,7 +800,8 @@ class TestExitContract:
         assert capsys.readouterr().err == "input error: polygon degenerated to a segment\n"
 
     @pytest.mark.parametrize(
-        "raw", [b'{"bodies": "\xff\xfe"}', b'{"bodies": [', b""], ids=["utf8", "truncated", "empty"]
+        "raw", [b'{"bodies": "\xff\xfe"}', b'{"bodies": [', b"", b"[" * 5000 + b"]" * 5000],
+        ids=["utf8", "truncated", "empty", "nested"],
     )
     def test_invalid_json_is_exit_2(self, tmp_path, capsys, raw):
         inp = tmp_path / "in.json"

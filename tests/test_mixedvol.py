@@ -394,6 +394,15 @@ class TestTransversalPath:
         assert found[-5] == found[-4] == {}  # a 2D sum in R^4; a point face
         assert all(found[:16]) and all(found[-3:])
 
+    def test_a_flat_sum_takes_one_elimination(self, request):
+        """Two non-parallel edges in R^3 sum to a parallelogram: its corank
+        and its normal come from one null space, with no rank echelon."""
+        rest = mv._grouped((poly((0, 0, 0), (1, 2, 0)), poly((1, 0, 0), (3, 1, 1))))
+        log = request.getfixturevalue("elimination_log")
+        atoms = _lowest_terms(mv._measure(rest, {}))
+        assert log == ["null_space", "echelon in null_space"]
+        assert set(atoms) == {(2, -1, -3), (-2, 1, 3)}
+
     def test_4d_alexandrov_fenchel_against_inclusion_exclusion(self, monkeypatch):
         """4D checks on bodies of 6 to 8 vertices, whose measures fall on
         both sides of the crossover, against inclusion-exclusion."""
