@@ -26,16 +26,16 @@ builds on the same box, with no level eliminated past the first, for a
 monomial space, one whose dimension is the size of the union A of its
 basis supports (it is span{x^a : a in A}, and S_1 = A).  For any other
 subspace the route is the rank of the relation lattice of S_1, the affine
-integer relations among its leads, which one ``_hull.null_space`` gives:
-rank 0 (distinct multisets of leads have distinct sums) takes the
-sumsets; rank 1, the multiples of one m of degree D, takes them when
-D > k_max, and when D <= k_max the echelon runs to level D, and if that
-level has only the leads of D S_1, the rows are a Khovanskii basis and the
-sumsets give every level; rank 2 or more echelonizes.  Where the sumsets
-give the levels, the Newton body is conv(S_1).  Any other Newton body
-hulls only the levels above k_max / 2, and of each only the two ends of
-its leads along every fiber of the leading digit: a line parallel to the
-x_1 axis under lex, and to the x_n axis under graded lex.
+integer relations among its leads: 2 or more when |S_1| > n + 2, and
+otherwise one ``_hull.null_space`` gives it.  Rank 0 (distinct multisets
+of leads have distinct sums) takes the sumsets; rank 1, the multiples of
+one m of degree D, takes them when D > k_max, or when the echelon's level
+D has only the leads of D S_1, so the rows are a Khovanskii basis; rank 2
+or more echelonizes.  Where the sumsets give the levels, the Newton body
+is conv(S_1).  Any other Newton body hulls only the levels above
+k_max / 2, and of each only the two ends of its leads along every fiber
+of the leading digit: a line parallel to the x_1 axis under lex, and to
+the x_n axis under graded lex.
 """
 
 from __future__ import annotations
@@ -342,8 +342,9 @@ def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
     relation lattice of the leads S_1 = {v_1, ..., v_d} of L's echelon
     basis in ``order``, level 1 of :func:`_echelon_levels`: the m in Z^d
     with sum(m_i) = 0 and sum(m_i v_i) = 0, the kernel of the row of ones
-    and the rows of lead coordinates.  One :func:`_hull.null_space` gives
-    a basis of it, d - 1 - (rank of the leads' differences) vectors.
+    and the rows of lead coordinates, of rank d - 1 - (rank of the leads'
+    differences) >= d - 1 - n for leads in Z^n.  So the rank is 2 or more
+    when d > n + 2; otherwise one :func:`_hull.null_space` gives a basis.
 
     - L is a monomial space: dim L = |A| for A = supp L, the union of the
       basis supports, and S_1 = A.  A is the same for every basis of L:
@@ -426,9 +427,10 @@ def _power_levels(l: LaurentSubspace, order: MonomialOrder, k_max: int):
         echelon = (pivots for pivots, _ in _echelon_levels(l.basis, box.slot))
         levels = [next(echelon)]
         leads = [box.exponent(s, 1) for s in levels[0]]
-        relations = _hull.null_space([(1,) * l.dim, *zip(*leads)], l.dim)
-        certified = not relations
-        if len(relations) == 1:
+        # d > n + 2 leads in Z^n have relations of rank 2 or more, with no elimination
+        relations = l.dim <= len(leads[0]) + 2 and _hull.null_space([(1,) * l.dim, *zip(*leads)], l.dim)
+        certified = relations == []
+        if relations and len(relations) == 1:
             degree = sum(x for x in relations[0] if x > 0)
             certified = degree > k_max
             if not certified:

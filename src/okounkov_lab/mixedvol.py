@@ -126,7 +126,7 @@ def _measure(rest, memo):
     only that face; there transversals ran 0.5-0.8x in 4D and 0.4-1.45x in
     3D.  A sum with sum(|F| - 1) < n cannot be full-dimensional, so the
     hull path builds no hull; for two edges in 3D, the commonest rest under
-    large 4D bodies, its one null space was 2.5x faster than a batch.  So
+    large 4D bodies, its one null space was 2x faster than a batch.  So
     transversals serve rests of at least two distinct faces whose sum can
     be full-dimensional and T <= ``TRANSVERSALS_PER_POINT`` P.
     ``memo`` also maps the multiset of projected faces to their mixed
@@ -144,7 +144,7 @@ def _measure(rest, memo):
             normals = _hull.transversal_normals([(pts, m) for (_, pts), m in rest])
     if normals is None:
         _, pts = geometry._sum_points([f for f, _ in rest], n)
-        kernel = _hull.null_space([_hull._sub(p, pts[0]) for p in pts[1:]], n)
+        kernel = _hull.null_space((_hull._sub(p, pts[0]) for p in pts[1:]), n)
         if not kernel:
             normals = [a for a, _ in _hull.hull_of_lifted(pts, n).planes]
         elif len(kernel) == 1:

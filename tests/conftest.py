@@ -7,7 +7,8 @@ from okounkov_lab import _hull
 
 @pytest.fixture
 def elimination_log(monkeypatch):
-    """A list that logs each ``_hull.null_space`` call from now on, and each
+    """A list that logs each ``_hull.null_space`` call from now on as
+    ``("null_space", n)``, n its number of columns, and each
     ``_hull.echelon`` call with whether a null_space call is running it."""
     log, running = [], []
     echelon, null_space = _hull.echelon, _hull.null_space
@@ -17,7 +18,7 @@ def elimination_log(monkeypatch):
         return echelon(rows)
 
     def null_space_spy(rows, n):
-        log.append("null_space")
+        log.append(("null_space", n))
         running.append(True)
         try:
             return null_space(rows, n)

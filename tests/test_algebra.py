@@ -1234,11 +1234,22 @@ class TestRankOneRelations:
     @pytest.mark.parametrize("order", [alg.LEX, GRLEX12], ids=["lex", "grlex12"])
     def test_the_relation_lattice_takes_one_elimination(self, request, order):
         # the rank of the leads' relations and their one m come from a single
-        # null space: no rank echelon runs before it
+        # null space of at most n + 2 columns: no rank echelon runs outside it
         l = _product_of(CRITERION8_FACTORS)
         log = request.getfixturevalue("elimination_log")
         _, leads, _ = alg._power_levels(l, order, 8)
-        assert leads is not None and log == ["null_space", "echelon in null_space"]
+        assert leads is not None and l.dim <= 2 + 2
+        assert log == [("null_space", l.dim), "echelon in null_space", "echelon in null_space"]
+
+    def test_many_leads_echelonize_with_no_elimination(self, request):
+        # 30 leads in Z^2 have relations of rank 27 or more, so the route
+        # needs no null space, whose 30 columns would grow with every row
+        polys = [L(2, {(i, j): 1, (9 - i, 9 - j): 3}) for i in range(6) for j in range(5)]
+        l = alg.span(2, polys)
+        log = request.getfixturevalue("elimination_log")
+        _, leads, levels = alg._power_levels(l, alg.LEX, 1)
+        assert l.dim == 30 and leads is None and log == []
+        assert [(k, len(slots)) for k, slots in levels] == [(1, 30)]
 
     @pytest.mark.parametrize("order", [alg.LEX, GRLEX12], ids=["lex", "grlex12"])
     def test_near_2_70_levels_widen_the_slots(self, monkeypatch, order):

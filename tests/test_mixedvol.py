@@ -219,6 +219,14 @@ class TestRecursionAgainstInclusionExclusion:
 
 
 class TestMixedVolumeInternals:
+    def test_null_space_reads_rows_only_up_to_rank_n(self):
+        """The null space stops reading rows once they reach rank n, so the
+        many points of a full-dimensional sum cost no more than its first."""
+        read = []
+        rows = [(1, 2, 0), (2, 4, 0), (0, 1, 0), (0, 0, 5), (7, 7, 7)]
+        got = _hull.null_space((read.append(i) or r for i, r in enumerate(rows)), 3)
+        assert got == [] and read == [0, 1, 2, 3]
+
     def test_null_space_matches_sympy(self):
         """The null space against sympy, on the seeded rows that pinned the
         flat-sum cofactor normal: small rows, rows past int64 and dependent
@@ -396,11 +404,11 @@ class TestTransversalPath:
 
     def test_a_flat_sum_takes_one_elimination(self, request):
         """Two non-parallel edges in R^3 sum to a parallelogram: its corank
-        and its normal come from one null space, with no rank echelon."""
+        and its normal come from one null space, with no echelon outside it."""
         rest = mv._grouped((poly((0, 0, 0), (1, 2, 0)), poly((1, 0, 0), (3, 1, 1))))
         log = request.getfixturevalue("elimination_log")
         atoms = _lowest_terms(mv._measure(rest, {}))
-        assert log == ["null_space", "echelon in null_space"]
+        assert log == [("null_space", 3), "echelon in null_space", "echelon in null_space"]
         assert set(atoms) == {(2, -1, -3), (-2, 1, 3)}
 
     def test_4d_alexandrov_fenchel_against_inclusion_exclusion(self, monkeypatch):
